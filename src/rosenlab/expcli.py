@@ -3,10 +3,12 @@
 The experiments tie the package together: simulate long-memory fields,
 integrate a rank-2 functional over a growing window, normalize, and
 measure the Kolmogorov distance to the chi-square-series reference law.
-Everything is reproducible: replicate seeds are derived from the master
-seed and grid indices, so output tables are bit-identical for any worker
-count, and each file-producing invocation writes a JSON manifest next to
-its output recording the merged configuration, versions, and wall time.
+Everything is reproducible: the replicates at each r come from one
+generator stream keyed by the master seed and the r index, and a stream
+does not depend on how its draws are split into blocks, so output tables
+are bit-identical for any block size. Each file-producing invocation writes
+a JSON manifest next to its output recording the merged configuration,
+versions, and wall time.
 
 Monte Carlo protocol choices (replicate counts, bootstrap resampling,
 seeding scheme, reference sample size) are this implementation's own and
@@ -20,7 +22,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import log, sqrt
 from platform import python_version
@@ -36,14 +37,16 @@ from .covmodels import (
     spectral_density,
 )
 from .errors import DegenerateFitError, ParameterError, RankError
-from .fieldsim import (
+# functional_integral is not called here; the perfbench tracer test reaches
+# it through this module's namespace
+from .fieldsim import (  # noqa: F401
     SimulationPlan,
     export_field,
     functional_integral,
     ks_distance,
-    lattice_window_volume,
     normalized_statistic,
     simulate_field,
+    window_integrals,
 )
 from .geometry import indicator_ft, set_from_json, set_to_json
 from .hermite import DEFAULT_QUAD_ORDER, functional_catalog, hermite_coefficients
@@ -89,6 +92,7 @@ RHO_CSV_COLUMNS = ("r", "replicates", "rho", "rho_stderr", "kappa_bound")
 _BOOTSTRAP_RESAMPLES = 200
 _BOOTSTRAP_TAG = 0xB007
 _REFERENCE_TAG = 0xCAFE
+_REPLICATE_TAG = 0xF1E1D
 _D2_CLAMP = 1e-7
 _EXTENT_BUDGET = 2**22
 
@@ -106,7 +110,6 @@ class ExperimentConfig:
     master_seed: int = 0
     h: float = 0.25
     out: str = None
-    threads: int = 1
 
     def __post_init__(self):
         r = tuple(float(x) for x in self.r_grid)
@@ -123,8 +126,6 @@ class ExperimentConfig:
             )
         if not self.h > 0.0:
             raise ParameterError(f"lattice step must be positive, got {self.h}")
-        if self.threads < 1:
-            raise ParameterError(f"threads must be >= 1, got {self.threads}")
         half = _window_half_extent(self.window)
         n_max = int(round(2.0 * half * r[-1] / self.h))
         if n_max > _EXTENT_BUDGET:
@@ -152,7 +153,6 @@ def config_to_json(config):
             "master_seed": config.master_seed,
             "h": config.h,
             "out": config.out,
-            "threads": config.threads,
         }
     )
 
@@ -169,7 +169,6 @@ def config_from_json(text):
         master_seed=int(obj.get("master_seed", 0)),
         h=float(obj.get("h", 0.25)),
         out=obj.get("out"),
-        threads=int(obj.get("threads", 1)),
     )
 
 
@@ -237,48 +236,41 @@ def _experiment_plan(config, r):
     )
 
 
-def _one_statistic(plan, config, r, r_index, rep_index, G, c0, c2, params):
-    rng = np.random.default_rng(
-        np.random.SeedSequence([config.master_seed, r_index, rep_index])
-    )
-    fld = simulate_field(plan, rng=rng)
-    kr = functional_integral(fld, G, config.window, r)
-    if c0 != 0.0:
-        kr -= c0 * lattice_window_volume(fld, config.window, r)
-    return normalized_statistic(kr, c2, r, params)
-
-
-def _ks_against_sorted(sample_a, ref_sorted):
-    """Kolmogorov distance evaluated at the replicate breakpoints only.
-
-    Exact up to 1/len(ref), which is far below bootstrap noise; used inside
-    the bootstrap loop where the pooled exact form would be wasteful.
-    """
-    a = np.sort(sample_a)
-    n = a.size
-    fr = np.searchsorted(ref_sorted, a, side="right") / ref_sorted.size
-    grid = np.arange(n, dtype=float)
-    return float(max(np.max(fr - grid / n), np.max((grid + 1.0) / n - fr)))
-
-
 def _bootstrap_stderr(values, ref_sorted, master_seed, r_index):
+    """Standard deviation of the Kolmogorov distance over bootstrap resamples.
+
+    Each resample's distance is evaluated at its own breakpoints only, which
+    is exact up to 1/len(ref) and far below bootstrap noise. A resample is a
+    multiset of the replicates, so its empirical CDF at the sorted
+    replicates is a cumulative sum of counts, and the reference CDF there is
+    looked up once for all resamples.
+    """
     rng = np.random.default_rng(
         np.random.SeedSequence([int(master_seed), int(r_index), _BOOTSTRAP_TAG])
     )
     n = values.size
+    order = np.argsort(values)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    fr = np.searchsorted(ref_sorted, values[order], side="right") / ref_sorted.size
     stats = np.empty(_BOOTSTRAP_RESAMPLES)
     for b in range(_BOOTSTRAP_RESAMPLES):
-        idx = rng.integers(0, n, n)
-        stats[b] = _ks_against_sorted(values[idx], ref_sorted)
+        counts = np.bincount(rank[rng.integers(0, n, n)], minlength=n)
+        upto = np.cumsum(counts)
+        drawn = counts > 0
+        f, c, u = fr[drawn], counts[drawn], upto[drawn]
+        stats[b] = max(np.max(f - (u - c) / n), np.max(u / n - f))
     return float(np.std(stats, ddof=1))
 
 
 def rate_experiment(config):
     """Kolmogorov distance to the reference law at every r in the grid.
 
-    Replicates are scheduled on a thread pool; each derives its generator
-    from (master_seed, r_index, replicate_index), so the table is
-    bit-identical for any thread count.
+    At each r the replicates come from one generator stream keyed by
+    (master_seed, r_index) and are drawn by fieldsim.window_integrals in
+    blocks of complex draws, two fields per draw. A stream does not depend
+    on how its draws are split into blocks, so the table is bit-identical
+    for any block size.
     """
     params = lrd_params(config.model)
     d = config.window.dimension
@@ -302,23 +294,15 @@ def rate_experiment(config):
     rows = []
     for r_index, r in enumerate(config.r_grid):
         t0 = time.perf_counter()
-        plan = _experiment_plan(config, r)
-        values = np.empty(config.replicates)
-        if config.threads == 1:
-            for j in range(config.replicates):
-                values[j] = _one_statistic(
-                    plan, config, r, r_index, j, G, c0, c2, params
-                )
-        else:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                futures = {
-                    pool.submit(
-                        _one_statistic, plan, config, r, r_index, j, G, c0, c2, params
-                    ): j
-                    for j in range(config.replicates)
-                }
-                for fut, j in futures.items():
-                    values[j] = fut.result()
+        rng = np.random.default_rng(
+            np.random.SeedSequence([int(config.master_seed), r_index, _REPLICATE_TAG])
+        )
+        kr, volume = window_integrals(
+            _experiment_plan(config, r), G, config.window, r, config.replicates, rng
+        )
+        if c0 != 0.0:
+            kr -= c0 * volume
+        values = np.array([normalized_statistic(k, c2, r, params) for k in kr])
         rho = ks_distance(values, ref)
         stderr = _bootstrap_stderr(values, ref, config.master_seed, r_index)
         rows.append(
@@ -526,19 +510,23 @@ def _load_config_doc(path):
     return doc
 
 
-def _pick(args, doc, key, default=None):
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
+def _pick(args, doc, key, default=None, flag=None):
+    """The flag's value, else the config document's, else default.
+
+    flag names the option when it differs from the config key.
+    """
+    value = getattr(args, (flag or key).replace("-", "_"), None)
+    if value is not None:
+        return value
     if key in doc:
         return doc[key]
     return default
 
 
-def _need(args, doc, key):
-    value = _pick(args, doc, key)
+def _need(args, doc, key, flag=None):
+    value = _pick(args, doc, key, flag=flag)
     if value is None:
-        raise ParameterError(f"missing required option --{key.replace('_', '-')}")
+        raise ParameterError(f"missing required option --{(flag or key).replace('_', '-')}")
     return value
 
 
@@ -741,31 +729,17 @@ def _cmd_rate_curves(args, doc):
     return CURVE_COLUMNS, rows, {"family": family}
 
 
-def _cmd_rate_experiment(args, doc, out, seed, threads):
-    merged = dict(doc)
-    for key in ("model", "window", "functional", "r_grid", "replicates",
-                "reference_size", "h"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    if "window" not in merged and getattr(args, "set", None) is not None:
-        merged["window"] = getattr(args, "set")
-    if "r_grid" not in merged and getattr(args, "r", None) is not None:
-        merged["r_grid"] = getattr(args, "r")
-    for need in ("model", "window", "functional", "r_grid"):
-        if need not in merged:
-            raise ParameterError(f"rate experiment needs {need!r} in config or flags")
+def _cmd_rate_experiment(args, doc, out, seed):
     config = ExperimentConfig(
-        model=_parse_model(merged["model"]),
-        window=_parse_window(merged["window"]),
-        functional=str(merged["functional"]),
-        r_grid=tuple(_floats(merged["r_grid"])),
-        replicates=int(merged.get("replicates", 1000)),
-        reference_size=int(merged.get("reference_size", 200000)),
+        model=_parse_model(_need(args, doc, "model")),
+        window=_parse_window(_need(args, doc, "window", flag="set")),
+        functional=str(_need(args, doc, "functional")),
+        r_grid=tuple(_floats(_need(args, doc, "r_grid", flag="r"))),
+        replicates=int(_pick(args, doc, "replicates", 1000)),
+        reference_size=int(_pick(args, doc, "reference_size", 200000)),
         master_seed=int(seed),
-        h=float(merged.get("h", 0.25)),
+        h=float(_pick(args, doc, "h", 0.25)),
         out=out,
-        threads=int(threads),
     )
     table = rate_experiment(config)
     info = {
@@ -824,7 +798,6 @@ def _build_parser():
     common.add_argument("--config", help="JSON document with option defaults")
     common.add_argument("--seed", type=int, help="master seed (default 0)")
     common.add_argument("--out", help="output path (stdout when omitted)")
-    common.add_argument("--threads", type=int, help="worker threads (default 1)")
 
     top = parser.add_subparsers(dest="group", required=True)
 
@@ -933,7 +906,6 @@ def main(argv=None):
     doc = _load_config_doc(getattr(args, "config", None))
     out = _pick(args, doc, "out")
     seed = int(_pick(args, doc, "seed", doc.get("master_seed", 0)))
-    threads = int(_pick(args, doc, "threads", 1))
     command = f"{args.group} {args.action}"
     t0 = time.perf_counter()
 
@@ -960,7 +932,7 @@ def main(argv=None):
     elif command == "rate curves":
         header, rows, info = _cmd_rate_curves(args, doc)
     elif command == "rate experiment":
-        header, rows, info = _cmd_rate_experiment(args, doc, out, seed, threads)
+        header, rows, info = _cmd_rate_experiment(args, doc, out, seed)
     elif command == "verify supmin":
         header, rows, info = _cmd_verify_supmin(args, doc)
     else:

@@ -3,10 +3,11 @@
 The field is generated by circulant (d=1) or block-circulant (d=2)
 embedding: the covariance is wrapped onto a torus at least `padding` times
 the requested extent, the embedding eigenvalues come from an FFT, and one
-complex standard-normal draw per torus site yields a real field whose
-lattice covariance is exact up to the clamped eigenvalue mass. Long-memory
-covariances embed poorly on small tori, so the driver escalates the padding
-until the spectrum is admissible.
+complex standard-normal draw per torus site yields two independent real
+fields, its real and imaginary parts, whose lattice covariance is exact up
+to the clamped eigenvalue mass. Long-memory covariances embed poorly on
+small tori, so the driver escalates the padding until the spectrum is
+admissible or the torus would exceed a fixed site budget.
 
 Functionals of the field are midpoint Riemann sums over the lattice cells
 whose centers fall in the scaled window. The integrand is non-smooth in x,
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .covmodels import CovarianceModel, covariance_eval
+from .covmodels import covariance_eval
 from .errors import (
     CoverageError,
     EmbeddingError,
@@ -32,6 +33,8 @@ __all__ = [
     "GridField",
     "circulant_spectrum",
     "simulate_field",
+    "simulate_pairs",
+    "window_integrals",
     "clear_spectrum_cache",
     "replicate_generator",
     "functional_integral",
@@ -47,6 +50,12 @@ DEFAULT_PADDING = 4
 MAX_PADDING = 64
 CLAMP_TOL = 1e-8  # relative to the max eigenvalue
 _AXIS_BUDGET = 2**22
+# padding escalation refuses tori above this many sites (2^24 complex
+# sites take 256 MB per draw)
+_TORUS_BUDGET = 2**24
+# torus sites per block of window_integrals; larger blocks raise the peak
+# memory without running faster
+_BLOCK_SITES = 2**18
 
 
 @dataclass(frozen=True)
@@ -174,6 +183,12 @@ def _admissible_plan(plan):
     pad = plan.padding
     cap = _max_padding(plan)
     while True:
+        sites = _torus_size(plan.n_per_axis, pad) ** plan.dimension
+        if sites > _TORUS_BUDGET:
+            raise EmbeddingError(
+                f"padding {pad} needs a torus of {sites} sites, over the 2^24 "
+                f"budget; coarsen h or shrink the extent"
+            )
         candidate = plan if pad == plan.padding else replace(plan, padding=pad)
         try:
             return candidate, circulant_spectrum(candidate)
@@ -183,55 +198,120 @@ def _admissible_plan(plan):
                 raise
 
 
-# Replicate drivers call simulate_field thousands of times with one plan;
-# the spectrum and the padding escalation depend only on these fields, not
-# on the seed, so they are computed once per plan shape.
+# Replicate drivers draw thousands of fields with one plan; the spectrum and
+# the padding escalation depend only on these fields, not on the seed, so
+# they are computed once per plan shape.
 _ROOT_CACHE = {}
 _ROOT_CACHE_MAX = 32
 
 
 def _plan_key(plan):
-    model = plan.model
-    ident = model if isinstance(model, CovarianceModel) else id(model)
-    return (ident, plan.dimension, plan.h, plan.extent, plan.padding, plan.clamp_tol)
+    # the key holds the model itself: while its entry lives, a callable model
+    # cannot be freed, so a new callable never inherits its spectrum by id
+    return (plan.model, plan.dimension, plan.h, plan.extent, plan.padding, plan.clamp_tol)
 
 
 def clear_spectrum_cache():
     _ROOT_CACHE.clear()
 
 
-def simulate_field(plan, rng=None):
-    """One zero-mean Gaussian lattice field with covariance B at all lags.
-
-    Identical (plan, seed) gives a bit-identical field. Supplying rng
-    overrides the plan seed (used by replicate drivers).
-    """
+def _embedding_root(plan):
+    """Square root of the admissible embedding spectrum, cached per plan."""
     key = _plan_key(plan)
-    cached = _ROOT_CACHE.get(key)
-    if cached is None:
-        plan, lam = _admissible_plan(plan)
+    root = _ROOT_CACHE.get(key)
+    if root is None:
+        _, lam = _admissible_plan(plan)
         root = np.sqrt(lam)
         if len(_ROOT_CACHE) >= _ROOT_CACHE_MAX:
             _ROOT_CACHE.pop(next(iter(_ROOT_CACHE)))
-        _ROOT_CACHE[key] = (plan.padding, root)
+        _ROOT_CACHE[key] = root
+    return root
+
+
+def simulate_pairs(plan, rng, pairs):
+    """Independent lattice fields, two per complex circulant draw.
+
+    Draws one (pairs, 2, *torus) standard-normal array: for each pair, the
+    real then the imaginary parts of the torus noise. One batched inverse
+    FFT then gives a complex array of shape (pairs, n) or (pairs, n, n)
+    whose real and imaginary parts are independent fields with covariance B
+    (Wood & Chan, JCGS 1994; Dietrich & Newsam, SIAM J. Sci. Comput. 1997).
+    The generator is read in order, so k calls of one pair give the same
+    fields as one call of k pairs.
+    """
+    root = _embedding_root(plan)
+    n = plan.n_per_axis
+    noise = rng.standard_normal((pairs, 2) + root.shape)
+    z = np.empty((pairs,) + root.shape, dtype=complex)
+    z.real = noise[:, 0]
+    z.imag = noise[:, 1]
+    del noise
+    z *= root
+    if plan.dimension == 1:
+        z = np.fft.ifft(z)[:, :n]
     else:
-        pad, root = cached
-        if pad != plan.padding:
-            plan = replace(plan, padding=pad)
+        # ifft2 transforms the last axis and then the first; only the first
+        # n columns reach the lattice, so the second pass skips the rest
+        z = np.fft.ifft(z, axis=-1)[..., :n]
+        z = np.fft.ifft(z, axis=-2)[:, :n]
+    return z * np.sqrt(root.size)
+
+
+def simulate_field(plan, rng=None):
+    """One zero-mean Gaussian lattice field with covariance B at all lags.
+
+    The field is the real half of a one-pair simulate_pairs draw. Identical
+    (plan, seed) gives a bit-identical field. Supplying rng overrides the
+    plan seed.
+    """
     if rng is None:
         rng = np.random.default_rng(plan.seed)
-    n = plan.n_per_axis
-    if plan.dimension == 1:
-        m = root.shape[0]
-        z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        sample = np.fft.ifft(root * z).real * np.sqrt(m)
-        vals = sample[:n]
-    else:
-        m1, m2 = root.shape
-        z = rng.standard_normal((m1, m2)) + 1j * rng.standard_normal((m1, m2))
-        sample = np.fft.ifft2(root * z).real * np.sqrt(m1 * m2)
-        vals = sample[:n, :n]
+    vals = simulate_pairs(plan, rng, 1)[0].real.copy()
     return GridField(values=vals, h=plan.h, origin=-plan.extent + 0.5 * plan.h)
+
+
+def window_integrals(plan, G, window, r, count, rng):
+    """Midpoint sums of G over the scaled window for count independent fields.
+
+    The fields are both halves of ceil(count / 2) simulate_pairs draws,
+    real before imaginary; an odd count drops the last imaginary half. The
+    pairs are drawn in blocks of about _BLOCK_SITES torus sites, one
+    batched FFT per block. A generator's stream does not depend on how its
+    draws are split into blocks, so the sums are identical for any block
+    size, and each equals functional_integral of its field. The coverage
+    check, the window mask and the lattice volume are built once for all
+    fields.
+
+    Returns (sums, volume), volume being the window's lattice volume (cell
+    count times h^d, as lattice_window_volume gives for one field).
+    """
+    if window.dimension != plan.dimension:
+        raise ParameterError(
+            f"window dimension {window.dimension} does not match plan dimension "
+            f"{plan.dimension}"
+        )
+    if count < 1:
+        raise ParameterError(f"count must be >= 1, got {count}")
+    n = plan.n_per_axis
+    # the coverage and mask helpers read only the lattice geometry
+    lattice = GridField(
+        values=np.broadcast_to(0.0, (n,) * plan.dimension),
+        h=plan.h,
+        origin=-plan.extent + 0.5 * plan.h,
+    )
+    _check_coverage(lattice, window, r)
+    mask = _member_mask(lattice, window, r)
+    cell = plan.h**plan.dimension
+    pairs = (count + 1) // 2
+    block = max(1, _BLOCK_SITES // _embedding_root(plan).size)
+    sums = np.empty(2 * pairs)
+    for start in range(0, pairs, block):
+        z = simulate_pairs(plan, rng, min(block, pairs - start))[:, mask]
+        rows = G(np.stack((z.real, z.imag), axis=1).reshape(2 * len(z), -1))
+        # one 1-d sum per field: a batched reduction may group its additions
+        # by the block's shape, which would tie the sums to the block size
+        sums[2 * start : 2 * start + len(rows)] = [np.sum(row) for row in rows]
+    return sums[:count] * cell, float(np.count_nonzero(mask) * cell)
 
 
 def replicate_generator(master_seed, replicate_index):

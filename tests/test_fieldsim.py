@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rosenlab import fieldsim
 from rosenlab.covmodels import cauchy, lrd_params
 from rosenlab.errors import CoverageError, EmbeddingError, ParameterError, RankError
 from rosenlab.fieldsim import (
@@ -22,6 +23,8 @@ from rosenlab.fieldsim import (
     reduction_check,
     replicate_generator,
     simulate_field,
+    simulate_pairs,
+    window_integrals,
 )
 from rosenlab.geometry import rectangle
 from rosenlab.hermite import functional_catalog, hermite_coefficients
@@ -119,20 +122,63 @@ def test_site_marginals():
 
 
 def test_lag_covariance():
+    # both halves of a complex draw have the model covariance, and they are
+    # uncorrelated with each other
     model = cauchy(1, 0.2)
     plan = SimulationPlan(model=model, dimension=1, h=1.0, extent=16.0, seed=17)
     n = 3000
-    prods = {k: np.empty(n) for k in (1, 5, 20)}
+    real = np.empty((n, 21))
+    imag = np.empty((n, 21))
     for i in range(n):
-        f = simulate_field(plan, rng=replicate_generator(17, i))
-        for k in prods:
-            prods[k][i] = f.values[0] * f.values[k]
+        z = simulate_pairs(plan, replicate_generator(17, i), 1)[0]
+        real[i], imag[i] = z.real[:21], z.imag[:21]
+    last = simulate_field(plan, rng=replicate_generator(17, n - 1))
+    assert np.array_equal(real[-1], last.values[:21])
     from rosenlab.covmodels import covariance_eval
 
-    for k, xs in prods.items():
-        want = covariance_eval(model, k * 1.0)
+    for half in (real, imag):
+        for k in (1, 5, 20):
+            xs = half[:, 0] * half[:, k]
+            want = covariance_eval(model, k * 1.0)
+            se = float(xs.std(ddof=1)) / math.sqrt(n)
+            assert abs(float(xs.mean()) - want) < 3 * se
+    for k in (0, 1, 5, 20):
+        xs = real[:, 0] * imag[:, k]
         se = float(xs.std(ddof=1)) / math.sqrt(n)
-        assert abs(float(xs.mean()) - want) < 3 * se
+        assert abs(float(xs.mean())) < 3 * se
+
+
+def test_simulate_field_keeps_its_stream():
+    # the real half of a one-pair block is the field of one complex draw
+    # made as m real normals, then m imaginary ones
+    for plan, fft in (
+        (SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=0.5, extent=16.0, seed=8), np.fft.ifft),
+        (SimulationPlan(model=cauchy(2, 0.3), dimension=2, h=1.0, extent=8.0, seed=8), np.fft.ifft2),
+    ):
+        root = np.sqrt(circulant_spectrum(plan))
+        rng = np.random.default_rng(8)
+        z = rng.standard_normal(root.shape) + 1j * rng.standard_normal(root.shape)
+        want = fft(root * z).real * np.sqrt(root.size)
+        n = plan.n_per_axis
+        want = want[:n] if plan.dimension == 1 else want[:n, :n]
+        assert np.array_equal(simulate_field(plan).values, want)
+
+
+def test_window_integrals_are_block_invariant(monkeypatch):
+    plan = SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=0.5, extent=8.0, seed=0)
+    w = rectangle([-0.5], [0.5])
+    G = functional_catalog("h2")
+    sums, volume = window_integrals(plan, G, w, 16.0, 1001, replicate_generator(3, 0))
+    assert sums.shape == (1001,)
+    assert volume == lattice_window_volume(simulate_field(plan), w, 16.0)
+    monkeypatch.setattr(fieldsim, "_BLOCK_SITES", 1)
+    one_pair, _ = window_integrals(plan, G, w, 16.0, 1002, replicate_generator(3, 0))
+    assert np.array_equal(one_pair[:1001], sums)
+    # the first sum comes from the field simulate_field draws from the stream
+    fld = simulate_field(plan, rng=replicate_generator(3, 0))
+    assert one_pair[0] == functional_integral(fld, G, w, 16.0)
+    with pytest.raises(CoverageError):
+        window_integrals(plan, G, w, 32.0, 10, replicate_generator(3, 0))
 
 
 def test_d2_field_shape_and_variance():
@@ -260,6 +306,32 @@ def test_field_export_round_trip(tmp_path):
     assert np.array_equal(f.values, g.values)
     assert g.h == f.h
     assert g.origin == f.origin
+
+
+def test_spectrum_cache_keeps_callable_models_apart():
+    # a new callable that reuses a freed callable's address must not get the
+    # freed callable's spectrum; closures of one factory reuse it readily
+    def scaled(c):
+        return lambda r: c * np.exp(-np.asarray(r, dtype=float))
+
+    clear_spectrum_cache()
+    shape = dict(dimension=1, h=1.0, extent=8.0, seed=0)
+    first = scaled(1.0)
+    simulate_field(SimulationPlan(model=first, **shape))
+    del first  # freed here unless the cache holds it
+    second = scaled(9.0)
+    z = simulate_pairs(SimulationPlan(model=second, **shape), replicate_generator(0, 0), 1000)
+    var = float(np.mean(z.real**2 + z.imag**2)) / 2.0
+    assert var == pytest.approx(9.0, rel=0.1)
+    clear_spectrum_cache()
+
+
+def test_padding_escalation_has_a_torus_budget():
+    # 2048 points per axis at padding 4 need an 8192^2 torus, over the 2^24
+    # site budget: refused before the spectrum is allocated
+    plan = SimulationPlan(model=cauchy(2, 0.3), dimension=2, h=1.0, extent=1024.0, seed=0)
+    with pytest.raises(EmbeddingError, match="budget"):
+        simulate_field(plan)
 
 
 def test_spectrum_cache_reuse_is_fast():
