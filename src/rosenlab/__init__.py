@@ -104,11 +104,9 @@ from .rosenblatt import (
     variance_oracle,
 )
 from .specfun import (
-    bessel_j,
     bessel_k,
     gamma_fn,
-    hermite_poly,
-    hyp1f2,
+    hyp1f2_cosine,
     incomplete_beta,
     y_d_kernel,
 )

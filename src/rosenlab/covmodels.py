@@ -12,11 +12,12 @@ they exist and from adaptive quadrature of a real integrand otherwise.
 
 import json
 from dataclasses import dataclass, field
-from math import atan2, cos, pi, sin, sqrt
+from math import atan2, cos, gamma, pi, sin, sqrt
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import kv
 
 from .errors import (
     AccuracyError,
@@ -26,7 +27,7 @@ from .errors import (
     RegimeError,
     UnsupportedModelError,
 )
-from .specfun import bessel_k, gamma_fn, hyp1f2
+from .specfun import hyp1f2_cosine
 
 __all__ = [
     "CovarianceModel",
@@ -244,14 +245,14 @@ def c2_constant(d, alpha):
     """Spectral normalization Gamma((d-alpha)/2) / (2^alpha pi^(d/2) Gamma(alpha/2))."""
     if not (0.0 < alpha < d):
         raise DomainError(f"c2_constant needs 0 < alpha < d, got alpha={alpha}, d={d}")
-    return gamma_fn(0.5 * (d - alpha)) / (2.0**alpha * pi ** (0.5 * d) * gamma_fn(0.5 * alpha))
+    return gamma(0.5 * (d - alpha)) / (2.0**alpha * pi ** (0.5 * d) * gamma(0.5 * alpha))
 
 
 def _cauchy_density(d, theta, lam):
     return (
         lam ** (theta - 0.5 * d)
-        * bessel_k(0.5 * d - theta, lam)
-        / (2.0 ** (0.5 * d + theta - 1.0) * pi ** (0.5 * d) * gamma_fn(theta))
+        * kv(0.5 * d - theta, lam)
+        / (2.0 ** (0.5 * d + theta - 1.0) * pi ** (0.5 * d) * gamma(theta))
     )
 
 
@@ -266,7 +267,7 @@ def _linnik_density(d, sigma, theta, lam):
         re, im = 1.0 + t * cs, t * sn
         mod = (re * re + im * im) ** (-0.5 * theta)
         ph = theta * atan2(im, re)
-        return bessel_k(nu, lam * u) * u ** (0.5 * d) * mod * sin(ph)
+        return kv(nu, lam * u) * u ** (0.5 * d) * mod * sin(ph)
 
     ucut = 45.0 / lam
     total = 0.0
@@ -291,12 +292,12 @@ def _localglobal_density_1d(alpha, theta, lam):
         raise DomainError(
             f"local-global d=1 spectral formula needs alpha in (0,1), got {alpha}"
         )
-    f1 = hyp1f2(0.5 * (1.0 - alpha), 0.5, 0.5 * (3.0 - alpha), -0.25 * lam * lam)
-    f2 = hyp1f2(0.5 * (theta + 1.0), 0.5, 0.5 * (theta + 3.0), -0.25 * lam * lam)
+    f1 = hyp1f2_cosine(0.5 * (1.0 - alpha), -0.25 * lam * lam)
+    f2 = hyp1f2_cosine(0.5 * (theta + 1.0), -0.25 * lam * lam)
     return (1.0 / pi) * (
         sin(lam) / lam
         + (theta / (theta + alpha))
-        * (f1 / (alpha - 1.0) + lam ** (alpha - 1.0) * sin(0.5 * pi * alpha) * gamma_fn(1.0 - alpha))
+        * (f1 / (alpha - 1.0) + lam ** (alpha - 1.0) * sin(0.5 * pi * alpha) * gamma(1.0 - alpha))
         - (alpha / ((theta + 1.0) * (theta + alpha))) * f2
     )
 
@@ -397,7 +398,7 @@ def isotropic_measure(model, z):
         raise AccuracyError(
             f"isotropic measure quadrature error {err:.2e} too large", estimate=err
         )
-    return 2.0 * pi ** (0.5 * d) / gamma_fn(0.5 * d) * val
+    return 2.0 * pi ** (0.5 * d) / gamma(0.5 * d) * val
 
 
 def _qr_value(f_of_lam, params, r, lam1, lam2):

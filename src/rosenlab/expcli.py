@@ -459,13 +459,21 @@ def _fmt(value):
 
 
 def _write_csv(out, header, rows):
-    """CSV with a header row, '.' decimals, shortest round-trip floats."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    text = buf.getvalue()
+    """CSV with a header row, '.' decimals, shortest round-trip floats.
+
+    rows is a sequence of tuples, or a 1-d float array for a one-column
+    table, which is formatted without the per-value csv machinery.
+    """
+    if isinstance(rows, np.ndarray):
+        # one float column: repr is what _fmt writes, and no float needs quoting
+        text = f"{header[0]}\n" + "".join(f"{v!r}\n" for v in rows.tolist())
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+        text = buf.getvalue()
     if out is None:
         sys.stdout.write(text)
         return None
@@ -665,7 +673,7 @@ def _cmd_rosenblatt_sample(args, doc, seed):
         series = series_from_json(fh.read())
     n = int(_need(args, doc, "n"))
     draws = sample(series, n, int(seed))
-    return ("x",), [(float(v),) for v in draws], {"series": path, "n": n}
+    return ("x",), draws, {"series": path, "n": n}
 
 
 def _cmd_rate_bound(args, doc):

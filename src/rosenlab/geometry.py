@@ -11,12 +11,14 @@ integrals against that pdf.
 
 import json
 from dataclasses import dataclass
+from math import gamma
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import betainc
 
 from .errors import DomainError, IntegrabilityError, ParameterError
-from .specfun import _gamma_pos, _incbeta, y_d_kernel
+from .specfun import y_d_kernel
 
 __all__ = [
     "DomainSet",
@@ -103,7 +105,7 @@ def volume(window, r=1.0):
     r = _check_r(r)
     d = window.dimension
     if window.shape == "ball":
-        base = np.pi ** (0.5 * d) * window.radius**d / _gamma_pos(0.5 * d + 1.0)
+        base = np.pi ** (0.5 * d) * window.radius**d / gamma(0.5 * d + 1.0)
     else:
         base = float(np.prod([b - a for a, b in zip(window.lower, window.upper)]))
     return r**d * base
@@ -187,9 +189,7 @@ def distance_pdf(window, r, z):
         inside = (z >= 0.0) & (z < 2.0 * rho)
         zi = z[inside]
         mu = 1.0 - (zi / (2.0 * rho)) ** 2
-        vals = np.empty_like(zi)
-        for i in range(zi.size):
-            vals[i] = _incbeta(mu[i], 0.5 * (d + 1.0), 0.5, 1e-14, 512)
+        vals = betainc(0.5 * (d + 1.0), 0.5, mu)
         out[inside] = d * rho ** (-d) * zi ** (d - 1.0) * vals
     elif d == 1:
         ell = (window.upper[0] - window.lower[0]) * r

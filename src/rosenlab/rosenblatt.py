@@ -361,12 +361,14 @@ def sample(series, n, seed):
     nu = np.asarray(series.eigenvalues)
     rng = np.random.default_rng(seed)
     out = np.empty(n)
-    done = 0
-    while done < n:
-        take = min(_SAMPLE_CHUNK, n - done)
-        z = rng.standard_normal((take, nu.size))
-        out[done : done + take] = (z * z - 1.0) @ nu
-        done += take
+    buf = np.empty((min(_SAMPLE_CHUNK, n), nu.size))
+    for lo in range(0, n, _SAMPLE_CHUNK):
+        hi = min(lo + _SAMPLE_CHUNK, n)
+        z = buf[: hi - lo]
+        rng.standard_normal(out=z)
+        z *= z
+        z -= 1.0
+        np.matmul(z, nu, out=out[lo:hi])
     return out
 
 

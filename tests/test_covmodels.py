@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -113,6 +114,19 @@ def test_cauchy_spectral_closed_form_d2():
     for lam in np.linspace(0.1, 10.0, 34):
         want = math.exp(-lam) / (2.0 * math.pi * lam)
         assert spectral_density(m, lam) == pytest.approx(want, rel=1e-10)
+
+
+def test_cauchy_spectral_mpmath_oracle():
+    # lam^(theta - d/2) K_{d/2 - theta}(lam) / (2^(d/2 + theta - 1) pi^(d/2) Gamma(theta))
+    for d, theta in ((1, 0.2), (2, 0.3), (1, 0.8)):
+        m = cauchy(d, theta)
+        for lam in (1e-3, 0.05, 0.7, 2.0, 9.0, 30.0):
+            x, th, h = mp.mpf(lam), mp.mpf(theta), mp.mpf(d) / 2
+            want = float(
+                x ** (th - h) * mp.besselk(h - th, x)
+                / (2 ** (h + th - 1) * mp.pi**h * mp.gamma(th))
+            )
+            assert spectral_density(m, lam) == pytest.approx(want, rel=1e-13)
 
 
 def test_linnik_sigma2_coincides_with_cauchy():

@@ -1,6 +1,7 @@
 """The rate experiment through the command line entry point."""
 
 import csv
+import io
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from rosenlab import expcli, fieldsim
 from rosenlab.expcli import ExperimentConfig, config_to_json, main
+from rosenlab.rosenblatt import EigenSeries, series_to_json
 
 MODEL = json.dumps({"family": "cauchy", "d": 1, "theta": 0.2})
 WINDOW = json.dumps({"shape": "ball", "R": 1.0, "d": 1})
@@ -102,3 +104,24 @@ def test_thread_option_is_gone(tmp_path):
     )
     assert not hasattr(config, "threads")
     assert "threads" not in json.loads(config_to_json(config))
+
+
+def test_sample_csv_matches_the_csv_writer(tmp_path, monkeypatch):
+    series = EigenSeries(eigenvalues=(1.5, 0.25, 0.125), kept=3, tail_mass=0.0,
+                         raw_variance=4.65625)
+    (tmp_path / "series.json").write_text(series_to_json(series), encoding="utf-8")
+    draws = expcli.sample(series, 1000, 5)
+    special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e-310, 1e300, 0.1])
+    monkeypatch.setattr(expcli, "sample", lambda s, n, seed: np.concatenate([draws, special]))
+    out = tmp_path / "x.csv"
+    argv = ["rosenblatt", "sample", "--series", str(tmp_path / "series.json"),
+            "--n", "1008", "--seed", "5", "--out", str(out)]
+    assert main(argv) == 0
+    # the general path: csv.writer over _fmt-formatted rows
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("x",))
+    for v in np.concatenate([draws, special]):
+        writer.writerow([expcli._fmt(float(v))])
+    assert out.read_bytes() == buf.getvalue().encode("utf-8")
+    assert b"\n-0.0\n" in out.read_bytes() and b"\nnan\n" in out.read_bytes()

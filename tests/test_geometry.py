@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -107,6 +108,23 @@ def test_ball_ft_radial_matches_indicator_ft():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+def test_ball_ft_radial_mpmath_oracle():
+    # interval: 2 sin(Rz)/z; disk: 2 pi R J_1(Rz)/z
+    z = np.array([0.0, 1e-9, 1e-3, 0.5, 2.0, 20.0, 119.7, 600.0])
+    for radius in (1.0, 0.7):
+        got1 = ball_ft_radial(ball(1, radius), z)
+        got2 = ball_ft_radial(ball(2, radius), z)
+        for zi, g1, g2 in zip(z, got1, got2):
+            if zi == 0.0:
+                want1, want2 = 2.0 * radius, math.pi * radius**2
+            else:
+                x = mp.mpf(zi)
+                want1 = float(2 * mp.sin(radius * x) / x)
+                want2 = float(2 * mp.pi * radius * mp.besselj(1, radius * x) / x)
+            assert abs(g1 - want1) < 1e-14 * 2.0 * radius
+            assert abs(g2 - want2) < 1e-14 * math.pi * radius**2
+
+
 def test_spherical_l2_decay_exponent():
     # octave-averaged |K|^2 must fall at least like z^-(d+1)
     for d in (1, 2, 3):
@@ -147,6 +165,22 @@ def test_distance_pdf_support_and_homothety():
         lhs = float(distance_pdf(w, 3.0, 3.0 * z))
         rhs = float(distance_pdf(w, 1.0, z)) / 3.0
         assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def test_distance_pdf_disk_mpmath_betainc():
+    # d rho^-d z^(d-1) I_mu((d+1)/2, 1/2) with mu = 1 - (z / 2 rho)^2
+    w = ball(2, 0.8)
+    r = 3.0
+    rho = 0.8 * r
+    # mu is formed in double precision, so the points keep 1 - mu and mu
+    # well away from the rounding unit
+    z = np.array([0.0, 0.05, 0.3, 1.0, 2.4, 4.0, 4.79])
+    got = distance_pdf(w, r, z)
+    for zi, gi in zip(z, got):
+        mu = 1 - (mp.mpf(zi) / (2 * rho)) ** 2
+        want = float(2 * rho**-2 * zi * mp.betainc(1.5, 0.5, 0, mu, regularized=True))
+        assert gi == pytest.approx(want, rel=1e-12, abs=1e-300)
+    assert distance_pdf(w, r, 2.0 * rho) == 0.0
 
 
 def test_distance_pdf_rectangle_is_a_density():
