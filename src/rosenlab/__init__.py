@@ -99,6 +99,7 @@ from .rosenblatt import (
     density_estimate,
     eigen_series,
     sample,
+    series_cdf,
     series_from_json,
     series_to_json,
     variance_oracle,

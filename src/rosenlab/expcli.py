@@ -10,10 +10,12 @@ are bit-identical for any block size. Each file-producing invocation writes
 a JSON manifest next to its output recording the merged configuration,
 versions, and wall time.
 
-Monte Carlo protocol choices (replicate counts, bootstrap resampling,
-seeding scheme, reference sample size) are this implementation's own and
-are recorded in the manifest rather than taken from any published
-experiment.
+The reference law is the chi-square series itself: its CDF is evaluated
+exactly by characteristic-function inversion, so rho carries only the
+Monte Carlo error of the replicates. Monte Carlo protocol choices
+(replicate counts, bootstrap resampling, seeding scheme) are this
+implementation's own and are recorded in the manifest rather than taken
+from any published experiment.
 """
 
 import argparse
@@ -22,7 +24,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from math import log, sqrt
 from platform import python_version
 
@@ -30,13 +32,15 @@ import numpy as np
 
 from .covmodels import (
     covariance_eval,
+    linnik,
+    local_global,
     lrd_params,
     model_from_json,
     model_to_json,
     residual_exponent_fit,
     spectral_density,
 )
-from .errors import DegenerateFitError, ParameterError, RankError
+from .errors import DegenerateFitError, ParameterError, RankError, RosenlabError
 # functional_integral is not called here; the perfbench tracer test reaches
 # it through this module's namespace
 from .fieldsim import (  # noqa: F401
@@ -52,6 +56,7 @@ from .geometry import indicator_ft, set_from_json, set_to_json
 from .hermite import DEFAULT_QUAD_ORDER, functional_catalog, hermite_coefficients
 from .ratelab import (
     CURVE_COLUMNS,
+    RateInputs,
     SupMinSearch,
     curve_table,
     geometric_term,
@@ -63,9 +68,11 @@ from .ratelab import (
 from .rosenblatt import (
     build_kernel,
     calibrate_series,
+    cumulant,
     density_estimate,
     eigen_series,
     sample,
+    series_cdf,
     series_from_json,
     series_to_json,
     variance_oracle,
@@ -81,8 +88,6 @@ __all__ = [
     "rate_experiment",
     "slope_fit",
     "smoothing_inequality_check",
-    "reference_sample",
-    "clear_reference_cache",
     "main",
 ]
 
@@ -91,7 +96,6 @@ __version__ = "0.1.0"
 RHO_CSV_COLUMNS = ("r", "replicates", "rho", "rho_stderr", "kappa_bound")
 _BOOTSTRAP_RESAMPLES = 200
 _BOOTSTRAP_TAG = 0xB007
-_REFERENCE_TAG = 0xCAFE
 _REPLICATE_TAG = 0xF1E1D
 _D2_CLAMP = 1e-7
 _EXTENT_BUDGET = 2**22
@@ -106,7 +110,6 @@ class ExperimentConfig:
     functional: str
     r_grid: tuple
     replicates: int = 1000
-    reference_size: int = 200000
     master_seed: int = 0
     h: float = 0.25
     out: str = None
@@ -119,10 +122,6 @@ class ExperimentConfig:
         if self.replicates < 1000:
             raise ParameterError(
                 f"distance estimates need >= 1000 replicates per r, got {self.replicates}"
-            )
-        if self.reference_size < 10**4:
-            raise ParameterError(
-                f"reference sample must have >= 10^4 draws, got {self.reference_size}"
             )
         if not self.h > 0.0:
             raise ParameterError(f"lattice step must be positive, got {self.h}")
@@ -149,7 +148,6 @@ def config_to_json(config):
             "functional": config.functional,
             "r_grid": list(config.r_grid),
             "replicates": config.replicates,
-            "reference_size": config.reference_size,
             "master_seed": config.master_seed,
             "h": config.h,
             "out": config.out,
@@ -165,7 +163,6 @@ def config_from_json(text):
         functional=obj["functional"],
         r_grid=tuple(obj["r_grid"]),
         replicates=int(obj.get("replicates", 1000)),
-        reference_size=int(obj.get("reference_size", 200000)),
         master_seed=int(obj.get("master_seed", 0)),
         h=float(obj.get("h", 0.25)),
         out=obj.get("out"),
@@ -184,43 +181,18 @@ class RhoRow:
 
 @dataclass(frozen=True)
 class RhoTable:
-    """Distance-versus-r results; runtime stays out of the CSV contract so
-    identical configs produce byte-identical tables."""
+    """Distance-versus-r results and the calibrated series they were
+    measured against; runtime stays out of the CSV contract so identical
+    configs produce byte-identical tables."""
 
     rows: tuple
+    law: object
 
     def csv_rows(self):
         return [
             (row.r, row.replicates, row.rho, row.rho_stderr, row.kappa_bound)
             for row in self.rows
         ]
-
-
-# The reference law depends only on the window, alpha, d, the draw count,
-# and the seed, so one sample serves every r in a sweep (and repeat sweeps
-# in one process).
-_REFERENCE_CACHE = {}
-
-
-def clear_reference_cache():
-    _REFERENCE_CACHE.clear()
-
-
-def reference_sample(window, alpha, d, size, master_seed, keep=300):
-    """Calibrated chi-square-series reference draws, cached and sorted."""
-    key = (window, float(alpha), int(d), int(size), int(master_seed), int(keep))
-    hit = _REFERENCE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    kernel = build_kernel(window, d, alpha)
-    series = eigen_series(kernel, min(keep, kernel.spectrum_size))
-    series = calibrate_series(series, variance_oracle(window, alpha, d))
-    seed = np.random.SeedSequence([int(master_seed), _REFERENCE_TAG])
-    draws = np.sort(sample(series, size, seed))
-    if len(_REFERENCE_CACHE) >= 8:
-        _REFERENCE_CACHE.pop(next(iter(_REFERENCE_CACHE)))
-    _REFERENCE_CACHE[key] = (series, draws)
-    return series, draws
 
 
 def _experiment_plan(config, r):
@@ -236,37 +208,41 @@ def _experiment_plan(config, r):
     )
 
 
-def _bootstrap_stderr(values, ref_sorted, master_seed, r_index):
+def _ks_from_cdf(f, counts):
+    """Kolmogorov distance between a continuous CDF and an empirical law.
+
+    f holds the CDF at the sorted points and counts how often each point
+    is drawn; the empirical CDF jumps from (upto - counts)/n to upto/n
+    there. Points drawn zero times never attain the maximum.
+    """
+    upto = np.cumsum(counts)
+    n = upto[-1]
+    return float(max(np.max(f - (upto - counts) / n), np.max(upto / n - f)))
+
+
+def _bootstrap_stderr(f, master_seed, r_index):
     """Standard deviation of the Kolmogorov distance over bootstrap resamples.
 
-    Each resample's distance is evaluated at its own breakpoints only, which
-    is exact up to 1/len(ref) and far below bootstrap noise. A resample is a
-    multiset of the replicates, so its empirical CDF at the sorted
-    replicates is a cumulative sum of counts, and the reference CDF there is
-    looked up once for all resamples.
+    f is the reference CDF at the sorted replicates. A resample is a
+    multiset of the replicates, so its distance needs only its counts.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence([int(master_seed), int(r_index), _BOOTSTRAP_TAG])
     )
-    n = values.size
-    order = np.argsort(values)
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    fr = np.searchsorted(ref_sorted, values[order], side="right") / ref_sorted.size
-    stats = np.empty(_BOOTSTRAP_RESAMPLES)
-    for b in range(_BOOTSTRAP_RESAMPLES):
-        counts = np.bincount(rank[rng.integers(0, n, n)], minlength=n)
-        upto = np.cumsum(counts)
-        drawn = counts > 0
-        f, c, u = fr[drawn], counts[drawn], upto[drawn]
-        stats[b] = max(np.max(f - (u - c) / n), np.max(u / n - f))
+    n = f.size
+    stats = [
+        _ks_from_cdf(f, np.bincount(rng.integers(0, n, n), minlength=n))
+        for _ in range(_BOOTSTRAP_RESAMPLES)
+    ]
     return float(np.std(stats, ddof=1))
 
 
 def rate_experiment(config):
-    """Kolmogorov distance to the reference law at every r in the grid.
+    """Kolmogorov distance to the limit law at every r in the grid.
 
-    At each r the replicates come from one generator stream keyed by
+    The limit law is the calibrated chi-square series, built once per call;
+    its CDF is evaluated exactly at the sorted replicates of each r. At
+    each r the replicates come from one generator stream keyed by
     (master_seed, r_index) and are drawn by fieldsim.window_integrals in
     blocks of complex draws, two fields per draw. A stream does not depend
     on how its draws are split into blocks, so the table is bit-identical
@@ -287,9 +263,9 @@ def rate_experiment(config):
         )
     c0 = expansion.coeffs[0]
     c2 = expansion.coeffs[2]
-    _, ref = reference_sample(
-        config.window, params.alpha, d, config.reference_size, config.master_seed
-    )
+    kernel = build_kernel(config.window, d, params.alpha)
+    law = eigen_series(kernel, min(300, kernel.spectrum_size))
+    law = calibrate_series(law, variance_oracle(config.window, params.alpha, d))
     kb = kappa_bound(inputs_from_model(config.model))
     rows = []
     for r_index, r in enumerate(config.r_grid):
@@ -303,8 +279,9 @@ def rate_experiment(config):
         if c0 != 0.0:
             kr -= c0 * volume
         values = np.array([normalized_statistic(k, c2, r, params) for k in kr])
-        rho = ks_distance(values, ref)
-        stderr = _bootstrap_stderr(values, ref, config.master_seed, r_index)
+        f = series_cdf(law, np.sort(values))
+        rho = _ks_from_cdf(f, np.ones(f.size, dtype=np.intp))
+        stderr = _bootstrap_stderr(f, config.master_seed, r_index)
         rows.append(
             RhoRow(
                 r=float(r),
@@ -315,7 +292,7 @@ def rate_experiment(config):
                 runtime_seconds=time.perf_counter() - t0,
             )
         )
-    return RhoTable(rows=tuple(rows))
+    return RhoTable(rows=tuple(rows), law=law)
 
 
 @dataclass(frozen=True)
@@ -498,8 +475,9 @@ def _write_manifest(out, command, merged, wall_seconds, seeds, outputs):
         "seeds": seeds,
         "outputs": outputs,
         "protocol_note": (
-            "Monte Carlo protocol (seeding, replicate counts, bootstrap, "
-            "reference size) is chosen by this implementation."
+            "Monte Carlo protocol (seeding, replicate counts, bootstrap) is "
+            "chosen by this implementation; rho is measured against the exact "
+            "CDF of the calibrated chi-square series."
         ),
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -538,18 +516,6 @@ def _need(args, doc, key, flag=None):
     return value
 
 
-def _parse_model(spec):
-    if isinstance(spec, dict):
-        return model_from_json(spec)
-    return model_from_json(str(spec))
-
-
-def _parse_window(spec):
-    if isinstance(spec, dict):
-        return set_from_json(json.dumps(spec))
-    return set_from_json(str(spec))
-
-
 def _floats(text):
     if isinstance(text, (list, tuple)):
         return [float(v) for v in text]
@@ -567,22 +533,22 @@ def _grid(text):
     return _floats(s)
 
 
-def _cmd_covariance_eval(args, doc):
-    model = _parse_model(_need(args, doc, "model"))
+def _cmd_covariance_eval(args, doc, out, seed):
+    model = model_from_json(_need(args, doc, "model"))
     rs = _floats(_need(args, doc, "r"))
     rows = [(r, float(covariance_eval(model, r))) for r in rs]
     return ("r", "covariance"), rows, {}
 
 
-def _cmd_spectral_eval(args, doc):
-    model = _parse_model(_need(args, doc, "model"))
+def _cmd_spectral_eval(args, doc, out, seed):
+    model = model_from_json(_need(args, doc, "model"))
     lams = _floats(_need(args, doc, "lam"))
     rows = [(lam, float(spectral_density(model, lam))) for lam in lams]
     return ("lam", "density"), rows, {}
 
 
-def _cmd_spectral_fit(args, doc):
-    model = _parse_model(_need(args, doc, "model"))
+def _cmd_spectral_fit(args, doc, out, seed):
+    model = model_from_json(_need(args, doc, "model"))
     grid = _pick(args, doc, "grid")
     grid = np.geomspace(1e-4, 10**-2.5, 10) if grid is None else np.asarray(_grid(grid))
     fit = residual_exponent_fit(model, grid)
@@ -591,8 +557,8 @@ def _cmd_spectral_fit(args, doc):
     return ("family", "upsilon_fit", "upsilon_formula", "difference"), rows, {}
 
 
-def _cmd_geometry_ft(args, doc):
-    window = _parse_window(_need(args, doc, "set"))
+def _cmd_geometry_ft(args, doc, out, seed):
+    window = set_from_json(_need(args, doc, "set"))
     zs = _floats(_need(args, doc, "z"))
     direction = _pick(args, doc, "direction")
     if direction is None:
@@ -610,7 +576,7 @@ def _cmd_geometry_ft(args, doc):
     return ("z", "ft_real", "ft_imag"), rows, {}
 
 
-def _cmd_hermite_coeffs(args, doc):
+def _cmd_hermite_coeffs(args, doc, out, seed):
     name = _need(args, doc, "functional")
     order = int(_pick(args, doc, "order", 6))
     quad = int(_pick(args, doc, "quad-order", DEFAULT_QUAD_ORDER))
@@ -620,7 +586,7 @@ def _cmd_hermite_coeffs(args, doc):
 
 
 def _cmd_simulate_field(args, doc, out, seed):
-    model = _parse_model(_need(args, doc, "model"))
+    model = model_from_json(_need(args, doc, "model"))
     plan = SimulationPlan(
         model=model,
         dimension=int(_pick(args, doc, "d", model.dimension)),
@@ -634,11 +600,11 @@ def _cmd_simulate_field(args, doc, out, seed):
         raise ParameterError("simulate field writes binary output; --out is required")
     fld = simulate_field(plan)
     export_field(fld, out)
-    return {"n_per_axis": plan.n_per_axis, "path": out}
+    return None, None, {"n_per_axis": plan.n_per_axis, "path": out}
 
 
-def _cmd_rosenblatt_build(args, doc, out):
-    window = _parse_window(_need(args, doc, "set"))
+def _cmd_rosenblatt_build(args, doc, out, seed):
+    window = set_from_json(_need(args, doc, "set"))
     d = int(_pick(args, doc, "d", window.dimension))
     alpha = float(_need(args, doc, "alpha"))
     n_nodes = _pick(args, doc, "n-nodes")
@@ -664,10 +630,10 @@ def _cmd_rosenblatt_build(args, doc, out):
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    return info
+    return None, None, info
 
 
-def _cmd_rosenblatt_sample(args, doc, seed):
+def _cmd_rosenblatt_sample(args, doc, out, seed):
     path = _need(args, doc, "series")
     with open(path, "r", encoding="utf-8") as fh:
         series = series_from_json(fh.read())
@@ -676,13 +642,18 @@ def _cmd_rosenblatt_sample(args, doc, seed):
     return ("x",), draws, {"series": path, "n": n}
 
 
-def _cmd_rate_bound(args, doc):
+def _cmd_rate_bound(args, doc, out, seed):
     model_spec = _pick(args, doc, "model")
     if model_spec is not None:
         q = _pick(args, doc, "q")
-        inputs = inputs_from_model(_parse_model(model_spec), q=None if q is None else float(q))
+        inputs = inputs_from_model(model_from_json(model_spec), q=None if q is None else float(q))
     else:
-        inputs = _rate_inputs_from_flags(args, doc)
+        inputs = RateInputs(
+            dimension=int(_need(args, doc, "d")),
+            alpha=float(_need(args, doc, "alpha")),
+            q=float(_need(args, doc, "q")),
+            upsilon=float(_need(args, doc, "upsilon")),
+        )
     rows = [
         (
             inputs.dimension,
@@ -702,32 +673,17 @@ def _cmd_rate_bound(args, doc):
     return header, rows, {}
 
 
-def _rate_inputs_from_flags(args, doc):
-    from .ratelab import RateInputs
-
-    return RateInputs(
-        dimension=int(_need(args, doc, "d")),
-        alpha=float(_need(args, doc, "alpha")),
-        q=float(_need(args, doc, "q")),
-        upsilon=float(_need(args, doc, "upsilon")),
-    )
-
-
-def _cmd_rate_curves(args, doc):
+def _cmd_rate_curves(args, doc, out, seed):
     family = str(_need(args, doc, "family"))
     grid = _grid(_need(args, doc, "alpha-grid"))
     q = _pick(args, doc, "q")
     q = None if q is None else float(q)
     if family == "localglobal":
         theta = float(_pick(args, doc, "theta", 0.5))
-        from .covmodels import local_global
-
         builder = lambda a: local_global(1, a, theta)
     elif family == "linnik":
         d = int(_need(args, doc, "d"))
         sigma = float(_need(args, doc, "sigma"))
-        from .covmodels import linnik
-
         builder = lambda a: linnik(d, sigma, a / sigma)
     else:
         raise ParameterError(f"unknown curve family {family!r}; use localglobal or linnik")
@@ -739,12 +695,11 @@ def _cmd_rate_curves(args, doc):
 
 def _cmd_rate_experiment(args, doc, out, seed):
     config = ExperimentConfig(
-        model=_parse_model(_need(args, doc, "model")),
-        window=_parse_window(_need(args, doc, "window", flag="set")),
+        model=model_from_json(_need(args, doc, "model")),
+        window=set_from_json(_need(args, doc, "window", flag="set")),
         functional=str(_need(args, doc, "functional")),
         r_grid=tuple(_floats(_need(args, doc, "r_grid", flag="r"))),
         replicates=int(_pick(args, doc, "replicates", 1000)),
-        reference_size=int(_pick(args, doc, "reference_size", 200000)),
         master_seed=int(seed),
         h=float(_pick(args, doc, "h", 0.25)),
         out=out,
@@ -753,23 +708,21 @@ def _cmd_rate_experiment(args, doc, out, seed):
     info = {
         "config": json.loads(config_to_json(config)),
         "runtime_seconds": [row.runtime_seconds for row in table.rows],
+        "limit_law": {
+            "kept": table.law.kept,
+            "calibration_factor": table.law.calibration_factor,
+            "variance": cumulant(table.law, 2),
+            "kappa3": cumulant(table.law, 3),
+        },
     }
     try:
-        fit = slope_fit(table)
-        info["slope_fit"] = {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "r_squared": fit.r_squared,
-            "slope_stderr": fit.slope_stderr,
-            "kappa_bound": fit.kappa_bound,
-            "consistent": fit.consistent,
-        }
+        info["slope_fit"] = asdict(slope_fit(table))
     except DegenerateFitError as exc:
         info["slope_fit"] = str(exc)
     return RHO_CSV_COLUMNS, table.csv_rows(), info
 
 
-def _cmd_verify_supmin(args, doc):
+def _cmd_verify_supmin(args, doc, out, seed):
     d = int(_need(args, doc, "d"))
     alpha = float(_need(args, doc, "alpha"))
     q = float(_need(args, doc, "q"))
@@ -794,6 +747,24 @@ def _cmd_verify_supmin(args, doc):
         )
     ]
     return header, rows, {}
+
+
+# "group action" -> handler(args, doc, out, seed) returning (header, rows,
+# info); header is None for commands that write their own output file
+_COMMANDS = {
+    "covariance eval": _cmd_covariance_eval,
+    "spectral eval": _cmd_spectral_eval,
+    "spectral fit-upsilon": _cmd_spectral_fit,
+    "geometry ft": _cmd_geometry_ft,
+    "hermite coeffs": _cmd_hermite_coeffs,
+    "simulate field": _cmd_simulate_field,
+    "rosenblatt build": _cmd_rosenblatt_build,
+    "rosenblatt sample": _cmd_rosenblatt_sample,
+    "rate bound": _cmd_rate_bound,
+    "rate curves": _cmd_rate_curves,
+    "rate experiment": _cmd_rate_experiment,
+    "verify supmin": _cmd_verify_supmin,
+}
 
 
 def _build_parser():
@@ -891,7 +862,6 @@ def _build_parser():
     p.add_argument("--functional")
     p.add_argument("--r", help="comma-separated window scales")
     p.add_argument("--replicates", type=int)
-    p.add_argument("--reference-size", type=int, dest="reference_size")
     p.add_argument("--h", type=float)
 
     ver = top.add_parser("verify", help="identity verification").add_subparsers(
@@ -909,49 +879,31 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; a RosenlabError becomes one line on stderr and exit
+    code 2."""
+    args = _build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except RosenlabError as exc:
+        sys.stderr.write(f"rosenlab: {exc}\n")
+        return 2
+
+
+def _run(args):
     doc = _load_config_doc(getattr(args, "config", None))
     out = _pick(args, doc, "out")
     seed = int(_pick(args, doc, "seed", doc.get("master_seed", 0)))
     command = f"{args.group} {args.action}"
     t0 = time.perf_counter()
 
-    header = rows = None
-    info = {}
-    if command == "covariance eval":
-        header, rows, info = _cmd_covariance_eval(args, doc)
-    elif command == "spectral eval":
-        header, rows, info = _cmd_spectral_eval(args, doc)
-    elif command == "spectral fit-upsilon":
-        header, rows, info = _cmd_spectral_fit(args, doc)
-    elif command == "geometry ft":
-        header, rows, info = _cmd_geometry_ft(args, doc)
-    elif command == "hermite coeffs":
-        header, rows, info = _cmd_hermite_coeffs(args, doc)
-    elif command == "simulate field":
-        info = _cmd_simulate_field(args, doc, out, seed)
-    elif command == "rosenblatt build":
-        info = _cmd_rosenblatt_build(args, doc, out)
-    elif command == "rosenblatt sample":
-        header, rows, info = _cmd_rosenblatt_sample(args, doc, seed)
-    elif command == "rate bound":
-        header, rows, info = _cmd_rate_bound(args, doc)
-    elif command == "rate curves":
-        header, rows, info = _cmd_rate_curves(args, doc)
-    elif command == "rate experiment":
-        header, rows, info = _cmd_rate_experiment(args, doc, out, seed)
-    elif command == "verify supmin":
-        header, rows, info = _cmd_verify_supmin(args, doc)
-    else:
-        raise ParameterError(f"unknown command {command!r}")
+    header, rows, info = _COMMANDS[command](args, doc, out, seed)
 
     outputs = []
     if header is not None:
         written = _write_csv(out, header, rows)
         if written is not None:
             outputs.append(written)
-    elif out is not None and command in ("simulate field", "rosenblatt build"):
+    elif out is not None:
         outputs.append(out)
 
     wall = time.perf_counter() - t0

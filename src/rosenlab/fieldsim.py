@@ -15,7 +15,6 @@ so higher-order quadrature would buy nothing; discretization error is
 dominated by Monte Carlo variance at the replicate counts used here.
 """
 
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -436,33 +435,17 @@ def ks_distance(sample_a, sample_b):
     return float(np.max(np.abs(fa - fb)))
 
 
-_MAGIC = b"RLF1"
-
-
 def export_field(field, path):
-    """Flat little-endian binary dump: magic, d, N per axis, h, values.
-
-    Debugging aid, not a stability-guaranteed format.
-    """
-    vals = np.ascontiguousarray(field.values, dtype="<f8")
-    d = vals.ndim
+    """Values, h and origin in numpy's .npz format, written to path as given."""
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<i", d))
-        for axis in range(d):
-            fh.write(struct.pack("<i", vals.shape[axis]))
-        fh.write(struct.pack("<d", field.h))
-        fh.write(struct.pack("<d", field.origin))
-        fh.write(vals.tobytes())
+        np.savez(fh, values=field.values, h=field.h, origin=field.origin)
 
 
 def import_field(path):
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ParameterError(f"{path} is not a field dump")
-        (d,) = struct.unpack("<i", fh.read(4))
-        shape = tuple(struct.unpack("<i", fh.read(4))[0] for _ in range(d))
-        (h,) = struct.unpack("<d", fh.read(8))
-        (origin,) = struct.unpack("<d", fh.read(8))
-        vals = np.frombuffer(fh.read(), dtype="<f8").reshape(shape)
-    return GridField(values=vals.copy(), h=h, origin=origin)
+    try:
+        with np.load(path) as data:
+            return GridField(
+                values=data["values"], h=float(data["h"]), origin=float(data["origin"])
+            )
+    except (ValueError, TypeError, KeyError) as exc:  # not an .npz field dump
+        raise ParameterError(f"{path} is not a field dump: {exc}") from None

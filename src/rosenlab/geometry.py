@@ -188,8 +188,16 @@ def distance_pdf(window, r, z):
         # and vanishes for d >= 2
         inside = (z >= 0.0) & (z < 2.0 * rho)
         zi = z[inside]
-        mu = 1.0 - (zi / (2.0 * rho)) ** 2
-        vals = betainc(0.5 * (d + 1.0), 0.5, mu)
+        # I_mu((d+1)/2, 1/2) at mu = 1 - x^2, never rounding 1 - x^2 in
+        # double: as 1 - I_{x^2}(1/2, (d+1)/2) for small x, and with
+        # mu = (1 - x)(1 + x) near the diameter
+        x = zi / (2.0 * rho)
+        a = 0.5 * (d + 1.0)
+        vals = np.where(
+            x * x <= 0.5,
+            1.0 - betainc(0.5, a, x * x),
+            betainc(a, 0.5, (1.0 - x) * (1.0 + x)),
+        )
         out[inside] = d * rho ** (-d) * zi ** (d - 1.0) * vals
     elif d == 1:
         ell = (window.upper[0] - window.lower[0]) * r

@@ -13,7 +13,7 @@ coefficients (see the order-stability guard in hermite_coefficients).
 """
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import factorial, pi, sqrt
 
 import numpy as np
 from scipy.special import roots_hermite
@@ -144,24 +144,10 @@ def parseval_defect(G, expansion):
 def truncated_eval(expansion, w):
     """Partial sum sum_j C_j H_j(w) / j! at w (scalar or ndarray)."""
     w = np.asarray(w, dtype=float)
-    scalar = w.ndim == 0
-    wv = np.atleast_1d(w)
-    acc = np.zeros_like(wv)
-    hm = np.ones_like(wv)
-    hc = wv.copy()
-    fact = 1.0
-    for j, cj in enumerate(expansion.coeffs):
-        if j == 0:
-            acc += cj
-            continue
-        fact *= j
-        if j == 1:
-            hj = hc
-        else:
-            hm, hc = hc, wv * hc - (j - 1) * hm
-            hj = hc
-        acc += cj * hj / fact
-    return float(acc[0]) if scalar else acc
+    H = _hermite_matrix(len(expansion.coeffs) - 1, w.ravel())
+    scaled = np.array([cj / factorial(j) for j, cj in enumerate(expansion.coeffs)])
+    acc = (scaled @ H).reshape(w.shape)
+    return float(acc) if w.ndim == 0 else acc
 
 
 def functional_catalog(name):

@@ -3,13 +3,15 @@
 import csv
 import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from rosenlab import expcli, fieldsim
 from rosenlab.expcli import ExperimentConfig, config_to_json, main
-from rosenlab.rosenblatt import EigenSeries, series_to_json
+from rosenlab.rosenblatt import EigenSeries, series_cdf, series_to_json
 
 MODEL = json.dumps({"family": "cauchy", "d": 1, "theta": 0.2})
 WINDOW = json.dumps({"shape": "ball", "R": 1.0, "d": 1})
@@ -22,7 +24,6 @@ def _experiment(out, *flags):
         "--set", WINDOW,
         "--functional", "abs-centered",
         "--h", "0.5",
-        "--reference-size", "10000",
         "--seed", "7",
         "--out", str(out),
         *flags,
@@ -59,20 +60,64 @@ def test_table_is_identical_for_any_block_size(tmp_path, monkeypatch, replicates
 
 
 def test_bootstrap_stderr_matches_the_resample_loop():
-    # reference: sort each resample and evaluate the distance at its own
-    # breakpoints; the second sample has ties
+    # oracle: sort each resample and evaluate the distance to the normal CDF
+    # at its own breakpoints; the second sample has ties
     rng = np.random.default_rng(11)
-    ref = np.sort(rng.standard_normal(20000))
     for values in (rng.standard_normal(1000), np.round(rng.standard_normal(1001), 1)):
+        values = np.sort(values)
         n = values.size
         boot = np.random.default_rng(np.random.SeedSequence([5, 2, expcli._BOOTSTRAP_TAG]))
         stats = []
         for _ in range(expcli._BOOTSTRAP_RESAMPLES):
-            a = np.sort(values[boot.integers(0, n, n)])
-            fr = np.searchsorted(ref, a, side="right") / ref.size
+            fr = ndtr(np.sort(values[boot.integers(0, n, n)]))
             grid = np.arange(n, dtype=float)
             stats.append(max(np.max(fr - grid / n), np.max((grid + 1.0) / n - fr)))
-        assert expcli._bootstrap_stderr(values, ref, 5, 2) == float(np.std(stats, ddof=1))
+        assert expcli._bootstrap_stderr(ndtr(values), 5, 2) == float(np.std(stats, ddof=1))
+
+
+def test_rho_is_the_sup_over_breakpoints_against_the_series_cdf(tmp_path, monkeypatch):
+    seen = []
+
+    def recorded(series, x):
+        seen.append((series, np.array(x)))
+        return series_cdf(series, x)
+
+    monkeypatch.setattr(expcli, "series_cdf", recorded)
+    out = tmp_path / "rho.csv"
+    assert main(_experiment(out, "--r", "4,8")) == 0
+    rows = _rows(out)
+    assert len(seen) == 2
+    for (law, x), row in zip(seen, rows):
+        assert law is seen[0][0]  # one law per call
+        # brute force: the empirical CDF on both sides of every breakpoint
+        f = series_cdf(law, x)
+        above = np.searchsorted(x, x, side="right") / x.size
+        below = np.searchsorted(x, x, side="left") / x.size
+        brute = max(np.max(np.abs(above - f)), np.max(np.abs(f - below)))
+        assert float(row["rho"]) == brute
+    manifest = json.loads((tmp_path / "rho.csv.manifest.json").read_text(encoding="utf-8"))
+    recorded_law = manifest["config"]["derived_limit_law"]
+    nu = np.asarray(seen[0][0].eigenvalues)
+    assert recorded_law["kept"] == nu.size
+    assert recorded_law["kappa3"] == 8.0 * float(np.sum(nu**3))
+    assert "reference" not in json.dumps(manifest)
+
+
+def test_reference_draw_count_option_is_gone(tmp_path):
+    # the law's CDF is exact, so there is no reference sample to size
+    with pytest.raises(SystemExit):
+        main(_experiment(tmp_path / "rho.csv", "--r", "4", "--reference-size", "10000"))
+    assert [f.name for f in fields(ExperimentConfig)] == [
+        "model", "window", "functional", "r_grid", "replicates", "master_seed", "h", "out",
+    ]
+
+
+def test_errors_become_one_line_and_exit_code_2(capsys):
+    argv = ["rosenblatt", "build", "--set", WINDOW, "--alpha", "0.5"]  # alpha >= d/2
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rosenlab: alpha must lie in (0, d/2)")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_flags_override_the_config_document(tmp_path):
@@ -82,7 +127,6 @@ def test_flags_override_the_config_document(tmp_path):
         "functional": "abs-centered",
         "r_grid": [8, 16],
         "replicates": 1000,
-        "reference_size": 10000,
         "h": 0.5,
     }
     path = tmp_path / "config.json"

@@ -302,10 +302,20 @@ def test_field_export_round_trip(tmp_path):
     f = simulate_field(plan)
     path = tmp_path / "field.bin"
     export_field(f, str(path))
+    assert [p.name for p in tmp_path.iterdir()] == ["field.bin"]  # no .npz suffix added
     g = import_field(str(path))
     assert np.array_equal(f.values, g.values)
     assert g.h == f.h
     assert g.origin == f.origin
+    # a file in another format is refused, not misread
+    for name, body in (("raw.bin", b"RLF1" + bytes(12)), ("array.npy", None)):
+        other = tmp_path / name
+        if body is None:
+            np.save(other, f.values)
+        else:
+            other.write_bytes(body)
+        with pytest.raises(ParameterError):
+            import_field(str(other))
 
 
 def test_spectrum_cache_keeps_callable_models_apart():

@@ -172,8 +172,6 @@ def test_distance_pdf_disk_mpmath_betainc():
     w = ball(2, 0.8)
     r = 3.0
     rho = 0.8 * r
-    # mu is formed in double precision, so the points keep 1 - mu and mu
-    # well away from the rounding unit
     z = np.array([0.0, 0.05, 0.3, 1.0, 2.4, 4.0, 4.79])
     got = distance_pdf(w, r, z)
     for zi, gi in zip(z, got):
@@ -181,6 +179,22 @@ def test_distance_pdf_disk_mpmath_betainc():
         want = float(2 * rho**-2 * zi * mp.betainc(1.5, 0.5, 0, mu, regularized=True))
         assert gi == pytest.approx(want, rel=1e-12, abs=1e-300)
     assert distance_pdf(w, r, 2.0 * rho) == 0.0
+
+
+def test_distance_pdf_ball_keeps_precision_at_both_ends():
+    # near z = 0 and z = 2 rho, 1 - mu and mu lose digits when mu is
+    # formed in double precision; the oracle forms it at 40 digits
+    for d, radius in ((2, 0.8), (3, 1.0), (1, 1.0)):
+        w = ball(d, radius)
+        r = 3.0
+        rho = radius * r
+        z = np.array([1e-6, 1e-3, 0.7 * rho, 1.5 * rho, 2.0 * rho * (1.0 - 1e-6)])
+        got = distance_pdf(w, r, z)
+        for zi, gi in zip(z, got):
+            mu = 1 - (mp.mpf(zi) / (2 * rho)) ** 2
+            inc = mp.betainc(mp.mpf(d + 1) / 2, 0.5, 0, mu, regularized=True)
+            want = float(d * mp.mpf(rho) ** -d * mp.mpf(zi) ** (d - 1) * inc)
+            assert gi == pytest.approx(want, rel=1e-14)
 
 
 def test_distance_pdf_rectangle_is_a_density():
