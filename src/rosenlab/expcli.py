@@ -44,7 +44,10 @@ from .errors import DegenerateFitError, ParameterError, RankError, RosenlabError
 # functional_integral is not called here; the perfbench tracer test reaches
 # it through this module's namespace
 from .fieldsim import (  # noqa: F401
+    CLAMP_TOL,
+    DEFAULT_PADDING,
     SimulationPlan,
+    embedding,
     export_field,
     functional_integral,
     ks_distance,
@@ -177,6 +180,7 @@ class RhoRow:
     rho_stderr: float
     kappa_bound: float
     runtime_seconds: float
+    embedding: object  # fieldsim.Embedding the replicates were drawn from
 
 
 @dataclass(frozen=True)
@@ -204,7 +208,7 @@ def _experiment_plan(config, r):
         h=config.h,
         extent=half * float(r),
         seed=config.master_seed,
-        clamp_tol=_D2_CLAMP if d == 2 else 1e-8,
+        clamp_tol=_D2_CLAMP if d == 2 else CLAMP_TOL,
     )
 
 
@@ -246,7 +250,8 @@ def rate_experiment(config):
     (master_seed, r_index) and are drawn by fieldsim.window_integrals in
     blocks of complex draws, two fields per draw. A stream does not depend
     on how its draws are split into blocks, so the table is bit-identical
-    for any block size.
+    for any block size. Each row also carries the embedding its replicates
+    were drawn from, as fieldsim cached it for the draws.
     """
     params = lrd_params(config.model)
     d = config.window.dimension
@@ -273,9 +278,8 @@ def rate_experiment(config):
         rng = np.random.default_rng(
             np.random.SeedSequence([int(config.master_seed), r_index, _REPLICATE_TAG])
         )
-        kr, volume = window_integrals(
-            _experiment_plan(config, r), G, config.window, r, config.replicates, rng
-        )
+        plan = _experiment_plan(config, r)
+        kr, volume = window_integrals(plan, G, config.window, r, config.replicates, rng)
         if c0 != 0.0:
             kr -= c0 * volume
         values = np.array([normalized_statistic(k, c2, r, params) for k in kr])
@@ -290,6 +294,7 @@ def rate_experiment(config):
                 rho_stderr=stderr,
                 kappa_bound=kb,
                 runtime_seconds=time.perf_counter() - t0,
+                embedding=embedding(plan),
             )
         )
     return RhoTable(rows=tuple(rows), law=law)
@@ -593,8 +598,8 @@ def _cmd_simulate_field(args, doc, out, seed):
         h=float(_need(args, doc, "h")),
         extent=float(_need(args, doc, "extent")),
         seed=int(seed),
-        padding=int(_pick(args, doc, "padding", 4)),
-        clamp_tol=float(_pick(args, doc, "clamp-tol", 1e-8)),
+        padding=int(_pick(args, doc, "padding", DEFAULT_PADDING)),
+        clamp_tol=float(_pick(args, doc, "clamp-tol", CLAMP_TOL)),
     )
     if out is None:
         raise ParameterError("simulate field writes binary output; --out is required")
@@ -708,6 +713,7 @@ def _cmd_rate_experiment(args, doc, out, seed):
     info = {
         "config": json.loads(config_to_json(config)),
         "runtime_seconds": [row.runtime_seconds for row in table.rows],
+        "embedding": [{"r": row.r, **asdict(row.embedding)} for row in table.rows],
         "limit_law": {
             "kept": table.law.kept,
             "calibration_factor": table.law.calibration_factor,
@@ -821,7 +827,7 @@ def _build_parser():
     p.add_argument("--d", type=int)
     p.add_argument("--h", type=float)
     p.add_argument("--extent", type=float)
-    p.add_argument("--padding", type=int)
+    p.add_argument("--padding", type=int, help="first torus side over lattice side, >= 2")
     p.add_argument("--clamp-tol", type=float, dest="clamp_tol")
 
     ros = top.add_parser("rosenblatt", help="limit-law sampler").add_subparsers(

@@ -1,13 +1,16 @@
 """Lattice simulation of long-memory Gaussian fields and their functionals.
 
 The field is generated by circulant (d=1) or block-circulant (d=2)
-embedding: the covariance is wrapped onto a torus at least `padding` times
-the requested extent, the embedding eigenvalues come from an FFT, and one
-complex standard-normal draw per torus site yields two independent real
-fields, its real and imaginary parts, whose lattice covariance is exact up
-to the clamped eigenvalue mass. Long-memory covariances embed poorly on
-small tori, so the driver escalates the padding until the spectrum is
-admissible or the torus would exceed a fixed site budget.
+embedding: the covariance of an n-point lattice is wrapped onto a torus of
+side m, the embedding eigenvalues come from an FFT, and one complex
+standard-normal draw per torus site yields two independent real fields, its
+real and imaginary parts, whose lattice covariance is exact at every lag up
+to n-1 up to the clamped eigenvalue mass. The embedding is exact once
+m >= 2(n-1) and its spectrum is nonnegative (Wood & Chan, JCGS 1994;
+Dietrich & Newsam, SIAM J. Sci. Comput. 1997), so the driver starts at the
+minimal exact torus, padding 2, and doubles the padding only while the
+spectrum is inadmissible, up to a fixed site budget. Long-memory d=1
+covariances on short lattices need the larger tori.
 
 Functionals of the field are midpoint Riemann sums over the lattice cells
 whose centers fall in the scaled window. The integrand is non-smooth in x,
@@ -29,8 +32,10 @@ from .errors import (
 
 __all__ = [
     "SimulationPlan",
+    "Embedding",
     "GridField",
     "circulant_spectrum",
+    "embedding",
     "simulate_field",
     "simulate_pairs",
     "window_integrals",
@@ -45,7 +50,7 @@ __all__ = [
     "CLAMP_TOL",
 ]
 
-DEFAULT_PADDING = 4
+DEFAULT_PADDING = 2
 MAX_PADDING = 64
 CLAMP_TOL = 1e-8  # relative to the max eigenvalue
 _AXIS_BUDGET = 2**22
@@ -64,8 +69,11 @@ class SimulationPlan:
     model is a CovarianceModel or any callable r -> B(r). The lattice has
     n = round(2 extent / h) cells per axis with centers at
     -extent + (i + 1/2) h, so the origin sits on a cell boundary and the
-    lattice is symmetric. padding multiplies the extent before wrapping the
-    covariance onto the torus.
+    lattice is symmetric. The torus side m is the smallest power of two at
+    least padding * n. padding must be at least 2: then m >= 2(n-1), the
+    minimal torus on which every lattice lag keeps its own covariance. The
+    default starts the escalation there; simulate_field doubles the padding
+    while the embedding spectrum is inadmissible.
     """
 
     model: object
@@ -90,8 +98,10 @@ class SimulationPlan:
             raise ParameterError(
                 f"{n} lattice points per axis exceeds the 2^22 budget"
             )
-        if self.padding < 1:
-            raise ParameterError(f"padding must be >= 1, got {self.padding}")
+        # below 2 the torus is shorter than 2(n-1) and long lags wrap onto
+        # short ones
+        if self.padding < 2:
+            raise ParameterError(f"padding must be >= 2, got {self.padding}")
         # block-circulant d=2 embeddings of long-memory covariances keep a
         # small negative floor no padding removes; relaxing must be explicit
         if not (0.0 < self.clamp_tol <= 1e-6):
@@ -151,12 +161,13 @@ def _spectrum_once(plan):
 def circulant_spectrum(plan):
     """Eigenvalues of the torus embedding, clamped at -clamp_tol of the peak.
 
-    The default tolerance is 1e-8. A more negative minimum means the torus
-    is too small for this covariance; the caller should enlarge the padding
-    (simulate_field does this automatically). d=2 long-memory models bottom
-    out near -3e-8 of the peak regardless of padding; plans for them must
-    opt in to a looser clamp_tol, which perturbs the variance by at most
-    that relative amount.
+    The torus is the plan's: at the default padding 2, the minimal exact
+    embedding m >= 2(n-1). The default tolerance is 1e-8. A more negative
+    minimum means the torus is too small for this covariance; the caller
+    should enlarge the padding (simulate_field doubles it automatically).
+    d=2 long-memory models bottom out near -3e-8 of the peak regardless of
+    padding; plans for them must opt in to a looser clamp_tol, which
+    perturbs the variance by at most that relative amount.
     """
     lam = _spectrum_once(plan)
     peak = float(lam.max())
@@ -200,8 +211,8 @@ def _admissible_plan(plan):
 # Replicate drivers draw thousands of fields with one plan; the spectrum and
 # the padding escalation depend only on these fields, not on the seed, so
 # they are computed once per plan shape.
-_ROOT_CACHE = {}
-_ROOT_CACHE_MAX = 32
+_EMBEDDING_CACHE = {}
+_EMBEDDING_CACHE_MAX = 32
 
 
 def _plan_key(plan):
@@ -211,20 +222,55 @@ def _plan_key(plan):
 
 
 def clear_spectrum_cache():
-    _ROOT_CACHE.clear()
+    _EMBEDDING_CACHE.clear()
 
 
-def _embedding_root(plan):
-    """Square root of the admissible embedding spectrum, cached per plan."""
+@dataclass(frozen=True)
+class Embedding:
+    """The torus embedding a plan's fields are drawn from.
+
+    n_per_axis lattice points sit on a torus of side torus_side, the
+    smallest power of two at least padding * n_per_axis, where padding is
+    the one the escalation accepted. clamped_share is Sum|lam < 0| / Sum lam,
+    the relative variance the clamp adds at every site; it is computed as
+    Sum max(lam, 0) / (m^d B(0)) - 1, the trace m^d B(0) being Sum lam, so it
+    carries rounding of order 1e-16 and reads 0 below that.
+    """
+
+    n_per_axis: int
+    torus_side: int
+    padding: int
+    clamped_share: float
+
+
+def _cached_embedding(plan):
+    """(Embedding, square root of the clamped spectrum), cached per plan."""
     key = _plan_key(plan)
-    root = _ROOT_CACHE.get(key)
-    if root is None:
-        _, lam = _admissible_plan(plan)
-        root = np.sqrt(lam)
-        if len(_ROOT_CACHE) >= _ROOT_CACHE_MAX:
-            _ROOT_CACHE.pop(next(iter(_ROOT_CACHE)))
-        _ROOT_CACHE[key] = root
-    return root
+    entry = _EMBEDDING_CACHE.get(key)
+    if entry is None:
+        accepted, lam = _admissible_plan(plan)
+        m = lam.shape[0]
+        trace = m**plan.dimension * float(_cov_at(plan.model, 0.0))
+        emb = Embedding(
+            n_per_axis=plan.n_per_axis,
+            torus_side=m,
+            padding=accepted.padding,
+            clamped_share=max(0.0, float(np.sum(lam)) / trace - 1.0),
+        )
+        entry = (emb, np.sqrt(lam))
+        if len(_EMBEDDING_CACHE) >= _EMBEDDING_CACHE_MAX:
+            _EMBEDDING_CACHE.pop(next(iter(_EMBEDDING_CACHE)))
+        _EMBEDDING_CACHE[key] = entry
+    return entry
+
+
+def embedding(plan):
+    """The admissible embedding of plan: the one simulate_pairs draws from.
+
+    The escalation runs once per plan shape; later calls and every draw
+    reuse its cached result.
+    """
+    return _cached_embedding(plan)[0]
 
 
 def simulate_pairs(plan, rng, pairs):
@@ -238,7 +284,7 @@ def simulate_pairs(plan, rng, pairs):
     The generator is read in order, so k calls of one pair give the same
     fields as one call of k pairs.
     """
-    root = _embedding_root(plan)
+    root = _cached_embedding(plan)[1]
     n = plan.n_per_axis
     noise = rng.standard_normal((pairs, 2) + root.shape)
     z = np.empty((pairs,) + root.shape, dtype=complex)
@@ -302,7 +348,7 @@ def window_integrals(plan, G, window, r, count, rng):
     mask = _member_mask(lattice, window, r)
     cell = plan.h**plan.dimension
     pairs = (count + 1) // 2
-    block = max(1, _BLOCK_SITES // _embedding_root(plan).size)
+    block = max(1, _BLOCK_SITES // _cached_embedding(plan)[1].size)
     sums = np.empty(2 * pairs)
     for start in range(0, pairs, block):
         z = simulate_pairs(plan, rng, min(block, pairs - start))[:, mask]

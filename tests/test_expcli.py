@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,3 +173,66 @@ def test_sample_csv_matches_the_csv_writer(tmp_path, monkeypatch):
         writer.writerow([expcli._fmt(float(v))])
     assert out.read_bytes() == buf.getvalue().encode("utf-8")
     assert b"\n-0.0\n" in out.read_bytes() and b"\nnan\n" in out.read_bytes()
+
+
+def test_manifest_records_the_embedding_of_every_r(tmp_path, monkeypatch):
+    solves = []
+    checked = fieldsim.circulant_spectrum
+
+    def counted(plan):
+        solves.append(plan.padding)
+        return checked(plan)
+
+    monkeypatch.setattr(fieldsim, "circulant_spectrum", counted)
+    fieldsim.clear_spectrum_cache()
+    out = tmp_path / "rho.csv"
+    assert main(_experiment(out, "--r", "4,8")) == 0
+    manifest = json.loads((tmp_path / "rho.csv.manifest.json").read_text(encoding="utf-8"))
+    recorded = manifest["config"]["derived_embedding"]
+    assert [row["r"] for row in recorded] == [4.0, 8.0]
+    # h = 0.5 on the unit interval: n = 4 r points per axis
+    assert [row["n_per_axis"] for row in recorded] == [16, 32]
+    for row in recorded:
+        m, n, padding = row["torus_side"], row["n_per_axis"], row["padding"]
+        assert padding >= 2 and m >= 2 * (n - 1)
+        assert m == 2 ** (padding * n - 1).bit_length()  # smallest power of two >= padding n
+        assert 0.0 <= row["clamped_share"] < 1e-6
+    # the escalation ran once per r, starting at the minimal exact torus:
+    # one spectrum per tried padding 2, 4, ..., and none solved again
+    tried = [2 ** j for row in recorded for j in range(1, row["padding"].bit_length())]
+    assert solves == tried
+    fieldsim.clear_spectrum_cache()
+
+
+def test_simulate_field_defaults_come_from_fieldsim(tmp_path):
+    argv = ["simulate", "field", "--model", MODEL, "--h", "1.0", "--extent", "8.0",
+            "--seed", "3", "--out", str(tmp_path / "field.npz")]
+    assert main(argv) == 0
+    plan = fieldsim.SimulationPlan(
+        model=expcli.model_from_json(MODEL), dimension=1, h=1.0, extent=8.0, seed=3
+    )
+    got = fieldsim.import_field(str(tmp_path / "field.npz"))
+    assert np.array_equal(got.values, fieldsim.simulate_field(plan).values)
+
+
+def test_padding_one_is_refused_on_the_command_line(tmp_path, capsys):
+    argv = ["simulate", "field", "--model", MODEL, "--h", "1.0", "--extent", "8.0",
+            "--padding", "1", "--out", str(tmp_path / "field.npz")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rosenlab: padding must be >= 2")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "field.npz").exists()
+
+
+def test_python_dash_m_rosenlab_runs_without_warnings():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "rosenlab", "rate", "bound", "--model", MODEL],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout.splitlines()[0].startswith("d,alpha,q,upsilon")

@@ -1,12 +1,13 @@
 """Lattice field simulation, window functionals, and the normalized statistic."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rosenlab import fieldsim
-from rosenlab.covmodels import cauchy, lrd_params
+from rosenlab.covmodels import cauchy, covariance_eval, lrd_params
 from rosenlab.errors import CoverageError, EmbeddingError, ParameterError, RankError
 from rosenlab.fieldsim import (
     GridField,
@@ -14,6 +15,7 @@ from rosenlab.fieldsim import (
     _spectrum_once,
     circulant_spectrum,
     clear_spectrum_cache,
+    embedding,
     export_field,
     functional_integral,
     import_field,
@@ -45,6 +47,54 @@ def test_plan_validation():
     with pytest.raises(ParameterError):
         # per-axis point budget
         SimulationPlan(model=m, dimension=1, h=1e-6, extent=8.0, seed=0)
+    with pytest.raises(ParameterError, match="padding"):
+        # 16 points on a 16-site torus: lag 15 would wrap onto lag 1
+        SimulationPlan(model=m, dimension=1, h=1.0, extent=8.0, seed=0, padding=1)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_minimal_torus_draws_have_covariance_b_at_every_lattice_lag(dimension):
+    # n = 16 points embed at the default padding 2 on a 32-site torus side,
+    # so the largest lattice lag n - 1 = 15 stays apart from its wrap 17
+    model = cauchy(dimension, 0.2 if dimension == 1 else 0.3)
+    plan = SimulationPlan(model=model, dimension=dimension, h=1.0, extent=8.0, seed=0)
+    n = plan.n_per_axis
+    emb = embedding(plan)
+    assert (emb.n_per_axis, emb.torus_side, emb.padding) == (16, 32, 2)
+    assert abs(emb.clamped_share) < 1e-15
+    k = np.arange(n)
+    if dimension == 1:
+        lags = [(j,) for j in k]
+    else:
+        lags = [(j, 0) for j in k] + [(0, j) for j in k] + [(j, j) for j in k]
+    # exact: the covariance of the embedding drawn from, at every lag
+    lam = circulant_spectrum(replace(plan, padding=emb.padding))
+    implied = np.fft.ifftn(lam).real
+    for lag in lags:
+        want = float(covariance_eval(model, plan.h * math.hypot(*lag)))
+        assert implied[lag] == pytest.approx(want, abs=1e-12)
+    # Monte Carlo: both halves of 2000 complex draws, every site pair at a lag
+    z = simulate_pairs(plan, replicate_generator(21, dimension), 2000)
+    fields = np.concatenate([z.real, z.imag])
+    for lag in lags:
+        head = fields[(slice(None),) + tuple(slice(0, n - j) for j in lag)]
+        tail = fields[(slice(None),) + tuple(slice(j, n) for j in lag)]
+        per_field = (head * tail).reshape(len(fields), -1).mean(axis=1)
+        se = float(per_field.std(ddof=1)) / math.sqrt(len(fields))
+        want = float(covariance_eval(model, plan.h * math.hypot(*lag)))
+        assert abs(float(per_field.mean()) - want) < 4.5 * se
+
+
+def test_clamped_share_is_the_negative_eigenvalue_mass():
+    # this d=1 lattice escalates to a torus whose spectrum dips below zero
+    plan = SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=0.25, extent=8.0, seed=0)
+    emb = embedding(plan)
+    assert emb.padding > 2
+    assert emb.torus_side == 2 ** math.ceil(math.log2(emb.padding * emb.n_per_axis))
+    raw = _spectrum_once(replace(plan, padding=emb.padding))
+    share = -float(np.sum(raw[raw < 0.0])) / float(np.sum(raw))
+    assert share > 0.0
+    assert emb.clamped_share == pytest.approx(share, abs=1e-14)
 
 
 def test_white_noise_spectrum_flat():
@@ -134,8 +184,6 @@ def test_lag_covariance():
         real[i], imag[i] = z.real[:21], z.imag[:21]
     last = simulate_field(plan, rng=replicate_generator(17, n - 1))
     assert np.array_equal(real[-1], last.values[:21])
-    from rosenlab.covmodels import covariance_eval
-
     for half in (real, imag):
         for k in (1, 5, 20):
             xs = half[:, 0] * half[:, k]
@@ -338,8 +386,11 @@ def test_spectrum_cache_keeps_callable_models_apart():
 
 def test_padding_escalation_has_a_torus_budget():
     # 2048 points per axis at padding 4 need an 8192^2 torus, over the 2^24
-    # site budget: refused before the spectrum is allocated
-    plan = SimulationPlan(model=cauchy(2, 0.3), dimension=2, h=1.0, extent=1024.0, seed=0)
+    # site budget: refused before the spectrum is allocated (at the default
+    # padding 2 they need exactly 2^24 sites, which the budget admits)
+    plan = SimulationPlan(
+        model=cauchy(2, 0.3), dimension=2, h=1.0, extent=1024.0, seed=0, padding=4
+    )
     with pytest.raises(EmbeddingError, match="budget"):
         simulate_field(plan)
 

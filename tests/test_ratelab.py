@@ -1,0 +1,99 @@
+"""Closed-form rate exponents against brute-force searches and the curve table."""
+
+import math
+
+import numpy as np
+import pytest
+
+from rosenlab.covmodels import linnik, local_global
+from rosenlab.errors import DomainError, RosenlabError
+from rosenlab.ratelab import (
+    CURVE_COLUMNS,
+    RateInputs,
+    SupMinSearch,
+    curve_table,
+    geometric_term,
+    inputs_from_model,
+    kappa0_identity_check,
+    kappa1,
+    kappa_bound,
+    supmin_inner,
+    supmin_outer,
+)
+
+# (d, alpha, q, upsilon): the d1-mc Cauchy model, a d=2 case where the
+# upsilon arm binds, one where q is slack, and d=3
+CASES = [
+    (1, 0.4, 0.0999, 0.6),
+    (2, 0.6, 0.5, 0.3),
+    (1, 0.2, 5.0, 1.0),
+    (3, 1.0, 0.2, 2.0),
+]
+
+
+def test_closed_forms_at_the_d1_cauchy_point():
+    inputs = RateInputs(dimension=1, alpha=0.4, q=0.0999, upsilon=0.6)
+    assert geometric_term(inputs) == pytest.approx(0.4 * 0.2 / 0.6, rel=1e-15)
+    harmonic = 1.0 / (2.0 / 0.2 + 2.0 / 1.2 + 1.0 / 0.6)
+    assert kappa1(inputs) == pytest.approx(2.0 * min(0.0999, harmonic), rel=1e-15)
+    assert kappa_bound(inputs) == pytest.approx(2.0 / 45.0, rel=1e-12)
+    assert inputs.theorem_applicable
+
+
+@pytest.mark.parametrize("d, alpha, q, upsilon", CASES)
+def test_inner_and_outer_sup_min_match_dense_grids(d, alpha, q, upsilon):
+    # grids of step 5e-6; each arm's slope bounds the distance to the sup
+    step = 5e-6
+    frac = np.linspace(0.0, 1.0, 200001)
+    for gamma in np.linspace(0.05, 0.95, 7):
+        g0 = gamma * frac
+        arms = np.minimum((gamma - g0) * (d - 2 * alpha), g0 * (d + 1 - 2 * alpha))
+        want = supmin_inner(d, alpha, gamma)
+        assert want - (d + 1) * gamma * step <= float(arms.max()) <= want * (1 + 1e-15)
+    grid = frac[1:-1]
+    inner = supmin_inner(d, alpha, 0.5) * grid / 0.5  # linear in gamma
+    brute = float(np.max(np.minimum(2.0 * upsilon * (1.0 - grid), inner)))
+    want = supmin_outer(d, alpha, upsilon)
+    assert want - (2.0 * upsilon + d + 1) * step <= brute <= want * (1 + 1e-15)
+
+
+@pytest.mark.parametrize("d, alpha, q, upsilon", CASES)
+@pytest.mark.parametrize("resolution", [16, 40])
+def test_kappa0_grid_search_matches_the_closed_form(d, alpha, q, upsilon, resolution):
+    refined = kappa0_identity_check(d, alpha, q, upsilon, SupMinSearch(*(resolution,) * 3))
+    coarse = kappa0_identity_check(
+        d, alpha, q, upsilon, SupMinSearch(*(resolution,) * 3, refine=False)
+    )
+    inputs = RateInputs(dimension=d, alpha=alpha, q=q, upsilon=upsilon)
+    assert refined.closed_form == pytest.approx(kappa1(inputs) / 3.0, rel=1e-15)
+    # a grid point never beats the supremum
+    assert refined.grid_value <= refined.closed_form + 1e-15
+    assert refined.deviation <= coarse.deviation
+    # after refinement the grid spacing is 4 / (resolution + 1)^2 along each
+    # axis; the objective min(beta, c - 2 beta) is Lipschitz with these
+    # slopes in beta, gamma and gamma0
+    slope = 2.0 + max(2.0 * upsilon, d - 2.0 * alpha) + (d + 1.0 - 2.0 * alpha)
+    assert refined.deviation <= slope * 4.0 / (resolution + 1.0) ** 2
+
+
+def test_curve_table_rows_are_the_closed_forms():
+    for builder, grid in (
+        (lambda a: local_global(1, a, 0.5), [0.1, 0.2, 0.3, 0.45]),
+        (lambda a: linnik(2, 1.0, a), [0.2, 0.6, 0.9]),
+    ):
+        rows = curve_table(builder, grid)
+        assert [row["alpha"] for row in rows] == grid
+        for row, a in zip(rows, grid):
+            assert tuple(row) == CURVE_COLUMNS
+            inputs = inputs_from_model(builder(a))
+            assert row["kappa_bound"] == kappa_bound(inputs)
+            assert row["kappa1_over_3"] == kappa1(inputs) / 3.0
+            assert row["geometric_term_over_3"] == geometric_term(inputs) / 3.0
+            assert row["kappa_bound"] == min(row["kappa1_over_3"], row["geometric_term_over_3"])
+
+
+@pytest.mark.parametrize("d, alpha", [(1, 0.0), (1, -0.1), (1, 0.5), (1, 0.7), (2, 1.0), (3, math.nan)])
+def test_rate_inputs_refuse_alpha_outside_the_memory_range(d, alpha):
+    with pytest.raises(DomainError, match="alpha must lie in"):
+        RateInputs(dimension=d, alpha=alpha, q=0.1, upsilon=0.5)
+    assert issubclass(DomainError, RosenlabError)
