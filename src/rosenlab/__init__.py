@@ -42,11 +42,9 @@ from .expcli import (
     RhoRow,
     RhoTable,
     SlopeFit,
-    config_from_json,
     config_to_json,
     rate_experiment,
     slope_fit,
-    smoothing_inequality_check,
 )
 from .fieldsim import (
     GridField,
@@ -96,7 +94,6 @@ from .rosenblatt import (
     build_kernel,
     calibrate_series,
     cumulant,
-    density_estimate,
     eigen_series,
     sample,
     series_cdf,

@@ -44,14 +44,13 @@ from .errors import DegenerateFitError, ParameterError, RankError, RosenlabError
 # functional_integral is not called here; the perfbench tracer test reaches
 # it through this module's namespace
 from .fieldsim import (  # noqa: F401
-    CLAMP_TOL,
     DEFAULT_PADDING,
     SimulationPlan,
     embedding,
     export_field,
     functional_integral,
-    ks_distance,
     normalized_statistic,
+    replicate_generator,
     simulate_field,
     window_integrals,
 )
@@ -72,7 +71,6 @@ from .rosenblatt import (
     build_kernel,
     calibrate_series,
     cumulant,
-    density_estimate,
     eigen_series,
     sample,
     series_cdf,
@@ -86,11 +84,8 @@ __all__ = [
     "RhoRow",
     "RhoTable",
     "SlopeFit",
-    "SmoothingReport",
-    "ks_distance",
     "rate_experiment",
     "slope_fit",
-    "smoothing_inequality_check",
     "main",
 ]
 
@@ -100,7 +95,6 @@ RHO_CSV_COLUMNS = ("r", "replicates", "rho", "rho_stderr", "kappa_bound")
 _BOOTSTRAP_RESAMPLES = 200
 _BOOTSTRAP_TAG = 0xB007
 _REPLICATE_TAG = 0xF1E1D
-_D2_CLAMP = 1e-7
 _EXTENT_BUDGET = 2**22
 
 
@@ -158,20 +152,6 @@ def config_to_json(config):
     )
 
 
-def config_from_json(text):
-    obj = json.loads(text) if isinstance(text, str) else dict(text)
-    return ExperimentConfig(
-        model=model_from_json(obj["model"]),
-        window=set_from_json(obj["window"]),
-        functional=obj["functional"],
-        r_grid=tuple(obj["r_grid"]),
-        replicates=int(obj.get("replicates", 1000)),
-        master_seed=int(obj.get("master_seed", 0)),
-        h=float(obj.get("h", 0.25)),
-        out=obj.get("out"),
-    )
-
-
 @dataclass(frozen=True)
 class RhoRow:
     r: float
@@ -201,14 +181,12 @@ class RhoTable:
 
 def _experiment_plan(config, r):
     half = _window_half_extent(config.window)
-    d = config.window.dimension
     return SimulationPlan(
         model=config.model,
-        dimension=d,
+        dimension=config.window.dimension,
         h=config.h,
         extent=half * float(r),
         seed=config.master_seed,
-        clamp_tol=_D2_CLAMP if d == 2 else CLAMP_TOL,
     )
 
 
@@ -230,9 +208,7 @@ def _bootstrap_stderr(f, master_seed, r_index):
     f is the reference CDF at the sorted replicates. A resample is a
     multiset of the replicates, so its distance needs only its counts.
     """
-    rng = np.random.default_rng(
-        np.random.SeedSequence([int(master_seed), int(r_index), _BOOTSTRAP_TAG])
-    )
+    rng = replicate_generator(master_seed, r_index, _BOOTSTRAP_TAG)
     n = f.size
     stats = [
         _ks_from_cdf(f, np.bincount(rng.integers(0, n, n), minlength=n))
@@ -275,9 +251,7 @@ def rate_experiment(config):
     rows = []
     for r_index, r in enumerate(config.r_grid):
         t0 = time.perf_counter()
-        rng = np.random.default_rng(
-            np.random.SeedSequence([int(config.master_seed), r_index, _REPLICATE_TAG])
-        )
+        rng = replicate_generator(config.master_seed, r_index, _REPLICATE_TAG)
         plan = _experiment_plan(config, r)
         kr, volume = window_integrals(plan, G, config.window, r, config.replicates, rng)
         if c0 != 0.0:
@@ -342,91 +316,6 @@ def slope_fit(table):
         slope_stderr=stderr,
         kappa_bound=kb,
         consistent=bool(-slope >= kb - 2.0 * stderr),
-    )
-
-
-@dataclass(frozen=True)
-class SmoothingRow:
-    label: str
-    lhs: float
-    rhs: float
-    slack: float
-    holds: bool
-
-
-@dataclass(frozen=True)
-class SmoothingReport:
-    rows: tuple
-    eps: float
-    samples: int
-    kde_max: float
-
-
-def smoothing_inequality_check(reference, eps, seed=0):
-    """Empirical check of rho(X+Y, Z) <= rho(X, Z) + rho(Z+eps, Z) + P(|Y| >= eps).
-
-    Runs the perturbation inequality on synthetic triples built from the
-    reference law and from Gaussians, and checks the shift term against
-    eps times the peak of the reference density (boundedness of the
-    limiting law is what makes the rate machinery work).
-    """
-    reference = np.asarray(reference, dtype=float)
-    if reference.size < 10**5:
-        raise ParameterError(
-            f"smoothing check needs >= 10^5 reference samples, got {reference.size}"
-        )
-    if not eps > 0.0:
-        raise ParameterError(f"eps must be positive, got {eps}")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x50FF]))
-    # interleave the sorted sample so both halves carry the full law; a
-    # contiguous split of sorted draws would give disjoint conditional laws
-    srt = np.sort(reference)
-    half = reference.size // 2
-    za, xa = srt[0 : 2 * half : 2], srt[1 : 2 * half : 2]
-    tol = 3.0 * sqrt(2.0 / half)
-    rows = []
-
-    base = ks_distance(xa, za)
-    shift_ref = ks_distance(za + eps, za)
-    rows.append(
-        SmoothingRow(
-            label="zero-perturbation",
-            lhs=base,
-            rhs=base + shift_ref,
-            slack=shift_ref,
-            holds=True,
-        )
-    )
-
-    xg = rng.standard_normal(half)
-    zg = rng.standard_normal(half)
-    yg = 0.1 * rng.standard_normal(half)
-    lhs = ks_distance(xg + yg, zg)
-    rhs = ks_distance(xg, zg) + ks_distance(zg + eps, zg) + float(np.mean(np.abs(yg) >= eps))
-    rows.append(
-        SmoothingRow(
-            label="gaussian-triple",
-            lhs=lhs,
-            rhs=rhs,
-            slack=rhs - lhs,
-            holds=bool(lhs <= rhs + tol),
-        )
-    )
-
-    bandwidth = 1.06 * float(np.std(reference)) * reference.size ** (-0.2)
-    kde = density_estimate(reference, bandwidth)
-    bound = eps * kde.max_value
-    rows.append(
-        SmoothingRow(
-            label="shift-vs-density",
-            lhs=shift_ref,
-            rhs=bound,
-            slack=bound - shift_ref,
-            holds=bool(shift_ref <= bound + tol),
-        )
-    )
-    return SmoothingReport(
-        rows=tuple(rows), eps=float(eps), samples=int(reference.size), kde_max=kde.max_value
     )
 
 
@@ -592,6 +481,7 @@ def _cmd_hermite_coeffs(args, doc, out, seed):
 
 def _cmd_simulate_field(args, doc, out, seed):
     model = model_from_json(_need(args, doc, "model"))
+    clamp_tol = _pick(args, doc, "clamp-tol")
     plan = SimulationPlan(
         model=model,
         dimension=int(_pick(args, doc, "d", model.dimension)),
@@ -599,7 +489,7 @@ def _cmd_simulate_field(args, doc, out, seed):
         extent=float(_need(args, doc, "extent")),
         seed=int(seed),
         padding=int(_pick(args, doc, "padding", DEFAULT_PADDING)),
-        clamp_tol=float(_pick(args, doc, "clamp-tol", CLAMP_TOL)),
+        clamp_tol=None if clamp_tol is None else float(clamp_tol),
     )
     if out is None:
         raise ParameterError("simulate field writes binary output; --out is required")
@@ -610,7 +500,7 @@ def _cmd_simulate_field(args, doc, out, seed):
 
 def _cmd_rosenblatt_build(args, doc, out, seed):
     window = set_from_json(_need(args, doc, "set"))
-    d = int(_pick(args, doc, "d", window.dimension))
+    d = window.dimension
     alpha = float(_need(args, doc, "alpha"))
     n_nodes = _pick(args, doc, "n-nodes")
     cutoff = _pick(args, doc, "cutoff")
@@ -623,12 +513,14 @@ def _cmd_rosenblatt_build(args, doc, out, seed):
         cutoff=None if cutoff is None else float(cutoff),
     )
     series = eigen_series(kernel, min(keep, kernel.spectrum_size))
-    info = {"raw_variance": series.raw_variance, "tail_mass": series.tail_mass}
-    if not bool(_pick(args, doc, "no-calibrate", False)):
-        oracle = variance_oracle(window, alpha, d)
-        series = calibrate_series(series, oracle)
-        info["oracle_variance"] = oracle
-        info["calibration_factor"] = series.calibration_factor
+    oracle = variance_oracle(window, alpha, d)
+    series = calibrate_series(series, oracle)
+    info = {
+        "raw_variance": series.raw_variance,
+        "tail_mass": series.tail_mass,
+        "oracle_variance": oracle,
+        "calibration_factor": series.calibration_factor,
+    }
     text = series_to_json(series)
     if out is None:
         sys.stdout.write(text + "\n")
@@ -835,13 +727,10 @@ def _build_parser():
     )
     p = ros.add_parser("build", parents=[common])
     p.add_argument("--set")
-    p.add_argument("--d", type=int)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--n-nodes", type=int, dest="n_nodes")
+    p.add_argument("--n-nodes", type=int, dest="n_nodes", help="total limit-kernel nodes")
     p.add_argument("--cutoff", type=float)
     p.add_argument("--keep", type=int)
-    # default None keeps a config-file value from being shadowed by False
-    p.add_argument("--no-calibrate", action="store_true", default=None, dest="no_calibrate")
     p = ros.add_parser("sample", parents=[common])
     p.add_argument("--series", help="series JSON path from rosenblatt build")
     p.add_argument("--n", type=int)

@@ -52,7 +52,10 @@ __all__ = [
 
 DEFAULT_PADDING = 2
 MAX_PADDING = 64
-CLAMP_TOL = 1e-8  # relative to the max eigenvalue
+# clamp tolerance per dimension, relative to the max eigenvalue: block-
+# circulant d=2 embeddings of long-memory covariances keep a small negative
+# floor that no padding removes
+CLAMP_TOL = {1: 1e-8, 2: 1e-7}
 _AXIS_BUDGET = 2**22
 # padding escalation refuses tori above this many sites (2^24 complex
 # sites take 256 MB per draw)
@@ -73,7 +76,10 @@ class SimulationPlan:
     least padding * n. padding must be at least 2: then m >= 2(n-1), the
     minimal torus on which every lattice lag keeps its own covariance. The
     default starts the escalation there; simulate_field doubles the padding
-    while the embedding spectrum is inadmissible.
+    while the embedding spectrum is inadmissible. clamp_tol is the most
+    negative eigenvalue, relative to the peak, that the embedding clamps to
+    zero instead of escalating; it defaults to CLAMP_TOL of the dimension,
+    1e-8 in d=1 and 1e-7 in d=2.
     """
 
     model: object
@@ -82,13 +88,15 @@ class SimulationPlan:
     extent: float
     seed: int
     padding: int = DEFAULT_PADDING
-    clamp_tol: float = CLAMP_TOL
+    clamp_tol: float = None
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise ParameterError(
                 f"simulation supports d in (1, 2), got {self.dimension}"
             )
+        if self.clamp_tol is None:
+            object.__setattr__(self, "clamp_tol", CLAMP_TOL[self.dimension])
         if not self.h > 0.0 or not self.extent > 0.0:
             raise ParameterError("h and extent must be positive")
         n = self.n_per_axis
@@ -102,8 +110,7 @@ class SimulationPlan:
         # short ones
         if self.padding < 2:
             raise ParameterError(f"padding must be >= 2, got {self.padding}")
-        # block-circulant d=2 embeddings of long-memory covariances keep a
-        # small negative floor no padding removes; relaxing must be explicit
+        # a looser clamp than the dimension's default must be explicit
         if not (0.0 < self.clamp_tol <= 1e-6):
             raise ParameterError(
                 f"clamp_tol must lie in (0, 1e-6], got {self.clamp_tol}"
@@ -162,12 +169,14 @@ def circulant_spectrum(plan):
     """Eigenvalues of the torus embedding, clamped at -clamp_tol of the peak.
 
     The torus is the plan's: at the default padding 2, the minimal exact
-    embedding m >= 2(n-1). The default tolerance is 1e-8. A more negative
+    embedding m >= 2(n-1). The tolerance is the plan's, by default
+    CLAMP_TOL of its dimension: 1e-8 in d=1, and 1e-7 in d=2, where the
+    block-circulant embeddings of long-memory models keep a negative floor
+    of -3e-8 of the peak or lower that no padding removes. A more negative
     minimum means the torus is too small for this covariance; the caller
     should enlarge the padding (simulate_field doubles it automatically).
-    d=2 long-memory models bottom out near -3e-8 of the peak regardless of
-    padding; plans for them must opt in to a looser clamp_tol, which
-    perturbs the variance by at most that relative amount.
+    The clamp perturbs the variance by at most clamp_tol relative;
+    embedding reports the share it actually adds.
     """
     lam = _spectrum_once(plan)
     peak = float(lam.max())
@@ -359,10 +368,14 @@ def window_integrals(plan, G, window, r, count, rng):
     return sums[:count] * cell, float(np.count_nonzero(mask) * cell)
 
 
-def replicate_generator(master_seed, replicate_index):
-    """Independent generator for one replicate: mix of master seed and index."""
+def replicate_generator(master_seed, *keys):
+    """Independent generator for one stream: SeedSequence([master_seed, *keys]).
+
+    keys are integers, such as a replicate index, or an r index and a tag
+    that tells the streams of one experiment apart.
+    """
     return np.random.default_rng(
-        np.random.SeedSequence([int(master_seed), int(replicate_index)])
+        np.random.SeedSequence([int(master_seed), *(int(k) for k in keys)])
     )
 
 

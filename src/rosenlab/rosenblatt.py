@@ -9,7 +9,7 @@ whose inversion gives the exact CDF (series_cdf). The construction is
 validated against an independent distance-integral variance oracle and
 calibrated to it by a single reported rescale factor.
 
-The kernel matrix uses the frequency-difference form
+The kernel uses the frequency-difference form
 M_ij = c2 sqrt(w_i w_j) K(lam_i - lam_j) (|lam_i||lam_j|)^(-(d-alpha)/2):
 with the difference argument the matrix is T^(1/2) P T^(1/2) for the
 positive operator T of multiplication by the singular weight conjugated
@@ -17,14 +17,22 @@ with the window projection P, so the eigenvalue signs and hence the odd
 cumulants come out right; the exact finite-window Karhunen-Loeve weights
 of the rank-2 statistic converge to these eigenvalues.
 
-In d=2 the kernel oscillates on a unit frequency scale out to the cutoff,
-which a dense polar mesh cannot resolve at a feasible matrix size. For
-ball windows both the window transform and the singular weight are
-isotropic, so the operator commutes with rotations and splits into
-angular Fourier blocks: each harmonic gives a small radial eigenproblem
-(multiplicity two except the zeroth), and the blocks are solved exactly
-instead of meshing the angle. Rectangular d=2 windows do not decouple
-and are refused.
+The operator is never stored whole. It commutes with the symmetries of
+the window and the mesh, so it is kept as one symmetric block per
+invariant subspace, and the merged block spectra are exactly the
+spectrum of the full matrix:
+
+- d=1: the window is origin-symmetric and the graded mesh is mirrored, so
+  the operator commutes with the reflection x -> -x. On the positive nodes,
+  with s_i = sqrt(w_i) x_i^(-(1-alpha)/2), the even and odd blocks are
+  c2 s_i s_j [K(x_i - x_j) +- K(x_i + x_j)].
+- d=2: the kernel oscillates on a unit frequency scale out to the cutoff,
+  which a dense polar mesh cannot resolve at a feasible matrix size. For
+  ball windows the window transform and the singular weight are
+  isotropic, so the operator commutes with rotations and splits into
+  angular Fourier blocks: each harmonic gives a small radial eigenproblem
+  (multiplicity two except the zeroth), solved exactly instead of meshing
+  the angle. Rectangular d=2 windows do not decouple and are refused.
 """
 
 import json
@@ -46,7 +54,6 @@ from .geometry import ball_ft_radial, distance_integral
 __all__ = [
     "RosenblattKernel",
     "EigenSeries",
-    "DensityTable",
     "build_kernel",
     "eigen_series",
     "calibrate_series",
@@ -54,7 +61,6 @@ __all__ = [
     "series_cdf",
     "cumulant",
     "variance_oracle",
-    "density_estimate",
     "series_to_json",
     "series_from_json",
     "DEFAULT_NODES_1D",
@@ -76,30 +82,26 @@ _MAX_HARMONIC = 96
 
 @dataclass(frozen=True)
 class RosenblattKernel:
-    """Nystrom discretization of the rank-2 limit kernel.
+    """Nystrom discretization of the rank-2 limit kernel as symmetry blocks.
 
-    d=1: nodes (n, 1), weights (n,), dense symmetric matrix.
-    d=2 (ball windows): nodes are radial, matrix is None, and blocks holds
-    one symmetric radial matrix per angular harmonic with the matching
-    spectral multiplicity (1 for the zeroth harmonic, 2 beyond).
+    blocks holds one symmetric matrix per invariant subspace, and
+    block_multiplicity how often each block's eigenvalues occur in the
+    full spectrum. d=1: the even and odd blocks on the positive nodes,
+    multiplicity 1 each. d=2 (ball windows): one radial matrix per angular
+    harmonic, multiplicity 1 for the zeroth harmonic and 2 beyond.
+    spectrum_size is the order of the full operator.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    matrix: np.ndarray
+    blocks: tuple
+    block_multiplicity: tuple
     dimension: int
     alpha: float
-    blocks: tuple = None
-    block_multiplicity: tuple = None
 
     @property
     def spectrum_size(self):
-        if self.blocks is not None:
-            return sum(
-                mult * blk.shape[0]
-                for blk, mult in zip(self.blocks, self.block_multiplicity)
-            )
-        return self.matrix.shape[0]
+        return sum(
+            mult * blk.shape[0] for blk, mult in zip(self.blocks, self.block_multiplicity)
+        )
 
 
 @dataclass(frozen=True)
@@ -134,10 +136,10 @@ def _check_symmetric(window):
 
 
 def _graded_axis(n_nodes, cutoff):
-    """Symmetric graded 1-d mesh: nodes and weights, origin excluded.
+    """Positive half of the mirrored graded 1-d mesh: nodes and weights.
 
     Geometric panels from the inner radius to the cutoff with Gauss-Legendre
-    points inside each panel, mirrored to the negative axis.
+    points inside each panel; n_nodes counts both half-axes.
     """
     per_side = n_nodes // 2
     panels = max(per_side // _GL_ORDER, 4)
@@ -149,7 +151,7 @@ def _graded_axis(n_nodes, cutoff):
     half = 0.5 * (edges[1:] - edges[:-1])
     x = (mid[:, None] + half[:, None] * tg[None, :]).ravel()
     w = (half[:, None] * wg[None, :]).ravel()
-    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+    return x, w
 
 
 def _window_transform_diff_1d(window, t):
@@ -229,14 +231,15 @@ def build_kernel(
     n_nodes=None,
     cutoff=None,
 ):
-    """Nystrom form of the rank-2 limit kernel.
+    """Nystrom form of the rank-2 limit kernel, split into symmetry blocks.
 
-    d in (1, 2). n_nodes is the per-axis mesh size for d=1 and the radial
-    count for d=2; cutoff is the frequency truncation radius. Defaults come
-    from a refinement study: doubling n_nodes moves the spectral mass by
-    well under 1% and the series variance lands within 2% of the
-    independent oracle, the remainder being cutoff truncation that the
-    calibration step absorbs.
+    d in (1, 2). n_nodes is the mesh size over both half-axes for d=1 (the
+    even and odd blocks each take half) and the radial count for d=2;
+    cutoff is the frequency truncation radius. Defaults come from a
+    refinement study: doubling n_nodes moves the spectral mass by well
+    under 1% and the series variance lands within 2% of the independent
+    oracle, the remainder being cutoff truncation that the calibration
+    step absorbs.
     """
     d = int(d)
     if d not in (1, 2):
@@ -254,48 +257,44 @@ def build_kernel(
         n_nodes = DEFAULT_NODES_1D if n_nodes is None else int(n_nodes)
         cutoff = DEFAULT_CUTOFF_1D if cutoff is None else float(cutoff)
         x, w = _graded_axis(n_nodes, cutoff)
-        k_lag = _window_transform_diff_1d(window, x[:, None] - x[None, :])
-        sing = np.abs(x) ** expo
-        m = c2 * np.sqrt(np.outer(w, w)) * k_lag * np.outer(sing, sing)
-        m = 0.5 * (m + m.T)  # kill rounding asymmetry
-        return RosenblattKernel(
-            nodes=x[:, None], weights=w, matrix=m, dimension=1, alpha=float(alpha)
-        )
-    if window.shape != "ball":
-        raise UnsupportedModelError(
-            "d=2 kernel construction needs a ball window; the angular "
-            "decomposition relies on an isotropic transform"
-        )
-    n_rad = DEFAULT_RADIAL_2D if n_nodes is None else int(n_nodes)
-    cutoff = DEFAULT_CUTOFF_2D if cutoff is None else float(cutoff)
-    if cutoff <= 2.0 * _GRADED_END_2D:
-        raise ParameterError(f"d=2 cutoff must exceed {2 * _GRADED_END_2D}, got {cutoff}")
-    rad, wrad = _radial_axis_2d(n_rad, cutoff)
-    m_max = min(_MAX_HARMONIC, _ANGULAR_SAMPLES // 2 - 1)
-    coef = _angular_block_coeffs(window, rad, m_max)
-    # radial measure s ds and one weight factor per side
-    su = np.sqrt(wrad * rad) * rad**expo
-    base = 2.0 * pi * c2 * np.outer(su, su)
-    blocks = []
-    for harmonic in range(m_max + 1):
-        blk = base * coef[:, :, harmonic]
-        blocks.append(0.5 * (blk + blk.T))
+        s = np.sqrt(w) * x**expo
+        base = c2 * np.outer(s, s)
+        near = _window_transform_diff_1d(window, x[:, None] - x[None, :])
+        far = _window_transform_diff_1d(window, x[:, None] + x[None, :])
+        blocks = (base * (near + far), base * (near - far))  # even, odd
+        multiplicity = (1, 1)
+    else:
+        if window.shape != "ball":
+            raise UnsupportedModelError(
+                "d=2 kernel construction needs a ball window; the angular "
+                "decomposition relies on an isotropic transform"
+            )
+        n_rad = DEFAULT_RADIAL_2D if n_nodes is None else int(n_nodes)
+        cutoff = DEFAULT_CUTOFF_2D if cutoff is None else float(cutoff)
+        if cutoff <= 2.0 * _GRADED_END_2D:
+            raise ParameterError(f"d=2 cutoff must exceed {2 * _GRADED_END_2D}, got {cutoff}")
+        rad, wrad = _radial_axis_2d(n_rad, cutoff)
+        m_max = min(_MAX_HARMONIC, _ANGULAR_SAMPLES // 2 - 1)
+        coef = _angular_block_coeffs(window, rad, m_max)
+        # radial measure s ds and one weight factor per side
+        su = np.sqrt(wrad * rad) * rad**expo
+        base = 2.0 * pi * c2 * np.outer(su, su)
+        blocks = [base * coef[:, :, harmonic] for harmonic in range(m_max + 1)]
+        multiplicity = (1,) + (2,) * m_max
     return RosenblattKernel(
-        nodes=rad[:, None],
-        weights=wrad,
-        matrix=None,
-        dimension=2,
+        blocks=tuple(0.5 * (blk + blk.T) for blk in blocks),  # kill rounding asymmetry
+        block_multiplicity=multiplicity,
+        dimension=d,
         alpha=float(alpha),
-        blocks=tuple(blocks),
-        block_multiplicity=(1,) + (2,) * m_max,
     )
 
 
 def eigen_series(kernel, m):
     """Top-m eigenvalues of the kernel by magnitude, with tail-mass report.
 
-    Block kernels are solved per angular harmonic and merged with their
-    multiplicities. Eigenvalues at or below the solver's rounding floor
+    Each symmetry block is solved on its own and the block spectra are
+    merged with their multiplicities, which gives the spectrum of the full
+    operator. Eigenvalues at or below the solver's rounding floor
     n eps |nu_1| (n the operator order) are noise whose signs change from
     build to build; they are dropped before the truncation, so kept can be
     less than m. The relative Frobenius mass left out by the truncation
@@ -303,14 +302,10 @@ def eigen_series(kernel, m):
     purposes.
     """
     try:
-        if kernel.blocks is not None:
-            parts = [
-                np.repeat(np.linalg.eigvalsh(blk), mult)
-                for blk, mult in zip(kernel.blocks, kernel.block_multiplicity)
-            ]
-            eig = np.concatenate(parts)
-        else:
-            eig = np.linalg.eigvalsh(kernel.matrix)
+        eig = np.concatenate([
+            np.repeat(np.linalg.eigvalsh(blk), mult)
+            for blk, mult in zip(kernel.blocks, kernel.block_multiplicity)
+        ])
     except np.linalg.LinAlgError as exc:
         raise AccuracyError(f"eigen-solver did not converge: {exc}") from None
     size = eig.size
@@ -467,51 +462,6 @@ def variance_oracle(window, alpha, d):
             f"limit variance diverges for alpha >= d/2 (got alpha={alpha}, d={d})"
         )
     return 2.0 * distance_integral(window, 1.0, lambda z: z ** (-2.0 * alpha))
-
-
-@dataclass(frozen=True)
-class DensityTable:
-    """KDE on a uniform grid; max_value witnesses density boundedness."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    bandwidth: float
-    max_value: float
-
-
-def density_estimate(samples, bandwidth, grid_size=512):
-    """Gaussian-kernel density estimate via a fine histogram convolution.
-
-    Needs at least 10^4 samples; the returned table integrates to 1 up to
-    the grid truncation (four bandwidths beyond the sample range).
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 10**4:
-        raise ParameterError(
-            f"density estimate needs >= 10^4 samples, got {samples.size}"
-        )
-    if not bandwidth > 0.0:
-        raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
-    lo = samples.min() - 4.0 * bandwidth
-    hi = samples.max() + 4.0 * bandwidth
-    fine = 8 * int(grid_size)
-    hist, edges = np.histogram(samples, bins=fine, range=(lo, hi), density=True)
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    step = edges[1] - edges[0]
-    half_width = int(np.ceil(4.0 * bandwidth / step))
-    ker_x = np.arange(-half_width, half_width + 1) * step
-    ker = np.exp(-0.5 * (ker_x / bandwidth) ** 2)
-    ker /= ker.sum()
-    smooth = np.convolve(hist, ker, mode="same")
-    stride = fine // int(grid_size)
-    grid = centers[::stride]
-    vals = smooth[::stride]
-    return DensityTable(
-        grid=grid,
-        values=vals,
-        bandwidth=float(bandwidth),
-        max_value=float(smooth.max()),
-    )
 
 
 def series_to_json(series):

@@ -15,7 +15,7 @@ from scipy.special import ndtr
 
 from rosenlab import expcli, fieldsim
 from rosenlab.expcli import ExperimentConfig, config_to_json, main
-from rosenlab.rosenblatt import EigenSeries, series_cdf, series_to_json
+from rosenlab.rosenblatt import EigenSeries, series_cdf, series_from_json, series_to_json
 
 MODEL = json.dumps({"family": "cauchy", "d": 1, "theta": 0.2})
 WINDOW = json.dumps({"shape": "ball", "R": 1.0, "d": 1})
@@ -236,3 +236,109 @@ def test_python_dash_m_rosenlab_runs_without_warnings():
     assert done.returncode == 0
     assert done.stderr == ""
     assert done.stdout.splitlines()[0].startswith("d,alpha,q,upsilon")
+
+
+def _manifest(out):
+    return json.loads(Path(str(out) + ".manifest.json").read_text(encoding="utf-8"))
+
+
+# command, its own flags, the CSV header, the row count
+_TABLE_COMMANDS = [
+    (["covariance", "eval"], ["--model", MODEL, "--r", "0,1,2"], ["r", "covariance"], 3),
+    (["spectral", "eval"], ["--model", MODEL, "--lam", "0.5,1"], ["lam", "density"], 2),
+    (
+        ["spectral", "fit-upsilon"], ["--model", MODEL],
+        ["family", "upsilon_fit", "upsilon_formula", "difference"], 1,
+    ),
+    (["geometry", "ft"], ["--set", WINDOW, "--z", "0,1"], ["z", "ft_real", "ft_imag"], 2),
+    (
+        ["hermite", "coeffs"], ["--functional", "abs-centered", "--order", "4"],
+        ["j", "coefficient"], 5,
+    ),
+    (
+        ["rate", "curves"], ["--family", "localglobal", "--alpha-grid", "0.1:0.4:4"],
+        ["alpha", "kappa1_over_3", "geometric_term_over_3", "kappa_bound"], 4,
+    ),
+    (
+        ["verify", "supmin"],
+        ["--d", "1", "--alpha", "0.4", "--q", "2", "--upsilon", "0.5", "--resolution", "16"],
+        ["grid_value", "closed_form", "deviation", "beta", "gamma", "gamma0", "resolution",
+         "refined"],
+        1,
+    ),
+]
+
+
+@pytest.mark.parametrize("command, flags, header, count", _TABLE_COMMANDS,
+                         ids=[" ".join(c[0]) for c in _TABLE_COMMANDS])
+def test_table_commands_write_their_csv_and_manifest(tmp_path, command, flags, header, count):
+    out = tmp_path / "table.csv"
+    assert main([*command, *flags, "--out", str(out)]) == 0
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == header
+    assert len(rows) == count + 1
+    manifest = _manifest(out)
+    assert manifest["command"] == " ".join(command)
+    assert manifest["outputs"] == [str(out)]
+
+
+def test_table_commands_compute_what_they_name(tmp_path):
+    out = tmp_path / "cov.csv"
+    assert main(["covariance", "eval", "--model", MODEL, "--r", "0,1", "--out", str(out)]) == 0
+    rows = _rows(out)
+    # Cauchy: B(r) = (1 + r^2)^(-theta)
+    assert [float(row["covariance"]) for row in rows] == pytest.approx([1.0, 2.0**-0.2], rel=1e-14)
+    out = tmp_path / "ft.csv"
+    assert main(["geometry", "ft", "--set", WINDOW, "--z", "1", "--out", str(out)]) == 0
+    assert float(_rows(out)[0]["ft_real"]) == pytest.approx(2.0 * np.sin(1.0), rel=1e-14)
+
+
+def test_rosenblatt_build_writes_a_calibrated_series(tmp_path):
+    out = tmp_path / "series.json"
+    argv = ["rosenblatt", "build", "--set", WINDOW, "--alpha", "0.4", "--n-nodes", "1024",
+            "--out", str(out)]
+    assert main(argv) == 0
+    series = series_from_json(out.read_text(encoding="utf-8"))
+    manifest = _manifest(out)
+    assert manifest["command"] == "rosenblatt build"
+    config = manifest["config"]
+    assert config["n_nodes"] == 1024 and config["alpha"] == 0.4
+    factor = config["derived_calibration_factor"]
+    assert factor == series.calibration_factor and 0.97 <= factor <= 1.03
+    # the stored series hits the oracle; the raw one is nu / factor
+    assert series.variance == pytest.approx(config["derived_oracle_variance"], rel=1e-12)
+    raw = np.asarray(series.eigenvalues) / factor
+    assert 2.0 * np.sum(raw**2) == pytest.approx(config["derived_raw_variance"], rel=1e-12)
+
+
+@pytest.mark.parametrize("flags", [["--no-calibrate"], ["--d", "1"]])
+def test_removed_build_options_fail_at_argparse(tmp_path, capsys, flags):
+    argv = ["rosenblatt", "build", "--set", WINDOW, "--alpha", "0.4",
+            "--out", str(tmp_path / "series.json"), *flags]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not (tmp_path / "series.json").exists()
+
+
+def test_simulate_field_takes_the_d2_clamp_from_fieldsim(tmp_path):
+    # this lattice's spectrum stays below -1e-8 of its peak up to padding 64;
+    # the d=2 tolerance 1e-7 admits it there, as rate experiment draws it
+    model = json.dumps({"family": "cauchy", "d": 2, "theta": 0.1})
+    out = tmp_path / "field.npz"
+    argv = ["simulate", "field", "--model", model, "--h", "1.0", "--extent", "8",
+            "--seed", "4", "--out", str(out)]
+    assert main(argv) == 0
+    plan = fieldsim.SimulationPlan(
+        model=expcli.model_from_json(model), dimension=2, h=1.0, extent=8.0, seed=4
+    )
+    assert plan.clamp_tol == fieldsim.CLAMP_TOL[2] == 1e-7
+    emb = fieldsim.embedding(plan)
+    assert (emb.padding, emb.torus_side) == (64, 1024)
+    assert 0.0 < emb.clamped_share < 1e-5
+    got = fieldsim.import_field(str(out))
+    assert got.values.shape == (16, 16)
+    assert np.array_equal(got.values, fieldsim.simulate_field(plan).values)
+    fieldsim.clear_spectrum_cache()

@@ -124,8 +124,8 @@ def test_long_grid_embedding_admissible():
 
 
 def test_embedding_error_and_clamp_opt_in():
-    # this d=2 grid bottoms out near -2e-7 relative: below the default clamp,
-    # inside the largest opt-in clamp
+    # this d=2 grid bottoms out near -2.1e-7 relative: below the d=2 default
+    # clamp 1e-7, inside the largest opt-in clamp
     tight = SimulationPlan(
         model=cauchy(2, 0.2), dimension=2, h=0.5, extent=16.0, seed=0, padding=16
     )
@@ -153,6 +153,24 @@ def test_replicate_generator_streams():
     c = replicate_generator(5, 1).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_replicate_generator_is_the_seed_sequence_of_its_keys():
+    for keys in ((0,), (3, 0xB007), (7, 2, 0xF1E1D)):
+        want = np.random.default_rng(np.random.SeedSequence([11, *keys])).standard_normal(8)
+        assert np.array_equal(replicate_generator(11, *keys).standard_normal(8), want)
+    # the experiment's replicate and bootstrap streams of one r differ
+    a = replicate_generator(11, 0, 0xF1E1D).standard_normal(4)
+    assert not np.array_equal(a, replicate_generator(11, 0, 0xB007).standard_normal(4))
+
+
+def test_clamp_tolerance_defaults_per_dimension():
+    for d, tol in ((1, 1e-8), (2, 1e-7)):
+        plan = SimulationPlan(model=cauchy(d, 0.2), dimension=d, h=1.0, extent=8.0, seed=0)
+        assert plan.clamp_tol == fieldsim.CLAMP_TOL[d] == tol
+        # an explicit tolerance wins, and the escalation keeps it
+        tight = replace(plan, clamp_tol=1e-9)
+        assert replace(tight, padding=8).clamp_tol == 1e-9
 
 
 def test_site_marginals():

@@ -5,8 +5,9 @@ import pytest
 from scipy.stats import chi2
 
 from rosenlab import rosenblatt
+from rosenlab.covmodels import c2_constant
 from rosenlab.errors import AccuracyError
-from rosenlab.geometry import ball
+from rosenlab.geometry import ball, rectangle
 from rosenlab.rosenblatt import EigenSeries, sample, series_cdf
 
 
@@ -92,8 +93,15 @@ def interval_kernel():
     return rosenblatt.build_kernel(ball(1), 1, 0.4)
 
 
+def _merged_spectrum(kernel):
+    return np.concatenate([
+        np.repeat(np.linalg.eigvalsh(blk), mult)
+        for blk, mult in zip(kernel.blocks, kernel.block_multiplicity)
+    ])
+
+
 def test_eigen_series_drops_rounding_noise(interval_kernel):
-    full = np.linalg.eigvalsh(interval_kernel.matrix)
+    full = _merged_spectrum(interval_kernel)
     full = full[np.argsort(-np.abs(full))][:300]
     series = rosenblatt.eigen_series(interval_kernel, 300)
     nu = np.asarray(series.eigenvalues)
@@ -104,12 +112,35 @@ def test_eigen_series_drops_rounding_noise(interval_kernel):
     assert series.variance == pytest.approx(2.0 * np.sum(full**2), rel=1e-12)
 
 
+def test_interval_blocks_have_the_spectrum_of_the_dense_mirrored_mesh(interval_kernel):
+    # reference: the whole Nystrom matrix on the graded mesh mirrored to the
+    # negative axis, c2 sqrt(w_i w_j) K(x_i - x_j) |x_i x_j|^(-(1 - alpha)/2)
+    # with the unit-interval transform K(t) = 2 sin(t) / t
+    alpha = 0.4
+    half, w_half = rosenblatt._graded_axis(1504, rosenblatt.DEFAULT_CUTOFF_1D)
+    x = np.concatenate([-half[::-1], half])
+    w = np.concatenate([w_half[::-1], w_half])
+    t = x[:, None] - x[None, :]
+    safe = np.where(t == 0.0, 1.0, t)
+    k = np.where(t == 0.0, 2.0, 2.0 * np.sin(safe) / safe)
+    s = np.sqrt(w) * np.abs(x) ** (-0.5 * (1.0 - alpha))
+    dense = c2_constant(1, alpha) * np.outer(s, s) * k
+    want = np.linalg.eigvalsh(0.5 * (dense + dense.T))
+    assert interval_kernel.block_multiplicity == (1, 1)
+    assert [blk.shape for blk in interval_kernel.blocks] == [(752, 752)] * 2
+    assert interval_kernel.spectrum_size == x.size == 1504
+    got = np.sort(_merged_spectrum(interval_kernel))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_the_interval_as_a_rectangle_gives_the_same_series(interval_kernel):
+    kernel = rosenblatt.build_kernel(rectangle([-1.0], [1.0]), 1, 0.4)
+    assert rosenblatt.eigen_series(kernel, 300) == rosenblatt.eigen_series(interval_kernel, 300)
+
+
 def test_eigen_series_keeps_the_disk_series():
     kernel = rosenblatt.build_kernel(ball(2), 2, 0.6)
-    full = np.concatenate([
-        np.repeat(np.linalg.eigvalsh(blk), mult)
-        for blk, mult in zip(kernel.blocks, kernel.block_multiplicity)
-    ])
+    full = _merged_spectrum(kernel)
     full = full[np.argsort(-np.abs(full))][:300]
     series = rosenblatt.eigen_series(kernel, 300)
     assert series.kept == 300
