@@ -55,7 +55,7 @@ from .fieldsim import (  # noqa: F401
     window_integrals,
 )
 from .geometry import indicator_ft, set_from_json, set_to_json
-from .hermite import DEFAULT_QUAD_ORDER, functional_catalog, hermite_coefficients
+from .hermite import functional_catalog, hermite_coefficients
 from .ratelab import (
     CURVE_COLUMNS,
     RateInputs,
@@ -473,8 +473,7 @@ def _cmd_geometry_ft(args, doc, out, seed):
 def _cmd_hermite_coeffs(args, doc, out, seed):
     name = _need(args, doc, "functional")
     order = int(_pick(args, doc, "order", 6))
-    quad = int(_pick(args, doc, "quad-order", DEFAULT_QUAD_ORDER))
-    expansion = hermite_coefficients(functional_catalog(name), order, quad)
+    expansion = hermite_coefficients(functional_catalog(name), order)
     rows = [(j, c) for j, c in enumerate(expansion.coeffs)]
     return ("j", "coefficient"), rows, {"rank": expansion.rank, "functional": name}
 
@@ -484,7 +483,7 @@ def _cmd_simulate_field(args, doc, out, seed):
     clamp_tol = _pick(args, doc, "clamp-tol")
     plan = SimulationPlan(
         model=model,
-        dimension=int(_pick(args, doc, "d", model.dimension)),
+        dimension=model.dimension,
         h=float(_need(args, doc, "h")),
         extent=float(_need(args, doc, "extent")),
         seed=int(seed),
@@ -536,7 +535,13 @@ def _cmd_rosenblatt_sample(args, doc, out, seed):
         series = series_from_json(fh.read())
     n = int(_need(args, doc, "n"))
     draws = sample(series, n, int(seed))
-    return ("x",), draws, {"series": path, "n": n}
+    table = series.cdf_table
+    return ("x",), draws, {
+        "series": path,
+        "n": n,
+        "cdf_table_cells": table.cells,
+        "ks_bound": table.ks_bound,
+    }
 
 
 def _cmd_rate_bound(args, doc, out, seed):
@@ -709,14 +714,12 @@ def _build_parser():
     p = her.add_parser("coeffs", parents=[common])
     p.add_argument("--functional")
     p.add_argument("--order", type=int)
-    p.add_argument("--quad-order", type=int, dest="quad_order")
 
     sim = top.add_parser("simulate", help="field simulation").add_subparsers(
         dest="action", required=True
     )
     p = sim.add_parser("field", parents=[common])
     p.add_argument("--model")
-    p.add_argument("--d", type=int)
     p.add_argument("--h", type=float)
     p.add_argument("--extent", type=float)
     p.add_argument("--padding", type=int, help="first torus side over lattice side, >= 2")

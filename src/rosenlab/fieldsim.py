@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .covmodels import covariance_eval
+from .covmodels import CovarianceModel, covariance_eval
 from .errors import (
     CoverageError,
     EmbeddingError,
@@ -69,11 +69,11 @@ _BLOCK_SITES = 2**18
 class SimulationPlan:
     """Lattice plan: covariance model, dimension, step h, half-width extent.
 
-    model is a CovarianceModel or any callable r -> B(r). The lattice has
-    n = round(2 extent / h) cells per axis with centers at
-    -extent + (i + 1/2) h, so the origin sits on a cell boundary and the
-    lattice is symmetric. The torus side m is the smallest power of two at
-    least padding * n. padding must be at least 2: then m >= 2(n-1), the
+    model is a CovarianceModel of the plan's dimension or any callable
+    r -> B(r). The lattice has n = round(2 extent / h) cells per axis with
+    centers at -extent + (i + 1/2) h, so the origin sits on a cell boundary
+    and the lattice is symmetric. The torus side m is the smallest power of
+    two at least padding * n. padding must be at least 2: then m >= 2(n-1), the
     minimal torus on which every lattice lag keeps its own covariance. The
     default starts the escalation there; simulate_field doubles the padding
     while the embedding spectrum is inadmissible. clamp_tol is the most
@@ -94,6 +94,11 @@ class SimulationPlan:
         if self.dimension not in (1, 2):
             raise ParameterError(
                 f"simulation supports d in (1, 2), got {self.dimension}"
+            )
+        if isinstance(self.model, CovarianceModel) and self.model.dimension != self.dimension:
+            raise ParameterError(
+                f"model dimension {self.model.dimension} does not match the "
+                f"plan's d={self.dimension}"
             )
         if self.clamp_tol is None:
             object.__setattr__(self, "clamp_tol", CLAMP_TOL[self.dimension])

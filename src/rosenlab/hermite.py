@@ -2,18 +2,21 @@
 
 Coefficients C_j = E G(w) H_j(w) against the standard normal weight are
 computed by Gauss-Hermite quadrature rescaled to the probabilists'
-convention. The expansion object carries the detected Hermite rank (first
-index j >= 1 with a coefficient above tolerance) and supports Parseval
-accounting and truncated reconstruction.
+convention; the named functionals of the catalog carry closed forms, which
+are used instead. The expansion object carries the detected Hermite rank
+(first index j >= 1 with a coefficient above tolerance) and supports
+Parseval accounting and truncated reconstruction.
 
 Quadrature nodes come from scipy's asymptotic-safe routine: the pure
-recurrence construction overflows beyond a few hundred nodes, and the
-non-smooth functionals in the catalog need thousands of nodes for stable
-coefficients (see the order-stability guard in hermite_coefficients).
+recurrence construction overflows beyond a few hundred nodes, and
+non-smooth functionals need thousands of nodes for stable coefficients (see
+the order-stability guard in hermite_coefficients). Even then a kink at
+w = 0, as in |w|, leaves an error near 1e-4, hence the closed forms.
 """
 
 from dataclasses import dataclass
 from math import factorial, pi, sqrt
+from typing import Callable
 
 import numpy as np
 from scipy.special import roots_hermite
@@ -22,6 +25,7 @@ from .errors import AccuracyError, ParameterError, RankError
 
 __all__ = [
     "HermiteExpansion",
+    "CatalogFunctional",
     "hermite_coefficients",
     "hermite_rank",
     "parseval_defect",
@@ -77,10 +81,12 @@ def _detect_rank(coeffs, tol):
 def hermite_coefficients(G, J, quad_order=DEFAULT_QUAD_ORDER):
     """Expansion of G to order J with a cross-order stability guard.
 
-    The coefficients are recomputed at 1.5x the order; disagreement beyond
-    2e-3 relative to the coefficient scale means the order is too low for
-    this functional and raises AccuracyError. G must accept ndarray input
-    and be square-integrable against the normal weight (caller asserts).
+    A CatalogFunctional gives its closed-form coefficients. Any other G is
+    integrated by quadrature, and the coefficients are recomputed at 1.5x
+    the order; disagreement beyond 2e-3 relative to the coefficient scale
+    means the order is too low for this functional and raises
+    AccuracyError. G must accept ndarray input and be square-integrable
+    against the normal weight (caller asserts).
     """
     J = int(J)
     if J < 0:
@@ -90,10 +96,13 @@ def hermite_coefficients(G, J, quad_order=DEFAULT_QUAD_ORDER):
         raise ParameterError(
             f"quad_order {quad_order} too low for order {J}; need quad_order >= 2J"
         )
-    c = _coeffs_at(G, J, quad_order)
-    c_check = _coeffs_at(G, J, int(1.5 * quad_order))
+    if isinstance(G, CatalogFunctional):
+        c = np.array([G.coefficient(j) for j in range(J + 1)])
+        drift = 0.0
+    else:
+        c = _coeffs_at(G, J, quad_order)
+        drift = float(np.max(np.abs(c - _coeffs_at(G, J, int(1.5 * quad_order)))))
     scale = max(float(np.max(np.abs(c))), 1e-12)
-    drift = float(np.max(np.abs(c - c_check)))
     if drift > _STABILITY_RTOL * scale:
         raise AccuracyError(
             f"Hermite coefficients unstable across quadrature orders "
@@ -150,19 +159,50 @@ def truncated_eval(expansion, w):
     return float(acc) if w.ndim == 0 else acc
 
 
+@dataclass(frozen=True)
+class CatalogFunctional:
+    """A functional G with closed-form Hermite coefficients.
+
+    Calling it evaluates G on an array; coefficient(j) is the exact
+    C_j = E G(w) H_j(w), which hermite_coefficients uses in place of
+    quadrature.
+    """
+
+    evaluate: Callable
+    coefficient: Callable
+
+    def __call__(self, w):
+        return self.evaluate(w)
+
+
+def _abs_centered_coefficient(j):
+    # E|w| H_2k(w) = sqrt(2/pi) (-1)^(k+1) (2k-2)! / (2^(k-1) (k-1)!) for
+    # k >= 1; the centering cancels C_0 = E|w| and odd orders vanish
+    if j == 0 or j % 2:
+        return 0.0
+    k = j // 2
+    return sqrt(2.0 / pi) * (-1) ** (k + 1) * factorial(2 * k - 2) / (
+        2 ** (k - 1) * factorial(k - 1)
+    )
+
+
+_CATALOG = {
+    "h2": CatalogFunctional(lambda w: w * w - 1.0, lambda j: 2.0 if j == 2 else 0.0),
+    "square": CatalogFunctional(lambda w: w * w, lambda j: {0: 1.0, 2: 2.0}.get(j, 0.0)),
+    "abs-centered": CatalogFunctional(
+        lambda w: np.abs(w) - sqrt(2.0 / pi), _abs_centered_coefficient
+    ),
+}
+
+
 def functional_catalog(name):
-    """Named functionals addressable from the CLI.
+    """Named functionals addressable from the CLI, as CatalogFunctional.
 
     "h2" is the second Hermite polynomial, "square" is w^2, "abs-centered"
     is |w| - sqrt(2/pi) (mean-zero, Hermite rank 2).
     """
-    catalog = {
-        "h2": lambda w: w * w - 1.0,
-        "square": lambda w: w * w,
-        "abs-centered": lambda w: np.abs(w) - sqrt(2.0 / pi),
-    }
-    if name not in catalog:
+    if name not in _CATALOG:
         raise ParameterError(
-            f"unknown functional {name!r}; catalog: {sorted(catalog)}"
+            f"unknown functional {name!r}; catalog: {sorted(_CATALOG)}"
         )
-    return catalog[name]
+    return _CATALOG[name]

@@ -1,13 +1,16 @@
-"""Sampler for the limiting law of rank-2 functionals over a window.
+"""The limiting law of rank-2 functionals over a window.
 
 The limit is a double Wiener-Ito integral whose kernel couples the window
 transform with a power singularity at zero frequency. Discretizing that
 operator with a graded Nystrom mesh turns the law into a weighted series
-sum_j nu_j (Z_j^2 - 1) of centered chi-squares, which is cheap to sample,
-has closed-form cumulants, and has a closed-form characteristic function
-whose inversion gives the exact CDF (series_cdf). The construction is
-validated against an independent distance-integral variance oracle and
-calibrated to it by a single reported rescale factor.
+sum_j nu_j (Z_j^2 - 1) of centered chi-squares, which has closed-form
+cumulants and a closed-form characteristic function. Inverting that gives
+the exact CDF (series_cdf), and sample draws by inverting the CDF itself:
+one FFT puts the CDF on a fine grid (EigenSeries.cdf_table), and each draw
+is one uniform mapped through its linear interpolant, with a reported
+Kolmogorov error bound. The construction is validated against an
+independent distance-integral variance oracle and calibrated to it by a
+single reported rescale factor.
 
 The kernel uses the frequency-difference form
 M_ij = c2 sqrt(w_i w_j) K(lam_i - lam_j) (|lam_i||lam_j|)^(-(d-alpha)/2):
@@ -37,9 +40,11 @@ spectrum of the full matrix:
 
 import json
 from dataclasses import dataclass
-from math import factorial, log, pi, sqrt
+from functools import cached_property
+from math import ceil, factorial, log, log2, pi, sqrt
 
 import numpy as np
+from scipy.fft import dct, irfft
 
 from .covmodels import c2_constant
 from .errors import (
@@ -54,6 +59,7 @@ from .geometry import ball_ft_radial, distance_integral
 __all__ = [
     "RosenblattKernel",
     "EigenSeries",
+    "CdfTable",
     "build_kernel",
     "eigen_series",
     "calibrate_series",
@@ -73,8 +79,10 @@ DEFAULT_RADIAL_2D = 160
 DEFAULT_CUTOFF_2D = 60.0
 _INNER_RADIUS = 1e-8
 _GL_ORDER = 4
-_SAMPLE_CHUNK = 20000
+_CDF_TOL = 1e-12
 _CDF_MAX_NODES = 2**20
+_TABLE_INTERP_TOL = 1e-10
+_TABLE_MAX_CELLS = 2**22
 _GRADED_END_2D = 1.0
 _ANGULAR_SAMPLES = 512  # transform content stays under ~cutoff+m_max harmonics
 _MAX_HARMONIC = 96
@@ -104,6 +112,26 @@ class RosenblattKernel:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class CdfTable:
+    """The CDF of a series law on a uniform grid, for sampling by inversion.
+
+    cdf[j] is F(x[j]) at x[j] = lo + j (hi - lo) / cells, made nondecreasing,
+    where lo and hi are the Chernoff points of series_cdf. ks_bound bounds
+    the Kolmogorov distance between F and the law whose CDF is the linear
+    interpolant of the table: the interpolation bound max|second difference
+    of cdf| / 8 plus the tolerance of the tabulated values.
+    """
+
+    x: np.ndarray
+    cdf: np.ndarray
+    ks_bound: float
+
+    @property
+    def cells(self):
+        return self.x.size - 1
+
+
 @dataclass(frozen=True)
 class EigenSeries:
     """Leading eigenvalues of the kernel, optionally calibrated.
@@ -122,6 +150,17 @@ class EigenSeries:
     @property
     def variance(self):
         return 2.0 * sum(v * v for v in self.eigenvalues)
+
+    @cached_property
+    def cdf_table(self):
+        """The CdfTable that sample inverts, built on first use and kept.
+
+        The grid is refined until the interpolation bound is at most 1e-10,
+        so ks_bound is at most 1e-10 + 1e-12. AccuracyError if the CDF
+        needs more than 2^20 nodes (series_cdf's refusal, as for four or
+        fewer equal terms) or the table more than 2^22 cells.
+        """
+        return _cdf_table(np.asarray(self.eigenvalues, dtype=float), _CDF_TOL)
 
 
 def _check_symmetric(window):
@@ -197,30 +236,30 @@ def _radial_axis_2d(n_nodes, cutoff):
 
 def _angular_block_coeffs(window, rad, m_max):
     """Fourier coefficients a_m(r_i, r_j) of the window transform over the
-    included angle, m = 0..m_max, via an FFT in the angle.
+    included angle, m = 0..m_max, from samples of the angle.
 
     The transform oscillates in the chord length, so the angular content
     at radii (r, s) reaches roughly min(r, s) harmonics; the sample count
-    must stay ahead of both that and m_max. Chunked over rows to bound
-    the n^2 * samples intermediate.
+    must stay ahead of both that and m_max. The chord is even in the angle
+    and symmetric in (r_i, r_j), so the transform is evaluated only on the
+    n_psi/2 + 1 angles in [0, pi] and on the pairs i <= j. A DCT-I of those
+    samples gives the cosine coefficients of all n_psi angles, and each pair
+    fills both triangles. Chunked over pairs to bound the pairs * samples
+    intermediate.
     """
     n_psi = _ANGULAR_SAMPLES
-    cos = np.cos(2.0 * pi * np.arange(n_psi) / n_psi)
+    cos = np.cos(2.0 * pi * np.arange(n_psi // 2 + 1) / n_psi)
     n = rad.size
+    upper, lower = np.triu_indices(n)
     coef = np.empty((n, n, m_max + 1))
-    step = max(1, int(2e8 / (8 * n * n_psi)))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        chord = np.sqrt(
-            np.maximum(
-                rad[lo:hi, None, None] ** 2
-                + rad[None, :, None] ** 2
-                - 2.0 * rad[lo:hi, None, None] * rad[None, :, None] * cos,
-                0.0,
-            )
-        )
-        vals = ball_ft_radial(window, chord)
-        coef[lo:hi] = np.fft.rfft(vals, axis=2).real[:, :, : m_max + 1] / n_psi
+    step = max(1, int(2e8 / (8 * cos.size)))
+    for lo in range(0, upper.size, step):
+        ri = rad[upper[lo : lo + step], None]
+        rj = rad[lower[lo : lo + step], None]
+        chord = np.sqrt(np.maximum(ri**2 + rj**2 - 2.0 * ri * rj * cos, 0.0))
+        vals = dct(ball_ft_radial(window, chord), type=1, axis=1)[:, : m_max + 1] / n_psi
+        coef[upper[lo : lo + step], lower[lo : lo + step]] = vals
+        coef[lower[lo : lo + step], upper[lo : lo + step]] = vals
     return coef
 
 
@@ -356,22 +395,19 @@ def calibrate_series(series, target_variance):
 
 
 def sample(series, n, seed):
-    """n i.i.d. draws of sum_j nu_j (Z_j^2 - 1), chunked for memory."""
+    """n i.i.d. draws from the law of sum_j nu_j (Z_j^2 - 1) by inversion.
+
+    Each draw is one uniform from default_rng(seed) mapped through the
+    linear interpolant of series.cdf_table, so the draws follow a law within
+    series.cdf_table.ks_bound of the series law in Kolmogorov distance, and
+    the first k of n draws are the k draws of the same seed. AccuracyError
+    where the table cannot be built (see EigenSeries.cdf_table).
+    """
     n = int(n)
     if n < 1:
         raise ParameterError(f"sample count must be >= 1, got {n}")
-    nu = np.asarray(series.eigenvalues)
-    rng = np.random.default_rng(seed)
-    out = np.empty(n)
-    buf = np.empty((min(_SAMPLE_CHUNK, n), nu.size))
-    for lo in range(0, n, _SAMPLE_CHUNK):
-        hi = min(lo + _SAMPLE_CHUNK, n)
-        z = buf[: hi - lo]
-        rng.standard_normal(out=z)
-        z *= z
-        z -= 1.0
-        np.matmul(z, nu, out=out[lo:hi])
-    return out
+    table = series.cdf_table
+    return np.interp(np.random.default_rng(seed).random(n), table.cdf, table.x)
 
 
 def _upper_tail_point(nu, eps):
@@ -387,7 +423,89 @@ def _upper_tail_point(nu, eps):
     return float(np.min((k - log(eps)) / t[:, 0]))
 
 
-def series_cdf(series, x, tol=1e-12):
+def _node_plan(nu, tol):
+    """Chernoff points lo, hi, step du and node count of the inversion rule.
+
+    lo and hi each leave tol/4 of the law outside. The count is the first
+    power of two K from 16 whose remainder bound |phi(U)|/(pi s(U)), U = K du
+    and s = -dlog|phi|/dlog u, is at most tol/2; AccuracyError above 2^20.
+    """
+    lo = -_upper_tail_point(-nu, 0.25 * tol)
+    hi = _upper_tail_point(nu, 0.25 * tol)
+    du = 2.0 * pi / (hi - lo)
+    nodes = 16
+    while True:
+        q = (2.0 * nu * nodes * du) ** 2
+        remainder = np.exp(-0.25 * np.sum(np.log1p(q))) / (0.5 * np.sum(q / (1.0 + q)))
+        if remainder <= 0.5 * pi * tol:
+            return lo, hi, du, nodes
+        if nodes >= _CDF_MAX_NODES:
+            raise AccuracyError(
+                f"characteristic function of the series decays too slowly: "
+                f"remainder {remainder / pi:.2e} after {nodes} nodes",
+                estimate=remainder / pi,
+            )
+        nodes *= 2
+
+
+def _inversion_terms(nu, du, nodes):
+    """Midpoint nodes u_k = (k + 1/2) du with weight |phi(u_k)|/(pi (k + 1/2))
+    and phase arg phi(u_k), so that F(x) = 1/2 - sum_k weight_k
+    sin(phase_k - u_k x)."""
+    u = (np.arange(nodes) + 0.5) * du
+    log_modulus = np.zeros(nodes)
+    phase = np.zeros(nodes)
+    for v in nu:  # one term at a time: memory stays O(nodes)
+        w = 2.0 * v * u
+        log_modulus -= 0.25 * np.log1p(w * w)
+        phase += 0.5 * (np.arctan(w) - w)
+    weight = np.exp(log_modulus) / (pi * (np.arange(nodes) + 0.5))
+    return u, weight, phase
+
+
+def _cdf_table(nu, tol):
+    """CdfTable of the series: the midpoint sum of series_cdf at every point
+    of a uniform grid on [lo, hi], by one inverse FFT per grid size.
+
+    The first grid has 8 points per period of the top frequency, where the
+    second difference is h^2 F'' to a few percent. The bound falls like
+    cells^-2, so the next size is the power of two it predicts, doubled
+    while the bound measured there is still above 1e-10.
+    """
+    lo, hi, du, nodes = _node_plan(nu, tol)
+    u, weight, phase = _inversion_terms(nu, du, nodes)
+    # At x_j = lo + j (hi - lo)/N, u_k x_j = u_k lo + pi (2k + 1) j / N, so
+    # the sum is N times a real inverse FFT of length 2N whose odd harmonics
+    # 2k + 1 carry i weight_k exp(-i (phase_k - u_k lo)).
+    odd = 1j * weight * np.exp(-1j * (phase - u * lo))
+    cells = min(8 * nodes, _TABLE_MAX_CELLS)
+    while True:
+        spectrum = np.zeros(cells + 1, dtype=complex)
+        spectrum[1 : 2 * nodes : 2] = odd
+        cdf = irfft(spectrum, 2 * cells)[: cells + 1]
+        cdf *= -cells
+        cdf += 0.5
+        curvature = np.diff(cdf, 2)
+        interp = max(curvature.max(), -curvature.min()) / 8.0
+        if interp <= _TABLE_INTERP_TOL:
+            break
+        if cells >= _TABLE_MAX_CELLS:
+            raise AccuracyError(
+                f"series CDF too steep to tabulate: interpolation bound "
+                f"{interp:.2e} at {cells} cells",
+                estimate=interp,
+            )
+        doublings = max(1, ceil(0.5 * log2(interp / _TABLE_INTERP_TOL)))
+        cells = min(cells * 2**doublings, _TABLE_MAX_CELLS)
+    np.clip(cdf, 0.0, 1.0, out=cdf)
+    return CdfTable(
+        x=lo + (hi - lo) / cells * np.arange(cells + 1),
+        cdf=np.maximum.accumulate(cdf),
+        ks_bound=float(interp) + tol,
+    )
+
+
+def series_cdf(series, x, tol=_CDF_TOL):
     """CDF of sum_j nu_j (Z_j^2 - 1) at x by Gil-Pelaez inversion.
 
     F(x) = 1/2 - (1/pi) int_0^inf Im[phi(u) e^(-iux)] / u du with the closed
@@ -402,30 +520,8 @@ def series_cdf(series, x, tol=1e-12):
     """
     nu = np.asarray(series.eigenvalues, dtype=float)
     x = np.asarray(x, dtype=float)
-    lo = -_upper_tail_point(-nu, 0.25 * tol)
-    hi = _upper_tail_point(nu, 0.25 * tol)
-    du = 2.0 * pi / (hi - lo)
-    nodes = 16
-    while True:
-        q = (2.0 * nu * nodes * du) ** 2
-        remainder = np.exp(-0.25 * np.sum(np.log1p(q))) / (0.5 * np.sum(q / (1.0 + q)))
-        if remainder <= 0.5 * pi * tol:
-            break
-        if nodes >= _CDF_MAX_NODES:
-            raise AccuracyError(
-                f"characteristic function of the series decays too slowly: "
-                f"remainder {remainder / pi:.2e} after {nodes} nodes",
-                estimate=remainder / pi,
-            )
-        nodes *= 2
-    u = (np.arange(nodes) + 0.5) * du
-    log_modulus = np.zeros(nodes)
-    phase = np.zeros(nodes)
-    for v in nu:  # one term at a time: memory stays O(nodes)
-        w = 2.0 * v * u
-        log_modulus -= 0.25 * np.log1p(w * w)
-        phase += 0.5 * (np.arctan(w) - w)
-    weight = np.exp(log_modulus) / (pi * (np.arange(nodes) + 0.5))
+    lo, hi, du, nodes = _node_plan(nu, tol)
+    u, weight, phase = _inversion_terms(nu, du, nodes)
     flat = np.clip(x, lo, hi).ravel()
     out = np.empty(flat.size)
     step = max(1, 2**20 // nodes)

@@ -4,15 +4,17 @@ Gamma, Bessel K and the regularized incomplete beta are thin wrappers over
 math and scipy.special. The radial window kernel Y_d uses the closed forms
 in d <= 4 (cos, J_0, sin(z)/z and 2 J_1(z)/z), which are both faster and
 more accurate than the generic J_nu. scipy has no 1F2, so the one family the
-spectral densities need, 1F2(a; 1/2, a+1; z), is evaluated here by its
-series with a trigonometric branch for large negative z. The tests check
+spectral densities need, 1F2(a; 1/2, a+1; z), is evaluated here: by its
+series for z >= 0, by Gauss-Jacobi quadrature of its integral form for
+moderate negative z and by a trigonometric expansion beyond. The tests check
 every function against mpmath.
 """
 
+from functools import lru_cache
 from math import cos, gamma, isfinite, pi, sin, sqrt
 
 import numpy as np
-from scipy.special import betainc, j0, j1, jv, kv
+from scipy.special import betainc, j0, j1, jv, kv, roots_jacobi
 
 from .errors import AccuracyError, DomainError
 
@@ -55,7 +57,8 @@ def incomplete_beta(mu, p, q):
     return float(betainc(p, q, mu))
 
 
-_HYP_TRIG_CUTOFF = -100.0
+_HYP_TRIG_CUTOFF = -625.0  # lam = 50, where the trig expansion reaches rounding
+_HYP_JACOBI_NODES = 64  # exact to rounding for cos(lam t) up to lam = 50
 _HYP_REL_TOL = 1e-12
 _HYP_MAX_TERMS = 600
 
@@ -108,29 +111,44 @@ def _hyp1f2_trig(a, lam):
     return 2.0 * a * total
 
 
+@lru_cache(maxsize=8)
+def _jacobi_rule(a):
+    # a spectral density calls with one or two fixed a over a whole lambda
+    # grid; the arrays are read-only because every caller shares them
+    x, w = roots_jacobi(_HYP_JACOBI_NODES, 0.0, 2.0 * a - 1.0)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _hyp1f2_jacobi(a, lam):
+    """1F2(a; 1/2, a+1; -lam^2/4) = 2a int_0^1 t^(2a-1) cos(lam t) dt by
+    Gauss-Jacobi quadrature, which integrates the weight t^(2a-1) exactly."""
+    x, w = _jacobi_rule(a)
+    return 2.0 * a * 2.0 ** (-2.0 * a) * float(np.dot(w, np.cos(0.5 * lam * (1.0 + x))))
+
+
 def hyp1f2_cosine(a, z):
     """The cosine family 1F2(a; 1/2, a+1; z), a > 0.
 
-    For z = -lam^2/4 it equals 2a int_0^1 t^(2a-1) cos(lam t) dt. Ascending
-    series with compensated summation; for z <= -100 the trigonometric
-    large-argument expansion takes over. Raises AccuracyError when the
-    series overflows or does not converge, or when its cancellation floor
-    exceeds 1e-8.
+    For z = -lam^2/4 it equals 2a int_0^1 t^(2a-1) cos(lam t) dt. z >= 0 sums
+    the ascending series, whose terms are all positive, with compensated
+    summation; -625 < z < 0 integrates the cosine form by Gauss-Jacobi
+    quadrature, where the alternating series would cancel; z <= -625
+    (lam >= 50) uses the trigonometric large-argument expansion. Raises
+    AccuracyError when the series overflows or does not converge.
     """
     a, z = float(a), float(z)
     if not a > 0.0:
         raise DomainError(f"hyp1f2_cosine requires a > 0, got {a}")
     if z <= _HYP_TRIG_CUTOFF:
         return _hyp1f2_trig(a, 2.0 * sqrt(-z))
+    if z < 0.0:
+        return _hyp1f2_jacobi(a, 2.0 * sqrt(-z))
     val, est, converged = _hyp1f2_series(a, z)
     if not (converged and isfinite(val)):
         raise AccuracyError(
             f"1F2 series did not converge within {_HYP_MAX_TERMS} terms at z={z}", estimate=est
-        )
-    if z < 0.0 and est > 1e-8:
-        raise AccuracyError(
-            f"1F2 series cancellation floor {est:.2e} exceeds tolerance at z={z}",
-            estimate=est,
         )
     return val
 

@@ -155,8 +155,10 @@ def test_thread_option_is_gone(tmp_path):
 
 
 def test_sample_csv_matches_the_csv_writer(tmp_path, monkeypatch):
-    series = EigenSeries(eigenvalues=(1.5, 0.25, 0.125), kept=3, tail_mass=0.0,
-                         raw_variance=4.65625)
+    # eight terms: the sampler refuses a series of four or fewer
+    nu = tuple(1.5 / (1.0 + j) for j in range(8))
+    series = EigenSeries(eigenvalues=nu, kept=8, tail_mass=0.0,
+                         raw_variance=2.0 * sum(v * v for v in nu))
     (tmp_path / "series.json").write_text(series_to_json(series), encoding="utf-8")
     draws = expcli.sample(series, 1000, 5)
     special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e-310, 1e300, 0.1])
@@ -173,6 +175,37 @@ def test_sample_csv_matches_the_csv_writer(tmp_path, monkeypatch):
         writer.writerow([expcli._fmt(float(v))])
     assert out.read_bytes() == buf.getvalue().encode("utf-8")
     assert b"\n-0.0\n" in out.read_bytes() and b"\nnan\n" in out.read_bytes()
+
+
+def test_sample_manifest_records_the_table_and_its_bound(tmp_path):
+    nu = tuple(2.0 * (-0.8) ** j for j in range(12))
+    series = EigenSeries(eigenvalues=nu, kept=12, tail_mass=0.0,
+                         raw_variance=2.0 * sum(v * v for v in nu))
+    (tmp_path / "series.json").write_text(series_to_json(series), encoding="utf-8")
+    out = tmp_path / "x.csv"
+    argv = ["rosenblatt", "sample", "--series", str(tmp_path / "series.json"),
+            "--n", "500", "--seed", "6", "--out", str(out)]
+    assert main(argv) == 0
+    config = json.loads((tmp_path / "x.csv.manifest.json").read_text(encoding="utf-8"))["config"]
+    table = series.cdf_table
+    assert config["derived_cdf_table_cells"] == table.cells
+    assert config["derived_ks_bound"] == table.ks_bound <= 1e-10 + 1e-12
+    draws = np.loadtxt(out, skiprows=1)
+    np.testing.assert_array_equal(draws, expcli.sample(series, 500, 6))
+
+
+def test_sample_of_a_three_term_series_exits_2(tmp_path, capsys):
+    series = EigenSeries(eigenvalues=(1.5, 0.25, 0.125), kept=3, tail_mass=0.0,
+                         raw_variance=4.65625)
+    (tmp_path / "series.json").write_text(series_to_json(series), encoding="utf-8")
+    out = tmp_path / "x.csv"
+    argv = ["rosenblatt", "sample", "--series", str(tmp_path / "series.json"),
+            "--n", "10", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rosenlab: characteristic function of the series decays too slowly")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_manifest_records_the_embedding_of_every_r(tmp_path, monkeypatch):
@@ -310,6 +343,16 @@ def test_rosenblatt_build_writes_a_calibrated_series(tmp_path):
     assert series.variance == pytest.approx(config["derived_oracle_variance"], rel=1e-12)
     raw = np.asarray(series.eigenvalues) / factor
     assert 2.0 * np.sum(raw**2) == pytest.approx(config["derived_raw_variance"], rel=1e-12)
+
+
+def test_simulate_field_takes_its_dimension_from_the_model(tmp_path, capsys):
+    argv = ["simulate", "field", "--model", MODEL, "--d", "2", "--h", "1.0",
+            "--extent", "8.0", "--out", str(tmp_path / "field.npz")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --d 2" in capsys.readouterr().err
+    assert not (tmp_path / "field.npz").exists()
 
 
 @pytest.mark.parametrize("flags", [["--no-calibrate"], ["--d", "1"]])

@@ -50,6 +50,9 @@ def test_plan_validation():
     with pytest.raises(ParameterError, match="padding"):
         # 16 points on a 16-site torus: lag 15 would wrap onto lag 1
         SimulationPlan(model=m, dimension=1, h=1.0, extent=8.0, seed=0, padding=1)
+    with pytest.raises(ParameterError, match="model dimension 1"):
+        # the model's long-memory parameters were declared for d=1
+        SimulationPlan(model=m, dimension=2, h=1.0, extent=8.0, seed=0)
 
 
 @pytest.mark.parametrize("dimension", [1, 2])

@@ -2,11 +2,12 @@
 
 Gauss-Hermite quadrature converges slowly for the kinked |w| functionals,
 so their coefficient tolerances sit near 1e-4; polynomial functionals are
-held to 1e-10.
+held to 1e-10, and the catalog's closed forms to 1e-12 against mpmath.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -46,6 +47,26 @@ def test_abs_coefficients():
     # odd coefficients vanish for even G
     for j in (1, 3, 5):
         assert abs(exp.coeffs[j]) < 1e-10
+
+
+_MP_CATALOG = {
+    "h2": lambda w: w * w - 1,
+    "square": lambda w: w * w,
+    "abs-centered": lambda w: abs(w) - mp.sqrt(2 / mp.pi),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MP_CATALOG))
+def test_catalog_coefficients_match_mpmath(name):
+    got = hermite_coefficients(functional_catalog(name), 6).coeffs
+    g = _MP_CATALOG[name]
+    for j in range(7):
+        # probabilists' He_j(w) = 2^(-j/2) H_j(w / sqrt 2), split at the kink
+        want = mp.quad(
+            lambda w: g(w) * mp.hermite(j, w / mp.sqrt(2)) * mp.exp(-w * w / 2),
+            [-mp.inf, 0, mp.inf],
+        ) / (mp.sqrt(2 * mp.pi) * mp.sqrt(2) ** j)
+        assert abs(got[j] - float(want)) <= 1e-12, (j, got[j], want)
 
 
 def test_rank_detection():

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.stats import chi2, ks_2samp
 
 from rosenlab import rosenblatt
 from rosenlab.covmodels import c2_constant
 from rosenlab.errors import AccuracyError
-from rosenlab.geometry import ball, rectangle
+from rosenlab.geometry import ball, ball_ft_radial, rectangle
 from rosenlab.rosenblatt import EigenSeries, sample, series_cdf
 
 
@@ -28,27 +28,85 @@ def _mixed(m):
 
 
 def _allocating_sample(series, n, seed):
-    # the formula before the sampler reused its buffer
+    # the normal-draw formula the sampler replaced: every term of every draw
     nu = np.asarray(series.eigenvalues)
     rng = np.random.default_rng(seed)
     out = np.empty(n)
     done = 0
     while done < n:
-        take = min(rosenblatt._SAMPLE_CHUNK, n - done)
+        take = min(20_000, n - done)
         z = rng.standard_normal((take, nu.size))
         out[done : done + take] = (z * z - 1.0) @ nu
         done += take
     return out
 
 
-def test_sample_is_bit_identical_to_the_allocating_formula():
+def _ks_against(draws, cdf):
+    # exact one-sample Kolmogorov statistic: both sides of every jump
+    x = np.sort(draws)
+    f = cdf(x)
+    n = x.size
+    return max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n))
+
+
+def test_the_first_draws_do_not_depend_on_the_draw_count():
+    series = _mixed(300)
+    full = sample(series, 50_000, 8)
+    for k in (1, 7, 20_000, 49_999):
+        np.testing.assert_array_equal(sample(series, k, 8), full[:k])
+
+
+@pytest.mark.parametrize("k", [8, 12])
+def test_sample_lies_in_the_dkw_band_of_the_scaled_chi_square(k):
+    nu, n = 0.7, 200_000
+    draws = sample(_weights([nu] * k), n, 100 + k)
+    # DKW: P(sup|F_n - F| > eps) <= 2 exp(-2 n eps^2) = 1e-3
+    eps = np.sqrt(np.log(2.0 / 1e-3) / (2.0 * n))
+    assert _ks_against(draws, lambda x: chi2.cdf(x / nu + k, k)) < eps
+
+
+def test_sample_has_the_law_of_the_normal_draw_formula():
     series = _series(60)
-    n = 45_000  # two full chunks and a partial one
-    assert n > 2 * rosenblatt._SAMPLE_CHUNK
-    got = sample(series, n, 11)
-    np.testing.assert_array_equal(got, _allocating_sample(series, n, 11))
-    # fewer draws than one chunk
-    np.testing.assert_array_equal(sample(series, 7, 3), _allocating_sample(series, 7, 3))
+    n = 100_000
+    d = ks_2samp(sample(series, n, 21), _allocating_sample(series, n, 22)).statistic
+    # two-sample critical value at level 1e-3
+    assert d < np.sqrt(-0.5 * np.log(0.5e-3)) * np.sqrt(2.0 / n)
+
+
+def test_cdf_table_error_bound_holds_at_the_cell_midpoints():
+    series = _mixed(300)
+    table = series.cdf_table
+    assert table.cells >= 2**10 and table.cells & (table.cells - 1) == 0
+    assert table.ks_bound <= 1e-10 + 1e-12
+    assert series.cdf_table is table  # built once per series
+    assert np.all(np.diff(table.cdf) >= 0.0)
+    # the tabulated values are the series CDF
+    nodes = np.arange(0, table.cells + 1, 61)
+    np.testing.assert_allclose(table.cdf[nodes], series_cdf(series, table.x[nodes]),
+                               rtol=0.0, atol=1e-13)
+    # the linear interpolant the sampler inverts stays within the bound,
+    # where the curvature peaks and across the whole grid
+    peak = int(np.argmax(np.abs(np.diff(table.cdf, 2))))
+    cells = np.unique(np.concatenate([
+        np.arange(max(peak - 200, 0), min(peak + 200, table.cells)),
+        np.arange(0, table.cells, 97),
+    ]))
+    mid = 0.5 * (table.x[cells] + table.x[cells + 1])
+    interp = 0.5 * (table.cdf[cells] + table.cdf[cells + 1])
+    err = np.abs(interp - series_cdf(series, mid))
+    assert np.max(err) <= table.ks_bound
+    assert np.max(err) > 0.1 * (table.ks_bound - 1e-12)  # the bound is not loose
+
+
+@pytest.mark.parametrize("nu, message", [
+    # phi(u) ~ u^(-3/2): the CDF behind the table needs over 2^20 nodes
+    ([1.0, 0.8, 0.6], "decays too slowly"),
+    # the chi-square_1 density smoothed over ~1e-3: too steep for 2^22 cells
+    ([1.0] + [1e-4] * 100, "too steep to tabulate"),
+])
+def test_sample_refuses_a_series_it_cannot_tabulate(nu, message):
+    with pytest.raises(AccuracyError, match=message):
+        sample(_weights(nu), 10, 0)
 
 
 @pytest.mark.parametrize("k", [8, 12, 50, 300])
@@ -136,6 +194,20 @@ def test_interval_blocks_have_the_spectrum_of_the_dense_mirrored_mesh(interval_k
 def test_the_interval_as_a_rectangle_gives_the_same_series(interval_kernel):
     kernel = rosenblatt.build_kernel(rectangle([-1.0], [1.0]), 1, 0.4)
     assert rosenblatt.eigen_series(kernel, 300) == rosenblatt.eigen_series(interval_kernel, 300)
+
+
+def test_angular_coefficients_match_the_full_angle_fft():
+    # reference: the transform at every one of the n_psi angles and at every
+    # ordered pair of radii, and the real part of its rfft over the angle
+    rad, _ = rosenblatt._radial_axis_2d(64, 20.0)
+    n_psi = rosenblatt._ANGULAR_SAMPLES
+    cos = np.cos(2.0 * np.pi * np.arange(n_psi) / n_psi)
+    r, s = rad[:, None, None], rad[None, :, None]
+    chord = np.sqrt(np.maximum(r**2 + s**2 - 2.0 * r * s * cos, 0.0))
+    want = np.fft.rfft(ball_ft_radial(ball(2), chord), axis=2).real[:, :, :41] / n_psi
+    got = rosenblatt._angular_block_coeffs(ball(2), rad, 40)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    np.testing.assert_array_equal(got, got.transpose(1, 0, 2))
 
 
 def test_eigen_series_keeps_the_disk_series():

@@ -169,6 +169,14 @@ def test_hyp1f2_cosine_mpmath_oracle(a):
         assert hyp1f2_cosine(a, z) == pytest.approx(want, rel=rel)
 
 
+@pytest.mark.parametrize("a", [0.3, 0.6, 1.0, 1.2])
+def test_hyp1f2_cosine_is_exact_around_the_old_switch(a):
+    # the series cancelled near z = -100 and the trig branch is ~1e-11 there
+    for z in np.linspace(-120.0, -80.0, 81):
+        want = float(mp.hyp1f2(a, 0.5, a + 1, z))
+        assert abs(hyp1f2_cosine(a, z) - want) <= 1e-12, z
+
+
 def test_hermite_poly_goldens():
     assert _hermite(2, 0.0)[0] == -1.0
     assert _hermite(3, 2.0)[0] == 2.0
