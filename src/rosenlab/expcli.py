@@ -3,12 +3,12 @@
 The experiments tie the package together: simulate long-memory fields,
 integrate a rank-2 functional over a growing window, normalize, and
 measure the Kolmogorov distance to the chi-square-series reference law.
-Everything is reproducible: the replicates at each r come from one
-generator stream keyed by the master seed and the r index, and a stream
-does not depend on how its draws are split into blocks, so output tables
-are bit-identical for any block size. Each file-producing invocation writes
-a JSON manifest next to its output recording the merged configuration,
-versions, and wall time.
+Everything is reproducible: nested windows share their fields, each group
+of them drawn from one generator stream keyed by the master seed and the
+index of the group's largest r, and a stream does not depend on how its
+draws are split into blocks, so output tables are bit-identical for any
+block size. Each file-producing invocation writes a JSON manifest next to
+its output recording the merged configuration, versions, and wall time.
 
 The reference law is the chi-square series itself: its CDF is evaluated
 exactly by characteristic-function inversion, so rho carries only the
@@ -52,6 +52,8 @@ from .fieldsim import (  # noqa: F401
     normalized_statistic,
     replicate_generator,
     simulate_field,
+    sublattice_offset,
+    window_extent,
     window_integrals,
 )
 from .geometry import indicator_ft, set_from_json, set_to_json
@@ -96,6 +98,8 @@ _BOOTSTRAP_RESAMPLES = 200
 _BOOTSTRAP_TAG = 0xB007
 _REPLICATE_TAG = 0xF1E1D
 _EXTENT_BUDGET = 2**22
+# values per chunk of a streamed one-column CSV
+_CSV_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -122,19 +126,12 @@ class ExperimentConfig:
             )
         if not self.h > 0.0:
             raise ParameterError(f"lattice step must be positive, got {self.h}")
-        half = _window_half_extent(self.window)
-        n_max = int(round(2.0 * half * r[-1] / self.h))
+        n_max = int(round(2.0 * window_extent(self.window, r[-1]) / self.h))
         if n_max > _EXTENT_BUDGET:
             raise ParameterError(
                 f"largest window needs {n_max} lattice points per axis, over the "
                 f"{_EXTENT_BUDGET} budget; coarsen h or shrink r_grid"
             )
-
-
-def _window_half_extent(window):
-    if window.shape == "ball":
-        return window.radius
-    return max(max(-a for a in window.lower), max(window.upper))
 
 
 def config_to_json(config):
@@ -154,23 +151,42 @@ def config_to_json(config):
 
 @dataclass(frozen=True)
 class RhoRow:
+    """One r of the table, with where its replicates came from.
+
+    runtime_seconds counts only this row's own work: normalisation, CDF,
+    Kolmogorov distance and bootstrap. The draws and window sums it shares
+    with its group are timed per group in RhoTable.stage_seconds.
+    embedding is the fieldsim.Embedding of the lattice of r = drawn_on_r,
+    on which the replicates were drawn; n_per_axis and window_sites are
+    those of this row's own lattice and window.
+    """
+
     r: float
     replicates: int
     rho: float
     rho_stderr: float
     kappa_bound: float
     runtime_seconds: float
-    embedding: object  # fieldsim.Embedding the replicates were drawn from
+    embedding: object
+    n_per_axis: int
+    window_sites: int
+    drawn_on_r: float
 
 
 @dataclass(frozen=True)
 class RhoTable:
     """Distance-versus-r results and the calibrated series they were
     measured against; runtime stays out of the CSV contract so identical
-    configs produce byte-identical tables."""
+    configs produce byte-identical tables.
+
+    stage_seconds holds the limit-law build ("limit_law"), each group's
+    draws and window sums ("draws": drawn_on_r, r and seconds per group)
+    and the per-row CDF, KS and bootstrap work summed over rows ("rows").
+    """
 
     rows: tuple
     law: object
+    stage_seconds: dict
 
     def csv_rows(self):
         return [
@@ -180,14 +196,31 @@ class RhoTable:
 
 
 def _experiment_plan(config, r):
-    half = _window_half_extent(config.window)
     return SimulationPlan(
         model=config.model,
         dimension=config.window.dimension,
         h=config.h,
-        extent=half * float(r),
+        extent=window_extent(config.window, r),
         seed=config.master_seed,
     )
+
+
+def _draw_groups(plans):
+    """Indices of plans in groups that share one draw, the largest first.
+
+    Walks the plans from the last (largest r) down. A plan joins the first
+    group whose leading lattice holds its own as a sub-lattice, else it
+    leads a new group; a group of one draws on its own lattice.
+    """
+    groups = []
+    for i in reversed(range(len(plans))):
+        for group in groups:
+            if sublattice_offset(plans[group[0]], plans[i]) is not None:
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups
 
 
 def _ks_from_cdf(f, counts):
@@ -221,14 +254,21 @@ def rate_experiment(config):
     """Kolmogorov distance to the limit law at every r in the grid.
 
     The limit law is the calibrated chi-square series, built once per call;
-    its CDF is evaluated exactly at the sorted replicates of each r. At
-    each r the replicates come from one generator stream keyed by
-    (master_seed, r_index) and are drawn by fieldsim.window_integrals in
-    blocks of complex draws, two fields per draw. A stream does not depend
-    on how its draws are split into blocks, so the table is bit-identical
-    for any block size. Each row also carries the embedding its replicates
-    were drawn from, as fieldsim cached it for the draws.
+    its CDF is evaluated exactly at the sorted replicates of each r.
+
+    Nested windows share their replicates (common random numbers). The r
+    are grouped from the largest down (_draw_groups): an r joins a larger
+    r's group when its lattice is a sub-lattice of that r's. Each group
+    solves one embedding, on its largest r's lattice, and draws its fields
+    there once, from the generator stream keyed by (master_seed, index of
+    its largest r); fieldsim.window_integrals then sums every r of the
+    group over its own window on those fields. Each row's rho and
+    bootstrap stderr keep their meaning, but rows of one group are
+    correlated. The bootstrap streams stay keyed by each r's own index. A
+    stream does not depend on how its draws are split into blocks, so the
+    table is bit-identical for any block size.
     """
+    t0 = time.perf_counter()
     params = lrd_params(config.model)
     d = config.window.dimension
     if params.dimension != d:
@@ -248,18 +288,41 @@ def rate_experiment(config):
     law = eigen_series(kernel, min(300, kernel.spectrum_size))
     law = calibrate_series(law, variance_oracle(config.window, params.alpha, d))
     kb = kappa_bound(inputs_from_model(config.model))
+    stages = {"limit_law": time.perf_counter() - t0, "draws": [], "rows": 0.0}
+
+    plans = [_experiment_plan(config, r) for r in config.r_grid]
+    cell = config.h**d
+    drawn = {}  # r index -> (window sums, lattice volume, index of the drawn r)
+    for group in _draw_groups(plans):
+        t0 = time.perf_counter()
+        top = group[0]
+        rng = replicate_generator(config.master_seed, top, _REPLICATE_TAG)
+        radii = tuple(config.r_grid[i] for i in group)
+        kr, vol = window_integrals(
+            plans[top], G, config.window, radii, config.replicates, rng
+        )
+        for i, row_sums, row_volume in zip(group, kr, vol):
+            drawn[i] = (row_sums, row_volume, top)
+        stages["draws"].append(
+            {
+                "drawn_on_r": config.r_grid[top],
+                "r": sorted(radii),
+                "seconds": time.perf_counter() - t0,
+            }
+        )
+
     rows = []
     for r_index, r in enumerate(config.r_grid):
         t0 = time.perf_counter()
-        rng = replicate_generator(config.master_seed, r_index, _REPLICATE_TAG)
-        plan = _experiment_plan(config, r)
-        kr, volume = window_integrals(plan, G, config.window, r, config.replicates, rng)
+        kr, volume, top = drawn[r_index]
         if c0 != 0.0:
             kr -= c0 * volume
         values = np.array([normalized_statistic(k, c2, r, params) for k in kr])
         f = series_cdf(law, np.sort(values))
         rho = _ks_from_cdf(f, np.ones(f.size, dtype=np.intp))
         stderr = _bootstrap_stderr(f, config.master_seed, r_index)
+        seconds = time.perf_counter() - t0
+        stages["rows"] += seconds
         rows.append(
             RhoRow(
                 r=float(r),
@@ -267,11 +330,14 @@ def rate_experiment(config):
                 rho=rho,
                 rho_stderr=stderr,
                 kappa_bound=kb,
-                runtime_seconds=time.perf_counter() - t0,
-                embedding=embedding(plan),
+                runtime_seconds=seconds,
+                embedding=embedding(plans[top]),
+                n_per_axis=plans[r_index].n_per_axis,
+                window_sites=int(round(volume / cell)),
+                drawn_on_r=float(config.r_grid[top]),
             )
         )
-    return RhoTable(rows=tuple(rows), law=law)
+    return RhoTable(rows=tuple(rows), law=law, stage_seconds=stages)
 
 
 @dataclass(frozen=True)
@@ -280,7 +346,10 @@ class SlopeFit:
 
     consistent reports whether -slope >= kappa_bound - 2 stderr; the rate
     theory gives an upper bound on rho, so this is informational, never an
-    assertion.
+    assertion. The OLS slope_stderr assumes independent rows, but rows
+    drawn from one group's fields share their replicates, so it is not a
+    valid error bar. A local-slope estimator of the exponent is to replace
+    this fit.
     """
 
     slope: float
@@ -329,27 +398,35 @@ def _fmt(value):
     return str(value)
 
 
+def _csv_text(header, rows):
+    """The CSV text in parts: one part, or chunks of _CSV_CHUNK values."""
+    if isinstance(rows, np.ndarray):
+        # one float column: repr is what _fmt writes, and no float needs
+        # quoting; chunks keep the text of 10^6 values from being held at once
+        yield f"{header[0]}\n"
+        for start in range(0, rows.size, _CSV_CHUNK):
+            yield "".join(f"{v!r}\n" for v in rows[start : start + _CSV_CHUNK].tolist())
+        return
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    yield buf.getvalue()
+
+
 def _write_csv(out, header, rows):
     """CSV with a header row, '.' decimals, shortest round-trip floats.
 
     rows is a sequence of tuples, or a 1-d float array for a one-column
-    table, which is formatted without the per-value csv machinery.
+    table, which is formatted without the per-value csv machinery and
+    written in chunks.
     """
-    if isinstance(rows, np.ndarray):
-        # one float column: repr is what _fmt writes, and no float needs quoting
-        text = f"{header[0]}\n" + "".join(f"{v!r}\n" for v in rows.tolist())
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-        text = buf.getvalue()
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_csv_text(header, rows))
         return None
     with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(_csv_text(header, rows))
     return out
 
 
@@ -371,7 +448,11 @@ def _write_manifest(out, command, merged, wall_seconds, seeds, outputs):
         "protocol_note": (
             "Monte Carlo protocol (seeding, replicate counts, bootstrap) is "
             "chosen by this implementation; rho is measured against the exact "
-            "CDF of the calibrated chi-square series."
+            "CDF of the calibrated chi-square series. Nested windows share "
+            "their replicates (common random numbers): the r of one group "
+            "are read off fields drawn once on the lattice of its largest r "
+            "(derived_embedding drawn_on_r), so each row's rho and stderr "
+            "keep their meaning but rows of one group are correlated."
         ),
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -610,7 +691,17 @@ def _cmd_rate_experiment(args, doc, out, seed):
     info = {
         "config": json.loads(config_to_json(config)),
         "runtime_seconds": [row.runtime_seconds for row in table.rows],
-        "embedding": [{"r": row.r, **asdict(row.embedding)} for row in table.rows],
+        "stage_seconds": table.stage_seconds,
+        "embedding": [
+            {
+                **asdict(row.embedding),
+                "r": row.r,
+                "n_per_axis": row.n_per_axis,
+                "window_sites": row.window_sites,
+                "drawn_on_r": row.drawn_on_r,
+            }
+            for row in table.rows
+        ],
         "limit_law": {
             "kept": table.law.kept,
             "calibration_factor": table.law.calibration_factor,

@@ -16,6 +16,13 @@ Functionals of the field are midpoint Riemann sums over the lattice cells
 whose centers fall in the scaled window. The integrand is non-smooth in x,
 so higher-order quadrature would buy nothing; discretization error is
 dominated by Monte Carlo variance at the replicate counts used here.
+
+Nested windows share their fields. The embedding is exact on the whole
+drawn lattice, so a smaller scale whose own lattice is a sub-lattice of the
+drawn one reads its window off the same fields: window_integrals sums every
+scale of such a group from one draw. The scales then see common random
+numbers (Glasserman & Yao, Management Science 1992): each scale's sums
+keep their law, but sums at different scales are correlated.
 """
 
 from dataclasses import dataclass, replace
@@ -39,6 +46,8 @@ __all__ = [
     "simulate_field",
     "simulate_pairs",
     "window_integrals",
+    "window_extent",
+    "sublattice_offset",
     "clear_spectrum_cache",
     "replicate_generator",
     "functional_integral",
@@ -329,20 +338,94 @@ def simulate_field(plan, rng=None):
     return GridField(values=vals, h=plan.h, origin=-plan.extent + 0.5 * plan.h)
 
 
-def window_integrals(plan, G, window, r, count, rng):
-    """Midpoint sums of G over the scaled window for count independent fields.
+def window_extent(window, r):
+    """Half-width of the lattice laid out for window at scale r.
+
+    It is the largest coordinate magnitude of the unit window times r, so
+    the lattice of that extent is the smallest centred one that holds rW.
+    """
+    if window.shape == "ball":
+        half = window.radius
+    else:
+        half = max(max(-a for a in window.lower), max(window.upper))
+    return half * float(r)
+
+
+def sublattice_offset(outer, inner):
+    """Index of inner's first site on outer's lattice, or None.
+
+    inner's lattice is a sub-lattice of outer's when both have one step h,
+    k = (outer.extent - inner.extent) / h is an integer (to 1e-9), and
+    inner's n sites fit: 0 <= k and k + n_inner <= n_outer. Then site i of
+    inner sits at site i + k of outer along every axis.
+    """
+    if inner.h != outer.h:
+        return None
+    shift = (outer.extent - inner.extent) / outer.h
+    k = round(shift)
+    if abs(shift - k) > 1e-9 or k < 0 or k + inner.n_per_axis > outer.n_per_axis:
+        return None
+    return k
+
+
+def _lattice(plan):
+    # the coverage and mask helpers read only the lattice geometry
+    return GridField(
+        values=np.broadcast_to(0.0, (plan.n_per_axis,) * plan.dimension),
+        h=plan.h,
+        origin=-plan.extent + 0.5 * plan.h,
+    )
+
+
+def _window_masks(plan, window, radii):
+    """(sites, mask) per radius: where its own lattice sits on plan's, and
+    which of its sites fall in the window.
+
+    The own lattice of r is plan's at extent window_extent(window, r). Its
+    mask is _member_mask of that lattice, not of plan's coordinates, so a
+    site on the window boundary is decided as a draw on the own lattice
+    would decide it.
+    """
+    placed = []
+    for r in radii:
+        own = replace(plan, extent=window_extent(window, r))
+        lattice = _lattice(own)
+        _check_coverage(lattice, window, r)
+        k = sublattice_offset(plan, own)
+        if k is None:
+            raise CoverageError(
+                f"the lattice of r={r} (extent {own.extent:.6g}) is not a "
+                f"sub-lattice of the drawn lattice (extent {plan.extent:.6g}, "
+                f"step {plan.h:.6g})"
+            )
+        sites = (slice(None),) + (slice(k, k + own.n_per_axis),) * plan.dimension
+        placed.append((sites, _member_mask(lattice, window, r)))
+    return placed
+
+
+def window_integrals(plan, G, window, radii, count, rng):
+    """Midpoint sums of G over the window at each radius, on count fields
+    drawn once.
+
+    The fields are drawn on plan's lattice, and every radius reads its
+    window off the same fields: the rows of the result share their
+    replicates (common random numbers). Radius r sums over the sites of its
+    own lattice, plan's lattice at extent window_extent(window, r), which
+    must be a sub-lattice of plan's (sublattice_offset). Its mask is
+    _member_mask of that own lattice placed at its offset, so each row sums
+    over exactly the sites a draw on the own lattice would; each radius has
+    its own coverage check.
 
     The fields are both halves of ceil(count / 2) simulate_pairs draws,
     real before imaginary; an odd count drops the last imaginary half. The
     pairs are drawn in blocks of about _BLOCK_SITES torus sites, one
     batched FFT per block. A generator's stream does not depend on how its
-    draws are split into blocks, so the sums are identical for any block
-    size, and each equals functional_integral of its field. The coverage
-    check, the window mask and the lattice volume are built once for all
-    fields.
+    draws are split into blocks, and each field is summed on its own, so
+    the sums are identical for any block size, and each equals
+    functional_integral of its field.
 
-    Returns (sums, volume), volume being the window's lattice volume (cell
-    count times h^d, as lattice_window_volume gives for one field).
+    Returns (sums, volumes): sums has shape (len(radii), count), and
+    volumes holds each radius's lattice volume (cell count times h^d).
     """
     if window.dimension != plan.dimension:
         raise ParameterError(
@@ -351,26 +434,22 @@ def window_integrals(plan, G, window, r, count, rng):
         )
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
-    n = plan.n_per_axis
-    # the coverage and mask helpers read only the lattice geometry
-    lattice = GridField(
-        values=np.broadcast_to(0.0, (n,) * plan.dimension),
-        h=plan.h,
-        origin=-plan.extent + 0.5 * plan.h,
-    )
-    _check_coverage(lattice, window, r)
-    mask = _member_mask(lattice, window, r)
+    placed = _window_masks(plan, window, radii)
     cell = plan.h**plan.dimension
     pairs = (count + 1) // 2
     block = max(1, _BLOCK_SITES // _cached_embedding(plan)[1].size)
-    sums = np.empty(2 * pairs)
+    sums = np.empty((len(placed), 2 * pairs))
     for start in range(0, pairs, block):
-        z = simulate_pairs(plan, rng, min(block, pairs - start))[:, mask]
-        rows = G(np.stack((z.real, z.imag), axis=1).reshape(2 * len(z), -1))
-        # one 1-d sum per field: a batched reduction may group its additions
-        # by the block's shape, which would tie the sums to the block size
-        sums[2 * start : 2 * start + len(rows)] = [np.sum(row) for row in rows]
-    return sums[:count] * cell, float(np.count_nonzero(mask) * cell)
+        z = simulate_pairs(plan, rng, min(block, pairs - start))
+        for row, (sites, mask) in zip(sums, placed):
+            w = z[sites][:, mask]
+            fields = G(np.stack((w.real, w.imag), axis=1).reshape(2 * len(w), -1))
+            # one 1-d sum per field: a batched reduction may group its
+            # additions by the block's shape, which would tie the sums to
+            # the block size
+            row[2 * start : 2 * start + len(fields)] = [np.sum(f) for f in fields]
+    volumes = tuple(float(np.count_nonzero(mask) * cell) for _, mask in placed)
+    return sums[:, :count] * cell, volumes
 
 
 def replicate_generator(master_seed, *keys):

@@ -177,6 +177,24 @@ def test_sample_csv_matches_the_csv_writer(tmp_path, monkeypatch):
     assert b"\n-0.0\n" in out.read_bytes() and b"\nnan\n" in out.read_bytes()
 
 
+def test_sample_csv_streams_the_same_bytes_in_chunks(tmp_path, monkeypatch, capsys):
+    nu = tuple(1.5 / (1.0 + j) for j in range(8))
+    series = EigenSeries(eigenvalues=nu, kept=8, tail_mass=0.0,
+                         raw_variance=2.0 * sum(v * v for v in nu))
+    (tmp_path / "series.json").write_text(series_to_json(series), encoding="utf-8")
+    n = expcli._CSV_CHUNK + 3
+    draws = np.random.default_rng(2).standard_normal(n)
+    monkeypatch.setattr(expcli, "sample", lambda s, count, seed: draws)
+    whole = "x\n" + "".join(f"{v!r}\n" for v in draws.tolist())
+    argv = ["rosenblatt", "sample", "--series", str(tmp_path / "series.json"), "--n", str(n)]
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == whole.encode("utf-8")
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == whole
+
+
 def test_sample_manifest_records_the_table_and_its_bound(tmp_path):
     nu = tuple(2.0 * (-0.8) ** j for j in range(12))
     series = EigenSeries(eigenvalues=nu, kept=12, tail_mass=0.0,
@@ -208,33 +226,98 @@ def test_sample_of_a_three_term_series_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_manifest_records_the_embedding_of_every_r(tmp_path, monkeypatch):
+def _count_solves(monkeypatch):
     solves = []
     checked = fieldsim.circulant_spectrum
 
     def counted(plan):
-        solves.append(plan.padding)
+        solves.append((plan.extent, plan.padding))
         return checked(plan)
 
     monkeypatch.setattr(fieldsim, "circulant_spectrum", counted)
     fieldsim.clear_spectrum_cache()
+    return solves
+
+
+def _tried(extent, padding):
+    # the escalation starts at the minimal exact torus, padding 2, and
+    # doubles until it is admissible
+    return [(extent, 2**j) for j in range(1, padding.bit_length())]
+
+
+def test_manifest_records_the_embedding_of_every_r(tmp_path, monkeypatch):
+    solves = _count_solves(monkeypatch)
     out = tmp_path / "rho.csv"
     assert main(_experiment(out, "--r", "4,8")) == 0
     manifest = json.loads((tmp_path / "rho.csv.manifest.json").read_text(encoding="utf-8"))
     recorded = manifest["config"]["derived_embedding"]
     assert [row["r"] for row in recorded] == [4.0, 8.0]
-    # h = 0.5 on the unit interval: n = 4 r points per axis
+    # h = 0.5 on the unit interval: n = 4 r points per axis, all in the window
     assert [row["n_per_axis"] for row in recorded] == [16, 32]
-    for row in recorded:
-        m, n, padding = row["torus_side"], row["n_per_axis"], row["padding"]
-        assert padding >= 2 and m >= 2 * (n - 1)
-        assert m == 2 ** (padding * n - 1).bit_length()  # smallest power of two >= padding n
-        assert 0.0 <= row["clamped_share"] < 1e-6
-    # the escalation ran once per r, starting at the minimal exact torus:
-    # one spectrum per tried padding 2, 4, ..., and none solved again
-    tried = [2 ** j for row in recorded for j in range(1, row["padding"].bit_length())]
-    assert solves == tried
+    assert [row["window_sites"] for row in recorded] == [16, 32]
+    # r=4's lattice sits 8 sites into r=8's, so both are drawn there
+    assert [row["drawn_on_r"] for row in recorded] == [8.0, 8.0]
+    drawn = recorded[1]
+    assert all(recorded[0][k] == drawn[k] for k in ("torus_side", "padding", "clamped_share"))
+    m, n, padding = drawn["torus_side"], drawn["n_per_axis"], drawn["padding"]
+    assert padding >= 2 and m >= 2 * (n - 1)
+    assert m == 2 ** (padding * n - 1).bit_length()  # smallest power of two >= padding n
+    assert 0.0 <= drawn["clamped_share"] < 1e-6
+    # one escalation, on the lattice of r=8, and no spectrum solved again
+    assert solves == _tried(8.0, padding)
     fieldsim.clear_spectrum_cache()
+    stages = manifest["config"]["derived_stage_seconds"]
+    assert [(g["drawn_on_r"], g["r"]) for g in stages["draws"]] == [(8.0, [4.0, 8.0])]
+    # each row counts only its own CDF, KS and bootstrap work
+    runtimes = manifest["config"]["derived_runtime_seconds"]
+    assert stages["rows"] == pytest.approx(sum(runtimes), rel=1e-12)
+    spent = stages["limit_law"] + stages["draws"][0]["seconds"] + stages["rows"]
+    assert 0.0 < spent <= manifest["wall_seconds"]
+
+
+def test_unaligned_lattices_draw_in_groups_of_their_own(tmp_path, monkeypatch):
+    solves = _count_solves(monkeypatch)
+    out = tmp_path / "rho.csv"
+    # h = 0.3: r=1 lays out extent 1, which starts (1.5 - 1) / 0.3 sites into
+    # the lattice of r=1.5, not a whole number
+    assert main(_experiment(out, "--r", "1,1.5", "--h", "0.3")) == 0
+    config = json.loads((tmp_path / "rho.csv.manifest.json").read_text(encoding="utf-8"))["config"]
+    recorded = config["derived_embedding"]
+    assert [row["drawn_on_r"] for row in recorded] == [1.0, 1.5]
+    assert [row["n_per_axis"] for row in recorded] == [7, 10]
+    assert [group["r"] for group in config["derived_stage_seconds"]["draws"]] == [[1.5], [1.0]]
+    # one escalation per group, the largest r first
+    assert solves == _tried(1.5, recorded[1]["padding"]) + _tried(1.0, recorded[0]["padding"])
+    fieldsim.clear_spectrum_cache()
+
+
+def test_the_largest_r_keeps_its_own_stream(tmp_path, monkeypatch):
+    captured = {}
+    scalar = expcli.normalized_statistic
+
+    def recorded(kr, c2, r, params):
+        captured.setdefault(r, []).append(kr)
+        return scalar(kr, c2, r, params)
+
+    monkeypatch.setattr(expcli, "normalized_statistic", recorded)
+    assert main(_experiment(tmp_path / "rho.csv", "--r", "2,4,8")) == 0
+    # r=8, index 2 of the grid, sums as a one-radius draw on its own plan
+    # from the stream its index keys; abs-centered has c0 = 0
+    config = ExperimentConfig(
+        model=expcli.model_from_json(MODEL),
+        window=expcli.set_from_json(WINDOW),
+        functional="abs-centered",
+        r_grid=(2.0, 4.0, 8.0),
+        master_seed=7,
+        h=0.5,
+    )
+    rng = fieldsim.replicate_generator(7, 2, expcli._REPLICATE_TAG)
+    G = expcli.functional_catalog("abs-centered")
+    alone, _ = fieldsim.window_integrals(
+        expcli._experiment_plan(config, 8.0), G, config.window, (8.0,), 1000, rng
+    )
+    assert captured[8.0] == list(alone[0])
+    assert len(captured[2.0]) == len(captured[4.0]) == 1000
 
 
 def test_simulate_field_defaults_come_from_fieldsim(tmp_path):

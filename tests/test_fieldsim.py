@@ -26,9 +26,11 @@ from rosenlab.fieldsim import (
     replicate_generator,
     simulate_field,
     simulate_pairs,
+    sublattice_offset,
+    window_extent,
     window_integrals,
 )
-from rosenlab.geometry import rectangle
+from rosenlab.geometry import ball, rectangle
 from rosenlab.hermite import functional_catalog, hermite_coefficients
 
 
@@ -237,17 +239,65 @@ def test_window_integrals_are_block_invariant(monkeypatch):
     plan = SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=0.5, extent=8.0, seed=0)
     w = rectangle([-0.5], [0.5])
     G = functional_catalog("h2")
-    sums, volume = window_integrals(plan, G, w, 16.0, 1001, replicate_generator(3, 0))
-    assert sums.shape == (1001,)
-    assert volume == lattice_window_volume(simulate_field(plan), w, 16.0)
-    monkeypatch.setattr(fieldsim, "_BLOCK_SITES", 1)
-    one_pair, _ = window_integrals(plan, G, w, 16.0, 1002, replicate_generator(3, 0))
-    assert np.array_equal(one_pair[:1001], sums)
-    # the first sum comes from the field simulate_field draws from the stream
+    radii = (4.0, 10.0, 16.0)
+    sums, volumes = window_integrals(plan, G, w, radii, 1001, replicate_generator(3, 0))
+    assert sums.shape == (3, 1001)
     fld = simulate_field(plan, rng=replicate_generator(3, 0))
-    assert one_pair[0] == functional_integral(fld, G, w, 16.0)
+    assert volumes == tuple(lattice_window_volume(fld, w, r) for r in radii)
+    monkeypatch.setattr(fieldsim, "_BLOCK_SITES", 1)
+    one_pair, _ = window_integrals(plan, G, w, radii, 1002, replicate_generator(3, 0))
+    assert np.array_equal(one_pair[:, :1001], sums)
+    # the first sums come from the field simulate_field draws from the stream
+    assert list(one_pair[:, 0]) == [functional_integral(fld, G, w, r) for r in radii]
     with pytest.raises(CoverageError):
-        window_integrals(plan, G, w, 32.0, 10, replicate_generator(3, 0))
+        window_integrals(plan, G, w, (16.0, 32.0), 10, replicate_generator(3, 0))
+    # r=7.5 lays out extent 3.75, which starts (8 - 3.75) / 0.5 = 8.5 sites in
+    with pytest.raises(CoverageError, match="not a sub-lattice"):
+        window_integrals(plan, G, w, (7.5,), 10, replicate_generator(3, 0))
+
+
+def test_the_largest_radius_sums_as_if_drawn_alone():
+    plan = SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=0.25, extent=8.0, seed=0)
+    w = ball(1)
+    G = functional_catalog("abs-centered")
+    shared, volumes = window_integrals(plan, G, w, (2.0, 4.0, 8.0), 301, replicate_generator(4, 1))
+    alone, volume = window_integrals(plan, G, w, (8.0,), 301, replicate_generator(4, 1))
+    assert np.array_equal(shared[-1], alone[0]) and volumes[-1] == volume[0]
+    # the smaller windows read sub-blocks of the same fields, so they are
+    # correlated with the largest one
+    assert np.corrcoef(shared[1], shared[2])[0, 1] > 0.3
+
+
+@pytest.mark.parametrize(
+    "window, h, radii", [(ball(1), 0.25, (8.0, 16.0, 32.0)), (ball(2), 1.0, (8.0, 12.0, 16.0))]
+)
+def test_each_radius_masks_its_own_lattice_placed_in_the_drawn_one(window, h, radii):
+    d = window.dimension
+    plan = SimulationPlan(
+        model=cauchy(d, 0.3), dimension=d, h=h, extent=window_extent(window, radii[-1]), seed=0
+    )
+    drawn = fieldsim._lattice(plan)
+    for r, (sites, mask) in zip(radii, fieldsim._window_masks(plan, window, radii)):
+        own = replace(plan, extent=window_extent(window, r))
+        k = sublattice_offset(plan, own)
+        assert k == (plan.n_per_axis - own.n_per_axis) // 2
+        assert sites == (slice(None),) + (slice(k, k + own.n_per_axis),) * d
+        assert np.array_equal(mask, fieldsim._member_mask(fieldsim._lattice(own), window, r))
+        # no cell center of these lattices lies on the window's boundary, so
+        # the placed mask is also the window on the drawn lattice
+        placed = np.zeros(drawn.values.shape, dtype=bool)
+        placed[sites[1:]] = mask
+        assert np.array_equal(placed, fieldsim._member_mask(drawn, window, r))
+
+
+def test_sublattice_offset_needs_whole_sites_that_fit():
+    plan = SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=0.3, extent=1.5, seed=0)
+    assert sublattice_offset(plan, plan) == 0
+    assert sublattice_offset(plan, replace(plan, extent=0.9)) == 2
+    # (1.5 - 1.0) / 0.3 is not a whole number of sites
+    assert sublattice_offset(plan, replace(plan, extent=1.0)) is None
+    assert sublattice_offset(plan, replace(plan, extent=2.1)) is None
+    assert sublattice_offset(plan, replace(plan, h=0.15)) is None
 
 
 def test_d2_field_shape_and_variance():

@@ -101,6 +101,16 @@ def test_parseval_defect_abs():
     assert parseval_defect(np.abs, exp) == pytest.approx(want, abs=1e-4)
 
 
+def test_parseval_defect_of_catalog_entries_uses_the_exact_second_moment():
+    G = functional_catalog("abs-centered")
+    # 1 - 2/pi - sum_{k=1..4} C_2k^2 / (2k)!, with no quadrature across the kink
+    assert parseval_defect(G, hermite_coefficients(G, 8)) == pytest.approx(
+        0.0070342047513684, abs=1e-12
+    )
+    for name, moment in (("h2", 2.0), ("square", 3.0), ("abs-centered", 1.0 - 2.0 / math.pi)):
+        assert functional_catalog(name).second_moment == moment
+
+
 def test_parseval_defect_monotone_in_order():
     defects = []
     for J in (2, 4, 6, 8):
