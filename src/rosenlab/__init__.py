@@ -41,10 +41,8 @@ from .expcli import (
     ExperimentConfig,
     RhoRow,
     RhoTable,
-    SlopeFit,
     config_to_json,
     rate_experiment,
-    slope_fit,
 )
 from .fieldsim import (
     GridField,
@@ -92,9 +90,9 @@ from .rosenblatt import (
     EigenSeries,
     RosenblattKernel,
     build_kernel,
-    calibrate_series,
     cumulant,
     eigen_series,
+    limit_law,
     sample,
     series_cdf,
     series_from_json,

@@ -25,7 +25,6 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass
-from math import log, sqrt
 from platform import python_version
 
 import numpy as np
@@ -40,7 +39,7 @@ from .covmodels import (
     residual_exponent_fit,
     spectral_density,
 )
-from .errors import DegenerateFitError, ParameterError, RankError, RosenlabError
+from .errors import ParameterError, RankError, RosenlabError
 # functional_integral is not called here; the perfbench tracer test reaches
 # it through this module's namespace
 from .fieldsim import (  # noqa: F401
@@ -70,24 +69,19 @@ from .ratelab import (
     kappa_bound,
 )
 from .rosenblatt import (
-    build_kernel,
-    calibrate_series,
     cumulant,
-    eigen_series,
+    limit_law,
     sample,
     series_cdf,
     series_from_json,
     series_to_json,
-    variance_oracle,
 )
 
 __all__ = [
     "ExperimentConfig",
     "RhoRow",
     "RhoTable",
-    "SlopeFit",
     "rate_experiment",
-    "slope_fit",
     "main",
 ]
 
@@ -253,8 +247,8 @@ def _bootstrap_stderr(f, master_seed, r_index):
 def rate_experiment(config):
     """Kolmogorov distance to the limit law at every r in the grid.
 
-    The limit law is the calibrated chi-square series, built once per call;
-    its CDF is evaluated exactly at the sorted replicates of each r.
+    The limit law is rosenblatt.limit_law, built once per call; its CDF
+    is evaluated exactly at the sorted replicates of each r.
 
     Nested windows share their replicates (common random numbers). The r
     are grouped from the largest down (_draw_groups): an r joins a larger
@@ -284,9 +278,7 @@ def rate_experiment(config):
         )
     c0 = expansion.coeffs[0]
     c2 = expansion.coeffs[2]
-    kernel = build_kernel(config.window, d, params.alpha)
-    law = eigen_series(kernel, min(300, kernel.spectrum_size))
-    law = calibrate_series(law, variance_oracle(config.window, params.alpha, d))
+    law = limit_law(config.window, params.alpha)
     kb = kappa_bound(inputs_from_model(config.model))
     stages = {"limit_law": time.perf_counter() - t0, "draws": [], "rows": 0.0}
 
@@ -340,52 +332,16 @@ def rate_experiment(config):
     return RhoTable(rows=tuple(rows), law=law, stage_seconds=stages)
 
 
-@dataclass(frozen=True)
-class SlopeFit:
-    """Log-log regression of rho on r, with the one-sided rate comparison.
-
-    consistent reports whether -slope >= kappa_bound - 2 stderr; the rate
-    theory gives an upper bound on rho, so this is informational, never an
-    assertion. The OLS slope_stderr assumes independent rows, but rows
-    drawn from one group's fields share their replicates, so it is not a
-    valid error bar. A local-slope estimator of the exponent is to replace
-    this fit.
-    """
-
-    slope: float
-    intercept: float
-    r_squared: float
-    slope_stderr: float
-    kappa_bound: float
-    consistent: bool
-
-
-def slope_fit(table):
-    """Least squares of log rho against log r over the significant rows."""
-    rows = [row for row in table.rows if row.rho > 3.0 * row.rho_stderr]
-    if len(rows) < 4:
-        raise DegenerateFitError(
-            f"slope fit needs >= 4 rows with rho above 3 stderr, got {len(rows)}"
-        )
-    x = np.array([log(row.r) for row in rows])
-    y = np.array([log(row.rho) for row in rows])
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    rss = float(np.sum((y - fitted) ** 2))
-    tss = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 if tss == 0.0 else 1.0 - rss / tss
-    dof = len(rows) - 2
-    var = rss / dof if dof > 0 else 0.0
-    stderr = sqrt(var / float(np.sum((x - x.mean()) ** 2)))
-    kb = table.rows[0].kappa_bound
-    return SlopeFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=r_squared,
-        slope_stderr=stderr,
-        kappa_bound=kb,
-        consistent=bool(-slope >= kb - 2.0 * stderr),
-    )
+def _law_record(law):
+    """What a manifest records of the limit law, as derived_limit_law."""
+    return {
+        "kept": law.kept,
+        "tail_mass": law.tail_mass,
+        "raw_variance": law.raw_variance,
+        "calibration_factor": law.calibration_factor,
+        "variance": law.variance,
+        "kappa3": cumulant(law, 3),
+    }
 
 
 def _fmt(value):
@@ -580,34 +536,14 @@ def _cmd_simulate_field(args, doc, out, seed):
 
 def _cmd_rosenblatt_build(args, doc, out, seed):
     window = set_from_json(_need(args, doc, "set"))
-    d = window.dimension
-    alpha = float(_need(args, doc, "alpha"))
-    n_nodes = _pick(args, doc, "n-nodes")
-    cutoff = _pick(args, doc, "cutoff")
-    keep = int(_pick(args, doc, "keep", 300))
-    kernel = build_kernel(
-        window,
-        d,
-        alpha,
-        n_nodes=None if n_nodes is None else int(n_nodes),
-        cutoff=None if cutoff is None else float(cutoff),
-    )
-    series = eigen_series(kernel, min(keep, kernel.spectrum_size))
-    oracle = variance_oracle(window, alpha, d)
-    series = calibrate_series(series, oracle)
-    info = {
-        "raw_variance": series.raw_variance,
-        "tail_mass": series.tail_mass,
-        "oracle_variance": oracle,
-        "calibration_factor": series.calibration_factor,
-    }
+    series = limit_law(window, float(_need(args, doc, "alpha")))
     text = series_to_json(series)
     if out is None:
         sys.stdout.write(text + "\n")
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    return None, None, info
+    return None, None, {"limit_law": _law_record(series)}
 
 
 def _cmd_rosenblatt_sample(args, doc, out, seed):
@@ -702,17 +638,8 @@ def _cmd_rate_experiment(args, doc, out, seed):
             }
             for row in table.rows
         ],
-        "limit_law": {
-            "kept": table.law.kept,
-            "calibration_factor": table.law.calibration_factor,
-            "variance": cumulant(table.law, 2),
-            "kappa3": cumulant(table.law, 3),
-        },
+        "limit_law": _law_record(table.law),
     }
-    try:
-        info["slope_fit"] = asdict(slope_fit(table))
-    except DegenerateFitError as exc:
-        info["slope_fit"] = str(exc)
     return RHO_CSV_COLUMNS, table.csv_rows(), info
 
 
@@ -822,9 +749,6 @@ def _build_parser():
     p = ros.add_parser("build", parents=[common])
     p.add_argument("--set")
     p.add_argument("--alpha", type=float)
-    p.add_argument("--n-nodes", type=int, dest="n_nodes", help="total limit-kernel nodes")
-    p.add_argument("--cutoff", type=float)
-    p.add_argument("--keep", type=int)
     p = ros.add_parser("sample", parents=[common])
     p.add_argument("--series", help="series JSON path from rosenblatt build")
     p.add_argument("--n", type=int)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from rosenlab import expcli, fieldsim
+from rosenlab import expcli, fieldsim, rosenblatt
 from rosenlab.expcli import ExperimentConfig, config_to_json, main
 from rosenlab.rosenblatt import EigenSeries, series_cdf, series_from_json, series_to_json
 
@@ -412,20 +412,39 @@ def test_table_commands_compute_what_they_name(tmp_path):
 
 def test_rosenblatt_build_writes_a_calibrated_series(tmp_path):
     out = tmp_path / "series.json"
-    argv = ["rosenblatt", "build", "--set", WINDOW, "--alpha", "0.4", "--n-nodes", "1024",
-            "--out", str(out)]
+    argv = ["rosenblatt", "build", "--set", WINDOW, "--alpha", "0.4", "--out", str(out)]
     assert main(argv) == 0
     series = series_from_json(out.read_text(encoding="utf-8"))
     manifest = _manifest(out)
     assert manifest["command"] == "rosenblatt build"
     config = manifest["config"]
-    assert config["n_nodes"] == 1024 and config["alpha"] == 0.4
-    factor = config["derived_calibration_factor"]
+    assert config["alpha"] == 0.4
+    law = config["derived_limit_law"]
+    assert (law["kept"], law["tail_mass"]) == (series.kept, series.tail_mass)
+    factor = law["calibration_factor"]
     assert factor == series.calibration_factor and 0.97 <= factor <= 1.03
     # the stored series hits the oracle; the raw one is nu / factor
-    assert series.variance == pytest.approx(config["derived_oracle_variance"], rel=1e-12)
+    oracle = rosenblatt.variance_oracle(expcli.set_from_json(WINDOW), 0.4)
+    assert law["variance"] == series.variance == pytest.approx(oracle, rel=1e-12)
     raw = np.asarray(series.eigenvalues) / factor
-    assert 2.0 * np.sum(raw**2) == pytest.approx(config["derived_raw_variance"], rel=1e-12)
+    assert 2.0 * np.sum(raw**2) == pytest.approx(law["raw_variance"], rel=1e-12)
+
+
+def test_build_and_experiment_share_one_limit_law(tmp_path, monkeypatch):
+    # Cauchy theta=0.2 in d=1 has alpha = 2 theta = 0.4
+    used = []
+
+    def recorded(series, x):
+        used.append(series)
+        return series_cdf(series, x)
+
+    monkeypatch.setattr(expcli, "series_cdf", recorded)
+    assert main(_experiment(tmp_path / "rho.csv", "--r", "4")) == 0
+    out = tmp_path / "series.json"
+    assert main(["rosenblatt", "build", "--set", WINDOW, "--alpha", "0.4", "--out", str(out)]) == 0
+    built = _manifest(out)["config"]["derived_limit_law"]
+    assert built == _manifest(tmp_path / "rho.csv")["config"]["derived_limit_law"]
+    assert series_from_json(out.read_text(encoding="utf-8")).eigenvalues == used[0].eigenvalues
 
 
 def test_simulate_field_takes_its_dimension_from_the_model(tmp_path, capsys):
@@ -438,7 +457,9 @@ def test_simulate_field_takes_its_dimension_from_the_model(tmp_path, capsys):
     assert not (tmp_path / "field.npz").exists()
 
 
-@pytest.mark.parametrize("flags", [["--no-calibrate"], ["--d", "1"]])
+@pytest.mark.parametrize("flags", [
+    ["--no-calibrate"], ["--d", "1"], ["--n-nodes", "1024"], ["--cutoff", "200"], ["--keep", "100"],
+])
 def test_removed_build_options_fail_at_argparse(tmp_path, capsys, flags):
     argv = ["rosenblatt", "build", "--set", WINDOW, "--alpha", "0.4",
             "--out", str(tmp_path / "series.json"), *flags]

@@ -102,6 +102,19 @@ def test_clamped_share_is_the_negative_eigenvalue_mass():
     assert emb.clamped_share == pytest.approx(share, abs=1e-14)
 
 
+def test_clamped_share_stays_within_its_stated_bound():
+    # the lattice every r of a Cauchy theta=0.2, h=0.25 experiment up to
+    # r=256 on the unit interval is drawn on. Each clamped eigenvalue is
+    # >= -clamp_tol * peak, so the share is at most clamp_tol * peak * m / sum
+    # lam; it is not bounded by clamp_tol itself, which it exceeds here
+    plan = SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=0.25, extent=256.0, seed=0)
+    emb = embedding(plan)
+    assert (emb.padding, emb.torus_side) == (2, 4096)
+    raw = _spectrum_once(plan)
+    bound = plan.clamp_tol * float(raw.max()) * emb.torus_side / float(np.sum(raw))
+    assert plan.clamp_tol < emb.clamped_share <= bound
+
+
 def test_white_noise_spectrum_flat():
     plan = SimulationPlan(model=white_noise_cov, dimension=1, h=1.0, extent=8.0, seed=0)
     lam = circulant_spectrum(plan)

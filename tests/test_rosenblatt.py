@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.stats import chi2, ks_2samp
 
 from rosenlab import rosenblatt
 from rosenlab.covmodels import c2_constant
-from rosenlab.errors import AccuracyError
+from rosenlab.errors import AccuracyError, IntegrabilityError, ParameterError
 from rosenlab.geometry import ball, ball_ft_radial, rectangle
 from rosenlab.rosenblatt import EigenSeries, sample, series_cdf
 
@@ -148,7 +149,7 @@ def test_series_cdf_refuses_a_one_term_series():
 
 @pytest.fixture(scope="module")
 def interval_kernel():
-    return rosenblatt.build_kernel(ball(1), 1, 0.4)
+    return rosenblatt.build_kernel(ball(1), 0.4)
 
 
 def _merged_spectrum(kernel):
@@ -161,7 +162,7 @@ def _merged_spectrum(kernel):
 def test_eigen_series_drops_rounding_noise(interval_kernel):
     full = _merged_spectrum(interval_kernel)
     full = full[np.argsort(-np.abs(full))][:300]
-    series = rosenblatt.eigen_series(interval_kernel, 300)
+    series = rosenblatt.eigen_series(interval_kernel)
     nu = np.asarray(series.eigenvalues)
     floor = interval_kernel.spectrum_size * np.finfo(float).eps * abs(nu[0])
     assert series.kept == nu.size < 300
@@ -192,8 +193,8 @@ def test_interval_blocks_have_the_spectrum_of_the_dense_mirrored_mesh(interval_k
 
 
 def test_the_interval_as_a_rectangle_gives_the_same_series(interval_kernel):
-    kernel = rosenblatt.build_kernel(rectangle([-1.0], [1.0]), 1, 0.4)
-    assert rosenblatt.eigen_series(kernel, 300) == rosenblatt.eigen_series(interval_kernel, 300)
+    kernel = rosenblatt.build_kernel(rectangle([-1.0], [1.0]), 0.4)
+    assert rosenblatt.eigen_series(kernel) == rosenblatt.eigen_series(interval_kernel)
 
 
 def test_angular_coefficients_match_the_full_angle_fft():
@@ -211,9 +212,44 @@ def test_angular_coefficients_match_the_full_angle_fft():
 
 
 def test_eigen_series_keeps_the_disk_series():
-    kernel = rosenblatt.build_kernel(ball(2), 2, 0.6)
+    kernel = rosenblatt.build_kernel(ball(2), 0.6)
     full = _merged_spectrum(kernel)
     full = full[np.argsort(-np.abs(full))][:300]
-    series = rosenblatt.eigen_series(kernel, 300)
+    series = rosenblatt.eigen_series(kernel)
     assert series.kept == 300
     np.testing.assert_array_equal(series.eigenvalues, full)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4])
+def test_variance_oracle_of_the_interval_is_its_closed_form(alpha):
+    # 2 int int_{[0,L]^2} |u - v|^(-2 alpha) = 4 L^(2 - 2 alpha) / ((1 - 2 alpha)(2 - 2 alpha))
+    # with L = 2
+    want = 4.0 * 2.0 ** (2.0 - 2.0 * alpha) / ((1.0 - 2.0 * alpha) * (2.0 - 2.0 * alpha))
+    assert rosenblatt.variance_oracle(ball(1), alpha) == pytest.approx(want, rel=1e-10)
+
+
+def test_variance_oracle_of_the_disk_is_the_overlap_area_integral():
+    # t = u - v turns 2 int int_{D^2} |u - v|^(-2 alpha) into
+    # 4 pi int_0^2 z^(1 - 2 alpha) A(z) dz, A(z) the area shared by two unit
+    # disks z apart; the algebraic weight takes the power at z = 0
+    alpha = 0.6
+
+    def overlap(z):
+        return 2.0 * np.arccos(0.5 * z) - 0.5 * z * np.sqrt(max(4.0 - z * z, 0.0))
+
+    val, _ = quad(overlap, 0.0, 2.0, weight="alg", wvar=(1.0 - 2.0 * alpha, 0.0),
+                  epsabs=0.0, epsrel=1e-12, limit=200)
+    assert rosenblatt.variance_oracle(ball(2), alpha) == pytest.approx(4.0 * np.pi * val, rel=1e-8)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_variance_oracle_diverges_at_half_the_dimension(dimension):
+    with pytest.raises(IntegrabilityError):
+        rosenblatt.variance_oracle(ball(dimension), 0.5 * dimension)
+
+
+def test_limit_law_refuses_a_mesh_off_the_oracle(monkeypatch):
+    # 512 nodes give 2 sum nu^2 = oracle / 0.877^2 on the interval
+    monkeypatch.setattr(rosenblatt, "DEFAULT_NODES_1D", 512)
+    with pytest.raises(ParameterError, match="calibration factor 0.8774 outside"):
+        rosenblatt.limit_law(ball(1), 0.4)
