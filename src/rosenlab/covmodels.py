@@ -16,7 +16,6 @@ from math import atan2, cos, gamma, pi, sin, sqrt
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import kv
 
 from .errors import (
@@ -258,7 +257,10 @@ def _cauchy_density(d, theta, lam):
 
 def _linnik_density(d, sigma, theta, lam):
     # real rational split of (1 + (iu)^sigma)^(-theta); the K-Bessel factor
-    # truncates the domain (K(45) ~ 3e-20)
+    # truncates the domain (K(45) ~ 3e-20). scipy.integrate loads here, on
+    # first use, so that the package import does not pay for it
+    from scipy.integrate import quad
+
     nu = 0.5 * (d - 2.0)
     cs, sn = cos(0.5 * pi * sigma), sin(0.5 * pi * sigma)
 
@@ -380,6 +382,8 @@ def slowly_varying_remainder(L, q, r_grid, t_grid):
 
 def isotropic_measure(model, z):
     """Radial spectral mass Phi(z) = (2 pi^(d/2) / Gamma(d/2)) int_0^z u^(d-1) f(u) du."""
+    from scipy.integrate import quad
+
     z = float(z)
     if z < 0.0:
         raise DomainError(f"isotropic measure needs z >= 0, got {z}")

@@ -670,22 +670,34 @@ def _cmd_verify_supmin(args, doc, out, seed):
     return header, rows, {}
 
 
-# "group action" -> handler(args, doc, out, seed) returning (header, rows,
-# info); header is None for commands that write their own output file
+# "group action" -> (handler(args, doc, out, seed) returning (header, rows,
+# info), the --config document keys the handler reads); header is None for
+# commands that write their own output file
 _COMMANDS = {
-    "covariance eval": _cmd_covariance_eval,
-    "spectral eval": _cmd_spectral_eval,
-    "spectral fit-upsilon": _cmd_spectral_fit,
-    "geometry ft": _cmd_geometry_ft,
-    "hermite coeffs": _cmd_hermite_coeffs,
-    "simulate field": _cmd_simulate_field,
-    "rosenblatt build": _cmd_rosenblatt_build,
-    "rosenblatt sample": _cmd_rosenblatt_sample,
-    "rate bound": _cmd_rate_bound,
-    "rate curves": _cmd_rate_curves,
-    "rate experiment": _cmd_rate_experiment,
-    "verify supmin": _cmd_verify_supmin,
+    "covariance eval": (_cmd_covariance_eval, ("model", "r")),
+    "spectral eval": (_cmd_spectral_eval, ("model", "lam")),
+    "spectral fit-upsilon": (_cmd_spectral_fit, ("model", "grid")),
+    "geometry ft": (_cmd_geometry_ft, ("set", "z", "direction")),
+    "hermite coeffs": (_cmd_hermite_coeffs, ("functional", "order")),
+    "simulate field": (
+        _cmd_simulate_field, ("model", "h", "extent", "padding", "clamp-tol"),
+    ),
+    "rosenblatt build": (_cmd_rosenblatt_build, ("set", "alpha")),
+    "rosenblatt sample": (_cmd_rosenblatt_sample, ("series", "n")),
+    "rate bound": (_cmd_rate_bound, ("model", "d", "alpha", "q", "upsilon")),
+    "rate curves": (
+        _cmd_rate_curves, ("family", "alpha-grid", "d", "sigma", "theta", "q"),
+    ),
+    "rate experiment": (
+        _cmd_rate_experiment,
+        ("model", "window", "functional", "r_grid", "replicates", "h"),
+    ),
+    "verify supmin": (
+        _cmd_verify_supmin, ("d", "alpha", "q", "upsilon", "resolution", "no-refine"),
+    ),
 }
+# --config keys that every command reads (_run)
+_COMMON_KEYS = ("out", "seed", "master_seed")
 
 
 def _build_parser():
@@ -803,13 +815,20 @@ def main(argv=None):
 
 
 def _run(args):
+    command = f"{args.group} {args.action}"
+    handler, keys = _COMMANDS[command]
     doc = _load_config_doc(getattr(args, "config", None))
+    unknown = sorted(set(doc) - set(keys) - set(_COMMON_KEYS))
+    if unknown:
+        raise ParameterError(
+            f"config key(s) {', '.join(map(repr, unknown))} not read by {command!r}; "
+            f"it reads {', '.join(map(repr, keys + _COMMON_KEYS))}"
+        )
     out = _pick(args, doc, "out")
     seed = int(_pick(args, doc, "seed", doc.get("master_seed", 0)))
-    command = f"{args.group} {args.action}"
     t0 = time.perf_counter()
 
-    header, rows, info = _COMMANDS[command](args, doc, out, seed)
+    header, rows, info = handler(args, doc, out, seed)
 
     outputs = []
     if header is not None:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import gamma
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import betainc
 
 from .errors import DomainError, IntegrabilityError, ParameterError
@@ -277,7 +276,10 @@ def distance_integral(window, r, upsilon_fn):
     Reduces to |window(r)|^2 times the expectation of upsilon against the
     distance pdf. The integrand may blow up at zero; a log-slope probe near
     the origin rejects non-integrable singularities before quadrature.
+    scipy.integrate is imported on the first call, not with the module.
     """
+    from scipy.integrate import quad
+
     r = _check_r(r)
     d = window.dimension
     z1, z2 = 1e-7, 2e-7

@@ -13,8 +13,9 @@ error bound.
 limit_law(window, alpha) is the one way to get the series. It discretizes
 the operator on a fixed Nystrom mesh (build_kernel), keeps its 300 largest
 eigenvalues (eigen_series), and rescales them by one reported factor so
-that 2 sum nu^2 equals an independent distance-integral variance oracle
-(variance_oracle); a factor outside [0.97, 1.03] is refused.
+that 2 sum nu^2 equals a variance oracle that does not use the mesh
+(variance_oracle: closed forms for balls and intervals, the distance
+integral for other windows); a factor outside [0.97, 1.03] is refused.
 
 The kernel uses the frequency-difference form
 M_ij = c2 sqrt(w_i w_j) K(lam_i - lam_j) (|lam_i||lam_j|)^(-(d-alpha)/2):
@@ -45,7 +46,7 @@ spectrum of the full matrix:
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil, factorial, log, log2, pi, sqrt
+from math import ceil, exp, factorial, lgamma, log, log2, pi, sqrt
 
 import numpy as np
 from scipy.fft import dct, irfft
@@ -58,7 +59,7 @@ from .errors import (
     ParameterError,
     UnsupportedModelError,
 )
-from .geometry import ball_ft_radial, distance_integral
+from .geometry import ball_ft_radial, distance_integral, volume
 
 __all__ = [
     "RosenblattKernel",
@@ -531,9 +532,19 @@ def cumulant(series, p):
 def variance_oracle(window, alpha):
     """Limit variance: twice the double window integral of |u-v|^(-2 alpha).
 
-    Independent of the Nystrom construction; evaluated through the distance
-    distribution of the window. Diverges (and raises IntegrabilityError)
-    once alpha >= d/2, d the window's dimension.
+    Independent of the Nystrom construction. That is 2 |W|^2 E|X-Y|^(-beta)
+    for X, Y independent uniform on W and beta = 2 alpha, in closed form for
+    balls and 1-d intervals:
+
+    - a ball of radius R in d dimensions, with s = (d - beta)/2 and
+      a = (d + 1)/2, integrating the incomplete-beta distance pdf by parts:
+      E|X-Y|^(-beta) = R^(-beta) d 2^(d-1-beta) B(s + 1/2, a) / (s B(1/2, a));
+    - an interval of length L: E|X-Y|^(-beta) = 2 L^(-beta) / ((1 - beta)(2 - beta)),
+      so the oracle is 4 L^(2-beta) / ((1 - beta)(2 - beta)).
+
+    Other windows (rectangles in d >= 2) go through distance_integral.
+    Diverges (and raises IntegrabilityError) once alpha >= d/2, d the
+    window's dimension.
     """
     d = window.dimension
     if not alpha > 0.0:
@@ -542,7 +553,17 @@ def variance_oracle(window, alpha):
         raise IntegrabilityError(
             f"limit variance diverges for alpha >= d/2 (got alpha={alpha}, d={d})"
         )
-    return 2.0 * distance_integral(window, 1.0, lambda z: z ** (-2.0 * alpha))
+    beta = 2.0 * alpha
+    if window.shape == "ball":
+        s, a = 0.5 * (d - beta), 0.5 * (d + 1.0)
+        # B(s + 1/2, a) / B(1/2, a) through log-gamma
+        ratio = exp(lgamma(s + 0.5) + lgamma(a + 0.5) - lgamma(s + 0.5 + a) - lgamma(0.5))
+        moment = window.radius ** (-beta) * d * 2.0 ** (d - 1.0 - beta) * ratio / s
+    elif d == 1:
+        moment = 2.0 * volume(window) ** (-beta) / ((1.0 - beta) * (2.0 - beta))
+    else:
+        return 2.0 * distance_integral(window, 1.0, lambda z: z ** (-beta))
+    return 2.0 * volume(window) ** 2 * moment
 
 
 def series_to_json(series):

@@ -1,5 +1,6 @@
 """The rate experiment through the command line entry point."""
 
+import argparse
 import csv
 import io
 import json
@@ -139,6 +140,75 @@ def test_flags_override_the_config_document(tmp_path):
     assert main(["rate", "experiment", "--config", str(path), "--r", "16", "--out", str(out)]) == 0
     rows = _rows(out)
     assert [float(row["r"]) for row in rows] == [16.0]
+
+
+def _never_called(*args):
+    raise AssertionError("the command ran past the config key check")
+
+
+@pytest.mark.parametrize("command, doc, unknown", [
+    (["rosenblatt", "build"], {"set": json.loads(WINDOW), "alpha": 0.4, "keep": 50, "n-nodes": 512},
+     "'keep', 'n-nodes'"),
+    # rate experiment reads its windows and scales as window and r_grid
+    (["rate", "experiment"], {"model": json.loads(MODEL), "set": json.loads(WINDOW), "r": [8],
+                              "functional": "h2"}, "'r', 'set'"),
+])
+def test_config_keys_the_command_does_not_read_are_refused(
+    tmp_path, capsys, monkeypatch, command, doc, unknown
+):
+    monkeypatch.setattr(expcli, "limit_law", _never_called)
+    monkeypatch.setattr(expcli, "model_from_json", _never_called)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"rosenlab: config key(s) {unknown} not read by '{' '.join(command)}'")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_config_document_of_read_keys_is_accepted(tmp_path, monkeypatch):
+    series = EigenSeries(eigenvalues=(1.0, 0.5, 0.25), kept=3, tail_mass=0.0, raw_variance=2.625)
+    built = []
+
+    def law(window, alpha):
+        built.append((window, alpha))
+        return series
+
+    monkeypatch.setattr(expcli, "limit_law", law)
+    out = tmp_path / "series.json"
+    doc = {"set": json.loads(WINDOW), "alpha": 0.4, "master_seed": 3, "out": str(out)}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["rosenblatt", "build", "--config", str(path)]) == 0
+    assert built == [(expcli.set_from_json(WINDOW), 0.4)]
+    assert series_from_json(out.read_text(encoding="utf-8")) == series
+    manifest = _manifest(out)
+    assert manifest["config"]["config_document"] == doc
+    assert manifest["seeds"] == {"master_seed": 3}
+
+
+def _option_names(command):
+    group, action = command.split()
+    parser = expcli._build_parser()
+
+    def choices(p, name):
+        sub = next(a for a in p._actions if isinstance(a, argparse._SubParsersAction))
+        return sub.choices[name]
+
+    leaf = choices(choices(parser, group), action)
+    return {opt[2:] for a in leaf._actions for opt in a.option_strings if opt.startswith("--")}
+
+
+@pytest.mark.parametrize("command", sorted(expcli._COMMANDS))
+def test_every_command_option_has_a_config_key(command):
+    # the config document names a command's options, but rate experiment
+    # stores its --set and --r as window and r_grid, as config_to_json does
+    renamed = {"set": "window", "r": "r_grid"} if command == "rate experiment" else {}
+    options = _option_names(command) - {"help", "config", "seed", "out"}
+    _, keys = expcli._COMMANDS[command]
+    assert {renamed.get(o, o) for o in options} == set(keys)
 
 
 def test_thread_option_is_gone(tmp_path):

@@ -1,6 +1,7 @@
 """The package's public surface: exports that resolve and a clean import."""
 
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import rosenlab
+from rosenlab.covmodels import cauchy, isotropic_measure, linnik, spectral_density
 
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(rosenlab.__path__) if info.name != "__main__"
@@ -35,3 +37,51 @@ def test_the_package_imports_cleanly():
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert Path(done.stdout.strip()).parent == Path(src) / "rosenlab"
+
+
+# Loaded only by quad's callers (geometry.distance_integral for rectangles
+# in d >= 2, the Linnik spectral density, isotropic_measure), never on import.
+HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
+
+_FOOTPRINT = """
+import json, os, sys
+from rosenlab import expcli
+
+out, heavy = sys.argv[1], json.loads(sys.argv[2])
+loaded = {"import": [m for m in heavy if m in sys.modules]}
+for name, d, alpha in (("interval", 1, "0.4"), ("disk", 2, "0.6")):
+    window = json.dumps({"shape": "ball", "R": 1.0, "d": d})
+    path = os.path.join(out, name + ".json")
+    if expcli.main(["rosenblatt", "build", "--set", window, "--alpha", alpha, "--out", path]):
+        sys.exit(f"rosenblatt build failed on the {name}")
+loaded["build"] = [m for m in heavy if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_import_and_build_do_not_load_scipy_integrate(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, str(tmp_path), json.dumps(HEAVY_SCIPY)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"import": [], "build": []}
+    assert (tmp_path / "interval.json").exists() and (tmp_path / "disk.json").exists()
+
+
+def test_quad_callers_still_give_their_values():
+    # values of the module-level quad import, now loaded on first call
+    assert isotropic_measure(cauchy(2, 0.3), 1.0) == pytest.approx(0.763741672202646, rel=1e-12)
+    assert isotropic_measure(linnik(1, 1.5, 0.2), 0.3) == pytest.approx(
+        0.751072024410698, rel=1e-12
+    )
+    m1, m2 = linnik(1, 1.5, 0.2), linnik(2, 1.75, 1.0 / 3.0)
+    assert [spectral_density(m1, lam) for lam in (0.05, 0.5, 3.0)] == pytest.approx(
+        [1.314134118749925, 0.13767161793541494, 0.005349172506038792], rel=1e-12
+    )
+    assert [spectral_density(m2, lam) for lam in (0.05, 0.5, 3.0)] == pytest.approx(
+        [6.040425749080841, 0.164635966629625, 0.0017151743611084048], rel=1e-12
+    )

@@ -8,7 +8,7 @@ from scipy.stats import chi2, ks_2samp
 from rosenlab import rosenblatt
 from rosenlab.covmodels import c2_constant
 from rosenlab.errors import AccuracyError, IntegrabilityError, ParameterError
-from rosenlab.geometry import ball, ball_ft_radial, rectangle
+from rosenlab.geometry import ball, ball_ft_radial, distance_integral, rectangle
 from rosenlab.rosenblatt import EigenSeries, sample, series_cdf
 
 
@@ -240,6 +240,44 @@ def test_variance_oracle_of_the_disk_is_the_overlap_area_integral():
     val, _ = quad(overlap, 0.0, 2.0, weight="alg", wvar=(1.0 - 2.0 * alpha, 0.0),
                   epsabs=0.0, epsrel=1e-12, limit=200)
     assert rosenblatt.variance_oracle(ball(2), alpha) == pytest.approx(4.0 * np.pi * val, rel=1e-8)
+
+
+def _quadrature_oracle(window, alpha):
+    return 2.0 * distance_integral(window, 1.0, lambda z: z ** (-2.0 * alpha))
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("dimension, alpha", [
+    (1, 0.1), (1, 0.25), (1, 0.4), (2, 0.3), (2, 0.6), (2, 0.9),
+])
+def test_closed_form_ball_oracle_matches_the_distance_integral(dimension, alpha, radius):
+    window = ball(dimension, radius)
+    want = _quadrature_oracle(window, alpha)
+    assert rosenblatt.variance_oracle(window, alpha) == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize("lower, upper", [(-1.0, 2.0), (-0.5, 2.5)])
+def test_closed_form_oracle_of_an_asymmetric_interval(lower, upper):
+    window = rectangle((lower,), (upper,))
+    want = _quadrature_oracle(window, 0.3)
+    assert rosenblatt.variance_oracle(window, 0.3) == pytest.approx(want, rel=1e-11)
+
+
+def test_variance_oracle_of_a_rectangle_goes_through_the_distance_integral(monkeypatch):
+    calls = []
+
+    def spy(window, r, upsilon_fn):
+        calls.append((window, r))
+        return distance_integral(window, r, upsilon_fn)
+
+    monkeypatch.setattr(rosenblatt, "distance_integral", spy)
+    window = rectangle((-1.0, -0.5), (1.0, 0.5))
+    value = rosenblatt.variance_oracle(window, 0.3)
+    assert calls == [(window, 1.0)]
+    assert value == pytest.approx(_quadrature_oracle(window, 0.3), rel=1e-14)
+    rosenblatt.variance_oracle(ball(2), 0.6)
+    rosenblatt.variance_oracle(rectangle((-1.0,), (2.0,)), 0.3)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
