@@ -174,8 +174,10 @@ class RhoTable:
     configs produce byte-identical tables.
 
     stage_seconds holds the limit-law build ("limit_law"), each group's
-    draws and window sums ("draws": drawn_on_r, r and seconds per group)
-    and the per-row CDF, KS and bootstrap work summed over rows ("rows").
+    draws and window sums ("draws": drawn_on_r, r, seconds and
+    noise_wait_seconds per group, the last being how long the group waited
+    on the noise-drawing helper thread, see fieldsim.window_integrals) and
+    the per-row CDF, KS and bootstrap work summed over rows ("rows").
     """
 
     rows: tuple
@@ -290,16 +292,17 @@ def rate_experiment(config):
         top = group[0]
         rng = replicate_generator(config.master_seed, top, _REPLICATE_TAG)
         radii = tuple(config.r_grid[i] for i in group)
-        kr, vol = window_integrals(
+        result = window_integrals(
             plans[top], G, config.window, radii, config.replicates, rng
         )
-        for i, row_sums, row_volume in zip(group, kr, vol):
+        for i, row_sums, row_volume in zip(group, result.sums, result.volumes):
             drawn[i] = (row_sums, row_volume, top)
         stages["draws"].append(
             {
                 "drawn_on_r": config.r_grid[top],
                 "r": sorted(radii),
                 "seconds": time.perf_counter() - t0,
+                "noise_wait_seconds": result.noise_wait_seconds,
             }
         )
 
@@ -361,7 +364,7 @@ def _csv_text(header, rows):
         # quoting; chunks keep the text of 10^6 values from being held at once
         yield f"{header[0]}\n"
         for start in range(0, rows.size, _CSV_CHUNK):
-            yield "".join(f"{v!r}\n" for v in rows[start : start + _CSV_CHUNK].tolist())
+            yield "\n".join(map(repr, rows[start : start + _CSV_CHUNK].tolist())) + "\n"
         return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -23,8 +23,19 @@ drawn one reads its window off the same fields: window_integrals sums every
 scale of such a group from one draw. The scales then see common random
 numbers (Glasserman & Yao, Management Science 1992): each scale's sums
 keep their law, but sums at different scales are correlated.
+
+window_integrals overlaps the two halves of each draw: one helper thread
+draws the torus noise of the next block while the calling thread runs the
+FFT and the window sums of the current one. The generator is read only by
+that helper, in the order and block shapes of serial simulate_pairs calls,
+so every sum is unchanged. The helper runs nothing but
+Generator.standard_normal; every other function, the embedding and G
+included, runs on the calling thread, so a tracer or profiler that keeps
+one call stack per process sees a single thread.
 """
 
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,6 +57,7 @@ __all__ = [
     "simulate_field",
     "simulate_pairs",
     "window_integrals",
+    "WindowSums",
     "window_extent",
     "sublattice_offset",
     "clear_spectrum_cache",
@@ -300,6 +312,32 @@ def embedding(plan):
     return _cached_embedding(plan)[0]
 
 
+def _fields_from_noise(plan, root, noise, z):
+    """The lattice fields of one block of torus noise, transformed in z.
+
+    noise is a (pairs, 2, *torus) standard-normal array: for each pair, the
+    real then the imaginary parts. z is a complex (pairs, *torus) array that
+    the transform overwrites; the FFTs run in place, so a caller that keeps
+    z and the noise for the next block allocates nothing per block. root is
+    the square root of plan's embedding spectrum. Returns the (pairs, n) or
+    (pairs, n, n) lattice corner of z.
+    """
+    n = plan.n_per_axis
+    z.real = noise[:, 0]
+    z.imag = noise[:, 1]
+    z *= root
+    if plan.dimension == 1:
+        z = np.fft.ifft(z, out=z)[:, :n]
+    else:
+        # ifft2 transforms the last axis and then the first; only the first
+        # n columns reach the lattice, so the second pass skips the rest
+        np.fft.ifft(z, axis=-1, out=z)
+        columns = z[..., :n]
+        z = np.fft.ifft(columns, axis=-2, out=columns)[:, :n]
+    z *= np.sqrt(root.size)
+    return z
+
+
 def simulate_pairs(plan, rng, pairs):
     """Independent lattice fields, two per complex circulant draw.
 
@@ -309,24 +347,15 @@ def simulate_pairs(plan, rng, pairs):
     whose real and imaginary parts are independent fields with covariance B
     (Wood & Chan, JCGS 1994; Dietrich & Newsam, SIAM J. Sci. Comput. 1997).
     The generator is read in order, so k calls of one pair give the same
-    fields as one call of k pairs.
+    fields as one call of k pairs. Everything runs on the calling thread;
+    window_integrals draws the same noise on a helper thread and hands it
+    to the same transform.
     """
     root = _cached_embedding(plan)[1]
-    n = plan.n_per_axis
-    noise = rng.standard_normal((pairs, 2) + root.shape)
     z = np.empty((pairs,) + root.shape, dtype=complex)
-    z.real = noise[:, 0]
-    z.imag = noise[:, 1]
-    del noise
-    z *= root
-    if plan.dimension == 1:
-        z = np.fft.ifft(z)[:, :n]
-    else:
-        # ifft2 transforms the last axis and then the first; only the first
-        # n columns reach the lattice, so the second pass skips the rest
-        z = np.fft.ifft(z, axis=-1)[..., :n]
-        z = np.fft.ifft(z, axis=-2)[:, :n]
-    return z * np.sqrt(root.size)
+    # the noise is bound to no name here, so it is freed before the copy
+    fields = _fields_from_noise(plan, root, rng.standard_normal((pairs, 2) + root.shape), z)
+    return fields.copy()
 
 
 def simulate_field(plan, rng=None):
@@ -407,6 +436,25 @@ def _window_masks(plan, window, radii):
     return placed
 
 
+@dataclass(frozen=True)
+class WindowSums:
+    """What window_integrals returns; it unpacks as (sums, volumes).
+
+    sums has shape (len(radii), count), and volumes holds each radius's
+    lattice volume (cell count times h^d). noise_wait_seconds is how long
+    the calling thread waited for the helper thread's noise: near zero when
+    the transforms and sums take longer than the draws, and close to the
+    draw time when the generator is the bottleneck.
+    """
+
+    sums: np.ndarray
+    volumes: tuple
+    noise_wait_seconds: float
+
+    def __iter__(self):
+        return iter((self.sums, self.volumes))
+
+
 def window_integrals(plan, G, window, radii, count, rng):
     """Midpoint sums of G over the window at each radius, on count fields
     drawn once.
@@ -428,8 +476,21 @@ def window_integrals(plan, G, window, radii, count, rng):
     the sums are identical for any block size, and each equals
     functional_integral of its field.
 
-    Returns (sums, volumes): sums has shape (len(radii), count), and
-    volumes holds each radius's lattice volume (cell count times h^d).
+    The noise of block k+1 is drawn on one helper thread while this thread
+    transforms and sums block k; numpy releases the GIL in both. Only the
+    helper reads rng, block by block in order and never past the last
+    pair, so the stream, the fields and the sums are those of serial
+    simulate_pairs draws, and rng ends in the same state. The helper runs
+    nothing but the normal draws: the embedding, G and the sums stay on the
+    calling thread, so per-thread state such as a profiler's call stack
+    only ever sees this thread. The helper is shut down before the call
+    returns or raises. The noise of two blocks (the one being transformed
+    and the one being drawn) and one complex work block are allocated once
+    per call, and the FFTs run in place, so the loop allocates no torus-sized
+    array per block: 12 MB at the default _BLOCK_SITES, more when a single
+    pair's torus exceeds it.
+
+    Returns a WindowSums, which unpacks as (sums, volumes).
     """
     if window.dimension != plan.dimension:
         raise ParameterError(
@@ -441,19 +502,35 @@ def window_integrals(plan, G, window, radii, count, rng):
     placed = _window_masks(plan, window, radii)
     cell = plan.h**plan.dimension
     pairs = (count + 1) // 2
-    block = max(1, _BLOCK_SITES // _cached_embedding(plan)[1].size)
+    # resolved here, not on the helper: the embedding evaluates traced layers
+    root = _cached_embedding(plan)[1]
+    block = max(1, _BLOCK_SITES // root.size)
     sums = np.empty((len(placed), 2 * pairs))
-    for start in range(0, pairs, block):
-        z = simulate_pairs(plan, rng, min(block, pairs - start))
-        for row, (sites, mask) in zip(sums, placed):
-            w = z[sites][:, mask]
-            fields = G(np.stack((w.real, w.imag), axis=1).reshape(2 * len(w), -1))
-            # one 1-d sum per field: a batched reduction may group its
-            # additions by the block's shape, which would tie the sums to
-            # the block size
-            row[2 * start : 2 * start + len(fields)] = [np.sum(f) for f in fields]
+    waited = 0.0
+    # block k's noise is drawn into noise[k % 2]; the helper refills a
+    # buffer only after this thread has moved the buffer's last block into z
+    noise = np.empty((2, min(block, pairs), 2) + root.shape)
+    z = np.empty((min(block, pairs),) + root.shape, dtype=complex)
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="torus-noise") as helper:
+        ahead = helper.submit(rng.standard_normal, out=noise[0])
+        for k, start in enumerate(range(0, pairs, block)):
+            t0 = time.perf_counter()
+            drawn = ahead.result()
+            waited += time.perf_counter() - t0
+            following = start + block
+            if following < pairs:
+                size = min(block, pairs - following)
+                ahead = helper.submit(rng.standard_normal, out=noise[(k + 1) % 2, :size])
+            fields = _fields_from_noise(plan, root, drawn, z[: len(drawn)])
+            for row, (sites, mask) in zip(sums, placed):
+                w = fields[sites][:, mask]
+                values = G(np.stack((w.real, w.imag), axis=1).reshape(2 * len(w), -1))
+                # one 1-d sum per field: a batched reduction may group its
+                # additions by the block's shape, which would tie the sums to
+                # the block size
+                row[2 * start : 2 * start + len(values)] = [np.sum(v) for v in values]
     volumes = tuple(float(np.count_nonzero(mask) * cell) for _, mask in placed)
-    return sums[:, :count] * cell, volumes
+    return WindowSums(sums[:, :count] * cell, volumes, waited)
 
 
 def replicate_generator(master_seed, *keys):

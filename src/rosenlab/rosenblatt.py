@@ -14,8 +14,9 @@ limit_law(window, alpha) is the one way to get the series. It discretizes
 the operator on a fixed Nystrom mesh (build_kernel), keeps its 300 largest
 eigenvalues (eigen_series), and rescales them by one reported factor so
 that 2 sum nu^2 equals a variance oracle that does not use the mesh
-(variance_oracle: closed forms for balls and intervals, the distance
-integral for other windows); a factor outside [0.97, 1.03] is refused.
+(variance_oracle: closed forms for balls and intervals, a polar
+quadrature of a closed-form radial integral for d=2 rectangles); a factor
+outside [0.97, 1.03] is refused.
 
 The kernel uses the frequency-difference form
 M_ij = c2 sqrt(w_i w_j) K(lam_i - lam_j) (|lam_i||lam_j|)^(-(d-alpha)/2):
@@ -46,7 +47,7 @@ spectrum of the full matrix:
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil, exp, factorial, lgamma, log, log2, pi, sqrt
+from math import atan2, ceil, cos, exp, factorial, lgamma, log, log2, pi, sin, sqrt
 
 import numpy as np
 from scipy.fft import dct, irfft
@@ -542,9 +543,12 @@ def variance_oracle(window, alpha):
     - an interval of length L: E|X-Y|^(-beta) = 2 L^(-beta) / ((1 - beta)(2 - beta)),
       so the oracle is 4 L^(2-beta) / ((1 - beta)(2 - beta)).
 
-    Other windows (rectangles in d >= 2) go through distance_integral.
-    Diverges (and raises IntegrabilityError) once alpha >= d/2, d the
-    window's dimension.
+    A d=2 rectangle of sides a and b goes through its lag z = u - v, whose
+    overlap area is (a - |z1|)(b - |z2|): the oracle is 8 int_0^(pi/2) F(phi)
+    dphi over the first quadrant in polar coordinates (_rectangle_oracle),
+    with F the radial integral in closed form. Rectangles in d >= 3 go
+    through distance_integral. Diverges (and raises IntegrabilityError) once
+    alpha >= d/2, d the window's dimension.
     """
     d = window.dimension
     if not alpha > 0.0:
@@ -561,9 +565,42 @@ def variance_oracle(window, alpha):
         moment = window.radius ** (-beta) * d * 2.0 ** (d - 1.0 - beta) * ratio / s
     elif d == 1:
         moment = 2.0 * volume(window) ** (-beta) / ((1.0 - beta) * (2.0 - beta))
+    elif d == 2:
+        return _rectangle_oracle(window, beta)
     else:
         return 2.0 * distance_integral(window, 1.0, lambda z: z ** (-beta))
     return 2.0 * volume(window) ** 2 * moment
+
+
+def _rectangle_oracle(window, beta):
+    """2 int int |u-v|^(-beta) over a d=2 rectangle, as 8 int_0^(pi/2) F.
+
+    F(phi) = int_0^R (a - p cos phi)(b - p sin phi) p^(1-beta) dp with
+    R(phi) = min(a / cos phi, b / sin phi), the ray's exit from the lag
+    quadrant [0, a] x [0, b]. Term by term,
+    F = ab R^(2-beta)/(2-beta) - (a sin + b cos) R^(3-beta)/(3-beta)
+      + cos sin R^(4-beta)/(4-beta),
+    smooth in phi on each side of the corner atan(b/a), where R switches
+    branch, so quad splits there. scipy.integrate is imported here, on the
+    first rectangle, not with the module.
+    """
+    from scipy.integrate import quad
+
+    a, b = (hi - lo for lo, hi in zip(window.lower, window.upper))
+
+    def radial(phi, reach):
+        c, s = cos(phi), sin(phi)
+        return (
+            a * b * reach ** (2.0 - beta) / (2.0 - beta)
+            - (a * s + b * c) * reach ** (3.0 - beta) / (3.0 - beta)
+            + c * s * reach ** (4.0 - beta) / (4.0 - beta)
+        )
+
+    corner = atan2(b, a)
+    tol = {"epsabs": 0.0, "epsrel": 1e-13}
+    along_a, _ = quad(lambda phi: radial(phi, a / cos(phi)), 0.0, corner, **tol)
+    along_b, _ = quad(lambda phi: radial(phi, b / sin(phi)), corner, 0.5 * pi, **tol)
+    return 8.0 * (along_a + along_b)
 
 
 def series_to_json(series):

@@ -343,6 +343,8 @@ def test_manifest_records_the_embedding_of_every_r(tmp_path, monkeypatch):
     assert stages["rows"] == pytest.approx(sum(runtimes), rel=1e-12)
     spent = stages["limit_law"] + stages["draws"][0]["seconds"] + stages["rows"]
     assert 0.0 < spent <= manifest["wall_seconds"]
+    # the wait on the noise-drawing thread is part of the group's seconds
+    assert 0.0 <= stages["draws"][0]["noise_wait_seconds"] <= stages["draws"][0]["seconds"]
 
 
 def test_unaligned_lattices_draw_in_groups_of_their_own(tmp_path, monkeypatch):

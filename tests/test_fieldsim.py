@@ -1,6 +1,7 @@
 """Lattice field simulation, window functionals, and the normalized statistic."""
 
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -279,6 +280,72 @@ def test_the_largest_radius_sums_as_if_drawn_alone():
     # the smaller windows read sub-blocks of the same fields, so they are
     # correlated with the largest one
     assert np.corrcoef(shared[1], shared[2])[0, 1] > 0.3
+
+
+# 1000 sites hold 15 pairs of the 64-site torus below, so 501 pairs make 34
+# blocks, the last one short
+@pytest.mark.parametrize("block_sites", [fieldsim._BLOCK_SITES, 1, 1000])
+def test_window_integrals_leave_the_generator_where_serial_draws_do(monkeypatch, block_sites):
+    plan = SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=0.5, extent=8.0, seed=0)
+    monkeypatch.setattr(fieldsim, "_BLOCK_SITES", block_sites)
+    rng = replicate_generator(5, 0)
+    result = window_integrals(plan, functional_catalog("h2"), ball(1), (4.0, 8.0), 1001, rng)
+    serial = replicate_generator(5, 0)
+    fields = [simulate_pairs(plan, serial, 1)[0] for _ in range(501)]
+    assert rng.bit_generator.state == serial.bit_generator.state
+    want = [np.sum(functional_catalog("h2")(f.real)) * plan.h for f in fields]
+    assert list(result.sums[1, 0:1001:2]) == want
+    assert result.noise_wait_seconds >= 0.0
+    sums, volumes = result
+    assert sums is result.sums and volumes == result.volumes
+
+
+def test_an_error_in_G_stops_the_helper_thread(monkeypatch):
+    plan = SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=0.5, extent=8.0, seed=0)
+    monkeypatch.setattr(fieldsim, "_BLOCK_SITES", 1)  # one pair per block
+    before = threading.active_count()
+    seen = []
+
+    def G(w):
+        seen.append(threading.active_count())
+        if len(seen) == 5:
+            raise FloatingPointError("G failed")
+        return w * w - 1.0
+
+    with pytest.raises(FloatingPointError, match="G failed"):
+        window_integrals(plan, G, ball(1), (4.0,), 20, replicate_generator(5, 1))
+    # the noise was drawn on a second thread, which is gone again
+    assert max(seen) == before + 1
+    assert threading.active_count() == before
+
+    class BrokenGenerator:
+        def standard_normal(self, *args, **kwargs):
+            raise OverflowError("no more normals")
+
+    with pytest.raises(OverflowError, match="no more normals"):
+        window_integrals(plan, G, ball(1), (4.0,), 20, BrokenGenerator())
+    assert threading.active_count() == before
+
+
+def test_only_the_calling_thread_evaluates_the_embedding(monkeypatch):
+    threads = {}
+
+    def spy(name, fn):
+        def recorded(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        return recorded
+
+    monkeypatch.setattr(fieldsim, "circulant_spectrum", spy("spectrum", circulant_spectrum))
+    monkeypatch.setattr(fieldsim, "covariance_eval", spy("covariance", covariance_eval))
+    monkeypatch.setattr(fieldsim, "_BLOCK_SITES", 1)
+    G = spy("G", functional_catalog("h2"))
+    clear_spectrum_cache()
+    plan = SimulationPlan(model=cauchy(2, 0.3), dimension=2, h=1.0, extent=8.0, seed=0)
+    window_integrals(plan, G, ball(2), (4.0, 8.0), 12, replicate_generator(5, 2))
+    clear_spectrum_cache()
+    assert threads == dict.fromkeys(("spectrum", "covariance", "G"), {threading.get_ident()})
 
 
 @pytest.mark.parametrize(

@@ -39,8 +39,9 @@ def test_the_package_imports_cleanly():
     assert Path(done.stdout.strip()).parent == Path(src) / "rosenlab"
 
 
-# Loaded only by quad's callers (geometry.distance_integral for rectangles
-# in d >= 2, the Linnik spectral density, isotropic_measure), never on import.
+# Loaded only by quad's callers (the variance oracle of a d=2 rectangle,
+# geometry.distance_integral, the Linnik spectral density, isotropic_measure),
+# never on import.
 HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
 
 _FOOTPRINT = """

@@ -1,8 +1,10 @@
 """The chi-square series: its sampler, its CDF and its eigen-solve."""
 
+import warnings
+
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.stats import chi2, ks_2samp
 
 from rosenlab import rosenblatt
@@ -263,21 +265,46 @@ def test_closed_form_oracle_of_an_asymmetric_interval(lower, upper):
     assert rosenblatt.variance_oracle(window, 0.3) == pytest.approx(want, rel=1e-11)
 
 
-def test_variance_oracle_of_a_rectangle_goes_through_the_distance_integral(monkeypatch):
-    calls = []
+def _rectangle_reference(a, b, alpha):
+    # 8 int_0^a int_0^b (a - x)(b - y)(x^2 + y^2)^(-alpha) dy dx, split on the
+    # diagonal y = (b/a) x; each triangle's corner singularity is taken apart
+    # by the Duffy substitution y = x t (x = y t), leaving x^(1 - 2 alpha)
+    # to quad's algebraic weight
+    def triangle(p, q):
+        def inner(t):
+            val, _ = quad(lambda x: (p - x) * (q - x * t), 0.0, p,
+                          weight="alg", wvar=(1.0 - 2.0 * alpha, 0.0), epsabs=0.0, epsrel=1e-13)
+            return (1.0 + t * t) ** (-alpha) * val
 
-    def spy(window, r, upsilon_fn):
-        calls.append((window, r))
-        return distance_integral(window, r, upsilon_fn)
+        val, _ = quad(inner, 0.0, q / p, epsabs=0.0, epsrel=1e-13)
+        return val
 
-    monkeypatch.setattr(rosenblatt, "distance_integral", spy)
+    return 8.0 * (triangle(a, b) + triangle(b, a))
+
+
+@pytest.mark.parametrize("lower, upper", [
+    ((-1.0, -0.5), (1.0, 0.5)), ((-0.25, -2.0), (1.5, 0.5)), ((-1.0, -1.0), (1.0, 1.0)),
+])
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
+def test_rectangle_oracle_matches_a_cartesian_double_integral(lower, upper, alpha, monkeypatch):
+    def unused(*args):
+        raise AssertionError("the rectangle oracle must not use the histogram pdf")
+
+    monkeypatch.setattr(rosenblatt, "distance_integral", unused)
+    window = rectangle(lower, upper)
+    a, b = (hi - lo for lo, hi in zip(lower, upper))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        value = rosenblatt.variance_oracle(window, alpha)
+    assert value == pytest.approx(_rectangle_reference(a, b, alpha), rel=1e-10)
+
+
+def test_rectangle_oracle_past_the_histogram_divergence():
+    # 2 alpha >= 1: the histogram pdf of distance_integral gave 19.70 and
+    # 59.96 for this 2 x 1 rectangle
     window = rectangle((-1.0, -0.5), (1.0, 0.5))
-    value = rosenblatt.variance_oracle(window, 0.3)
-    assert calls == [(window, 1.0)]
-    assert value == pytest.approx(_quadrature_oracle(window, 0.3), rel=1e-14)
-    rosenblatt.variance_oracle(ball(2), 0.6)
-    rosenblatt.variance_oracle(rectangle((-1.0,), (2.0,)), 0.3)
-    assert len(calls) == 1
+    assert rosenblatt.variance_oracle(window, 0.6) == pytest.approx(21.2977, rel=1e-5)
+    assert rosenblatt.variance_oracle(window, 0.9) == pytest.approx(109.037, rel=1e-5)
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
