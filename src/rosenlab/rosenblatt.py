@@ -29,7 +29,7 @@ of the rank-2 statistic converge to these eigenvalues.
 The operator is never stored whole. It commutes with the symmetries of
 the window and the mesh, so it is kept as one symmetric block per
 invariant subspace, and the merged block spectra are exactly the
-spectrum of the full matrix:
+nonzero spectrum of the full matrix:
 
 - d=1: the window is origin-symmetric and the graded mesh is mirrored, so
   the operator commutes with the reflection x -> -x. On the positive nodes,
@@ -39,18 +39,23 @@ spectrum of the full matrix:
   which a dense polar mesh cannot resolve at a feasible matrix size. For
   ball windows the window transform and the singular weight are
   isotropic, so the operator commutes with rotations and splits into
-  angular Fourier blocks: each harmonic gives a small radial eigenproblem
-  (multiplicity two except the zeroth), solved exactly instead of meshing
-  the angle. Rectangular d=2 windows do not decouple and are refused.
+  angular Fourier blocks (multiplicity two except the zeroth harmonic m).
+  Gegenbauer's addition theorem writes the unit disk's transform as a
+  sum of rank-one terms over Bessel orders k, each in the harmonics m <= k
+  of k's parity, so block m is A_m^T A_m and is solved as the small Gram
+  matrix A_m A_m^T. Dilation covariance gives the disk of radius R as the
+  unit disk's blocks times R^(2 - alpha). Rectangular d=2 windows do not
+  decouple and are refused.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import atan2, ceil, cos, exp, factorial, lgamma, log, log2, pi, sin, sqrt
 
 import numpy as np
-from scipy.fft import dct, irfft
+from scipy.fft import irfft
+from scipy.special import jv
 
 from .covmodels import c2_constant
 from .errors import (
@@ -60,7 +65,7 @@ from .errors import (
     ParameterError,
     UnsupportedModelError,
 )
-from .geometry import ball_ft_radial, distance_integral, volume
+from .geometry import volume
 
 __all__ = [
     "RosenblattKernel",
@@ -94,7 +99,6 @@ _CDF_MAX_NODES = 2**20
 _TABLE_INTERP_TOL = 1e-10
 _TABLE_MAX_CELLS = 2**22
 _GRADED_END_2D = 1.0
-_ANGULAR_SAMPLES = 512  # transform content stays under ~cutoff+m_max harmonics
 _MAX_HARMONIC = 96
 
 
@@ -105,9 +109,10 @@ class RosenblattKernel:
     blocks holds one symmetric matrix per invariant subspace, and
     block_multiplicity how often each block's eigenvalues occur in the
     full spectrum. d=1: the even and odd blocks on the positive nodes,
-    multiplicity 1 each. d=2 (ball windows): one radial matrix per angular
-    harmonic, multiplicity 1 for the zeroth harmonic and 2 beyond.
-    spectrum_size is the order of the full operator.
+    multiplicity 1 each. d=2 (ball windows): per angular harmonic, a Gram
+    matrix with the nonzero spectrum of its radial block (see build_kernel),
+    multiplicity 1 for the zeroth harmonic and 2 beyond. spectrum_size is
+    the summed order of the blocks with multiplicity.
     """
 
     blocks: tuple
@@ -177,14 +182,20 @@ class EigenSeries:
 
 
 def _check_symmetric(window):
-    if window.shape == "ball":
-        return
-    for a, b in zip(window.lower, window.upper):
+    for a, b in zip(window.lower, window.upper):  # a ball has no corners
         if abs(a + b) > 1e-12:
             raise UnsupportedModelError(
                 "kernel construction needs an origin-symmetric window so the "
                 "window transform is real and even"
             )
+
+
+def _gauss_panels(edges):
+    """Gauss-Legendre nodes and weights of order _GL_ORDER on every panel."""
+    tg, wg = np.polynomial.legendre.leggauss(_GL_ORDER)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return (mid[:, None] + half[:, None] * tg).ravel(), (half[:, None] * wg).ravel()
 
 
 def _graded_axis(n_nodes, cutoff):
@@ -198,20 +209,12 @@ def _graded_axis(n_nodes, cutoff):
     ratio = (cutoff / _INNER_RADIUS) ** (1.0 / panels)
     edges = _INNER_RADIUS * ratio ** np.arange(panels + 1)
     edges[-1] = cutoff
-    tg, wg = np.polynomial.legendre.leggauss(_GL_ORDER)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * tg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
-    return x, w
+    return _gauss_panels(edges)
 
 
 def _window_transform_diff_1d(window, t):
     # real even transform of an origin-symmetric 1-d window at a lag matrix
-    if window.shape == "ball":
-        b = window.radius
-    else:
-        b = window.upper[0]
+    b = window.radius if window.shape == "ball" else window.upper[0]
     out = np.empty_like(t)
     small = np.abs(t) < 1e-8
     out[small] = 2.0 * b * (1.0 - (b * t[small]) ** 2 / 6.0)
@@ -226,48 +229,29 @@ def _radial_axis_2d(n_nodes, cutoff):
     oscillation out to the cutoff. Returns nodes and plain dr weights."""
     inner_panels = max(8, n_nodes // 16)
     outer_panels = (n_nodes - _GL_ORDER * inner_panels) // _GL_ORDER
-    tg, wg = np.polynomial.legendre.leggauss(_GL_ORDER)
     ratio = (_GRADED_END_2D / _INNER_RADIUS) ** (1.0 / inner_panels)
-    edges = np.concatenate(
-        [
-            _INNER_RADIUS * ratio ** np.arange(inner_panels),
-            np.linspace(_GRADED_END_2D, cutoff, outer_panels + 1),
-        ]
-    )
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * tg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
-    return x, w
+    graded = _INNER_RADIUS * ratio ** np.arange(inner_panels)
+    edges = np.concatenate([graded, np.linspace(_GRADED_END_2D, cutoff, outer_panels + 1)])
+    return _gauss_panels(edges)
 
 
-def _angular_block_coeffs(window, rad, m_max):
-    """Fourier coefficients a_m(r_i, r_j) of the window transform over the
-    included angle, m = 0..m_max, from samples of the angle.
+def _addition_rows(rad, cutoff):
+    """Rows sqrt(4 pi (k + 1)) J_{k+1}(r)/r, k = 0, 1, ..., at the radii rad.
 
-    The transform oscillates in the chord length, so the angular content
-    at radii (r, s) reaches roughly min(r, s) harmonics; the sample count
-    must stay ahead of both that and m_max. The chord is even in the angle
-    and symmetric in (r_i, r_j), so the transform is evaluated only on the
-    n_psi/2 + 1 angles in [0, pi] and on the pairs i <= j. A DCT-I of those
-    samples gives the cosine coefficients of all n_psi angles, and each pair
-    fills both triangles. Chunked over pairs to bound the pairs * samples
-    intermediate.
+    Gegenbauer's addition theorem (Watson, Bessel Functions, 11.41) gives
+    J_1(w)/w = 2 sum_k (k + 1) v_k(r) v_k(s) U_k(cos psi) at the chord
+    w^2 = r^2 + s^2 - 2 r s cos psi, v_k(r) = J_{k+1}(r)/r, and U_k carries
+    each harmonic m <= k of k's parity with weight one, so the harmonic-m
+    coefficient over psi of the unit disk transform 2 pi J_1(w)/w is
+    rows[m::2].T @ rows[m::2]. The rows stop at the first k whose term
+    (k + 1) v_k(r)^2 is below rounding next to the leading 1/4 on
+    [0, cutoff], where v_k grows once k + 1 > cutoff: at r = cutoff.
     """
-    n_psi = _ANGULAR_SAMPLES
-    cos = np.cos(2.0 * pi * np.arange(n_psi // 2 + 1) / n_psi)
-    n = rad.size
-    upper, lower = np.triu_indices(n)
-    coef = np.empty((n, n, m_max + 1))
-    step = max(1, int(2e8 / (8 * cos.size)))
-    for lo in range(0, upper.size, step):
-        ri = rad[upper[lo : lo + step], None]
-        rj = rad[lower[lo : lo + step], None]
-        chord = np.sqrt(np.maximum(ri**2 + rj**2 - 2.0 * ri * rj * cos, 0.0))
-        vals = dct(ball_ft_radial(window, chord), type=1, axis=1)[:, : m_max + 1] / n_psi
-        coef[upper[lo : lo + step], lower[lo : lo + step]] = vals
-        coef[lower[lo : lo + step], upper[lo : lo + step]] = vals
-    return coef
+    k = ceil(cutoff)
+    while (k + 1) * (jv(k + 1, cutoff) / cutoff) ** 2 > 0.25 * np.finfo(float).eps:
+        k += 1
+    k = np.arange(k)
+    return np.sqrt(4.0 * pi * (k + 1.0))[:, None] * jv(k[:, None] + 1.0, rad) / rad
 
 
 def build_kernel(window, alpha):
@@ -281,6 +265,12 @@ def build_kernel(window, alpha):
     variance across the oracle by several percent (see DEFAULT_NODES_1D),
     which limit_law's calibration gate refuses. In d=2, halving or
     doubling the radial count moves the calibration factor by under 1e-3.
+
+    d=2 block m is A_m^T A_m, A_m the _addition_rows of m's parity times the
+    radial weights, kept as the Gram matrix A_m A_m^T (same nonzero
+    spectrum) up to harmonic _MAX_HARMONIC or the last order. A disk of
+    radius R has transform R^2 K(R lam), K the unit disk's, so its blocks
+    are the unit disk's times R^(2 - alpha) exactly.
     """
     d = window.dimension
     if d not in (1, 2):
@@ -305,12 +295,11 @@ def build_kernel(window, alpha):
                 "decomposition relies on an isotropic transform"
             )
         rad, wrad = _radial_axis_2d(DEFAULT_RADIAL_2D, DEFAULT_CUTOFF_2D)
-        m_max = min(_MAX_HARMONIC, _ANGULAR_SAMPLES // 2 - 1)
-        coef = _angular_block_coeffs(window, rad, m_max)
         # radial measure s ds and one weight factor per side
-        su = np.sqrt(wrad * rad) * rad**expo
-        base = 2.0 * pi * c2 * np.outer(su, su)
-        blocks = [base * coef[:, :, harmonic] for harmonic in range(m_max + 1)]
+        rows = _addition_rows(rad, DEFAULT_CUTOFF_2D) * (np.sqrt(wrad * rad) * rad**expo)
+        gram = 2.0 * pi * c2 * window.radius ** (d - alpha) * (rows @ rows.T)
+        m_max = min(_MAX_HARMONIC, gram.shape[0] - 1)
+        blocks = [gram[harmonic::2, harmonic::2] for harmonic in range(m_max + 1)]
         multiplicity = (1,) + (2,) * m_max
     return RosenblattKernel(
         blocks=tuple(0.5 * (blk + blk.T) for blk in blocks),  # kill rounding asymmetry
@@ -375,12 +364,8 @@ def limit_law(window, alpha):
             f"calibration factor {factor:.4f} outside [0.97, 1.03]; kernel mesh "
             f"has not converged to the oracle variance"
         )
-    return EigenSeries(
-        eigenvalues=tuple(v * factor for v in series.eigenvalues),
-        kept=series.kept,
-        tail_mass=series.tail_mass,
-        raw_variance=series.raw_variance,
-        calibration_factor=factor,
+    return replace(
+        series, eigenvalues=tuple(v * factor for v in series.eigenvalues), calibration_factor=factor
     )
 
 
@@ -546,8 +531,9 @@ def variance_oracle(window, alpha):
     A d=2 rectangle of sides a and b goes through its lag z = u - v, whose
     overlap area is (a - |z1|)(b - |z2|): the oracle is 8 int_0^(pi/2) F(phi)
     dphi over the first quadrant in polar coordinates (_rectangle_oracle),
-    with F the radial integral in closed form. Rectangles in d >= 3 go
-    through distance_integral. Diverges (and raises IntegrabilityError) once
+    with F the radial integral in closed form. Rectangles in d >= 3 have no
+    oracle here and are refused with UnsupportedModelError (build_kernel
+    takes d in (1, 2) only). Diverges (and raises IntegrabilityError) once
     alpha >= d/2, d the window's dimension.
     """
     d = window.dimension
@@ -568,7 +554,7 @@ def variance_oracle(window, alpha):
     elif d == 2:
         return _rectangle_oracle(window, beta)
     else:
-        return 2.0 * distance_integral(window, 1.0, lambda z: z ** (-beta))
+        raise UnsupportedModelError(f"no variance oracle for a rectangle in d={d}; only d <= 2")
     return 2.0 * volume(window) ** 2 * moment
 
 
@@ -615,15 +601,28 @@ def series_to_json(series):
     )
 
 
+def _finite(value):
+    return type(value) in (int, float) and abs(value) <= np.finfo(float).max
+
+
 def series_from_json(text):
-    obj = json.loads(text)
-    missing = [k for k in ("eigenvalues", "kept", "tail_mass", "raw_variance") if k not in obj]
+    """The EigenSeries of a series_to_json document. ParameterError, before
+    any CDF is built, unless every field is a finite number, eigenvalues a
+    nonempty list of them and kept their count."""
+    try:
+        obj = json.loads(text)
+        missing = [k for k in ("eigenvalues", "kept", "tail_mass", "raw_variance") if k not in obj]
+    except (ValueError, TypeError):
+        raise ParameterError("series document must be a JSON object") from None
     if missing:
         raise ParameterError(f"series document missing {missing}")
-    return EigenSeries(
-        eigenvalues=tuple(obj["eigenvalues"]),
-        kept=int(obj["kept"]),
-        tail_mass=float(obj["tail_mass"]),
-        raw_variance=float(obj["raw_variance"]),
-        calibration_factor=float(obj.get("calibration_factor", 1.0)),
-    )
+    nu = obj["eigenvalues"]
+    if not (isinstance(nu, list) and nu and all(map(_finite, nu))):
+        raise ParameterError("series eigenvalues must be a nonempty list of finite numbers")
+    if obj["kept"] != len(nu):
+        raise ParameterError(f"series kept {obj['kept']!r} is not its {len(nu)} eigenvalues")
+    scalars = (obj["tail_mass"], obj["raw_variance"], obj.get("calibration_factor", 1.0))
+    if not all(map(_finite, scalars)):
+        raise ParameterError("series tail_mass, raw_variance and calibration_factor must be finite")
+    tail, raw, factor = map(float, scalars)
+    return EigenSeries(tuple(map(float, nu)), len(nu), tail, raw, factor)

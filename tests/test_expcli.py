@@ -296,6 +296,33 @@ def test_sample_of_a_three_term_series_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"eigenvalues": ["a"], "kept": 1}, "nonempty list of finite numbers"),
+    ({"eigenvalues": [], "kept": 0}, "nonempty list of finite numbers"),
+    ({"eigenvalues": [1.0, float("nan"), 0.5, 0.25, 0.125], "kept": 5},
+     "nonempty list of finite numbers"),
+    ({"kept": 7}, "kept 7 is not its 5 eigenvalues"),
+])
+def test_sample_refuses_a_malformed_series_before_tabulating(
+    tmp_path, capsys, monkeypatch, change, message
+):
+    def unused(*args):
+        raise AssertionError("a malformed series must not reach the CDF table")
+
+    monkeypatch.setattr(rosenblatt, "_node_plan", unused)
+    doc = {"eigenvalues": [1.0, 0.75, 0.5, 0.25, 0.125], "kept": 5, "tail_mass": 0.0,
+           "raw_variance": 3.6875, **change}
+    (tmp_path / "series.json").write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "x.csv"
+    argv = ["rosenblatt", "sample", "--series", str(tmp_path / "series.json"),
+            "--n", "10", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rosenlab: series ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def _count_solves(monkeypatch):
     solves = []
     checked = fieldsim.circulant_spectrum

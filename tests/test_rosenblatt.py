@@ -1,5 +1,6 @@
 """The chi-square series: its sampler, its CDF and its eigen-solve."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,12 @@ from scipy.stats import chi2, ks_2samp
 
 from rosenlab import rosenblatt
 from rosenlab.covmodels import c2_constant
-from rosenlab.errors import AccuracyError, IntegrabilityError, ParameterError
+from rosenlab.errors import (
+    AccuracyError,
+    IntegrabilityError,
+    ParameterError,
+    UnsupportedModelError,
+)
 from rosenlab.geometry import ball, ball_ft_radial, distance_integral, rectangle
 from rosenlab.rosenblatt import EigenSeries, sample, series_cdf
 
@@ -200,17 +206,55 @@ def test_the_interval_as_a_rectangle_gives_the_same_series(interval_kernel):
 
 
 def test_angular_coefficients_match_the_full_angle_fft():
-    # reference: the transform at every one of the n_psi angles and at every
-    # ordered pair of radii, and the real part of its rfft over the angle
+    # reference: the transform at every one of 512 angles and at every
+    # ordered pair of radii, and the real part of its rfft over the angle;
+    # subject: the addition-theorem coefficients rows[m::2].T @ rows[m::2]
     rad, _ = rosenblatt._radial_axis_2d(64, 20.0)
-    n_psi = rosenblatt._ANGULAR_SAMPLES
+    n_psi = 512
     cos = np.cos(2.0 * np.pi * np.arange(n_psi) / n_psi)
     r, s = rad[:, None, None], rad[None, :, None]
     chord = np.sqrt(np.maximum(r**2 + s**2 - 2.0 * r * s * cos, 0.0))
     want = np.fft.rfft(ball_ft_radial(ball(2), chord), axis=2).real[:, :, :41] / n_psi
-    got = rosenblatt._angular_block_coeffs(ball(2), rad, 40)
+    rows = rosenblatt._addition_rows(rad, 20.0)
+    assert rows.shape[0] < 41  # the harmonics past the last order are zero
+    got = np.stack([rows[m::2].T @ rows[m::2] for m in range(41)], axis=2)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     np.testing.assert_array_equal(got, got.transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("radius", [0.5, 3.0])
+def test_disk_spectrum_scales_with_the_radius(radius):
+    # the transform of the disk of radius R is R^2 times the unit one at R lam,
+    # so the eigenvalues scale by R^(2 - alpha)
+    alpha = 0.6
+    unit = np.sort(_merged_spectrum(rosenblatt.build_kernel(ball(2), alpha)))
+    got = np.sort(_merged_spectrum(rosenblatt.build_kernel(ball(2, radius), alpha)))
+    want = radius ** (2.0 - alpha) * unit
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_disk_law_keeps_the_values_of_the_angular_fft_build():
+    # pinned from the build that sampled the chord at 512 angles and solved
+    # 97 radial blocks of order 160
+    series = rosenblatt.limit_law(ball(2), 0.6)
+    assert series.kept == 300
+    nu = series.eigenvalues
+    assert nu[0] == pytest.approx(4.04647642267508, rel=1e-12)
+    assert nu[1] == pytest.approx(0.945562514469661, rel=1e-12)
+    assert nu[2] == pytest.approx(0.945562514469661, rel=1e-12)
+    assert series.raw_variance == pytest.approx(40.7355931428927, rel=1e-12)
+    assert rosenblatt.cumulant(series, 3) == pytest.approx(549.607018067481, rel=1e-12)
+
+
+def test_disk_kernel_build_stays_small_in_memory():
+    # the angular-sample build held ~98 MB of chord intermediates
+    tracemalloc.start()
+    try:
+        rosenblatt.build_kernel(ball(2), 0.6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_eigen_series_keeps_the_disk_series():
@@ -286,11 +330,9 @@ def _rectangle_reference(a, b, alpha):
     ((-1.0, -0.5), (1.0, 0.5)), ((-0.25, -2.0), (1.5, 0.5)), ((-1.0, -1.0), (1.0, 1.0)),
 ])
 @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
-def test_rectangle_oracle_matches_a_cartesian_double_integral(lower, upper, alpha, monkeypatch):
-    def unused(*args):
-        raise AssertionError("the rectangle oracle must not use the histogram pdf")
-
-    monkeypatch.setattr(rosenblatt, "distance_integral", unused)
+def test_rectangle_oracle_matches_a_cartesian_double_integral(lower, upper, alpha):
+    # the oracle has no route to the histogram pdf of distance_integral
+    assert not hasattr(rosenblatt, "distance_integral")
     window = rectangle(lower, upper)
     a, b = (hi - lo for lo, hi in zip(lower, upper))
     with warnings.catch_warnings():
@@ -305,6 +347,17 @@ def test_rectangle_oracle_past_the_histogram_divergence():
     window = rectangle((-1.0, -0.5), (1.0, 0.5))
     assert rosenblatt.variance_oracle(window, 0.6) == pytest.approx(21.2977, rel=1e-5)
     assert rosenblatt.variance_oracle(window, 0.9) == pytest.approx(109.037, rel=1e-5)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.6])
+def test_variance_oracle_refuses_a_rectangle_beyond_the_plane(alpha):
+    # the histogram pdf gave 119.15 and 123.96 on this cube with an
+    # IntegrationWarning; no exact value is at hand
+    cube = rectangle((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedModelError, match="rectangle in d=3"):
+            rosenblatt.variance_oracle(cube, alpha)
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
