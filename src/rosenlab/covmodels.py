@@ -8,6 +8,9 @@ exponent alpha, a slowly varying factor L, the admissible singularity
 budget q_max for cross-terms, and the origin correction exponent upsilon
 of its spectral density. Spectral densities come from closed forms where
 they exist and from adaptive quadrature of a real integrand otherwise.
+scipy loads with the spectral calls that use it, not with the module: the
+Cauchy density (scipy.special.kv), the Linnik density (kv and
+scipy.integrate.quad) and isotropic_measure (quad).
 """
 
 import json
@@ -16,7 +19,6 @@ from math import atan2, cos, gamma, pi, sin, sqrt
 from typing import Callable
 
 import numpy as np
-from scipy.special import kv
 
 from .errors import (
     AccuracyError,
@@ -248,6 +250,8 @@ def c2_constant(d, alpha):
 
 
 def _cauchy_density(d, theta, lam):
+    from scipy.special import kv
+
     return (
         lam ** (theta - 0.5 * d)
         * kv(0.5 * d - theta, lam)
@@ -257,9 +261,11 @@ def _cauchy_density(d, theta, lam):
 
 def _linnik_density(d, sigma, theta, lam):
     # real rational split of (1 + (iu)^sigma)^(-theta); the K-Bessel factor
-    # truncates the domain (K(45) ~ 3e-20). scipy.integrate loads here, on
-    # first use, so that the package import does not pay for it
+    # truncates the domain (K(45) ~ 3e-20). scipy.integrate and
+    # scipy.special load here, on first use, so that the package import does
+    # not pay for them; the integrand closure reads kv from this scope
     from scipy.integrate import quad
+    from scipy.special import kv
 
     nu = 0.5 * (d - 2.0)
     cs, sn = cos(0.5 * pi * sigma), sin(0.5 * pi * sigma)

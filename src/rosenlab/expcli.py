@@ -120,12 +120,21 @@ class ExperimentConfig:
             )
         if not self.h > 0.0:
             raise ParameterError(f"lattice step must be positive, got {self.h}")
+        _check_seed(self.master_seed)
         n_max = int(round(2.0 * window_extent(self.window, r[-1]) / self.h))
         if n_max > _EXTENT_BUDGET:
             raise ParameterError(
                 f"largest window needs {n_max} lattice points per axis, over the "
                 f"{_EXTENT_BUDGET} budget; coarsen h or shrink r_grid"
             )
+
+
+def _check_seed(seed):
+    # numpy's generators refuse a negative seed too, but only at the first
+    # draw, after the work before it, and with a ValueError traceback
+    if seed < 0:
+        raise ParameterError(f"seed must be a nonnegative integer, got {seed}")
+    return seed
 
 
 def config_to_json(config):
@@ -828,7 +837,7 @@ def _run(args):
             f"it reads {', '.join(map(repr, keys + _COMMON_KEYS))}"
         )
     out = _pick(args, doc, "out")
-    seed = int(_pick(args, doc, "seed", doc.get("master_seed", 0)))
+    seed = _check_seed(int(_pick(args, doc, "seed", doc.get("master_seed", 0))))
     t0 = time.perf_counter()
 
     header, rows, info = handler(args, doc, out, seed)

@@ -39,6 +39,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+# numpy loads these on first attribute access; load them with the module so
+# that the first field draw does not pay for it
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .covmodels import CovarianceModel, covariance_eval
 from .errors import (

@@ -7,6 +7,11 @@ volume and diameter, the indicator Fourier transform, the pdf of the
 distance between two independent uniform points, uniform sampling, and the
 reduction of double integrals of radial functions to one-dimensional
 integrals against that pdf.
+
+scipy is imported by the calls that need it, not with the module:
+distance_pdf on a ball (scipy.special.betainc) and distance_integral
+(scipy.integrate.quad). ball_ft_radial and indicator_ft load it through
+y_d_kernel for d = 2 (J_1 of the d + 2 = 4 kernel) and d >= 3.
 """
 
 import json
@@ -14,7 +19,6 @@ from dataclasses import dataclass
 from math import gamma
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import DomainError, IntegrabilityError, ParameterError
 from .specfun import y_d_kernel
@@ -182,6 +186,8 @@ def distance_pdf(window, r, z):
     d = window.dimension
     out = np.zeros_like(z)
     if window.shape == "ball":
+        from scipy.special import betainc
+
         rho = window.radius * r
         # z = 0 included: z^(d-1) gives the d = 1 triangular endpoint 1/rho
         # and vanishes for d >= 2

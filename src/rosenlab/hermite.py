@@ -12,6 +12,9 @@ recurrence construction overflows beyond a few hundred nodes, and
 non-smooth functionals need thousands of nodes for stable coefficients (see
 the order-stability guard in hermite_coefficients). Even then a kink at
 w = 0, as in |w|, leaves an error near 1e-4, hence the closed forms.
+scipy.special (roots_hermite) is therefore imported only where a plain
+callable is integrated, by hermite_coefficients and parseval_defect; the
+catalog functionals never load it.
 """
 
 from dataclasses import dataclass
@@ -19,7 +22,6 @@ from math import factorial, pi, sqrt
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from .errors import AccuracyError, ParameterError, RankError
 
@@ -64,6 +66,8 @@ def _hermite_matrix(J, w):
 
 
 def _coeffs_at(G, J, quad_order):
+    from scipy.special import roots_hermite
+
     t, wt = roots_hermite(quad_order)
     x = sqrt(2.0) * t
     gx = np.asarray(G(x), dtype=float)
@@ -143,6 +147,8 @@ def parseval_defect(G, expansion):
     if isinstance(G, CatalogFunctional):
         total = G.second_moment
     else:
+        from scipy.special import roots_hermite
+
         t, wt = roots_hermite(expansion.quad_order)
         x = sqrt(2.0) * t
         gx = np.asarray(G(x), dtype=float)

@@ -5,10 +5,10 @@ transform with a power singularity at zero frequency. Its law is the
 weighted series sum_j nu_j (Z_j^2 - 1) of centered chi-squares over the
 spectrum nu_j of that operator, which has closed-form cumulants and a
 closed-form characteristic function. Inverting that gives the exact CDF
-(series_cdf), and sample draws by inverting the CDF itself: one FFT puts
-the CDF on a fine grid (EigenSeries.cdf_table), and each draw is one
-uniform mapped through its linear interpolant, with a reported Kolmogorov
-error bound.
+(series_cdf), and sample draws by inverting the CDF itself: one FFT
+(numpy's, the one FFT library of the package) puts the CDF on a fine grid
+(EigenSeries.cdf_table), and each draw is one uniform mapped through its
+linear interpolant, with a reported Kolmogorov error bound.
 
 limit_law(window, alpha) is the one way to get the series. It discretizes
 the operator on a fixed Nystrom mesh (build_kernel), keeps its 300 largest
@@ -45,7 +45,13 @@ nonzero spectrum of the full matrix:
   of k's parity, so block m is A_m^T A_m and is solved as the small Gram
   matrix A_m A_m^T. Dilation covariance gives the disk of radius R as the
   unit disk's blocks times R^(2 - alpha). Rectangular d=2 windows do not
-  decouple and are refused.
+  decouple and are refused. The Bessel values J_{k+1}(r) of those terms
+  come from the Jacobi-Anger expansion e^(i r sin t) = sum_n J_n(r) e^(i n t):
+  one DFT over 256 angles (at the default cutoff) gives every order at
+  every radius at once.
+
+No part of the law loads scipy except the d=2 rectangle's variance oracle
+(scipy.integrate).
 """
 
 import json
@@ -54,8 +60,7 @@ from functools import cached_property
 from math import atan2, ceil, cos, exp, factorial, lgamma, log, log2, pi, sin, sqrt
 
 import numpy as np
-from scipy.fft import irfft
-from scipy.special import jv
+from numpy.polynomial.legendre import leggauss
 
 from .covmodels import c2_constant
 from .errors import (
@@ -100,6 +105,8 @@ _TABLE_INTERP_TOL = 1e-10
 _TABLE_MAX_CELLS = 2**22
 _GRADED_END_2D = 1.0
 _MAX_HARMONIC = 96
+# an addition-theorem term below this, next to the leading 1/4, is rounding
+_ROW_FLOOR = 0.25 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -192,7 +199,7 @@ def _check_symmetric(window):
 
 def _gauss_panels(edges):
     """Gauss-Legendre nodes and weights of order _GL_ORDER on every panel."""
-    tg, wg = np.polynomial.legendre.leggauss(_GL_ORDER)
+    tg, wg = leggauss(_GL_ORDER)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     return (mid[:, None] + half[:, None] * tg).ravel(), (half[:, None] * wg).ravel()
@@ -235,6 +242,40 @@ def _radial_axis_2d(n_nodes, cutoff):
     return _gauss_panels(edges)
 
 
+def _bessel_angles(cutoff):
+    """Angle count of the Bessel table: the power of two above twice the
+    largest order _addition_rows can keep at this cutoff.
+
+    |J_n(r)| <= (r/2)^n / n! bounds that order by the first n > cutoff whose
+    term n ((cutoff/2)^n / n! / cutoff)^2 is below _ROW_FLOOR, which is 95
+    at the default cutoff of 60, so 256 angles. Every kept order n then
+    aliases only with orders above the bound, which are below the floor.
+    """
+    n, floor = ceil(cutoff) + 1, log(_ROW_FLOOR)
+    while log(n) + 2.0 * (n * log(0.5 * cutoff) - lgamma(n + 1.0) - log(cutoff)) > floor:
+        n += 1
+    return 2 ** (2 * n).bit_length()
+
+
+def _bessel_table(r, angles):
+    """J_n(r) for n = 0, ..., angles/2 - 1 (rows) at the radii r (columns).
+
+    The Jacobi-Anger expansion e^(i r sin t) = sum_n J_n(r) e^(i n t) makes
+    J_n(r) the n-th Fourier coefficient of e^(i r sin t), so one DFT over
+    equispaced angles t gives every order, each off by its aliases
+    J_(n-angles)(r) + J_(n+angles)(r) + ..., the largest of size
+    |J_(angles-n)(r)|. The DFT runs over e^(ix) - 1 = 2i sin(x/2) e^(ix/2),
+    x = r sin t, which shifts only J_0 (by one, added back) and keeps every
+    order to rounding relative to r: next to the constant 1, J_1(r)/r = 1/2
+    would lose eight digits at the mesh's inner radius 1e-8.
+    """
+    half = 0.5 * np.sin(2.0 * pi / angles * np.arange(angles))[:, None] * np.asarray(r)
+    table = np.fft.fft(2j * np.sin(half) * np.exp(1j * half), axis=0)[: angles // 2].real
+    table /= angles
+    table[0] += 1.0
+    return table
+
+
 def _addition_rows(rad, cutoff):
     """Rows sqrt(4 pi (k + 1)) J_{k+1}(r)/r, k = 0, 1, ..., at the radii rad.
 
@@ -246,12 +287,17 @@ def _addition_rows(rad, cutoff):
     rows[m::2].T @ rows[m::2]. The rows stop at the first k whose term
     (k + 1) v_k(r)^2 is below rounding next to the leading 1/4 on
     [0, cutoff], where v_k grows once k + 1 > cutoff: at r = cutoff.
+    The Bessel values, at the radii and at the cutoff, are one Jacobi-Anger
+    table (_bessel_table) of _bessel_angles(cutoff) angles, computed with
+    numpy's FFT.
     """
+    table = _bessel_table(np.append(rad, cutoff), _bessel_angles(cutoff))
+    edge = table[:, -1] / cutoff
     k = ceil(cutoff)
-    while (k + 1) * (jv(k + 1, cutoff) / cutoff) ** 2 > 0.25 * np.finfo(float).eps:
+    while (k + 1) * edge[k + 1] ** 2 > _ROW_FLOOR:
         k += 1
     k = np.arange(k)
-    return np.sqrt(4.0 * pi * (k + 1.0))[:, None] * jv(k[:, None] + 1.0, rad) / rad
+    return np.sqrt(4.0 * pi * (k + 1.0))[:, None] * table[1 : k.size + 1, :-1] / rad
 
 
 def build_kernel(window, alpha):
@@ -457,7 +503,7 @@ def _cdf_table(nu, tol):
     while True:
         spectrum = np.zeros(cells + 1, dtype=complex)
         spectrum[1 : 2 * nodes : 2] = odd
-        cdf = irfft(spectrum, 2 * cells)[: cells + 1]
+        cdf = np.fft.irfft(spectrum, 2 * cells)[: cells + 1]
         cdf *= -cells
         cdf += 0.5
         curvature = np.diff(cdf, 2)

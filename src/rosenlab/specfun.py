@@ -8,13 +8,18 @@ spectral densities need, 1F2(a; 1/2, a+1; z), is evaluated here: by its
 series for z >= 0, by Gauss-Jacobi quadrature of its integral form for
 moderate negative z and by a trigonometric expansion beyond. The tests check
 every function against mpmath.
+
+scipy.special is imported inside the calls that need it, not with the
+module: bessel_k (kv), incomplete_beta (betainc), hyp1f2_cosine for
+-625 < z < 0 (roots_jacobi) and y_d_kernel for d = 2 (j0), d = 4 (j1) and
+d > 4 (jv). Gamma, the other 1F2 branches and y_d_kernel in d = 1, 3 are
+math and numpy only.
 """
 
 from functools import lru_cache
 from math import cos, gamma, isfinite, pi, sin, sqrt
 
 import numpy as np
-from scipy.special import betainc, j0, j1, jv, kv, roots_jacobi
 
 from .errors import AccuracyError, DomainError
 
@@ -40,6 +45,8 @@ def bessel_k(nu, z):
 
     Scalar or array z. Symmetric in nu.
     """
+    from scipy.special import kv
+
     zs = np.asarray(z, dtype=float)
     if np.any(zs <= 0.0):
         raise DomainError("bessel_k requires z > 0")
@@ -54,6 +61,8 @@ def incomplete_beta(mu, p, q):
         raise DomainError(f"incomplete_beta requires p, q > 0, got {p}, {q}")
     if not (0.0 <= mu <= 1.0):
         raise DomainError(f"incomplete_beta requires mu in [0, 1], got {mu}")
+    from scipy.special import betainc
+
     return float(betainc(p, q, mu))
 
 
@@ -115,6 +124,8 @@ def _hyp1f2_trig(a, lam):
 def _jacobi_rule(a):
     # a spectral density calls with one or two fixed a over a whole lambda
     # grid; the arrays are read-only because every caller shares them
+    from scipy.special import roots_jacobi
+
     x, w = roots_jacobi(_HYP_JACOBI_NODES, 0.0, 2.0 * a - 1.0)
     x.flags.writeable = False
     w.flags.writeable = False
@@ -172,15 +183,21 @@ def y_d_kernel(d, z):
         if d == 1:
             out = np.cos(zs)
         elif d == 2:
+            from scipy.special import j0
+
             out = j0(zs)
         elif d == 3:
             out = np.sin(zs)
             out /= zs
         elif d == 4:
+            from scipy.special import j1
+
             out = j1(zs)
             out *= 2.0
             out /= zs
         else:
+            from scipy.special import jv
+
             nu = 0.5 * d - 1.0
             out = jv(nu, zs)
             out *= 2.0**nu * gamma(0.5 * d)

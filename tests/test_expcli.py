@@ -15,6 +15,7 @@ import pytest
 from scipy.special import ndtr
 
 from rosenlab import expcli, fieldsim, rosenblatt
+from rosenlab.errors import ParameterError
 from rosenlab.expcli import ExperimentConfig, config_to_json, main
 from rosenlab.rosenblatt import EigenSeries, series_cdf, series_from_json, series_to_json
 
@@ -143,7 +144,7 @@ def test_flags_override_the_config_document(tmp_path):
 
 
 def _never_called(*args):
-    raise AssertionError("the command ran past the config key check")
+    raise AssertionError("the command ran past its input checks")
 
 
 @pytest.mark.parametrize("command, doc, unknown", [
@@ -187,6 +188,34 @@ def test_a_config_document_of_read_keys_is_accepted(tmp_path, monkeypatch):
     manifest = _manifest(out)
     assert manifest["config"]["config_document"] == doc
     assert manifest["seeds"] == {"master_seed": 3}
+
+
+@pytest.mark.parametrize("argv", [
+    ["rosenblatt", "sample", "--series", "series.json", "--n", "10"],
+    ["rate", "experiment", "--model", MODEL, "--set", WINDOW, "--functional", "h2", "--r", "8"],
+    ["simulate", "field", "--model", MODEL, "--h", "1.0", "--extent", "8.0"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_a_negative_seed_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    # numpy refuses it too, but only at the first draw and with a traceback
+    for name in ("limit_law", "model_from_json", "series_from_json"):
+        monkeypatch.setattr(expcli, name, _never_called)
+    out = tmp_path / "out"
+    assert main([*argv, "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "rosenlab: seed must be a nonnegative integer, got -1\n"
+    assert not out.exists()
+
+
+def test_a_negative_master_seed_in_a_config_document_is_refused(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(expcli, "limit_law", _never_called)
+    doc = {"model": json.loads(MODEL), "window": json.loads(WINDOW), "functional": "h2",
+           "r_grid": [8], "master_seed": -2}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["rate", "experiment", "--config", str(path), "--out", str(tmp_path / "rho")]) == 2
+    assert capsys.readouterr().err == "rosenlab: seed must be a nonnegative integer, got -2\n"
+    config = {**doc, "model": expcli.model_from_json(MODEL), "window": expcli.set_from_json(WINDOW)}
+    with pytest.raises(ParameterError, match="seed must be a nonnegative integer, got -2"):
+        ExperimentConfig(**config)
 
 
 def _option_names(command):

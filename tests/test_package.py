@@ -44,33 +44,62 @@ def test_the_package_imports_cleanly():
 # never on import.
 HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
 
+# Records the scipy modules loaded at each point: after the import, after
+# the limit-law builds and a draw, after a rate experiment in d=1 and d=2
+# (what the benchmark runs), and after a quad caller, which must load
+# HEAVY_SCIPY and so shows that the record sees a load.
 _FOOTPRINT = """
 import json, os, sys
 from rosenlab import expcli
+from rosenlab.covmodels import cauchy, isotropic_measure
 
-out, heavy = sys.argv[1], json.loads(sys.argv[2])
-loaded = {"import": [m for m in heavy if m in sys.modules]}
+out = sys.argv[1]
+loaded = {}
+
+def record(point):
+    loaded[point] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+def run(argv):
+    if expcli.main(argv):
+        sys.exit(f"{argv[:2]} failed")
+
+record("import")
 for name, d, alpha in (("interval", 1, "0.4"), ("disk", 2, "0.6")):
     window = json.dumps({"shape": "ball", "R": 1.0, "d": d})
     path = os.path.join(out, name + ".json")
-    if expcli.main(["rosenblatt", "build", "--set", window, "--alpha", alpha, "--out", path]):
-        sys.exit(f"rosenblatt build failed on the {name}")
-loaded["build"] = [m for m in heavy if m in sys.modules]
+    run(["rosenblatt", "build", "--set", window, "--alpha", alpha, "--out", path])
+run(["rosenblatt", "sample", "--series", os.path.join(out, "interval.json"), "--n", "1000",
+     "--seed", "5", "--out", os.path.join(out, "draws.csv")])
+record("build")
+for d, theta, functional, h, r in ((1, 0.2, "abs-centered", "0.5", "4"), (2, 0.3, "h2", "1.0", "8")):
+    run(["rate", "experiment",
+         "--model", json.dumps({"family": "cauchy", "d": d, "theta": theta}),
+         "--set", json.dumps({"shape": "ball", "R": 1.0, "d": d}),
+         "--functional", functional, "--h", h, "--r", r, "--replicates", "1000",
+         "--seed", "3", "--out", os.path.join(out, f"rho-d{d}.csv")])
+record("experiment")
+isotropic_measure(cauchy(2, 0.3), 1.0)
+record("quad")
 print(json.dumps(loaded))
 """
 
 
-def test_import_and_build_do_not_load_scipy_integrate(tmp_path):
+def test_import_and_benchmark_commands_load_no_scipy(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, "-c", _FOOTPRINT, str(tmp_path), json.dumps(HEAVY_SCIPY)],
+        [sys.executable, "-c", _FOOTPRINT, str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == {"import": [], "build": []}
-    assert (tmp_path / "interval.json").exists() and (tmp_path / "disk.json").exists()
+    loaded = json.loads(done.stdout)
+    assert {point: loaded[point] for point in ("import", "build", "experiment")} == {
+        "import": [], "build": [], "experiment": []
+    }
+    assert set(HEAVY_SCIPY) <= set(loaded["quad"])
+    for name in ("interval.json", "disk.json", "draws.csv", "rho-d1.csv", "rho-d2.csv"):
+        assert (tmp_path / name).exists()
 
 
 def test_quad_callers_still_give_their_values():

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
+from scipy.special import jv
 from scipy.stats import chi2, ks_2samp
 
 from rosenlab import rosenblatt
@@ -220,6 +221,21 @@ def test_angular_coefficients_match_the_full_angle_fft():
     got = np.stack([rows[m::2].T @ rows[m::2] for m in range(41)], axis=2)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     np.testing.assert_array_equal(got, got.transpose(1, 0, 2))
+
+
+def test_bessel_table_matches_scipy_on_the_radial_mesh():
+    cutoff = rosenblatt.DEFAULT_CUTOFF_2D
+    rad, _ = rosenblatt._radial_axis_2d(rosenblatt.DEFAULT_RADIAL_2D, cutoff)
+    angles = rosenblatt._bessel_angles(cutoff)
+    assert angles == 256
+    r = np.append(rad, cutoff)
+    table = rosenblatt._bessel_table(r, angles)
+    assert table.shape == (angles // 2, r.size)
+    assert np.max(np.abs(table - jv(np.arange(angles // 2)[:, None], r))) <= 1e-14
+    # J_1(r)/r next to the constant term of e^(i r sin t), at the inner radius
+    inner = rosenblatt._bessel_table(np.array([1e-8]), angles)[1, 0] / 1e-8
+    assert inner == pytest.approx(jv(1, 1e-8) / 1e-8, rel=1e-12)
+    assert rosenblatt._addition_rows(rad, cutoff).shape[0] == 83
 
 
 @pytest.mark.parametrize("radius", [0.5, 3.0])
