@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one seed check.
 
 Each class marks one failure category so tests and callers can tell a bad
 argument from a numerical breakdown. Everything derives from RosenlabError.
 """
+
+from numbers import Integral
 
 
 class RosenlabError(Exception):
@@ -51,3 +53,16 @@ class RankError(RosenlabError, ValueError):
 
 class DegenerateFitError(RosenlabError, RuntimeError):
     """Not enough usable points above the noise floor to fit a slope."""
+
+
+def check_seed(seed):
+    """seed as an int, or ParameterError unless it is a nonnegative integer.
+
+    Every entry point that seeds a generator calls this first. numpy refuses
+    a negative seed too, but only at the first draw, after the work before
+    it, and with a ValueError traceback; a bool, a float or a string would be
+    truncated or refused there.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)

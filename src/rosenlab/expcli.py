@@ -39,7 +39,7 @@ from .covmodels import (
     residual_exponent_fit,
     spectral_density,
 )
-from .errors import ParameterError, RankError, RosenlabError
+from .errors import ParameterError, RankError, RosenlabError, check_seed
 # functional_integral is not called here; the perfbench tracer test reaches
 # it through this module's namespace
 from .fieldsim import (  # noqa: F401
@@ -92,8 +92,9 @@ _BOOTSTRAP_RESAMPLES = 200
 _BOOTSTRAP_TAG = 0xB007
 _REPLICATE_TAG = 0xF1E1D
 _EXTENT_BUDGET = 2**22
-# values per chunk of a streamed one-column CSV
-_CSV_CHUNK = 2**16
+# values per chunk of a streamed one-column CSV; _repr_lines holds about
+# 5 MB of working arrays for a chunk of 2**14 values, 20 MB for 2**16
+_CSV_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -120,21 +121,13 @@ class ExperimentConfig:
             )
         if not self.h > 0.0:
             raise ParameterError(f"lattice step must be positive, got {self.h}")
-        _check_seed(self.master_seed)
+        check_seed(self.master_seed)
         n_max = int(round(2.0 * window_extent(self.window, r[-1]) / self.h))
         if n_max > _EXTENT_BUDGET:
             raise ParameterError(
                 f"largest window needs {n_max} lattice points per axis, over the "
                 f"{_EXTENT_BUDGET} budget; coarsen h or shrink r_grid"
             )
-
-
-def _check_seed(seed):
-    # numpy's generators refuse a negative seed too, but only at the first
-    # draw, after the work before it, and with a ValueError traceback
-    if seed < 0:
-        raise ParameterError(f"seed must be a nonnegative integer, got {seed}")
-    return seed
 
 
 def config_to_json(config):
@@ -366,14 +359,155 @@ def _fmt(value):
     return str(value)
 
 
+# _repr_lines tables. 10**s is exact in binary64 for s <= 22, and so are
+# its Veltkamp halves (10**s = 5**s * 2**s has at most 47 significant bits).
+_POW10 = 10.0 ** np.arange(21)
+_SPLIT = 134217729.0  # 2**27 + 1
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# a distance this close to a rounding edge or a tie is left to repr
+_EDGE = 2.0**-20
+# a line is drawn from one row of 42 columns: sign, "0.", three zeros, the
+# 17 digits, '.', the 17 digits again and the newline; its layout picks the
+# columns it keeps
+_LINE = np.frombuffer(b"-0.000" + b"0" * 17 + b"." + b"0" * 17 + b"\n", np.uint8)
+_INT, _FRAC = 6, 24  # first column of each copy of the digits
+
+
+def _layouts():
+    """Kept columns per layout, one row per code.
+
+    Code (sign * 20 + decpt + 3) * 17 + count - 1 is a positional line:
+    decpt in [-3, 16] places the point (the value is 0.d1d2... * 10**decpt)
+    and count in [1, 17] is the number of significant digits. Code
+    _REPR_CODE + k keeps the first k columns, where a repr line was written.
+    """
+    sign, decpt, count = (
+        g.reshape(-1, 1)
+        for g in np.meshgrid((0, 1), np.arange(-3, 17), np.arange(1, 18), indexing="ij")
+    )
+    col = np.arange(_LINE.size)
+    lead = decpt <= 0  # "0." and -decpt zeros come before the digits
+    end = _FRAC + np.where(lead, count, np.maximum(count, decpt + 1))
+    keep = (col == 0) & (sign == 1)
+    keep |= lead & (col >= 1) & (col < 3 - decpt)
+    keep |= ~lead & (((col >= _INT) & (col < _INT + decpt)) | (col == _FRAC - 1))
+    keep |= (col >= _FRAC + np.where(lead, 0, decpt)) & (col < end)
+    keep |= col == col[-1]
+    return np.concatenate([keep, col < np.arange(_LINE.size + 1).reshape(-1, 1)])
+
+
+_LAYOUTS = _layouts()
+_REPR_CODE = 2 * 20 * 17
+
+
+def _repr_lines(values):
+    """The text repr(x) + "\\n" for each x of a 1-d float array, joined.
+
+    repr writes the shortest digit string that reads back as x, the nearest
+    to x among those, positionally for 1e-4 <= |x| < 1e16. There this works
+    on whole arrays. With e = floor(log10 |x|) and s = 16 - e in [1, 20],
+    y = |x| * 10**s in [1e16, 1e17) is formed exactly as yh + yl (Dekker's
+    product with Veltkamp's split), so its integer part is exact in int64
+    and its fraction is within 2**-53. Every real within h = ulp(x)/2 *
+    10**s of y, itself an exact double between 0.55 and 11.2, reads back as
+    x. The digits are those of y rounded to the coarsest multiple of 10**q
+    that stays within h: q = 0 always does, a rounding that stays within h
+    does so at every finer q, and at the coarsest q the last digit is not 0.
+    Each value that this cannot settle exactly is formatted by repr in its
+    place: |x| outside the range, 0, inf and nan; a power-of-two
+    significand, whose interval is lopsided; a log10 in the wrong decade; a
+    tie in the rounding; and a distance within 2**-20 of h, where the
+    interval's open or closed edge would matter.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16) & ((a.view(np.uint64) & np.uint64(2**52 - 1)) != 0)
+    a = np.where(fast, a, 1.5)
+    e = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.intp)
+    s = 16 - e
+    p = _POW10[s]
+    yh = a * p
+    ah = _SPLIT * a
+    ah -= ah - a
+    al = a - ah
+    ph, pl = _POW10_HI[s], _POW10_LO[s]
+    yl = al * pl - (((yh - ah * ph) - al * ph) - ah * pl)
+    # y = whole + frac with frac in [0, 1], rounded by at most 2**-53
+    floor_yl = np.floor(yl)
+    whole = yh.astype(np.int64) + floor_yl.astype(np.int64)
+    frac = yl - floor_yl
+    fast &= (whole >= 10**16) & (whole < 10**17)
+    h = np.spacing(a) * 0.5 * p
+    # distances to the nearest multiples of 10 and of 100, for every value
+    tens, hundreds = whole // 10, whole // 100
+    t1 = (whole - tens * 10) + frac
+    t2 = (whole - hundreds * 100) + frac
+    d1 = np.minimum(t1, 10.0 - t1)
+    d2 = np.minimum(t2, 100.0 - t2)
+    ok1, ok2 = d1 < h, d2 < h
+    fast &= (np.abs(d1 - h) > _EDGE) & (np.abs(d2 - h) > _EDGE)
+    # a tie at the q taken; from q = 2 on, a tie is farther from y than h
+    fast &= np.where(ok1, ok2 | (np.abs(t1 - 5.0) > _EDGE), np.abs(frac - 0.5) > _EDGE)
+    digits = np.where(ok1, (tens + (t1 > 5.0)) * 10, whole + (frac > 0.5))
+    q = ok1 + ok2.astype(np.intp)
+    # the few values that pass q = 2 go on to coarser q
+    idx = np.flatnonzero(ok2)
+    digits[idx] = (hundreds[idx] + (t2[idx] > 50.0)) * 100
+    for level in range(3, 17):
+        if idx.size == 0:
+            break
+        scale = 10**level
+        quo = whole[idx] // scale
+        rem = whole[idx] - quo * scale
+        t = rem + frac[idx]
+        dist = np.minimum(t, (scale - rem) - frac[idx])
+        fast[idx] &= np.abs(dist - h[idx]) > _EDGE
+        ok = dist < h[idx]
+        idx = idx[ok]
+        q[idx] = level
+        digits[idx] = (quo[ok] + (t[ok] > scale / 2)) * scale
+    fast &= digits < 10**17  # a rounding up to the next decade
+    # the 17 digits, from two uint32 halves, in columns of one array
+    high = digits // 10**9
+    parts = ((high, range(7, -1, -1)), (digits - high * 10**9, range(16, 7, -1)))
+    cols = np.empty((17, x.size), np.uint32)
+    for part, positions in parts:
+        part = part.astype(np.uint32)
+        for k in positions:
+            rest = part // np.uint32(10)
+            np.subtract(part, rest * np.uint32(10), out=cols[k])
+            part = rest
+    cols = cols.astype(np.uint8).T
+    cols += ord("0")
+    mat = np.empty((x.size, _LINE.size), np.uint8)
+    mat[:] = _LINE
+    mat[:, _INT : _INT + 17] = cols
+    mat[:, _FRAC : _FRAC + 17] = cols
+    code = ((x < 0) * 20 + e + 4) * 17 + 16 - q
+    # repr's lines, written in place from column 0 of their rows
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        lines = [repr(v) + "\n" for v in x[slow].tolist()]
+        lens = np.fromiter(map(len, lines), np.intp, slow.size)
+        text = np.frombuffer("".join(lines).encode("ascii"), np.uint8)
+        starts = np.repeat(np.cumsum(lens) - lens, lens)
+        mat[np.repeat(slow, lens), np.arange(text.size) - starts] = text
+        code[slow] = _REPR_CODE + lens
+    return mat[_LAYOUTS[code]].tobytes().decode("ascii")
+
+
 def _csv_text(header, rows):
-    """The CSV text in parts: one part, or chunks of _CSV_CHUNK values."""
+    """The CSV text in parts: one part, or chunks of _CSV_CHUNK values.
+
+    A 1-d float array is one column: _repr_lines writes each chunk, in the
+    same bytes as repr, which is what _fmt writes; no float needs quoting.
+    Chunks keep the text of 10^6 values from being held at once.
+    """
     if isinstance(rows, np.ndarray):
-        # one float column: repr is what _fmt writes, and no float needs
-        # quoting; chunks keep the text of 10^6 values from being held at once
         yield f"{header[0]}\n"
         for start in range(0, rows.size, _CSV_CHUNK):
-            yield "\n".join(map(repr, rows[start : start + _CSV_CHUNK].tolist())) + "\n"
+            yield _repr_lines(rows[start : start + _CSV_CHUNK])
         return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -387,8 +521,8 @@ def _write_csv(out, header, rows):
     """CSV with a header row, '.' decimals, shortest round-trip floats.
 
     rows is a sequence of tuples, or a 1-d float array for a one-column
-    table, which is formatted without the per-value csv machinery and
-    written in chunks.
+    table, which is formatted by _repr_lines, with no per-value Python work
+    outside its fallback, and written in chunks of _CSV_CHUNK values.
     """
     if out is None:
         sys.stdout.writelines(_csv_text(header, rows))
@@ -535,7 +669,7 @@ def _cmd_simulate_field(args, doc, out, seed):
         dimension=model.dimension,
         h=float(_need(args, doc, "h")),
         extent=float(_need(args, doc, "extent")),
-        seed=int(seed),
+        seed=seed,
         padding=int(_pick(args, doc, "padding", DEFAULT_PADDING)),
         clamp_tol=None if clamp_tol is None else float(clamp_tol),
     )
@@ -563,7 +697,7 @@ def _cmd_rosenblatt_sample(args, doc, out, seed):
     with open(path, "r", encoding="utf-8") as fh:
         series = series_from_json(fh.read())
     n = int(_need(args, doc, "n"))
-    draws = sample(series, n, int(seed))
+    draws = sample(series, n, seed)
     table = series.cdf_table
     return ("x",), draws, {
         "series": path,
@@ -631,7 +765,7 @@ def _cmd_rate_experiment(args, doc, out, seed):
         functional=str(_need(args, doc, "functional")),
         r_grid=tuple(_floats(_need(args, doc, "r_grid", flag="r"))),
         replicates=int(_pick(args, doc, "replicates", 1000)),
-        master_seed=int(seed),
+        master_seed=seed,
         h=float(_pick(args, doc, "h", 0.25)),
         out=out,
     )
@@ -837,14 +971,16 @@ def _run(args):
             f"it reads {', '.join(map(repr, keys + _COMMON_KEYS))}"
         )
     out = _pick(args, doc, "out")
-    seed = _check_seed(int(_pick(args, doc, "seed", doc.get("master_seed", 0))))
+    seed = check_seed(_pick(args, doc, "seed", doc.get("master_seed", 0)))
     t0 = time.perf_counter()
 
     header, rows, info = handler(args, doc, out, seed)
 
     outputs = []
     if header is not None:
+        t_write = time.perf_counter()
         written = _write_csv(out, header, rows)
+        info["write_seconds"] = time.perf_counter() - t_write
         if written is not None:
             outputs.append(written)
     elif out is not None:

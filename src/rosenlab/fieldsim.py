@@ -50,6 +50,7 @@ from .errors import (
     EmbeddingError,
     ParameterError,
     RankError,
+    check_seed,
 )
 
 __all__ = [
@@ -104,7 +105,7 @@ class SimulationPlan:
     while the embedding spectrum is inadmissible. clamp_tol is the most
     negative eigenvalue, relative to the peak, that the embedding clamps to
     zero instead of escalating; it defaults to CLAMP_TOL of the dimension,
-    1e-8 in d=1 and 1e-7 in d=2.
+    1e-8 in d=1 and 1e-7 in d=2. seed must be a nonnegative integer.
     """
 
     model: object
@@ -116,6 +117,7 @@ class SimulationPlan:
     clamp_tol: float = None
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.dimension not in (1, 2):
             raise ParameterError(
                 f"simulation supports d in (1, 2), got {self.dimension}"
@@ -544,7 +546,7 @@ def replicate_generator(master_seed, *keys):
     that tells the streams of one experiment apart.
     """
     return np.random.default_rng(
-        np.random.SeedSequence([int(master_seed), *(int(k) for k in keys)])
+        np.random.SeedSequence([check_seed(master_seed), *(int(k) for k in keys)])
     )
 
 

@@ -20,7 +20,7 @@ from math import gamma
 
 import numpy as np
 
-from .errors import DomainError, IntegrabilityError, ParameterError
+from .errors import DomainError, IntegrabilityError, ParameterError, check_seed
 from .specfun import y_d_kernel
 
 __all__ = [
@@ -250,12 +250,13 @@ def uniform_sample(window, r, n, seed):
 
     Balls use rejection from the bounding cube; the generator is owned by
     this call, so concurrent calls with distinct seeds are independent.
+    ParameterError for a seed that is not a nonnegative integer.
     """
+    rng = np.random.default_rng(check_seed(seed))
     r = _check_r(r)
     n = int(n)
     if n < 1:
         raise ParameterError(f"sample count must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
     d = window.dimension
     if window.shape == "rect":
         lo = np.array(window.lower) * r

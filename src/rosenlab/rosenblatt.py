@@ -69,6 +69,7 @@ from .errors import (
     IntegrabilityError,
     ParameterError,
     UnsupportedModelError,
+    check_seed,
 )
 from .geometry import volume
 
@@ -422,13 +423,15 @@ def sample(series, n, seed):
     linear interpolant of series.cdf_table, so the draws follow a law within
     series.cdf_table.ks_bound of the series law in Kolmogorov distance, and
     the first k of n draws are the k draws of the same seed. AccuracyError
-    where the table cannot be built (see EigenSeries.cdf_table).
+    where the table cannot be built (see EigenSeries.cdf_table), and
+    ParameterError for a seed that is not a nonnegative integer.
     """
+    rng = np.random.default_rng(check_seed(seed))
     n = int(n)
     if n < 1:
         raise ParameterError(f"sample count must be >= 1, got {n}")
     table = series.cdf_table
-    return np.interp(np.random.default_rng(seed).random(n), table.cdf, table.x)
+    return np.interp(rng.random(n), table.cdf, table.x)
 
 
 def _upper_tail_point(nu, eps):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -218,6 +219,19 @@ def test_a_negative_master_seed_in_a_config_document_is_refused(tmp_path, capsys
         ExperimentConfig(**config)
 
 
+@pytest.mark.parametrize("seed, shown", [("x", "'x'"), (1.5, "1.5"), (True, "True")])
+def test_a_config_seed_that_is_not_an_integer_is_refused(tmp_path, capsys, monkeypatch, seed, shown):
+    # int() raised a traceback on "x" and truncated 1.5 and true to 1
+    monkeypatch.setattr(expcli, "limit_law", _never_called)
+    out = tmp_path / "series.json"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"set": json.loads(WINDOW), "alpha": 0.4, "seed": seed}),
+                    encoding="utf-8")
+    assert main(["rosenblatt", "build", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"rosenlab: seed must be a nonnegative integer, got {shown}\n"
+    assert not out.exists()
+
+
 def _option_names(command):
     group, action = command.split()
     parser = expcli._build_parser()
@@ -292,6 +306,110 @@ def test_sample_csv_streams_the_same_bytes_in_chunks(tmp_path, monkeypatch, caps
     capsys.readouterr()
     assert main(argv) == 0
     assert capsys.readouterr().out == whole
+
+
+def _repr_text(values):
+    return "".join(f"{v!r}\n" for v in np.asarray(values, dtype=float).tolist())
+
+
+def _random_bits(rng, n, exponents=(0, 2047)):
+    """Doubles with random significands, signs and biased exponents."""
+    bits = rng.integers(0, 2**52, n, dtype=np.uint64)
+    bits |= rng.integers(*exponents, n).astype(np.uint64) << np.uint64(52)
+    bits |= rng.integers(0, 2, n).astype(np.uint64) << np.uint64(63)
+    return bits.view(np.float64)
+
+
+_KERNEL_SETS = {
+    "random bit patterns": lambda rng, n: _random_bits(rng, n),
+    # exponents 2**-14 .. 2**54 cover the positional range 1e-4 .. 1e16
+    "random positional bit patterns": lambda rng, n: _random_bits(rng, n, (1009, 1078)),
+    "log-uniform 1e-10 to 1e20": lambda rng, n: (
+        rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-10.0, 20.0, n)
+    ),
+    "rounded to 3 decimals": lambda rng, n: np.round(rng.uniform(-1e3, 1e3, n), 3),
+    "integers up to 1e15": lambda rng, n: rng.integers(-10**15, 10**15, n).astype(float),
+    "powers of 2 and 10 and their neighbours": lambda rng, n: np.concatenate([
+        np.nextafter(b, toward) * sign
+        for b in (2.0 ** np.arange(-40, 70), 10.0 ** np.arange(-12, 22))
+        for toward in (-np.inf, 0.0, np.inf) for sign in (1.0, -1.0)
+    ] + [2.0 ** np.arange(-40, 70), 10.0 ** np.arange(-12, 22)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_SETS))
+def test_repr_lines_writes_the_bytes_of_repr(name):
+    values = _KERNEL_SETS[name](np.random.default_rng(sorted(_KERNEL_SETS).index(name)), 200_000)
+    assert expcli._repr_lines(values) == _repr_text(values)
+
+
+def test_repr_lines_fixed_cases():
+    values = [
+        # y / 10 is an exact tie here, and repr's last digit is 2, not 3
+        794740577644134.25, -794740577644134.25,
+        # the ends of the positional range and their neighbours
+        1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0),
+        1e16, np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf),
+        0.0, -0.0, 5e-324, -2.2250738585072014e-308, 2.225073858507201e-308,
+        np.inf, -np.inf, np.nan,
+        0.1, 0.5, 1.0, 9.999999999999998, 0.125, 100.0, 1.7976931348623157e308,
+        9007199254740993.0, 9999999999999998.0, 123456789012345.67,
+    ]
+    assert expcli._repr_lines(np.array(values)) == _repr_text(values)
+    assert expcli._repr_lines(np.array(values[:2])) == "794740577644134.2\n-794740577644134.2\n"
+
+
+def test_repr_lines_keeps_repr_for_a_few_draws_only(monkeypatch):
+    # repr writes only what the kernel leaves to it: the 17 NaNs here and a
+    # few edge cases among the 2**14 draws
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return repr(value)
+
+    values = np.random.default_rng(4).standard_normal(expcli._CSV_CHUNK) * 3.0
+    values[::1000] = np.nan
+    monkeypatch.setattr(expcli, "repr", counted, raising=False)
+    text = expcli._repr_lines(values)
+    monkeypatch.undo()
+    assert text == _repr_text(values)
+    assert 17 <= len(calls) <= 40
+
+
+def test_csv_chunks_meet_at_their_boundary():
+    n = 2 * expcli._CSV_CHUNK + 5
+    draws = np.random.default_rng(6).standard_normal(n)
+    for start in (expcli._CSV_CHUNK, 2 * expcli._CSV_CHUNK):
+        draws[start - 2 : start + 2] = (-0.0, np.nan, 1e-5, 794740577644134.25)
+    text = "".join(expcli._csv_text(("x",), draws))
+    assert text == "x\n" + _repr_text(draws)
+
+
+def test_repr_lines_working_memory_per_chunk():
+    values = np.random.default_rng(8).standard_normal(expcli._CSV_CHUNK)
+    expcli._repr_lines(values)
+    tracemalloc.start()
+    try:
+        expcli._repr_lines(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 5 MB at 2**14 values
+    assert peak <= 8e6
+
+
+def test_sample_manifest_records_the_write_time(tmp_path):
+    nu = tuple(1.5 / (1.0 + j) for j in range(8))
+    series = EigenSeries(eigenvalues=nu, kept=8, tail_mass=0.0,
+                         raw_variance=2.0 * sum(v * v for v in nu))
+    (tmp_path / "series.json").write_text(series_to_json(series), encoding="utf-8")
+    out = tmp_path / "x.csv"
+    argv = ["rosenblatt", "sample", "--series", str(tmp_path / "series.json"),
+            "--n", "20000", "--out", str(out)]
+    assert main(argv) == 0
+    manifest = _manifest(out)
+    assert 0.0 < manifest["config"]["derived_write_seconds"] <= manifest["wall_seconds"]
 
 
 def test_sample_manifest_records_the_table_and_its_bound(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from rosenlab import fieldsim
 from rosenlab.covmodels import cauchy, covariance_eval, lrd_params
-from rosenlab.errors import CoverageError, EmbeddingError, ParameterError, RankError
+from rosenlab.errors import CoverageError, EmbeddingError, ParameterError, RankError, check_seed
 from rosenlab.fieldsim import (
     GridField,
     SimulationPlan,
@@ -56,6 +56,20 @@ def test_plan_validation():
     with pytest.raises(ParameterError, match="model dimension 1"):
         # the model's long-memory parameters were declared for d=1
         SimulationPlan(model=m, dimension=2, h=1.0, extent=8.0, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+def test_a_seed_that_is_not_a_nonnegative_integer_is_refused(seed):
+    # numpy would refuse -1 only at the first draw, and take 1.5 or True
+    with pytest.raises(ParameterError, match="seed must be a nonnegative integer"):
+        SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=0.5, extent=8.0, seed=seed)
+    with pytest.raises(ParameterError, match="seed must be a nonnegative integer"):
+        replicate_generator(seed, 0)
+
+
+def test_check_seed_takes_numpy_integers():
+    assert check_seed(np.int64(3)) == 3 and type(check_seed(np.uint32(3))) is int
+    assert check_seed(0) == 0
 
 
 @pytest.mark.parametrize("dimension", [1, 2])

@@ -232,6 +232,12 @@ def test_uniform_sample_deterministic():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.0, True])
+def test_uniform_sample_refuses_a_bad_seed(seed):
+    with pytest.raises(ParameterError, match="seed must be a nonnegative integer"):
+        uniform_sample(ball(2), 1.0, 10, seed=seed)
+
+
 def test_pairwise_distance_histogram_matches_pdf():
     w = ball(2)
     n = 60000

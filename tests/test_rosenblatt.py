@@ -119,6 +119,14 @@ def test_sample_refuses_a_series_it_cannot_tabulate(nu, message):
         sample(_weights(nu), 10, 0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.0, False])
+def test_sample_refuses_a_bad_seed_before_tabulating(seed):
+    series = _series(8)
+    with pytest.raises(ParameterError, match="seed must be a nonnegative integer"):
+        sample(series, 10, seed)
+    assert "cdf_table" not in vars(series)
+
+
 @pytest.mark.parametrize("k", [8, 12, 50, 300])
 def test_series_cdf_matches_scaled_chi_square(k):
     # nu (chi2_k - k) is the series with k equal weights nu
