@@ -52,7 +52,6 @@ from .fieldsim import (
     import_field,
     ks_distance,
     normalized_statistic,
-    reduction_check,
     simulate_field,
 )
 from .geometry import (
@@ -71,7 +70,6 @@ from .hermite import (
     HermiteExpansion,
     functional_catalog,
     hermite_coefficients,
-    hermite_rank,
 )
 from .ratelab import (
     RateInputs,
@@ -99,12 +97,6 @@ from .rosenblatt import (
     series_to_json,
     variance_oracle,
 )
-from .specfun import (
-    bessel_k,
-    gamma_fn,
-    hyp1f2_cosine,
-    incomplete_beta,
-    y_d_kernel,
-)
+from .specfun import hyp1f2_cosine, y_d_kernel
 
 __version__ = "0.1.0"

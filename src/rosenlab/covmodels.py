@@ -9,13 +9,13 @@ budget q_max for cross-terms, and the origin correction exponent upsilon
 of its spectral density. Spectral densities come from closed forms where
 they exist and from adaptive quadrature of a real integrand otherwise.
 scipy loads with the spectral calls that use it, not with the module: the
-Cauchy density (scipy.special.kv), the Linnik density (kv and
-scipy.integrate.quad) and isotropic_measure (quad).
+Cauchy density (scipy.special.kv) and the Linnik density (kv and
+scipy.integrate.quad).
 """
 
 import json
 from dataclasses import dataclass, field
-from math import atan2, cos, gamma, pi, sin, sqrt
+from math import atan2, cos, gamma, pi, sin
 from typing import Callable
 
 import numpy as np
@@ -27,6 +27,7 @@ from .errors import (
     ParameterError,
     RegimeError,
     UnsupportedModelError,
+    check_json_object,
 )
 from .specfun import hyp1f2_cosine
 
@@ -44,9 +45,6 @@ __all__ = [
     "spectral_density",
     "spectral_leading",
     "residual_exponent_fit",
-    "slowly_varying_remainder",
-    "isotropic_measure",
-    "qr_diagnostic",
 ]
 
 
@@ -106,7 +104,7 @@ def model_to_json(model):
 
 
 def model_from_json(text):
-    obj = json.loads(text) if isinstance(text, str) else dict(text)
+    obj = check_json_object(text, "model descriptor")
     fam = obj.get("family")
     fields = {
         "cauchy": ("d", "theta"),
@@ -359,74 +357,3 @@ def residual_exponent_fit(model, lam_grid):
         )
     slope, _ = np.polyfit(np.log(lam_grid), np.log(resid), 1)
     return float(slope)
-
-
-def slowly_varying_remainder(L, q, r_grid, t_grid):
-    """sup over the grids of r^q |1 - L(t r) / L(r)|.
-
-    A finite, stable value over r up to 10^3 and beyond certifies the
-    weighted slow-variation bound used by the rate theorem; a value growing
-    with r is reported, not raised.
-    """
-    r_grid = np.asarray(r_grid, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if not q > 0.0:
-        raise ParameterError(f"q must be positive, got {q}")
-    if np.any(r_grid <= 0.0) or np.any(t_grid < 1.0):
-        raise ParameterError("need r > 0 and t >= 1")
-    if r_grid.max() < 1e3:
-        raise ParameterError("r grid must reach 10^3 to probe the tail")
-    best = 0.0
-    for r in r_grid:
-        lr = L(r)
-        for t in t_grid:
-            val = r**q * abs(1.0 - L(t * r) / lr)
-            if val > best:
-                best = val
-    return best
-
-
-def isotropic_measure(model, z):
-    """Radial spectral mass Phi(z) = (2 pi^(d/2) / Gamma(d/2)) int_0^z u^(d-1) f(u) du."""
-    from scipy.integrate import quad
-
-    z = float(z)
-    if z < 0.0:
-        raise DomainError(f"isotropic measure needs z >= 0, got {z}")
-    if z == 0.0:
-        return 0.0
-    d = model.dimension
-    val, err = quad(
-        lambda u: u ** (d - 1.0) * spectral_density(model, u),
-        0.0,
-        z,
-        limit=200,
-        epsabs=1e-10,
-        epsrel=1e-8,
-    )
-    if err > max(1e-6, 1e-4 * abs(val)):
-        raise AccuracyError(
-            f"isotropic measure quadrature error {err:.2e} too large", estimate=err
-        )
-    return 2.0 * pi ** (0.5 * d) / gamma(0.5 * d) * val
-
-
-def _qr_value(f_of_lam, params, r, lam1, lam2):
-    d, al = params.dimension, params.alpha
-    c2 = c2_constant(d, al)
-    prod = lam1 ** (d - al) * lam2 ** (d - al) * f_of_lam(lam1 / r) * f_of_lam(lam2 / r)
-    return r ** (al - d) / params.slowly_varying(r) / c2 * sqrt(prod)
-
-
-def qr_diagnostic(model, r, lam1, lam2):
-    """Normalized spectral ratio at scale r; tends to 1 as r grows.
-
-    Measures how far f is from its origin asymptote at the frequencies that
-    matter after rescaling by r; the rate of this convergence is what the
-    correction exponent upsilon controls.
-    """
-    r, lam1, lam2 = float(r), float(lam1), float(lam2)
-    if r <= 0.0 or lam1 <= 0.0 or lam2 <= 0.0:
-        raise DomainError("qr_diagnostic needs r, lam1, lam2 > 0")
-    params = lrd_params(model)
-    return _qr_value(lambda u: spectral_density(model, u), params, r, lam1, lam2)

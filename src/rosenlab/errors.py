@@ -1,9 +1,12 @@
-"""Exception types shared across the package, and the one seed check.
+"""Exception types shared across the package, and the checks of a seed and
+of a JSON descriptor.
 
 Each class marks one failure category so tests and callers can tell a bad
 argument from a numerical breakdown. Everything derives from RosenlabError.
 """
 
+import json
+import reprlib
 from numbers import Integral
 
 
@@ -66,3 +69,18 @@ def check_seed(seed):
     if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
         raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
     return int(seed)
+
+
+def check_json_object(text, what):
+    """A JSON object's text, or a mapping, as a dict; else ParameterError.
+
+    Text that is not JSON, and JSON that is not an object, are refused here,
+    not later with a JSONDecodeError or AttributeError; what names the text.
+    """
+    try:
+        obj = json.loads(text) if isinstance(text, str) else dict(text)
+    except (TypeError, ValueError):
+        obj = None
+    if not isinstance(obj, dict):
+        raise ParameterError(f"{what} must be a JSON object, got {reprlib.repr(text)}")
+    return obj

@@ -39,7 +39,7 @@ from .covmodels import (
     residual_exponent_fit,
     spectral_density,
 )
-from .errors import ParameterError, RankError, RosenlabError, check_seed
+from .errors import ParameterError, RankError, RosenlabError, check_json_object, check_seed
 # functional_integral is not called here; the perfbench tracer test reaches
 # it through this module's namespace
 from .fieldsim import (  # noqa: F401
@@ -567,67 +567,84 @@ def _load_config_doc(path):
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ParameterError("config document must be a JSON object")
-    return doc
+        return check_json_object(fh.read(), "config document")
 
 
-def _pick(args, doc, key, default=None, flag=None):
+def _pick(args, doc, key, default=None, flag=None, kind=None):
     """The flag's value, else the config document's, else default.
 
-    flag names the option when it differs from the config key.
+    flag names the option when it differs from the config key. kind, one of
+    int, float, _floats and _grid, reads the value; a value it cannot read
+    is a ParameterError naming the option.
     """
-    value = getattr(args, (flag or key).replace("-", "_"), None)
-    if value is not None:
+    name = (flag or key).replace("_", "-")
+    value = getattr(args, name.replace("-", "_"), None)
+    if value is None:
+        value = doc.get(key, default)
+    if value is None or kind is None:
         return value
-    if key in doc:
-        return doc[key]
-    return default
+    if kind in (_floats, _grid):
+        return kind(value, name)
+    return _number(kind, value, name)
 
 
-def _need(args, doc, key, flag=None):
-    value = _pick(args, doc, key, flag=flag)
+def _need(args, doc, key, flag=None, kind=None):
+    value = _pick(args, doc, key, flag=flag, kind=kind)
     if value is None:
         raise ParameterError(f"missing required option --{(flag or key).replace('_', '-')}")
     return value
 
 
-def _floats(text):
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    return [float(tok) for tok in str(text).split(",") if tok.strip()]
+def _number(kind, value, name):
+    """value as an int or a float (kind), or ParameterError naming --name.
+
+    An int must be written as one: 1.5 and true are refused, not truncated.
+    """
+    try:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)):
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        raise ParameterError(f"--{name} must be {noun}, got {value!r}") from None
 
 
-def _grid(text):
+def _floats(text, name):
+    """A list of numbers, or one comma-separated string of them."""
+    if not isinstance(text, (list, tuple)):
+        text = [tok for tok in str(text).split(",") if tok.strip()]
+    return [_number(float, v, name) for v in text]
+
+
+def _grid(text, name):
     """start:stop:count linear grid, or a comma list."""
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    s = str(text)
-    if ":" in s:
-        start, stop, count = s.split(":")
-        return list(np.linspace(float(start), float(stop), int(count)))
-    return _floats(s)
+    if isinstance(text, str) and ":" in text:
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ParameterError(f"--{name} grid must be start:stop:count, got {text!r}")
+        start, stop = (_number(float, v, name) for v in parts[:2])
+        return list(np.linspace(start, stop, _number(int, parts[2], name)))
+    return _floats(text, name)
 
 
 def _cmd_covariance_eval(args, doc, out, seed):
     model = model_from_json(_need(args, doc, "model"))
-    rs = _floats(_need(args, doc, "r"))
+    rs = _need(args, doc, "r", kind=_floats)
     rows = [(r, float(covariance_eval(model, r))) for r in rs]
     return ("r", "covariance"), rows, {}
 
 
 def _cmd_spectral_eval(args, doc, out, seed):
     model = model_from_json(_need(args, doc, "model"))
-    lams = _floats(_need(args, doc, "lam"))
+    lams = _need(args, doc, "lam", kind=_floats)
     rows = [(lam, float(spectral_density(model, lam))) for lam in lams]
     return ("lam", "density"), rows, {}
 
 
 def _cmd_spectral_fit(args, doc, out, seed):
     model = model_from_json(_need(args, doc, "model"))
-    grid = _pick(args, doc, "grid")
-    grid = np.geomspace(1e-4, 10**-2.5, 10) if grid is None else np.asarray(_grid(grid))
+    grid = _pick(args, doc, "grid", kind=_grid)
+    grid = np.geomspace(1e-4, 10**-2.5, 10) if grid is None else np.asarray(grid)
     fit = residual_exponent_fit(model, grid)
     target = lrd_params(model).upsilon
     rows = [(model.family, float(fit), float(target), float(fit - target))]
@@ -636,13 +653,13 @@ def _cmd_spectral_fit(args, doc, out, seed):
 
 def _cmd_geometry_ft(args, doc, out, seed):
     window = set_from_json(_need(args, doc, "set"))
-    zs = _floats(_need(args, doc, "z"))
-    direction = _pick(args, doc, "direction")
+    zs = _need(args, doc, "z", kind=_floats)
+    direction = _pick(args, doc, "direction", kind=_floats)
     if direction is None:
         vec = np.zeros(window.dimension)
         vec[0] = 1.0
     else:
-        vec = np.asarray(_floats(direction), dtype=float)
+        vec = np.asarray(direction, dtype=float)
         if vec.shape != (window.dimension,) or not np.linalg.norm(vec) > 0:
             raise ParameterError("direction must be a nonzero vector matching d")
         vec = vec / np.linalg.norm(vec)
@@ -655,7 +672,7 @@ def _cmd_geometry_ft(args, doc, out, seed):
 
 def _cmd_hermite_coeffs(args, doc, out, seed):
     name = _need(args, doc, "functional")
-    order = int(_pick(args, doc, "order", 6))
+    order = _pick(args, doc, "order", 6, kind=int)
     expansion = hermite_coefficients(functional_catalog(name), order)
     rows = [(j, c) for j, c in enumerate(expansion.coeffs)]
     return ("j", "coefficient"), rows, {"rank": expansion.rank, "functional": name}
@@ -663,15 +680,14 @@ def _cmd_hermite_coeffs(args, doc, out, seed):
 
 def _cmd_simulate_field(args, doc, out, seed):
     model = model_from_json(_need(args, doc, "model"))
-    clamp_tol = _pick(args, doc, "clamp-tol")
     plan = SimulationPlan(
         model=model,
         dimension=model.dimension,
-        h=float(_need(args, doc, "h")),
-        extent=float(_need(args, doc, "extent")),
+        h=_need(args, doc, "h", kind=float),
+        extent=_need(args, doc, "extent", kind=float),
         seed=seed,
-        padding=int(_pick(args, doc, "padding", DEFAULT_PADDING)),
-        clamp_tol=None if clamp_tol is None else float(clamp_tol),
+        padding=_pick(args, doc, "padding", DEFAULT_PADDING, kind=int),
+        clamp_tol=_pick(args, doc, "clamp-tol", kind=float),
     )
     if out is None:
         raise ParameterError("simulate field writes binary output; --out is required")
@@ -682,7 +698,7 @@ def _cmd_simulate_field(args, doc, out, seed):
 
 def _cmd_rosenblatt_build(args, doc, out, seed):
     window = set_from_json(_need(args, doc, "set"))
-    series = limit_law(window, float(_need(args, doc, "alpha")))
+    series = limit_law(window, _need(args, doc, "alpha", kind=float))
     text = series_to_json(series)
     if out is None:
         sys.stdout.write(text + "\n")
@@ -694,9 +710,9 @@ def _cmd_rosenblatt_build(args, doc, out, seed):
 
 def _cmd_rosenblatt_sample(args, doc, out, seed):
     path = _need(args, doc, "series")
+    n = _need(args, doc, "n", kind=int)
     with open(path, "r", encoding="utf-8") as fh:
         series = series_from_json(fh.read())
-    n = int(_need(args, doc, "n"))
     draws = sample(series, n, seed)
     table = series.cdf_table
     return ("x",), draws, {
@@ -710,14 +726,13 @@ def _cmd_rosenblatt_sample(args, doc, out, seed):
 def _cmd_rate_bound(args, doc, out, seed):
     model_spec = _pick(args, doc, "model")
     if model_spec is not None:
-        q = _pick(args, doc, "q")
-        inputs = inputs_from_model(model_from_json(model_spec), q=None if q is None else float(q))
+        inputs = inputs_from_model(model_from_json(model_spec), q=_pick(args, doc, "q", kind=float))
     else:
         inputs = RateInputs(
-            dimension=int(_need(args, doc, "d")),
-            alpha=float(_need(args, doc, "alpha")),
-            q=float(_need(args, doc, "q")),
-            upsilon=float(_need(args, doc, "upsilon")),
+            dimension=_need(args, doc, "d", kind=int),
+            alpha=_need(args, doc, "alpha", kind=float),
+            q=_need(args, doc, "q", kind=float),
+            upsilon=_need(args, doc, "upsilon", kind=float),
         )
     rows = [
         (
@@ -740,15 +755,14 @@ def _cmd_rate_bound(args, doc, out, seed):
 
 def _cmd_rate_curves(args, doc, out, seed):
     family = str(_need(args, doc, "family"))
-    grid = _grid(_need(args, doc, "alpha-grid"))
-    q = _pick(args, doc, "q")
-    q = None if q is None else float(q)
+    grid = _need(args, doc, "alpha-grid", kind=_grid)
+    q = _pick(args, doc, "q", kind=float)
     if family == "localglobal":
-        theta = float(_pick(args, doc, "theta", 0.5))
+        theta = _pick(args, doc, "theta", 0.5, kind=float)
         builder = lambda a: local_global(1, a, theta)
     elif family == "linnik":
-        d = int(_need(args, doc, "d"))
-        sigma = float(_need(args, doc, "sigma"))
+        d = _need(args, doc, "d", kind=int)
+        sigma = _need(args, doc, "sigma", kind=float)
         builder = lambda a: linnik(d, sigma, a / sigma)
     else:
         raise ParameterError(f"unknown curve family {family!r}; use localglobal or linnik")
@@ -763,10 +777,10 @@ def _cmd_rate_experiment(args, doc, out, seed):
         model=model_from_json(_need(args, doc, "model")),
         window=set_from_json(_need(args, doc, "window", flag="set")),
         functional=str(_need(args, doc, "functional")),
-        r_grid=tuple(_floats(_need(args, doc, "r_grid", flag="r"))),
-        replicates=int(_pick(args, doc, "replicates", 1000)),
+        r_grid=tuple(_need(args, doc, "r_grid", flag="r", kind=_floats)),
+        replicates=_pick(args, doc, "replicates", 1000, kind=int),
         master_seed=seed,
-        h=float(_pick(args, doc, "h", 0.25)),
+        h=_pick(args, doc, "h", 0.25, kind=float),
         out=out,
     )
     table = rate_experiment(config)
@@ -790,11 +804,11 @@ def _cmd_rate_experiment(args, doc, out, seed):
 
 
 def _cmd_verify_supmin(args, doc, out, seed):
-    d = int(_need(args, doc, "d"))
-    alpha = float(_need(args, doc, "alpha"))
-    q = float(_need(args, doc, "q"))
-    upsilon = float(_need(args, doc, "upsilon"))
-    res = int(_pick(args, doc, "resolution", 1000))
+    d = _need(args, doc, "d", kind=int)
+    alpha = _need(args, doc, "alpha", kind=float)
+    q = _need(args, doc, "q", kind=float)
+    upsilon = _need(args, doc, "upsilon", kind=float)
+    res = _pick(args, doc, "resolution", 1000, kind=int)
     search = SupMinSearch(
         beta_points=res,
         gamma_points=res,

@@ -69,7 +69,6 @@ __all__ = [
     "replicate_generator",
     "functional_integral",
     "normalized_statistic",
-    "reduction_check",
     "export_field",
     "import_field",
     "DEFAULT_PADDING",
@@ -626,31 +625,6 @@ def normalized_statistic(kr, c2, r, params):
         * params.slowly_varying(r)
     )
     return 2.0 * float(kr) / scale
-
-
-def reduction_check(fields, G, window, r, expansion, params):
-    """Two-sample Kolmogorov distance between X_r of G and its rank-2 part.
-
-    Both statistics are computed on the same replicate fields with the same
-    normalization; for G = H2 the distance is zero by construction, and for
-    higher functionals it shrinks as the rank-2 projection dominates.
-    expansion must have rank 2.
-    """
-    if expansion.rank != 2:
-        raise RankError(f"reduction check needs a rank-2 functional, got rank {expansion.rank}")
-    c0 = expansion.coeffs[0]
-    c2 = expansion.coeffs[2]
-    xs = np.empty(len(fields))
-    ys = np.empty(len(fields))
-    for i, field in enumerate(fields):
-        lat_vol = lattice_window_volume(field, window, r)
-        kr = functional_integral(field, G, window, r) - c0 * lat_vol
-        kr2 = 0.5 * c2 * functional_integral(
-            field, lambda w: w * w - 1.0, window, r
-        )
-        xs[i] = normalized_statistic(kr, c2, r, params)
-        ys[i] = normalized_statistic(kr2, c2, r, params)
-    return ks_distance(xs, ys)
 
 
 def ks_distance(sample_a, sample_b):

@@ -3,10 +3,12 @@
 A window is a ball of radius R or an axis-aligned rectangle with the origin
 in its interior. Homothety enters everywhere through the scale factor r:
 the scaled window is r times the base set. The module provides the window
-volume and diameter, the indicator Fourier transform, the pdf of the
-distance between two independent uniform points, uniform sampling, and the
+volume and diameter, the indicator Fourier transform, uniform sampling, the
+pdf of the distance between two independent uniform points, and the
 reduction of double integrals of radial functions to one-dimensional
-integrals against that pdf.
+integrals against that pdf. The pdf is exact on balls and intervals and
+refused on rectangles in d >= 2, which have no closed form here
+(rosenblatt.variance_oracle integrates d = 2 rectangles over their lag).
 
 scipy is imported by the calls that need it, not with the module:
 distance_pdf on a ball (scipy.special.betainc) and distance_integral
@@ -20,7 +22,14 @@ from math import gamma
 
 import numpy as np
 
-from .errors import DomainError, IntegrabilityError, ParameterError, check_seed
+from .errors import (
+    DomainError,
+    IntegrabilityError,
+    ParameterError,
+    UnsupportedModelError,
+    check_json_object,
+    check_seed,
+)
 from .specfun import y_d_kernel
 
 __all__ = [
@@ -84,7 +93,7 @@ def set_to_json(window):
 
 
 def set_from_json(text):
-    obj = json.loads(text) if isinstance(text, str) else dict(text)
+    obj = check_json_object(text, "window descriptor")
     if obj.get("shape") == "ball":
         if "d" not in obj:
             raise ParameterError("ball descriptor needs a dimension field 'd'")
@@ -170,14 +179,22 @@ def ball_ft_radial(window, z):
     return volume(window) * y_d_kernel(window.dimension + 2, window.radius * np.asarray(z, dtype=float))
 
 
+def _check_exact_pdf(window):
+    if window.shape == "rect" and window.dimension >= 2:
+        raise UnsupportedModelError(
+            f"no distance pdf for a rectangle in d={window.dimension}; balls and "
+            f"intervals only"
+        )
+
+
 def distance_pdf(window, r, z):
     """pdf of |X - Y| for X, Y independent uniform on the scaled window.
 
-    Balls use the incomplete-beta closed form; rectangles in d >= 2 use a
-    cached Monte Carlo histogram (approximate, statistical error noted in
-    the docstring of _rect_histogram), d = 1 rectangles are exact.
-    Scalar or array z.
+    Balls use the incomplete-beta closed form and intervals the triangular
+    law. A rectangle in d >= 2 has no closed form here and is refused with
+    UnsupportedModelError. Scalar or array z.
     """
+    _check_exact_pdf(window)
     r = _check_r(r)
     scalar = np.ndim(z) == 0
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -204,45 +221,11 @@ def distance_pdf(window, r, z):
             betainc(a, 0.5, (1.0 - x) * (1.0 + x)),
         )
         out[inside] = d * rho ** (-d) * zi ** (d - 1.0) * vals
-    elif d == 1:
+    else:
         ell = (window.upper[0] - window.lower[0]) * r
         inside = (z >= 0.0) & (z < ell)
         out[inside] = 2.0 * (ell - z[inside]) / ell**2
-    else:
-        edges, dens = _rect_histogram(window)
-        zi = z / r
-        idx = np.searchsorted(edges, zi, side="right") - 1
-        ok = (idx >= 0) & (idx < dens.size)
-        out[ok] = dens[idx[ok]] / r
     return float(out[0]) if scalar else out
-
-
-_RECT_CACHE = {}
-_RECT_PAIRS = 1_000_000
-_RECT_BINS = 512
-_RECT_SEED = 1836311903
-
-
-def _rect_histogram(window):
-    """Histogram density of |X - Y| on the unit-scale rectangle.
-
-    10^6 uniform pairs, 512 bins, fixed seed: deterministic across runs,
-    per-bin statistical error about 2-3% at the density scale. Cached by
-    window identity.
-    """
-    key = (window.dimension, window.lower, window.upper)
-    if key in _RECT_CACHE:
-        return _RECT_CACHE[key]
-    rng = np.random.default_rng(_RECT_SEED)
-    lo = np.array(window.lower)
-    hi = np.array(window.upper)
-    x = rng.uniform(lo, hi, size=(_RECT_PAIRS, window.dimension))
-    y = rng.uniform(lo, hi, size=(_RECT_PAIRS, window.dimension))
-    dist = np.sqrt(np.sum((x - y) ** 2, axis=1))
-    dmax = diameter(window, 1.0)
-    hist, edges = np.histogram(dist, bins=_RECT_BINS, range=(0.0, dmax), density=True)
-    _RECT_CACHE[key] = (edges, hist)
-    return _RECT_CACHE[key]
 
 
 def uniform_sample(window, r, n, seed):
@@ -281,10 +264,13 @@ def distance_integral(window, r, upsilon_fn):
     """Double integral of upsilon(|x - y|) over the scaled window, squared.
 
     Reduces to |window(r)|^2 times the expectation of upsilon against the
-    distance pdf. The integrand may blow up at zero; a log-slope probe near
-    the origin rejects non-integrable singularities before quadrature.
-    scipy.integrate is imported on the first call, not with the module.
+    distance pdf, so it takes the windows distance_pdf takes: a rectangle in
+    d >= 2 is refused with UnsupportedModelError. The integrand may blow up
+    at zero; a log-slope probe near the origin rejects non-integrable
+    singularities before quadrature. scipy.integrate is imported on the
+    first call, not with the module.
     """
+    _check_exact_pdf(window)
     from scipy.integrate import quad
 
     r = _check_r(r)
@@ -301,16 +287,6 @@ def distance_integral(window, r, upsilon_fn):
             )
     dmax = diameter(window, r)
     total_sq = volume(window, r) ** 2
-    if window.shape == "rect" and d >= 2:
-        edges, dens = _rect_histogram(window)
-        acc = 0.0
-        for i in range(dens.size):
-            if dens[i] == 0.0:
-                continue
-            lo, hi = edges[i] * r, edges[i + 1] * r
-            val, _ = quad(upsilon_fn, lo, hi, epsabs=1e-12, epsrel=1e-9, limit=60)
-            acc += dens[i] / r * val
-        return total_sq * acc
     val, _ = quad(
         lambda z: upsilon_fn(z) * distance_pdf(window, r, z),
         0.0,

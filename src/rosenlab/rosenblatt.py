@@ -69,6 +69,7 @@ from .errors import (
     IntegrabilityError,
     ParameterError,
     UnsupportedModelError,
+    check_json_object,
     check_seed,
 )
 from .geometry import volume
@@ -658,11 +659,8 @@ def series_from_json(text):
     """The EigenSeries of a series_to_json document. ParameterError, before
     any CDF is built, unless every field is a finite number, eigenvalues a
     nonempty list of them and kept their count."""
-    try:
-        obj = json.loads(text)
-        missing = [k for k in ("eigenvalues", "kept", "tail_mass", "raw_variance") if k not in obj]
-    except (ValueError, TypeError):
-        raise ParameterError("series document must be a JSON object") from None
+    obj = check_json_object(text, "series document")
+    missing = [k for k in ("eigenvalues", "kept", "tail_mass", "raw_variance") if k not in obj]
     if missing:
         raise ParameterError(f"series document missing {missing}")
     nu = obj["eigenvalues"]

@@ -1,19 +1,18 @@
 """Special functions with the package's domain checks and typed errors.
 
-Gamma, Bessel K and the regularized incomplete beta are thin wrappers over
-math and scipy.special. The radial window kernel Y_d uses the closed forms
-in d <= 4 (cos, J_0, sin(z)/z and 2 J_1(z)/z), which are both faster and
-more accurate than the generic J_nu. scipy has no 1F2, so the one family the
-spectral densities need, 1F2(a; 1/2, a+1; z), is evaluated here: by its
-series for z >= 0, by Gauss-Jacobi quadrature of its integral form for
-moderate negative z and by a trigonometric expansion beyond. The tests check
-every function against mpmath.
+Gamma, Bessel K and the incomplete beta are called directly where they are
+needed (math.gamma, scipy.special.kv and betainc). The radial window kernel
+Y_d uses the closed forms in d <= 4 (cos, J_0, sin(z)/z and 2 J_1(z)/z),
+which are both faster and more accurate than the generic J_nu. scipy has no
+1F2, so the one family the spectral densities need, 1F2(a; 1/2, a+1; z), is
+evaluated here: by its series for z >= 0, by Gauss-Jacobi quadrature of its
+integral form for moderate negative z and by a trigonometric expansion
+beyond. The tests check both functions against mpmath.
 
 scipy.special is imported inside the calls that need it, not with the
-module: bessel_k (kv), incomplete_beta (betainc), hyp1f2_cosine for
--625 < z < 0 (roots_jacobi) and y_d_kernel for d = 2 (j0), d = 4 (j1) and
-d > 4 (jv). Gamma, the other 1F2 branches and y_d_kernel in d = 1, 3 are
-math and numpy only.
+module: hyp1f2_cosine for -625 < z < 0 (roots_jacobi) and y_d_kernel for
+d = 2 (j0), d = 4 (j1) and d > 4 (jv). The other 1F2 branches and
+y_d_kernel in d = 1, 3 are math and numpy only.
 """
 
 from functools import lru_cache
@@ -24,47 +23,9 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 
 __all__ = [
-    "gamma_fn",
-    "bessel_k",
-    "incomplete_beta",
     "hyp1f2_cosine",
     "y_d_kernel",
 ]
-
-
-def gamma_fn(x):
-    """Gamma function on the positive half line."""
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    return gamma(x)
-
-
-def bessel_k(nu, z):
-    """Modified Bessel function of the second kind, real order, z > 0.
-
-    Scalar or array z. Symmetric in nu.
-    """
-    from scipy.special import kv
-
-    zs = np.asarray(z, dtype=float)
-    if np.any(zs <= 0.0):
-        raise DomainError("bessel_k requires z > 0")
-    out = kv(abs(float(nu)), zs)
-    return float(out) if out.ndim == 0 else out
-
-
-def incomplete_beta(mu, p, q):
-    """Regularized incomplete beta I_mu(p, q), mu in [0, 1], p, q > 0."""
-    mu, p, q = float(mu), float(p), float(q)
-    if p <= 0.0 or q <= 0.0:
-        raise DomainError(f"incomplete_beta requires p, q > 0, got {p}, {q}")
-    if not (0.0 <= mu <= 1.0):
-        raise DomainError(f"incomplete_beta requires mu in [0, 1], got {mu}")
-    from scipy.special import betainc
-
-    return float(betainc(p, q, mu))
-
 
 _HYP_TRIG_CUTOFF = -625.0  # lam = 50, where the trig expansion reaches rounding
 _HYP_JACOBI_NODES = 64  # exact to rounding for cos(lam t) up to lam = 50

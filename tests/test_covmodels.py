@@ -9,19 +9,15 @@ from scipy.integrate import quad
 
 from rosenlab.covmodels import (
     LongMemoryParams,
-    _qr_value,
     c2_constant,
     cauchy,
     covariance_eval,
-    isotropic_measure,
     linnik,
     local_global,
     lrd_params,
     model_from_json,
     model_to_json,
-    qr_diagnostic,
     residual_exponent_fit,
-    slowly_varying_remainder,
     spectral_density,
     spectral_leading,
 )
@@ -222,45 +218,6 @@ def test_residual_exponent_fit_gates():
         residual_exponent_fit(m, np.geomspace(1e-4, 1e-3, 5))
     with pytest.raises(ParameterError):
         residual_exponent_fit(m, np.geomspace(1e-3, 0.5, 10))
-
-
-def test_slowly_varying_remainder():
-    r_grid = np.geomspace(1.0, 2000.0, 40)
-    t_grid = np.linspace(1.0, 50.0, 20)
-    assert slowly_varying_remainder(lambda t: 3.0, 1.0, r_grid, t_grid) == 0.0
-    L = lrd_params(cauchy(1, 0.2)).slowly_varying
-    sup = slowly_varying_remainder(L, 1.9, r_grid, t_grid)
-    assert 0.0 < sup < 1.0
-    # log is the canonical counterexample: r^q log(t)/log(r) is unbounded in r
-    small = slowly_varying_remainder(np.log, 0.2, np.geomspace(1e3, 1e4, 30), t_grid)
-    large = slowly_varying_remainder(np.log, 0.2, np.geomspace(1e8, 1e9, 30), t_grid)
-    assert large > 2.0 * small
-
-
-def test_isotropic_measure():
-    m = cauchy(2, 0.5)
-    assert isotropic_measure(m, 0.0) == 0.0
-    # closed-form inner integral: 1 - exp(-1)
-    assert isotropic_measure(m, 1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-8)
-    # total spectral mass is B(0) = 1
-    assert isotropic_measure(m, 1000.0) == pytest.approx(1.0, abs=1e-3)
-
-
-def test_qr_diagnostic_tends_to_one():
-    m = cauchy(1, 0.2)
-    vals = [qr_diagnostic(m, r, 1.0, 2.0) for r in (10.0, 100.0, 1000.0, 10000.0)]
-    gaps = [abs(v - 1.0) for v in vals]
-    assert all(b < a for a, b in zip(gaps, gaps[1:]))
-    assert gaps[-1] < 5e-3
-
-
-def test_qr_exact_power_is_identically_one():
-    # with f equal to its own asymptote every factor cancels
-    p = LongMemoryParams(1, 0.4, lambda t: 1.0, 0.1, 0.6)
-    c2 = c2_constant(1, 0.4)
-    f = lambda u: c2 * u ** (0.4 - 1.0)
-    for r in (3.0, 77.0, 5000.0):
-        assert _qr_value(f, p, r, 1.0, 2.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_model_json_round_trip():

@@ -232,6 +232,51 @@ def test_a_config_seed_that_is_not_an_integer_is_refused(tmp_path, capsys, monke
     assert not out.exists()
 
 
+_EXPERIMENT = ["rate", "experiment", "--model", MODEL, "--set", WINDOW, "--functional", "h2"]
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    ([*_EXPERIMENT, "--r", "4,x"], None, "--r must be a number, got 'x'"),
+    (["covariance", "eval", "--model", MODEL, "--r", "1,abc"], None,
+     "--r must be a number, got 'abc'"),
+    ([*_EXPERIMENT, "--r", "8"], {"replicates": "x"}, "--replicates must be an integer, got 'x'"),
+    (_EXPERIMENT, {"r_grid": "4,abc"}, "--r must be a number, got 'abc'"),
+    (["rate", "curves", "--family", "localglobal", "--alpha-grid", "0.1:0.5:x"], None,
+     "--alpha-grid must be an integer, got 'x'"),
+    (["rate", "curves", "--family", "localglobal", "--alpha-grid", "0.1:0.5"], None,
+     "--alpha-grid grid must be start:stop:count, got '0.1:0.5'"),
+    (["covariance", "eval", "--model", "nope", "--r", "1"], None,
+     "model descriptor must be a JSON object, got 'nope'"),
+    (["rate", "experiment", "--model", MODEL, "--set", "notjson", "--functional", "h2",
+      "--r", "8"], None, "window descriptor must be a JSON object, got 'notjson'"),
+    (["rosenblatt", "build", "--set", "[1,2]", "--alpha", "0.4"], None,
+     "window descriptor must be a JSON object, got '[1,2]'"),
+    (["rosenblatt", "sample"], {"series": "series.json", "n": 1.5},
+     "--n must be an integer, got 1.5"),
+    (["rosenblatt", "build", "--set", WINDOW, "--alpha", "0.4"], [1, 2],
+     "config document must be a JSON object, got '[1, 2]'"),
+], ids=[
+    "r-list", "covariance-r", "config-replicates", "config-r_grid", "grid-count", "grid-parts",
+    "model-text", "set-text", "set-array", "config-n-float", "config-array",
+])
+def test_malformed_values_exit_2_with_one_line_before_any_work(
+    tmp_path, capsys, monkeypatch, argv, doc, message
+):
+    # each raised ValueError, JSONDecodeError or AttributeError with a
+    # traceback, or, for "n": 1.5, truncated it and wrote one draw
+    for name in ("limit_law", "series_from_json", "curve_table", "covariance_eval"):
+        monkeypatch.setattr(expcli, name, _never_called)
+    out = tmp_path / "out"
+    argv = [*argv, "--out", str(out)]
+    if doc is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"rosenlab: {message}\n"
+    assert not out.exists()
+
+
 def _option_names(command):
     group, action = command.split()
     parser = expcli._build_parser()

@@ -23,7 +23,6 @@ from rosenlab.fieldsim import (
     ks_distance,
     lattice_window_volume,
     normalized_statistic,
-    reduction_check,
     replicate_generator,
     simulate_field,
     simulate_pairs,
@@ -32,7 +31,7 @@ from rosenlab.fieldsim import (
     window_integrals,
 )
 from rosenlab.geometry import ball, rectangle
-from rosenlab.hermite import functional_catalog, hermite_coefficients
+from rosenlab.hermite import functional_catalog
 
 
 def white_noise_cov(dist):
@@ -471,31 +470,6 @@ def test_normalized_statistic():
     assert got == pytest.approx(3.0 / l1, rel=1e-12)
     with pytest.raises(RankError):
         normalized_statistic(1.0, 0.0, 8.0, p)
-
-
-def test_reduction_check():
-    m = cauchy(1, 0.125)
-    p = lrd_params(m)
-    w = rectangle([-0.5], [0.5])
-    G = functional_catalog("abs-centered")
-    exp = hermite_coefficients(G, 6)
-    dists = {}
-    for r in (8.0, 32.0):
-        plan = SimulationPlan(model=m, dimension=1, h=0.25, extent=r / 2, seed=13)
-        fields = [simulate_field(plan, rng=replicate_generator(13, i)) for i in range(500)]
-        dists[r] = reduction_check(fields, G, w, r, exp, p)
-        # rank-2 part of H2 is H2 itself; the quadrature coefficient carries a
-        # ~5e-14 relative error, which can swap a couple of pooled order
-        # statistics, so allow two rank flips out of len(fields)
-        h2exp = hermite_coefficients(functional_catalog("h2"), 6)
-        assert reduction_check(fields, functional_catalog("h2"), w, r, h2exp, p) <= 2.0 / 500
-    assert dists[32.0] < dists[8.0]
-
-
-def test_reduction_check_rank_gate():
-    exp = hermite_coefficients(lambda w: w, 4)
-    with pytest.raises(RankError):
-        reduction_check([], lambda w: w, rectangle([-0.5], [0.5]), 8.0, exp, lrd_params(cauchy(1, 0.2)))
 
 
 def test_ks_distance():

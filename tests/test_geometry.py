@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from rosenlab.errors import DomainError, IntegrabilityError, ParameterError
+from rosenlab.errors import (
+    DomainError,
+    IntegrabilityError,
+    ParameterError,
+    UnsupportedModelError,
+)
 from rosenlab.geometry import (
     ball,
     ball_ft_radial,
@@ -197,15 +202,14 @@ def test_distance_pdf_ball_keeps_precision_at_both_ends():
             assert gi == pytest.approx(want, rel=1e-14)
 
 
-def test_distance_pdf_rectangle_is_a_density():
-    # MC-histogram route: coarse checks only, the estimator is approximate
+def test_distance_laws_refuse_the_square():
+    # no exact distance pdf for a rectangle in d >= 2: both refuse it before
+    # looking at r, z or the integrand
     w = rectangle([-1.0, -1.0], [1.0, 1.0])
-    z = np.linspace(0.0, diameter(w, 1.0), 600)
-    vals = np.array([float(distance_pdf(w, 1.0, t)) for t in z])
-    assert np.all(vals >= 0.0)
-    total = np.trapezoid(vals, z)
-    assert total == pytest.approx(1.0, abs=0.02)
-    assert distance_pdf(w, 1.0, diameter(w, 1.0) + 0.1) == 0.0
+    with pytest.raises(UnsupportedModelError, match="rectangle in d=2"):
+        distance_pdf(w, 1.0, 0.5)
+    with pytest.raises(UnsupportedModelError, match="rectangle in d=2"):
+        distance_integral(w, -1.0, None)
 
 
 def test_uniform_sample_membership_and_centroid():

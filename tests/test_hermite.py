@@ -1,4 +1,4 @@
-"""Hermite expansions, rank detection, Parseval bookkeeping.
+"""Hermite expansions and rank detection.
 
 Gauss-Hermite quadrature converges slowly for the kinked |w| functionals,
 so their coefficient tolerances sit near 1e-4; polynomial functionals are
@@ -11,14 +11,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from rosenlab.errors import ParameterError, RankError
-from rosenlab.hermite import (
-    functional_catalog,
-    hermite_coefficients,
-    hermite_rank,
-    parseval_defect,
-    truncated_eval,
-)
+from rosenlab.errors import ParameterError
+from rosenlab.hermite import functional_catalog, hermite_coefficients
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -78,55 +72,9 @@ def test_rank_detection():
 
 
 def test_rank_undetected():
+    # a constant has no coefficient with j >= 1
     exp = hermite_coefficients(lambda w: np.ones_like(w), 4)
-    with pytest.raises(RankError):
-        hermite_rank(exp)
-
-
-def test_rank_tolerance_override():
-    exp = hermite_coefficients(functional_catalog("h2"), 4)
-    # an absurdly large tolerance swallows every coefficient
-    with pytest.raises(RankError):
-        hermite_rank(exp, tol=100.0)
-
-
-def test_parseval_defect_h2():
-    exp = hermite_coefficients(functional_catalog("h2"), 4)
-    assert abs(parseval_defect(functional_catalog("h2"), exp)) < 1e-10
-
-
-def test_parseval_defect_abs():
-    exp = hermite_coefficients(np.abs, 4)
-    want = 1.0 - (2.0 / math.pi + 1.0 / math.pi + 1.0 / (12.0 * math.pi))
-    assert parseval_defect(np.abs, exp) == pytest.approx(want, abs=1e-4)
-
-
-def test_parseval_defect_of_catalog_entries_uses_the_exact_second_moment():
-    G = functional_catalog("abs-centered")
-    # 1 - 2/pi - sum_{k=1..4} C_2k^2 / (2k)!, with no quadrature across the kink
-    assert parseval_defect(G, hermite_coefficients(G, 8)) == pytest.approx(
-        0.0070342047513684, abs=1e-12
-    )
-    for name, moment in (("h2", 2.0), ("square", 3.0), ("abs-centered", 1.0 - 2.0 / math.pi)):
-        assert functional_catalog(name).second_moment == moment
-
-
-def test_parseval_defect_monotone_in_order():
-    defects = []
-    for J in (2, 4, 6, 8):
-        exp = hermite_coefficients(np.abs, J)
-        defects.append(parseval_defect(np.abs, exp))
-    assert all(b <= a + 1e-12 for a, b in zip(defects, defects[1:]))
-    assert all(d >= -1e-8 for d in defects)
-
-
-def test_truncated_eval():
-    exp = hermite_coefficients(functional_catalog("h2"), 4)
-    assert truncated_eval(exp, 0.0) == pytest.approx(-1.0, abs=1e-9)
-    exp = hermite_coefficients(lambda w: w * w, 4)
-    assert truncated_eval(exp, 2.0) == pytest.approx(4.0, abs=1e-9)
-    exp = hermite_coefficients(np.abs, 12)
-    assert truncated_eval(exp, 1.0) == pytest.approx(1.0, abs=0.05)
+    assert exp.rank is None
 
 
 def test_quadrature_order_gates():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import rosenlab
-from rosenlab.covmodels import cauchy, isotropic_measure, linnik, spectral_density
+from rosenlab.covmodels import linnik, spectral_density
 
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(rosenlab.__path__) if info.name != "__main__"
@@ -40,18 +40,18 @@ def test_the_package_imports_cleanly():
 
 
 # Loaded only by quad's callers (the variance oracle of a d=2 rectangle,
-# geometry.distance_integral, the Linnik spectral density, isotropic_measure),
-# never on import.
+# geometry.distance_integral, the Linnik spectral density), never on import.
 HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
 
 # Records the scipy modules loaded at each point: after the import, after
 # the limit-law builds and a draw, after a rate experiment in d=1 and d=2
-# (what the benchmark runs), and after a quad caller, which must load
-# HEAVY_SCIPY and so shows that the record sees a load.
+# (what the benchmark runs), and after a quad caller, the Linnik spectral
+# density, which must load HEAVY_SCIPY and so shows that the record sees a
+# load.
 _FOOTPRINT = """
 import json, os, sys
 from rosenlab import expcli
-from rosenlab.covmodels import cauchy, isotropic_measure
+from rosenlab.covmodels import linnik, spectral_density
 
 out = sys.argv[1]
 loaded = {}
@@ -78,7 +78,7 @@ for d, theta, functional, h, r in ((1, 0.2, "abs-centered", "0.5", "4"), (2, 0.3
          "--functional", functional, "--h", h, "--r", r, "--replicates", "1000",
          "--seed", "3", "--out", os.path.join(out, f"rho-d{d}.csv")])
 record("experiment")
-isotropic_measure(cauchy(2, 0.3), 1.0)
+spectral_density(linnik(1, 1.5, 0.2), 0.5)
 record("quad")
 print(json.dumps(loaded))
 """
@@ -104,10 +104,6 @@ def test_import_and_benchmark_commands_load_no_scipy(tmp_path):
 
 def test_quad_callers_still_give_their_values():
     # values of the module-level quad import, now loaded on first call
-    assert isotropic_measure(cauchy(2, 0.3), 1.0) == pytest.approx(0.763741672202646, rel=1e-12)
-    assert isotropic_measure(linnik(1, 1.5, 0.2), 0.3) == pytest.approx(
-        0.751072024410698, rel=1e-12
-    )
     m1, m2 = linnik(1, 1.5, 0.2), linnik(2, 1.75, 1.0 / 3.0)
     assert [spectral_density(m1, lam) for lam in (0.05, 0.5, 3.0)] == pytest.approx(
         [1.314134118749925, 0.13767161793541494, 0.005349172506038792], rel=1e-12

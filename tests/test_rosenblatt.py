@@ -355,7 +355,7 @@ def _rectangle_reference(a, b, alpha):
 ])
 @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
 def test_rectangle_oracle_matches_a_cartesian_double_integral(lower, upper, alpha):
-    # the oracle has no route to the histogram pdf of distance_integral
+    # the oracle does not go through geometry.distance_integral
     assert not hasattr(rosenblatt, "distance_integral")
     window = rectangle(lower, upper)
     a, b = (hi - lo for lo, hi in zip(lower, upper))

@@ -13,13 +13,7 @@ import pytest
 
 from rosenlab.errors import AccuracyError, DomainError
 from rosenlab.hermite import _hermite_matrix
-from rosenlab.specfun import (
-    bessel_k,
-    gamma_fn,
-    hyp1f2_cosine,
-    incomplete_beta,
-    y_d_kernel,
-)
+from rosenlab.specfun import hyp1f2_cosine, y_d_kernel
 
 
 def _y_d_oracle(d, z):
@@ -33,26 +27,6 @@ def _y_d_oracle(d, z):
 def _hermite(k, w):
     """H_k(w) from the recurrence the Hermite expansion uses."""
     return _hermite_matrix(k, np.atleast_1d(np.asarray(w, dtype=float)))[k]
-
-
-def test_gamma_goldens():
-    assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-12)
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-    # mpmath oracle
-    assert gamma_fn(0.25) == pytest.approx(3.6256099082219083, rel=1e-12)
-
-
-def test_gamma_recurrence_grid():
-    for x in np.linspace(0.1, 10.0, 67):
-        lhs = gamma_fn(x + 1.0)
-        rhs = x * gamma_fn(x)
-        assert abs(lhs - rhs) < 1e-10 * abs(rhs)
-
-
-def test_gamma_domain():
-    for bad in (0.0, -1.0, -0.5):
-        with pytest.raises(DomainError):
-            gamma_fn(bad)
 
 
 def test_bessel_j_goldens():
@@ -81,59 +55,6 @@ def test_bessel_j_domain():
     for bad in (0, 1.5, -2):
         with pytest.raises(DomainError):
             y_d_kernel(bad, 1.0)
-
-
-def test_bessel_k_goldens():
-    assert bessel_k(0.5, 1.0) == pytest.approx(math.sqrt(math.pi / 2) * math.exp(-1.0), rel=1e-12)
-    assert bessel_k(0.5, 2.0) == pytest.approx(math.sqrt(math.pi / 4) * math.exp(-2.0), rel=1e-12)
-    # mpmath oracle
-    assert bessel_k(1.7, 0.4) == pytest.approx(6.663513485250149, rel=1e-12)
-
-
-def test_bessel_k_symmetry_exact():
-    for nu in (0.1, 0.3, 0.9, 1.6):
-        for z in (0.2, 1.0, 5.0, 30.0):
-            assert bessel_k(-nu, z) == bessel_k(nu, z)
-
-
-def test_bessel_k_domain():
-    for bad in (0.0, -1.0):
-        with pytest.raises(DomainError):
-            bessel_k(0.5, bad)
-
-
-def test_bessel_k_mpmath_oracle():
-    # orders K_{d/2 - theta} of the Cauchy densities in use (d=1, theta=0.2;
-    # d=2, theta=0.3) and K_{(d-2)/2} of the Linnik integrand (d=1, 2)
-    z = np.array([1e-4, 0.01, 0.4, 1.0, 2.0, 2.5, 10.0, 45.0])
-    for nu in (0.3, 0.7, -0.5, 0.0):
-        got = bessel_k(nu, z)
-        for zi, gi in zip(z, got):
-            want = float(mp.besselk(nu, zi))
-            assert gi == pytest.approx(want, rel=1e-13)
-
-
-def test_incomplete_beta_goldens():
-    assert incomplete_beta(1.0, 2.3, 0.7) == pytest.approx(1.0, abs=1e-12)
-    assert incomplete_beta(0.37, 1.0, 1.0) == pytest.approx(0.37, abs=1e-12)
-    # I_mu(1, 1/2) = 1 - sqrt(1 - mu)
-    assert incomplete_beta(0.75, 1.0, 0.5) == pytest.approx(0.5, abs=1e-12)
-    # mpmath oracle
-    assert incomplete_beta(0.3, 2.5, 0.7) == pytest.approx(0.029814024845250471, rel=1e-12)
-
-
-def test_incomplete_beta_monotone_in_mu():
-    mus = np.linspace(0.01, 1.0, 40)
-    vals = [incomplete_beta(m, 1.5, 2.0) for m in mus]
-    assert all(b >= a - 1e-14 for a, b in zip(vals, vals[1:]))
-    assert vals[-1] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_incomplete_beta_domain():
-    with pytest.raises(DomainError):
-        incomplete_beta(1.5, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        incomplete_beta(0.5, -1.0, 1.0)
 
 
 def test_hyp1f2_goldens():
