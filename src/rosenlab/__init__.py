@@ -73,7 +73,6 @@ from .hermite import (
 )
 from .ratelab import (
     RateInputs,
-    SupMinSearch,
     curve_table,
     geometric_term,
     inputs_from_model,
@@ -81,8 +80,6 @@ from .ratelab import (
     kappa0_identity_check,
     kappa1,
     kappa_bound,
-    supmin_inner,
-    supmin_outer,
 )
 from .rosenblatt import (
     EigenSeries,

@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -60,7 +61,6 @@ from .hermite import functional_catalog, hermite_coefficients
 from .ratelab import (
     CURVE_COLUMNS,
     RateInputs,
-    SupMinSearch,
     curve_table,
     geometric_term,
     inputs_from_model,
@@ -563,11 +563,28 @@ def _write_manifest(out, command, merged, wall_seconds, seeds, outputs):
     return path
 
 
+def _read_text(path, flag):
+    """The text of the file at path, or ParameterError naming --flag."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParameterError(f"cannot read --{flag} {path!r}: {exc.strerror}") from None
+
+
+def _check_out(out):
+    """ParameterError unless out names a file in an existing directory."""
+    folder = os.path.dirname(out) or "."
+    if not os.path.isdir(folder):
+        raise ParameterError(f"cannot write --out {out!r}: no directory {folder!r}")
+    if os.path.isdir(out):
+        raise ParameterError(f"cannot write --out {out!r}: it is a directory")
+
+
 def _load_config_doc(path):
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        return check_json_object(fh.read(), "config document")
+    return check_json_object(_read_text(path, "config"), "config document")
 
 
 def _pick(args, doc, key, default=None, flag=None, kind=None):
@@ -711,8 +728,7 @@ def _cmd_rosenblatt_build(args, doc, out, seed):
 def _cmd_rosenblatt_sample(args, doc, out, seed):
     path = _need(args, doc, "series")
     n = _need(args, doc, "n", kind=int)
-    with open(path, "r", encoding="utf-8") as fh:
-        series = series_from_json(fh.read())
+    series = series_from_json(_read_text(path, "series"))
     draws = sample(series, n, seed)
     table = series.cdf_table
     return ("x",), draws, {
@@ -809,13 +825,8 @@ def _cmd_verify_supmin(args, doc, out, seed):
     q = _need(args, doc, "q", kind=float)
     upsilon = _need(args, doc, "upsilon", kind=float)
     res = _pick(args, doc, "resolution", 1000, kind=int)
-    search = SupMinSearch(
-        beta_points=res,
-        gamma_points=res,
-        gamma0_points=res,
-        refine=not bool(_pick(args, doc, "no-refine", False)),
-    )
-    rep = kappa0_identity_check(d, alpha, q, upsilon, search)
+    refine = not bool(_pick(args, doc, "no-refine", False))
+    rep = kappa0_identity_check(d, alpha, q, upsilon, res, refine)
     header = (
         "grid_value", "closed_form", "deviation",
         "beta", "gamma", "gamma0", "resolution", "refined",
@@ -985,6 +996,8 @@ def _run(args):
             f"it reads {', '.join(map(repr, keys + _COMMON_KEYS))}"
         )
     out = _pick(args, doc, "out")
+    if out is not None:
+        _check_out(out)
     seed = check_seed(_pick(args, doc, "seed", doc.get("master_seed", 0)))
     t0 = time.perf_counter()
 

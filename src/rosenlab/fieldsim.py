@@ -94,8 +94,8 @@ _BLOCK_SITES = 2**18
 class SimulationPlan:
     """Lattice plan: covariance model, dimension, step h, half-width extent.
 
-    model is a CovarianceModel of the plan's dimension or any callable
-    r -> B(r). The lattice has n = round(2 extent / h) cells per axis with
+    model is a CovarianceModel of the plan's dimension; anything else is a
+    ParameterError. The lattice has n = round(2 extent / h) cells per axis with
     centers at -extent + (i + 1/2) h, so the origin sits on a cell boundary
     and the lattice is symmetric. The torus side m is the smallest power of
     two at least padding * n. padding must be at least 2: then m >= 2(n-1), the
@@ -121,7 +121,11 @@ class SimulationPlan:
             raise ParameterError(
                 f"simulation supports d in (1, 2), got {self.dimension}"
             )
-        if isinstance(self.model, CovarianceModel) and self.model.dimension != self.dimension:
+        if not isinstance(self.model, CovarianceModel):
+            raise ParameterError(
+                f"model must be a CovarianceModel, got {type(self.model).__name__}"
+            )
+        if self.model.dimension != self.dimension:
             raise ParameterError(
                 f"model dimension {self.model.dimension} does not match the "
                 f"plan's d={self.dimension}"
@@ -168,12 +172,6 @@ class GridField:
         return self.origin + self.h * np.arange(n)
 
 
-def _cov_at(model, dist):
-    if callable(model) and not hasattr(model, "family"):
-        return np.asarray(model(dist), dtype=float)
-    return covariance_eval(model, dist)
-
-
 def _torus_size(n, padding):
     m = 1
     while m < n * padding:
@@ -187,12 +185,12 @@ def _spectrum_once(plan):
     if plan.dimension == 1:
         k = np.arange(m)
         lag = plan.h * np.minimum(k, m - k)
-        lam = np.fft.fft(_cov_at(plan.model, lag)).real
+        lam = np.fft.fft(covariance_eval(plan.model, lag)).real
     else:
         k = np.arange(m)
         wrap = plan.h * np.minimum(k, m - k)
         dist = np.sqrt(wrap[:, None] ** 2 + wrap[None, :] ** 2)
-        lam = np.fft.fft2(_cov_at(plan.model, dist)).real
+        lam = np.fft.fft2(covariance_eval(plan.model, dist)).real
     return lam
 
 
@@ -260,8 +258,6 @@ _EMBEDDING_CACHE_MAX = 32
 
 
 def _plan_key(plan):
-    # the key holds the model itself: while its entry lives, a callable model
-    # cannot be freed, so a new callable never inherits its spectrum by id
     return (plan.model, plan.dimension, plan.h, plan.extent, plan.padding, plan.clamp_tol)
 
 
@@ -294,7 +290,7 @@ def _cached_embedding(plan):
     if entry is None:
         accepted, lam = _admissible_plan(plan)
         m = lam.shape[0]
-        trace = m**plan.dimension * float(_cov_at(plan.model, 0.0))
+        trace = m**plan.dimension * float(covariance_eval(plan.model, 0.0))
         emb = Embedding(
             n_per_axis=plan.n_per_axis,
             torus_side=m,

@@ -4,9 +4,9 @@ The rank-2 normalized functionals approach their limit law at a rate whose
 exponent is a minimum of two branches: a geometric term alpha(d-2alpha)/
 (d-alpha) coming from the window's boundary, and a harmonic-mean term
 driven by the covariance remainder exponents q and upsilon. Everything
-here is a pure formula; the grid searches re-derive the optimized
-exponents by brute force so the closed forms are machine-checked rather
-than trusted.
+here is a pure formula except kappa0_identity_check, whose grid search
+re-derives the optimized exponent kappa1 / 3 by brute force, so the closed
+form is machine-checked rather than trusted.
 
 The rate formulas stay well-defined (and are plotted) even where q fails
 the strict applicability condition q < d/2 - alpha, so RateInputs exposes
@@ -22,13 +22,10 @@ from .errors import DomainError, ParameterError
 
 __all__ = [
     "RateInputs",
-    "SupMinSearch",
     "SupMinReport",
     "kappa1",
     "geometric_term",
     "kappa_bound",
-    "supmin_inner",
-    "supmin_outer",
     "kappa0_identity_check",
     "curve_table",
     "inputs_from_params",
@@ -87,52 +84,6 @@ def kappa_bound(inputs):
     return min(geometric_term(inputs), kappa1(inputs)) / 3.0
 
 
-def supmin_inner(d, alpha, gamma):
-    """sup over g0 in (0, gamma) of min((gamma-g0)(d-2a), g0(d+1-2a)).
-
-    The two arms cross at the optimum, giving a closed form linear in gamma.
-    """
-    if not (0.0 < gamma < 1.0):
-        raise DomainError(f"gamma must lie in (0, 1), got {gamma}")
-    if not (0.0 < alpha < 0.5 * d):
-        raise DomainError(f"alpha must lie in (0, d/2), got {alpha}")
-    return gamma * (d - 2.0 * alpha) * (d + 1.0 - 2.0 * alpha) / (2.0 * d + 1.0 - 4.0 * alpha)
-
-
-def supmin_outer(d, alpha, upsilon):
-    """sup over gamma in (0, 1) of min(2 upsilon (1-gamma), supmin_inner).
-
-    Closed form: twice the harmonic-mean rate; equals kappa1 whenever q
-    exceeds the harmonic term.
-    """
-    if not upsilon > 0.0:
-        raise DomainError(f"upsilon must be positive, got {upsilon}")
-    if not (0.0 < alpha < 0.5 * d):
-        raise DomainError(f"alpha must lie in (0, d/2), got {alpha}")
-    return 2.0 * _harmonic(d, alpha, upsilon)
-
-
-@dataclass(frozen=True)
-class SupMinSearch:
-    """Per-axis grid sizes for the (beta, gamma, gamma0) brute-force search.
-
-    Grid points sit strictly inside the open intervals beta, gamma in (0,1)
-    and gamma0 in (0, gamma). One refinement pass re-grids around the coarse
-    argmax.
-    """
-
-    beta_points: int = 1000
-    gamma_points: int = 1000
-    gamma0_points: int = 1000
-    refine: bool = True
-
-    def __post_init__(self):
-        for name in ("beta_points", "gamma_points", "gamma0_points"):
-            n = getattr(self, name)
-            if int(n) != n or n < 8:
-                raise ParameterError(f"{name} must be an integer >= 8, got {n}")
-
-
 @dataclass(frozen=True)
 class SupMinReport:
     """Grid-search value of the triple sup-min against the closed form."""
@@ -141,7 +92,7 @@ class SupMinReport:
     closed_form: float
     deviation: float
     argmax: tuple
-    resolution: tuple
+    resolution: int
     refined: bool
 
 
@@ -167,50 +118,50 @@ def _beta_grid_peak(c, n_beta, lo, hi):
     return best, arg
 
 
-def _scan(d, alpha, q, upsilon, search, g_lo, g_hi, b_lo, b_hi, g0_win=None):
-    ng, n0 = search.gamma_points, search.gamma0_points
-    gam = g_lo + (g_hi - g_lo) * np.arange(1, ng + 1) / (ng + 1.0)
-    frac = np.arange(1, n0 + 1) / (n0 + 1.0)
+def _scan(d, alpha, q, upsilon, n, g_lo, g_hi, b_lo, b_hi, g0_win=None):
+    k = np.arange(1, n + 1)
+    gam = g_lo + (g_hi - g_lo) * k / (n + 1.0)
+    frac = k / (n + 1.0)
     if g0_win is None:
         g0 = gam[:, None] * frac[None, :]
     else:
         # refined absolute window; points at or beyond gamma drop out on
         # their own because (gamma - g0) turns the objective negative
         lo, hi = max(0.0, g0_win[0]), g0_win[1]
-        g0 = np.broadcast_to(lo + (hi - lo) * frac[None, :], (ng, n0))
+        g0 = np.broadcast_to(lo + (hi - lo) * frac[None, :], (n, n))
     c = np.minimum(2.0 * q, 2.0 * upsilon * (1.0 - gam))[:, None]
     c = np.minimum(c, (gam[:, None] - g0) * (d - 2.0 * alpha))
     c = np.minimum(c, g0 * (d + 1.0 - 2.0 * alpha))
-    best, barg = _beta_grid_peak(c, search.beta_points, b_lo, b_hi)
+    best, barg = _beta_grid_peak(c, n, b_lo, b_hi)
     flat = int(np.argmax(best))
-    i, j = divmod(flat, n0)
+    i, j = divmod(flat, n)
     return float(best[i, j]), (float(barg[i, j]), float(gam[i]), float(g0[i, j]))
 
 
-def kappa0_identity_check(d, alpha, q, upsilon, search=None):
+def kappa0_identity_check(d, alpha, q, upsilon, resolution=1000, refine=True):
     """Brute-force sup-min over (beta, gamma, gamma0) against kappa1 / 3.
 
     The optimized exponent satisfies sup_beta min(beta, kappa1 - 2 beta)
     = kappa1 / 3; the grid search re-derives it without using the closed
-    form and reports the deviation.
+    form and reports the deviation. Each axis has resolution points,
+    strictly inside the open intervals beta, gamma in (0, 1) and gamma0 in
+    (0, gamma); refine adds one pass that re-grids around the coarse argmax.
     """
-    if search is None:
-        search = SupMinSearch()
+    if int(resolution) != resolution or resolution < 8:
+        raise ParameterError(f"resolution must be an integer >= 8, got {resolution}")
+    n = int(resolution)
     if not (0.0 < alpha < 0.5 * d):
         raise DomainError(f"alpha must lie in (0, d/2), got {alpha}")
     if q <= 0.0 or upsilon <= 0.0:
         raise DomainError("q and upsilon must be positive")
-    value, (b_star, g_star, g0_star) = _scan(
-        d, alpha, q, upsilon, search, 0.0, 1.0, 0.0, 1.0
-    )
-    if search.refine:
-        dg = 2.0 / (search.gamma_points + 1.0)
-        db = 2.0 / (search.beta_points + 1.0)
-        d0 = 2.0 * g_star / (search.gamma0_points + 1.0)
+    value, (b_star, g_star, g0_star) = _scan(d, alpha, q, upsilon, n, 0.0, 1.0, 0.0, 1.0)
+    if refine:
+        step = 2.0 / (n + 1.0)
+        d0 = 2.0 * g_star / (n + 1.0)
         value2, arg2 = _scan(
-            d, alpha, q, upsilon, search,
-            max(0.0, g_star - dg), min(1.0, g_star + dg),
-            max(0.0, b_star - db), min(1.0, b_star + db),
+            d, alpha, q, upsilon, n,
+            max(0.0, g_star - step), min(1.0, g_star + step),
+            max(0.0, b_star - step), min(1.0, b_star + step),
             g0_win=(g0_star - d0, g0_star + d0),
         )
         if value2 > value:
@@ -221,8 +172,8 @@ def kappa0_identity_check(d, alpha, q, upsilon, search=None):
         closed_form=target,
         deviation=abs(value - target),
         argmax=(b_star, g_star, g0_star),
-        resolution=(search.beta_points, search.gamma_points, search.gamma0_points),
-        refined=search.refine,
+        resolution=n,
+        refined=bool(refine),
     )
 
 

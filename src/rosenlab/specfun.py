@@ -4,23 +4,23 @@ Gamma, Bessel K and the incomplete beta are called directly where they are
 needed (math.gamma, scipy.special.kv and betainc). The radial window kernel
 Y_d uses the closed forms in d <= 4 (cos, J_0, sin(z)/z and 2 J_1(z)/z),
 which are both faster and more accurate than the generic J_nu. scipy has no
-1F2, so the one family the spectral densities need, 1F2(a; 1/2, a+1; z), is
-evaluated here: by its series for z >= 0, by Gauss-Jacobi quadrature of its
-integral form for moderate negative z and by a trigonometric expansion
-beyond. The tests check both functions against mpmath.
+1F2, so the one family the local-global spectral density needs,
+1F2(a; 1/2, a+1; z) at z = -lam^2/4 <= 0, is evaluated here: by Gauss-Jacobi
+quadrature of its integral form for moderate z and by a trigonometric
+expansion beyond. The tests check both functions against mpmath.
 
 scipy.special is imported inside the calls that need it, not with the
-module: hyp1f2_cosine for -625 < z < 0 (roots_jacobi) and y_d_kernel for
-d = 2 (j0), d = 4 (j1) and d > 4 (jv). The other 1F2 branches and
+module: hyp1f2_cosine for -625 < z <= 0 (roots_jacobi) and y_d_kernel for
+d = 2 (j0), d = 4 (j1) and d > 4 (jv). The trigonometric 1F2 branch and
 y_d_kernel in d = 1, 3 are math and numpy only.
 """
 
 from functools import lru_cache
-from math import cos, gamma, isfinite, pi, sin, sqrt
+from math import cos, gamma, pi, sin, sqrt
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "hyp1f2_cosine",
@@ -29,32 +29,6 @@ __all__ = [
 
 _HYP_TRIG_CUTOFF = -625.0  # lam = 50, where the trig expansion reaches rounding
 _HYP_JACOBI_NODES = 64  # exact to rounding for cos(lam t) up to lam = 50
-_HYP_REL_TOL = 1e-12
-_HYP_MAX_TERMS = 600
-
-
-def _hyp1f2_series(a, z):
-    """Kahan-summed ascending series of 1F2(a; 1/2, a+1; z).
-
-    Returns (value, rounding_estimate, converged_flag); the estimate is
-    max|term| * eps / |sum|, the floor set by cancellation at z << 0.
-    """
-    s = 1.0
-    comp = 0.0
-    t = 1.0
-    mt = 1.0
-    converged = False
-    for j in range(_HYP_MAX_TERMS):
-        t = t * z * (a + j) / ((j + 1.0) * (0.5 + j) * (a + 1.0 + j))
-        y = t - comp
-        tmp = s + y
-        comp = (tmp - s) - y
-        s = tmp
-        mt = max(mt, abs(t))
-        if abs(t) <= _HYP_REL_TOL * abs(s) and j > 2:
-            converged = True
-            break
-    return s, mt * 1.1e-16 / max(abs(s), 1e-300), converged
 
 
 def _hyp1f2_trig(a, lam):
@@ -101,28 +75,23 @@ def _hyp1f2_jacobi(a, lam):
 
 
 def hyp1f2_cosine(a, z):
-    """The cosine family 1F2(a; 1/2, a+1; z), a > 0.
+    """The cosine family 1F2(a; 1/2, a+1; z), a > 0 and z <= 0.
 
-    For z = -lam^2/4 it equals 2a int_0^1 t^(2a-1) cos(lam t) dt. z >= 0 sums
-    the ascending series, whose terms are all positive, with compensated
-    summation; -625 < z < 0 integrates the cosine form by Gauss-Jacobi
-    quadrature, where the alternating series would cancel; z <= -625
-    (lam >= 50) uses the trigonometric large-argument expansion. Raises
-    AccuracyError when the series overflows or does not converge.
+    For z = -lam^2/4 it equals 2a int_0^1 t^(2a-1) cos(lam t) dt.
+    -625 < z <= 0 integrates that cosine form by Gauss-Jacobi quadrature,
+    where the alternating ascending series would cancel; z <= -625
+    (lam >= 50) uses the trigonometric large-argument expansion. z = 0 is
+    taken, and gives 1 to 2 ulp, because -lam^2/4 underflows to -0 for lam
+    below about 1e-162. DomainError for a <= 0 or z > 0.
     """
     a, z = float(a), float(z)
     if not a > 0.0:
         raise DomainError(f"hyp1f2_cosine requires a > 0, got {a}")
+    if not z <= 0.0:
+        raise DomainError(f"hyp1f2_cosine requires z <= 0, got {z}")
     if z <= _HYP_TRIG_CUTOFF:
         return _hyp1f2_trig(a, 2.0 * sqrt(-z))
-    if z < 0.0:
-        return _hyp1f2_jacobi(a, 2.0 * sqrt(-z))
-    val, est, converged = _hyp1f2_series(a, z)
-    if not (converged and isfinite(val)):
-        raise AccuracyError(
-            f"1F2 series did not converge within {_HYP_MAX_TERMS} terms at z={z}", estimate=est
-        )
-    return val
+    return _hyp1f2_jacobi(a, 2.0 * sqrt(-z))
 
 
 def y_d_kernel(d, z):

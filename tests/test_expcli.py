@@ -515,6 +515,24 @@ def test_sample_refuses_a_malformed_series_before_tabulating(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--series", "missing.json"], "cannot read --series 'missing.json': No such file or directory"),
+    (["--config", "missing.json"], "cannot read --config 'missing.json': No such file or directory"),
+    (["--out", "nodir/x.csv"], "cannot write --out 'nodir/x.csv': no directory 'nodir'"),
+], ids=["series", "config", "out"])
+def test_an_unopenable_path_exits_2_with_one_line_before_any_work(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    # each raised FileNotFoundError with a traceback and exit code 1
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "series.json").write_text("{}", encoding="utf-8")
+    for name in ("series_from_json", "sample"):
+        monkeypatch.setattr(expcli, name, _never_called)
+    assert main(["rosenblatt", "sample", "--series", "series.json", "--n", "10", *flags]) == 2
+    assert capsys.readouterr().err == f"rosenlab: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == ["series.json"]
+
+
 def _count_solves(monkeypatch):
     solves = []
     checked = fieldsim.circulant_spectrum

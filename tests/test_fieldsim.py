@@ -34,10 +34,6 @@ from rosenlab.geometry import ball, rectangle
 from rosenlab.hermite import functional_catalog
 
 
-def white_noise_cov(dist):
-    return np.where(np.asarray(dist) == 0.0, 1.0, 0.0)
-
-
 def test_plan_validation():
     m = cauchy(1, 0.2)
     with pytest.raises(ParameterError):
@@ -55,6 +51,9 @@ def test_plan_validation():
     with pytest.raises(ParameterError, match="model dimension 1"):
         # the model's long-memory parameters were declared for d=1
         SimulationPlan(model=m, dimension=2, h=1.0, extent=8.0, seed=0)
+    with pytest.raises(ParameterError, match="CovarianceModel"):
+        # a plain callable r -> B(r) has no family or dimension to check
+        SimulationPlan(model=lambda r: np.exp(-r), dimension=1, h=1.0, extent=8.0, seed=0)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
@@ -129,10 +128,31 @@ def test_clamped_share_stays_within_its_stated_bound():
     assert plan.clamp_tol < emb.clamped_share <= bound
 
 
-def test_white_noise_spectrum_flat():
-    plan = SimulationPlan(model=white_noise_cov, dimension=1, h=1.0, extent=8.0, seed=0)
+def test_white_noise_spectrum_flat(monkeypatch):
+    # B(0) = 1 and B = 0 at every other lag: every eigenvalue is B(0)
+    monkeypatch.setattr(
+        fieldsim, "covariance_eval", lambda model, r: np.where(np.asarray(r) == 0.0, 1.0, 0.0)
+    )
+    plan = SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=1.0, extent=8.0, seed=0)
     lam = circulant_spectrum(plan)
     assert np.allclose(lam, 1.0, atol=1e-12)
+
+
+def test_circulant_spectrum_matches_dense_eigenvalues():
+    # the spectrum is that of the dense (block-)circulant matrix of the
+    # covariance at wrapped torus lags, up to the clamp of small negatives
+    for d, theta in ((1, 0.2), (2, 0.3)):
+        plan = SimulationPlan(model=cauchy(d, theta), dimension=d, h=1.0, extent=8.0, seed=0)
+        lam = circulant_spectrum(plan)
+        m = lam.shape[0]
+        k = np.arange(m)
+        wrap = np.minimum(k, m - k)
+        sites = np.stack(np.meshgrid(*([k] * d), indexing="ij"), axis=-1).reshape(-1, d)
+        lags = wrap[np.abs(sites[:, None, :] - sites[None, :, :])]
+        dense = covariance_eval(plan.model, plan.h * np.sqrt(np.sum(lags**2, axis=-1)))
+        want = np.linalg.eigvalsh(dense)
+        tol = plan.clamp_tol * float(want.max())
+        np.testing.assert_allclose(np.sort(lam.ravel()), np.maximum(want, 0.0), rtol=0, atol=tol)
 
 
 def test_spectrum_mean_is_unit_variance():
@@ -503,24 +523,6 @@ def test_field_export_round_trip(tmp_path):
             other.write_bytes(body)
         with pytest.raises(ParameterError):
             import_field(str(other))
-
-
-def test_spectrum_cache_keeps_callable_models_apart():
-    # a new callable that reuses a freed callable's address must not get the
-    # freed callable's spectrum; closures of one factory reuse it readily
-    def scaled(c):
-        return lambda r: c * np.exp(-np.asarray(r, dtype=float))
-
-    clear_spectrum_cache()
-    shape = dict(dimension=1, h=1.0, extent=8.0, seed=0)
-    first = scaled(1.0)
-    simulate_field(SimulationPlan(model=first, **shape))
-    del first  # freed here unless the cache holds it
-    second = scaled(9.0)
-    z = simulate_pairs(SimulationPlan(model=second, **shape), replicate_generator(0, 0), 1000)
-    var = float(np.mean(z.real**2 + z.imag**2)) / 2.0
-    assert var == pytest.approx(9.0, rel=0.1)
-    clear_spectrum_cache()
 
 
 def test_padding_escalation_has_a_torus_budget():

@@ -1,8 +1,7 @@
 """Hermite expansions and rank detection.
 
-Gauss-Hermite quadrature converges slowly for the kinked |w| functionals,
-so their coefficient tolerances sit near 1e-4; polynomial functionals are
-held to 1e-10, and the catalog's closed forms to 1e-12 against mpmath.
+Every expansion comes from a CatalogFunctional's closed forms, which are
+held to 1e-12 against mpmath quadrature.
 """
 
 import math
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 from rosenlab.errors import ParameterError
-from rosenlab.hermite import functional_catalog, hermite_coefficients
+from rosenlab.hermite import CatalogFunctional, functional_catalog, hermite_coefficients
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -25,7 +24,7 @@ def test_h2_coefficients_exact():
 
 
 def test_square_coefficients():
-    exp = hermite_coefficients(lambda w: w * w, 6)
+    exp = hermite_coefficients(functional_catalog("square"), 6)
     assert exp.coeffs[0] == pytest.approx(1.0, abs=1e-10)
     assert exp.coeffs[2] == pytest.approx(2.0, abs=1e-10)
     for j in (1, 3, 4, 5, 6):
@@ -33,14 +32,15 @@ def test_square_coefficients():
 
 
 def test_abs_coefficients():
-    # E|w| = sqrt(2/pi); absolute-moment identities give C4 = -C0
-    exp = hermite_coefficients(np.abs, 6)
-    assert exp.coeffs[0] == pytest.approx(SQRT_2_OVER_PI, abs=2e-4)
-    assert exp.coeffs[2] == pytest.approx(SQRT_2_OVER_PI, abs=2e-4)
-    assert exp.coeffs[4] == pytest.approx(-SQRT_2_OVER_PI, abs=2e-4)
+    # E|w| = sqrt(2/pi) = C2 of |w|, and absolute-moment identities give
+    # C4 = -C0; the centering removes C0 alone
+    exp = hermite_coefficients(functional_catalog("abs-centered"), 6)
+    assert exp.coeffs[0] == 0.0
+    assert exp.coeffs[2] == pytest.approx(SQRT_2_OVER_PI, rel=1e-15)
+    assert exp.coeffs[4] == pytest.approx(-SQRT_2_OVER_PI, rel=1e-15)
     # odd coefficients vanish for even G
     for j in (1, 3, 5):
-        assert abs(exp.coeffs[j]) < 1e-10
+        assert exp.coeffs[j] == 0.0
 
 
 _MP_CATALOG = {
@@ -63,23 +63,22 @@ def test_catalog_coefficients_match_mpmath(name):
         assert abs(got[j] - float(want)) <= 1e-12, (j, got[j], want)
 
 
+def _closed_form(coeffs):
+    return CatalogFunctional(lambda w: w, lambda j: coeffs.get(j, 0.0))
+
+
 def test_rank_detection():
-    assert hermite_coefficients(lambda w: w, 4).rank == 1
+    assert hermite_coefficients(_closed_form({1: 1.0}), 4).rank == 1
     assert hermite_coefficients(functional_catalog("abs-centered"), 4).rank == 2
     assert hermite_coefficients(functional_catalog("h2"), 4).rank == 2
-    exp = hermite_coefficients(lambda w: w**3, 5)
-    assert exp.rank == 1  # E w^3 H_1 = 3
+    # w^3 = H_3 + 3 H_1
+    assert hermite_coefficients(_closed_form({1: 3.0, 3: 6.0}), 5).rank == 1
 
 
 def test_rank_undetected():
     # a constant has no coefficient with j >= 1
-    exp = hermite_coefficients(lambda w: np.ones_like(w), 4)
+    exp = hermite_coefficients(_closed_form({0: 1.0}), 4)
     assert exp.rank is None
-
-
-def test_quadrature_order_gates():
-    with pytest.raises(ParameterError):
-        hermite_coefficients(np.abs, 6, quad_order=8)
 
 
 def test_catalog():
@@ -89,38 +88,39 @@ def test_catalog():
     assert np.allclose(g(w), np.abs(w) - SQRT_2_OVER_PI)
     with pytest.raises(ParameterError):
         functional_catalog("cubic")
+    # only closed forms: a plain callable and a negative order are refused
+    for G, J in ((np.abs, 6), (lambda w: w * w - 1.0, 2), (g, -1)):
+        with pytest.raises(ParameterError):
+            hermite_coefficients(G, J)
 
 
 def test_bivariate_moment_identity():
-    # E H_k(x) H_m(y) = delta_km k! rho^k for jointly Gaussian (x, y)
-    from rosenlab.hermite import _hermite_matrix
-
+    # E H_k(x) H_m(y) = delta_km k! rho^k for jointly Gaussian (x, y), so the
+    # closed-form coefficients give Cov(G(x), G(y)) = sum_j C_j^2 rho^j / j!.
+    # For |w| the covariance is (2/pi)(rho arcsin rho + sqrt(1 - rho^2) - 1).
+    coeffs = hermite_coefficients(functional_catalog("abs-centered"), 80).coeffs
+    for rho in (0.3, 0.7):
+        series = sum(c * c * rho**j / math.factorial(j) for j, c in enumerate(coeffs))
+        want = 2.0 / math.pi * (rho * math.asin(rho) + math.sqrt(1.0 - rho * rho) - 1.0)
+        assert series == pytest.approx(want, rel=1e-12)
+    # and a Monte Carlo check of the identity itself
     n = 10**6
     rng = np.random.default_rng(99)
     z1 = rng.standard_normal(n)
     z2 = rng.standard_normal(n)
+    g = functional_catalog("abs-centered")
     for rho in (0.3, 0.7):
-        x = z1
-        y = rho * z1 + math.sqrt(1.0 - rho * rho) * z2
-        hx = {k: np.polynomial.hermite_e.hermeval(x, np.eye(5)[k]) for k in range(1, 5)}
-        hy = {k: np.polynomial.hermite_e.hermeval(y, np.eye(5)[k]) for k in range(1, 5)}
-        # the expansion's recurrence agrees with numpy's basis on spot checks
-        assert _hermite_matrix(3, np.array([1.25]))[3, 0] == pytest.approx(
-            float(np.polynomial.hermite_e.hermeval(1.25, np.eye(5)[3])), rel=1e-12
-        )
-        for k in range(1, 5):
-            for m in range(k, 5):
-                prod = hx[k] * hy[m]
-                got = float(prod.mean())
-                se = float(prod.std(ddof=1)) / math.sqrt(n)
-                want = math.factorial(k) * rho**k if k == m else 0.0
-                assert abs(got - want) < 3.0 * se
+        prod = g(z1) * g(rho * z1 + math.sqrt(1.0 - rho * rho) * z2)
+        want = sum(c * c * rho**j / math.factorial(j) for j, c in enumerate(coeffs))
+        se = float(prod.std(ddof=1)) / math.sqrt(n)
+        assert abs(float(prod.mean()) - want) < 3.0 * se
 
 
 def test_expansion_invariants():
-    exp = hermite_coefficients(np.abs, 8)
-    # Parseval sum never exceeds the second moment by more than tolerance
+    g = functional_catalog("abs-centered")
+    exp = hermite_coefficients(g, 8)
+    # Parseval: the partial sum never exceeds E G^2 = 1 - 2/pi
     total = sum(c * c / math.factorial(j) for j, c in enumerate(exp.coeffs))
-    assert total <= 1.0 + 1e-8
+    assert total <= 1.0 - 2.0 / math.pi
     assert exp.order == 8
     assert len(exp.coeffs) == 9

@@ -10,15 +10,12 @@ from rosenlab.errors import DomainError, RosenlabError
 from rosenlab.ratelab import (
     CURVE_COLUMNS,
     RateInputs,
-    SupMinSearch,
     curve_table,
     geometric_term,
     inputs_from_model,
     kappa0_identity_check,
     kappa1,
     kappa_bound,
-    supmin_inner,
-    supmin_outer,
 )
 
 # (d, alpha, q, upsilon): the d1-mc Cauchy model, a d=2 case where the
@@ -42,28 +39,31 @@ def test_closed_forms_at_the_d1_cauchy_point():
 
 @pytest.mark.parametrize("d, alpha, q, upsilon", CASES)
 def test_inner_and_outer_sup_min_match_dense_grids(d, alpha, q, upsilon):
-    # grids of step 5e-6; each arm's slope bounds the distance to the sup
+    # grids of step 5e-6; each arm's slope bounds the distance to the sup.
+    # The inner sup over g0 of min((gamma - g0)(d - 2a), g0(d + 1 - 2a)) is
+    # where the arms cross, linear in gamma
     step = 5e-6
     frac = np.linspace(0.0, 1.0, 200001)
+    slope = (d - 2 * alpha) * (d + 1 - 2 * alpha) / (2 * d + 1 - 4 * alpha)
     for gamma in np.linspace(0.05, 0.95, 7):
         g0 = gamma * frac
         arms = np.minimum((gamma - g0) * (d - 2 * alpha), g0 * (d + 1 - 2 * alpha))
-        want = supmin_inner(d, alpha, gamma)
+        want = slope * gamma
         assert want - (d + 1) * gamma * step <= float(arms.max()) <= want * (1 + 1e-15)
+    # the outer sup over gamma of min(2 upsilon (1 - gamma), inner) is
+    # kappa1's harmonic branch, which binds when q is slack
     grid = frac[1:-1]
-    inner = supmin_inner(d, alpha, 0.5) * grid / 0.5  # linear in gamma
-    brute = float(np.max(np.minimum(2.0 * upsilon * (1.0 - grid), inner)))
-    want = supmin_outer(d, alpha, upsilon)
+    brute = float(np.max(np.minimum(2.0 * upsilon * (1.0 - grid), slope * grid)))
+    want = kappa1(RateInputs(dimension=d, alpha=alpha, q=10.0, upsilon=upsilon))
     assert want - (2.0 * upsilon + d + 1) * step <= brute <= want * (1 + 1e-15)
 
 
 @pytest.mark.parametrize("d, alpha, q, upsilon", CASES)
 @pytest.mark.parametrize("resolution", [16, 40])
 def test_kappa0_grid_search_matches_the_closed_form(d, alpha, q, upsilon, resolution):
-    refined = kappa0_identity_check(d, alpha, q, upsilon, SupMinSearch(*(resolution,) * 3))
-    coarse = kappa0_identity_check(
-        d, alpha, q, upsilon, SupMinSearch(*(resolution,) * 3, refine=False)
-    )
+    refined = kappa0_identity_check(d, alpha, q, upsilon, resolution)
+    coarse = kappa0_identity_check(d, alpha, q, upsilon, resolution, refine=False)
+    assert (refined.resolution, refined.refined, coarse.refined) == (resolution, True, False)
     inputs = RateInputs(dimension=d, alpha=alpha, q=q, upsilon=upsilon)
     assert refined.closed_form == pytest.approx(kappa1(inputs) / 3.0, rel=1e-15)
     # a grid point never beats the supremum

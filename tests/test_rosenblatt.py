@@ -66,6 +66,16 @@ def test_the_first_draws_do_not_depend_on_the_draw_count():
         np.testing.assert_array_equal(sample(series, k, 8), full[:k])
 
 
+def test_sample_is_the_interpolant_at_the_uniforms_in_draw_order():
+    # the sampler interpolates the sorted uniforms and scatters the values
+    # back; each value is the plain interpolant at its own uniform
+    series = _mixed(300)
+    table = series.cdf_table
+    u = np.random.default_rng(9191).random(200_000)
+    want = np.interp(u, table.cdf, table.x)
+    np.testing.assert_array_equal(sample(series, u.size, 9191), want)
+
+
 @pytest.mark.parametrize("k", [8, 12])
 def test_sample_lies_in_the_dkw_band_of_the_scaled_chi_square(k):
     nu, n = 0.7, 200_000
@@ -288,6 +298,8 @@ def test_eigen_series_keeps_the_disk_series():
     series = rosenblatt.eigen_series(kernel)
     assert series.kept == 300
     np.testing.assert_array_equal(series.eigenvalues, full)
+    # one block per order of the addition rows
+    assert len(kernel.blocks) == 83 and kernel.block_multiplicity == (1,) + (2,) * 82
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4])

@@ -11,8 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from rosenlab.errors import AccuracyError, DomainError
-from rosenlab.hermite import _hermite_matrix
+from rosenlab.errors import DomainError
 from rosenlab.specfun import hyp1f2_cosine, y_d_kernel
 
 
@@ -22,11 +21,6 @@ def _y_d_oracle(d, z):
     nu = mp.mpf(d - 2) / 2
     z = mp.mpf(z)
     return float(2**nu * mp.gamma(mp.mpf(d) / 2) * mp.besselj(nu, z) * z ** (-nu))
-
-
-def _hermite(k, w):
-    """H_k(w) from the recurrence the Hermite expansion uses."""
-    return _hermite_matrix(k, np.atleast_1d(np.asarray(w, dtype=float)))[k]
 
 
 def test_bessel_j_goldens():
@@ -58,32 +52,33 @@ def test_bessel_j_domain():
 
 
 def test_hyp1f2_goldens():
-    assert hyp1f2_cosine(0.7, 0.0) == 1.0
     # mpmath oracle values
     assert hyp1f2_cosine(0.3, -0.25) == pytest.approx(0.8899256194415786, rel=1e-12)
-    assert hyp1f2_cosine(1.0, 1.0) == pytest.approx(float(mp.hyp1f2(1, 0.5, 2, 1)), rel=1e-12)
+    assert hyp1f2_cosine(1.0, -1.0) == pytest.approx(float(mp.hyp1f2(1, 0.5, 2, -1)), rel=1e-12)
 
 
 def test_hyp1f2_large_argument():
-    # cancellation-heavy regime; the trigonometric branch must hold the line
+    # where the ascending series would cancel: Gauss-Jacobi at -400, the
+    # trigonometric expansion at -2500 (lam = 100)
     assert hyp1f2_cosine(0.3, -400.0) == pytest.approx(0.06869548306990676, rel=1e-10)
-    want = float(mp.hyp1f2(1.2, 0.5, 2.2, 30))
-    assert hyp1f2_cosine(1.2, 30.0) == pytest.approx(want, rel=1e-10)
+    want = float(mp.hyp1f2(1.2, 0.5, 2.2, -2500))
+    assert hyp1f2_cosine(1.2, -2500.0) == pytest.approx(want, rel=1e-10)
 
 
 def test_hyp1f2_errors():
     for bad in (0.0, -0.5):
         with pytest.raises(DomainError):
             hyp1f2_cosine(bad, -1.0)
-    # the terms overflow before the series settles
-    with pytest.raises(AccuracyError):
-        hyp1f2_cosine(1.0, 1e6)
+    # its one caller passes z = -lam^2/4, which is 0 only by underflow
+    assert hyp1f2_cosine(0.3, -0.0) == pytest.approx(1.0, abs=4e-16)
+    for z in (5e-324, 1.0, 1e6, math.nan):
+        with pytest.raises(DomainError, match="z <= 0"):
+            hyp1f2_cosine(1.0, z)
 
 
 @pytest.mark.parametrize("a", [0.3, 0.6, 0.75])
 def test_hyp1f2_cosine_mpmath_oracle(a):
-    # a = (1 - alpha)/2 and (theta + 1)/2 of the local-global density; -99
-    # sits at the series' cancellation floor, -100 starts the trig branch
+    # a = (1 - alpha)/2 and (theta + 1)/2 of the local-global density
     tol = {-0.25: 1e-14, -99.0: 1e-8, -100.0: 1e-9, -400.0: 1e-13}
     for z, rel in tol.items():
         want = float(mp.hyp1f2(a, 0.5, a + 1, z))
@@ -96,39 +91,6 @@ def test_hyp1f2_cosine_is_exact_around_the_old_switch(a):
     for z in np.linspace(-120.0, -80.0, 81):
         want = float(mp.hyp1f2(a, 0.5, a + 1, z))
         assert abs(hyp1f2_cosine(a, z) - want) <= 1e-12, z
-
-
-def test_hermite_poly_goldens():
-    assert _hermite(2, 0.0)[0] == -1.0
-    assert _hermite(3, 2.0)[0] == 2.0
-    # explicit coefficients: H5(w) = w^5 - 10 w^3 + 15 w
-    w = 1.5
-    assert _hermite(5, w)[0] == pytest.approx(w**5 - 10 * w**3 + 15 * w, rel=1e-13)
-
-
-def test_hermite_poly_matches_recurrence_grid():
-    # numpy's probabilists' basis as an independent evaluator
-    from numpy.polynomial import hermite_e
-
-    w = np.linspace(-4.0, 4.0, 17)
-    rows = _hermite_matrix(10, w)
-    for k in range(11):
-        coeffs = np.zeros(k + 1)
-        coeffs[k] = 1.0
-        want = hermite_e.hermeval(w, coeffs)
-        np.testing.assert_allclose(rows[k], want, rtol=1e-11, atol=1e-11)
-
-
-def test_gauss_hermite_orthogonality():
-    # E H_j H_k = delta_jk k! under the standard normal weight
-    nodes, weights = np.polynomial.hermite_e.hermegauss(120)
-    weights = weights / np.sqrt(2.0 * np.pi)
-    rows = _hermite_matrix(10, nodes)
-    for j in range(11):
-        for k in range(j, 11):
-            got = float(np.sum(weights * rows[j] * rows[k]))
-            want = math.factorial(k) if j == k else 0.0
-            assert abs(got - want) < 1e-8 * max(1.0, want)
 
 
 def test_y_d_kernel_limits_and_reductions():
