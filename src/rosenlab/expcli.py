@@ -25,7 +25,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from platform import python_version
 
 import numpy as np
@@ -572,44 +573,14 @@ def _read_text(path, flag):
         raise ParameterError(f"cannot read --{flag} {path!r}: {exc.strerror}") from None
 
 
-def _check_out(out):
-    """ParameterError unless out names a file in an existing directory."""
+def _out_path(out, name):
+    """out, or ParameterError unless it names a file in an existing directory."""
     folder = os.path.dirname(out) or "."
     if not os.path.isdir(folder):
-        raise ParameterError(f"cannot write --out {out!r}: no directory {folder!r}")
+        raise ParameterError(f"cannot write --{name} {out!r}: no directory {folder!r}")
     if os.path.isdir(out):
-        raise ParameterError(f"cannot write --out {out!r}: it is a directory")
-
-
-def _load_config_doc(path):
-    if path is None:
-        return {}
-    return check_json_object(_read_text(path, "config"), "config document")
-
-
-def _pick(args, doc, key, default=None, flag=None, kind=None):
-    """The flag's value, else the config document's, else default.
-
-    flag names the option when it differs from the config key. kind, one of
-    int, float, _floats and _grid, reads the value; a value it cannot read
-    is a ParameterError naming the option.
-    """
-    name = (flag or key).replace("_", "-")
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is None:
-        value = doc.get(key, default)
-    if value is None or kind is None:
-        return value
-    if kind in (_floats, _grid):
-        return kind(value, name)
-    return _number(kind, value, name)
-
-
-def _need(args, doc, key, flag=None, kind=None):
-    value = _pick(args, doc, key, flag=flag, kind=kind)
-    if value is None:
-        raise ParameterError(f"missing required option --{(flag or key).replace('_', '-')}")
-    return value
+        raise ParameterError(f"cannot write --{name} {out!r}: it is a directory")
+    return out
 
 
 def _number(kind, value, name):
@@ -626,85 +597,152 @@ def _number(kind, value, name):
         raise ParameterError(f"--{name} must be {noun}, got {value!r}") from None
 
 
+_int = partial(_number, int)
+_float = partial(_number, float)
+
+
 def _floats(text, name):
     """A list of numbers, or one comma-separated string of them."""
     if not isinstance(text, (list, tuple)):
         text = [tok for tok in str(text).split(",") if tok.strip()]
-    return [_number(float, v, name) for v in text]
+    return [_float(v, name) for v in text]
 
 
 def _grid(text, name):
-    """start:stop:count linear grid, or a comma list."""
+    """start:stop:count linear grid with count >= 1, or a comma list."""
     if isinstance(text, str) and ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ParameterError(f"--{name} grid must be start:stop:count, got {text!r}")
-        start, stop = (_number(float, v, name) for v in parts[:2])
-        return list(np.linspace(start, stop, _number(int, parts[2], name)))
+        start, stop = (_float(v, name) for v in parts[:2])
+        count = _int(parts[2], name)
+        if count < 1:
+            raise ParameterError(f"--{name} grid count must be at least 1, got {count}")
+        return np.linspace(start, stop, count).tolist()
     return _floats(text, name)
 
 
-def _cmd_covariance_eval(args, doc, out, seed):
-    model = model_from_json(_need(args, doc, "model"))
-    rs = _need(args, doc, "r", kind=_floats)
-    rows = [(r, float(covariance_eval(model, r))) for r in rs]
+def _switch(value, name):
+    """True when the flag is given; a config value must be JSON true or false."""
+    if not isinstance(value, bool):
+        raise ParameterError(f"--{name} must be true or false, got {value!r}")
+    return value
+
+
+def _seed(value, name):
+    """A nonnegative integer. Text that reads as an integer is one; any other
+    value goes to check_seed as it is, which names it in its refusal."""
+    try:
+        value = _int(value, name)
+    except ParameterError:
+        pass
+    return check_seed(value)
+
+
+@dataclass(frozen=True)
+class _Option:
+    """One command line option, declared once.
+
+    kind reads a flag's text or a config value into what the handler gets:
+    _int, _float, _floats, _grid, _seed, _out_path or _switch (a flag without
+    a value); None passes a JSON descriptor or a path through as given. keys
+    are the --config keys that may hold the value, the flag unless given; a
+    document may name only one of them.
+    """
+
+    flag: str
+    kind: object = None
+    default: object = None
+    required: bool = False
+    help: str = None
+    keys: tuple = None
+
+    def __post_init__(self):
+        if self.keys is None:
+            object.__setattr__(self, "keys", (self.flag,))
+
+    @property
+    def dest(self):
+        return self.flag.replace("-", "_")
+
+    def read(self, args, doc):
+        """The flag's value, else the config document's, else the default."""
+        named = [key for key in self.keys if key in doc]
+        if len(named) > 1:
+            raise ParameterError(
+                f"config document names both {named[0]!r} and {named[1]!r}; give one"
+            )
+        value = getattr(args, self.dest)
+        if value is None and named:
+            value = doc[named[0]]
+        if value is None:
+            if self.required:
+                raise ParameterError(f"missing required option --{self.flag}")
+            return self.default
+        return value if self.kind is None else self.kind(value, self.flag)
+
+
+def _require(opts, *names):
+    """For options a handler needs only in some cases."""
+    for name in names:
+        if opts[name] is None:
+            raise ParameterError(f"missing required option --{name}")
+
+
+def _cmd_covariance_eval(opts, out, seed):
+    model = model_from_json(opts["model"])
+    rows = [(r, float(covariance_eval(model, r))) for r in opts["r"]]
     return ("r", "covariance"), rows, {}
 
 
-def _cmd_spectral_eval(args, doc, out, seed):
-    model = model_from_json(_need(args, doc, "model"))
-    lams = _need(args, doc, "lam", kind=_floats)
-    rows = [(lam, float(spectral_density(model, lam))) for lam in lams]
+def _cmd_spectral_eval(opts, out, seed):
+    model = model_from_json(opts["model"])
+    rows = [(lam, float(spectral_density(model, lam))) for lam in opts["lam"]]
     return ("lam", "density"), rows, {}
 
 
-def _cmd_spectral_fit(args, doc, out, seed):
-    model = model_from_json(_need(args, doc, "model"))
-    grid = _pick(args, doc, "grid", kind=_grid)
-    grid = np.geomspace(1e-4, 10**-2.5, 10) if grid is None else np.asarray(grid)
-    fit = residual_exponent_fit(model, grid)
+def _cmd_spectral_fit(opts, out, seed):
+    model = model_from_json(opts["model"])
+    fit = residual_exponent_fit(model, np.asarray(opts["grid"]))
     target = lrd_params(model).upsilon
     rows = [(model.family, float(fit), float(target), float(fit - target))]
     return ("family", "upsilon_fit", "upsilon_formula", "difference"), rows, {}
 
 
-def _cmd_geometry_ft(args, doc, out, seed):
-    window = set_from_json(_need(args, doc, "set"))
-    zs = _need(args, doc, "z", kind=_floats)
-    direction = _pick(args, doc, "direction", kind=_floats)
-    if direction is None:
+def _cmd_geometry_ft(opts, out, seed):
+    window = set_from_json(opts["set"])
+    if opts["direction"] is None:
         vec = np.zeros(window.dimension)
         vec[0] = 1.0
     else:
-        vec = np.asarray(direction, dtype=float)
+        vec = np.asarray(opts["direction"], dtype=float)
         if vec.shape != (window.dimension,) or not np.linalg.norm(vec) > 0:
             raise ParameterError("direction must be a nonzero vector matching d")
         vec = vec / np.linalg.norm(vec)
     rows = []
-    for z in zs:
+    for z in opts["z"]:
         val = complex(indicator_ft(window, z * vec))
         rows.append((z, val.real, val.imag))
     return ("z", "ft_real", "ft_imag"), rows, {}
 
 
-def _cmd_hermite_coeffs(args, doc, out, seed):
-    name = _need(args, doc, "functional")
-    order = _pick(args, doc, "order", 6, kind=int)
-    expansion = hermite_coefficients(functional_catalog(name), order)
+def _cmd_hermite_coeffs(opts, out, seed):
+    name = opts["functional"]
+    expansion = hermite_coefficients(functional_catalog(name), opts["order"])
     rows = [(j, c) for j, c in enumerate(expansion.coeffs)]
     return ("j", "coefficient"), rows, {"rank": expansion.rank, "functional": name}
 
 
-def _cmd_simulate_field(args, doc, out, seed):
-    model = model_from_json(_need(args, doc, "model"))
+def _cmd_simulate_field(opts, out, seed):
+    model = model_from_json(opts["model"])
     plan = SimulationPlan(
         model=model,
         dimension=model.dimension,
-        h=_need(args, doc, "h", kind=float),
-        extent=_need(args, doc, "extent", kind=float),
+        h=opts["h"],
+        extent=opts["extent"],
         seed=seed,
-        padding=_pick(args, doc, "padding", DEFAULT_PADDING, kind=int),
-        clamp_tol=_pick(args, doc, "clamp-tol", kind=float),
+        padding=opts["padding"],
+        clamp_tol=opts["clamp_tol"],
     )
     if out is None:
         raise ParameterError("simulate field writes binary output; --out is required")
@@ -713,9 +751,8 @@ def _cmd_simulate_field(args, doc, out, seed):
     return None, None, {"n_per_axis": plan.n_per_axis, "path": out}
 
 
-def _cmd_rosenblatt_build(args, doc, out, seed):
-    window = set_from_json(_need(args, doc, "set"))
-    series = limit_law(window, _need(args, doc, "alpha", kind=float))
+def _cmd_rosenblatt_build(opts, out, seed):
+    series = limit_law(set_from_json(opts["set"]), opts["alpha"])
     text = series_to_json(series)
     if out is None:
         sys.stdout.write(text + "\n")
@@ -725,9 +762,8 @@ def _cmd_rosenblatt_build(args, doc, out, seed):
     return None, None, {"limit_law": _law_record(series)}
 
 
-def _cmd_rosenblatt_sample(args, doc, out, seed):
-    path = _need(args, doc, "series")
-    n = _need(args, doc, "n", kind=int)
+def _cmd_rosenblatt_sample(opts, out, seed):
+    path, n = opts["series"], opts["n"]
     series = series_from_json(_read_text(path, "series"))
     draws = sample(series, n, seed)
     table = series.cdf_table
@@ -739,29 +775,21 @@ def _cmd_rosenblatt_sample(args, doc, out, seed):
     }
 
 
-def _cmd_rate_bound(args, doc, out, seed):
-    model_spec = _pick(args, doc, "model")
-    if model_spec is not None:
-        inputs = inputs_from_model(model_from_json(model_spec), q=_pick(args, doc, "q", kind=float))
+def _cmd_rate_bound(opts, out, seed):
+    if opts["model"] is not None:
+        fixed = [f"--{name}" for name in ("d", "alpha", "upsilon") if opts[name] is not None]
+        if fixed:
+            raise ParameterError(f"--model fixes d, alpha and upsilon; drop {', '.join(fixed)}")
+        inputs = inputs_from_model(model_from_json(opts["model"]), q=opts["q"])
     else:
+        _require(opts, "d", "alpha", "q", "upsilon")
         inputs = RateInputs(
-            dimension=_need(args, doc, "d", kind=int),
-            alpha=_need(args, doc, "alpha", kind=float),
-            q=_need(args, doc, "q", kind=float),
-            upsilon=_need(args, doc, "upsilon", kind=float),
+            dimension=opts["d"], alpha=opts["alpha"], q=opts["q"], upsilon=opts["upsilon"]
         )
-    rows = [
-        (
-            inputs.dimension,
-            inputs.alpha,
-            inputs.q,
-            inputs.upsilon,
-            kappa1(inputs),
-            geometric_term(inputs),
-            kappa_bound(inputs),
-            inputs.theorem_applicable,
-        )
-    ]
+    rows = [(
+        inputs.dimension, inputs.alpha, inputs.q, inputs.upsilon,
+        kappa1(inputs), geometric_term(inputs), kappa_bound(inputs), inputs.theorem_applicable,
+    )]
     header = (
         "d", "alpha", "q", "upsilon",
         "kappa1", "geometric_term", "kappa_bound", "theorem_applicable",
@@ -769,35 +797,27 @@ def _cmd_rate_bound(args, doc, out, seed):
     return header, rows, {}
 
 
-def _cmd_rate_curves(args, doc, out, seed):
-    family = str(_need(args, doc, "family"))
-    grid = _need(args, doc, "alpha-grid", kind=_grid)
-    q = _pick(args, doc, "q", kind=float)
+def _cmd_rate_curves(opts, out, seed):
+    family = str(opts["family"])
     if family == "localglobal":
-        theta = _pick(args, doc, "theta", 0.5, kind=float)
+        theta = opts["theta"]
         builder = lambda a: local_global(1, a, theta)
     elif family == "linnik":
-        d = _need(args, doc, "d", kind=int)
-        sigma = _need(args, doc, "sigma", kind=float)
+        _require(opts, "d", "sigma")
+        d, sigma = opts["d"], opts["sigma"]
         builder = lambda a: linnik(d, sigma, a / sigma)
     else:
         raise ParameterError(f"unknown curve family {family!r}; use localglobal or linnik")
-    rows = [
-        tuple(row[c] for c in CURVE_COLUMNS) for row in curve_table(builder, grid, q=q)
-    ]
+    table = curve_table(builder, opts["alpha_grid"], q=opts["q"])
+    rows = [tuple(row[c] for c in CURVE_COLUMNS) for row in table]
     return CURVE_COLUMNS, rows, {"family": family}
 
 
-def _cmd_rate_experiment(args, doc, out, seed):
+def _cmd_rate_experiment(opts, out, seed):
     config = ExperimentConfig(
-        model=model_from_json(_need(args, doc, "model")),
-        window=set_from_json(_need(args, doc, "window", flag="set")),
-        functional=str(_need(args, doc, "functional")),
-        r_grid=tuple(_need(args, doc, "r_grid", flag="r", kind=_floats)),
-        replicates=_pick(args, doc, "replicates", 1000, kind=int),
-        master_seed=seed,
-        h=_pick(args, doc, "h", 0.25, kind=float),
-        out=out,
+        model=model_from_json(opts["model"]), window=set_from_json(opts["set"]),
+        functional=str(opts["functional"]), r_grid=tuple(opts["r"]),
+        replicates=opts["replicates"], master_seed=seed, h=opts["h"], out=out,
     )
     table = rate_experiment(config)
     info = {
@@ -805,13 +825,8 @@ def _cmd_rate_experiment(args, doc, out, seed):
         "runtime_seconds": [row.runtime_seconds for row in table.rows],
         "stage_seconds": table.stage_seconds,
         "embedding": [
-            {
-                **asdict(row.embedding),
-                "r": row.r,
-                "n_per_axis": row.n_per_axis,
-                "window_sites": row.window_sites,
-                "drawn_on_r": row.drawn_on_r,
-            }
+            {**asdict(row.embedding), "r": row.r, "n_per_axis": row.n_per_axis,
+             "window_sites": row.window_sites, "drawn_on_r": row.drawn_on_r}
             for row in table.rows
         ],
         "limit_law": _law_record(table.law),
@@ -819,158 +834,132 @@ def _cmd_rate_experiment(args, doc, out, seed):
     return RHO_CSV_COLUMNS, table.csv_rows(), info
 
 
-def _cmd_verify_supmin(args, doc, out, seed):
-    d = _need(args, doc, "d", kind=int)
-    alpha = _need(args, doc, "alpha", kind=float)
-    q = _need(args, doc, "q", kind=float)
-    upsilon = _need(args, doc, "upsilon", kind=float)
-    res = _pick(args, doc, "resolution", 1000, kind=int)
-    refine = not bool(_pick(args, doc, "no-refine", False))
-    rep = kappa0_identity_check(d, alpha, q, upsilon, res, refine)
+def _cmd_verify_supmin(opts, out, seed):
+    res = opts["resolution"]
+    rep = kappa0_identity_check(
+        opts["d"], opts["alpha"], opts["q"], opts["upsilon"], res, not opts["no_refine"]
+    )
     header = (
         "grid_value", "closed_form", "deviation",
         "beta", "gamma", "gamma0", "resolution", "refined",
     )
-    rows = [
-        (
-            rep.grid_value, rep.closed_form, rep.deviation,
-            rep.argmax[0], rep.argmax[1], rep.argmax[2],
-            res, rep.refined,
-        )
-    ]
+    rows = [(rep.grid_value, rep.closed_form, rep.deviation, *rep.argmax, res, rep.refined)]
     return header, rows, {}
 
 
-# "group action" -> (handler(args, doc, out, seed) returning (header, rows,
-# info), the --config document keys the handler reads); header is None for
-# commands that write their own output file
+_MODEL = _Option("model", required=True, help="model JSON descriptor")
+_SET = _Option("set", required=True, help="window JSON descriptor")
+_EXPONENTS = (
+    _Option("d", _int, required=True, help="dimension"),
+    _Option("alpha", _float, required=True, help="long-memory exponent"),
+    _Option("q", _float, required=True, help="spectral smoothness exponent"),
+    _Option("upsilon", _float, required=True, help="residual exponent"),
+)
+
+# "group action" -> (handler(opts, out, seed) returning (header, rows, info),
+# its options). Each option is declared here once: _build_parser makes its
+# flag, _run refuses config keys no option names and reads each value into
+# opts under its argparse dest. header is None for commands that write their
+# own output file.
 _COMMANDS = {
-    "covariance eval": (_cmd_covariance_eval, ("model", "r")),
-    "spectral eval": (_cmd_spectral_eval, ("model", "lam")),
-    "spectral fit-upsilon": (_cmd_spectral_fit, ("model", "grid")),
-    "geometry ft": (_cmd_geometry_ft, ("set", "z", "direction")),
-    "hermite coeffs": (_cmd_hermite_coeffs, ("functional", "order")),
-    "simulate field": (
-        _cmd_simulate_field, ("model", "h", "extent", "padding", "clamp-tol"),
-    ),
-    "rosenblatt build": (_cmd_rosenblatt_build, ("set", "alpha")),
-    "rosenblatt sample": (_cmd_rosenblatt_sample, ("series", "n")),
-    "rate bound": (_cmd_rate_bound, ("model", "d", "alpha", "q", "upsilon")),
-    "rate curves": (
-        _cmd_rate_curves, ("family", "alpha-grid", "d", "sigma", "theta", "q"),
-    ),
-    "rate experiment": (
-        _cmd_rate_experiment,
-        ("model", "window", "functional", "r_grid", "replicates", "h"),
-    ),
-    "verify supmin": (
-        _cmd_verify_supmin, ("d", "alpha", "q", "upsilon", "resolution", "no-refine"),
-    ),
+    "covariance eval": (_cmd_covariance_eval, (
+        _MODEL,
+        _Option("r", _floats, required=True, help="comma-separated distances"),
+    )),
+    "spectral eval": (_cmd_spectral_eval, (
+        _MODEL,
+        _Option("lam", _floats, required=True, help="comma-separated frequencies"),
+    )),
+    "spectral fit-upsilon": (_cmd_spectral_fit, (
+        _MODEL,
+        _Option("grid", _grid, np.geomspace(1e-4, 10**-2.5, 10).tolist(),
+                help="lambda grid, start:stop:count or comma list (default 10 log-spaced)"),
+    )),
+    "geometry ft": (_cmd_geometry_ft, (
+        _SET,
+        _Option("z", _floats, required=True, help="comma-separated radii"),
+        _Option("direction", _floats, help="ray direction for rectangular windows"),
+    )),
+    "hermite coeffs": (_cmd_hermite_coeffs, (
+        _Option("functional", required=True, help="functional name"),
+        _Option("order", _int, 6, help="expansion order (default 6)"),
+    )),
+    "simulate field": (_cmd_simulate_field, (
+        _MODEL,
+        _Option("h", _float, required=True, help="lattice step"),
+        _Option("extent", _float, required=True, help="half-width of the lattice"),
+        _Option("padding", _int, DEFAULT_PADDING, help="first torus side over lattice side, >= 2"),
+        _Option("clamp-tol", _float, help="negative spectrum share the embedding clamps"),
+    )),
+    "rosenblatt build": (_cmd_rosenblatt_build, (
+        _SET,
+        _Option("alpha", _float, required=True, help="long-memory exponent"),
+    )),
+    "rosenblatt sample": (_cmd_rosenblatt_sample, (
+        _Option("series", required=True, help="series JSON path from rosenblatt build"),
+        _Option("n", _int, required=True, help="number of draws"),
+    )),
+    "rate bound": (_cmd_rate_bound, (
+        _Option("model", help="model JSON descriptor; it fixes d, alpha and upsilon"),
+        *(replace(opt, required=False) for opt in _EXPONENTS),
+    )),
+    "rate curves": (_cmd_rate_curves, (
+        _Option("family", required=True, help="localglobal or linnik"),
+        _Option("alpha-grid", _grid, required=True, help="start:stop:count or comma list"),
+        _Option("d", _int, help="dimension (linnik)"),
+        _Option("sigma", _float, help="Linnik sigma (linnik)"),
+        _Option("theta", _float, 0.5, help="local-global theta (default 0.5)"),
+        _Option("q", _float, help="spectral smoothness exponent"),
+    )),
+    "rate experiment": (_cmd_rate_experiment, (
+        _MODEL,
+        replace(_SET, keys=("window",)),
+        _Option("functional", required=True, help="rank-2 functional name"),
+        _Option("r", _floats, required=True, help="comma-separated window scales",
+                keys=("r_grid",)),
+        _Option("replicates", _int, 1000, help="replicates per r (default 1000)"),
+        _Option("h", _float, 0.25, help="lattice step (default 0.25)"),
+    )),
+    "verify supmin": (_cmd_verify_supmin, (
+        *_EXPONENTS,
+        _Option("resolution", _int, 1000, help="grid points per axis (default 1000)"),
+        _Option("no-refine", _switch, False, help="skip the local refinement"),
+    )),
 }
-# --config keys that every command reads (_run)
-_COMMON_KEYS = ("out", "seed", "master_seed")
+# --config, which has no config key, and the options of every command
+_CONFIG = _Option("config", help="JSON document with option defaults", keys=())
+_COMMON = (
+    _Option("out", _out_path, help="output path (stdout when omitted)"),
+    _Option("seed", _seed, 0, help="master seed (default 0)", keys=("seed", "master_seed")),
+)
+_GROUP_HELP = dict(
+    covariance="covariance evaluation", spectral="spectral densities",
+    geometry="window transforms", hermite="functional expansions",
+    simulate="field simulation", rosenblatt="limit-law sampler",
+    rate="rate exponents and experiments", verify="identity verification",
+)
 
 
 def _build_parser():
+    """One subparser per _COMMANDS entry; every flag is text, read by _run,
+    except a _switch, which argparse stores as True when it is given."""
     parser = argparse.ArgumentParser(
         prog="rosenlab",
         description="Long-memory field experiments: covariances, spectra, "
         "Hermite functionals, limit-law sampling, and rate tables.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON document with option defaults")
-    common.add_argument("--seed", type=int, help="master seed (default 0)")
-    common.add_argument("--out", help="output path (stdout when omitted)")
-
     top = parser.add_subparsers(dest="group", required=True)
-
-    cov = top.add_parser("covariance", help="covariance evaluation").add_subparsers(
-        dest="action", required=True
-    )
-    p = cov.add_parser("eval", parents=[common])
-    p.add_argument("--model", help="model JSON descriptor")
-    p.add_argument("--r", help="comma-separated distances")
-
-    spec = top.add_parser("spectral", help="spectral densities").add_subparsers(
-        dest="action", required=True
-    )
-    p = spec.add_parser("eval", parents=[common])
-    p.add_argument("--model")
-    p.add_argument("--lam", help="comma-separated frequencies")
-    p = spec.add_parser("fit-upsilon", parents=[common])
-    p.add_argument("--model")
-    p.add_argument("--grid", help="lambda grid, start:stop:count or comma list")
-
-    geo = top.add_parser("geometry", help="window transforms").add_subparsers(
-        dest="action", required=True
-    )
-    p = geo.add_parser("ft", parents=[common])
-    p.add_argument("--set", help="window JSON descriptor")
-    p.add_argument("--z", help="comma-separated radii")
-    p.add_argument("--direction", help="ray direction for rectangular windows")
-
-    her = top.add_parser("hermite", help="functional expansions").add_subparsers(
-        dest="action", required=True
-    )
-    p = her.add_parser("coeffs", parents=[common])
-    p.add_argument("--functional")
-    p.add_argument("--order", type=int)
-
-    sim = top.add_parser("simulate", help="field simulation").add_subparsers(
-        dest="action", required=True
-    )
-    p = sim.add_parser("field", parents=[common])
-    p.add_argument("--model")
-    p.add_argument("--h", type=float)
-    p.add_argument("--extent", type=float)
-    p.add_argument("--padding", type=int, help="first torus side over lattice side, >= 2")
-    p.add_argument("--clamp-tol", type=float, dest="clamp_tol")
-
-    ros = top.add_parser("rosenblatt", help="limit-law sampler").add_subparsers(
-        dest="action", required=True
-    )
-    p = ros.add_parser("build", parents=[common])
-    p.add_argument("--set")
-    p.add_argument("--alpha", type=float)
-    p = ros.add_parser("sample", parents=[common])
-    p.add_argument("--series", help="series JSON path from rosenblatt build")
-    p.add_argument("--n", type=int)
-
-    rate = top.add_parser("rate", help="rate exponents and experiments").add_subparsers(
-        dest="action", required=True
-    )
-    p = rate.add_parser("bound", parents=[common])
-    p.add_argument("--model")
-    p.add_argument("--d", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--upsilon", type=float)
-    p = rate.add_parser("curves", parents=[common])
-    p.add_argument("--family", help="localglobal or linnik")
-    p.add_argument("--alpha-grid", dest="alpha_grid", help="start:stop:count or comma list")
-    p.add_argument("--d", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--q", type=float)
-    p = rate.add_parser("experiment", parents=[common])
-    p.add_argument("--model")
-    p.add_argument("--set")
-    p.add_argument("--functional")
-    p.add_argument("--r", help="comma-separated window scales")
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--h", type=float)
-
-    ver = top.add_parser("verify", help="identity verification").add_subparsers(
-        dest="action", required=True
-    )
-    p = ver.add_parser("supmin", parents=[common])
-    p.add_argument("--d", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--upsilon", type=float)
-    p.add_argument("--resolution", type=int)
-    p.add_argument("--no-refine", action="store_true", default=None, dest="no_refine")
-
+    groups = {}
+    for command, (_, options) in _COMMANDS.items():
+        group, action = command.split()
+        if group not in groups:
+            groups[group] = top.add_parser(group, help=_GROUP_HELP[group]).add_subparsers(
+                dest="action", required=True
+            )
+        p = groups[group].add_parser(action)
+        for opt in (_CONFIG, *_COMMON, *options):
+            switch = {"action": "store_true"} if opt.kind is _switch else {}
+            p.add_argument(f"--{opt.flag}", dest=opt.dest, default=None, help=opt.help, **switch)
     return parser
 
 
@@ -986,22 +975,33 @@ def main(argv=None):
 
 
 def _run(args):
+    """Read the command's options, run its handler, write its output and
+    manifest.
+
+    The --config document may hold only the keys of the command's options
+    and of _COMMON; any other key is refused before anything is read. Each
+    option is then read by _Option.read, the common ones first, so a
+    malformed or missing value is refused before any work. The manifest's
+    config records every value read, typed, under its argparse dest, next
+    to the document itself and the handler's derived_ values.
+    """
     command = f"{args.group} {args.action}"
-    handler, keys = _COMMANDS[command]
-    doc = _load_config_doc(getattr(args, "config", None))
-    unknown = sorted(set(doc) - set(keys) - set(_COMMON_KEYS))
+    handler, options = _COMMANDS[command]
+    doc = {} if args.config is None else check_json_object(
+        _read_text(args.config, "config"), "config document"
+    )
+    keys = [key for opt in (*options, *_COMMON) for key in opt.keys]
+    unknown = sorted(set(doc) - set(keys))
     if unknown:
         raise ParameterError(
             f"config key(s) {', '.join(map(repr, unknown))} not read by {command!r}; "
-            f"it reads {', '.join(map(repr, keys + _COMMON_KEYS))}"
+            f"it reads {', '.join(map(repr, keys))}"
         )
-    out = _pick(args, doc, "out")
-    if out is not None:
-        _check_out(out)
-    seed = check_seed(_pick(args, doc, "seed", doc.get("master_seed", 0)))
+    opts = {opt.dest: opt.read(args, doc) for opt in (*_COMMON, *options)}
+    out, seed = opts["out"], opts["seed"]
     t0 = time.perf_counter()
 
-    header, rows, info = handler(args, doc, out, seed)
+    header, rows, info = handler(opts, out, seed)
 
     outputs = []
     if header is not None:
@@ -1014,13 +1014,10 @@ def _run(args):
         outputs.append(out)
 
     wall = time.perf_counter() - t0
-    merged = {k: v for k, v in vars(args).items() if v is not None and k not in
-              ("group", "action", "config")}
+    merged = {k: v for k, v in opts.items() if v is not None}
     merged["config_document"] = doc
     merged.update({f"derived_{k}": v for k, v in info.items() if _json_safe(v)})
-    manifest = _write_manifest(
-        out, command, merged, wall, {"master_seed": seed}, outputs
-    )
+    manifest = _write_manifest(out, command, merged, wall, {"master_seed": seed}, outputs)
     if manifest is not None:
         outputs.append(manifest)
     return 0

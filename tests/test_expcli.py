@@ -255,16 +255,40 @@ _EXPERIMENT = ["rate", "experiment", "--model", MODEL, "--set", WINDOW, "--funct
      "--n must be an integer, got 1.5"),
     (["rosenblatt", "build", "--set", WINDOW, "--alpha", "0.4"], [1, 2],
      "config document must be a JSON object, got '[1, 2]'"),
+    (["rosenblatt", "sample", "--series", "series.json", "--n", "1.5"], None,
+     "--n must be an integer, got '1.5'"),
+    (["rosenblatt", "build", "--set", WINDOW, "--alpha", "x"], None,
+     "--alpha must be a number, got 'x'"),
+    ([*_EXPERIMENT, "--r", "8", "--replicates", "2.5"], None,
+     "--replicates must be an integer, got '2.5'"),
+    (["verify", "supmin", "--d", "1", "--alpha", "0.4", "--q", "0.0999", "--upsilon", "0.6"],
+     {"no-refine": "false"}, "--no-refine must be true or false, got 'false'"),
+    (["rate", "curves", "--family", "localglobal", "--alpha-grid", "0.1:0.4:-1"], None,
+     "--alpha-grid grid count must be at least 1, got -1"),
+    (["rate", "curves", "--family", "localglobal", "--alpha-grid", "0.1:0.4:0"], None,
+     "--alpha-grid grid count must be at least 1, got 0"),
+    (["spectral", "fit-upsilon", "--model", MODEL, "--grid", "0.001:0.01:-2"], None,
+     "--grid grid count must be at least 1, got -2"),
+    (["rosenblatt", "build", "--set", WINDOW, "--alpha", "0.4"], {"seed": 1, "master_seed": 2},
+     "config document names both 'seed' and 'master_seed'; give one"),
+    (["rate", "bound", "--model", MODEL, "--d", "2", "--alpha", "0.9", "--upsilon", "5"], None,
+     "--model fixes d, alpha and upsilon; drop --d, --alpha, --upsilon"),
 ], ids=[
     "r-list", "covariance-r", "config-replicates", "config-r_grid", "grid-count", "grid-parts",
     "model-text", "set-text", "set-array", "config-n-float", "config-array",
+    "n-float", "alpha-text", "replicates-float", "config-no-refine-text", "grid-count-negative",
+    "grid-count-zero", "fit-grid-count-negative", "config-seed-and-master_seed",
+    "bound-exponents-with-model",
 ])
 def test_malformed_values_exit_2_with_one_line_before_any_work(
     tmp_path, capsys, monkeypatch, argv, doc, message
 ):
     # each raised ValueError, JSONDecodeError or AttributeError with a
-    # traceback, or, for "n": 1.5, truncated it and wrote one draw
-    for name in ("limit_law", "series_from_json", "curve_table", "covariance_eval"):
+    # traceback, or, for "n": 1.5, truncated it and wrote one draw; the
+    # flags failed at argparse with a usage line; the no-refine text, the
+    # seed pair, the zero count and the exponents beside --model ran
+    for name in ("limit_law", "series_from_json", "curve_table", "covariance_eval",
+                 "kappa0_identity_check", "residual_exponent_fit", "inputs_from_model"):
         monkeypatch.setattr(expcli, name, _never_called)
     out = tmp_path / "out"
     argv = [*argv, "--out", str(out)]
@@ -295,7 +319,7 @@ def test_every_command_option_has_a_config_key(command):
     # stores its --set and --r as window and r_grid, as config_to_json does
     renamed = {"set": "window", "r": "r_grid"} if command == "rate experiment" else {}
     options = _option_names(command) - {"help", "config", "seed", "out"}
-    _, keys = expcli._COMMANDS[command]
+    keys = [key for opt in expcli._COMMANDS[command][1] for key in opt.keys]
     assert {renamed.get(o, o) for o in options} == set(keys)
 
 
@@ -717,6 +741,56 @@ def test_table_commands_compute_what_they_name(tmp_path):
     out = tmp_path / "ft.csv"
     assert main(["geometry", "ft", "--set", WINDOW, "--z", "1", "--out", str(out)]) == 0
     assert float(_rows(out)[0]["ft_real"]) == pytest.approx(2.0 * np.sin(1.0), rel=1e-14)
+
+
+def _recorded(doc, key):
+    """Every value stored under key anywhere in a JSON document."""
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            if k == key:
+                yield v
+            yield from _recorded(v, key)
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from _recorded(v, key)
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_manifests_record_the_echoed_values_as_json_numbers(tmp_path, monkeypatch, source):
+    # the benchmark's checks find these keys anywhere in a manifest and
+    # compare them with numbers, so "0.4" in place of 0.4 fails them
+    nu = tuple(1.5 / (1.0 + j) for j in range(8))
+    series = EigenSeries(eigenvalues=nu, kept=8, tail_mass=0.0,
+                         raw_variance=2.0 * sum(v * v for v in nu))
+    (tmp_path / "series.json").write_text(series_to_json(series), encoding="utf-8")
+    monkeypatch.setattr(expcli, "limit_law", lambda window, alpha: series)
+    runs = [
+        (["rosenblatt", "build"], {"set": WINDOW, "alpha": 0.4}, {"alpha": 0.4}),
+        (["rosenblatt", "sample"], {"series": str(tmp_path / "series.json"), "n": 500, "seed": 6},
+         {"n": 500, "master_seed": 6}),
+        (["rate", "experiment"],
+         {"model": MODEL, "set": WINDOW, "functional": "abs-centered", "r": [4, 8],
+          "replicates": 1000, "h": 0.5},
+         {"r_grid": [4.0, 8.0], "replicates": 1000}),
+    ]
+    for i, (command, options, echoed) in enumerate(runs):
+        out = tmp_path / f"out{i}"
+        argv = [*command, "--out", str(out)]
+        if source == "flag":
+            for name, value in options.items():
+                text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+                argv += [f"--{name}", text]
+        else:
+            renamed = {"set": "window", "r": "r_grid"} if command[1] == "experiment" else {}
+            doc = {renamed.get(k, k): v for k, v in options.items()}
+            (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+            argv += ["--config", str(tmp_path / "config.json")]
+        assert main(argv) == 0
+        manifest = _manifest(out)
+        manifest["config"].pop("config_document")  # the document as it was given
+        for key, wanted in echoed.items():
+            found = list(_recorded(manifest, key))
+            assert found and all(json.dumps(v) == json.dumps(wanted) for v in found), key
 
 
 def test_rosenblatt_build_writes_a_calibrated_series(tmp_path):
