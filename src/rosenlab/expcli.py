@@ -90,6 +90,8 @@ __version__ = "0.1.0"
 
 RHO_CSV_COLUMNS = ("r", "replicates", "rho", "rho_stderr", "kappa_bound")
 _BOOTSTRAP_RESAMPLES = 200
+# resamples per batch of _bootstrap_stderr: all 200 at once run slower
+_BOOTSTRAP_BATCH = 10
 _BOOTSTRAP_TAG = 0xB007
 _REPLICATE_TAG = 0xF1E1D
 _EXTENT_BUDGET = 2**22
@@ -227,11 +229,15 @@ def _ks_from_cdf(f, counts):
 
     f holds the CDF at the sorted points and counts how often each point
     is drawn; the empirical CDF jumps from (upto - counts)/n to upto/n
-    there. Points drawn zero times never attain the maximum.
+    there, and (upto - counts)/n is the previous point's upto/n, or 0 at
+    the first point. Points drawn zero times never attain the maximum.
+    counts may hold one empirical law per row; the result then holds one
+    distance per row.
     """
-    upto = np.cumsum(counts)
-    n = upto[-1]
-    return float(max(np.max(f - (upto - counts) / n), np.max(upto / n - f)))
+    upto = np.cumsum(counts, axis=-1)
+    step = upto / upto[..., -1:]
+    below = np.max(f[1:] - step[..., :-1], axis=-1, initial=f[0])
+    return np.maximum(below, np.max(step - f, axis=-1))
 
 
 def _bootstrap_stderr(f, master_seed, r_index):
@@ -239,13 +245,23 @@ def _bootstrap_stderr(f, master_seed, r_index):
 
     f is the reference CDF at the sorted replicates. A resample is a
     multiset of the replicates, so its distance needs only its counts.
+    The distances are computed _BOOTSTRAP_BATCH resamples at a time, but
+    each resample is still drawn by its own integers(0, n, n) call, so the
+    stream is read call for call as one resample at a time reads it.
     """
     rng = replicate_generator(master_seed, r_index, _BOOTSTRAP_TAG)
     n = f.size
-    stats = [
-        _ks_from_cdf(f, np.bincount(rng.integers(0, n, n), minlength=n))
-        for _ in range(_BOOTSTRAP_RESAMPLES)
-    ]
+    stats = np.empty(_BOOTSTRAP_RESAMPLES)
+    picks = np.empty((_BOOTSTRAP_BATCH, n), dtype=np.int64)
+    # resample j of a batch counts its draws in bins j n ... (j + 1) n - 1
+    shift = n * np.arange(_BOOTSTRAP_BATCH)[:, None]
+    for start in range(0, _BOOTSTRAP_RESAMPLES, _BOOTSTRAP_BATCH):
+        k = min(_BOOTSTRAP_BATCH, _BOOTSTRAP_RESAMPLES - start)
+        for row in picks[:k]:
+            row[:] = rng.integers(0, n, n)
+        picks[:k] += shift[:k]
+        counts = np.bincount(picks[:k].ravel(), minlength=k * n).reshape(k, n)
+        stats[start : start + k] = _ks_from_cdf(f, counts)
     return float(np.std(stats, ddof=1))
 
 
@@ -317,7 +333,7 @@ def rate_experiment(config):
             kr -= c0 * volume
         values = np.array([normalized_statistic(k, c2, r, params) for k in kr])
         f = series_cdf(law, np.sort(values))
-        rho = _ks_from_cdf(f, np.ones(f.size, dtype=np.intp))
+        rho = float(_ks_from_cdf(f, np.ones(f.size, dtype=np.intp)))
         stderr = _bootstrap_stderr(f, config.master_seed, r_index)
         seconds = time.perf_counter() - t0
         stages["rows"] += seconds
@@ -573,8 +589,18 @@ def _read_text(path, flag):
         raise ParameterError(f"cannot read --{flag} {path!r}: {exc.strerror}") from None
 
 
+def _path(value, name):
+    """value, or ParameterError unless it is text: a config document's
+    number or list is no path."""
+    if not isinstance(value, str):
+        raise ParameterError(f"--{name} must be a path, got {value!r}")
+    return value
+
+
 def _out_path(out, name):
-    """out, or ParameterError unless it names a file in an existing directory."""
+    """out, or ParameterError unless it is a path naming a file in an
+    existing directory."""
+    _path(out, name)
     folder = os.path.dirname(out) or "."
     if not os.path.isdir(folder):
         raise ParameterError(f"cannot write --{name} {out!r}: no directory {folder!r}")
@@ -602,9 +628,11 @@ _float = partial(_number, float)
 
 
 def _floats(text, name):
-    """A list of numbers, or one comma-separated string of them."""
+    """A nonempty list of numbers, or one comma-separated string of them."""
     if not isinstance(text, (list, tuple)):
         text = [tok for tok in str(text).split(",") if tok.strip()]
+    if not text:
+        raise ParameterError(f"--{name} must hold at least one number")
     return [_float(v, name) for v in text]
 
 
@@ -644,8 +672,8 @@ class _Option:
     """One command line option, declared once.
 
     kind reads a flag's text or a config value into what the handler gets:
-    _int, _float, _floats, _grid, _seed, _out_path or _switch (a flag without
-    a value); None passes a JSON descriptor or a path through as given. keys
+    _int, _float, _floats, _grid, _seed, _path, _out_path or _switch (a flag
+    without a value); None passes a JSON descriptor through as given. keys
     are the --config keys that may hold the value, the flag unless given; a
     document may name only one of them.
     """
@@ -797,20 +825,33 @@ def _cmd_rate_bound(opts, out, seed):
     return header, rows, {}
 
 
+# the options of rate curves that only one family reads
+_CURVE_FAMILY_OPTIONS = {"localglobal": ("theta",), "linnik": ("d", "sigma")}
+
+
 def _cmd_rate_curves(opts, out, seed):
     family = str(opts["family"])
+    if family not in _CURVE_FAMILY_OPTIONS:
+        raise ParameterError(f"unknown curve family {family!r}; use localglobal or linnik")
+    unread = [
+        f"--{name}"
+        for other, names in _CURVE_FAMILY_OPTIONS.items() if other != family
+        for name in names if opts[name] is not None
+    ]
+    if unread:
+        raise ParameterError(f"--family {family} does not read {', '.join(unread)}")
+    info = {"family": family}
     if family == "localglobal":
-        theta = opts["theta"]
+        theta = 0.5 if opts["theta"] is None else opts["theta"]
+        info["theta"] = theta
         builder = lambda a: local_global(1, a, theta)
-    elif family == "linnik":
+    else:
         _require(opts, "d", "sigma")
         d, sigma = opts["d"], opts["sigma"]
         builder = lambda a: linnik(d, sigma, a / sigma)
-    else:
-        raise ParameterError(f"unknown curve family {family!r}; use localglobal or linnik")
     table = curve_table(builder, opts["alpha_grid"], q=opts["q"])
     rows = [tuple(row[c] for c in CURVE_COLUMNS) for row in table]
-    return CURVE_COLUMNS, rows, {"family": family}
+    return CURVE_COLUMNS, rows, info
 
 
 def _cmd_rate_experiment(opts, out, seed):
@@ -896,7 +937,7 @@ _COMMANDS = {
         _Option("alpha", _float, required=True, help="long-memory exponent"),
     )),
     "rosenblatt sample": (_cmd_rosenblatt_sample, (
-        _Option("series", required=True, help="series JSON path from rosenblatt build"),
+        _Option("series", _path, required=True, help="series JSON path from rosenblatt build"),
         _Option("n", _int, required=True, help="number of draws"),
     )),
     "rate bound": (_cmd_rate_bound, (
@@ -908,7 +949,7 @@ _COMMANDS = {
         _Option("alpha-grid", _grid, required=True, help="start:stop:count or comma list"),
         _Option("d", _int, help="dimension (linnik)"),
         _Option("sigma", _float, help="Linnik sigma (linnik)"),
-        _Option("theta", _float, 0.5, help="local-global theta (default 0.5)"),
+        _Option("theta", _float, help="local-global theta (localglobal, default 0.5)"),
         _Option("q", _float, help="spectral smoothness exponent"),
     )),
     "rate experiment": (_cmd_rate_experiment, (

@@ -437,6 +437,30 @@ def _window_masks(plan, window, radii):
     return placed
 
 
+def _window_picks(plan, placed):
+    """The union of the placed windows and where each window sits in it.
+
+    union holds the flat indices, in C order on plan's lattice, of every
+    site some window covers. Each pick selects one window's sites from
+    the union's: a slice where they are contiguous there (every d=1
+    window), else an index array. Either way the sites come in the C order
+    of the window's own lattice, the order functional_integral sums them in.
+    """
+    n = plan.n_per_axis
+    covered = np.zeros((n,) * plan.dimension, dtype=bool)
+    for sites, mask in placed:
+        covered[sites[1:]] |= mask
+    union = np.flatnonzero(covered)
+    picks = []
+    for sites, mask in placed:
+        own = np.zeros_like(covered)
+        own[sites[1:]] = mask
+        at = np.searchsorted(union, np.flatnonzero(own))
+        contiguous = at.size and at[-1] - at[0] + 1 == at.size
+        picks.append(slice(at[0], at[-1] + 1) if contiguous else at)
+    return union, picks
+
+
 @dataclass(frozen=True)
 class WindowSums:
     """What window_integrals returns; it unpacks as (sums, volumes).
@@ -472,9 +496,14 @@ def window_integrals(plan, G, window, radii, count, rng):
     The fields are both halves of ceil(count / 2) simulate_pairs draws,
     real before imaginary; an odd count drops the last imaginary half. The
     pairs are drawn in blocks of about _BLOCK_SITES torus sites, one
-    batched FFT per block. A generator's stream does not depend on how its
-    draws are split into blocks, and each field is summed on its own, so
-    the sums are identical for any block size, and each equals
+    batched FFT per block. Each block gathers the union of the windows
+    (_window_picks) once and evaluates G once on it, for the real and
+    imaginary halves together; each radius then reads its sites off those
+    values and sums them with one reduction along C-contiguous rows, which
+    adds each field's values pairwise in the order a 1-d np.sum of that
+    field's window does. A generator's stream does not depend on how its
+    draws are split into blocks, and no addition crosses fields, so the
+    sums are identical for any block size, and each equals
     functional_integral of its field.
 
     The noise of block k+1 is drawn on one helper thread while this thread
@@ -487,9 +516,11 @@ def window_integrals(plan, G, window, radii, count, rng):
     only ever sees this thread. The helper is shut down before the call
     returns or raises. The noise of two blocks (the one being transformed
     and the one being drawn) and one complex work block are allocated once
-    per call, and the FFTs run in place, so the loop allocates no torus-sized
-    array per block: 12 MB at the default _BLOCK_SITES, more when a single
-    pair's torus exceeds it.
+    per call, and the FFTs run in place: 12 MB at the default _BLOCK_SITES,
+    more when a single pair's torus exceeds it. Per block the loop allocates
+    only lattice-sized arrays, the gathered window values and in d=2 a copy
+    of the lattice corner: at most a half (d=1) or a quarter (d=2) of the
+    block's torus sites each.
 
     Returns a WindowSums, which unpacks as (sums, volumes).
     """
@@ -501,6 +532,7 @@ def window_integrals(plan, G, window, radii, count, rng):
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
     placed = _window_masks(plan, window, radii)
+    union, picks = _window_picks(plan, placed)
     cell = plan.h**plan.dimension
     pairs = (count + 1) // 2
     # resolved here, not on the helper: the embedding evaluates traced layers
@@ -523,13 +555,14 @@ def window_integrals(plan, G, window, radii, count, rng):
                 size = min(block, pairs - following)
                 ahead = helper.submit(rng.standard_normal, out=noise[(k + 1) % 2, :size])
             fields = _fields_from_noise(plan, root, drawn, z[: len(drawn)])
-            for row, (sites, mask) in zip(sums, placed):
-                w = fields[sites][:, mask]
-                values = G(np.stack((w.real, w.imag), axis=1).reshape(2 * len(w), -1))
-                # one 1-d sum per field: a batched reduction may group its
-                # additions by the block's shape, which would tie the sums to
-                # the block size
-                row[2 * start : 2 * start + len(values)] = [np.sum(v) for v in values]
+            # np.take along axis 1 returns C-contiguous rows; a boolean
+            # gather here would not, and a reduction over its rows would
+            # not add them pairwise
+            w = np.take(fields.reshape(len(drawn), -1), union, axis=1)
+            values = G(np.stack((w.real, w.imag), axis=1).reshape(2 * len(w), -1))
+            for row, pick in zip(sums, picks):
+                part = values[:, pick] if isinstance(pick, slice) else np.take(values, pick, axis=1)
+                np.add.reduce(part, axis=1, out=row[2 * start : 2 * start + len(values)])
     volumes = tuple(float(np.count_nonzero(mask) * cell) for _, mask in placed)
     return WindowSums(sums[:, :count] * cell, volumes, waited)
 

@@ -178,6 +178,17 @@ class EigenSeries:
         return 2.0 * sum(v * v for v in self.eigenvalues)
 
     @cached_property
+    def inversion_rule(self):
+        """The midpoint rule series_cdf and cdf_table invert phi with at the
+        default tolerance 1e-12, computed on first use and kept.
+
+        A tuple (lo, hi, u, weight, phase): the Chernoff points and the
+        nodes, weights and phases of _inversion_terms. AccuracyError, not
+        kept, if the rule needs more than 2^20 nodes.
+        """
+        return _inversion_rule(np.asarray(self.eigenvalues, dtype=float), _CDF_TOL)
+
+    @cached_property
     def cdf_table(self):
         """The CdfTable that sample inverts, built on first use and kept.
 
@@ -186,7 +197,7 @@ class EigenSeries:
         needs more than 2^20 nodes (series_cdf's refusal, as for four or
         fewer equal terms) or the table more than 2^22 cells.
         """
-        return _cdf_table(np.asarray(self.eigenvalues, dtype=float), _CDF_TOL)
+        return _cdf_table(self.inversion_rule, _CDF_TOL)
 
 
 def _check_symmetric(window):
@@ -221,13 +232,15 @@ def _graded_axis(n_nodes, cutoff):
 
 
 def _window_transform_diff_1d(window, t):
-    # real even transform of an origin-symmetric 1-d window at a lag matrix
+    # real even transform 2 sin(b t)/t of an origin-symmetric 1-d window at
+    # a lag matrix, computed in one buffer; below |t| = 1e-8 its Taylor form
     b = window.radius if window.shape == "ball" else window.upper[0]
-    out = np.empty_like(t)
     small = np.abs(t) < 1e-8
+    out = np.multiply(t, b)
+    np.sin(out, out=out)
+    out *= 2.0
+    np.divide(out, t, out=out, where=~small)
     out[small] = 2.0 * b * (1.0 - (b * t[small]) ** 2 / 6.0)
-    ts = t[~small]
-    out[~small] = 2.0 * np.sin(b * ts) / ts
     return out
 
 
@@ -330,10 +343,18 @@ def build_kernel(window, alpha):
     if d == 1:
         x, w = _graded_axis(DEFAULT_NODES_1D, DEFAULT_CUTOFF_1D)
         s = np.sqrt(w) * x**expo
-        base = c2 * np.outer(s, s)
-        near = _window_transform_diff_1d(window, x[:, None] - x[None, :])
-        far = _window_transform_diff_1d(window, x[:, None] + x[None, :])
-        blocks = (base * (near + far), base * (near - far))  # even, odd
+        near = _window_transform_diff_1d(window, np.subtract.outer(x, x))
+        far = _window_transform_diff_1d(window, np.add.outer(x, x))
+        even = near + far
+        odd = np.subtract(near, far, out=near)
+        # freed before base exists: the build then holds at most four of
+        # these 752^2 matrices at once
+        del far
+        base = np.outer(s, s)
+        base *= c2
+        even *= base
+        odd *= base
+        blocks = (even, odd)
         multiplicity = (1, 1)
     else:
         if window.shape != "ball":
@@ -346,14 +367,22 @@ def build_kernel(window, alpha):
         rows = _addition_rows(rad, DEFAULT_CUTOFF_2D) * (np.sqrt(wrad * rad) * rad**expo)
         gram = 2.0 * pi * c2 * window.radius ** (d - alpha) * (rows @ rows.T)
         m_max = gram.shape[0] - 1
-        blocks = [gram[harmonic::2, harmonic::2] for harmonic in range(m_max + 1)]
+        blocks = [gram[harmonic::2, harmonic::2].copy() for harmonic in range(m_max + 1)]
         multiplicity = (1,) + (2,) * m_max
     return RosenblattKernel(
-        blocks=tuple(0.5 * (blk + blk.T) for blk in blocks),  # kill rounding asymmetry
+        blocks=tuple(map(_symmetrize, blocks)),
         block_multiplicity=multiplicity,
         dimension=d,
         alpha=float(alpha),
     )
+
+
+def _symmetrize(blk):
+    # (blk + blk^T) / 2 in place kills the rounding asymmetry; numpy reads
+    # the overlapping transpose from a copy
+    blk += blk.T
+    blk *= 0.5
+    return blk
 
 
 def eigen_series(kernel):
@@ -493,17 +522,24 @@ def _inversion_terms(nu, du, nodes):
     return u, weight, phase
 
 
-def _cdf_table(nu, tol):
+def _inversion_rule(nu, tol):
+    """(lo, hi, u, weight, phase): the node plan and terms of series_cdf."""
+    lo, hi, du, nodes = _node_plan(nu, tol)
+    return (lo, hi) + _inversion_terms(nu, du, nodes)
+
+
+def _cdf_table(rule, tol):
     """CdfTable of the series: the midpoint sum of series_cdf at every point
-    of a uniform grid on [lo, hi], by one inverse FFT per grid size.
+    of a uniform grid on [lo, hi], by one inverse FFT per grid size. rule
+    is the series' _inversion_rule at tol.
 
     The first grid has 8 points per period of the top frequency, where the
     second difference is h^2 F'' to a few percent. The bound falls like
     cells^-2, so the next size is the power of two it predicts, doubled
     while the bound measured there is still above 1e-10.
     """
-    lo, hi, du, nodes = _node_plan(nu, tol)
-    u, weight, phase = _inversion_terms(nu, du, nodes)
+    lo, hi, u, weight, phase = rule
+    nodes = u.size
     # At x_j = lo + j (hi - lo)/N, u_k x_j = u_k lo + pi (2k + 1) j / N, so
     # the sum is N times a real inverse FFT of length 2N whose odd harmonics
     # 2k + 1 carry i weight_k exp(-i (phase_k - u_k lo)).
@@ -546,12 +582,16 @@ def series_cdf(series, x, tol=_CDF_TOL):
     [a_lo, a_hi]. The rule stops at the first power-of-two node count K
     whose remainder int_U^inf |phi|/u du <= |phi(U)|/s(U), U = K du and
     s = -dlog|phi|/dlog u (growing in u), is below tol/2; AccuracyError if
-    that needs over 2^20 nodes, as for one- or two-term series.
+    that needs over 2^20 nodes, as for one- or two-term series. At the
+    default tol the rule is the series' inversion_rule, computed once per
+    series.
     """
-    nu = np.asarray(series.eigenvalues, dtype=float)
     x = np.asarray(x, dtype=float)
-    lo, hi, du, nodes = _node_plan(nu, tol)
-    u, weight, phase = _inversion_terms(nu, du, nodes)
+    if tol == _CDF_TOL:
+        lo, hi, u, weight, phase = series.inversion_rule
+    else:
+        lo, hi, u, weight, phase = _inversion_rule(np.asarray(series.eigenvalues, dtype=float), tol)
+    nodes = u.size
     flat = np.clip(x, lo, hi).ravel()
     out = np.empty(flat.size)
     step = max(1, 2**20 // nodes)

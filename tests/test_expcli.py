@@ -82,6 +82,67 @@ def test_bootstrap_stderr_matches_the_resample_loop():
         assert expcli._bootstrap_stderr(ndtr(values), 5, 2) == float(np.std(stats, ddof=1))
 
 
+@pytest.mark.parametrize("n", [1000, 1001])
+@pytest.mark.parametrize("batch", [expcli._BOOTSTRAP_BATCH, 7])
+def test_batched_bootstrap_equals_one_resample_at_a_time(monkeypatch, n, batch):
+    # odd n is where one integers call of k rows would read the stream
+    # differently from k calls; 7 leaves a short last batch
+    monkeypatch.setattr(expcli, "_BOOTSTRAP_BATCH", batch)
+    f = np.sort(np.random.default_rng(n).random(n))
+    rng = fieldsim.replicate_generator(5, 2, expcli._BOOTSTRAP_TAG)
+    stats = [
+        float(expcli._ks_from_cdf(f, np.bincount(rng.integers(0, n, n), minlength=n)))
+        for _ in range(expcli._BOOTSTRAP_RESAMPLES)
+    ]
+    assert expcli._bootstrap_stderr(f, 5, 2) == float(np.std(stats, ddof=1))
+
+
+def test_rate_experiment_equals_the_per_field_and_per_resample_loops():
+    config = ExperimentConfig(
+        model=expcli.model_from_json(MODEL),
+        window=expcli.set_from_json(WINDOW),
+        functional="square",
+        r_grid=(2.0, 4.0, 8.0),
+        replicates=1001,
+        master_seed=3,
+        h=0.5,
+    )
+    table = expcli.rate_experiment(config)
+    G = expcli.functional_catalog("square")
+    c0, c2 = 1.0, 2.0  # square = h2 + 1
+    params = expcli.lrd_params(config.model)
+    plans = [expcli._experiment_plan(config, r) for r in config.r_grid]
+    for group in expcli._draw_groups(plans):
+        top = plans[group[0]]
+        rng = fieldsim.replicate_generator(3, group[0], expcli._REPLICATE_TAG)
+        fields = []
+        for _ in range(501):
+            pair = fieldsim.simulate_pairs(top, rng, 1)[0]
+            fields += [pair.real, pair.imag]
+        for i in group:
+            r, own = config.r_grid[i], plans[i]
+            k = fieldsim.sublattice_offset(top, own)
+            origin = -own.extent + 0.5 * own.h
+            values = []
+            for f in fields[:1001]:
+                lattice = fieldsim.GridField(f[k : k + own.n_per_axis], own.h, origin)
+                kr = fieldsim.functional_integral(lattice, G, config.window, r)
+                kr -= c0 * fieldsim.lattice_window_volume(lattice, config.window, r)
+                values.append(fieldsim.normalized_statistic(kr, c2, r, params))
+            f = series_cdf(table.law, np.sort(values))
+            grid = np.arange(f.size)
+            rho = float(max(np.max(f - grid / f.size), np.max((grid + 1) / f.size - f)))
+            boot = fieldsim.replicate_generator(3, i, expcli._BOOTSTRAP_TAG)
+            stats = []
+            for _ in range(expcli._BOOTSTRAP_RESAMPLES):
+                counts = np.bincount(boot.integers(0, f.size, f.size), minlength=f.size)
+                upto = np.cumsum(counts)
+                stats.append(float(max(np.max(f - (upto - counts) / f.size),
+                                       np.max(upto / f.size - f))))
+            row = table.rows[i]
+            assert (row.rho, row.rho_stderr) == (rho, float(np.std(stats, ddof=1))), r
+
+
 def test_rho_is_the_sup_over_breakpoints_against_the_series_cdf(tmp_path, monkeypatch):
     seen = []
 
@@ -299,6 +360,61 @@ def test_malformed_values_exit_2_with_one_line_before_any_work(
     assert main(argv) == 2
     assert capsys.readouterr().err == f"rosenlab: {message}\n"
     assert not out.exists()
+
+
+_CURVES = ["rate", "curves", "--alpha-grid", "0.1:0.4:4"]
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["rosenblatt", "build", "--set", WINDOW, "--alpha", "0.4"], {"out": 5},
+     "--out must be a path, got 5"),
+    (["rosenblatt", "sample", "--n", "10"], {"series": 5}, "--series must be a path, got 5"),
+    (["rosenblatt", "sample", "--n", "10"], {"series": ["series.json"]},
+     "--series must be a path, got ['series.json']"),
+    (["covariance", "eval", "--model", MODEL, "--r", ","], None,
+     "--r must hold at least one number"),
+    (_EXPERIMENT, {"r_grid": []}, "--r must hold at least one number"),
+    ([*_CURVES, "--family", "linnik", "--d", "1", "--sigma", "0.6", "--theta", "0.3"], None,
+     "--family linnik does not read --theta"),
+    ([*_CURVES, "--family", "localglobal", "--d", "2", "--sigma", "9"], None,
+     "--family localglobal does not read --d, --sigma"),
+    ([*_CURVES, "--family", "linnik", "--d", "1", "--sigma", "0.6"], {"theta": 0.5},
+     "--family linnik does not read --theta"),
+], ids=["config-out-number", "config-series-number", "config-series-list", "r-empty",
+        "config-r_grid-empty", "linnik-theta", "localglobal-d-sigma", "config-linnik-theta"])
+def test_values_no_command_reads_exit_2_with_one_line_before_any_work(
+    tmp_path, capsys, monkeypatch, argv, doc, message
+):
+    # the numbers as paths raised TypeError or read file descriptor 5, the
+    # empty lists wrote a header-only table, and the curve options were
+    # dropped without a word
+    monkeypatch.chdir(tmp_path)
+    for name in ("limit_law", "series_from_json", "curve_table", "covariance_eval"):
+        monkeypatch.setattr(expcli, name, _never_called)
+    if doc is None or "out" not in doc:
+        argv = [*argv, "--out", "out.csv"]
+    if doc is not None:
+        (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+        argv = [*argv, "--config", "config.json"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"rosenlab: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == (["config.json"] if doc is not None else [])
+
+
+def test_rate_curves_record_only_the_options_their_family_reads(tmp_path):
+    outs = {}
+    for name, flags in [
+        ("default", ["--family", "localglobal"]),
+        ("theta", ["--family", "localglobal", "--theta", "0.5"]),
+        ("linnik", ["--family", "linnik", "--d", "1", "--sigma", "0.6"]),
+    ]:
+        outs[name] = tmp_path / f"{name}.csv"
+        assert main([*_CURVES, *flags, "--out", str(outs[name])]) == 0
+    # theta defaults to 0.5 for localglobal, and linnik has none
+    assert outs["default"].read_bytes() == outs["theta"].read_bytes()
+    assert _manifest(outs["default"])["config"]["derived_theta"] == 0.5
+    linnik = _manifest(outs["linnik"])["config"]
+    assert "theta" not in linnik and "derived_theta" not in linnik
 
 
 def _option_names(command):

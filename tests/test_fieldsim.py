@@ -315,6 +315,41 @@ def test_the_largest_radius_sums_as_if_drawn_alone():
     assert np.corrcoef(shared[1], shared[2])[0, 1] > 0.3
 
 
+@pytest.mark.parametrize("window, h, radii, layout_trap", [
+    (ball(1), 0.25, (4.0, 8.0, 16.0), True),
+    (rectangle([-0.5], [0.5]), 0.5, (4.0, 10.0, 16.0), False),
+    (ball(2), 1.0, (4.0, 6.0, 8.0), False),
+], ids=["interval", "rectangle-1d", "disk"])
+def test_each_window_sum_is_functional_integral_of_its_field(window, h, radii, layout_trap):
+    d = window.dimension
+    plan = SimulationPlan(
+        model=cauchy(d, 0.3), dimension=d, h=h, extent=window_extent(window, radii[-1]), seed=0
+    )
+    G = functional_catalog("abs-centered")
+    count = 301
+    sums, _ = window_integrals(plan, G, window, radii, count, replicate_generator(8, 1))
+    serial = replicate_generator(8, 1)
+    pairs = [simulate_pairs(plan, serial, 1)[0] for _ in range((count + 1) // 2)]
+    fields = [half for f in pairs for half in (f.real, f.imag)][:count]
+    for row, r in zip(sums, radii):
+        own = replace(plan, extent=window_extent(window, r))
+        k = sublattice_offset(plan, own)
+        corner = (slice(k, k + own.n_per_axis),) * d
+        origin = -own.extent + 0.5 * h
+        want = [functional_integral(GridField(f[corner], h, origin), G, window, r) for f in fields]
+        assert list(row) == want
+    if layout_trap:
+        # a boolean gather of the same block lays the fields out column by
+        # column, and a reduction across its rows then adds each field's
+        # values in another order: the one-pass sums must not take it
+        (sites, mask), = fieldsim._window_masks(plan, window, radii[-1:])
+        block = np.stack(pairs)[sites][:, mask]
+        values = G(np.stack((block.real, block.imag), axis=1).reshape(2 * len(block), -1))
+        assert not values.flags.c_contiguous
+        trapped = np.add.reduce(values, axis=1)[:count] * plan.h**d
+        assert not np.array_equal(trapped, sums[-1])
+
+
 # 1000 sites hold 15 pairs of the 64-site torus below, so 501 pairs make 34
 # blocks, the last one short
 @pytest.mark.parametrize("block_sites", [fieldsim._BLOCK_SITES, 1, 1000])

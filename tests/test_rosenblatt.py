@@ -148,6 +148,27 @@ def test_series_cdf_matches_scaled_chi_square(k):
         np.testing.assert_allclose(series_cdf(series, x), want, rtol=0.0, atol=1e-10)
 
 
+def test_series_cdf_computes_its_rule_once_and_keeps_the_bytes(monkeypatch):
+    series = _mixed(300)
+    x = np.linspace(-12.0, 25.0, 501)
+    # oracle: the rule computed fresh, summed as series_cdf sums one chunk
+    nu = np.asarray(series.eigenvalues)
+    lo, hi, du, nodes = rosenblatt._node_plan(nu, 1e-12)
+    u, weight, phase = rosenblatt._inversion_terms(nu, du, nodes)
+    want = np.clip(0.5 - np.sin(phase - u * np.clip(x, lo, hi)[:, None]) @ weight, 0.0, 1.0)
+    first = series_cdf(series, x)
+    assert "inversion_rule" in vars(series)
+
+    def unused(*args):
+        raise AssertionError("the rule of this series is already kept")
+
+    monkeypatch.setattr(rosenblatt, "_node_plan", unused)
+    assert first.tobytes() == want.tobytes()
+    assert series_cdf(series, x).tobytes() == want.tobytes()
+    # the sampler's table reuses the kept rule
+    assert series.cdf_table.ks_bound <= 1e-10 + 1e-12
+
+
 def test_series_cdf_is_stable_under_a_tighter_tolerance():
     series = _mixed(300)
     x = np.linspace(-12.0, 25.0, 501)
