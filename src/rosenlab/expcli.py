@@ -94,7 +94,6 @@ _BOOTSTRAP_RESAMPLES = 200
 _BOOTSTRAP_BATCH = 10
 _BOOTSTRAP_TAG = 0xB007
 _REPLICATE_TAG = 0xF1E1D
-_EXTENT_BUDGET = 2**22
 # values per chunk of a streamed one-column CSV; _repr_lines holds about
 # 5 MB of working arrays for a chunk of 2**14 values, 20 MB for 2**16
 _CSV_CHUNK = 2**14
@@ -124,13 +123,14 @@ class ExperimentConfig:
             )
         if not self.h > 0.0:
             raise ParameterError(f"lattice step must be positive, got {self.h}")
-        check_seed(self.master_seed)
-        n_max = int(round(2.0 * window_extent(self.window, r[-1]) / self.h))
-        if n_max > _EXTENT_BUDGET:
+        if self.model.dimension != self.window.dimension:
             raise ParameterError(
-                f"largest window needs {n_max} lattice points per axis, over the "
-                f"{_EXTENT_BUDGET} budget; coarsen h or shrink r_grid"
+                f"model dimension {self.model.dimension} does not match window "
+                f"dimension {self.window.dimension}"
             )
+        # the plan checks the seed and the lattice budget; the largest r lays
+        # out the largest lattice
+        _experiment_plan(self, r[-1])
 
 
 def config_to_json(config):
@@ -286,10 +286,6 @@ def rate_experiment(config):
     t0 = time.perf_counter()
     params = lrd_params(config.model)
     d = config.window.dimension
-    if params.dimension != d:
-        raise ParameterError(
-            f"model dimension {params.dimension} does not match window dimension {d}"
-        )
     G = functional_catalog(config.functional)
     expansion = hermite_coefficients(G, 6)
     if expansion.rank != 2:

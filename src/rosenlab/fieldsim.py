@@ -13,8 +13,11 @@ spectrum is inadmissible, up to a fixed site budget. Long-memory d=1
 covariances on short lattices need the larger tori.
 
 Functionals of the field are midpoint Riemann sums over the lattice cells
-whose centers fall in the scaled window. The integrand is non-smooth in x,
-so higher-order quadrature would buy nothing; discretization error is
+whose centers fall in the scaled window. One function, _window_mask,
+decides which cells those are, from the window's box (geometry.bounds) and,
+for the disc, its radius; functional_integral, lattice_window_volume and
+window_integrals all read their sites from it. The integrand is non-smooth
+in x, so higher-order quadrature would buy nothing; discretization error is
 dominated by Monte Carlo variance at the replicate counts used here.
 
 Nested windows share their fields. The embedding is exact on the whole
@@ -37,6 +40,7 @@ one call stack per process sees a single thread.
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache, reduce
 
 import numpy as np
 # numpy loads these on first attribute access; load them with the module so
@@ -52,6 +56,7 @@ from .errors import (
     RankError,
     check_seed,
 )
+from .geometry import bounds
 
 __all__ = [
     "SimulationPlan",
@@ -180,18 +185,13 @@ def _torus_size(n, padding):
 
 
 def _spectrum_once(plan):
-    n = plan.n_per_axis
-    m = _torus_size(n, plan.padding)
+    m = _torus_size(plan.n_per_axis, plan.padding)
+    k = np.arange(m)
+    lag = plan.h * np.minimum(k, m - k)
     if plan.dimension == 1:
-        k = np.arange(m)
-        lag = plan.h * np.minimum(k, m - k)
-        lam = np.fft.fft(covariance_eval(plan.model, lag)).real
-    else:
-        k = np.arange(m)
-        wrap = plan.h * np.minimum(k, m - k)
-        dist = np.sqrt(wrap[:, None] ** 2 + wrap[None, :] ** 2)
-        lam = np.fft.fft2(covariance_eval(plan.model, dist)).real
-    return lam
+        return np.fft.fft(covariance_eval(plan.model, lag)).real
+    dist = np.sqrt(lag[:, None] ** 2 + lag[None, :] ** 2)
+    return np.fft.fft2(covariance_eval(plan.model, dist)).real
 
 
 def circulant_spectrum(plan):
@@ -250,21 +250,6 @@ def _admissible_plan(plan):
                 raise
 
 
-# Replicate drivers draw thousands of fields with one plan; the spectrum and
-# the padding escalation depend only on these fields, not on the seed, so
-# they are computed once per plan shape.
-_EMBEDDING_CACHE = {}
-_EMBEDDING_CACHE_MAX = 32
-
-
-def _plan_key(plan):
-    return (plan.model, plan.dimension, plan.h, plan.extent, plan.padding, plan.clamp_tol)
-
-
-def clear_spectrum_cache():
-    _EMBEDDING_CACHE.clear()
-
-
 @dataclass(frozen=True)
 class Embedding:
     """The torus embedding a plan's fields are drawn from.
@@ -283,25 +268,29 @@ class Embedding:
     clamped_share: float
 
 
+# The spectrum and the padding escalation do not depend on the seed, so
+# they are solved once per plan shape: embedding() is read once per table
+# row, and simulate_pairs loops draw many blocks from one plan.
+@lru_cache(maxsize=32)
+def _seedless_embedding(plan):
+    accepted, lam = _admissible_plan(plan)
+    m = lam.shape[0]
+    trace = m**plan.dimension * float(covariance_eval(plan.model, 0.0))
+    emb = Embedding(
+        n_per_axis=plan.n_per_axis,
+        torus_side=m,
+        padding=accepted.padding,
+        clamped_share=max(0.0, float(np.sum(lam)) / trace - 1.0),
+    )
+    return emb, np.sqrt(lam)
+
+
+clear_spectrum_cache = _seedless_embedding.cache_clear
+
+
 def _cached_embedding(plan):
     """(Embedding, square root of the clamped spectrum), cached per plan."""
-    key = _plan_key(plan)
-    entry = _EMBEDDING_CACHE.get(key)
-    if entry is None:
-        accepted, lam = _admissible_plan(plan)
-        m = lam.shape[0]
-        trace = m**plan.dimension * float(covariance_eval(plan.model, 0.0))
-        emb = Embedding(
-            n_per_axis=plan.n_per_axis,
-            torus_side=m,
-            padding=accepted.padding,
-            clamped_share=max(0.0, float(np.sum(lam)) / trace - 1.0),
-        )
-        entry = (emb, np.sqrt(lam))
-        if len(_EMBEDDING_CACHE) >= _EMBEDDING_CACHE_MAX:
-            _EMBEDDING_CACHE.pop(next(iter(_EMBEDDING_CACHE)))
-        _EMBEDDING_CACHE[key] = entry
-    return entry
+    return _seedless_embedding(replace(plan, seed=0))
 
 
 def embedding(plan):
@@ -375,14 +364,10 @@ def simulate_field(plan, rng=None):
 def window_extent(window, r):
     """Half-width of the lattice laid out for window at scale r.
 
-    It is the largest coordinate magnitude of the unit window times r, so
-    the lattice of that extent is the smallest centred one that holds rW.
+    It is the largest coordinate magnitude of the box of rW (geometry.bounds),
+    so the lattice of that extent is the smallest centred one that holds rW.
     """
-    if window.shape == "ball":
-        half = window.radius
-    else:
-        half = max(max(-a for a in window.lower), max(window.upper))
-    return half * float(r)
+    return max(max(-low, high) for low, high in bounds(window, r))
 
 
 def sublattice_offset(outer, inner):
@@ -402,29 +387,49 @@ def sublattice_offset(outer, inner):
     return k
 
 
-def _lattice(plan):
-    # the coverage and mask helpers read only the lattice geometry
-    return GridField(
-        values=np.broadcast_to(0.0, (plan.n_per_axis,) * plan.dimension),
-        h=plan.h,
-        origin=-plan.extent + 0.5 * plan.h,
-    )
+def _window_mask(origin, n, h, window, r):
+    """Which cells of a lattice have their centres in the window at scale r.
 
-
-def _window_masks(plan, window, radii):
-    """(sites, mask) per radius: where its own lattice sits on plan's, and
-    which of its sites fall in the window.
-
-    The own lattice of r is plan's at extent window_extent(window, r). Its
-    mask is _member_mask of that lattice, not of plan's coordinates, so a
-    site on the window boundary is decided as a draw on the own lattice
-    would decide it.
+    The lattice has n cells of step h per axis, the first centred at origin
+    on every axis. CoverageError unless the cells cover the box of rW
+    (geometry.bounds). The mask is the per-axis interval tests of that box,
+    except on the d=2 disc, which tests x^2 + y^2 <= (Rr)^2; in d=1 the ball
+    is its box.
     """
+    box = bounds(window, r)
+    lo = origin - 0.5 * h
+    hi = origin + (n - 0.5) * h
+    if not all(lo <= low and hi >= high for low, high in box):
+        raise CoverageError(
+            f"scaled window at r={r} exceeds the simulated extent [{lo:.3g}, {hi:.3g}]"
+        )
+    xs = origin + h * np.arange(n)
+    if window.shape == "ball" and window.dimension == 2:
+        square = xs**2
+        return np.add.outer(square, square) <= box[0][1] ** 2
+    return reduce(np.logical_and.outer, [(xs >= low) & (xs <= high) for low, high in box])
+
+
+def _window_picks(plan, window, radii):
+    """Where each radius's window sits among the sites the group reads.
+
+    The own lattice of r is plan's at extent window_extent(window, r), and
+    its window is _window_mask of that lattice, not of plan's coordinates,
+    so a site on the window boundary is decided as a draw on the own
+    lattice would decide it. The own lattice must be a sub-lattice of
+    plan's (sublattice_offset). Returns (union, picks, counts): union holds
+    the flat indices, in C order on plan's lattice, of every site some
+    window covers; each pick selects one window's sites from the union's,
+    a slice where they are contiguous there (every d=1 window), else an
+    index array. Either way the sites come in the C order of the window's
+    own lattice, the order functional_integral sums them in. counts holds
+    each window's number of sites.
+    """
+    shape = (plan.n_per_axis,) * plan.dimension
     placed = []
     for r in radii:
         own = replace(plan, extent=window_extent(window, r))
-        lattice = _lattice(own)
-        _check_coverage(lattice, window, r)
+        mask = _window_mask(-own.extent + 0.5 * own.h, own.n_per_axis, own.h, window, r)
         k = sublattice_offset(plan, own)
         if k is None:
             raise CoverageError(
@@ -432,38 +437,21 @@ def _window_masks(plan, window, radii):
                 f"sub-lattice of the drawn lattice (extent {plan.extent:.6g}, "
                 f"step {plan.h:.6g})"
             )
-        sites = (slice(None),) + (slice(k, k + own.n_per_axis),) * plan.dimension
-        placed.append((sites, _member_mask(lattice, window, r)))
-    return placed
-
-
-def _window_picks(plan, placed):
-    """The union of the placed windows and where each window sits in it.
-
-    union holds the flat indices, in C order on plan's lattice, of every
-    site some window covers. Each pick selects one window's sites from
-    the union's: a slice where they are contiguous there (every d=1
-    window), else an index array. Either way the sites come in the C order
-    of the window's own lattice, the order functional_integral sums them in.
-    """
-    n = plan.n_per_axis
-    covered = np.zeros((n,) * plan.dimension, dtype=bool)
-    for sites, mask in placed:
-        covered[sites[1:]] |= mask
+        placed.append(np.ravel_multi_index([i + k for i in np.nonzero(mask)], shape))
+    covered = np.zeros(plan.n_per_axis**plan.dimension, dtype=bool)
+    covered[np.concatenate(placed)] = True
     union = np.flatnonzero(covered)
     picks = []
-    for sites, mask in placed:
-        own = np.zeros_like(covered)
-        own[sites[1:]] = mask
-        at = np.searchsorted(union, np.flatnonzero(own))
+    for sites in placed:
+        at = np.searchsorted(union, sites)
         contiguous = at.size and at[-1] - at[0] + 1 == at.size
         picks.append(slice(at[0], at[-1] + 1) if contiguous else at)
-    return union, picks
+    return union, picks, [sites.size for sites in placed]
 
 
 @dataclass(frozen=True)
 class WindowSums:
-    """What window_integrals returns; it unpacks as (sums, volumes).
+    """What window_integrals returns.
 
     sums has shape (len(radii), count), and volumes holds each radius's
     lattice volume (cell count times h^d). noise_wait_seconds is how long
@@ -476,9 +464,6 @@ class WindowSums:
     volumes: tuple
     noise_wait_seconds: float
 
-    def __iter__(self):
-        return iter((self.sums, self.volumes))
-
 
 def window_integrals(plan, G, window, radii, count, rng):
     """Midpoint sums of G over the window at each radius, on count fields
@@ -489,7 +474,7 @@ def window_integrals(plan, G, window, radii, count, rng):
     replicates (common random numbers). Radius r sums over the sites of its
     own lattice, plan's lattice at extent window_extent(window, r), which
     must be a sub-lattice of plan's (sublattice_offset). Its mask is
-    _member_mask of that own lattice placed at its offset, so each row sums
+    _window_mask of that own lattice placed at its offset, so each row sums
     over exactly the sites a draw on the own lattice would; each radius has
     its own coverage check.
 
@@ -522,7 +507,7 @@ def window_integrals(plan, G, window, radii, count, rng):
     of the lattice corner: at most a half (d=1) or a quarter (d=2) of the
     block's torus sites each.
 
-    Returns a WindowSums, which unpacks as (sums, volumes).
+    Returns a WindowSums.
     """
     if window.dimension != plan.dimension:
         raise ParameterError(
@@ -531,14 +516,13 @@ def window_integrals(plan, G, window, radii, count, rng):
         )
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
-    placed = _window_masks(plan, window, radii)
-    union, picks = _window_picks(plan, placed)
+    union, picks, counts = _window_picks(plan, window, radii)
     cell = plan.h**plan.dimension
     pairs = (count + 1) // 2
     # resolved here, not on the helper: the embedding evaluates traced layers
     root = _cached_embedding(plan)[1]
     block = max(1, _BLOCK_SITES // root.size)
-    sums = np.empty((len(placed), 2 * pairs))
+    sums = np.empty((len(picks), 2 * pairs))
     waited = 0.0
     # block k's noise is drawn into noise[k % 2]; the helper refills a
     # buffer only after this thread has moved the buffer's last block into z
@@ -563,7 +547,7 @@ def window_integrals(plan, G, window, radii, count, rng):
             for row, pick in zip(sums, picks):
                 part = values[:, pick] if isinstance(pick, slice) else np.take(values, pick, axis=1)
                 np.add.reduce(part, axis=1, out=row[2 * start : 2 * start + len(values)])
-    volumes = tuple(float(np.count_nonzero(mask) * cell) for _, mask in placed)
+    volumes = tuple(float(count * cell) for count in counts)
     return WindowSums(sums[:, :count] * cell, volumes, waited)
 
 
@@ -578,45 +562,6 @@ def replicate_generator(master_seed, *keys):
     )
 
 
-def _member_mask(field, window, r):
-    xs = field.coordinates()
-    d = window.dimension
-    if d == 1:
-        x = xs
-        if window.shape == "ball":
-            mask = np.abs(x) <= window.radius * r
-        else:
-            mask = (x >= window.lower[0] * r) & (x <= window.upper[0] * r)
-        return mask
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    if window.shape == "ball":
-        return X**2 + Y**2 <= (window.radius * r) ** 2
-    return (
-        (X >= window.lower[0] * r)
-        & (X <= window.upper[0] * r)
-        & (Y >= window.lower[1] * r)
-        & (Y <= window.upper[1] * r)
-    )
-
-
-def _check_coverage(field, window, r):
-    n = field.values.shape[0]
-    lo = field.origin - 0.5 * field.h
-    hi = field.origin + (n - 0.5) * field.h
-    if window.shape == "ball":
-        need = window.radius * r
-        covered = lo <= -need and hi >= need
-    else:
-        covered = all(
-            lo <= a * r and hi >= b * r
-            for a, b in zip(window.lower, window.upper)
-        )
-    if not covered:
-        raise CoverageError(
-            f"scaled window at r={r} exceeds the simulated extent [{lo:.3g}, {hi:.3g}]"
-        )
-
-
 def functional_integral(field, G, window, r):
     """Midpoint Riemann sum of G(field) over the scaled window."""
     if window.dimension != field.values.ndim:
@@ -624,16 +569,14 @@ def functional_integral(field, G, window, r):
             f"window dimension {window.dimension} does not match field dimension "
             f"{field.values.ndim}"
         )
-    _check_coverage(field, window, r)
-    mask = _member_mask(field, window, r)
-    cell = field.h**window.dimension
-    return float(np.sum(G(field.values[mask])) * cell)
+    mask = _window_mask(field.origin, field.values.shape[0], field.h, window, r)
+    return float(np.sum(G(field.values[mask])) * field.h**window.dimension)
 
 
 def lattice_window_volume(field, window, r):
     """Riemann volume of the window on this lattice (cell count times h^d)."""
-    _check_coverage(field, window, r)
-    return float(np.count_nonzero(_member_mask(field, window, r)) * field.h**window.dimension)
+    mask = _window_mask(field.origin, field.values.shape[0], field.h, window, r)
+    return float(np.count_nonzero(mask) * field.h**window.dimension)
 
 
 def normalized_statistic(kr, c2, r, params):

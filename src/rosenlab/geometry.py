@@ -3,12 +3,13 @@
 A window is a ball of radius R or an axis-aligned rectangle with the origin
 in its interior. Homothety enters everywhere through the scale factor r:
 the scaled window is r times the base set. The module provides the window
-volume and diameter, the indicator Fourier transform, uniform sampling, the
-pdf of the distance between two independent uniform points, and the
-reduction of double integrals of radial functions to one-dimensional
-integrals against that pdf. The pdf is exact on balls and intervals and
-refused on rectangles in d >= 2, which have no closed form here
-(rosenblatt.variance_oracle integrates d = 2 rectangles over their lag).
+volume, diameter and per-axis bounding box (bounds), the indicator Fourier
+transform, uniform sampling, the pdf of the distance between two
+independent uniform points, and the reduction of double integrals of
+radial functions to one-dimensional integrals against that pdf. The pdf is
+exact on balls and intervals and refused on rectangles in d >= 2, which
+have no closed form here (rosenblatt.variance_oracle integrates d = 2
+rectangles over their lag).
 
 scipy is imported by the calls that need it, not with the module:
 distance_pdf on a ball (scipy.special.betainc) and distance_integral
@@ -40,6 +41,7 @@ __all__ = [
     "set_to_json",
     "volume",
     "diameter",
+    "bounds",
     "indicator_ft",
     "distance_pdf",
     "uniform_sample",
@@ -130,6 +132,15 @@ def diameter(window, r=1.0):
         return 2.0 * window.radius * r
     edges = np.array(window.upper) - np.array(window.lower)
     return r * float(np.sqrt(np.sum(edges**2)))
+
+
+def bounds(window, r=1.0):
+    """Per-axis (low, high) of the box of the scaled window."""
+    r = _check_r(r)
+    if window.shape == "ball":
+        reach = window.radius * r
+        return ((-reach, reach),) * window.dimension
+    return tuple((a * r, b * r) for a, b in zip(window.lower, window.upper))
 
 
 def indicator_ft(window, x):

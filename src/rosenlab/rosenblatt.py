@@ -72,7 +72,7 @@ from .errors import (
     check_json_object,
     check_seed,
 )
-from .geometry import volume
+from .geometry import bounds, volume
 
 __all__ = [
     "RosenblattKernel",
@@ -201,7 +201,7 @@ class EigenSeries:
 
 
 def _check_symmetric(window):
-    for a, b in zip(window.lower, window.upper):  # a ball has no corners
+    for a, b in bounds(window):
         if abs(a + b) > 1e-12:
             raise UnsupportedModelError(
                 "kernel construction needs an origin-symmetric window so the "
@@ -234,7 +234,7 @@ def _graded_axis(n_nodes, cutoff):
 def _window_transform_diff_1d(window, t):
     # real even transform 2 sin(b t)/t of an origin-symmetric 1-d window at
     # a lag matrix, computed in one buffer; below |t| = 1e-8 its Taylor form
-    b = window.radius if window.shape == "ball" else window.upper[0]
+    b = bounds(window)[0][1]
     small = np.abs(t) < 1e-8
     out = np.multiply(t, b)
     np.sin(out, out=out)

@@ -334,12 +334,18 @@ _EXPERIMENT = ["rate", "experiment", "--model", MODEL, "--set", WINDOW, "--funct
      "config document names both 'seed' and 'master_seed'; give one"),
     (["rate", "bound", "--model", MODEL, "--d", "2", "--alpha", "0.9", "--upsilon", "5"], None,
      "--model fixes d, alpha and upsilon; drop --d, --alpha, --upsilon"),
+    # the unit ball at r = 2^19 + 1/8 lays out 2^22 + 1 points per axis at h = 0.25
+    ([*_EXPERIMENT, "--r", "8,524288.125"], None,
+     "4194305 lattice points per axis exceeds the 2^22 budget"),
+    (["rate", "experiment", "--model", json.dumps({"family": "cauchy", "d": 2, "theta": 0.3}),
+      "--set", WINDOW, "--functional", "h2", "--r", "8"], None,
+     "model dimension 2 does not match window dimension 1"),
 ], ids=[
     "r-list", "covariance-r", "config-replicates", "config-r_grid", "grid-count", "grid-parts",
     "model-text", "set-text", "set-array", "config-n-float", "config-array",
     "n-float", "alpha-text", "replicates-float", "config-no-refine-text", "grid-count-negative",
     "grid-count-zero", "fit-grid-count-negative", "config-seed-and-master_seed",
-    "bound-exponents-with-model",
+    "bound-exponents-with-model", "r-over-the-lattice-budget", "model-window-dimensions",
 ])
 def test_malformed_values_exit_2_with_one_line_before_any_work(
     tmp_path, capsys, monkeypatch, argv, doc, message
@@ -437,6 +443,18 @@ def test_every_command_option_has_a_config_key(command):
     options = _option_names(command) - {"help", "config", "seed", "out"}
     keys = [key for opt in expcli._COMMANDS[command][1] for key in opt.keys]
     assert {renamed.get(o, o) for o in options} == set(keys)
+
+
+def test_a_config_at_the_lattice_budget_is_admitted():
+    # r_grid at 2^22 + 1 points is refused before any work (see above);
+    # 2^22 points are the budget, admitted without allocating them
+    config = ExperimentConfig(
+        model=expcli.model_from_json(MODEL),
+        window=expcli.set_from_json(WINDOW),
+        functional="h2",
+        r_grid=(8.0, 2.0**19),
+    )
+    assert expcli._experiment_plan(config, 2.0**19).n_per_axis == 2**22
 
 
 def test_thread_option_is_gone(tmp_path):
@@ -762,10 +780,10 @@ def test_the_largest_r_keeps_its_own_stream(tmp_path, monkeypatch):
     )
     rng = fieldsim.replicate_generator(7, 2, expcli._REPLICATE_TAG)
     G = expcli.functional_catalog("abs-centered")
-    alone, _ = fieldsim.window_integrals(
+    alone = fieldsim.window_integrals(
         expcli._experiment_plan(config, 8.0), G, config.window, (8.0,), 1000, rng
     )
-    assert captured[8.0] == list(alone[0])
+    assert captured[8.0] == list(alone.sums[0])
     assert len(captured[2.0]) == len(captured[4.0]) == 1000
 
 

@@ -9,7 +9,14 @@ import pytest
 
 from rosenlab import fieldsim
 from rosenlab.covmodels import cauchy, covariance_eval, lrd_params
-from rosenlab.errors import CoverageError, EmbeddingError, ParameterError, RankError, check_seed
+from rosenlab.errors import (
+    CoverageError,
+    DomainError,
+    EmbeddingError,
+    ParameterError,
+    RankError,
+    check_seed,
+)
 from rosenlab.fieldsim import (
     GridField,
     SimulationPlan,
@@ -287,12 +294,13 @@ def test_window_integrals_are_block_invariant(monkeypatch):
     w = rectangle([-0.5], [0.5])
     G = functional_catalog("h2")
     radii = (4.0, 10.0, 16.0)
-    sums, volumes = window_integrals(plan, G, w, radii, 1001, replicate_generator(3, 0))
+    result = window_integrals(plan, G, w, radii, 1001, replicate_generator(3, 0))
+    sums = result.sums
     assert sums.shape == (3, 1001)
     fld = simulate_field(plan, rng=replicate_generator(3, 0))
-    assert volumes == tuple(lattice_window_volume(fld, w, r) for r in radii)
+    assert result.volumes == tuple(lattice_window_volume(fld, w, r) for r in radii)
     monkeypatch.setattr(fieldsim, "_BLOCK_SITES", 1)
-    one_pair, _ = window_integrals(plan, G, w, radii, 1002, replicate_generator(3, 0))
+    one_pair = window_integrals(plan, G, w, radii, 1002, replicate_generator(3, 0)).sums
     assert np.array_equal(one_pair[:, :1001], sums)
     # the first sums come from the field simulate_field draws from the stream
     assert list(one_pair[:, 0]) == [functional_integral(fld, G, w, r) for r in radii]
@@ -307,12 +315,13 @@ def test_the_largest_radius_sums_as_if_drawn_alone():
     plan = SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=0.25, extent=8.0, seed=0)
     w = ball(1)
     G = functional_catalog("abs-centered")
-    shared, volumes = window_integrals(plan, G, w, (2.0, 4.0, 8.0), 301, replicate_generator(4, 1))
-    alone, volume = window_integrals(plan, G, w, (8.0,), 301, replicate_generator(4, 1))
-    assert np.array_equal(shared[-1], alone[0]) and volumes[-1] == volume[0]
+    shared = window_integrals(plan, G, w, (2.0, 4.0, 8.0), 301, replicate_generator(4, 1))
+    alone = window_integrals(plan, G, w, (8.0,), 301, replicate_generator(4, 1))
+    assert np.array_equal(shared.sums[-1], alone.sums[0])
+    assert shared.volumes[-1] == alone.volumes[0]
     # the smaller windows read sub-blocks of the same fields, so they are
     # correlated with the largest one
-    assert np.corrcoef(shared[1], shared[2])[0, 1] > 0.3
+    assert np.corrcoef(shared.sums[1], shared.sums[2])[0, 1] > 0.3
 
 
 @pytest.mark.parametrize("window, h, radii, layout_trap", [
@@ -327,7 +336,7 @@ def test_each_window_sum_is_functional_integral_of_its_field(window, h, radii, l
     )
     G = functional_catalog("abs-centered")
     count = 301
-    sums, _ = window_integrals(plan, G, window, radii, count, replicate_generator(8, 1))
+    sums = window_integrals(plan, G, window, radii, count, replicate_generator(8, 1)).sums
     serial = replicate_generator(8, 1)
     pairs = [simulate_pairs(plan, serial, 1)[0] for _ in range((count + 1) // 2)]
     fields = [half for f in pairs for half in (f.real, f.imag)][:count]
@@ -342,8 +351,10 @@ def test_each_window_sum_is_functional_integral_of_its_field(window, h, radii, l
         # a boolean gather of the same block lays the fields out column by
         # column, and a reduction across its rows then adds each field's
         # values in another order: the one-pass sums must not take it
-        (sites, mask), = fieldsim._window_masks(plan, window, radii[-1:])
-        block = np.stack(pairs)[sites][:, mask]
+        union, _, _ = fieldsim._window_picks(plan, window, radii[-1:])
+        mask = np.zeros(plan.n_per_axis**d, dtype=bool)
+        mask[union] = True
+        block = np.stack(pairs).reshape(len(pairs), -1)[:, mask]
         values = G(np.stack((block.real, block.imag), axis=1).reshape(2 * len(block), -1))
         assert not values.flags.c_contiguous
         trapped = np.add.reduce(values, axis=1)[:count] * plan.h**d
@@ -364,8 +375,6 @@ def test_window_integrals_leave_the_generator_where_serial_draws_do(monkeypatch,
     want = [np.sum(functional_catalog("h2")(f.real)) * plan.h for f in fields]
     assert list(result.sums[1, 0:1001:2]) == want
     assert result.noise_wait_seconds >= 0.0
-    sums, volumes = result
-    assert sums is result.sums and volumes == result.volumes
 
 
 def test_an_error_in_G_stops_the_helper_thread(monkeypatch):
@@ -424,18 +433,71 @@ def test_each_radius_masks_its_own_lattice_placed_in_the_drawn_one(window, h, ra
     plan = SimulationPlan(
         model=cauchy(d, 0.3), dimension=d, h=h, extent=window_extent(window, radii[-1]), seed=0
     )
-    drawn = fieldsim._lattice(plan)
-    for r, (sites, mask) in zip(radii, fieldsim._window_masks(plan, window, radii)):
+    n = plan.n_per_axis
+    union, picks, counts = fieldsim._window_picks(plan, window, radii)
+    for r, pick, count in zip(radii, picks, counts):
         own = replace(plan, extent=window_extent(window, r))
         k = sublattice_offset(plan, own)
-        assert k == (plan.n_per_axis - own.n_per_axis) // 2
-        assert sites == (slice(None),) + (slice(k, k + own.n_per_axis),) * d
-        assert np.array_equal(mask, fieldsim._member_mask(fieldsim._lattice(own), window, r))
+        assert k == (n - own.n_per_axis) // 2
+        mask = fieldsim._window_mask(-own.extent + 0.5 * h, own.n_per_axis, h, window, r)
+        placed = np.zeros((n,) * d, dtype=bool)
+        placed[(slice(k, k + own.n_per_axis),) * d] = mask
+        # the pick reads the own lattice's window placed at its offset
+        assert np.array_equal(union[pick], np.flatnonzero(placed))
+        assert count == np.count_nonzero(mask)
         # no cell center of these lattices lies on the window's boundary, so
         # the placed mask is also the window on the drawn lattice
-        placed = np.zeros(drawn.values.shape, dtype=bool)
-        placed[sites[1:]] = mask
-        assert np.array_equal(placed, fieldsim._member_mask(drawn, window, r))
+        assert np.array_equal(placed, fieldsim._window_mask(-plan.extent + 0.5 * h, n, h, window, r))
+
+
+# h = 0.25 puts the cell centres at odd multiples of 1/8; the rectangles'
+# faces at r = 2 (-0.875, 1.375 and -0.625) are centres, so the <= of a face
+# test decides sites
+@pytest.mark.parametrize("window", [
+    ball(1, 0.75), rectangle([-0.4375], [0.6875]),
+    ball(2, 0.8), rectangle([-0.4375, -0.3125], [0.6875, 0.5]),
+], ids=["interval", "rectangle-1d", "disk", "rectangle-2d"])
+def test_window_mask_is_the_window_site_by_site(window):
+    d = window.dimension
+    n, h, r = 16, 0.25, 2.0
+    origin = -0.5 * n * h + 0.5 * h
+    box = [(a * r, b * r) for a, b in zip(window.lower, window.upper)]
+
+    def inside(x):
+        if window.shape == "ball":
+            return sum(c * c for c in x) <= (window.radius * r) ** 2
+        return all(a <= c <= b for c, (a, b) in zip(x, box))
+
+    want = np.zeros((n,) * d, dtype=bool)
+    for index in np.ndindex(want.shape):
+        want[index] = inside([origin + h * i for i in index])
+    mask = fieldsim._window_mask(origin, n, h, window, r)
+    assert np.array_equal(mask, want)
+    if window.shape == "rect":
+        # the faces at -0.875 and 1.375 are the centres of cells 4 and 13
+        rows = np.flatnonzero(mask.reshape(n, -1).any(axis=1))
+        assert (rows[0], rows[-1]) == (4, 13)
+    with pytest.raises(CoverageError):
+        fieldsim._window_mask(origin, n, h, window, 4.0 * r)
+
+
+@pytest.mark.parametrize("r", [-2.0, 0.0, math.nan])
+@pytest.mark.parametrize("window", [ball(1), rectangle([-0.5], [0.5]), ball(2)],
+                         ids=["interval", "rectangle-1d", "disk"])
+def test_a_nonpositive_scale_is_refused_naming_it(window, r):
+    # each call read r <= 0 as an empty window, or failed further on
+    d = window.dimension
+    plan = SimulationPlan(model=cauchy(d, 0.3), dimension=d, h=1.0, extent=8.0, seed=0)
+    field = simulate_field(plan)
+    G = functional_catalog("h2")
+    for call in (
+        lambda: functional_integral(field, G, window, r),
+        lambda: lattice_window_volume(field, window, r),
+        lambda: window_extent(window, r),
+        lambda: window_integrals(plan, G, window, (r,), 10, replicate_generator(0, 0)),
+    ):
+        with pytest.raises(DomainError, match=f"r must be positive, got {r}$"):
+            call()
 
 
 def test_sublattice_offset_needs_whole_sites_that_fit():
