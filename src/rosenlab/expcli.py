@@ -351,15 +351,11 @@ def rate_experiment(config):
 
 
 def _law_record(law):
-    """What a manifest records of the limit law, as derived_limit_law."""
-    return {
-        "kept": law.kept,
-        "tail_mass": law.tail_mass,
-        "raw_variance": law.raw_variance,
-        "calibration_factor": law.calibration_factor,
-        "variance": law.variance,
-        "kappa3": cumulant(law, 3),
-    }
+    """What a manifest records of the limit law, as derived_limit_law: its
+    fields but the eigenvalues, its variance and its third cumulant."""
+    record = asdict(law)
+    del record["eigenvalues"]
+    return {**record, "variance": law.variance, "kappa3": cumulant(law, 3)}
 
 
 def _fmt(value):

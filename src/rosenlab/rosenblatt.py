@@ -10,13 +10,18 @@ closed-form characteristic function. Inverting that gives the exact CDF
 (EigenSeries.cdf_table), and each draw is one uniform mapped through its
 linear interpolant, with a reported Kolmogorov error bound.
 
-limit_law(window, alpha) is the one way to get the series. It discretizes
-the operator on a fixed Nystrom mesh (build_kernel), keeps its 300 largest
-eigenvalues (eigen_series), and rescales them by one reported factor so
-that 2 sum nu^2 equals a variance oracle that does not use the mesh
-(variance_oracle: closed forms for balls and intervals, a polar
-quadrature of a closed-form radial integral for d=2 rectangles); a factor
-outside [0.97, 1.03] is refused.
+limit_law(window, alpha) is the one way to get the series. The law is
+self-similar (Dobrushin and Major 1979): over the ball of radius R it is
+the unit ball's law times R^(d - alpha), and it does not change when the
+window is translated, so a ball or any 1-d interval has the law of the ball
+of its radius or half-length. limit_law therefore discretizes the operator
+of the unit interval or the unit disk only, on a fixed Nystrom mesh
+(build_kernel), keeps its 300 largest eigenvalues (eigen_series), rescales
+them by one reported factor and dilates them, so that 2 sum nu^2 equals a
+variance oracle of the window that does not use the mesh (variance_oracle:
+a closed form for balls and intervals, a polar quadrature of a closed-form
+radial integral for d=2 rectangles); a factor outside [0.97, 1.03] is
+refused. d=2 rectangles have no law here.
 
 The kernel uses the frequency-difference form
 M_ij = c2 sqrt(w_i w_j) K(lam_i - lam_j) (|lam_i||lam_j|)^(-(d-alpha)/2):
@@ -31,31 +36,31 @@ the window and the mesh, so it is kept as one symmetric block per
 invariant subspace, and the merged block spectra are exactly the
 nonzero spectrum of the full matrix:
 
-- d=1: the window is origin-symmetric and the graded mesh is mirrored, so
-  the operator commutes with the reflection x -> -x. On the positive nodes,
-  with s_i = sqrt(w_i) x_i^(-(1-alpha)/2), the even and odd blocks are
+- d=1: the unit interval [-1, 1] has the real even transform
+  K(t) = 2 sin(t)/t and the graded mesh is mirrored, so the operator
+  commutes with the reflection x -> -x. On the positive nodes, with
+  s_i = sqrt(w_i) x_i^(-(1-alpha)/2), the even and odd blocks are
   c2 s_i s_j [K(x_i - x_j) +- K(x_i + x_j)].
 - d=2: the kernel oscillates on a unit frequency scale out to the cutoff,
-  which a dense polar mesh cannot resolve at a feasible matrix size. For
-  ball windows the window transform and the singular weight are
-  isotropic, so the operator commutes with rotations and splits into
-  angular Fourier blocks (multiplicity two except the zeroth harmonic m).
-  Gegenbauer's addition theorem writes the unit disk's transform as a
-  sum of rank-one terms over Bessel orders k, each in the harmonics m <= k
-  of k's parity, so block m is A_m^T A_m and is solved as the small Gram
-  matrix A_m A_m^T. Dilation covariance gives the disk of radius R as the
-  unit disk's blocks times R^(2 - alpha). Rectangular d=2 windows do not
-  decouple and are refused. The Bessel values J_{k+1}(r) of those terms
-  come from the Jacobi-Anger expansion e^(i r sin t) = sum_n J_n(r) e^(i n t):
+  which a dense polar mesh cannot resolve at a feasible matrix size. The
+  unit disk's transform and the singular weight are isotropic, so the
+  operator commutes with rotations and splits into angular Fourier blocks
+  (multiplicity two except the zeroth harmonic m). Gegenbauer's addition
+  theorem writes the unit disk's transform as a sum of rank-one terms over
+  Bessel orders k, each in the harmonics m <= k of k's parity, so block m
+  is A_m^T A_m and is solved as the small Gram matrix A_m A_m^T. A
+  rectangle's operator does not decouple this way, which is why d=2
+  rectangles are refused. The Bessel values J_{k+1}(r) of those terms come
+  from the Jacobi-Anger expansion e^(i r sin t) = sum_n J_n(r) e^(i n t):
   one DFT over 256 angles (at the default cutoff) gives every order at
   every radius at once.
 
-No part of the law loads scipy except the d=2 rectangle's variance oracle
-(scipy.integrate).
+No part of the law loads scipy; only the variance oracle of a d=2
+rectangle does (scipy.integrate).
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from math import atan2, ceil, cos, exp, factorial, lgamma, log, log2, pi, sin, sqrt
 
@@ -72,7 +77,7 @@ from .errors import (
     check_json_object,
     check_seed,
 )
-from .geometry import bounds, volume
+from .geometry import ball, volume
 
 __all__ = [
     "RosenblattKernel",
@@ -117,7 +122,7 @@ class RosenblattKernel:
     blocks holds one symmetric matrix per invariant subspace, and
     block_multiplicity how often each block's eigenvalues occur in the
     full spectrum. d=1: the even and odd blocks on the positive nodes,
-    multiplicity 1 each. d=2 (ball windows): per angular harmonic, a Gram
+    multiplicity 1 each. d=2 (the unit disk): per angular harmonic, a Gram
     matrix with the nonzero spectrum of its radial block (see build_kernel),
     multiplicity 1 for the zeroth harmonic and 2 beyond. spectrum_size is
     the summed order of the blocks with multiplicity.
@@ -125,8 +130,6 @@ class RosenblattKernel:
 
     blocks: tuple
     block_multiplicity: tuple
-    dimension: int
-    alpha: float
 
     @property
     def spectrum_size(self):
@@ -200,15 +203,6 @@ class EigenSeries:
         return _cdf_table(self.inversion_rule, _CDF_TOL)
 
 
-def _check_symmetric(window):
-    for a, b in bounds(window):
-        if abs(a + b) > 1e-12:
-            raise UnsupportedModelError(
-                "kernel construction needs an origin-symmetric window so the "
-                "window transform is real and even"
-            )
-
-
 def _gauss_panels(edges):
     """Gauss-Legendre nodes and weights of order _GL_ORDER on every panel."""
     tg, wg = leggauss(_GL_ORDER)
@@ -231,16 +225,14 @@ def _graded_axis(n_nodes, cutoff):
     return _gauss_panels(edges)
 
 
-def _window_transform_diff_1d(window, t):
-    # real even transform 2 sin(b t)/t of an origin-symmetric 1-d window at
-    # a lag matrix, computed in one buffer; below |t| = 1e-8 its Taylor form
-    b = bounds(window)[0][1]
+def _unit_interval_transform(t):
+    # real even transform 2 sin(t)/t of [-1, 1] at a lag matrix, computed in
+    # one buffer; below |t| = 1e-8 its Taylor form
     small = np.abs(t) < 1e-8
-    out = np.multiply(t, b)
-    np.sin(out, out=out)
+    out = np.sin(t)
     out *= 2.0
     np.divide(out, t, out=out, where=~small)
-    out[small] = 2.0 * b * (1.0 - (b * t[small]) ** 2 / 6.0)
+    out[small] = 2.0 * (1.0 - t[small] ** 2 / 6.0)
     return out
 
 
@@ -314,37 +306,37 @@ def _addition_rows(rad, cutoff):
     return np.sqrt(4.0 * pi * (k + 1.0))[:, None] * table[1 : k.size + 1, :-1] / rad
 
 
-def build_kernel(window, alpha):
-    """Nystrom form of the rank-2 limit kernel, split into symmetry blocks.
+def build_kernel(dimension, alpha):
+    """Nystrom form of the rank-2 limit kernel of the unit window, split into
+    symmetry blocks.
 
-    The dimension d in (1, 2) is the window's. The mesh is fixed: in d=1,
-    DEFAULT_NODES_1D graded nodes over both half-axes (the even and odd
-    blocks each take half) up to the frequency cutoff DEFAULT_CUTOFF_1D;
-    in d=2, DEFAULT_RADIAL_2D radial nodes up to DEFAULT_CUTOFF_2D. The d=1
-    mesh does not converge in its node count: refining it moves the series
-    variance across the oracle by several percent (see DEFAULT_NODES_1D),
-    which limit_law's calibration gate refuses. In d=2, halving or
-    doubling the radial count moves the calibration factor by under 1e-3.
+    The unit window is the interval [-1, 1] for dimension 1 and the unit disk
+    for dimension 2; limit_law dilates its law to other windows. The mesh is
+    fixed: in d=1, DEFAULT_NODES_1D graded nodes over both half-axes (the
+    even and odd blocks each take half) up to the frequency cutoff
+    DEFAULT_CUTOFF_1D; in d=2, DEFAULT_RADIAL_2D radial nodes up to
+    DEFAULT_CUTOFF_2D. The d=1 mesh does not converge in its node count:
+    refining it moves the series variance across the oracle by several
+    percent (see DEFAULT_NODES_1D), which limit_law's calibration gate
+    refuses. In d=2, halving or doubling the radial count moves the
+    calibration factor by under 1e-3.
 
     d=2 block m is A_m^T A_m, A_m the _addition_rows of m's parity times the
     radial weights, kept as the Gram matrix A_m A_m^T (same nonzero
-    spectrum) for every order the rows carry. A disk of radius R has
-    transform R^2 K(R lam), K the unit disk's, so its blocks are the unit
-    disk's times R^(2 - alpha) exactly.
+    spectrum) for every order the rows carry.
     """
-    d = window.dimension
+    d = dimension
     if d not in (1, 2):
         raise ParameterError(f"kernel construction supports d in (1, 2), got {d}")
     if not (0.0 < alpha < 0.5 * d):
         raise DomainError(f"alpha must lie in (0, d/2) = (0, {d / 2}), got {alpha}")
-    _check_symmetric(window)
     c2 = c2_constant(d, alpha)
     expo = -0.5 * (d - alpha)
     if d == 1:
         x, w = _graded_axis(DEFAULT_NODES_1D, DEFAULT_CUTOFF_1D)
         s = np.sqrt(w) * x**expo
-        near = _window_transform_diff_1d(window, np.subtract.outer(x, x))
-        far = _window_transform_diff_1d(window, np.add.outer(x, x))
+        near = _unit_interval_transform(np.subtract.outer(x, x))
+        far = _unit_interval_transform(np.add.outer(x, x))
         even = near + far
         odd = np.subtract(near, far, out=near)
         # freed before base exists: the build then holds at most four of
@@ -357,24 +349,14 @@ def build_kernel(window, alpha):
         blocks = (even, odd)
         multiplicity = (1, 1)
     else:
-        if window.shape != "ball":
-            raise UnsupportedModelError(
-                "d=2 kernel construction needs a ball window; the angular "
-                "decomposition relies on an isotropic transform"
-            )
         rad, wrad = _radial_axis_2d(DEFAULT_RADIAL_2D, DEFAULT_CUTOFF_2D)
         # radial measure s ds and one weight factor per side
         rows = _addition_rows(rad, DEFAULT_CUTOFF_2D) * (np.sqrt(wrad * rad) * rad**expo)
-        gram = 2.0 * pi * c2 * window.radius ** (d - alpha) * (rows @ rows.T)
+        gram = 2.0 * pi * c2 * (rows @ rows.T)
         m_max = gram.shape[0] - 1
         blocks = [gram[harmonic::2, harmonic::2].copy() for harmonic in range(m_max + 1)]
         multiplicity = (1,) + (2,) * m_max
-    return RosenblattKernel(
-        blocks=tuple(map(_symmetrize, blocks)),
-        block_multiplicity=multiplicity,
-        dimension=d,
-        alpha=float(alpha),
-    )
+    return RosenblattKernel(blocks=tuple(map(_symmetrize, blocks)), block_multiplicity=multiplicity)
 
 
 def _symmetrize(blk):
@@ -422,26 +404,57 @@ def eigen_series(kernel):
     )
 
 
+def _ball_radius(window):
+    """The radius R of the ball whose limit law is the window's, or None for
+    a rectangle in d >= 2.
+
+    A ball is its own. A 1-d interval [a, b] has the law of the interval of
+    half-length (b - a)/2, since the law does not change when the window is
+    translated.
+    """
+    if window.shape == "ball":
+        return window.radius
+    if window.dimension == 1:
+        return 0.5 * (window.upper[0] - window.lower[0])
+    return None
+
+
 def limit_law(window, alpha):
     """The limit law over window at alpha, as a calibrated EigenSeries.
 
-    Builds the kernel on its fixed mesh (build_kernel), keeps its 300
-    largest eigenvalues (eigen_series) and rescales them all by
-    sqrt(oracle / 2 sum nu^2), with the oracle from variance_oracle, so
-    that the stored 2 sum nu^2 equals the oracle. The factor is stored on
-    the result and is a quality metric: one outside [0.97, 1.03] means the
-    mesh has not converged to the oracle variance and is refused with
-    ParameterError.
+    The window must be a ball in d = 1 or 2 or a 1-d interval, which has
+    the law of a ball (_ball_radius); anything else is refused with
+    UnsupportedModelError before a kernel is built. The law over the ball
+    of radius R is the unit window's times R^(d - alpha) (Dobrushin and
+    Major 1979: the transform of R W is R^d times W's at R lam), so only the
+    unit window's kernel is built (build_kernel) and its 300 largest
+    eigenvalues kept (eigen_series). They are rescaled by
+    sqrt(oracle / 2 sum nu^2) / R^(d - alpha), with the oracle of the window
+    from variance_oracle, and then dilated, so that the stored 2 sum nu^2
+    equals the oracle; raw_variance is the unit law's times R^(2 (d - alpha)).
+    The factor, the same for every R, is stored on the result and is a
+    quality metric: one outside [0.97, 1.03] means the mesh has not
+    converged to the oracle variance and is refused with ParameterError.
     """
-    series = eigen_series(build_kernel(window, alpha))
-    factor = sqrt(variance_oracle(window, alpha) / series.variance)
+    radius, d = _ball_radius(window), window.dimension
+    if radius is None or d > 2:
+        raise UnsupportedModelError(
+            f"no limit law for a {window.shape} window in d={d}; only balls in "
+            f"d <= 2 and 1-d intervals"
+        )
+    scale = radius ** (d - alpha)
+    series = eigen_series(build_kernel(d, alpha))
+    factor = sqrt(variance_oracle(window, alpha) / series.variance) / scale
     if not (0.97 <= factor <= 1.03):
         raise ParameterError(
             f"calibration factor {factor:.4f} outside [0.97, 1.03]; kernel mesh "
             f"has not converged to the oracle variance"
         )
     return replace(
-        series, eigenvalues=tuple(v * factor for v in series.eigenvalues), calibration_factor=factor
+        series,
+        eigenvalues=tuple(v * (factor * scale) for v in series.eigenvalues),
+        raw_variance=series.raw_variance * scale**2,
+        calibration_factor=factor,
     )
 
 
@@ -614,14 +627,12 @@ def variance_oracle(window, alpha):
     """Limit variance: twice the double window integral of |u-v|^(-2 alpha).
 
     Independent of the Nystrom construction. That is 2 |W|^2 E|X-Y|^(-beta)
-    for X, Y independent uniform on W and beta = 2 alpha, in closed form for
-    balls and 1-d intervals:
-
-    - a ball of radius R in d dimensions, with s = (d - beta)/2 and
-      a = (d + 1)/2, integrating the incomplete-beta distance pdf by parts:
-      E|X-Y|^(-beta) = R^(-beta) d 2^(d-1-beta) B(s + 1/2, a) / (s B(1/2, a));
-    - an interval of length L: E|X-Y|^(-beta) = 2 L^(-beta) / ((1 - beta)(2 - beta)),
-      so the oracle is 4 L^(2-beta) / ((1 - beta)(2 - beta)).
+    for X, Y independent uniform on W and beta = 2 alpha. A ball of radius R
+    in d dimensions, and a 1-d interval through the ball of its half-length
+    (_ball_radius), has it in closed form: with s = (d - beta)/2 and
+    a = (d + 1)/2, integrating the incomplete-beta distance pdf by parts,
+    E|X-Y|^(-beta) = R^(-beta) d 2^(d-1-beta) B(s + 1/2, a) / (s B(1/2, a)).
+    In d=1 the oracle is 4 L^(2-beta) / ((1 - beta)(2 - beta)), L = 2R.
 
     A d=2 rectangle of sides a and b goes through its lag z = u - v, whose
     overlap area is (a - |z1|)(b - |z2|): the oracle is 8 int_0^(pi/2) F(phi)
@@ -639,18 +650,16 @@ def variance_oracle(window, alpha):
             f"limit variance diverges for alpha >= d/2 (got alpha={alpha}, d={d})"
         )
     beta = 2.0 * alpha
-    if window.shape == "ball":
-        s, a = 0.5 * (d - beta), 0.5 * (d + 1.0)
-        # B(s + 1/2, a) / B(1/2, a) through log-gamma
-        ratio = exp(lgamma(s + 0.5) + lgamma(a + 0.5) - lgamma(s + 0.5 + a) - lgamma(0.5))
-        moment = window.radius ** (-beta) * d * 2.0 ** (d - 1.0 - beta) * ratio / s
-    elif d == 1:
-        moment = 2.0 * volume(window) ** (-beta) / ((1.0 - beta) * (2.0 - beta))
-    elif d == 2:
-        return _rectangle_oracle(window, beta)
-    else:
+    radius = _ball_radius(window)
+    if radius is None:
+        if d == 2:
+            return _rectangle_oracle(window, beta)
         raise UnsupportedModelError(f"no variance oracle for a rectangle in d={d}; only d <= 2")
-    return 2.0 * volume(window) ** 2 * moment
+    s, a = 0.5 * (d - beta), 0.5 * (d + 1.0)
+    # B(s + 1/2, a) / B(1/2, a) through log-gamma
+    ratio = exp(lgamma(s + 0.5) + lgamma(a + 0.5) - lgamma(s + 0.5 + a) - lgamma(0.5))
+    moment = radius ** (-beta) * d * 2.0 ** (d - 1.0 - beta) * ratio / s
+    return 2.0 * volume(ball(d, radius)) ** 2 * moment
 
 
 def _rectangle_oracle(window, beta):
@@ -685,15 +694,7 @@ def _rectangle_oracle(window, beta):
 
 
 def series_to_json(series):
-    return json.dumps(
-        {
-            "eigenvalues": list(series.eigenvalues),
-            "kept": series.kept,
-            "tail_mass": series.tail_mass,
-            "raw_variance": series.raw_variance,
-            "calibration_factor": series.calibration_factor,
-        }
-    )
+    return json.dumps(asdict(series))
 
 
 def _finite(value):

@@ -928,23 +928,57 @@ def test_manifests_record_the_echoed_values_as_json_numbers(tmp_path, monkeypatc
 
 
 def test_rosenblatt_build_writes_a_calibrated_series(tmp_path):
+    # the unit interval, the interval of half-length 0.5 and a translate of
+    # [-1, 1]: each has the unit interval's law dilated, so its factor
+    factors = []
+    for window in (WINDOW, json.dumps({"shape": "ball", "R": 0.5, "d": 1}),
+                   json.dumps({"shape": "rect", "a": [-0.5], "b": [1.5]})):
+        out = tmp_path / "series.json"
+        argv = ["rosenblatt", "build", "--set", window, "--alpha", "0.4", "--out", str(out)]
+        assert main(argv) == 0
+        series = series_from_json(out.read_text(encoding="utf-8"))
+        manifest = _manifest(out)
+        assert manifest["command"] == "rosenblatt build"
+        config = manifest["config"]
+        assert config["alpha"] == 0.4
+        law = config["derived_limit_law"]
+        assert (law["kept"], law["tail_mass"]) == (series.kept, series.tail_mass)
+        factor = law["calibration_factor"]
+        assert factor == series.calibration_factor and 0.97 <= factor <= 1.03
+        factors.append(factor)
+        # the stored series hits the oracle; the raw one is nu / factor
+        oracle = rosenblatt.variance_oracle(expcli.set_from_json(window), 0.4)
+        assert law["variance"] == series.variance == pytest.approx(oracle, rel=1e-12)
+        raw = np.asarray(series.eigenvalues) / factor
+        assert 2.0 * np.sum(raw**2) == pytest.approx(law["raw_variance"], rel=1e-12)
+    assert factors == pytest.approx([factors[0]] * 3, rel=1e-13)
+
+
+def test_rosenblatt_build_refuses_a_rectangle_in_the_plane(tmp_path, capsys):
     out = tmp_path / "series.json"
-    argv = ["rosenblatt", "build", "--set", WINDOW, "--alpha", "0.4", "--out", str(out)]
-    assert main(argv) == 0
-    series = series_from_json(out.read_text(encoding="utf-8"))
-    manifest = _manifest(out)
-    assert manifest["command"] == "rosenblatt build"
-    config = manifest["config"]
-    assert config["alpha"] == 0.4
-    law = config["derived_limit_law"]
-    assert (law["kept"], law["tail_mass"]) == (series.kept, series.tail_mass)
-    factor = law["calibration_factor"]
-    assert factor == series.calibration_factor and 0.97 <= factor <= 1.03
-    # the stored series hits the oracle; the raw one is nu / factor
-    oracle = rosenblatt.variance_oracle(expcli.set_from_json(WINDOW), 0.4)
-    assert law["variance"] == series.variance == pytest.approx(oracle, rel=1e-12)
-    raw = np.asarray(series.eigenvalues) / factor
-    assert 2.0 * np.sum(raw**2) == pytest.approx(law["raw_variance"], rel=1e-12)
+    window = json.dumps({"shape": "rect", "a": [-1.0, -0.5], "b": [1.0, 0.5]})
+    argv = ["rosenblatt", "build", "--set", window, "--alpha", "0.4", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rosenlab: no limit law for a rect window in d=2")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_dilated_interval_gives_the_rho_of_the_unit_interval(tmp_path):
+    # [-r/2, r/2] at r = 16, 32, 64 is [-r, r] at r = 8, 16, 32: one seed
+    # draws the same fields, and with the law dilated by 0.5^(1 - alpha) rho
+    # differs only through L(r) / L(2r) of the normalization, about 0.2 %;
+    # a law 5 % too wide on the smaller interval moves it by about 1.6e-2
+    def rho(window, r_grid, out):
+        argv = ["rate", "experiment", "--model", MODEL, "--set", window, "--functional", "h2",
+                "--h", "0.25", "--r", r_grid, "--seed", "3", "--out", str(out)]
+        assert main(argv) == 0
+        return np.array([float(row["rho"]) for row in _rows(out)])
+
+    half = rho(json.dumps({"shape": "ball", "R": 0.5, "d": 1}), "16,32,64", tmp_path / "half.csv")
+    unit = rho(WINDOW, "8,16,32", tmp_path / "unit.csv")
+    assert np.max(np.abs(half - unit)) < 2e-3
 
 
 def test_build_and_experiment_share_one_limit_law(tmp_path, monkeypatch):

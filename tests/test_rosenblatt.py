@@ -197,7 +197,7 @@ def test_series_cdf_refuses_a_one_term_series():
 
 @pytest.fixture(scope="module")
 def interval_kernel():
-    return rosenblatt.build_kernel(ball(1), 0.4)
+    return rosenblatt.build_kernel(1, 0.4)
 
 
 def _merged_spectrum(kernel):
@@ -240,11 +240,6 @@ def test_interval_blocks_have_the_spectrum_of_the_dense_mirrored_mesh(interval_k
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_the_interval_as_a_rectangle_gives_the_same_series(interval_kernel):
-    kernel = rosenblatt.build_kernel(rectangle([-1.0], [1.0]), 0.4)
-    assert rosenblatt.eigen_series(kernel) == rosenblatt.eigen_series(interval_kernel)
-
-
 def test_angular_coefficients_match_the_full_angle_fft():
     # reference: the transform at every one of 512 angles and at every
     # ordered pair of radii, and the real part of its rfft over the angle;
@@ -277,15 +272,57 @@ def test_bessel_table_matches_scipy_on_the_radial_mesh():
     assert rosenblatt._addition_rows(rad, cutoff).shape[0] == 83
 
 
-@pytest.mark.parametrize("radius", [0.5, 3.0])
-def test_disk_spectrum_scales_with_the_radius(radius):
-    # the transform of the disk of radius R is R^2 times the unit one at R lam,
-    # so the eigenvalues scale by R^(2 - alpha)
-    alpha = 0.6
-    unit = np.sort(_merged_spectrum(rosenblatt.build_kernel(ball(2), alpha)))
-    got = np.sort(_merged_spectrum(rosenblatt.build_kernel(ball(2, radius), alpha)))
-    want = radius ** (2.0 - alpha) * unit
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+_ALPHA = {1: 0.4, 2: 0.6}
+
+
+@pytest.fixture(scope="module")
+def unit_laws():
+    return {d: rosenblatt.limit_law(ball(d), alpha) for d, alpha in _ALPHA.items()}
+
+
+def test_the_interval_as_a_rectangle_gives_the_same_series(unit_laws):
+    assert rosenblatt.limit_law(rectangle([-1.0], [1.0]), 0.4) == unit_laws[1]
+
+
+@pytest.mark.parametrize("window, radius", [
+    pytest.param(ball(1, 0.5), 0.5, id="interval-0.5"),
+    pytest.param(ball(1, 3.0), 3.0, id="interval-3"),
+    pytest.param(ball(2, 0.5), 0.5, id="disk-0.5"),
+    pytest.param(ball(2, 3.0), 3.0, id="disk-3"),
+    # every interval of length 2 is a translate of [-1, 1]
+    pytest.param(rectangle([-0.5], [1.5]), 1.0, id="shifted-right"),
+    pytest.param(rectangle([-1.75], [0.25]), 1.0, id="shifted-left"),
+])
+def test_limit_law_is_the_unit_law_dilated(unit_laws, window, radius):
+    # the transform of the ball of radius R is R^d times the unit one at
+    # R lam, so the eigenvalues scale by R^(d - alpha), and a translate of
+    # a window has its law
+    d = window.dimension
+    unit = unit_laws[d]
+    law = rosenblatt.limit_law(window, _ALPHA[d])
+    if radius == 1.0:
+        assert law == unit
+        return
+    scale = radius ** (d - _ALPHA[d])
+    want = scale * np.asarray(unit.eigenvalues)
+    assert law.kept == unit.kept
+    assert np.max(np.abs(np.asarray(law.eigenvalues) - want)) <= 1e-13 * abs(want[0])
+    assert law.calibration_factor == pytest.approx(unit.calibration_factor, rel=1e-13)
+    assert law.raw_variance == pytest.approx(scale**2 * unit.raw_variance, rel=1e-13)
+    assert law.variance == pytest.approx(rosenblatt.variance_oracle(window, _ALPHA[d]), rel=1e-12)
+
+
+@pytest.mark.parametrize("window", [
+    pytest.param(rectangle((-1.0, -0.5), (1.0, 0.5)), id="d2-rectangle"),
+    pytest.param(ball(3), id="d3-ball"),
+])
+def test_limit_law_refuses_a_window_without_a_law_before_any_build(monkeypatch, window):
+    def never_built(dimension, alpha):
+        raise AssertionError("build_kernel reached")
+
+    monkeypatch.setattr(rosenblatt, "build_kernel", never_built)
+    with pytest.raises(UnsupportedModelError, match="no limit law"):
+        rosenblatt.limit_law(window, 0.3)
 
 
 def test_disk_law_keeps_the_values_of_the_angular_fft_build():
@@ -305,7 +342,7 @@ def test_disk_kernel_build_stays_small_in_memory():
     # the angular-sample build held ~98 MB of chord intermediates
     tracemalloc.start()
     try:
-        rosenblatt.build_kernel(ball(2), 0.6)
+        rosenblatt.build_kernel(2, 0.6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -313,7 +350,7 @@ def test_disk_kernel_build_stays_small_in_memory():
 
 
 def test_eigen_series_keeps_the_disk_series():
-    kernel = rosenblatt.build_kernel(ball(2), 0.6)
+    kernel = rosenblatt.build_kernel(2, 0.6)
     full = _merged_spectrum(kernel)
     full = full[np.argsort(-np.abs(full))][:300]
     series = rosenblatt.eigen_series(kernel)
