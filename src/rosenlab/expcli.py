@@ -3,12 +3,14 @@
 The experiments tie the package together: simulate long-memory fields,
 integrate a rank-2 functional over a growing window, normalize, and
 measure the Kolmogorov distance to the chi-square-series reference law.
-Everything is reproducible: nested windows share their fields, each group
-of them drawn from one generator stream keyed by the master seed and the
-index of the group's largest r, and a stream does not depend on how its
-draws are split into blocks, so output tables are bit-identical for any
-block size. Each file-producing invocation writes a JSON manifest next to
-its output recording the merged configuration, versions, and wall time.
+Everything is reproducible: nested windows share their fields, and each
+group of them is drawn in blocks of a size set by its lattice alone, block
+k from the generator stream keyed by the master seed, the index of the
+group's largest r, a tag and k. A block depends on its own stream only, so
+output tables are bit-identical for any number of worker threads and any
+assignment of blocks to them. Each file-producing invocation writes a JSON
+manifest next to its output recording the merged configuration, versions,
+and wall time.
 
 The reference law is the chi-square series itself: its CDF is evaluated
 exactly by characteristic-function inversion, so rho carries only the
@@ -179,10 +181,10 @@ class RhoTable:
     configs produce byte-identical tables.
 
     stage_seconds holds the limit-law build ("limit_law"), each group's
-    draws and window sums ("draws": drawn_on_r, r, seconds and
-    noise_wait_seconds per group, the last being how long the group waited
-    on the noise-drawing helper thread, see fieldsim.window_integrals) and
-    the per-row CDF, KS and bootstrap work summed over rows ("rows").
+    draws and window sums ("draws": drawn_on_r, r and seconds per group,
+    with pairs_per_stream, streams and workers of its
+    fieldsim.window_integrals call) and the per-row CDF, KS and bootstrap
+    work summed over rows ("rows").
     """
 
     rows: tuple
@@ -275,13 +277,13 @@ def rate_experiment(config):
     are grouped from the largest down (_draw_groups): an r joins a larger
     r's group when its lattice is a sub-lattice of that r's. Each group
     solves one embedding, on its largest r's lattice, and draws its fields
-    there once, from the generator stream keyed by (master_seed, index of
-    its largest r); fieldsim.window_integrals then sums every r of the
-    group over its own window on those fields. Each row's rho and
-    bootstrap stderr keep their meaning, but rows of one group are
-    correlated. The bootstrap streams stay keyed by each r's own index. A
-    stream does not depend on how its draws are split into blocks, so the
-    table is bit-identical for any block size.
+    there once; fieldsim.window_integrals sums every r of the group over
+    its own window on those fields. Block k of the group's fields is drawn
+    from the generator stream keyed by (master_seed, index of its largest
+    r, _REPLICATE_TAG, k), and the block size is set by the lattice alone,
+    so the table is bit-identical for any number of workers. Each row's rho
+    and bootstrap stderr keep their meaning, but rows of one group are
+    correlated. The bootstrap streams stay keyed by each r's own index.
     """
     t0 = time.perf_counter()
     params = lrd_params(config.model)
@@ -305,10 +307,10 @@ def rate_experiment(config):
     for group in _draw_groups(plans):
         t0 = time.perf_counter()
         top = group[0]
-        rng = replicate_generator(config.master_seed, top, _REPLICATE_TAG)
+        stream = partial(replicate_generator, config.master_seed, top, _REPLICATE_TAG)
         radii = tuple(config.r_grid[i] for i in group)
         result = window_integrals(
-            plans[top], G, config.window, radii, config.replicates, rng
+            plans[top], G, config.window, radii, config.replicates, stream
         )
         for i, row_sums, row_volume in zip(group, result.sums, result.volumes):
             drawn[i] = (row_sums, row_volume, top)
@@ -317,7 +319,9 @@ def rate_experiment(config):
                 "drawn_on_r": config.r_grid[top],
                 "r": sorted(radii),
                 "seconds": time.perf_counter() - t0,
-                "noise_wait_seconds": result.noise_wait_seconds,
+                "pairs_per_stream": result.pairs_per_stream,
+                "streams": result.streams,
+                "workers": result.workers,
             }
         )
 
@@ -563,7 +567,15 @@ def _write_manifest(out, command, merged, wall_seconds, seeds, outputs):
             "their replicates (common random numbers): the r of one group "
             "are read off fields drawn once on the lattice of its largest r "
             "(derived_embedding drawn_on_r), so each row's rho and stderr "
-            "keep their meaning but rows of one group are correlated."
+            "keep their meaning but rows of one group are correlated. A "
+            "group's fields are drawn in blocks of pairs_per_stream complex "
+            "draws (derived_stage_seconds draws), a count set by the drawn "
+            "lattice alone; block k reads the generator of "
+            "SeedSequence([master_seed, group r index, tag, k]), where the "
+            "group r index is the grid index of the group's largest r and "
+            f"the tag is {_REPLICATE_TAG:#x}. The bootstrap of each r reads "
+            f"SeedSequence([master_seed, r index, {_BOOTSTRAP_TAG:#x}]). No "
+            "stream depends on the number of workers."
         ),
     }
     with open(path, "w", encoding="utf-8") as fh:

@@ -27,17 +27,25 @@ scale of such a group from one draw. The scales then see common random
 numbers (Glasserman & Yao, Management Science 1992): each scale's sums
 keep their law, but sums at different scales are correlated.
 
-window_integrals overlaps the two halves of each draw: one helper thread
-draws the torus noise of the next block while the calling thread runs the
-FFT and the window sums of the current one. The generator is read only by
-that helper, in the order and block shapes of serial simulate_pairs calls,
-so every sum is unchanged. The helper runs nothing but
-Generator.standard_normal; every other function, the embedding and G
-included, runs on the calling thread, so a tracer or profiler that keeps
-one call stack per process sees a single thread.
+window_integrals draws its fields in blocks of a fixed number of pairs,
+set by the plan's torus alone, and block k reads its own generator, which
+the caller keys by k (replicate_generator with the block index as the last
+key; L'Ecuyer, Munger, Oreshkin & Simard, Math. Comput. Simul. 2017). A
+pool of one worker per available core, capped at the number of blocks,
+runs whole blocks: draw, transform, gather, G and sums, each into its own
+slice of the result. The generator fills the float view of a complex block,
+so the real and imaginary parts of a torus site are consecutive normals of
+the stream. No block reads another's stream or writes another's
+sums, so the output does not depend on the worker count or on which worker
+runs which block. The embedding is resolved on the calling thread before
+any worker starts, so the spectrum and covariance evaluations, the layers a
+tracer or profiler that keeps one call stack per process wraps, only ever
+run there.
 """
 
-import time
+import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
@@ -90,8 +98,8 @@ _AXIS_BUDGET = 2**22
 # padding escalation refuses tori above this many sites (2^24 complex
 # sites take 256 MB per draw)
 _TORUS_BUDGET = 2**24
-# torus sites per block of window_integrals; larger blocks raise the peak
-# memory without running faster
+# torus sites per block of window_integrals, and so per generator stream;
+# larger blocks raise the peak memory without running faster
 _BLOCK_SITES = 2**18
 
 
@@ -282,14 +290,23 @@ def _seedless_embedding(plan):
         padding=accepted.padding,
         clamped_share=max(0.0, float(np.sum(lam)) / trace - 1.0),
     )
-    return emb, np.sqrt(lam)
+    # the inverse FFT divides by m^d; scaling the noise by sqrt(m^d) up front
+    # leaves a field of covariance B, and the repeat lays each factor over the
+    # real and the imaginary part of its site
+    return emb, np.repeat(np.sqrt(lam) * math.sqrt(lam.size), 2, axis=-1)
 
 
 clear_spectrum_cache = _seedless_embedding.cache_clear
 
 
 def _cached_embedding(plan):
-    """(Embedding, square root of the clamped spectrum), cached per plan."""
+    """(Embedding, noise scale), cached per plan.
+
+    The noise scale is sqrt(lam m^d) of the clamped spectrum lam on the
+    m^d-site torus, each value repeated twice along the last axis: the
+    factor of a complex draw's float view, real and imaginary parts
+    interleaved.
+    """
     return _seedless_embedding(replace(plan, seed=0))
 
 
@@ -302,50 +319,44 @@ def embedding(plan):
     return _cached_embedding(plan)[0]
 
 
-def _fields_from_noise(plan, root, noise, z):
-    """The lattice fields of one block of torus noise, transformed in z.
+def _draw_fields(plan, scale, rng, z):
+    """Draw the lattice fields of one block into z and transform them there.
 
-    noise is a (pairs, 2, *torus) standard-normal array: for each pair, the
-    real then the imaginary parts. z is a complex (pairs, *torus) array that
-    the transform overwrites; the FFTs run in place, so a caller that keeps
-    z and the noise for the next block allocates nothing per block. root is
-    the square root of plan's embedding spectrum. Returns the (pairs, n) or
+    z is a complex (pairs, *torus) array. rng fills its float view, so the
+    real and imaginary parts of each torus site are consecutive normals,
+    site after site in C order; scale (_cached_embedding) shapes that noise
+    in place, and the inverse FFTs run in place. Returns the (pairs, n) or
     (pairs, n, n) lattice corner of z.
     """
+    noise = z.view(np.float64)
+    rng.standard_normal(out=noise)
+    noise *= scale
     n = plan.n_per_axis
-    z.real = noise[:, 0]
-    z.imag = noise[:, 1]
-    z *= root
     if plan.dimension == 1:
-        z = np.fft.ifft(z, out=z)[:, :n]
-    else:
-        # ifft2 transforms the last axis and then the first; only the first
-        # n columns reach the lattice, so the second pass skips the rest
-        np.fft.ifft(z, axis=-1, out=z)
-        columns = z[..., :n]
-        z = np.fft.ifft(columns, axis=-2, out=columns)[:, :n]
-    z *= np.sqrt(root.size)
-    return z
+        return np.fft.ifft(z, out=z)[:, :n]
+    # ifft2 transforms the last axis and then the first; only the first n
+    # columns reach the lattice, so the second pass skips the rest
+    np.fft.ifft(z, axis=-1, out=z)
+    columns = z[..., :n]
+    return np.fft.ifft(columns, axis=-2, out=columns)[:, :n]
 
 
 def simulate_pairs(plan, rng, pairs):
     """Independent lattice fields, two per complex circulant draw.
 
-    Draws one (pairs, 2, *torus) standard-normal array: for each pair, the
-    real then the imaginary parts of the torus noise. One batched inverse
-    FFT then gives a complex array of shape (pairs, n) or (pairs, n, n)
-    whose real and imaginary parts are independent fields with covariance B
-    (Wood & Chan, JCGS 1994; Dietrich & Newsam, SIAM J. Sci. Comput. 1997).
-    The generator is read in order, so k calls of one pair give the same
-    fields as one call of k pairs. Everything runs on the calling thread;
-    window_integrals draws the same noise on a helper thread and hands it
-    to the same transform.
+    Fills a complex (pairs, *torus) array with standard normals from rng,
+    real and imaginary parts interleaved site by site (_draw_fields), and
+    transforms it with one batched inverse FFT. The result has shape
+    (pairs, n) or (pairs, n, n), and its real and imaginary parts are
+    independent fields with covariance B (Wood & Chan, JCGS 1994; Dietrich
+    & Newsam, SIAM J. Sci. Comput. 1997). The generator is read in order,
+    so k calls of one pair give the same fields as one call of k pairs.
+    Block k of window_integrals is this function's draw of that block's
+    pairs from that block's generator.
     """
-    root = _cached_embedding(plan)[1]
-    z = np.empty((pairs,) + root.shape, dtype=complex)
-    # the noise is bound to no name here, so it is freed before the copy
-    fields = _fields_from_noise(plan, root, rng.standard_normal((pairs, 2) + root.shape), z)
-    return fields.copy()
+    emb, scale = _cached_embedding(plan)
+    z = np.empty((pairs,) + (emb.torus_side,) * plan.dimension, dtype=complex)
+    return _draw_fields(plan, scale, rng, z).copy()
 
 
 def simulate_field(plan, rng=None):
@@ -454,18 +465,56 @@ class WindowSums:
     """What window_integrals returns.
 
     sums has shape (len(radii), count), and volumes holds each radius's
-    lattice volume (cell count times h^d). noise_wait_seconds is how long
-    the calling thread waited for the helper thread's noise: near zero when
-    the transforms and sums take longer than the draws, and close to the
-    draw time when the generator is the bottleneck.
+    lattice volume (cell count times h^d). The fields were drawn in
+    `streams` blocks of pairs_per_stream pairs (the last may hold fewer),
+    block k from its own generator, and `workers` threads ran the blocks.
     """
 
     sums: np.ndarray
     volumes: tuple
-    noise_wait_seconds: float
+    pairs_per_stream: int
+    streams: int
+    workers: int
 
 
-def window_integrals(plan, G, window, radii, count, rng):
+def _available_cores():
+    return len(os.sched_getaffinity(0))
+
+
+def _on_workers(task, tasks, workers, buffer):
+    """Run task(k, array) for k in range(tasks) on a pool of `workers` threads.
+
+    Each worker allocates its own array, buffer(), once and then claims the
+    next unrun k until none is left. After a task raises, every worker
+    stops once its current task is done; the pool is shut down and the
+    first exception that reaches the calling thread is raised there.
+    """
+    claim = iter(range(tasks))
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def work():
+        try:
+            array = buffer()
+            while not failed.is_set():
+                with lock:
+                    k = next(claim, None)
+                if k is None:
+                    return
+                task(k, array)
+        except BaseException:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="field-block") as pool:
+        try:
+            for running in [pool.submit(work) for _ in range(workers)]:
+                running.result()
+        finally:
+            failed.set()
+
+
+def window_integrals(plan, G, window, radii, count, stream):
     """Midpoint sums of G over the window at each radius, on count fields
     drawn once.
 
@@ -478,34 +527,33 @@ def window_integrals(plan, G, window, radii, count, rng):
     over exactly the sites a draw on the own lattice would; each radius has
     its own coverage check.
 
-    The fields are both halves of ceil(count / 2) simulate_pairs draws,
-    real before imaginary; an odd count drops the last imaginary half. The
-    pairs are drawn in blocks of about _BLOCK_SITES torus sites, one
-    batched FFT per block. Each block gathers the union of the windows
-    (_window_picks) once and evaluates G once on it, for the real and
-    imaginary halves together; each radius then reads its sites off those
-    values and sums them with one reduction along C-contiguous rows, which
-    adds each field's values pairwise in the order a 1-d np.sum of that
-    field's window does. A generator's stream does not depend on how its
-    draws are split into blocks, and no addition crosses fields, so the
-    sums are identical for any block size, and each equals
+    The fields are both halves of ceil(count / 2) pairs, real before
+    imaginary; an odd count drops the last imaginary half. The pairs come
+    in blocks of b = max(1, _BLOCK_SITES // m^d) pairs on the plan's
+    m^d-site torus, so b depends on the plan alone. stream(k) returns the
+    generator of block k, and block k is exactly simulate_pairs(plan,
+    stream(k), b) (the last block may be shorter): each block reads its own
+    generator from its start, and only as far as its own pairs. Each block
+    gathers the union of the windows (_window_picks) once and evaluates G
+    once on it, for the real and imaginary halves together; each radius
+    then reads its sites off those values and sums them with one reduction
+    along C-contiguous rows, which adds each field's values pairwise in the
+    order a 1-d np.sum of that field's window does. So each sum equals
     functional_integral of its field.
 
-    The noise of block k+1 is drawn on one helper thread while this thread
-    transforms and sums block k; numpy releases the GIL in both. Only the
-    helper reads rng, block by block in order and never past the last
-    pair, so the stream, the fields and the sums are those of serial
-    simulate_pairs draws, and rng ends in the same state. The helper runs
-    nothing but the normal draws: the embedding, G and the sums stay on the
-    calling thread, so per-thread state such as a profiler's call stack
-    only ever sees this thread. The helper is shut down before the call
-    returns or raises. The noise of two blocks (the one being transformed
-    and the one being drawn) and one complex work block are allocated once
-    per call, and the FFTs run in place: 12 MB at the default _BLOCK_SITES,
-    more when a single pair's torus exceeds it. Per block the loop allocates
-    only lattice-sized arrays, the gathered window values and in d=2 a copy
-    of the lattice corner: at most a half (d=1) or a quarter (d=2) of the
-    block's torus sites each.
+    The blocks run on a pool of one worker per available core, capped at
+    the number of blocks (_on_workers); numpy releases the GIL in the draws,
+    FFTs, gathers and sums. A block writes only its own columns of the
+    result, so the sums do not depend on the worker count or on which
+    worker runs which block. The embedding is resolved on the calling
+    thread before the pool starts, so covariance_eval and
+    circulant_spectrum never run on a worker; stream and G do. The pool is
+    shut down before the call returns or raises. Each worker allocates one
+    complex block of b pairs for the whole call and runs the FFTs in place
+    (4 MB at the default _BLOCK_SITES, more when a single pair's torus
+    exceeds it); per block it allocates only lattice-sized arrays, the
+    gathered window values and in d=2 a copy of the lattice corner: at most
+    a half (d=1) or a quarter (d=2) of the block's torus sites each.
 
     Returns a WindowSums.
     """
@@ -519,36 +567,28 @@ def window_integrals(plan, G, window, radii, count, rng):
     union, picks, counts = _window_picks(plan, window, radii)
     cell = plan.h**plan.dimension
     pairs = (count + 1) // 2
-    # resolved here, not on the helper: the embedding evaluates traced layers
-    root = _cached_embedding(plan)[1]
-    block = max(1, _BLOCK_SITES // root.size)
+    emb, scale = _cached_embedding(plan)
+    torus = (emb.torus_side,) * plan.dimension
+    block = max(1, _BLOCK_SITES // emb.torus_side**plan.dimension)
+    streams = -(-pairs // block)
+    workers = min(_available_cores(), streams)
     sums = np.empty((len(picks), 2 * pairs))
-    waited = 0.0
-    # block k's noise is drawn into noise[k % 2]; the helper refills a
-    # buffer only after this thread has moved the buffer's last block into z
-    noise = np.empty((2, min(block, pairs), 2) + root.shape)
-    z = np.empty((min(block, pairs),) + root.shape, dtype=complex)
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="torus-noise") as helper:
-        ahead = helper.submit(rng.standard_normal, out=noise[0])
-        for k, start in enumerate(range(0, pairs, block)):
-            t0 = time.perf_counter()
-            drawn = ahead.result()
-            waited += time.perf_counter() - t0
-            following = start + block
-            if following < pairs:
-                size = min(block, pairs - following)
-                ahead = helper.submit(rng.standard_normal, out=noise[(k + 1) % 2, :size])
-            fields = _fields_from_noise(plan, root, drawn, z[: len(drawn)])
-            # np.take along axis 1 returns C-contiguous rows; a boolean
-            # gather here would not, and a reduction over its rows would
-            # not add them pairwise
-            w = np.take(fields.reshape(len(drawn), -1), union, axis=1)
-            values = G(np.stack((w.real, w.imag), axis=1).reshape(2 * len(w), -1))
-            for row, pick in zip(sums, picks):
-                part = values[:, pick] if isinstance(pick, slice) else np.take(values, pick, axis=1)
-                np.add.reduce(part, axis=1, out=row[2 * start : 2 * start + len(values)])
+
+    def run(k, z):
+        start = k * block
+        fields = _draw_fields(plan, scale, stream(k), z[: min(block, pairs - start)])
+        # np.take along axis 1 returns C-contiguous rows; a boolean gather
+        # here would not, and a reduction over its rows would not add them
+        # pairwise
+        w = np.take(fields.reshape(len(fields), -1), union, axis=1)
+        values = G(np.stack((w.real, w.imag), axis=1).reshape(2 * len(w), -1))
+        for row, pick in zip(sums, picks):
+            part = values[:, pick] if isinstance(pick, slice) else np.take(values, pick, axis=1)
+            np.add.reduce(part, axis=1, out=row[2 * start : 2 * start + len(values)])
+
+    _on_workers(run, streams, workers, lambda: np.empty((min(block, pairs),) + torus, dtype=complex))
     volumes = tuple(float(count * cell) for count in counts)
-    return WindowSums(sums[:, :count] * cell, volumes, waited)
+    return WindowSums(sums[:, :count] * cell, volumes, block, streams, workers)
 
 
 def replicate_generator(master_seed, *keys):

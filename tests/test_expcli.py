@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ def _rows(path):
 
 
 @pytest.mark.parametrize("replicates", [1000, 1001])
-def test_table_is_identical_for_any_block_size(tmp_path, monkeypatch, replicates):
+def test_table_is_identical_for_any_worker_count(tmp_path, monkeypatch, replicates):
     calls = []
     scalar = expcli.normalized_statistic
 
@@ -56,10 +57,23 @@ def test_table_is_identical_for_any_block_size(tmp_path, monkeypatch, replicates
     assert main(_experiment(tmp_path / "default.csv", *flags)) == 0
     # every X_r goes through the scalar normalization, one call per replicate
     assert len(calls) == 2 * replicates
-    monkeypatch.setattr(fieldsim, "_BLOCK_SITES", 1)  # one pair per block
-    assert main(_experiment(tmp_path / "one-pair.csv", *flags)) == 0
-    default = (tmp_path / "default.csv").read_bytes()
-    assert default == (tmp_path / "one-pair.csv").read_bytes()
+    pairs = (replicates + 1) // 2
+    # the default block holds every pair of the 128-site torus; one pair per
+    # block gives each pair its own stream and the pool blocks to share
+    default_sites = fieldsim._BLOCK_SITES
+    for block_sites, streams in ((default_sites, 1), (1, pairs)):
+        monkeypatch.setattr(fieldsim, "_BLOCK_SITES", block_sites)
+        tables = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(fieldsim, "_available_cores", lambda: workers)
+            out = tmp_path / f"{block_sites}-{workers}.csv"
+            assert main(_experiment(out, *flags)) == 0
+            tables.append(out.read_bytes())
+            manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text(encoding="utf-8"))
+            group = manifest["config"]["derived_stage_seconds"]["draws"][0]
+            assert (group["streams"], group["workers"]) == (streams, min(workers, streams))
+        assert tables == [tables[0]] * 3
+    assert (tmp_path / "default.csv").read_bytes() == (tmp_path / f"{default_sites}-1.csv").read_bytes()
     rows = _rows(tmp_path / "default.csv")
     assert [float(row["r"]) for row in rows] == [4.0, 8.0]
     assert all(int(row["replicates"]) == replicates for row in rows)
@@ -97,7 +111,11 @@ def test_batched_bootstrap_equals_one_resample_at_a_time(monkeypatch, n, batch):
     assert expcli._bootstrap_stderr(f, 5, 2) == float(np.std(stats, ddof=1))
 
 
-def test_rate_experiment_equals_the_per_field_and_per_resample_loops():
+def test_rate_experiment_equals_the_per_field_and_per_resample_loops(monkeypatch):
+    # 100 pairs per stream on the 128-site torus of r=8: 501 pairs make six
+    # blocks, which two workers share
+    monkeypatch.setattr(fieldsim, "_BLOCK_SITES", 100 * 128)
+    monkeypatch.setattr(fieldsim, "_available_cores", lambda: 2)
     config = ExperimentConfig(
         model=expcli.model_from_json(MODEL),
         window=expcli.set_from_json(WINDOW),
@@ -114,11 +132,13 @@ def test_rate_experiment_equals_the_per_field_and_per_resample_loops():
     plans = [expcli._experiment_plan(config, r) for r in config.r_grid]
     for group in expcli._draw_groups(plans):
         top = plans[group[0]]
-        rng = fieldsim.replicate_generator(3, group[0], expcli._REPLICATE_TAG)
+        assert fieldsim.embedding(top).torus_side == 128
         fields = []
-        for _ in range(501):
-            pair = fieldsim.simulate_pairs(top, rng, 1)[0]
-            fields += [pair.real, pair.imag]
+        for block in range(6):
+            rng = fieldsim.replicate_generator(3, group[0], expcli._REPLICATE_TAG, block)
+            for _ in range(min(100, 501 - 100 * block)):
+                pair = fieldsim.simulate_pairs(top, rng, 1)[0]
+                fields += [pair.real, pair.imag]
         for i in group:
             r, own = config.r_grid[i], plans[i]
             k = fieldsim.sublattice_offset(top, own)
@@ -738,8 +758,12 @@ def test_manifest_records_the_embedding_of_every_r(tmp_path, monkeypatch):
     assert stages["rows"] == pytest.approx(sum(runtimes), rel=1e-12)
     spent = stages["limit_law"] + stages["draws"][0]["seconds"] + stages["rows"]
     assert 0.0 < spent <= manifest["wall_seconds"]
-    # the wait on the noise-drawing thread is part of the group's seconds
-    assert 0.0 <= stages["draws"][0]["noise_wait_seconds"] <= stages["draws"][0]["seconds"]
+    # 1000 replicates are 500 pairs, and 2^18 sites hold them all on the
+    # torus of r=8: one stream, and so one worker
+    group = stages["draws"][0]
+    assert group["pairs_per_stream"] == fieldsim._BLOCK_SITES // m
+    assert (group["streams"], group["workers"]) == (1, 1)
+    assert "noise_wait_seconds" not in group
 
 
 def test_unaligned_lattices_draw_in_groups_of_their_own(tmp_path, monkeypatch):
@@ -778,10 +802,10 @@ def test_the_largest_r_keeps_its_own_stream(tmp_path, monkeypatch):
         master_seed=7,
         h=0.5,
     )
-    rng = fieldsim.replicate_generator(7, 2, expcli._REPLICATE_TAG)
+    stream = partial(fieldsim.replicate_generator, 7, 2, expcli._REPLICATE_TAG)
     G = expcli.functional_catalog("abs-centered")
     alone = fieldsim.window_integrals(
-        expcli._experiment_plan(config, 8.0), G, config.window, (8.0,), 1000, rng
+        expcli._experiment_plan(config, 8.0), G, config.window, (8.0,), 1000, stream
     )
     assert captured[8.0] == list(alone.sums[0])
     assert len(captured[2.0]) == len(captured[4.0]) == 1000

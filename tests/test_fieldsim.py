@@ -1,8 +1,11 @@
 """Lattice field simulation, window functionals, and the normalized statistic."""
 
 import math
+import sys
 import threading
+import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -275,48 +278,76 @@ def test_lag_covariance():
 
 def test_simulate_field_keeps_its_stream():
     # the real half of a one-pair block is the field of one complex draw
-    # made as m real normals, then m imaginary ones
+    # made as 2m normals, the real and imaginary parts of each site in turn,
+    # each scaled by sqrt(lam m^d) of its site before the inverse FFT
     for plan, fft in (
         (SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=0.5, extent=16.0, seed=8), np.fft.ifft),
         (SimulationPlan(model=cauchy(2, 0.3), dimension=2, h=1.0, extent=8.0, seed=8), np.fft.ifft2),
     ):
-        root = np.sqrt(circulant_spectrum(plan))
-        rng = np.random.default_rng(8)
-        z = rng.standard_normal(root.shape) + 1j * rng.standard_normal(root.shape)
-        want = fft(root * z).real * np.sqrt(root.size)
+        lam = circulant_spectrum(plan)
+        scale = np.sqrt(lam) * np.sqrt(lam.size)
+        noise = np.random.default_rng(8).standard_normal(lam.shape + (2,))
+        z = noise[..., 0] * scale + 1j * (noise[..., 1] * scale)
+        want = fft(z).real
         n = plan.n_per_axis
         want = want[:n] if plan.dimension == 1 else want[:n, :n]
         assert np.array_equal(simulate_field(plan).values, want)
 
 
+def _serial_pairs(plan, keys, pairs, block):
+    """The pairs of window_integrals drawn one at a time: pair j of block k
+    is the j-th one-pair simulate_pairs draw from replicate_generator(*keys,
+    k), whose block holds `block` pairs (the last one fewer)."""
+    fields = []
+    for k, start in enumerate(range(0, pairs, block)):
+        rng = replicate_generator(*keys, k)
+        fields += [simulate_pairs(plan, rng, 1)[0] for _ in range(min(block, pairs - start))]
+    return fields
+
+
 def test_window_integrals_are_block_invariant(monkeypatch):
+    # each block's sums come from its own stream alone: they are those of
+    # its fields drawn apart, and a count that adds a field to the last
+    # block leaves every other column as it was
     plan = SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=0.5, extent=8.0, seed=0)
     w = rectangle([-0.5], [0.5])
     G = functional_catalog("h2")
     radii = (4.0, 10.0, 16.0)
-    result = window_integrals(plan, G, w, radii, 1001, replicate_generator(3, 0))
+    stream = partial(replicate_generator, 3, 0)
+    result = window_integrals(plan, G, w, radii, 1001, stream)
     sums = result.sums
     assert sums.shape == (3, 1001)
-    fld = simulate_field(plan, rng=replicate_generator(3, 0))
+    # 2^18 sites hold all 501 pairs of the 128-site torus (padding 4): one
+    # stream
+    assert embedding(plan).torus_side == 128
+    assert (result.pairs_per_stream, result.streams) == (2048, 1)
+    fld = simulate_field(plan, rng=stream(0))
     assert result.volumes == tuple(lattice_window_volume(fld, w, r) for r in radii)
-    monkeypatch.setattr(fieldsim, "_BLOCK_SITES", 1)
-    one_pair = window_integrals(plan, G, w, radii, 1002, replicate_generator(3, 0)).sums
-    assert np.array_equal(one_pair[:, :1001], sums)
-    # the first sums come from the field simulate_field draws from the stream
-    assert list(one_pair[:, 0]) == [functional_integral(fld, G, w, r) for r in radii]
+    # the first sums come from the field simulate_field draws from stream 0
+    assert list(sums[:, 0]) == [functional_integral(fld, G, w, r) for r in radii]
+    assert np.array_equal(window_integrals(plan, G, w, radii, 1002, stream).sums[:, :1001], sums)
+    monkeypatch.setattr(fieldsim, "_BLOCK_SITES", 1)  # one pair per stream
+    one_pair = window_integrals(plan, G, w, radii, 1002, stream)
+    assert (one_pair.pairs_per_stream, one_pair.streams) == (1, 501)
+    assert np.array_equal(window_integrals(plan, G, w, radii, 1001, stream).sums, one_pair.sums[:, :1001])
+    fields = [half for f in _serial_pairs(plan, (3, 0), 501, 1) for half in (f.real, f.imag)]
+    origin = -plan.extent + 0.5 * plan.h
+    for row, r in zip(one_pair.sums, radii):
+        assert list(row) == [functional_integral(GridField(f, plan.h, origin), G, w, r) for f in fields]
     with pytest.raises(CoverageError):
-        window_integrals(plan, G, w, (16.0, 32.0), 10, replicate_generator(3, 0))
+        window_integrals(plan, G, w, (16.0, 32.0), 10, stream)
     # r=7.5 lays out extent 3.75, which starts (8 - 3.75) / 0.5 = 8.5 sites in
     with pytest.raises(CoverageError, match="not a sub-lattice"):
-        window_integrals(plan, G, w, (7.5,), 10, replicate_generator(3, 0))
+        window_integrals(plan, G, w, (7.5,), 10, stream)
 
 
 def test_the_largest_radius_sums_as_if_drawn_alone():
     plan = SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=0.25, extent=8.0, seed=0)
     w = ball(1)
     G = functional_catalog("abs-centered")
-    shared = window_integrals(plan, G, w, (2.0, 4.0, 8.0), 301, replicate_generator(4, 1))
-    alone = window_integrals(plan, G, w, (8.0,), 301, replicate_generator(4, 1))
+    stream = partial(replicate_generator, 4, 1)
+    shared = window_integrals(plan, G, w, (2.0, 4.0, 8.0), 301, stream)
+    alone = window_integrals(plan, G, w, (8.0,), 301, stream)
     assert np.array_equal(shared.sums[-1], alone.sums[0])
     assert shared.volumes[-1] == alone.volumes[0]
     # the smaller windows read sub-blocks of the same fields, so they are
@@ -329,16 +360,21 @@ def test_the_largest_radius_sums_as_if_drawn_alone():
     (rectangle([-0.5], [0.5]), 0.5, (4.0, 10.0, 16.0), False),
     (ball(2), 1.0, (4.0, 6.0, 8.0), False),
 ], ids=["interval", "rectangle-1d", "disk"])
-def test_each_window_sum_is_functional_integral_of_its_field(window, h, radii, layout_trap):
+def test_each_window_sum_is_functional_integral_of_its_field(
+    monkeypatch, window, h, radii, layout_trap
+):
     d = window.dimension
     plan = SimulationPlan(
         model=cauchy(d, 0.3), dimension=d, h=h, extent=window_extent(window, radii[-1]), seed=0
     )
     G = functional_catalog("abs-centered")
     count = 301
-    sums = window_integrals(plan, G, window, radii, count, replicate_generator(8, 1)).sums
-    serial = replicate_generator(8, 1)
-    pairs = [simulate_pairs(plan, serial, 1)[0] for _ in range((count + 1) // 2)]
+    # 16 pairs per stream: 151 pairs make 10 blocks, the last one short
+    monkeypatch.setattr(fieldsim, "_BLOCK_SITES", 16 * embedding(plan).torus_side**d)
+    result = window_integrals(plan, G, window, radii, count, partial(replicate_generator, 8, 1))
+    assert (result.pairs_per_stream, result.streams) == (16, 10)
+    sums = result.sums
+    pairs = _serial_pairs(plan, (8, 1), (count + 1) // 2, 16)
     fields = [half for f in pairs for half in (f.real, f.imag)][:count]
     for row, r in zip(sums, radii):
         own = replace(plan, extent=window_extent(window, r))
@@ -361,50 +397,76 @@ def test_each_window_sum_is_functional_integral_of_its_field(window, h, radii, l
         assert not np.array_equal(trapped, sums[-1])
 
 
-# 1000 sites hold 15 pairs of the 64-site torus below, so 501 pairs make 34
-# blocks, the last one short
+# 1000 sites hold 7 pairs of the 128-site torus below (padding 4), so 501
+# pairs make 72 blocks, the last one short
 @pytest.mark.parametrize("block_sites", [fieldsim._BLOCK_SITES, 1, 1000])
 def test_window_integrals_leave_the_generator_where_serial_draws_do(monkeypatch, block_sites):
+    # each block reads its own stream from the start and only as far as its
+    # own pairs, as serial one-pair draws of those pairs do
     plan = SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=0.5, extent=8.0, seed=0)
     monkeypatch.setattr(fieldsim, "_BLOCK_SITES", block_sites)
-    rng = replicate_generator(5, 0)
-    result = window_integrals(plan, functional_catalog("h2"), ball(1), (4.0, 8.0), 1001, rng)
-    serial = replicate_generator(5, 0)
-    fields = [simulate_pairs(plan, serial, 1)[0] for _ in range(501)]
-    assert rng.bit_generator.state == serial.bit_generator.state
-    want = [np.sum(functional_catalog("h2")(f.real)) * plan.h for f in fields]
+    monkeypatch.setattr(fieldsim, "_available_cores", lambda: 3)
+    handed = {}
+
+    def stream(k):
+        handed[k] = replicate_generator(5, 0, k)
+        return handed[k]
+
+    result = window_integrals(plan, functional_catalog("h2"), ball(1), (4.0, 8.0), 1001, stream)
+    block = max(1, block_sites // 128)
+    assert (result.pairs_per_stream, result.streams) == (block, -(-501 // block))
+    assert sorted(handed) == list(range(result.streams))
+    fields = []
+    for k, rng in handed.items():
+        serial = replicate_generator(5, 0, k)
+        fields += [(k, simulate_pairs(plan, serial, 1)[0]) for _ in range(min(block, 501 - k * block))]
+        assert rng.bit_generator.state == serial.bit_generator.state
+    want = [np.sum(functional_catalog("h2")(f.real)) * plan.h for _, f in sorted(fields, key=lambda p: p[0])]
     assert list(result.sums[1, 0:1001:2]) == want
-    assert result.noise_wait_seconds >= 0.0
 
 
 def test_an_error_in_G_stops_the_helper_thread(monkeypatch):
+    # G and the generators run on the pool's workers; an error on a worker
+    # stops the others after their current block and reaches the caller,
+    # and the workers are gone again
     plan = SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=0.5, extent=8.0, seed=0)
-    monkeypatch.setattr(fieldsim, "_BLOCK_SITES", 1)  # one pair per block
+    monkeypatch.setattr(fieldsim, "_BLOCK_SITES", 1)  # one pair per block: 10 blocks
+    monkeypatch.setattr(fieldsim, "_available_cores", lambda: 2)
+    caller = threading.get_ident()
     before = threading.active_count()
+    both = threading.Barrier(2, timeout=10)  # the first two calls wait for each other
     seen = []
 
     def G(w):
-        seen.append(threading.active_count())
+        seen.append((threading.get_ident(), threading.active_count()))
+        if len(seen) <= 2:
+            both.wait()
         if len(seen) == 5:
             raise FloatingPointError("G failed")
         return w * w - 1.0
 
     with pytest.raises(FloatingPointError, match="G failed"):
-        window_integrals(plan, G, ball(1), (4.0,), 20, replicate_generator(5, 1))
-    # the noise was drawn on a second thread, which is gone again
-    assert max(seen) == before + 1
+        window_integrals(plan, G, ball(1), (4.0,), 20, partial(replicate_generator, 5, 1))
+    assert len({ident for ident, _ in seen[:2]} - {caller}) == 2
+    assert max(active for _, active in seen) == before + 2
+    assert len(seen) < 10
     assert threading.active_count() == before
 
     class BrokenGenerator:
         def standard_normal(self, *args, **kwargs):
             raise OverflowError("no more normals")
 
+    def stream(k):
+        return BrokenGenerator() if k == 3 else replicate_generator(5, 1, k)
+
     with pytest.raises(OverflowError, match="no more normals"):
-        window_integrals(plan, G, ball(1), (4.0,), 20, BrokenGenerator())
+        window_integrals(plan, functional_catalog("h2"), ball(1), (4.0,), 20, stream)
     assert threading.active_count() == before
 
 
 def test_only_the_calling_thread_evaluates_the_embedding(monkeypatch):
+    # the spectrum and the covariance run before the pool starts; the
+    # generators and G run on its workers only
     threads = {}
 
     def spy(name, fn):
@@ -417,12 +479,101 @@ def test_only_the_calling_thread_evaluates_the_embedding(monkeypatch):
     monkeypatch.setattr(fieldsim, "circulant_spectrum", spy("spectrum", circulant_spectrum))
     monkeypatch.setattr(fieldsim, "covariance_eval", spy("covariance", covariance_eval))
     monkeypatch.setattr(fieldsim, "_BLOCK_SITES", 1)
+    monkeypatch.setattr(fieldsim, "_available_cores", lambda: 2)
     G = spy("G", functional_catalog("h2"))
+    stream = spy("stream", partial(replicate_generator, 5, 2))
     clear_spectrum_cache()
     plan = SimulationPlan(model=cauchy(2, 0.3), dimension=2, h=1.0, extent=8.0, seed=0)
-    window_integrals(plan, G, ball(2), (4.0, 8.0), 12, replicate_generator(5, 2))
+    result = window_integrals(plan, G, ball(2), (4.0, 8.0), 12, stream)
     clear_spectrum_cache()
-    assert threads == dict.fromkeys(("spectrum", "covariance", "G"), {threading.get_ident()})
+    caller = threading.get_ident()
+    assert (result.streams, result.workers) == (6, 2)
+    assert threads["spectrum"] == threads["covariance"] == {caller}
+    assert threads["G"] | threads["stream"] and caller not in threads["G"] | threads["stream"]
+
+
+def test_window_sums_do_not_depend_on_the_workers(monkeypatch):
+    # every block writes only its own columns, so neither the worker count
+    # nor which worker claims which block changes a sum; the streams stall
+    # unevenly to shuffle the claims
+    plan = SimulationPlan(model=cauchy(2, 0.3), dimension=2, h=1.0, extent=8.0, seed=0)
+    G = functional_catalog("abs-centered")
+    monkeypatch.setattr(fieldsim, "_BLOCK_SITES", 2 * embedding(plan).torus_side**2)
+
+    def stream(k):
+        time.sleep(0.002 * (k * 7 % 3))
+        return replicate_generator(6, 0, k)
+
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(fieldsim, "_available_cores", lambda: workers)
+        runs.append(window_integrals(plan, G, ball(2), (4.0, 6.0, 8.0), 41, stream))
+        assert (runs[-1].pairs_per_stream, runs[-1].streams, runs[-1].workers) == (2, 11, workers)
+    assert all(np.array_equal(run.sums, runs[0].sums) for run in runs[1:])
+    # more cores than blocks: the pool is capped at the blocks
+    monkeypatch.setattr(fieldsim, "_available_cores", lambda: 64)
+    capped = window_integrals(plan, G, ball(2), (4.0, 6.0, 8.0), 41, stream)
+    assert capped.workers == 11 and np.array_equal(capped.sums, runs[0].sums)
+
+
+def test_more_workers_than_cores_claim_every_block_once(monkeypatch):
+    # eight workers on 300 one-pair blocks, switching threads every
+    # microsecond: a claim lost or made twice would skip a block or draw it
+    # twice
+    plan = SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=0.5, extent=8.0, seed=0)
+    G = functional_catalog("h2")
+    monkeypatch.setattr(fieldsim, "_BLOCK_SITES", 1)
+    claims = []
+
+    def stream(k):
+        claims.append(k)
+        return replicate_generator(9, 0, k)
+
+    monkeypatch.setattr(fieldsim, "_available_cores", lambda: 1)
+    serial = window_integrals(plan, G, ball(1), (4.0, 8.0), 600, stream).sums
+    claims.clear()
+    monkeypatch.setattr(fieldsim, "_available_cores", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        shared = window_integrals(plan, G, ball(1), (4.0, 8.0), 600, stream)
+    finally:
+        sys.setswitchinterval(interval)
+    assert shared.workers == 8
+    assert sorted(claims) == list(range(300))
+    assert np.array_equal(shared.sums, serial)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_h2_window_sums_have_the_exact_lattice_variance(monkeypatch, d):
+    # E H2(X) H2(Y) = 2 B(x - y)^2, so the sum over the window's sites x, y
+    # of 2 B(x - y)^2 h^(2d) is the exact variance of the lattice sum; a
+    # noise layout that mixed up the real and imaginary parts of the sites
+    # would give the fields the wrong covariance
+    model = cauchy(d, 0.3)
+    h, r = (0.5, 4.0) if d == 1 else (1.0, 3.0)
+    window = ball(d)
+    plan = SimulationPlan(model=model, dimension=d, h=h, extent=window_extent(window, r), seed=0)
+    # the sums are far from normal, so the variance needs many of them:
+    # scaling the real and imaginary parts by the spectrum of the wrong
+    # sites lowers it by 7 (d=1) and 12 (d=2) standard errors or more
+    count = 20000
+    monkeypatch.setattr(fieldsim, "_BLOCK_SITES", 1250 * embedding(plan).torus_side**d)
+    result = window_integrals(
+        plan, functional_catalog("h2"), window, (r,), count, partial(replicate_generator, 61, d)
+    )
+    assert result.streams == 8
+    sums = result.sums[0]
+    origin = -plan.extent + 0.5 * h
+    mask = fieldsim._window_mask(origin, plan.n_per_axis, h, window, r)
+    sites = origin + h * np.argwhere(mask)
+    lag = np.sqrt(np.sum((sites[:, None, :] - sites[None, :, :]) ** 2, axis=-1))
+    exact = 2.0 * float(np.sum(covariance_eval(model, lag) ** 2)) * h ** (2 * d)
+    mean = float(np.mean(sums))
+    assert abs(mean) < 6.0 * math.sqrt(exact / count)
+    square = (sums - mean) ** 2
+    estimate = float(np.mean(square)) * count / (count - 1)
+    assert abs(estimate - exact) < 6.0 * float(np.std(square, ddof=1)) / math.sqrt(count)
 
 
 @pytest.mark.parametrize(
@@ -494,7 +645,7 @@ def test_a_nonpositive_scale_is_refused_naming_it(window, r):
         lambda: functional_integral(field, G, window, r),
         lambda: lattice_window_volume(field, window, r),
         lambda: window_extent(window, r),
-        lambda: window_integrals(plan, G, window, (r,), 10, replicate_generator(0, 0)),
+        lambda: window_integrals(plan, G, window, (r,), 10, partial(replicate_generator, 0, 0)),
     ):
         with pytest.raises(DomainError, match=f"r must be positive, got {r}$"):
             call()
