@@ -63,7 +63,6 @@ from .geometry import (
     rectangle,
     set_from_json,
     set_to_json,
-    uniform_sample,
     volume,
 )
 from .hermite import (

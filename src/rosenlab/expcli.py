@@ -3,14 +3,14 @@
 The experiments tie the package together: simulate long-memory fields,
 integrate a rank-2 functional over a growing window, normalize, and
 measure the Kolmogorov distance to the chi-square-series reference law.
-Everything is reproducible: nested windows share their fields, and each
-group of them is drawn in blocks of a size set by its lattice alone, block
-k from the generator stream keyed by the master seed, the index of the
-group's largest r, a tag and k. A block depends on its own stream only, so
-output tables are bit-identical for any number of worker threads and any
-assignment of blocks to them. Each file-producing invocation writes a JSON
-manifest next to its output recording the merged configuration, versions,
-and wall time.
+Everything is reproducible: every r of a table reads its window off one set
+of fields, drawn on the lattice of the largest r in blocks of a size set by
+that lattice alone, block k from the generator stream keyed by the master
+seed, the index of the largest r, a tag and k. A block depends on its own
+stream only, so output tables are bit-identical for any number of worker
+threads and any assignment of blocks to them. Each file-producing
+invocation writes a JSON manifest next to its output recording the merged
+configuration, versions, and wall time.
 
 The reference law is the chi-square series itself: its CDF is evaluated
 exactly by characteristic-function inversion, so rho carries only the
@@ -55,7 +55,6 @@ from .fieldsim import (  # noqa: F401
     normalized_statistic,
     replicate_generator,
     simulate_field,
-    sublattice_offset,
     window_extent,
     window_integrals,
 )
@@ -152,14 +151,12 @@ def config_to_json(config):
 
 @dataclass(frozen=True)
 class RhoRow:
-    """One r of the table, with where its replicates came from.
+    """One r of the table.
 
     runtime_seconds counts only this row's own work: normalisation, CDF,
     Kolmogorov distance and bootstrap. The draws and window sums it shares
-    with its group are timed per group in RhoTable.stage_seconds.
-    embedding is the fieldsim.Embedding of the lattice of r = drawn_on_r,
-    on which the replicates were drawn; n_per_axis and window_sites are
-    those of this row's own lattice and window.
+    with the other rows are timed in RhoTable.stage_seconds. window_sites
+    is the number of lattice sites in this row's window.
     """
 
     r: float
@@ -168,10 +165,7 @@ class RhoRow:
     rho_stderr: float
     kappa_bound: float
     runtime_seconds: float
-    embedding: object
-    n_per_axis: int
     window_sites: int
-    drawn_on_r: float
 
 
 @dataclass(frozen=True)
@@ -180,15 +174,17 @@ class RhoTable:
     measured against; runtime stays out of the CSV contract so identical
     configs produce byte-identical tables.
 
-    stage_seconds holds the limit-law build ("limit_law"), each group's
-    draws and window sums ("draws": drawn_on_r, r and seconds per group,
-    with pairs_per_stream, streams and workers of its
+    embedding is the fieldsim.Embedding of the lattice of the largest r, on
+    which every row's replicates were drawn. stage_seconds holds the
+    limit-law build ("limit_law"), the draws and window sums ("draws":
+    seconds, with pairs_per_stream, streams and workers of the
     fieldsim.window_integrals call) and the per-row CDF, KS and bootstrap
     work summed over rows ("rows").
     """
 
     rows: tuple
     law: object
+    embedding: object
     stage_seconds: dict
 
     def csv_rows(self):
@@ -206,24 +202,6 @@ def _experiment_plan(config, r):
         extent=window_extent(config.window, r),
         seed=config.master_seed,
     )
-
-
-def _draw_groups(plans):
-    """Indices of plans in groups that share one draw, the largest first.
-
-    Walks the plans from the last (largest r) down. A plan joins the first
-    group whose leading lattice holds its own as a sub-lattice, else it
-    leads a new group; a group of one draws on its own lattice.
-    """
-    groups = []
-    for i in reversed(range(len(plans))):
-        for group in groups:
-            if sublattice_offset(plans[group[0]], plans[i]) is not None:
-                group.append(i)
-                break
-        else:
-            groups.append([i])
-    return groups
 
 
 def _ks_from_cdf(f, counts):
@@ -273,17 +251,15 @@ def rate_experiment(config):
     The limit law is rosenblatt.limit_law, built once per call; its CDF
     is evaluated exactly at the sorted replicates of each r.
 
-    Nested windows share their replicates (common random numbers). The r
-    are grouped from the largest down (_draw_groups): an r joins a larger
-    r's group when its lattice is a sub-lattice of that r's. Each group
-    solves one embedding, on its largest r's lattice, and draws its fields
-    there once; fieldsim.window_integrals sums every r of the group over
-    its own window on those fields. Block k of the group's fields is drawn
-    from the generator stream keyed by (master_seed, index of its largest
-    r, _REPLICATE_TAG, k), and the block size is set by the lattice alone,
-    so the table is bit-identical for any number of workers. Each row's rho
-    and bootstrap stderr keep their meaning, but rows of one group are
-    correlated. The bootstrap streams stay keyed by each r's own index.
+    Every r shares the replicates (common random numbers): one embedding
+    is solved, on the lattice of the largest r, the fields are drawn there
+    once, and fieldsim.window_integrals sums every r over its window on
+    that lattice. Block k of the fields is drawn from the generator stream
+    keyed by (master_seed, index of the largest r, _REPLICATE_TAG, k), and
+    the block size is set by the lattice alone, so the table is
+    bit-identical for any number of workers. Each row's rho and bootstrap
+    stderr keep their meaning, but the rows are correlated. The bootstrap
+    streams stay keyed by each r's own index.
     """
     t0 = time.perf_counter()
     params = lrd_params(config.model)
@@ -299,36 +275,24 @@ def rate_experiment(config):
     c2 = expansion.coeffs[2]
     law = limit_law(config.window, params.alpha)
     kb = kappa_bound(inputs_from_model(config.model))
-    stages = {"limit_law": time.perf_counter() - t0, "draws": [], "rows": 0.0}
+    stages = {"limit_law": time.perf_counter() - t0, "rows": 0.0}
 
-    plans = [_experiment_plan(config, r) for r in config.r_grid]
+    t0 = time.perf_counter()
+    plan = _experiment_plan(config, config.r_grid[-1])
+    top = len(config.r_grid) - 1
+    stream = partial(replicate_generator, config.master_seed, top, _REPLICATE_TAG)
+    drawn = window_integrals(plan, G, config.window, config.r_grid, config.replicates, stream)
+    stages["draws"] = {
+        "seconds": time.perf_counter() - t0,
+        "pairs_per_stream": drawn.pairs_per_stream,
+        "streams": drawn.streams,
+        "workers": drawn.workers,
+    }
+
     cell = config.h**d
-    drawn = {}  # r index -> (window sums, lattice volume, index of the drawn r)
-    for group in _draw_groups(plans):
-        t0 = time.perf_counter()
-        top = group[0]
-        stream = partial(replicate_generator, config.master_seed, top, _REPLICATE_TAG)
-        radii = tuple(config.r_grid[i] for i in group)
-        result = window_integrals(
-            plans[top], G, config.window, radii, config.replicates, stream
-        )
-        for i, row_sums, row_volume in zip(group, result.sums, result.volumes):
-            drawn[i] = (row_sums, row_volume, top)
-        stages["draws"].append(
-            {
-                "drawn_on_r": config.r_grid[top],
-                "r": sorted(radii),
-                "seconds": time.perf_counter() - t0,
-                "pairs_per_stream": result.pairs_per_stream,
-                "streams": result.streams,
-                "workers": result.workers,
-            }
-        )
-
     rows = []
-    for r_index, r in enumerate(config.r_grid):
+    for r_index, (r, kr, volume) in enumerate(zip(config.r_grid, drawn.sums, drawn.volumes)):
         t0 = time.perf_counter()
-        kr, volume, top = drawn[r_index]
         if c0 != 0.0:
             kr -= c0 * volume
         values = np.array([normalized_statistic(k, c2, r, params) for k in kr])
@@ -345,13 +309,10 @@ def rate_experiment(config):
                 rho_stderr=stderr,
                 kappa_bound=kb,
                 runtime_seconds=seconds,
-                embedding=embedding(plans[top]),
-                n_per_axis=plans[r_index].n_per_axis,
                 window_sites=int(round(volume / cell)),
-                drawn_on_r=float(config.r_grid[top]),
             )
         )
-    return RhoTable(rows=tuple(rows), law=law, stage_seconds=stages)
+    return RhoTable(rows=tuple(rows), law=law, embedding=embedding(plan), stage_seconds=stages)
 
 
 def _law_record(law):
@@ -563,17 +524,17 @@ def _write_manifest(out, command, merged, wall_seconds, seeds, outputs):
         "protocol_note": (
             "Monte Carlo protocol (seeding, replicate counts, bootstrap) is "
             "chosen by this implementation; rho is measured against the exact "
-            "CDF of the calibrated chi-square series. Nested windows share "
-            "their replicates (common random numbers): the r of one group "
-            "are read off fields drawn once on the lattice of its largest r "
+            "CDF of the calibrated chi-square series. Every r shares the "
+            "replicates (common random numbers): its window is read off "
+            "fields drawn once on the lattice of the largest r "
             "(derived_embedding drawn_on_r), so each row's rho and stderr "
-            "keep their meaning but rows of one group are correlated. A "
-            "group's fields are drawn in blocks of pairs_per_stream complex "
-            "draws (derived_stage_seconds draws), a count set by the drawn "
-            "lattice alone; block k reads the generator of "
-            "SeedSequence([master_seed, group r index, tag, k]), where the "
-            "group r index is the grid index of the group's largest r and "
-            f"the tag is {_REPLICATE_TAG:#x}. The bootstrap of each r reads "
+            "keep their meaning but the rows are correlated. The fields are "
+            "drawn in blocks of pairs_per_stream complex draws "
+            "(derived_stage_seconds draws), a count set by the drawn lattice "
+            "alone; block k reads the generator of SeedSequence([master_seed, "
+            "index of the largest r, tag, k]), where the index is that r's "
+            f"position in the grid and the tag is {_REPLICATE_TAG:#x}. The "
+            "bootstrap of each r reads "
             f"SeedSequence([master_seed, r index, {_BOOTSTRAP_TAG:#x}]). No "
             "stream depends on the number of workers."
         ),
@@ -869,11 +830,8 @@ def _cmd_rate_experiment(opts, out, seed):
         "config": json.loads(config_to_json(config)),
         "runtime_seconds": [row.runtime_seconds for row in table.rows],
         "stage_seconds": table.stage_seconds,
-        "embedding": [
-            {**asdict(row.embedding), "r": row.r, "n_per_axis": row.n_per_axis,
-             "window_sites": row.window_sites, "drawn_on_r": row.drawn_on_r}
-            for row in table.rows
-        ],
+        "embedding": {**asdict(table.embedding), "drawn_on_r": config.r_grid[-1]},
+        "window_sites": [row.window_sites for row in table.rows],
         "limit_law": _law_record(table.law),
     }
     return RHO_CSV_COLUMNS, table.csv_rows(), info

@@ -20,12 +20,13 @@ window_integrals all read their sites from it. The integrand is non-smooth
 in x, so higher-order quadrature would buy nothing; discretization error is
 dominated by Monte Carlo variance at the replicate counts used here.
 
-Nested windows share their fields. The embedding is exact on the whole
-drawn lattice, so a smaller scale whose own lattice is a sub-lattice of the
-drawn one reads its window off the same fields: window_integrals sums every
-scale of such a group from one draw. The scales then see common random
-numbers (Glasserman & Yao, Management Science 1992): each scale's sums
-keep their law, but sums at different scales are correlated.
+Every scale of a table reads its window off one set of fields. They are
+drawn once, on the lattice laid out for the largest scale, and the
+embedding is exact on the whole of it, so window_integrals sums each
+scale's window (_window_mask of that lattice) on the same fields. The
+scales then see common random numbers (Glasserman & Yao, Management
+Science 1992): each scale's sums keep their law, but sums at different
+scales are correlated.
 
 window_integrals draws its fields in blocks of a fixed number of pairs,
 set by the plan's torus alone, and block k reads its own generator, which
@@ -77,7 +78,6 @@ __all__ = [
     "window_integrals",
     "WindowSums",
     "window_extent",
-    "sublattice_offset",
     "clear_spectrum_cache",
     "replicate_generator",
     "functional_integral",
@@ -108,9 +108,10 @@ class SimulationPlan:
     """Lattice plan: covariance model, dimension, step h, half-width extent.
 
     model is a CovarianceModel of the plan's dimension; anything else is a
-    ParameterError. The lattice has n = round(2 extent / h) cells per axis with
-    centers at -extent + (i + 1/2) h, so the origin sits on a cell boundary
-    and the lattice is symmetric. The torus side m is the smallest power of
+    ParameterError. The lattice has n = ceil(2 extent / h) cells per axis,
+    the fewest that cover [-extent, extent], with centers at -extent +
+    (i + 1/2) h, so the origin sits on a cell boundary; when h does not
+    divide 2 extent the last cell reaches past +extent. The torus side m is the smallest power of
     two at least padding * n. padding must be at least 2: then m >= 2(n-1), the
     minimal torus on which every lattice lag keeps its own covariance. The
     default starts the escalation there; simulate_field doubles the padding
@@ -166,7 +167,9 @@ class SimulationPlan:
 
     @property
     def n_per_axis(self):
-        return int(round(2.0 * self.extent / self.h))
+        # the tolerance keeps a quotient rounded just above a whole number
+        # from adding a cell
+        return math.ceil(2.0 * self.extent / self.h - 1e-9)
 
 
 @dataclass(frozen=True)
@@ -376,26 +379,10 @@ def window_extent(window, r):
     """Half-width of the lattice laid out for window at scale r.
 
     It is the largest coordinate magnitude of the box of rW (geometry.bounds),
-    so the lattice of that extent is the smallest centred one that holds rW.
+    so the lattice of that extent, which covers [-extent, extent] on every
+    axis, holds rW and the window of every smaller scale.
     """
     return max(max(-low, high) for low, high in bounds(window, r))
-
-
-def sublattice_offset(outer, inner):
-    """Index of inner's first site on outer's lattice, or None.
-
-    inner's lattice is a sub-lattice of outer's when both have one step h,
-    k = (outer.extent - inner.extent) / h is an integer (to 1e-9), and
-    inner's n sites fit: 0 <= k and k + n_inner <= n_outer. Then site i of
-    inner sits at site i + k of outer along every axis.
-    """
-    if inner.h != outer.h:
-        return None
-    shift = (outer.extent - inner.extent) / outer.h
-    k = round(shift)
-    if abs(shift - k) > 1e-9 or k < 0 or k + inner.n_per_axis > outer.n_per_axis:
-        return None
-    return k
 
 
 def _window_mask(origin, n, h, window, r):
@@ -422,33 +409,21 @@ def _window_mask(origin, n, h, window, r):
 
 
 def _window_picks(plan, window, radii):
-    """Where each radius's window sits among the sites the group reads.
+    """Where each radius's window sits among the sites the draw reads.
 
-    The own lattice of r is plan's at extent window_extent(window, r), and
-    its window is _window_mask of that lattice, not of plan's coordinates,
-    so a site on the window boundary is decided as a draw on the own
-    lattice would decide it. The own lattice must be a sub-lattice of
-    plan's (sublattice_offset). Returns (union, picks, counts): union holds
-    the flat indices, in C order on plan's lattice, of every site some
-    window covers; each pick selects one window's sites from the union's,
-    a slice where they are contiguous there (every d=1 window), else an
-    index array. Either way the sites come in the C order of the window's
-    own lattice, the order functional_integral sums them in. counts holds
-    each window's number of sites.
+    Each window is _window_mask of plan's lattice at its radius. Returns
+    (union, picks, counts): union holds the flat indices, in C order, of
+    every site some window covers; each pick selects one window's sites
+    from the union's, a slice where they are contiguous there (every d=1
+    window), else an index array. Either way the sites come in C order, the
+    order functional_integral sums them in. counts holds each window's
+    number of sites.
     """
-    shape = (plan.n_per_axis,) * plan.dimension
-    placed = []
-    for r in radii:
-        own = replace(plan, extent=window_extent(window, r))
-        mask = _window_mask(-own.extent + 0.5 * own.h, own.n_per_axis, own.h, window, r)
-        k = sublattice_offset(plan, own)
-        if k is None:
-            raise CoverageError(
-                f"the lattice of r={r} (extent {own.extent:.6g}) is not a "
-                f"sub-lattice of the drawn lattice (extent {plan.extent:.6g}, "
-                f"step {plan.h:.6g})"
-            )
-        placed.append(np.ravel_multi_index([i + k for i in np.nonzero(mask)], shape))
+    origin = -plan.extent + 0.5 * plan.h
+    placed = [
+        np.flatnonzero(_window_mask(origin, plan.n_per_axis, plan.h, window, r))
+        for r in radii
+    ]
     covered = np.zeros(plan.n_per_axis**plan.dimension, dtype=bool)
     covered[np.concatenate(placed)] = True
     union = np.flatnonzero(covered)
@@ -520,12 +495,9 @@ def window_integrals(plan, G, window, radii, count, stream):
 
     The fields are drawn on plan's lattice, and every radius reads its
     window off the same fields: the rows of the result share their
-    replicates (common random numbers). Radius r sums over the sites of its
-    own lattice, plan's lattice at extent window_extent(window, r), which
-    must be a sub-lattice of plan's (sublattice_offset). Its mask is
-    _window_mask of that own lattice placed at its offset, so each row sums
-    over exactly the sites a draw on the own lattice would; each radius has
-    its own coverage check.
+    replicates (common random numbers). Radius r sums over the sites of
+    _window_mask of plan's lattice at r, so each radius has its own
+    coverage check.
 
     The fields are both halves of ceil(count / 2) pairs, real before
     imaginary; an odd count drops the last imaginary half. The pairs come

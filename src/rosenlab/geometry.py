@@ -4,12 +4,12 @@ A window is a ball of radius R or an axis-aligned rectangle with the origin
 in its interior. Homothety enters everywhere through the scale factor r:
 the scaled window is r times the base set. The module provides the window
 volume, diameter and per-axis bounding box (bounds), the indicator Fourier
-transform, uniform sampling, the pdf of the distance between two
-independent uniform points, and the reduction of double integrals of
-radial functions to one-dimensional integrals against that pdf. The pdf is
-exact on balls and intervals and refused on rectangles in d >= 2, which
-have no closed form here (rosenblatt.variance_oracle integrates d = 2
-rectangles over their lag).
+transform, the pdf of the distance between two independent uniform points,
+and the reduction of double integrals of radial functions to
+one-dimensional integrals against that pdf. The pdf is exact on balls and
+intervals and refused on rectangles in d >= 2, which have no closed form
+here (rosenblatt.variance_oracle integrates d = 2 rectangles over their
+lag).
 
 scipy is imported by the calls that need it, not with the module:
 distance_pdf on a ball (scipy.special.betainc) and distance_integral
@@ -29,7 +29,6 @@ from .errors import (
     ParameterError,
     UnsupportedModelError,
     check_json_object,
-    check_seed,
 )
 from .specfun import y_d_kernel
 
@@ -44,7 +43,6 @@ __all__ = [
     "bounds",
     "indicator_ft",
     "distance_pdf",
-    "uniform_sample",
     "distance_integral",
 ]
 
@@ -237,38 +235,6 @@ def distance_pdf(window, r, z):
         inside = (z >= 0.0) & (z < ell)
         out[inside] = 2.0 * (ell - z[inside]) / ell**2
     return float(out[0]) if scalar else out
-
-
-def uniform_sample(window, r, n, seed):
-    """n i.i.d. uniform points in the scaled window, (n, d) array.
-
-    Balls use rejection from the bounding cube; the generator is owned by
-    this call, so concurrent calls with distinct seeds are independent.
-    ParameterError for a seed that is not a nonnegative integer.
-    """
-    rng = np.random.default_rng(check_seed(seed))
-    r = _check_r(r)
-    n = int(n)
-    if n < 1:
-        raise ParameterError(f"sample count must be >= 1, got {n}")
-    d = window.dimension
-    if window.shape == "rect":
-        lo = np.array(window.lower) * r
-        hi = np.array(window.upper) * r
-        return rng.uniform(lo, hi, size=(n, d))
-    rho = window.radius * r
-    out = np.empty((n, d))
-    have = 0
-    while have < n:
-        # acceptance rate vol(ball)/2^d; batch sized with slack
-        need = n - have
-        batch = int(need / max(volume(window, 1.0) / 2.0**d / window.radius**d, 1e-3) * 1.3) + 16
-        cand = rng.uniform(-rho, rho, size=(batch, d))
-        keep = cand[np.sum(cand**2, axis=1) <= rho**2]
-        take = min(keep.shape[0], need)
-        out[have : have + take] = keep[:take]
-        have += take
-    return out
 
 
 def distance_integral(window, r, upsilon_fn):

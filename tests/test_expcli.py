@@ -70,8 +70,8 @@ def test_table_is_identical_for_any_worker_count(tmp_path, monkeypatch, replicat
             assert main(_experiment(out, *flags)) == 0
             tables.append(out.read_bytes())
             manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text(encoding="utf-8"))
-            group = manifest["config"]["derived_stage_seconds"]["draws"][0]
-            assert (group["streams"], group["workers"]) == (streams, min(workers, streams))
+            draws = manifest["config"]["derived_stage_seconds"]["draws"]
+            assert (draws["streams"], draws["workers"]) == (streams, min(workers, streams))
         assert tables == [tables[0]] * 3
     assert (tmp_path / "default.csv").read_bytes() == (tmp_path / f"{default_sites}-1.csv").read_bytes()
     rows = _rows(tmp_path / "default.csv")
@@ -129,38 +129,34 @@ def test_rate_experiment_equals_the_per_field_and_per_resample_loops(monkeypatch
     G = expcli.functional_catalog("square")
     c0, c2 = 1.0, 2.0  # square = h2 + 1
     params = expcli.lrd_params(config.model)
-    plans = [expcli._experiment_plan(config, r) for r in config.r_grid]
-    for group in expcli._draw_groups(plans):
-        top = plans[group[0]]
-        assert fieldsim.embedding(top).torus_side == 128
-        fields = []
-        for block in range(6):
-            rng = fieldsim.replicate_generator(3, group[0], expcli._REPLICATE_TAG, block)
-            for _ in range(min(100, 501 - 100 * block)):
-                pair = fieldsim.simulate_pairs(top, rng, 1)[0]
-                fields += [pair.real, pair.imag]
-        for i in group:
-            r, own = config.r_grid[i], plans[i]
-            k = fieldsim.sublattice_offset(top, own)
-            origin = -own.extent + 0.5 * own.h
-            values = []
-            for f in fields[:1001]:
-                lattice = fieldsim.GridField(f[k : k + own.n_per_axis], own.h, origin)
-                kr = fieldsim.functional_integral(lattice, G, config.window, r)
-                kr -= c0 * fieldsim.lattice_window_volume(lattice, config.window, r)
-                values.append(fieldsim.normalized_statistic(kr, c2, r, params))
-            f = series_cdf(table.law, np.sort(values))
-            grid = np.arange(f.size)
-            rho = float(max(np.max(f - grid / f.size), np.max((grid + 1) / f.size - f)))
-            boot = fieldsim.replicate_generator(3, i, expcli._BOOTSTRAP_TAG)
-            stats = []
-            for _ in range(expcli._BOOTSTRAP_RESAMPLES):
-                counts = np.bincount(boot.integers(0, f.size, f.size), minlength=f.size)
-                upto = np.cumsum(counts)
-                stats.append(float(max(np.max(f - (upto - counts) / f.size),
-                                       np.max(upto / f.size - f))))
-            row = table.rows[i]
-            assert (row.rho, row.rho_stderr) == (rho, float(np.std(stats, ddof=1))), r
+    # every r is read off the lattice of r=8, index 2 of the grid
+    top = expcli._experiment_plan(config, 8.0)
+    assert fieldsim.embedding(top).torus_side == 128
+    origin = -top.extent + 0.5 * top.h
+    lattices = []
+    for block in range(6):
+        rng = fieldsim.replicate_generator(3, 2, expcli._REPLICATE_TAG, block)
+        for _ in range(min(100, 501 - 100 * block)):
+            pair = fieldsim.simulate_pairs(top, rng, 1)[0]
+            lattices += [fieldsim.GridField(half, top.h, origin) for half in (pair.real, pair.imag)]
+    for i, r in enumerate(config.r_grid):
+        values = []
+        for lattice in lattices[:1001]:
+            kr = fieldsim.functional_integral(lattice, G, config.window, r)
+            kr -= c0 * fieldsim.lattice_window_volume(lattice, config.window, r)
+            values.append(fieldsim.normalized_statistic(kr, c2, r, params))
+        f = series_cdf(table.law, np.sort(values))
+        grid = np.arange(f.size)
+        rho = float(max(np.max(f - grid / f.size), np.max((grid + 1) / f.size - f)))
+        boot = fieldsim.replicate_generator(3, i, expcli._BOOTSTRAP_TAG)
+        stats = []
+        for _ in range(expcli._BOOTSTRAP_RESAMPLES):
+            counts = np.bincount(boot.integers(0, f.size, f.size), minlength=f.size)
+            upto = np.cumsum(counts)
+            stats.append(float(max(np.max(f - (upto - counts) / f.size),
+                                   np.max(upto / f.size - f))))
+        row = table.rows[i]
+        assert (row.rho, row.rho_stderr) == (rho, float(np.std(stats, ddof=1))), r
 
 
 def test_rho_is_the_sup_over_breakpoints_against_the_series_cdf(tmp_path, monkeypatch):
@@ -735,15 +731,11 @@ def test_manifest_records_the_embedding_of_every_r(tmp_path, monkeypatch):
     out = tmp_path / "rho.csv"
     assert main(_experiment(out, "--r", "4,8")) == 0
     manifest = json.loads((tmp_path / "rho.csv.manifest.json").read_text(encoding="utf-8"))
-    recorded = manifest["config"]["derived_embedding"]
-    assert [row["r"] for row in recorded] == [4.0, 8.0]
-    # h = 0.5 on the unit interval: n = 4 r points per axis, all in the window
-    assert [row["n_per_axis"] for row in recorded] == [16, 32]
-    assert [row["window_sites"] for row in recorded] == [16, 32]
-    # r=4's lattice sits 8 sites into r=8's, so both are drawn there
-    assert [row["drawn_on_r"] for row in recorded] == [8.0, 8.0]
-    drawn = recorded[1]
-    assert all(recorded[0][k] == drawn[k] for k in ("torus_side", "padding", "clamped_share"))
+    # both r are drawn on the lattice of r=8: h = 0.5 on the unit interval
+    # gives 32 points, and each window holds 4 r of them
+    drawn = manifest["config"]["derived_embedding"]
+    assert (drawn["drawn_on_r"], drawn["n_per_axis"]) == (8.0, 32)
+    assert manifest["config"]["derived_window_sites"] == [16, 32]
     m, n, padding = drawn["torus_side"], drawn["n_per_axis"], drawn["padding"]
     assert padding >= 2 and m >= 2 * (n - 1)
     assert m == 2 ** (padding * n - 1).bit_length()  # smallest power of two >= padding n
@@ -752,34 +744,52 @@ def test_manifest_records_the_embedding_of_every_r(tmp_path, monkeypatch):
     assert solves == _tried(8.0, padding)
     fieldsim.clear_spectrum_cache()
     stages = manifest["config"]["derived_stage_seconds"]
-    assert [(g["drawn_on_r"], g["r"]) for g in stages["draws"]] == [(8.0, [4.0, 8.0])]
     # each row counts only its own CDF, KS and bootstrap work
     runtimes = manifest["config"]["derived_runtime_seconds"]
     assert stages["rows"] == pytest.approx(sum(runtimes), rel=1e-12)
-    spent = stages["limit_law"] + stages["draws"][0]["seconds"] + stages["rows"]
+    spent = stages["limit_law"] + stages["draws"]["seconds"] + stages["rows"]
     assert 0.0 < spent <= manifest["wall_seconds"]
     # 1000 replicates are 500 pairs, and 2^18 sites hold them all on the
     # torus of r=8: one stream, and so one worker
-    group = stages["draws"][0]
-    assert group["pairs_per_stream"] == fieldsim._BLOCK_SITES // m
-    assert (group["streams"], group["workers"]) == (1, 1)
-    assert "noise_wait_seconds" not in group
+    draws = stages["draws"]
+    assert draws["pairs_per_stream"] == fieldsim._BLOCK_SITES // m
+    assert (draws["streams"], draws["workers"]) == (1, 1)
+    assert "noise_wait_seconds" not in draws
 
 
-def test_unaligned_lattices_draw_in_groups_of_their_own(tmp_path, monkeypatch):
+def test_unaligned_lattices_are_read_off_the_largest_r(tmp_path, monkeypatch):
     solves = _count_solves(monkeypatch)
+    captured = {}
+    scalar = expcli.normalized_statistic
+
+    def recorded(kr, c2, r, params):
+        captured.setdefault(r, []).append(kr)
+        return scalar(kr, c2, r, params)
+
+    monkeypatch.setattr(expcli, "normalized_statistic", recorded)
     out = tmp_path / "rho.csv"
-    # h = 0.3: r=1 lays out extent 1, which starts (1.5 - 1) / 0.3 sites into
-    # the lattice of r=1.5, not a whole number
+    # h = 0.3: r=1 would lay out extent 1, which starts (1.5 - 1) / 0.3 sites
+    # into the lattice of r=1.5, not a whole number
     assert main(_experiment(out, "--r", "1,1.5", "--h", "0.3")) == 0
     config = json.loads((tmp_path / "rho.csv.manifest.json").read_text(encoding="utf-8"))["config"]
-    recorded = config["derived_embedding"]
-    assert [row["drawn_on_r"] for row in recorded] == [1.0, 1.5]
-    assert [row["n_per_axis"] for row in recorded] == [7, 10]
-    assert [group["r"] for group in config["derived_stage_seconds"]["draws"]] == [[1.5], [1.0]]
-    # one escalation per group, the largest r first
-    assert solves == _tried(1.5, recorded[1]["padding"]) + _tried(1.0, recorded[0]["padding"])
+    drawn = config["derived_embedding"]
+    assert (drawn["drawn_on_r"], drawn["n_per_axis"]) == (1.5, 10)
+    # centres at -1.35 + 0.3 i: six of them lie in [-1, 1], all ten in
+    # [-1.5, 1.5]
+    assert config["derived_window_sites"] == [6, 10]
+    # one escalation, on the lattice of r=1.5
+    assert solves == _tried(1.5, drawn["padding"])
     fieldsim.clear_spectrum_cache()
+    # r=1.5 keeps the stream of its own index, as when it was drawn alone
+    plan = fieldsim.SimulationPlan(
+        model=expcli.model_from_json(MODEL), dimension=1, h=0.3, extent=1.5, seed=7
+    )
+    alone = fieldsim.window_integrals(
+        plan, expcli.functional_catalog("abs-centered"), expcli.set_from_json(WINDOW),
+        (1.5,), 1000, partial(fieldsim.replicate_generator, 7, 1, expcli._REPLICATE_TAG),
+    )
+    assert captured[1.5] == list(alone.sums[0])
+    assert len(captured[1.0]) == 1000
 
 
 def test_the_largest_r_keeps_its_own_stream(tmp_path, monkeypatch):

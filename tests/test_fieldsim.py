@@ -36,7 +36,6 @@ from rosenlab.fieldsim import (
     replicate_generator,
     simulate_field,
     simulate_pairs,
-    sublattice_offset,
     window_extent,
     window_integrals,
 )
@@ -336,9 +335,11 @@ def test_window_integrals_are_block_invariant(monkeypatch):
         assert list(row) == [functional_integral(GridField(f, plan.h, origin), G, w, r) for f in fields]
     with pytest.raises(CoverageError):
         window_integrals(plan, G, w, (16.0, 32.0), 10, stream)
-    # r=7.5 lays out extent 3.75, which starts (8 - 3.75) / 0.5 = 8.5 sites in
-    with pytest.raises(CoverageError, match="not a sub-lattice"):
-        window_integrals(plan, G, w, (7.5,), 10, stream)
+    # r=7.5 would lay out extent 3.75, (8 - 3.75) / 0.5 = 8.5 sites in from
+    # plan's edge; its window is read off plan's lattice all the same
+    off = window_integrals(plan, G, w, (7.5,), 10, stream)
+    assert off.sums[0, 0] == functional_integral(fld, G, w, 7.5)
+    assert off.volumes == (lattice_window_volume(fld, w, 7.5),)
 
 
 def test_the_largest_radius_sums_as_if_drawn_alone():
@@ -355,10 +356,12 @@ def test_the_largest_radius_sums_as_if_drawn_alone():
     assert np.corrcoef(shared.sums[1], shared.sums[2])[0, 1] > 0.3
 
 
+# r=8.1 would lay out a lattice that is no sub-lattice of the drawn one:
+# (16 - 8.1) / 0.25, (8 - 4.05) / 0.5 and (8.1 - 8) / 1 are not whole
 @pytest.mark.parametrize("window, h, radii, layout_trap", [
-    (ball(1), 0.25, (4.0, 8.0, 16.0), True),
-    (rectangle([-0.5], [0.5]), 0.5, (4.0, 10.0, 16.0), False),
-    (ball(2), 1.0, (4.0, 6.0, 8.0), False),
+    (ball(1), 0.25, (4.0, 8.0, 8.1, 16.0), True),
+    (rectangle([-0.5], [0.5]), 0.5, (4.0, 8.1, 10.0, 16.0), False),
+    (ball(2), 1.0, (4.0, 6.0, 8.0, 8.1), False),
 ], ids=["interval", "rectangle-1d", "disk"])
 def test_each_window_sum_is_functional_integral_of_its_field(
     monkeypatch, window, h, radii, layout_trap
@@ -376,12 +379,9 @@ def test_each_window_sum_is_functional_integral_of_its_field(
     sums = result.sums
     pairs = _serial_pairs(plan, (8, 1), (count + 1) // 2, 16)
     fields = [half for f in pairs for half in (f.real, f.imag)][:count]
+    origin = -plan.extent + 0.5 * h
     for row, r in zip(sums, radii):
-        own = replace(plan, extent=window_extent(window, r))
-        k = sublattice_offset(plan, own)
-        corner = (slice(k, k + own.n_per_axis),) * d
-        origin = -own.extent + 0.5 * h
-        want = [functional_integral(GridField(f[corner], h, origin), G, window, r) for f in fields]
+        want = [functional_integral(GridField(f, h, origin), G, window, r) for f in fields]
         assert list(row) == want
     if layout_trap:
         # a boolean gather of the same block lays the fields out column by
@@ -587,18 +587,21 @@ def test_each_radius_masks_its_own_lattice_placed_in_the_drawn_one(window, h, ra
     n = plan.n_per_axis
     union, picks, counts = fieldsim._window_picks(plan, window, radii)
     for r, pick, count in zip(radii, picks, counts):
+        drawn = fieldsim._window_mask(-plan.extent + 0.5 * h, n, h, window, r)
+        # the pick reads the window on the drawn lattice
+        assert np.array_equal(union[pick], np.flatnonzero(drawn))
+        assert count == np.count_nonzero(drawn)
+        # these grids nest: the lattice r would lay out sits k whole sites
+        # into the drawn one, and no cell centre lies on the window's
+        # boundary, so its own window placed there is the same set of sites
         own = replace(plan, extent=window_extent(window, r))
-        k = sublattice_offset(plan, own)
-        assert k == (n - own.n_per_axis) // 2
-        mask = fieldsim._window_mask(-own.extent + 0.5 * h, own.n_per_axis, h, window, r)
+        k = (n - own.n_per_axis) // 2
+        assert own.extent == plan.extent - k * h
         placed = np.zeros((n,) * d, dtype=bool)
-        placed[(slice(k, k + own.n_per_axis),) * d] = mask
-        # the pick reads the own lattice's window placed at its offset
-        assert np.array_equal(union[pick], np.flatnonzero(placed))
-        assert count == np.count_nonzero(mask)
-        # no cell center of these lattices lies on the window's boundary, so
-        # the placed mask is also the window on the drawn lattice
-        assert np.array_equal(placed, fieldsim._window_mask(-plan.extent + 0.5 * h, n, h, window, r))
+        placed[(slice(k, k + own.n_per_axis),) * d] = fieldsim._window_mask(
+            -own.extent + 0.5 * h, own.n_per_axis, h, window, r
+        )
+        assert np.array_equal(placed, drawn)
 
 
 # h = 0.25 puts the cell centres at odd multiples of 1/8; the rectangles'
@@ -651,14 +654,20 @@ def test_a_nonpositive_scale_is_refused_naming_it(window, r):
             call()
 
 
-def test_sublattice_offset_needs_whole_sites_that_fit():
-    plan = SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=0.3, extent=1.5, seed=0)
-    assert sublattice_offset(plan, plan) == 0
-    assert sublattice_offset(plan, replace(plan, extent=0.9)) == 2
-    # (1.5 - 1.0) / 0.3 is not a whole number of sites
-    assert sublattice_offset(plan, replace(plan, extent=1.0)) is None
-    assert sublattice_offset(plan, replace(plan, extent=2.1)) is None
-    assert sublattice_offset(plan, replace(plan, h=0.15)) is None
+def test_the_lattice_covers_its_extent():
+    # the fewest cells that cover [-extent, extent]: 2 * 8 / 0.3 = 53.3 took
+    # 53 cells, whose last edge 7.9 fell short of 8
+    m = cauchy(1, 0.2)
+    for extent, h, n in ((8.0, 0.3, 54), (8.0, 0.25, 64), (0.35, 0.1, 7), (2.1, 0.7, 6)):
+        plan = SimulationPlan(model=m, dimension=1, h=h, extent=extent, seed=0)
+        assert plan.n_per_axis == n
+        assert -extent + n * h >= extent - 1e-12 and -extent + (n - 1) * h < extent
+    # the window that lays out the lattice fits on it; the last of the 54
+    # centres, 8.05, lies outside it
+    plan = SimulationPlan(model=m, dimension=1, h=0.3, extent=window_extent(ball(1), 8.0), seed=0)
+    G = functional_catalog("h2")
+    result = window_integrals(plan, G, ball(1), (8.0,), 2, partial(replicate_generator, 0, 0))
+    assert result.volumes == (53 * 0.3,)
 
 
 def test_d2_field_shape_and_variance():

@@ -23,7 +23,6 @@ from rosenlab.geometry import (
     rectangle,
     set_from_json,
     set_to_json,
-    uniform_sample,
     volume,
 )
 
@@ -212,40 +211,18 @@ def test_distance_laws_refuse_the_square():
         distance_integral(w, -1.0, None)
 
 
-def test_uniform_sample_membership_and_centroid():
-    w = ball(2)
-    pts = uniform_sample(w, 2.0, 40000, seed=7)
-    assert pts.shape == (40000, 2)
-    assert np.all(np.linalg.norm(pts, axis=1) <= 2.0 + 1e-12)
-    # per-coordinate variance is R^2/(d+2) = 1 at R=2, d=2
-    se = math.sqrt(1.0 / 40000)
-    assert np.all(np.abs(pts.mean(axis=0)) < 3 * se)
-
-    rect = rectangle([-1.0, -0.5], [1.0, 0.5])
-    pts = uniform_sample(rect, 1.0, 10000, seed=8)
-    assert np.all(pts[:, 0] >= -1.0) and np.all(pts[:, 0] <= 1.0)
-    assert np.all(pts[:, 1] >= -0.5) and np.all(pts[:, 1] <= 0.5)
-
-
-def test_uniform_sample_deterministic():
-    w = ball(3)
-    a = uniform_sample(w, 1.0, 100, seed=11)
-    b = uniform_sample(w, 1.0, 100, seed=11)
-    c = uniform_sample(w, 1.0, 100, seed=12)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-
-
-@pytest.mark.parametrize("seed", [-1, 2.0, True])
-def test_uniform_sample_refuses_a_bad_seed(seed):
-    with pytest.raises(ParameterError, match="seed must be a nonnegative integer"):
-        uniform_sample(ball(2), 1.0, 10, seed=seed)
+def _disk_points(n, seed):
+    """n uniform points in the unit disk: radius sqrt(U), angle 2 pi V."""
+    rng = np.random.default_rng(seed)
+    rho = np.sqrt(rng.random(n))
+    phi = 2.0 * math.pi * rng.random(n)
+    return np.column_stack((rho * np.cos(phi), rho * np.sin(phi)))
 
 
 def test_pairwise_distance_histogram_matches_pdf():
     w = ball(2)
     n = 60000
-    pts = uniform_sample(w, 1.0, 2 * n, seed=21)
+    pts = _disk_points(2 * n, seed=21)
     dist = np.linalg.norm(pts[:n] - pts[n:], axis=1)
     edges = np.linspace(0.0, 2.0, 11)
     counts, _ = np.histogram(dist, edges)
@@ -277,7 +254,7 @@ def test_distance_integral_monte_carlo_cross_check():
     exponent = -0.3
     got = distance_integral(w, 1.0, lambda z: z**exponent)
     n = 10**6
-    pts = uniform_sample(w, 1.0, 2 * n, seed=33)
+    pts = _disk_points(2 * n, seed=33)
     vals = np.linalg.norm(pts[:n] - pts[n:], axis=1) ** exponent
     scale = volume(w) ** 2
     mc = scale * float(vals.mean())
