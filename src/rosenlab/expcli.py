@@ -531,11 +531,11 @@ def _write_manifest(out, command, merged, wall_seconds, seeds, outputs):
             "keep their meaning but the rows are correlated. The fields are "
             "drawn in blocks of pairs_per_stream complex draws "
             "(derived_stage_seconds draws), a count set by the drawn lattice "
-            "alone; block k reads the generator of SeedSequence([master_seed, "
-            "index of the largest r, tag, k]), where the index is that r's "
-            f"position in the grid and the tag is {_REPLICATE_TAG:#x}. The "
-            "bootstrap of each r reads "
-            f"SeedSequence([master_seed, r index, {_BOOTSTRAP_TAG:#x}]). No "
+            "alone; block k reads the generator of SeedSequence(master_seed, "
+            "spawn_key=(index of the largest r, tag, k)), where the index is "
+            f"that r's position in the grid and the tag is {_REPLICATE_TAG:#x}. "
+            "The bootstrap of each r reads SeedSequence(master_seed, "
+            f"spawn_key=(r index, {_BOOTSTRAP_TAG:#x})). No "
             "stream depends on the number of workers."
         ),
     }

@@ -564,14 +564,18 @@ def window_integrals(plan, G, window, radii, count, stream):
 
 
 def replicate_generator(master_seed, *keys):
-    """Independent generator for one stream: SeedSequence([master_seed, *keys]).
+    """Independent generator for one stream: SeedSequence(master_seed,
+    spawn_key=keys).
 
-    keys are integers, such as a replicate index, or an r index and a tag
-    that tells the streams of one experiment apart.
+    keys are integers below 2^32, such as a replicate index, or an r index
+    and a tag that tells the streams of one experiment apart. SeedSequence
+    pads its entropy with zero words up to its pool size before the spawn
+    key, so key lists differ in their streams even where one is the other
+    with zeros appended; with no keys the stream is that of default_rng(
+    master_seed).
     """
-    return np.random.default_rng(
-        np.random.SeedSequence([check_seed(master_seed), *(int(k) for k in keys)])
-    )
+    keys = tuple(int(k) for k in keys)
+    return np.random.default_rng(np.random.SeedSequence(check_seed(master_seed), spawn_key=keys))
 
 
 def functional_integral(field, G, window, r):

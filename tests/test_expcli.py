@@ -87,7 +87,7 @@ def test_bootstrap_stderr_matches_the_resample_loop():
     for values in (rng.standard_normal(1000), np.round(rng.standard_normal(1001), 1)):
         values = np.sort(values)
         n = values.size
-        boot = np.random.default_rng(np.random.SeedSequence([5, 2, expcli._BOOTSTRAP_TAG]))
+        boot = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(2, expcli._BOOTSTRAP_TAG)))
         stats = []
         for _ in range(expcli._BOOTSTRAP_RESAMPLES):
             fr = ndtr(np.sort(values[boot.integers(0, n, n)]))

@@ -218,11 +218,26 @@ def test_replicate_generator_streams():
 
 def test_replicate_generator_is_the_seed_sequence_of_its_keys():
     for keys in ((0,), (3, 0xB007), (7, 2, 0xF1E1D)):
-        want = np.random.default_rng(np.random.SeedSequence([11, *keys])).standard_normal(8)
+        seq = np.random.SeedSequence(11, spawn_key=keys)
+        want = np.random.default_rng(seq).standard_normal(8)
         assert np.array_equal(replicate_generator(11, *keys).standard_normal(8), want)
+    assert np.array_equal(
+        replicate_generator(11).standard_normal(8), np.random.default_rng(11).standard_normal(8)
+    )
     # the experiment's replicate and bootstrap streams of one r differ
     a = replicate_generator(11, 0, 0xF1E1D).standard_normal(4)
     assert not np.array_equal(a, replicate_generator(11, 0, 0xB007).standard_normal(4))
+
+
+def test_replicate_generator_keys_are_prefix_free():
+    # SeedSequence([s, *keys]) pads its entropy with zero words to a pool of
+    # four, so a key list ending in zeros named the stream of its prefix:
+    # block 0 of a table was the stream of its r index and tag, and key 0
+    # alone was default_rng(s), the stream of simulate field --seed s
+    block = replicate_generator(11, 2, 0xF1E1D, 0).standard_normal(4)
+    assert not np.array_equal(block, replicate_generator(11, 2, 0xF1E1D).standard_normal(4))
+    first = replicate_generator(11, 0).standard_normal(4)
+    assert not np.array_equal(first, np.random.default_rng(11).standard_normal(4))
 
 
 def test_clamp_tolerance_defaults_per_dimension():
