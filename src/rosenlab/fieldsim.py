@@ -111,14 +111,15 @@ class SimulationPlan:
     ParameterError. The lattice has n = ceil(2 extent / h) cells per axis,
     the fewest that cover [-extent, extent], with centers at -extent +
     (i + 1/2) h, so the origin sits on a cell boundary; when h does not
-    divide 2 extent the last cell reaches past +extent. The torus side m is the smallest power of
-    two at least padding * n. padding must be at least 2: then m >= 2(n-1), the
-    minimal torus on which every lattice lag keeps its own covariance. The
-    default starts the escalation there; simulate_field doubles the padding
-    while the embedding spectrum is inadmissible. clamp_tol is the most
-    negative eigenvalue, relative to the peak, that the embedding clamps to
-    zero instead of escalating; it defaults to CLAMP_TOL of the dimension,
-    1e-8 in d=1 and 1e-7 in d=2. seed must be a nonnegative integer.
+    divide 2 extent the last cell reaches past +extent. The torus side m is
+    the smallest power of two at least padding * n. padding must be at
+    least 2: then m >= 2(n-1), the minimal torus on which every lattice lag
+    keeps its own covariance. The default starts the escalation there;
+    simulate_field doubles the padding while the embedding spectrum is
+    inadmissible. clamp_tol is the most negative eigenvalue, relative to
+    the peak, that the embedding clamps to zero instead of escalating; it
+    defaults to CLAMP_TOL of the dimension, 1e-8 in d=1 and 1e-7 in d=2.
+    seed must be a nonnegative integer.
     """
 
     model: object
@@ -569,10 +570,10 @@ def replicate_generator(master_seed, *keys):
 
     keys are integers below 2^32, such as a replicate index, or an r index
     and a tag that tells the streams of one experiment apart. SeedSequence
-    pads its entropy with zero words up to its pool size before the spawn
-    key, so key lists differ in their streams even where one is the other
-    with zeros appended; with no keys the stream is that of default_rng(
-    master_seed).
+    pads the seed with zero words up to its pool size and appends the spawn
+    key after that, so two key lists name different streams even where one
+    is the other with zeros appended. With no keys the stream is that of
+    default_rng(master_seed).
     """
     keys = tuple(int(k) for k in keys)
     return np.random.default_rng(np.random.SeedSequence(check_seed(master_seed), spawn_key=keys))
