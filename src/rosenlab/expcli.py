@@ -91,7 +91,7 @@ __version__ = "0.1.0"
 
 RHO_CSV_COLUMNS = ("r", "replicates", "rho", "rho_stderr", "kappa_bound")
 _BOOTSTRAP_RESAMPLES = 200
-# resamples per batch of _bootstrap_stderr: all 200 at once run slower
+# resamples per batch of _bootstrap_stderrs: all 200 at once run slower
 _BOOTSTRAP_BATCH = 10
 _BOOTSTRAP_TAG = 0xB007
 _REPLICATE_TAG = 0xF1E1D
@@ -153,8 +153,8 @@ def config_to_json(config):
 class RhoRow:
     """One r of the table.
 
-    runtime_seconds counts only this row's own work: normalisation, CDF,
-    Kolmogorov distance and bootstrap. The draws and window sums it shares
+    runtime_seconds counts only this row's own work: normalisation, CDF
+    and Kolmogorov distance. The draws, window sums and bootstrap it shares
     with the other rows are timed in RhoTable.stage_seconds. window_sites
     is the number of lattice sites in this row's window.
     """
@@ -178,8 +178,9 @@ class RhoTable:
     which every row's replicates were drawn. stage_seconds holds the
     limit-law build ("limit_law"), the draws and window sums ("draws":
     seconds, with pairs_per_stream, streams and workers of the
-    fieldsim.window_integrals call) and the per-row CDF, KS and bootstrap
-    work summed over rows ("rows").
+    fieldsim.window_integrals call), the per-row normalisation, CDF and KS
+    work summed over rows ("rows") and the bootstrap the rows share
+    ("bootstrap").
     """
 
     rows: tuple
@@ -220,18 +221,24 @@ def _ks_from_cdf(f, counts):
     return np.maximum(below, np.max(step - f, axis=-1))
 
 
-def _bootstrap_stderr(f, master_seed, r_index):
-    """Standard deviation of the Kolmogorov distance over bootstrap resamples.
+def _bootstrap_stderrs(cdfs, orders, master_seed):
+    """Standard deviation of each row's Kolmogorov distance over one shared
+    set of bootstrap resamples.
 
-    f is the reference CDF at the sorted replicates. A resample is a
-    multiset of the replicates, so its distance needs only its counts.
-    The distances are computed _BOOTSTRAP_BATCH resamples at a time, but
-    each resample is still drawn by its own integers(0, n, n) call, so the
-    stream is read call for call as one resample at a time reads it.
+    Row i's reference CDF at its sorted replicates is cdfs[i], and orders[i]
+    holds the replicate at each of its sorted positions. Every row has the
+    same n replicates, so one resample, a multiset of replicate indices,
+    serves every row (common random numbers), and its distance needs only
+    its counts, read in each row's sorted order. The 200 resamples are drawn
+    from the one stream keyed by (master_seed, _BOOTSTRAP_TAG), each by its
+    own integers(0, n, n) call, and their distances are computed
+    _BOOTSTRAP_BATCH resamples at a time, so the stream is read call for
+    call as one resample at a time reads it and the working memory is a
+    few batch-by-n arrays whatever the number of rows.
     """
-    rng = replicate_generator(master_seed, r_index, _BOOTSTRAP_TAG)
-    n = f.size
-    stats = np.empty(_BOOTSTRAP_RESAMPLES)
+    rng = replicate_generator(master_seed, _BOOTSTRAP_TAG)
+    n = len(orders[0])
+    stats = np.empty((len(cdfs), _BOOTSTRAP_RESAMPLES))
     picks = np.empty((_BOOTSTRAP_BATCH, n), dtype=np.int64)
     # resample j of a batch counts its draws in bins j n ... (j + 1) n - 1
     shift = n * np.arange(_BOOTSTRAP_BATCH)[:, None]
@@ -241,8 +248,9 @@ def _bootstrap_stderr(f, master_seed, r_index):
             row[:] = rng.integers(0, n, n)
         picks[:k] += shift[:k]
         counts = np.bincount(picks[:k].ravel(), minlength=k * n).reshape(k, n)
-        stats[start : start + k] = _ks_from_cdf(f, counts)
-    return float(np.std(stats, ddof=1))
+        for row_stats, f, order in zip(stats, cdfs, orders):
+            row_stats[start : start + k] = _ks_from_cdf(f, counts[:, order])
+    return [float(np.std(row_stats, ddof=1)) for row_stats in stats]
 
 
 def rate_experiment(config):
@@ -257,9 +265,10 @@ def rate_experiment(config):
     that lattice. Block k of the fields is drawn from the generator stream
     keyed by (master_seed, index of the largest r, _REPLICATE_TAG, k), and
     the block size is set by the lattice alone, so the table is
-    bit-identical for any number of workers. Each row's rho and bootstrap
-    stderr keep their meaning, but the rows are correlated. The bootstrap
-    streams stay keyed by each r's own index.
+    bit-identical for any number of workers. The rows' bootstrap shares its
+    resamples too (_bootstrap_stderrs), drawn from the one stream keyed by
+    (master_seed, _BOOTSTRAP_TAG). Each row's rho and bootstrap stderr keep
+    their meaning, but the rows are correlated.
     """
     t0 = time.perf_counter()
     params = lrd_params(config.model)
@@ -275,7 +284,7 @@ def rate_experiment(config):
     c2 = expansion.coeffs[2]
     law = limit_law(config.window, params.alpha)
     kb = kappa_bound(inputs_from_model(config.model))
-    stages = {"limit_law": time.perf_counter() - t0, "rows": 0.0}
+    stages = {"limit_law": time.perf_counter() - t0}
 
     t0 = time.perf_counter()
     plan = _experiment_plan(config, config.r_grid[-1])
@@ -289,29 +298,36 @@ def rate_experiment(config):
         "workers": drawn.workers,
     }
 
-    cell = config.h**d
-    rows = []
-    for r_index, (r, kr, volume) in enumerate(zip(config.r_grid, drawn.sums, drawn.volumes)):
+    measured, cdfs, orders = [], [], []
+    for r, kr, volume in zip(config.r_grid, drawn.sums, drawn.volumes):
         t0 = time.perf_counter()
         if c0 != 0.0:
             kr -= c0 * volume
         values = np.array([normalized_statistic(k, c2, r, params) for k in kr])
-        f = series_cdf(law, np.sort(values))
+        order = np.argsort(values)
+        f = series_cdf(law, values[order])
         rho = float(_ks_from_cdf(f, np.ones(f.size, dtype=np.intp)))
-        stderr = _bootstrap_stderr(f, config.master_seed, r_index)
-        seconds = time.perf_counter() - t0
-        stages["rows"] += seconds
-        rows.append(
-            RhoRow(
-                r=float(r),
-                replicates=config.replicates,
-                rho=rho,
-                rho_stderr=stderr,
-                kappa_bound=kb,
-                runtime_seconds=seconds,
-                window_sites=int(round(volume / cell)),
-            )
+        cdfs.append(f)
+        orders.append(order)
+        measured.append((r, rho, time.perf_counter() - t0, volume))
+    t0 = time.perf_counter()
+    stderrs = _bootstrap_stderrs(cdfs, orders, config.master_seed)
+    stages["bootstrap"] = time.perf_counter() - t0
+    stages["rows"] = sum(seconds for _, _, seconds, _ in measured)
+
+    cell = config.h**d
+    rows = [
+        RhoRow(
+            r=float(r),
+            replicates=config.replicates,
+            rho=rho,
+            rho_stderr=stderr,
+            kappa_bound=kb,
+            runtime_seconds=seconds,
+            window_sites=int(round(volume / cell)),
         )
+        for (r, rho, seconds, volume), stderr in zip(measured, stderrs)
+    ]
     return RhoTable(rows=tuple(rows), law=law, embedding=embedding(plan), stage_seconds=stages)
 
 
@@ -534,8 +550,10 @@ def _write_manifest(out, command, merged, wall_seconds, seeds, outputs):
             "alone; block k reads the generator of SeedSequence(master_seed, "
             "spawn_key=(index of the largest r, tag, k)), where the index is "
             f"that r's position in the grid and the tag is {_REPLICATE_TAG:#x}. "
-            "The bootstrap of each r reads SeedSequence(master_seed, "
-            f"spawn_key=(r index, {_BOOTSTRAP_TAG:#x})). No "
+            "The bootstrap draws its resamples of the replicate indices once, "
+            "from SeedSequence(master_seed, "
+            f"spawn_key=({_BOOTSTRAP_TAG:#x},)), and every r measures its "
+            "distance on the same resamples. No "
             "stream depends on the number of workers."
         ),
     }

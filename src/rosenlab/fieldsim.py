@@ -507,7 +507,8 @@ def window_integrals(plan, G, window, radii, count, stream):
     generator of block k, and block k is exactly simulate_pairs(plan,
     stream(k), b) (the last block may be shorter): each block reads its own
     generator from its start, and only as far as its own pairs. Each block
-    gathers the union of the windows (_window_picks) once and evaluates G
+    gathers the union of the windows (_window_picks) once, by a slice where
+    the union is one run of sites (every d=1 window), and evaluates G
     once on it, for the real and imaginary halves together; each radius
     then reads its sites off those values and sums them with one reduction
     along C-contiguous rows, which adds each field's values pairwise in the
@@ -538,6 +539,8 @@ def window_integrals(plan, G, window, radii, count, stream):
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
     union, picks, counts = _window_picks(plan, window, radii)
+    # every d=1 union is one run of sites, gathered by a slice
+    span = slice(union[0], union[-1] + 1) if union[-1] - union[0] + 1 == union.size else None
     cell = plan.h**plan.dimension
     pairs = (count + 1) // 2
     emb, scale = _cached_embedding(plan)
@@ -550,10 +553,11 @@ def window_integrals(plan, G, window, radii, count, stream):
     def run(k, z):
         start = k * block
         fields = _draw_fields(plan, scale, stream(k), z[: min(block, pairs - start)])
-        # np.take along axis 1 returns C-contiguous rows; a boolean gather
-        # here would not, and a reduction over its rows would not add them
-        # pairwise
-        w = np.take(fields.reshape(len(fields), -1), union, axis=1)
+        # a slice or np.take along axis 1 gives rows that are contiguous; a
+        # boolean gather here would not, and a reduction over its rows would
+        # not add them pairwise
+        flat = fields.reshape(len(fields), -1)
+        w = flat[:, span] if span is not None else np.take(flat, union, axis=1)
         values = G(np.stack((w.real, w.imag), axis=1).reshape(2 * len(w), -1))
         for row, pick in zip(sums, picks):
             part = values[:, pick] if isinstance(pick, slice) else np.take(values, pick, axis=1)
@@ -568,14 +572,19 @@ def replicate_generator(master_seed, *keys):
     """Independent generator for one stream: SeedSequence(master_seed,
     spawn_key=keys).
 
-    keys are integers below 2^32, such as a replicate index, or an r index
-    and a tag that tells the streams of one experiment apart. SeedSequence
-    pads the seed with zero words up to its pool size and appends the spawn
-    key after that, so two key lists name different streams even where one
-    is the other with zeros appended. With no keys the stream is that of
-    default_rng(master_seed).
+    keys are integers in [0, 2^32), such as a replicate index, or an r index
+    and a tag that tells the streams of one experiment apart; any other key
+    is refused with ParameterError before seeding, since SeedSequence would
+    split a larger one into 32-bit words and so name another key list's
+    stream. SeedSequence pads the seed with zero words up to its pool size
+    and appends the spawn key after that, so two key lists name different
+    streams even where one is the other with zeros appended. With no keys
+    the stream is that of default_rng(master_seed).
     """
     keys = tuple(int(k) for k in keys)
+    bad = [k for k in keys if not 0 <= k < 2**32]
+    if bad:
+        raise ParameterError(f"stream keys must lie in [0, 2^32), got {bad[0]}")
     return np.random.default_rng(np.random.SeedSequence(check_seed(master_seed), spawn_key=keys))
 
 

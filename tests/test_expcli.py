@@ -81,19 +81,24 @@ def test_table_is_identical_for_any_worker_count(tmp_path, monkeypatch, replicat
 
 
 def test_bootstrap_stderr_matches_the_resample_loop():
-    # oracle: sort each resample and evaluate the distance to the normal CDF
-    # at its own breakpoints; the second sample has ties
+    # oracle: sort each row's resample and evaluate the distance to the
+    # normal CDF at its own breakpoints; the rows order the replicates
+    # differently, and the second one has ties
     rng = np.random.default_rng(11)
-    for values in (rng.standard_normal(1000), np.round(rng.standard_normal(1001), 1)):
-        values = np.sort(values)
-        n = values.size
-        boot = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(2, expcli._BOOTSTRAP_TAG)))
-        stats = []
+    for n in (1000, 1001):
+        rows = [rng.standard_normal(n), np.round(rng.standard_normal(n), 1)]
+        boot = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(expcli._BOOTSTRAP_TAG,)))
+        stats = [[] for _ in rows]
+        grid = np.arange(n, dtype=float)
         for _ in range(expcli._BOOTSTRAP_RESAMPLES):
-            fr = ndtr(np.sort(values[boot.integers(0, n, n)]))
-            grid = np.arange(n, dtype=float)
-            stats.append(max(np.max(fr - grid / n), np.max((grid + 1.0) / n - fr)))
-        assert expcli._bootstrap_stderr(ndtr(values), 5, 2) == float(np.std(stats, ddof=1))
+            pick = boot.integers(0, n, n)
+            for row_stats, values in zip(stats, rows):
+                fr = ndtr(np.sort(values[pick]))
+                row_stats.append(max(np.max(fr - grid / n), np.max((grid + 1.0) / n - fr)))
+        orders = [np.argsort(values) for values in rows]
+        cdfs = [ndtr(values[order]) for values, order in zip(rows, orders)]
+        want = [float(np.std(row_stats, ddof=1)) for row_stats in stats]
+        assert expcli._bootstrap_stderrs(cdfs, orders, 5) == want
 
 
 @pytest.mark.parametrize("n", [1000, 1001])
@@ -102,13 +107,33 @@ def test_batched_bootstrap_equals_one_resample_at_a_time(monkeypatch, n, batch):
     # odd n is where one integers call of k rows would read the stream
     # differently from k calls; 7 leaves a short last batch
     monkeypatch.setattr(expcli, "_BOOTSTRAP_BATCH", batch)
-    f = np.sort(np.random.default_rng(n).random(n))
-    rng = fieldsim.replicate_generator(5, 2, expcli._BOOTSTRAP_TAG)
-    stats = [
-        float(expcli._ks_from_cdf(f, np.bincount(rng.integers(0, n, n), minlength=n)))
-        for _ in range(expcli._BOOTSTRAP_RESAMPLES)
-    ]
-    assert expcli._bootstrap_stderr(f, 5, 2) == float(np.std(stats, ddof=1))
+    gen = np.random.default_rng(n)
+    cdfs = [np.sort(gen.random(n)) for _ in range(3)]
+    orders = [gen.permutation(n) for _ in range(3)]
+    rng = fieldsim.replicate_generator(5, expcli._BOOTSTRAP_TAG)
+    stats = [[] for _ in cdfs]
+    for _ in range(expcli._BOOTSTRAP_RESAMPLES):
+        counts = np.bincount(rng.integers(0, n, n), minlength=n)
+        for row_stats, f, order in zip(stats, cdfs, orders):
+            row_stats.append(float(expcli._ks_from_cdf(f, counts[order])))
+    want = [float(np.std(row_stats, ddof=1)) for row_stats in stats]
+    assert expcli._bootstrap_stderrs(cdfs, orders, 5) == want
+
+
+def test_bootstrap_memory_is_a_few_batches_of_resamples():
+    # 200 resamples of 10^5 counts would take 160 MB at once, and a table
+    # per row more; the batches hold a few 10 x 10^5 arrays (8 MB each)
+    n = 10**5
+    gen = np.random.default_rng(1)
+    cdfs = [np.sort(gen.random(n)) for _ in range(2)]
+    orders = [gen.permutation(n) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        expcli._bootstrap_stderrs(cdfs, orders, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * expcli._BOOTSTRAP_BATCH * n * 8
 
 
 def test_rate_experiment_equals_the_per_field_and_per_resample_loops(monkeypatch):
@@ -148,10 +173,13 @@ def test_rate_experiment_equals_the_per_field_and_per_resample_loops(monkeypatch
         f = series_cdf(table.law, np.sort(values))
         grid = np.arange(f.size)
         rho = float(max(np.max(f - grid / f.size), np.max((grid + 1) / f.size - f)))
-        boot = fieldsim.replicate_generator(3, i, expcli._BOOTSTRAP_TAG)
+        # every r reads the same resamples of the replicates, one at a time
+        # from the one bootstrap stream; a replicate counts at its rank
+        rank = np.argsort(np.argsort(values))
+        boot = fieldsim.replicate_generator(3, expcli._BOOTSTRAP_TAG)
         stats = []
         for _ in range(expcli._BOOTSTRAP_RESAMPLES):
-            counts = np.bincount(boot.integers(0, f.size, f.size), minlength=f.size)
+            counts = np.bincount(rank[boot.integers(0, f.size, f.size)], minlength=f.size)
             upto = np.cumsum(counts)
             stats.append(float(max(np.max(f - (upto - counts) / f.size),
                                    np.max(upto / f.size - f))))

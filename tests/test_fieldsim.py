@@ -224,9 +224,9 @@ def test_replicate_generator_is_the_seed_sequence_of_its_keys():
     assert np.array_equal(
         replicate_generator(11).standard_normal(8), np.random.default_rng(11).standard_normal(8)
     )
-    # the experiment's replicate and bootstrap streams of one r differ
-    a = replicate_generator(11, 0, 0xF1E1D).standard_normal(4)
-    assert not np.array_equal(a, replicate_generator(11, 0, 0xB007).standard_normal(4))
+    # the experiment's first replicate block and its bootstrap differ
+    a = replicate_generator(11, 0, 0xF1E1D, 0).standard_normal(4)
+    assert not np.array_equal(a, replicate_generator(11, 0xB007).standard_normal(4))
 
 
 def test_replicate_generator_keys_are_prefix_free():
@@ -238,6 +238,18 @@ def test_replicate_generator_keys_are_prefix_free():
     assert not np.array_equal(block, replicate_generator(11, 2, 0xF1E1D).standard_normal(4))
     first = replicate_generator(11, 0).standard_normal(4)
     assert not np.array_equal(first, np.random.default_rng(11).standard_normal(4))
+
+
+@pytest.mark.parametrize("key", [2**32, -1])
+def test_replicate_generator_refuses_a_key_outside_32_bits(monkeypatch, key):
+    # SeedSequence would split 2^32 into the words 0 and 1, the stream of
+    # the keys (0, 1), and refuse -1 only with its own ValueError
+    def never_seeded(*args, **kwargs):
+        raise AssertionError("SeedSequence reached")
+
+    monkeypatch.setattr(np.random, "SeedSequence", never_seeded)
+    with pytest.raises(ParameterError, match=rf"keys must lie in \[0, 2\^32\), got {key}"):
+        replicate_generator(5, 3, key)
 
 
 def test_clamp_tolerance_defaults_per_dimension():

@@ -2,9 +2,11 @@
 
 import tracemalloc
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import jv
 from scipy.stats import chi2, ks_2samp
@@ -219,11 +221,11 @@ def test_eigen_series_drops_rounding_noise(interval_kernel):
     assert series.variance == pytest.approx(2.0 * np.sum(full**2), rel=1e-12)
 
 
-def test_interval_blocks_have_the_spectrum_of_the_dense_mirrored_mesh(interval_kernel):
+@lru_cache(maxsize=None)
+def _dense_mirrored_spectrum(alpha):
     # reference: the whole Nystrom matrix on the graded mesh mirrored to the
     # negative axis, c2 sqrt(w_i w_j) K(x_i - x_j) |x_i x_j|^(-(1 - alpha)/2)
-    # with the unit-interval transform K(t) = 2 sin(t) / t
-    alpha = 0.4
+    # with the unit-interval transform K(t) = 2 sin(t) / t, by magnitude
     half, w_half = rosenblatt._graded_axis(1504, rosenblatt.DEFAULT_CUTOFF_1D)
     x = np.concatenate([-half[::-1], half])
     w = np.concatenate([w_half[::-1], w_half])
@@ -233,11 +235,46 @@ def test_interval_blocks_have_the_spectrum_of_the_dense_mirrored_mesh(interval_k
     s = np.sqrt(w) * np.abs(x) ** (-0.5 * (1.0 - alpha))
     dense = c2_constant(1, alpha) * np.outer(s, s) * k
     want = np.linalg.eigvalsh(0.5 * (dense + dense.T))
+    return want[np.argsort(-np.abs(want))]
+
+
+def _kept_error(kernel, alpha):
+    # largest gap between the kept terms and the dense mesh's, over nu_1
+    nu = np.asarray(rosenblatt.eigen_series(kernel).eigenvalues)
+    want = _dense_mirrored_spectrum(alpha)
+    return np.max(np.abs(nu - want[: nu.size])) / abs(want[0])
+
+
+def test_interval_blocks_have_the_spectrum_of_the_dense_mirrored_mesh(interval_kernel):
+    want = _dense_mirrored_spectrum(0.4)
     assert interval_kernel.block_multiplicity == (1, 1)
-    assert [blk.shape for blk in interval_kernel.blocks] == [(752, 752)] * 2
-    assert interval_kernel.spectrum_size == x.size == 1504
-    got = np.sort(_merged_spectrum(interval_kernel))
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    series = rosenblatt.eigen_series(interval_kernel)
+    assert _kept_error(interval_kernel, 0.4) <= 1e-13
+    # the Gram blocks drop no eigenvalue of the mesh above their floor
+    floor = interval_kernel.spectrum_size * np.finfo(float).eps * abs(want[0])
+    assert np.max(np.abs(want[series.kept :])) <= floor
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.4])
+def test_the_transform_node_rule_is_needed_to_match_the_dense_mesh(monkeypatch, alpha):
+    # the rule's 296 nodes at the largest mesh node 495.7 match the dense
+    # mesh; a tenth fewer miss it by orders of magnitude
+    kernel = rosenblatt.build_kernel(1, alpha)
+    assert [blk.shape for blk in kernel.blocks] == [(296, 296)] * 2
+    assert _kept_error(kernel, alpha) <= 1e-13
+
+    def fewer(top):
+        t, wt = leggauss(int(0.9 * 296))
+        return 0.5 * (t + 1.0), 0.5 * wt
+
+    monkeypatch.setattr(rosenblatt, "_transform_nodes", fewer)
+    assert _kept_error(rosenblatt.build_kernel(1, alpha), alpha) > 1e-13
+
+
+@pytest.mark.parametrize("dimension, alpha", [(1, 0.2), (1, 0.4), (2, 0.6)])
+def test_every_kernel_block_is_exactly_symmetric(dimension, alpha):
+    kernel = rosenblatt.build_kernel(dimension, alpha)
+    assert all(np.array_equal(blk, blk.T) for blk in kernel.blocks)
 
 
 def test_angular_coefficients_match_the_full_angle_fft():
