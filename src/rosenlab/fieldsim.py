@@ -482,7 +482,7 @@ def _on_workers(task, tasks, workers, buffer):
             failed.set()
             raise
 
-    with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="field-block") as pool:
+    with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="rosenlab-worker") as pool:
         try:
             for running in [pool.submit(work) for _ in range(workers)]:
                 running.result()

@@ -5,10 +5,10 @@ transform with a power singularity at zero frequency. Its law is the
 weighted series sum_j nu_j (Z_j^2 - 1) of centered chi-squares over the
 spectrum nu_j of that operator, which has closed-form cumulants and a
 closed-form characteristic function. Inverting that gives the exact CDF
-(series_cdf), and sample draws by inverting the CDF itself: one FFT
-(numpy's, the one FFT library of the package) puts the CDF on a fine grid
-(EigenSeries.cdf_table), and each draw is one uniform mapped through its
-linear interpolant, with a reported Kolmogorov error bound.
+(series_cdf), and sample draws by inverting the CDF itself: short batched
+inverse FFTs (numpy's, the one FFT library of the package) put the CDF on
+a fine grid (EigenSeries.cdf_table), and each draw is one uniform mapped
+through its linear interpolant, with a reported Kolmogorov error bound.
 
 limit_law(window, alpha) is the one way to get the series. The law is
 self-similar (Dobrushin and Major 1979): over the ball of radius R it is
@@ -121,6 +121,12 @@ _CDF_TOL = 1e-12
 _CDF_MAX_NODES = 2**20
 _TABLE_INTERP_TOL = 1e-10
 _TABLE_MAX_CELLS = 2**22
+# the shortest transform of the CDF table, and the values its working
+# arrays hold per group of transforms
+_SHORT_FFT = 4096
+_TABLE_GROUP = 2**18
+# uniforms drawn and inverted at a time by sample
+_SAMPLE_BLOCK = 2**16
 _GRADED_END_2D = 1.0
 # an addition-theorem term below this, next to the leading 1/4, is rounding
 _ROW_FLOOR = 0.25 * np.finfo(float).eps
@@ -154,10 +160,13 @@ class CdfTable:
     """The CDF of a series law on a uniform grid, for sampling by inversion.
 
     cdf[j] is F(x[j]) at x[j] = lo + j (hi - lo) / cells, made nondecreasing,
-    where lo and hi are the Chernoff points of series_cdf. ks_bound bounds
-    the Kolmogorov distance between F and the law whose CDF is the linear
-    interpolant of the table: the interpolation bound max|second difference
-    of cdf| / 8 plus the tolerance of the tabulated values.
+    where lo and hi are the Chernoff points of series_cdf. The values are
+    the midpoint sum of series_cdf, formed by short batched inverse FFTs
+    (_odd_harmonic_sum) that agree with one inverse FFT over the whole grid
+    to rounding (within 1e-15 in the tests). ks_bound bounds the Kolmogorov
+    distance between F and the law whose CDF is the linear interpolant of
+    the table: the interpolation bound max|second difference of cdf| / 8
+    plus the tolerance of the tabulated values.
     """
 
     x: np.ndarray
@@ -470,21 +479,28 @@ def sample(series, n, seed):
     Each draw is one uniform from default_rng(seed) mapped through the
     linear interpolant of series.cdf_table, so the draws follow a law within
     series.cdf_table.ks_bound of the series law in Kolmogorov distance, and
-    the first k of n draws are the k draws of the same seed. AccuracyError
-    where the table cannot be built (see EigenSeries.cdf_table), and
-    ParameterError for a seed that is not a nonnegative integer.
+    the first k of n draws are the k draws of the same seed. The uniforms
+    are drawn and inverted _SAMPLE_BLOCK at a time; one rng.random call per
+    block reads the stream as one call for all n would, so each draw is
+    np.interp(u, table.cdf, table.x) at the uniform u of its place in the
+    stream. AccuracyError where the table cannot be built (see
+    EigenSeries.cdf_table), and ParameterError for a seed that is not a
+    nonnegative integer.
     """
     rng = np.random.default_rng(check_seed(seed))
     n = int(n)
     if n < 1:
         raise ParameterError(f"sample count must be >= 1, got {n}")
     table = series.cdf_table
-    u = rng.random(n)
-    # sorted queries walk the table in order, which is about three times
-    # faster; the values do not depend on the order
-    order = np.argsort(u)
     out = np.empty(n)
-    out[order] = np.interp(u[order], table.cdf, table.x)
+    for start in range(0, n, _SAMPLE_BLOCK):
+        u = rng.random(min(_SAMPLE_BLOCK, n - start))
+        # queries sorted by their leading 16 bits walk the table nearly in
+        # order, several times faster than in draw order; a stable argsort
+        # of 16-bit keys is a radix sort, cheaper than sorting u itself, and
+        # the values do not depend on the order
+        order = np.argsort((u * 65536.0).astype(np.uint16), kind="stable")
+        out[start : start + u.size][order] = np.interp(u[order], table.cdf, table.x)
     return out
 
 
@@ -547,31 +563,76 @@ def _inversion_rule(nu, tol):
     return (lo, hi) + _inversion_terms(nu, du, nodes)
 
 
+def _odd_harmonic_sum(odd, cells):
+    """0.5 - Re sum_k odd_k e^(i pi (2k + 1) j / N) at j = 0, ..., N = cells.
+
+    That is N times a real inverse FFT of length 2N whose odd harmonics
+    2k + 1 carry odd_k; here it is L = N / P (rows) short ones of length 2P
+    (P = short). P is the smallest power of two at least
+    max(_SHORT_FFT, 2 nodes), so the odd harmonics stay below P, and at
+    most N. With j = L p + l,
+    e^(i pi (2k + 1) j / N) = e^(i pi (2k + 1) p / P) e^(i pi (2k + 1) l / N),
+    so the sums at j = l, L + l, 2L + l, ... are P times the inverse FFT
+    over p of the row odd_k e^(i pi (2k + 1) l / N): column l of the table
+    viewed as a P x L array. The rows are formed, transformed and written
+    _TABLE_GROUP // (2P) at a time, so the working arrays hold about
+    _TABLE_GROUP values whatever the table size. j = N is row 0 at p = P.
+    """
+    nodes = odd.size
+    short = min(max(_SHORT_FFT, 1 << (2 * nodes - 1).bit_length()), cells)
+    rows = cells // short
+    group = min(rows, max(1, _TABLE_GROUP // (2 * short)))
+    harmonic = 2.0 * np.arange(nodes) + 1.0
+    spectrum = np.zeros((group, short + 1), dtype=complex)
+    cdf = np.empty(cells + 1)
+    columns = cdf[:cells].reshape(short, rows)
+    for first in range(0, rows, group):
+        row = np.arange(first, min(first + group, rows))
+        bins = spectrum[: row.size, 1 : 2 * nodes : 2]
+        np.exp(np.multiply.outer(row * (pi / cells), 1j * harmonic), out=bins)
+        bins *= odd
+        values = np.fft.irfft(spectrum[: row.size], 2 * short)
+        if first == 0:
+            cdf[cells] = 0.5 - short * values[0, short]
+        block = values[:, :short]
+        block *= -short
+        block += 0.5
+        columns[:, first : first + row.size] = block.T
+    return cdf
+
+
+def _curvature_bound(cdf):
+    """max |second difference of cdf| / 8, read a chunk at a time."""
+    top = 0.0
+    for start in range(0, cdf.size - 2, _TABLE_GROUP):
+        curvature = np.diff(cdf[start : start + _TABLE_GROUP + 2], 2)
+        top = max(top, curvature.max(), -curvature.min())
+    return top / 8.0
+
+
 def _cdf_table(rule, tol):
     """CdfTable of the series: the midpoint sum of series_cdf at every point
-    of a uniform grid on [lo, hi], by one inverse FFT per grid size. rule
-    is the series' _inversion_rule at tol.
+    of a uniform grid on [lo, hi], by short batched inverse FFTs
+    (_odd_harmonic_sum) per grid size. rule is the series' _inversion_rule
+    at tol.
 
     The first grid has 8 points per period of the top frequency, where the
     second difference is h^2 F'' to a few percent. The bound falls like
     cells^-2, so the next size is the power of two it predicts, doubled
-    while the bound measured there is still above 1e-10.
+    while the bound measured there is still above 1e-10. Apart from the
+    table itself, x and cdf, the build holds arrays of about _TABLE_GROUP
+    values, and one table at a time.
     """
     lo, hi, u, weight, phase = rule
     nodes = u.size
     # At x_j = lo + j (hi - lo)/N, u_k x_j = u_k lo + pi (2k + 1) j / N, so
-    # the sum is N times a real inverse FFT of length 2N whose odd harmonics
-    # 2k + 1 carry i weight_k exp(-i (phase_k - u_k lo)).
+    # F(x_j) = 0.5 - Re sum_k odd_k e^(i pi (2k + 1) j / N) with
+    # odd_k = i weight_k exp(-i (phase_k - u_k lo)).
     odd = 1j * weight * np.exp(-1j * (phase - u * lo))
     cells = min(8 * nodes, _TABLE_MAX_CELLS)
     while True:
-        spectrum = np.zeros(cells + 1, dtype=complex)
-        spectrum[1 : 2 * nodes : 2] = odd
-        cdf = np.fft.irfft(spectrum, 2 * cells)[: cells + 1]
-        cdf *= -cells
-        cdf += 0.5
-        curvature = np.diff(cdf, 2)
-        interp = max(curvature.max(), -curvature.min()) / 8.0
+        cdf = _odd_harmonic_sum(odd, cells)
+        interp = _curvature_bound(cdf)
         if interp <= _TABLE_INTERP_TOL:
             break
         if cells >= _TABLE_MAX_CELLS:
@@ -582,12 +643,13 @@ def _cdf_table(rule, tol):
             )
         doublings = max(1, ceil(0.5 * log2(interp / _TABLE_INTERP_TOL)))
         cells = min(cells * 2**doublings, _TABLE_MAX_CELLS)
+        del cdf  # freed before the finer table is allocated
     np.clip(cdf, 0.0, 1.0, out=cdf)
-    return CdfTable(
-        x=lo + (hi - lo) / cells * np.arange(cells + 1),
-        cdf=np.maximum.accumulate(cdf),
-        ks_bound=float(interp) + tol,
-    )
+    np.maximum.accumulate(cdf, out=cdf)
+    x = np.arange(cells + 1, dtype=float)
+    x *= (hi - lo) / cells
+    x += lo
+    return CdfTable(x=x, cdf=cdf, ks_bound=float(interp) + tol)
 
 
 def series_cdf(series, x, tol=_CDF_TOL):

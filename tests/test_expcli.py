@@ -514,6 +514,10 @@ def test_thread_option_is_gone(tmp_path):
     assert "threads" not in json.loads(config_to_json(config))
 
 
+# values the CSV tests write next to the draws
+_SPECIAL = (-0.0, 0.0, np.inf, -np.inf, np.nan, 1e-310, 1e300, 0.1)
+
+
 def test_sample_csv_matches_the_csv_writer(tmp_path, monkeypatch):
     # eight terms: the sampler refuses a series of four or fewer
     nu = tuple(1.5 / (1.0 + j) for j in range(8))
@@ -521,7 +525,7 @@ def test_sample_csv_matches_the_csv_writer(tmp_path, monkeypatch):
                          raw_variance=2.0 * sum(v * v for v in nu))
     (tmp_path / "series.json").write_text(series_to_json(series), encoding="utf-8")
     draws = expcli.sample(series, 1000, 5)
-    special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e-310, 1e300, 0.1])
+    special = np.array(_SPECIAL)
     monkeypatch.setattr(expcli, "sample", lambda s, n, seed: np.concatenate([draws, special]))
     out = tmp_path / "x.csv"
     argv = ["rosenblatt", "sample", "--series", str(tmp_path / "series.json"),
@@ -631,6 +635,47 @@ def test_csv_chunks_meet_at_their_boundary():
         draws[start - 2 : start + 2] = (-0.0, np.nan, 1e-5, 794740577644134.25)
     text = "".join(expcli._csv_text(("x",), draws))
     assert text == "x\n" + _repr_text(draws)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_csv_text_is_the_serial_join_on_any_worker_count(monkeypatch, workers):
+    n = 3 * expcli._CSV_CHUNK + 7
+    draws = np.random.default_rng(10).standard_normal(n) * 5.0
+    # the special values of the CSV writer test, across every chunk boundary
+    for start in range(expcli._CSV_CHUNK, n, expcli._CSV_CHUNK):
+        draws[start - 4 : start + 4] = _SPECIAL
+    serial = "x\n" + "".join(
+        expcli._repr_lines(draws[start : start + expcli._CSV_CHUNK])
+        for start in range(0, n, expcli._CSV_CHUNK)
+    )
+    monkeypatch.setattr(fieldsim, "_available_cores", lambda: workers)
+    # more workers than cores, switching threads as often as possible
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        text = "".join(expcli._csv_text(("x",), draws))
+    finally:
+        sys.setswitchinterval(interval)
+    assert text == serial == "x\n" + _repr_text(draws)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_csv_text_holds_two_chunks_per_worker(monkeypatch, workers):
+    draws = np.random.default_rng(11).standard_normal(3 * expcli._CSV_CHUNK + 7)
+    monkeypatch.setattr(fieldsim, "_available_cores", lambda: workers)
+    tracemalloc.start()
+    try:
+        for _ in expcli._csv_text(("x",), draws):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the bound of test_repr_lines_working_memory_per_chunk per chunk in flight
+    assert peak <= 2 * workers * 8e6
+
+
+def test_the_parser_is_built_once():
+    assert expcli._build_parser() is expcli._build_parser()
 
 
 def test_repr_lines_working_memory_per_chunk():

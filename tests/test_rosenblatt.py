@@ -68,6 +68,14 @@ def test_the_first_draws_do_not_depend_on_the_draw_count():
         np.testing.assert_array_equal(sample(series, k, 8), full[:k])
 
 
+def test_the_first_draws_do_not_depend_on_the_sampler_blocks():
+    series = _mixed(300)
+    block = rosenblatt._SAMPLE_BLOCK
+    full = sample(series, 3 * block + 5, 8)
+    for k in (block - 1, block, block + 1, 2 * block + 3):
+        np.testing.assert_array_equal(sample(series, k, 8), full[:k])
+
+
 def test_sample_is_the_interpolant_at_the_uniforms_in_draw_order():
     # the sampler interpolates the sorted uniforms and scatters the values
     # back; each value is the plain interpolant at its own uniform
@@ -118,6 +126,57 @@ def test_cdf_table_error_bound_holds_at_the_cell_midpoints():
     err = np.abs(interp - series_cdf(series, mid))
     assert np.max(err) <= table.ks_bound
     assert np.max(err) > 0.1 * (table.ks_bound - 1e-12)  # the bound is not loose
+
+
+def _one_shot_table(rule):
+    """The table as one inverse FFT of length 2N per grid size: cell counts
+    tried, the clipped nondecreasing values and the interpolation bound."""
+    lo, hi, u, weight, phase = rule
+    nodes = u.size
+    odd = 1j * weight * np.exp(-1j * (phase - u * lo))
+    cells, tried = min(8 * nodes, 2**22), []
+    while True:
+        tried.append(cells)
+        spectrum = np.zeros(cells + 1, dtype=complex)
+        spectrum[1 : 2 * nodes : 2] = odd
+        cdf = 0.5 - cells * np.fft.irfft(spectrum, 2 * cells)[: cells + 1]
+        interp = np.max(np.abs(np.diff(cdf, 2))) / 8.0
+        if interp <= 1e-10:
+            return tried, np.maximum.accumulate(np.clip(cdf, 0.0, 1.0)), interp
+        cells = min(cells * 2 ** max(1, int(np.ceil(0.5 * np.log2(interp / 1e-10)))), 2**22)
+
+
+@pytest.mark.parametrize("series, nodes", [
+    (_mixed(300), 256),
+    # 2 nodes > 4096: the short transforms are longer than 4096
+    (_weights([0.7] * 8), 8192),
+    # the first grid, 8192 cells, is two short transforms of 4096
+    (_weights([0.7] * 12), 1024),
+], ids=["mixed-300", "eight-equal", "twelve-equal"])
+def test_cdf_table_is_the_one_shot_transform(series, nodes):
+    lo, hi, u, _, _ = series.inversion_rule
+    tried, cdf, interp = _one_shot_table(series.inversion_rule)
+    table = series.cdf_table
+    assert u.size == nodes
+    # every case refines once, by more than one doubling
+    assert len(tried) == 2 and tried[1] >= 4 * tried[0]
+    assert table.cells == tried[-1]
+    assert np.max(np.abs(table.cdf - cdf)) <= 1e-15
+    assert abs(table.ks_bound - (interp + 1e-12)) <= 1e-15
+    np.testing.assert_array_equal(table.x, lo + (hi - lo) / table.cells * np.arange(table.cells + 1))
+
+
+def test_cdf_table_build_holds_one_table_and_a_few_megabytes():
+    rule = _weights([0.7] * 8).inversion_rule
+    tracemalloc.start()
+    try:
+        table = rosenblatt._cdf_table(rule, 1e-12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.cells == 2**20
+    # x and cdf, plus 8 MB; one inverse FFT of 2^21 points held 56 MB
+    assert peak <= table.x.nbytes + table.cdf.nbytes + 8 * 2**20
 
 
 @pytest.mark.parametrize("nu, message", [
