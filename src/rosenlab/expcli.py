@@ -99,7 +99,8 @@ _REPLICATE_TAG = 0xF1E1D
 # values per chunk of a streamed one-column CSV. _repr_lines holds about
 # 5 MB of working arrays for a chunk of 2**14 values, 20 MB for 2**16;
 # _csv_text formats one chunk per worker thread at a time and holds the
-# text of at most two per worker, about 0.3 MB each for 2**14 draws
+# text of at most two per worker beyond the one being written, about
+# 0.3 MB each for 2**14 draws
 _CSV_CHUNK = 2**14
 
 
@@ -495,27 +496,19 @@ def _csv_text(header, rows):
 
     A 1-d float array is one column: _repr_lines writes each chunk, in the
     same bytes as repr, which is what _fmt writes; no float needs quoting.
-    The chunks are formatted on one thread per available core
-    (fieldsim._on_workers), 2 * workers chunks at a time, and yielded in
-    order once each such window is done, so the text is the serial join
-    and at most 2 * workers chunks of it are held at once. numpy releases
-    the GIL in most of _repr_lines, but its calls on 2**14 values are
-    short, so two threads on two cores format about 1.3 times as fast as
-    one.
+    The chunks are formatted on one pool of one thread per available core
+    (fieldsim._in_order) and yielded in order, so the text is the serial
+    join. While the caller writes one chunk, the pool formats the next
+    ones, at most two per worker ahead of it. numpy releases the GIL in
+    most of _repr_lines, but its calls on 2**14 values are short, so two
+    threads on two cores format about 1.3 times as fast as one.
     """
     if isinstance(rows, np.ndarray):
         yield f"{header[0]}\n"
-        chunks = -(-rows.size // _CSV_CHUNK)
-        workers = min(fieldsim._available_cores(), chunks)
-        for first in range(0, chunks, 2 * workers):
-            texts = [None] * min(2 * workers, chunks - first)
-
-            def run(k, _):
-                start = (first + k) * _CSV_CHUNK
-                texts[k] = _repr_lines(rows[start : start + _CSV_CHUNK])
-
-            fieldsim._on_workers(run, len(texts), min(workers, len(texts)), lambda: None)
-            yield from texts
+        yield from fieldsim._in_order(
+            lambda k: _repr_lines(rows[k * _CSV_CHUNK : (k + 1) * _CSV_CHUNK]),
+            -(-rows.size // _CSV_CHUNK),
+        )
         return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -1059,19 +1052,11 @@ def _run(args):
     wall = time.perf_counter() - t0
     merged = {k: v for k, v in opts.items() if v is not None}
     merged["config_document"] = doc
-    merged.update({f"derived_{k}": v for k, v in info.items() if _json_safe(v)})
+    merged.update({f"derived_{k}": v for k, v in info.items()})
     manifest = _write_manifest(out, command, merged, wall, {"master_seed": seed}, outputs)
     if manifest is not None:
         outputs.append(manifest)
     return 0
-
-
-def _json_safe(value):
-    try:
-        json.dumps(value)
-        return True
-    except (TypeError, ValueError):
-        return False
 
 
 if __name__ == "__main__":

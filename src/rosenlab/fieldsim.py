@@ -31,22 +31,23 @@ scales are correlated.
 window_integrals draws its fields in blocks of a fixed number of pairs,
 set by the plan's torus alone, and block k reads its own generator, which
 the caller keys by k (replicate_generator with the block index as the last
-key; L'Ecuyer, Munger, Oreshkin & Simard, Math. Comput. Simul. 2017). A
-pool of one worker per available core, capped at the number of blocks,
-runs whole blocks: draw, transform, gather, G and sums, each into its own
-slice of the result. The generator fills the float view of a complex block,
-so the real and imaginary parts of a torus site are consecutive normals of
-the stream. No block reads another's stream or writes another's
-sums, so the output does not depend on the worker count or on which worker
-runs which block. The embedding is resolved on the calling thread before
-any worker starts, so the spectrum and covariance evaluations, the layers a
-tracer or profiler that keeps one call stack per process wraps, only ever
-run there.
+key; L'Ecuyer, Munger, Oreshkin & Simard, Math. Comput. Simul. 2017).
+_in_order runs the blocks on a standard thread pool of one worker per
+available core, capped at the number of blocks: draw, transform, gather, G
+and sums, each into its own slice of the result. The generator fills the
+float view of a complex block, so the real and imaginary parts of a torus
+site are consecutive normals of the stream. No block reads another's
+stream or writes another's sums, so the output does not depend on the
+worker count or on which worker runs which block. The embedding is
+resolved on the calling thread before any worker starts, so the spectrum
+and covariance evaluations, the layers a tracer or profiler that keeps one
+call stack per process wraps, only ever run there.
 """
 
 import math
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
@@ -457,37 +458,27 @@ def _available_cores():
     return len(os.sched_getaffinity(0))
 
 
-def _on_workers(task, tasks, workers, buffer):
-    """Run task(k, array) for k in range(tasks) on a pool of `workers` threads.
+def _in_order(task, tasks):
+    """Yield task(k) for k in range(tasks), in order of k.
 
-    Each worker allocates its own array, buffer(), once and then claims the
-    next unrun k until none is left. After a task raises, every worker
-    stops once its current task is done; the pool is shut down and the
-    first exception that reaches the calling thread is raised there.
+    The calls run on a pool of min(_available_cores(), tasks) threads, and
+    at most two calls per worker are submitted ahead of the one the caller
+    waits for. When a call raises, or the generator is closed, the calls
+    not yet started are cancelled; the pool is shut down, after the calls
+    already running are done, before the generator returns or raises.
     """
-    claim = iter(range(tasks))
-    lock = threading.Lock()
-    failed = threading.Event()
-
-    def work():
-        try:
-            array = buffer()
-            while not failed.is_set():
-                with lock:
-                    k = next(claim, None)
-                if k is None:
-                    return
-                task(k, array)
-        except BaseException:
-            failed.set()
-            raise
-
-    with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="rosenlab-worker") as pool:
-        try:
-            for running in [pool.submit(work) for _ in range(workers)]:
-                running.result()
-        finally:
-            failed.set()
+    workers = min(_available_cores(), tasks)
+    pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="rosenlab-worker")
+    try:
+        ahead = deque()
+        for k in range(tasks):
+            ahead.append(pool.submit(task, k))
+            if len(ahead) > 2 * workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def window_integrals(plan, G, window, radii, count, stream):
@@ -515,15 +506,16 @@ def window_integrals(plan, G, window, radii, count, stream):
     order a 1-d np.sum of that field's window does. So each sum equals
     functional_integral of its field.
 
-    The blocks run on a pool of one worker per available core, capped at
-    the number of blocks (_on_workers); numpy releases the GIL in the draws,
+    The blocks run on one pool of one worker per available core, capped at
+    the number of blocks (_in_order); numpy releases the GIL in the draws,
     FFTs, gathers and sums. A block writes only its own columns of the
     result, so the sums do not depend on the worker count or on which
     worker runs which block. The embedding is resolved on the calling
     thread before the pool starts, so covariance_eval and
     circulant_spectrum never run on a worker; stream and G do. The pool is
     shut down before the call returns or raises. Each worker allocates one
-    complex block of b pairs for the whole call and runs the FFTs in place
+    complex block of b pairs on its first block, keeps it in a
+    threading.local for the whole call and runs the FFTs in place
     (4 MB at the default _BLOCK_SITES, more when a single pair's torus
     exceeds it); per block it allocates only lattice-sized arrays, the
     gathered window values and in d=2 a copy of the lattice corner: at most
@@ -549,10 +541,13 @@ def window_integrals(plan, G, window, radii, count, stream):
     streams = -(-pairs // block)
     workers = min(_available_cores(), streams)
     sums = np.empty((len(picks), 2 * pairs))
+    own = threading.local()
 
-    def run(k, z):
+    def run(k):
+        if not hasattr(own, "z"):
+            own.z = np.empty((min(block, pairs),) + torus, dtype=complex)
         start = k * block
-        fields = _draw_fields(plan, scale, stream(k), z[: min(block, pairs - start)])
+        fields = _draw_fields(plan, scale, stream(k), own.z[: min(block, pairs - start)])
         # a slice or np.take along axis 1 gives rows that are contiguous; a
         # boolean gather here would not, and a reduction over its rows would
         # not add them pairwise
@@ -563,7 +558,8 @@ def window_integrals(plan, G, window, radii, count, stream):
             part = values[:, pick] if isinstance(pick, slice) else np.take(values, pick, axis=1)
             np.add.reduce(part, axis=1, out=row[2 * start : 2 * start + len(values)])
 
-    _on_workers(run, streams, workers, lambda: np.empty((min(block, pairs),) + torus, dtype=complex))
+    for _ in _in_order(run, streams):
+        pass
     volumes = tuple(float(count * cell) for count in counts)
     return WindowSums(sums[:, :count] * cell, volumes, block, streams, workers)
 

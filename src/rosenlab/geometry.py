@@ -145,8 +145,9 @@ def indicator_ft(window, x):
     """Fourier transform of the window indicator at frequency x.
 
     x has shape (d,) or (n, d). Balls give a real radial value; rectangles
-    give a complex product, one factor per axis, with a series branch for
-    |x_j| < 1e-4. x = 0 returns the volume.
+    give a complex product, one closed form per axis,
+    (b - a) e^{i(a+b)t/2} sinc((b - a)t / 2pi), which holds at every t.
+    x = 0 returns the volume.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -163,21 +164,8 @@ def indicator_ft(window, x):
     for j in range(window.dimension):
         a, b = window.lower[j], window.upper[j]
         t = pts[:, j]
-        big = np.abs(t) >= 1e-4
-        fac = np.empty_like(out)
-        tb = t[big]
-        fac[big] = (np.exp(1j * b * tb) - np.exp(1j * a * tb)) / (1j * tb)
-        ts = t[~big]
-        # integral of e^{iut} over [a,b]: sum (it)^k (b^{k+1}-a^{k+1})/(k+1)!
-        acc = np.zeros(ts.size, dtype=complex)
-        term = np.ones(ts.size, dtype=complex)
-        kfact = 1.0
-        for k in range(6):
-            kfact *= k + 1
-            acc += term * (b ** (k + 1) - a ** (k + 1)) / kfact
-            term = term * 1j * ts
-        fac[~big] = acc
-        out *= fac
+        # (e^{ibt} - e^{iat}) / (it), with no cancellation as t -> 0
+        out *= (b - a) * np.exp(0.5j * (a + b) * t) * np.sinc((b - a) * t / (2 * np.pi))
     return complex(out[0]) if single else out
 
 

@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from rosenlab import fieldsim
+from rosenlab import expcli, fieldsim
 from rosenlab.covmodels import cauchy, covariance_eval, lrd_params
 from rosenlab.errors import (
     CoverageError,
@@ -569,6 +569,71 @@ def test_more_workers_than_cores_claim_every_block_once(monkeypatch):
     assert shared.workers == 8
     assert sorted(claims) == list(range(300))
     assert np.array_equal(shared.sums, serial)
+
+
+def _count_pools(monkeypatch):
+    built = []
+
+    class Counted(fieldsim.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(fieldsim, "ThreadPoolExecutor", Counted)
+    return built
+
+
+def test_csv_text_builds_one_pool_per_call(monkeypatch):
+    draws = np.random.default_rng(12).standard_normal(3 * expcli._CSV_CHUNK + 7)
+    monkeypatch.setattr(fieldsim, "_available_cores", lambda: 1)
+    built = _count_pools(monkeypatch)
+    text = "".join(expcli._csv_text(("x",), draws))
+    assert len(built) == 1
+    assert text.count("\n") == draws.size + 1
+
+
+def test_window_integrals_build_one_pool_per_call(monkeypatch):
+    plan = SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=0.5, extent=8.0, seed=0)
+    monkeypatch.setattr(fieldsim, "_BLOCK_SITES", 1)
+    monkeypatch.setattr(fieldsim, "_available_cores", lambda: 2)
+    built = _count_pools(monkeypatch)
+    stream = partial(replicate_generator, 5, 3)
+    result = window_integrals(plan, functional_catalog("h2"), ball(1), (4.0, 8.0), 40, stream)
+    assert (result.streams, result.workers, len(built)) == (20, 2, 1)
+
+
+def test_in_order_yields_in_order_when_later_tasks_finish_first(monkeypatch):
+    monkeypatch.setattr(fieldsim, "_available_cores", lambda: 3)
+    finished = []
+
+    def task(k):
+        time.sleep(0.01 * (5 - k))
+        finished.append(k)
+        return k
+
+    assert list(fieldsim._in_order(task, 6)) == list(range(6))
+    assert finished != sorted(finished)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_closing_in_order_starts_no_further_task(monkeypatch, workers):
+    monkeypatch.setattr(fieldsim, "_available_cores", lambda: workers)
+    before = threading.active_count()
+    started = []
+
+    def task(k):
+        started.append(k)
+        time.sleep(0.005)
+        return k
+
+    results = fieldsim._in_order(task, 50)
+    assert next(results) == 0
+    results.close()
+    seen = list(started)
+    time.sleep(0.05)
+    # the first task and at most two per worker submitted behind it
+    assert started == seen and len(seen) <= 1 + 2 * workers
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("d", [1, 2])

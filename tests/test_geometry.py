@@ -96,12 +96,17 @@ def test_indicator_ft_rect_matches_quadrature():
     assert got.imag == pytest.approx(im, abs=1e-9)
 
 
-def test_indicator_ft_series_switch_is_continuous():
-    # the near-origin series branch must meet the closed form
-    w = ball(2)
-    for nrm in (0.99e-4, 1.01e-4):
-        x = np.array([nrm, 0.0])
-        assert indicator_ft(w, x) == pytest.approx(volume(w), rel=1e-7)
+def test_indicator_ft_rect_matches_mpmath_near_zero():
+    # (e^{ibt} - e^{iat}) / (it) at 40 digits, one axis at a time; in double
+    # precision that quotient is off by about 1e-12 at t = 1e-4 (cancellation)
+    ts = np.concatenate((np.logspace(-12, -2, 41), [0.99e-4, 1.01e-4]))
+    ts = np.concatenate((ts, -ts))
+    for a, b in ((-1.0, 0.5), (-0.3, 2.7)):
+        got = indicator_ft(rectangle([a], [b]), ts[:, None])
+        with mp.workdps(40):
+            want = [(mp.expj(b * mp.mpf(t)) - mp.expj(a * mp.mpf(t))) / (1j * mp.mpf(t)) for t in ts]
+            err = max(abs(mp.mpc(complex(g)) - w) for g, w in zip(got, want))
+        assert err <= 1e-15 * (b - a)
 
 
 def test_ball_ft_radial_matches_indicator_ft():
