@@ -86,6 +86,7 @@ from .rosenblatt import (
     build_kernel,
     cumulant,
     eigen_series,
+    law_radius,
     limit_law,
     sample,
     series_cdf,

@@ -73,6 +73,7 @@ from .ratelab import (
 )
 from .rosenblatt import (
     cumulant,
+    law_radius,
     limit_law,
     sample,
     series_cdf,
@@ -273,8 +274,16 @@ def rate_experiment(config):
     resamples too (_bootstrap_stderrs), drawn from the one stream keyed by
     (master_seed, _BOOTSTRAP_TAG). Each row's rho and bootstrap stderr keep
     their meaning, but the rows are correlated.
+
+    The fields are drawn before the limit law is built. The law's Gram
+    products and eigen-solves run on OpenBLAS threads that keep spinning
+    for a while after they return, and would hold one of the cores of the
+    draws' pool if the draws came after them. The checks that need no
+    solve come first: the functional's rank, the inputs of the kappa bound
+    and the window shape (rosenblatt.law_radius, UnsupportedModelError).
+    The refusals of limit_law that need the solve, its calibration gate
+    and the eigen_series tail-mass bound, come only after the draws.
     """
-    t0 = time.perf_counter()
     params = lrd_params(config.model)
     d = config.window.dimension
     G = functional_catalog(config.functional)
@@ -286,21 +295,24 @@ def rate_experiment(config):
         )
     c0 = expansion.coeffs[0]
     c2 = expansion.coeffs[2]
-    law = limit_law(config.window, params.alpha)
     kb = kappa_bound(inputs_from_model(config.model))
-    stages = {"limit_law": time.perf_counter() - t0}
+    law_radius(config.window)
 
     t0 = time.perf_counter()
     plan = _experiment_plan(config, config.r_grid[-1])
     top = len(config.r_grid) - 1
     stream = partial(replicate_generator, config.master_seed, top, _REPLICATE_TAG)
     drawn = window_integrals(plan, G, config.window, config.r_grid, config.replicates, stream)
-    stages["draws"] = {
+    draws = {
         "seconds": time.perf_counter() - t0,
         "pairs_per_stream": drawn.pairs_per_stream,
         "streams": drawn.streams,
         "workers": drawn.workers,
     }
+
+    t0 = time.perf_counter()
+    law = limit_law(config.window, params.alpha)
+    stages = {"limit_law": time.perf_counter() - t0, "draws": draws}
 
     measured, cdfs, orders = [], [], []
     for r, kr, volume in zip(config.r_grid, drawn.sums, drawn.volumes):

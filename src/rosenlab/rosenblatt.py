@@ -96,6 +96,7 @@ __all__ = [
     "CdfTable",
     "build_kernel",
     "eigen_series",
+    "law_radius",
     "limit_law",
     "sample",
     "series_cdf",
@@ -125,6 +126,8 @@ _TABLE_MAX_CELLS = 2**22
 # arrays hold per group of transforms
 _SHORT_FFT = 4096
 _TABLE_GROUP = 2**18
+# nodes series_cdf sums by Horner per giant step (_midpoint_sum)
+_BABY_STEPS = 64
 # uniforms drawn and inverted at a time by sample
 _SAMPLE_BLOCK = 2**16
 _GRADED_END_2D = 1.0
@@ -434,12 +437,28 @@ def _ball_radius(window):
     return None
 
 
-def limit_law(window, alpha):
-    """The limit law over window at alpha, as a calibrated EigenSeries.
+def law_radius(window):
+    """The radius R of the ball whose limit law is the window's.
 
     The window must be a ball in d = 1 or 2 or a 1-d interval, which has
     the law of a ball (_ball_radius); anything else is refused with
-    UnsupportedModelError before a kernel is built. The law over the ball
+    UnsupportedModelError. The check needs no kernel, so a caller can make
+    it before any costly work.
+    """
+    radius, d = _ball_radius(window), window.dimension
+    if radius is None or d > 2:
+        raise UnsupportedModelError(
+            f"no limit law for a {window.shape} window in d={d}; only balls in "
+            f"d <= 2 and 1-d intervals"
+        )
+    return radius
+
+
+def limit_law(window, alpha):
+    """The limit law over window at alpha, as a calibrated EigenSeries.
+
+    The window must be one law_radius accepts; anything else is refused
+    with UnsupportedModelError before a kernel is built. The law over the ball
     of radius R is the unit window's times R^(d - alpha) (Dobrushin and
     Major 1979: the transform of R W is R^d times W's at R lam), so only the
     unit window's kernel is built (build_kernel) and its 300 largest
@@ -451,13 +470,8 @@ def limit_law(window, alpha):
     quality metric: one outside [0.97, 1.03] means the mesh has not
     converged to the oracle variance and is refused with ParameterError.
     """
-    radius, d = _ball_radius(window), window.dimension
-    if radius is None or d > 2:
-        raise UnsupportedModelError(
-            f"no limit law for a {window.shape} window in d={d}; only balls in "
-            f"d <= 2 and 1-d intervals"
-        )
-    scale = radius ** (d - alpha)
+    d = window.dimension
+    scale = law_radius(window) ** (d - alpha)
     series = eigen_series(build_kernel(d, alpha))
     factor = sqrt(variance_oracle(window, alpha) / series.variance) / scale
     if not (0.97 <= factor <= 1.03):
@@ -666,20 +680,51 @@ def series_cdf(series, x, tol=_CDF_TOL):
     that needs over 2^20 nodes, as for one- or two-term series. At the
     default tol the rule is the series' inversion_rule, computed once per
     series.
+
+    The sum F(x) = 1/2 - sum_k weight_k sin(phase_k - u_k x) takes no sine
+    per node (_midpoint_sum).
     """
     x = np.asarray(x, dtype=float)
     if tol == _CDF_TOL:
         lo, hi, u, weight, phase = series.inversion_rule
     else:
         lo, hi, u, weight, phase = _inversion_rule(np.asarray(series.eigenvalues, dtype=float), tol)
-    nodes = u.size
     flat = np.clip(x, lo, hi).ravel()
-    out = np.empty(flat.size)
+    return np.clip(0.5 - _midpoint_sum(u, weight, phase, flat), 0.0, 1.0).reshape(x.shape)
+
+
+def _midpoint_sum(u, weight, phase, x):
+    """sum_k weight_k sin(phase_k - u_k x) at each x of a 1-d array, for the
+    nodes u_k = (k + 1/2) du of _inversion_terms.
+
+    With B = min(_BABY_STEPS, K) for K nodes (both powers of two) and
+    k = l B + j, e^(-i u_k x) = z^j e^(-i (l B + 1/2) du x), z = e^(-i du x).
+    So the sum is Im sum_l e^(-i (l B + 1/2) du x) P_l(z), where
+    P_l(z) = sum_j c_(lB+j) z^j and c_k = weight_k e^(i phase_k). Each P_l
+    is summed by Horner in B - 1 passes over every (l, x) at once, and each
+    giant step takes one direct cosine and sine per (l, x), so the rounding
+    stays at a few eps per term. The points go 2^20 / K at a time, so the
+    working arrays hold about 2^20 / B values whatever K.
+    """
+    nodes = u.size
+    du = 2.0 * u[0]  # u_0 = du / 2 exactly
+    baby = min(_BABY_STEPS, nodes)
+    # column j holds c_(lB+j) for every l
+    columns = np.ascontiguousarray((weight * np.exp(1j * phase)).reshape(-1, baby).T)[:, :, None]
+    giant = (np.arange(nodes // baby) * baby + 0.5) * du
+    out = np.empty(x.size)
     step = max(1, 2**20 // nodes)
-    for i in range(0, flat.size, step):
-        xs = flat[i : i + step, None]
-        out[i : i + step] = 0.5 - np.sin(phase - u * xs) @ weight
-    return np.clip(out, 0.0, 1.0).reshape(x.shape)
+    for i in range(0, x.size, step):
+        xs = x[i : i + step]
+        z = np.exp(-1j * (du * xs))
+        acc = np.empty((giant.size, xs.size), dtype=complex)
+        acc[:] = columns[-1]
+        for column in columns[-2::-1]:
+            acc *= z
+            acc += column
+        turn = np.multiply.outer(giant, xs)
+        out[i : i + step] = (acc.imag * np.cos(turn) - acc.real * np.sin(turn)).sum(axis=0)
+    return out
 
 
 def cumulant(series, p):

@@ -1072,6 +1072,61 @@ def test_rosenblatt_build_refuses_a_rectangle_in_the_plane(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_rate_experiment_draws_the_fields_before_it_builds_the_limit_law(tmp_path, monkeypatch):
+    # the law's BLAS threads spin on after its solve and would share the
+    # cores with the draws' pool
+    calls = []
+
+    def recorded(name, fn):
+        def wrapper(*args):
+            calls.append(f"{name} entered")
+            result = fn(*args)
+            calls.append(f"{name} returned")
+            return result
+
+        return wrapper
+
+    for name in ("window_integrals", "limit_law"):
+        monkeypatch.setattr(expcli, name, recorded(name, getattr(expcli, name)))
+    assert main(_experiment(tmp_path / "rho.csv", "--r", "4,8")) == 0
+    assert calls == ["window_integrals entered", "window_integrals returned",
+                     "limit_law entered", "limit_law returned"]
+
+
+def test_rate_experiment_refuses_a_rectangle_in_the_plane_before_the_draws(
+    tmp_path, capsys, monkeypatch
+):
+    for name in ("window_integrals", "limit_law"):
+        monkeypatch.setattr(expcli, name, _never_called)
+    out = tmp_path / "rho.csv"
+    argv = ["rate", "experiment",
+            "--model", json.dumps({"family": "cauchy", "d": 2, "theta": 0.3}),
+            "--set", json.dumps({"shape": "rect", "a": [-1.0, -0.5], "b": [1.0, 0.5]}),
+            "--functional", "h2", "--h", "1.0", "--r", "8", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "rosenlab: no limit law for a rect window in d=2; only balls in d <= 2 "
+        "and 1-d intervals\n"
+    )
+    assert not out.exists()
+
+
+def test_rate_experiment_normalizes_one_replicate_per_call(tmp_path, monkeypatch):
+    # perfbench's traced X_r-moment check reads each X_r at this call, so
+    # the normalization stays one scalar call per replicate and r
+    calls = []
+    scalar = expcli.normalized_statistic
+
+    def counted(kr, c2, r, params):
+        assert np.ndim(kr) == 0
+        calls.append(r)
+        return scalar(kr, c2, r, params)
+
+    monkeypatch.setattr(expcli, "normalized_statistic", counted)
+    assert main(_experiment(tmp_path / "rho.csv", "--r", "2,4,8", "--replicates", "1001")) == 0
+    assert calls == [2.0] * 1001 + [4.0] * 1001 + [8.0] * 1001
+
+
 def test_a_dilated_interval_gives_the_rho_of_the_unit_interval(tmp_path):
     # [-r/2, r/2] at r = 16, 32, 64 is [-r, r] at r = 8, 16, 32: one seed
     # draws the same fields, and with the law dilated by 0.5^(1 - alpha) rho

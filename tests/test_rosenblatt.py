@@ -212,11 +212,21 @@ def test_series_cdf_matches_scaled_chi_square(k):
 def test_series_cdf_computes_its_rule_once_and_keeps_the_bytes(monkeypatch):
     series = _mixed(300)
     x = np.linspace(-12.0, 25.0, 501)
-    # oracle: the rule computed fresh, summed as series_cdf sums one chunk
+    # oracle: the rule computed fresh, summed as series_cdf sums one chunk:
+    # Horner over the 64 nodes of each giant step in z = e^(-i du x), then
+    # one cosine and sine per giant step
     nu = np.asarray(series.eigenvalues)
     lo, hi, du, nodes = rosenblatt._node_plan(nu, 1e-12)
     u, weight, phase = rosenblatt._inversion_terms(nu, du, nodes)
-    want = np.clip(0.5 - np.sin(phase - u * np.clip(x, lo, hi)[:, None]) @ weight, 0.0, 1.0)
+    xs = np.clip(x, lo, hi)
+    c = (weight * np.exp(1j * phase)).reshape(nodes // 64, 64)
+    z = np.exp(-1j * (du * xs))
+    acc = np.repeat(c[:, 63:], xs.size, axis=1)
+    for j in range(62, -1, -1):
+        acc = acc * z + c[:, j : j + 1]
+    turn = np.outer((64 * np.arange(nodes // 64) + 0.5) * du, xs)
+    total = (acc.imag * np.cos(turn) - acc.real * np.sin(turn)).sum(axis=0)
+    want = np.clip(0.5 - total, 0.0, 1.0)
     first = series_cdf(series, x)
     assert "inversion_rule" in vars(series)
 
@@ -374,6 +384,27 @@ _ALPHA = {1: 0.4, 2: 0.6}
 @pytest.fixture(scope="module")
 def unit_laws():
     return {d: rosenblatt.limit_law(ball(d), alpha) for d, alpha in _ALPHA.items()}
+
+
+def _sine_per_node(series, x):
+    # the midpoint sum with one sine per (point, node)
+    lo, hi, u, weight, phase = series.inversion_rule
+    xs = np.clip(np.asarray(x, dtype=float), lo, hi)[..., None]
+    return np.clip(0.5 - np.sin(phase - u * xs) @ weight, 0.0, 1.0)
+
+
+def test_series_cdf_matches_the_sine_per_node_form(unit_laws):
+    # the interval and disk laws (128 and 256 nodes) and nu (chi2_8 - 8)
+    # at 8192 nodes, where the giant steps run to phases of 2^13 pi
+    chi = _weights([1.0] * 8)
+    assert chi.inversion_rule[2].size >= 8192
+    for series in (unit_laws[1], unit_laws[2], chi):
+        lo, hi = series.inversion_rule[:2]
+        x = np.linspace(lo - 1.0, hi + 1.0, 2001)
+        assert np.max(np.abs(series_cdf(series, x) - _sine_per_node(series, x))) <= 1e-14
+        got = series_cdf(series, 0.3)
+        assert np.ndim(got) == 0
+        assert abs(got - _sine_per_node(series, 0.3)) <= 1e-14
 
 
 def test_the_interval_as_a_rectangle_gives_the_same_series(unit_laws):
