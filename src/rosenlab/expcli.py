@@ -6,11 +6,11 @@ measure the Kolmogorov distance to the chi-square-series reference law.
 Everything is reproducible: every r of a table reads its window off one set
 of fields, drawn on the lattice of the largest r in blocks of a size set by
 that lattice alone, block k from the generator stream keyed by the master
-seed, the index of the largest r, a tag and k. A block depends on its own
-stream only, so output tables are bit-identical for any number of worker
-threads and any assignment of blocks to them. Each file-producing
-invocation writes a JSON manifest next to its output recording the merged
-configuration, versions, and wall time.
+seed, a tag and k. A block depends on its own stream only, so output tables
+are bit-identical for any number of worker threads and any assignment of
+blocks to them, and the largest r's row is the same for every grid that
+ends at that r. Each file-producing invocation writes a JSON manifest next
+to its output recording the merged configuration, versions, and wall time.
 
 The reference law is the chi-square series itself: its CDF is evaluated
 exactly by characteristic-function inversion, so rho carries only the
@@ -268,9 +268,12 @@ def rate_experiment(config):
     is solved, on the lattice of the largest r, the fields are drawn there
     once, and fieldsim.window_integrals sums every r over its window on
     that lattice. Block k of the fields is drawn from the generator stream
-    keyed by (master_seed, index of the largest r, _REPLICATE_TAG, k), and
-    the block size is set by the lattice alone, so the table is
-    bit-identical for any number of workers. The rows' bootstrap shares its
+    keyed by (master_seed, _REPLICATE_TAG, k), and the block size is set by
+    the lattice alone, so the table is bit-identical for any number of
+    workers, and the largest r's row does not depend on the smaller r of
+    the grid. Each r's window sites depend on r and h alone
+    (fieldsim.SimulationPlan), and a window that holds none is refused
+    before any embedding is solved. The rows' bootstrap shares its
     resamples too (_bootstrap_stderrs), drawn from the one stream keyed by
     (master_seed, _BOOTSTRAP_TAG). Each row's rho and bootstrap stderr keep
     their meaning, but the rows are correlated.
@@ -300,8 +303,7 @@ def rate_experiment(config):
 
     t0 = time.perf_counter()
     plan = _experiment_plan(config, config.r_grid[-1])
-    top = len(config.r_grid) - 1
-    stream = partial(replicate_generator, config.master_seed, top, _REPLICATE_TAG)
+    stream = partial(replicate_generator, config.master_seed, _REPLICATE_TAG)
     drawn = window_integrals(plan, G, config.window, config.r_grid, config.replicates, stream)
     draws = {
         "seconds": time.perf_counter() - t0,
@@ -571,8 +573,10 @@ def _write_manifest(out, command, merged, wall_seconds, seeds, outputs):
             "drawn in blocks of pairs_per_stream complex draws "
             "(derived_stage_seconds draws), a count set by the drawn lattice "
             "alone; block k reads the generator of SeedSequence(master_seed, "
-            "spawn_key=(index of the largest r, tag, k)), where the index is "
-            f"that r's position in the grid and the tag is {_REPLICATE_TAG:#x}. "
+            f"spawn_key=({_REPLICATE_TAG:#x}, k)), whatever the grid, so the "
+            "largest r's row is the same for every grid that ends at it. "
+            "Lattice cells are centred at (k + 1/2) h, so each r's window "
+            "sites (derived_window_sites) depend on r and h alone. "
             "The bootstrap draws its resamples of the replicate indices once, "
             "from SeedSequence(master_seed, "
             f"spawn_key=({_BOOTSTRAP_TAG:#x},)), and every r measures its "

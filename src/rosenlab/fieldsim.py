@@ -20,18 +20,23 @@ window_integrals all read their sites from it. The integrand is non-smooth
 in x, so higher-order quadrature would buy nothing; discretization error is
 dominated by Monte Carlo variance at the replicate counts used here.
 
-Every scale of a table reads its window off one set of fields. They are
-drawn once, on the lattice laid out for the largest scale, and the
-embedding is exact on the whole of it, so window_integrals sums each
-scale's window (_window_mask of that lattice) on the same fields. The
-scales then see common random numbers (Glasserman & Yao, Management
-Science 1992): each scale's sums keep their law, but sums at different
-scales are correlated.
+Every lattice of step h has its cells centred at (k + 1/2) h, an even
+number of them per axis, symmetric about the origin (SimulationPlan), so
+the lattices of one step nest and a window's sites depend on its scale and
+h alone, not on the extent of the lattice they are read off. Every scale of
+a table reads its window off one set of fields. They are drawn once, on
+the lattice laid out for the largest scale, and the embedding is exact on
+the whole of it, so window_integrals sums each scale's window (_window_mask
+of that lattice) on the same fields. The scales then see common random
+numbers (Glasserman & Yao, Management Science 1992): each scale's sums keep
+their law, but sums at different scales are correlated.
 
 window_integrals draws its fields in blocks of a fixed number of pairs,
 set by the plan's torus alone, and block k reads its own generator, which
 the caller keys by k (replicate_generator with the block index as the last
 key; L'Ecuyer, Munger, Oreshkin & Simard, Math. Comput. Simul. 2017).
+replicate_generator makes every generator of the package, simulate_field's
+default and rosenblatt.sample's included.
 _in_order runs the blocks on a standard thread pool of one worker per
 available core, capped at the number of blocks: draw, transform, gather, G
 and sums, each into its own slice of the result. The generator fills the
@@ -109,10 +114,12 @@ class SimulationPlan:
     """Lattice plan: covariance model, dimension, step h, half-width extent.
 
     model is a CovarianceModel of the plan's dimension; anything else is a
-    ParameterError. The lattice has n = ceil(2 extent / h) cells per axis,
-    the fewest that cover [-extent, extent], with centers at -extent +
-    (i + 1/2) h, so the origin sits on a cell boundary; when h does not
-    divide 2 extent the last cell reaches past +extent. The torus side m is
+    ParameterError. The lattice has n = 2 ceil(extent / h) cells per axis,
+    the fewest in an even count that cover [-extent, extent], centred at
+    (k + 1/2) h for k = -n/2 ... n/2 - 1, so the origin sits on a cell
+    boundary and a site's place depends on h alone; when h does not divide
+    extent the outer cells reach past +-extent. origin is the centre of the
+    first cell on every axis. The torus side m is
     the smallest power of two at least padding * n. padding must be at
     least 2: then m >= 2(n-1), the minimal torus on which every lattice lag
     keeps its own covariance. The default starts the escalation there;
@@ -171,14 +178,21 @@ class SimulationPlan:
     def n_per_axis(self):
         # the tolerance keeps a quotient rounded just above a whole number
         # from adding a cell
-        return math.ceil(2.0 * self.extent / self.h - 1e-9)
+        return 2 * math.ceil(self.extent / self.h - 1e-9)
+
+    @property
+    def origin(self):
+        # h/2 - (n/2) h, not h (1 - n) / 2: the latter rounds the last cell
+        # edge of extent 1.5 at h = 0.3 below 1.5
+        return 0.5 * self.h - self.n_per_axis // 2 * self.h
 
 
 @dataclass(frozen=True)
 class GridField:
     """Simulated lattice values with the cell-center coordinate convention.
 
-    coordinate(i) = origin + i * h along each axis, origin = -extent + h/2.
+    coordinate(i) = origin + i * h along each axis; a simulated field's
+    origin is its plan's.
     """
 
     values: np.ndarray
@@ -367,14 +381,14 @@ def simulate_pairs(plan, rng, pairs):
 def simulate_field(plan, rng=None):
     """One zero-mean Gaussian lattice field with covariance B at all lags.
 
-    The field is the real half of a one-pair simulate_pairs draw. Identical
-    (plan, seed) gives a bit-identical field. Supplying rng overrides the
-    plan seed.
+    The field is the real half of a one-pair simulate_pairs draw, by
+    default from replicate_generator(plan.seed). Identical (plan, seed)
+    gives a bit-identical field. Supplying rng overrides the plan seed.
     """
     if rng is None:
-        rng = np.random.default_rng(plan.seed)
+        rng = replicate_generator(plan.seed)
     vals = simulate_pairs(plan, rng, 1)[0].real.copy()
-    return GridField(values=vals, h=plan.h, origin=-plan.extent + 0.5 * plan.h)
+    return GridField(values=vals, h=plan.h, origin=plan.origin)
 
 
 def window_extent(window, r):
@@ -419,20 +433,22 @@ def _window_picks(plan, window, radii):
     from the union's, a slice where they are contiguous there (every d=1
     window), else an index array. Either way the sites come in C order, the
     order functional_integral sums them in. counts holds each window's
-    number of sites.
+    number of sites. A window that holds no site is a ParameterError.
     """
-    origin = -plan.extent + 0.5 * plan.h
     placed = [
-        np.flatnonzero(_window_mask(origin, plan.n_per_axis, plan.h, window, r))
+        np.flatnonzero(_window_mask(plan.origin, plan.n_per_axis, plan.h, window, r))
         for r in radii
     ]
+    for r, sites in zip(radii, placed):
+        if sites.size == 0:
+            raise ParameterError(f"the window at r={r} holds no lattice site at h={plan.h}")
     covered = np.zeros(plan.n_per_axis**plan.dimension, dtype=bool)
     covered[np.concatenate(placed)] = True
     union = np.flatnonzero(covered)
     picks = []
     for sites in placed:
         at = np.searchsorted(union, sites)
-        contiguous = at.size and at[-1] - at[0] + 1 == at.size
+        contiguous = at[-1] - at[0] + 1 == at.size
         picks.append(slice(at[0], at[-1] + 1) if contiguous else at)
     return union, picks, [sites.size for sites in placed]
 
@@ -568,11 +584,10 @@ def replicate_generator(master_seed, *keys):
     """Independent generator for one stream: SeedSequence(master_seed,
     spawn_key=keys).
 
-    keys are integers in [0, 2^32), such as a replicate index, or an r index
-    and a tag that tells the streams of one experiment apart; any other key
-    is refused with ParameterError before seeding, since SeedSequence would
-    split a larger one into 32-bit words and so name another key list's
-    stream. SeedSequence pads the seed with zero words up to its pool size
+    keys are integers in [0, 2^32), such as a tag that tells the streams of
+    one experiment apart and a block index; any other key is refused with
+    ParameterError before seeding, since SeedSequence would split a larger
+    one into 32-bit words and so name another key list's stream. SeedSequence pads the seed with zero words up to its pool size
     and appends the spawn key after that, so two key lists name different
     streams even where one is the other with zeros appended. With no keys
     the stream is that of default_rng(master_seed).

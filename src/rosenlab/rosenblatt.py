@@ -86,8 +86,8 @@ from .errors import (
     ParameterError,
     UnsupportedModelError,
     check_json_object,
-    check_seed,
 )
+from .fieldsim import replicate_generator
 from .geometry import ball, volume
 
 __all__ = [
@@ -490,8 +490,9 @@ def limit_law(window, alpha):
 def sample(series, n, seed):
     """n i.i.d. draws from the law of sum_j nu_j (Z_j^2 - 1) by inversion.
 
-    Each draw is one uniform from default_rng(seed) mapped through the
-    linear interpolant of series.cdf_table, so the draws follow a law within
+    Each draw is one uniform from replicate_generator(seed), the stream of
+    default_rng(seed), mapped through the linear interpolant of
+    series.cdf_table, so the draws follow a law within
     series.cdf_table.ks_bound of the series law in Kolmogorov distance, and
     the first k of n draws are the k draws of the same seed. The uniforms
     are drawn and inverted _SAMPLE_BLOCK at a time; one rng.random call per
@@ -501,7 +502,7 @@ def sample(series, n, seed):
     EigenSeries.cdf_table), and ParameterError for a seed that is not a
     nonnegative integer.
     """
-    rng = np.random.default_rng(check_seed(seed))
+    rng = replicate_generator(seed)
     n = int(n)
     if n < 1:
         raise ParameterError(f"sample count must be >= 1, got {n}")

@@ -154,16 +154,16 @@ def test_rate_experiment_equals_the_per_field_and_per_resample_loops(monkeypatch
     G = expcli.functional_catalog("square")
     c0, c2 = 1.0, 2.0  # square = h2 + 1
     params = expcli.lrd_params(config.model)
-    # every r is read off the lattice of r=8, index 2 of the grid
+    # every r is read off the lattice of r=8, block k from the stream keyed
+    # by the tag and k alone
     top = expcli._experiment_plan(config, 8.0)
     assert fieldsim.embedding(top).torus_side == 128
-    origin = -top.extent + 0.5 * top.h
     lattices = []
     for block in range(6):
-        rng = fieldsim.replicate_generator(3, 2, expcli._REPLICATE_TAG, block)
+        rng = fieldsim.replicate_generator(3, expcli._REPLICATE_TAG, block)
         for _ in range(min(100, 501 - 100 * block)):
             pair = fieldsim.simulate_pairs(top, rng, 1)[0]
-            lattices += [fieldsim.GridField(half, top.h, origin) for half in (pair.real, pair.imag)]
+            lattices += [fieldsim.GridField(half, top.h, top.origin) for half in (pair.real, pair.imag)]
     for i, r in enumerate(config.r_grid):
         values = []
         for lattice in lattices[:1001]:
@@ -378,9 +378,10 @@ _EXPERIMENT = ["rate", "experiment", "--model", MODEL, "--set", WINDOW, "--funct
      "config document names both 'seed' and 'master_seed'; give one"),
     (["rate", "bound", "--model", MODEL, "--d", "2", "--alpha", "0.9", "--upsilon", "5"], None,
      "--model fixes d, alpha and upsilon; drop --d, --alpha, --upsilon"),
-    # the unit ball at r = 2^19 + 1/8 lays out 2^22 + 1 points per axis at h = 0.25
+    # the unit ball at r = 2^19 + 1/8 lays out 2^21 + 1 cells a side of the
+    # origin at h = 0.25, 2^22 + 2 points per axis
     ([*_EXPERIMENT, "--r", "8,524288.125"], None,
-     "4194305 lattice points per axis exceeds the 2^22 budget"),
+     "4194306 lattice points per axis exceeds the 2^22 budget"),
     (["rate", "experiment", "--model", json.dumps({"family": "cauchy", "d": 2, "theta": 0.3}),
       "--set", WINDOW, "--functional", "h2", "--r", "8"], None,
      "model dimension 2 does not match window dimension 1"),
@@ -841,25 +842,25 @@ def test_unaligned_lattices_are_read_off_the_largest_r(tmp_path, monkeypatch):
 
     monkeypatch.setattr(expcli, "normalized_statistic", recorded)
     out = tmp_path / "rho.csv"
-    # h = 0.3: r=1 would lay out extent 1, which starts (1.5 - 1) / 0.3 sites
-    # into the lattice of r=1.5, not a whole number
+    # h = 0.3 divides neither 1 nor 1.5: r=1 alone would lay out 8 cells,
+    # out to 1.2, and r=1.5 lays out 10, out to 1.5
     assert main(_experiment(out, "--r", "1,1.5", "--h", "0.3")) == 0
     config = json.loads((tmp_path / "rho.csv.manifest.json").read_text(encoding="utf-8"))["config"]
     drawn = config["derived_embedding"]
     assert (drawn["drawn_on_r"], drawn["n_per_axis"]) == (1.5, 10)
-    # centres at -1.35 + 0.3 i: six of them lie in [-1, 1], all ten in
-    # [-1.5, 1.5]
+    # centres at +-0.15, +-0.45, ... +-1.35: six of them lie in [-1, 1], all
+    # ten in [-1.5, 1.5]
     assert config["derived_window_sites"] == [6, 10]
     # one escalation, on the lattice of r=1.5
     assert solves == _tried(1.5, drawn["padding"])
     fieldsim.clear_spectrum_cache()
-    # r=1.5 keeps the stream of its own index, as when it was drawn alone
+    # r=1.5 reads the stream of the tag, as when it was drawn alone
     plan = fieldsim.SimulationPlan(
         model=expcli.model_from_json(MODEL), dimension=1, h=0.3, extent=1.5, seed=7
     )
     alone = fieldsim.window_integrals(
         plan, expcli.functional_catalog("abs-centered"), expcli.set_from_json(WINDOW),
-        (1.5,), 1000, partial(fieldsim.replicate_generator, 7, 1, expcli._REPLICATE_TAG),
+        (1.5,), 1000, partial(fieldsim.replicate_generator, 7, expcli._REPLICATE_TAG),
     )
     assert captured[1.5] == list(alone.sums[0])
     assert len(captured[1.0]) == 1000
@@ -874,24 +875,89 @@ def test_the_largest_r_keeps_its_own_stream(tmp_path, monkeypatch):
         return scalar(kr, c2, r, params)
 
     monkeypatch.setattr(expcli, "normalized_statistic", recorded)
-    assert main(_experiment(tmp_path / "rho.csv", "--r", "2,4,8")) == 0
-    # r=8, index 2 of the grid, sums as a one-radius draw on its own plan
-    # from the stream its index keys; abs-centered has c0 = 0
+    # r=8 sums as a one-radius draw on its own plan from the stream the tag
+    # keys, whatever the smaller r of the grid; abs-centered has c0 = 0
     config = ExperimentConfig(
         model=expcli.model_from_json(MODEL),
         window=expcli.set_from_json(WINDOW),
         functional="abs-centered",
-        r_grid=(2.0, 4.0, 8.0),
+        r_grid=(8.0,),
         master_seed=7,
         h=0.5,
     )
-    stream = partial(fieldsim.replicate_generator, 7, 2, expcli._REPLICATE_TAG)
+    stream = partial(fieldsim.replicate_generator, 7, expcli._REPLICATE_TAG)
     G = expcli.functional_catalog("abs-centered")
     alone = fieldsim.window_integrals(
         expcli._experiment_plan(config, 8.0), G, config.window, (8.0,), 1000, stream
     )
-    assert captured[8.0] == list(alone.sums[0])
-    assert len(captured[2.0]) == len(captured[4.0]) == 1000
+    for grid in ("8", "4,8", "2,4,8"):
+        captured.clear()
+        assert main(_experiment(tmp_path / "rho.csv", "--r", grid)) == 0
+        assert captured[8.0] == list(alone.sums[0]), grid
+        assert all(len(kr) == 1000 for kr in captured.values())
+
+
+DISK_MODEL = json.dumps({"family": "cauchy", "d": 2, "theta": 0.3})
+DISK = json.dumps({"shape": "ball", "R": 1.0, "d": 2})
+
+
+def _disk_experiment(out, *flags):
+    return [
+        "rate", "experiment", "--model", DISK_MODEL, "--set", DISK, "--functional", "h2",
+        "--h", "1", "--seed", "7", "--out", str(out), *flags,
+    ]
+
+
+@pytest.mark.parametrize("experiment, grids", [
+    (_experiment, ("16", "8,16", "4,8,16")),
+    (_disk_experiment, ("16", "8,16")),
+], ids=["interval", "disk"])
+def test_the_largest_r_row_does_not_depend_on_the_grid(tmp_path, experiment, grids):
+    # the streams were keyed by the largest r's index in the grid: on the
+    # interval its row read rho = 0.1348, 0.1392 and 0.1296
+    last = set()
+    for i, grid in enumerate(grids):
+        out = tmp_path / f"rho{i}.csv"
+        assert main(experiment(out, "--r", grid)) == 0
+        last.add(out.read_text(encoding="utf-8").splitlines()[-1])
+    assert len(last) == 1 and next(iter(last)).startswith("16.0,1000,")
+
+
+@pytest.mark.parametrize("experiment, model, window, h, grid, sites", [
+    (_experiment, MODEL, WINDOW, 0.3, (1.0, 1.5), [6, 10]),
+    (_disk_experiment, DISK_MODEL, DISK, 1.0, (3.0, 4.5), [32, 60]),
+], ids=["interval", "disk"])
+def test_each_r_sums_the_sites_of_its_own_lattice(
+    tmp_path, experiment, model, window, h, grid, sites
+):
+    # the lattice of the largest r was laid out from -extent: r=1 summed 6
+    # sites beside r=1.5 and 7 alone, the disk at r=3 summed 29 beside
+    # r=4.5 and 32 alone
+    out = tmp_path / "rho.csv"
+    assert main(experiment(out, "--r", ",".join(map(str, grid)), "--h", str(h))) == 0
+    manifest = json.loads((tmp_path / "rho.csv.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["derived_window_sites"] == sites
+    window = expcli.set_from_json(window)
+    for r, count in zip(grid, sites):
+        own = fieldsim.SimulationPlan(
+            model=expcli.model_from_json(model), dimension=window.dimension, h=h,
+            extent=fieldsim.window_extent(window, r), seed=7,
+        )
+        mask = fieldsim._window_mask(own.origin, own.n_per_axis, h, window, r)
+        assert np.count_nonzero(mask) == count, r
+
+
+@pytest.mark.parametrize("grid", ["0.1", "0.1,8"])
+def test_a_window_without_sites_exits_2_before_any_embedding(tmp_path, capsys, monkeypatch, grid):
+    # --r 0.1,8 wrote a row of 0 sites with rho 0.567 and stderr 0.0
+    monkeypatch.setattr(fieldsim, "_spectrum_once", _never_called)
+    fieldsim.clear_spectrum_cache()
+    out = tmp_path / "rho.csv"
+    assert main(_experiment(out, "--r", grid, "--h", "0.25")) == 2
+    assert capsys.readouterr().err == (
+        "rosenlab: the window at r=0.1 holds no lattice site at h=0.25\n"
+    )
+    assert not out.exists()
 
 
 def test_simulate_field_defaults_come_from_fieldsim(tmp_path):

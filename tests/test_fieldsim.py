@@ -357,9 +357,8 @@ def test_window_integrals_are_block_invariant(monkeypatch):
     assert (one_pair.pairs_per_stream, one_pair.streams) == (1, 501)
     assert np.array_equal(window_integrals(plan, G, w, radii, 1001, stream).sums, one_pair.sums[:, :1001])
     fields = [half for f in _serial_pairs(plan, (3, 0), 501, 1) for half in (f.real, f.imag)]
-    origin = -plan.extent + 0.5 * plan.h
     for row, r in zip(one_pair.sums, radii):
-        assert list(row) == [functional_integral(GridField(f, plan.h, origin), G, w, r) for f in fields]
+        assert list(row) == [functional_integral(GridField(f, plan.h, plan.origin), G, w, r) for f in fields]
     with pytest.raises(CoverageError):
         window_integrals(plan, G, w, (16.0, 32.0), 10, stream)
     # r=7.5 would lay out extent 3.75, (8 - 3.75) / 0.5 = 8.5 sites in from
@@ -406,9 +405,8 @@ def test_each_window_sum_is_functional_integral_of_its_field(
     sums = result.sums
     pairs = _serial_pairs(plan, (8, 1), (count + 1) // 2, 16)
     fields = [half for f in pairs for half in (f.real, f.imag)][:count]
-    origin = -plan.extent + 0.5 * h
     for row, r in zip(sums, radii):
-        want = [functional_integral(GridField(f, h, origin), G, window, r) for f in fields]
+        want = [functional_integral(GridField(f, h, plan.origin), G, window, r) for f in fields]
         assert list(row) == want
     if layout_trap:
         # a boolean gather of the same block lays the fields out column by
@@ -656,9 +654,8 @@ def test_h2_window_sums_have_the_exact_lattice_variance(monkeypatch, d):
     )
     assert result.streams == 8
     sums = result.sums[0]
-    origin = -plan.extent + 0.5 * h
-    mask = fieldsim._window_mask(origin, plan.n_per_axis, h, window, r)
-    sites = origin + h * np.argwhere(mask)
+    mask = fieldsim._window_mask(plan.origin, plan.n_per_axis, h, window, r)
+    sites = plan.origin + h * np.argwhere(mask)
     lag = np.sqrt(np.sum((sites[:, None, :] - sites[None, :, :]) ** 2, axis=-1))
     exact = 2.0 * float(np.sum(covariance_eval(model, lag) ** 2)) * h ** (2 * d)
     mean = float(np.mean(sums))
@@ -679,7 +676,7 @@ def test_each_radius_masks_its_own_lattice_placed_in_the_drawn_one(window, h, ra
     n = plan.n_per_axis
     union, picks, counts = fieldsim._window_picks(plan, window, radii)
     for r, pick, count in zip(radii, picks, counts):
-        drawn = fieldsim._window_mask(-plan.extent + 0.5 * h, n, h, window, r)
+        drawn = fieldsim._window_mask(plan.origin, n, h, window, r)
         # the pick reads the window on the drawn lattice
         assert np.array_equal(union[pick], np.flatnonzero(drawn))
         assert count == np.count_nonzero(drawn)
@@ -691,7 +688,7 @@ def test_each_radius_masks_its_own_lattice_placed_in_the_drawn_one(window, h, ra
         assert own.extent == plan.extent - k * h
         placed = np.zeros((n,) * d, dtype=bool)
         placed[(slice(k, k + own.n_per_axis),) * d] = fieldsim._window_mask(
-            -own.extent + 0.5 * h, own.n_per_axis, h, window, r
+            own.origin, own.n_per_axis, h, window, r
         )
         assert np.array_equal(placed, drawn)
 
@@ -747,19 +744,35 @@ def test_a_nonpositive_scale_is_refused_naming_it(window, r):
 
 
 def test_the_lattice_covers_its_extent():
-    # the fewest cells that cover [-extent, extent]: 2 * 8 / 0.3 = 53.3 took
-    # 53 cells, whose last edge 7.9 fell short of 8
+    # the fewest cells a side of the origin that cover [-extent, extent]:
+    # 8 / 0.3 = 26.7 takes 27 a side, and 0.35 / 0.1 = 3.5 takes 4
     m = cauchy(1, 0.2)
-    for extent, h, n in ((8.0, 0.3, 54), (8.0, 0.25, 64), (0.35, 0.1, 7), (2.1, 0.7, 6)):
+    for extent, h, n in ((8.0, 0.3, 54), (8.0, 0.25, 64), (0.35, 0.1, 8), (2.1, 0.7, 6)):
         plan = SimulationPlan(model=m, dimension=1, h=h, extent=extent, seed=0)
         assert plan.n_per_axis == n
-        assert -extent + n * h >= extent - 1e-12 and -extent + (n - 1) * h < extent
-    # the window that lays out the lattice fits on it; the last of the 54
-    # centres, 8.05, lies outside it
+        lo, hi = plan.origin - 0.5 * h, plan.origin + (n - 0.5) * h
+        assert lo == pytest.approx(-hi, abs=1e-12)
+        assert hi >= extent - 1e-12 and hi - h < extent
+    # the window that lays out the lattice fits on it, and so do all 54
+    # centres, out to +-7.95
     plan = SimulationPlan(model=m, dimension=1, h=0.3, extent=window_extent(ball(1), 8.0), seed=0)
     G = functional_catalog("h2")
     result = window_integrals(plan, G, ball(1), (8.0,), 2, partial(replicate_generator, 0, 0))
-    assert result.volumes == (53 * 0.3,)
+    assert result.volumes == (54 * 0.3,)
+
+
+@pytest.mark.parametrize("d, theta, h, r, n, origin, torus", [
+    (1, 0.2, 0.25, 256.0, 2048, -255.875, 4096),
+    (2, 0.3, 1.0, 64.0, 128, -63.5, 256),
+], ids=["d1-mc", "d2-ball"])
+def test_the_benchmark_lattices_keep_their_layout(d, theta, h, r, n, origin, torus):
+    # when extent / h is whole, the lattice centred on the origin is the one
+    # laid out from -extent, and so is its torus
+    plan = SimulationPlan(
+        model=cauchy(d, theta), dimension=d, h=h, extent=window_extent(ball(d), r), seed=0
+    )
+    assert (plan.n_per_axis, plan.origin) == (n, origin)
+    assert embedding(plan).torus_side == torus
 
 
 def test_d2_field_shape_and_variance():
