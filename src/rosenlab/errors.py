@@ -43,7 +43,7 @@ class IntegrabilityError(RosenlabError, ValueError):
 
 
 class EmbeddingError(RosenlabError, RuntimeError):
-    """Circulant embedding is indefinite beyond tolerance; enlarge the torus."""
+    """Circulant embedding stays indefinite beyond tolerance on every torus tried."""
 
 
 class CoverageError(RosenlabError, ValueError):

@@ -48,7 +48,6 @@ from .errors import ParameterError, RankError, RosenlabError, check_json_object,
 # functional_integral is not called here; the perfbench tracer test reaches
 # it through this module's namespace
 from .fieldsim import (  # noqa: F401
-    DEFAULT_PADDING,
     SimulationPlan,
     embedding,
     export_field,
@@ -316,24 +315,24 @@ def rate_experiment(config):
     law = limit_law(config.window, params.alpha)
     stages = {"limit_law": time.perf_counter() - t0, "draws": draws}
 
+    cell = config.h**d
     measured, cdfs, orders = [], [], []
-    for r, kr, volume in zip(config.r_grid, drawn.sums, drawn.volumes):
+    for r, kr, sites in zip(config.r_grid, drawn.sums, drawn.sites):
         t0 = time.perf_counter()
         if c0 != 0.0:
-            kr -= c0 * volume
+            kr -= c0 * (sites * cell)
         values = np.array([normalized_statistic(k, c2, r, params) for k in kr])
         order = np.argsort(values)
         f = series_cdf(law, values[order])
         rho = float(_ks_from_cdf(f, np.ones(f.size, dtype=np.intp)))
         cdfs.append(f)
         orders.append(order)
-        measured.append((r, rho, time.perf_counter() - t0, volume))
+        measured.append((r, rho, time.perf_counter() - t0, sites))
     t0 = time.perf_counter()
     stderrs = _bootstrap_stderrs(cdfs, orders, config.master_seed)
     stages["bootstrap"] = time.perf_counter() - t0
     stages["rows"] = sum(seconds for _, _, seconds, _ in measured)
 
-    cell = config.h**d
     rows = [
         RhoRow(
             r=float(r),
@@ -342,9 +341,9 @@ def rate_experiment(config):
             rho_stderr=stderr,
             kappa_bound=kb,
             runtime_seconds=seconds,
-            window_sites=int(round(volume / cell)),
+            window_sites=sites,
         )
-        for (r, rho, seconds, volume), stderr in zip(measured, stderrs)
+        for (r, rho, seconds, sites), stderr in zip(measured, stderrs)
     ]
     return RhoTable(rows=tuple(rows), law=law, embedding=embedding(plan), stage_seconds=stages)
 
@@ -779,14 +778,14 @@ def _cmd_simulate_field(opts, out, seed):
         h=opts["h"],
         extent=opts["extent"],
         seed=seed,
-        padding=opts["padding"],
-        clamp_tol=opts["clamp_tol"],
     )
     if out is None:
         raise ParameterError("simulate field writes binary output; --out is required")
     fld = simulate_field(plan)
     export_field(fld, out)
-    return None, None, {"n_per_axis": plan.n_per_axis, "path": out}
+    return None, None, {
+        "n_per_axis": plan.n_per_axis, "path": out, "embedding": asdict(embedding(plan)),
+    }
 
 
 def _cmd_rosenblatt_build(opts, out, seed):
@@ -936,8 +935,6 @@ _COMMANDS = {
         _MODEL,
         _Option("h", _float, required=True, help="lattice step"),
         _Option("extent", _float, required=True, help="half-width of the lattice"),
-        _Option("padding", _int, DEFAULT_PADDING, help="first torus side over lattice side, >= 2"),
-        _Option("clamp-tol", _float, help="negative spectrum share the embedding clamps"),
     )),
     "rosenblatt build": (_cmd_rosenblatt_build, (
         _SET,

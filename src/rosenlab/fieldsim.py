@@ -7,10 +7,11 @@ standard-normal draw per torus site yields two independent real fields, its
 real and imaginary parts, whose lattice covariance is exact at every lag up
 to n-1 up to the clamped eigenvalue mass. The embedding is exact once
 m >= 2(n-1) and its spectrum is nonnegative (Wood & Chan, JCGS 1994;
-Dietrich & Newsam, SIAM J. Sci. Comput. 1997), so the driver starts at the
-minimal exact torus, padding 2, and doubles the padding only while the
-spectrum is inadmissible, up to a fixed site budget. Long-memory d=1
-covariances on short lattices need the larger tori.
+Dietrich & Newsam, SIAM J. Sci. Comput. 1997). The torus is not a
+setting: embedding(plan) starts at the minimal exact torus, padding 2, and
+doubles the padding only while the spectrum dips below -CLAMP_TOL of its
+peak, a tolerance fixed per dimension, up to a padding cap and a site
+budget. Long-memory d=1 covariances on short lattices need the larger tori.
 
 Functionals of the field are midpoint Riemann sums over the lattice cells
 whose centers fall in the scaled window. One function, _window_mask,
@@ -54,7 +55,7 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -90,15 +91,13 @@ __all__ = [
     "normalized_statistic",
     "export_field",
     "import_field",
-    "DEFAULT_PADDING",
     "CLAMP_TOL",
 ]
 
-DEFAULT_PADDING = 2
 MAX_PADDING = 64
-# clamp tolerance per dimension, relative to the max eigenvalue: block-
-# circulant d=2 embeddings of long-memory covariances keep a small negative
-# floor that no padding removes
+# the most negative embedding eigenvalue, relative to the peak, that is
+# clamped to zero instead of escalating: block-circulant d=2 embeddings of
+# long-memory covariances keep a small negative floor that no padding removes
 CLAMP_TOL = {1: 1e-8, 2: 1e-7}
 _AXIS_BUDGET = 2**22
 # padding escalation refuses tori above this many sites (2^24 complex
@@ -119,24 +118,17 @@ class SimulationPlan:
     (k + 1/2) h for k = -n/2 ... n/2 - 1, so the origin sits on a cell
     boundary and a site's place depends on h alone; when h does not divide
     extent the outer cells reach past +-extent. origin is the centre of the
-    first cell on every axis. The torus side m is
-    the smallest power of two at least padding * n. padding must be at
-    least 2: then m >= 2(n-1), the minimal torus on which every lattice lag
-    keeps its own covariance. The default starts the escalation there;
-    simulate_field doubles the padding while the embedding spectrum is
-    inadmissible. clamp_tol is the most negative eigenvalue, relative to
-    the peak, that the embedding clamps to zero instead of escalating; it
-    defaults to CLAMP_TOL of the dimension, 1e-8 in d=1 and 1e-7 in d=2.
-    seed must be a nonnegative integer.
+    first cell on every axis. The torus the fields are drawn on is not part
+    of the plan: embedding(plan) chooses it. seed must be a nonnegative
+    integer. Plans that differ in seed alone compare equal: they share one
+    lattice, and so one embedding.
     """
 
     model: object
     dimension: int
     h: float
     extent: float
-    seed: int
-    padding: int = DEFAULT_PADDING
-    clamp_tol: float = None
+    seed: int = dataclass_field(compare=False)
 
     def __post_init__(self):
         check_seed(self.seed)
@@ -153,8 +145,6 @@ class SimulationPlan:
                 f"model dimension {self.model.dimension} does not match the "
                 f"plan's d={self.dimension}"
             )
-        if self.clamp_tol is None:
-            object.__setattr__(self, "clamp_tol", CLAMP_TOL[self.dimension])
         if not self.h > 0.0 or not self.extent > 0.0:
             raise ParameterError("h and extent must be positive")
         n = self.n_per_axis
@@ -163,15 +153,6 @@ class SimulationPlan:
         if n > _AXIS_BUDGET:
             raise ParameterError(
                 f"{n} lattice points per axis exceeds the 2^22 budget"
-            )
-        # below 2 the torus is shorter than 2(n-1) and long lags wrap onto
-        # short ones
-        if self.padding < 2:
-            raise ParameterError(f"padding must be >= 2, got {self.padding}")
-        # a looser clamp than the dimension's default must be explicit
-        if not (0.0 < self.clamp_tol <= 1e-6):
-            raise ParameterError(
-                f"clamp_tol must lie in (0, 1e-6], got {self.clamp_tol}"
             )
 
     @property
@@ -205,14 +186,12 @@ class GridField:
 
 
 def _torus_size(n, padding):
-    m = 1
-    while m < n * padding:
-        m *= 2
-    return m
+    # the smallest power of two at least padding * n
+    return 1 << (padding * n - 1).bit_length()
 
 
-def _spectrum_once(plan):
-    m = _torus_size(plan.n_per_axis, plan.padding)
+def _spectrum_once(plan, padding):
+    m = _torus_size(plan.n_per_axis, padding)
     k = np.arange(m)
     lag = plan.h * np.minimum(k, m - k)
     if plan.dimension == 1:
@@ -221,30 +200,31 @@ def _spectrum_once(plan):
     return np.fft.fft2(covariance_eval(plan.model, dist)).real
 
 
-def circulant_spectrum(plan):
-    """Eigenvalues of the torus embedding, clamped at -clamp_tol of the peak.
+def circulant_spectrum(plan, padding):
+    """Eigenvalues of plan's lattice embedded on the torus of padding,
+    clamped at -CLAMP_TOL of the peak.
 
-    The torus is the plan's: at the default padding 2, the minimal exact
-    embedding m >= 2(n-1). The tolerance is the plan's, by default
-    CLAMP_TOL of its dimension: 1e-8 in d=1, and 1e-7 in d=2, where the
-    block-circulant embeddings of long-memory models keep a negative floor
-    of -3e-8 of the peak or lower that no padding removes. A more negative
-    minimum means the torus is too small for this covariance; the caller
-    should enlarge the padding (simulate_field doubles it automatically).
-    Each clamped eigenvalue is at least -clamp_tol * peak, so the relative
-    variance the clamp adds, Sum|lam < 0| / Sum lam, is at most
-    clamp_tol * peak * m^d / Sum lam on the m^d-site torus. That can be far
-    above clamp_tol itself: Cauchy theta=0.2 at h=0.25 on a 4096-site torus
-    has share 1.2e-7 against clamp_tol 1e-8. embedding(plan).clamped_share
-    reports the actual share.
+    The torus side m is the smallest power of two at least padding * n;
+    padding 2 gives the minimal exact embedding, m >= 2(n-1). The tolerance
+    is CLAMP_TOL of the plan's dimension: 1e-8 in d=1, and 1e-7 in d=2,
+    where the block-circulant embeddings of long-memory models keep a
+    negative floor of -3e-8 of the peak or lower that no padding removes. A
+    more negative minimum is an EmbeddingError: the torus is too small for
+    this covariance, and embedding(plan) tries the next padding. Each
+    clamped eigenvalue is at least -tol * peak, so the relative variance the
+    clamp adds, Sum|lam < 0| / Sum lam, is at most tol * peak * m^d / Sum lam
+    on the m^d-site torus. That can be far above the tolerance itself:
+    Cauchy theta=0.2 at h=0.25 on a 4096-site torus has share 1.2e-7
+    against 1e-8. embedding(plan).clamped_share reports the actual share.
     """
-    lam = _spectrum_once(plan)
+    lam = _spectrum_once(plan, padding)
+    tol = CLAMP_TOL[plan.dimension]
     peak = float(lam.max())
     low = float(lam.min())
-    if low < -plan.clamp_tol * peak:
+    if low < -tol * peak:
         raise EmbeddingError(
-            f"embedding spectrum min {low:.3e} below -{plan.clamp_tol:.0e} * max "
-            f"{peak:.3e}; enlarge the torus (padding {plan.padding})"
+            f"embedding spectrum min {low:.3e} below -{tol:.0e} * max {peak:.3e} "
+            f"at padding {padding}"
         )
     return np.maximum(lam, 0.0)
 
@@ -256,25 +236,6 @@ def _max_padding(plan):
     if plan.dimension == 1:
         return max(MAX_PADDING, min(4096, _AXIS_BUDGET // plan.n_per_axis))
     return MAX_PADDING
-
-
-def _admissible_plan(plan):
-    pad = plan.padding
-    cap = _max_padding(plan)
-    while True:
-        sites = _torus_size(plan.n_per_axis, pad) ** plan.dimension
-        if sites > _TORUS_BUDGET:
-            raise EmbeddingError(
-                f"padding {pad} needs a torus of {sites} sites, over the 2^24 "
-                f"budget; coarsen h or shrink the extent"
-            )
-        candidate = plan if pad == plan.padding else replace(plan, padding=pad)
-        try:
-            return candidate, circulant_spectrum(candidate)
-        except EmbeddingError:
-            pad *= 2
-            if pad > cap:
-                raise
 
 
 @dataclass(frozen=True)
@@ -295,18 +256,41 @@ class Embedding:
     clamped_share: float
 
 
-# The spectrum and the padding escalation do not depend on the seed, so
-# they are solved once per plan shape: embedding() is read once per table
-# row, and simulate_pairs loops draw many blocks from one plan.
+# Plans equal up to the seed share one entry: embedding() is read once per
+# table row, and simulate_pairs loops draw many blocks from one plan.
 @lru_cache(maxsize=32)
-def _seedless_embedding(plan):
-    accepted, lam = _admissible_plan(plan)
+def _embedding_and_scale(plan):
+    """(Embedding, noise scale) of plan's lattice and model.
+
+    The escalation starts at padding 2, the minimal exact torus, and doubles
+    the padding while circulant_spectrum refuses the spectrum, up to
+    _max_padding; a padding whose torus exceeds _TORUS_BUDGET sites is
+    refused before its spectrum is allocated. The noise scale is
+    sqrt(lam m^d) of the clamped spectrum lam on the m^d-site torus, each
+    value repeated twice along the last axis: the factor of a complex
+    draw's float view, real and imaginary parts interleaved.
+    """
+    padding = 2
+    while True:
+        sites = _torus_size(plan.n_per_axis, padding) ** plan.dimension
+        if sites > _TORUS_BUDGET:
+            raise EmbeddingError(
+                f"padding {padding} needs a torus of {sites} sites, over the 2^24 "
+                f"budget; coarsen h or shrink the extent"
+            )
+        try:
+            lam = circulant_spectrum(plan, padding)
+            break
+        except EmbeddingError:
+            padding *= 2
+            if padding > _max_padding(plan):
+                raise
     m = lam.shape[0]
     trace = m**plan.dimension * float(covariance_eval(plan.model, 0.0))
     emb = Embedding(
         n_per_axis=plan.n_per_axis,
         torus_side=m,
-        padding=accepted.padding,
+        padding=padding,
         clamped_share=max(0.0, float(np.sum(lam)) / trace - 1.0),
     )
     # the inverse FFT divides by m^d; scaling the noise by sqrt(m^d) up front
@@ -315,27 +299,16 @@ def _seedless_embedding(plan):
     return emb, np.repeat(np.sqrt(lam) * math.sqrt(lam.size), 2, axis=-1)
 
 
-clear_spectrum_cache = _seedless_embedding.cache_clear
-
-
-def _cached_embedding(plan):
-    """(Embedding, noise scale), cached per plan.
-
-    The noise scale is sqrt(lam m^d) of the clamped spectrum lam on the
-    m^d-site torus, each value repeated twice along the last axis: the
-    factor of a complex draw's float view, real and imaginary parts
-    interleaved.
-    """
-    return _seedless_embedding(replace(plan, seed=0))
+clear_spectrum_cache = _embedding_and_scale.cache_clear
 
 
 def embedding(plan):
     """The admissible embedding of plan: the one simulate_pairs draws from.
 
-    The escalation runs once per plan shape; later calls and every draw
-    reuse its cached result.
+    The escalation runs once per lattice and model; later calls and every
+    draw reuse its cached result.
     """
-    return _cached_embedding(plan)[0]
+    return _embedding_and_scale(plan)[0]
 
 
 def _draw_fields(plan, scale, rng, z):
@@ -343,8 +316,8 @@ def _draw_fields(plan, scale, rng, z):
 
     z is a complex (pairs, *torus) array. rng fills its float view, so the
     real and imaginary parts of each torus site are consecutive normals,
-    site after site in C order; scale (_cached_embedding) shapes that noise
-    in place, and the inverse FFTs run in place. Returns the (pairs, n) or
+    site after site in C order; scale (_embedding_and_scale) shapes that
+    noise in place, and the inverse FFTs run in place. Returns the (pairs, n) or
     (pairs, n, n) lattice corner of z.
     """
     noise = z.view(np.float64)
@@ -373,7 +346,7 @@ def simulate_pairs(plan, rng, pairs):
     Block k of window_integrals is this function's draw of that block's
     pairs from that block's generator.
     """
-    emb, scale = _cached_embedding(plan)
+    emb, scale = _embedding_and_scale(plan)
     z = np.empty((pairs,) + (emb.torus_side,) * plan.dimension, dtype=complex)
     return _draw_fields(plan, scale, rng, z).copy()
 
@@ -406,14 +379,18 @@ def _window_mask(origin, n, h, window, r):
 
     The lattice has n cells of step h per axis, the first centred at origin
     on every axis. CoverageError unless the cells cover the box of rW
-    (geometry.bounds). The mask is the per-axis interval tests of that box,
+    (geometry.bounds) to within 1e-9 of a cell, the slack of
+    SimulationPlan.n_per_axis, so a window is never refused on the lattice
+    laid out for it when rounding puts its last cell edge an ulp inside the
+    window's edge. The mask is the per-axis interval tests of that box,
     except on the d=2 disc, which tests x^2 + y^2 <= (Rr)^2; in d=1 the ball
     is its box.
     """
     box = bounds(window, r)
     lo = origin - 0.5 * h
     hi = origin + (n - 0.5) * h
-    if not all(lo <= low and hi >= high for low, high in box):
+    slack = 1e-9 * h
+    if not all(lo - slack <= low and hi + slack >= high for low, high in box):
         raise CoverageError(
             f"scaled window at r={r} exceeds the simulated extent [{lo:.3g}, {hi:.3g}]"
         )
@@ -457,14 +434,15 @@ def _window_picks(plan, window, radii):
 class WindowSums:
     """What window_integrals returns.
 
-    sums has shape (len(radii), count), and volumes holds each radius's
-    lattice volume (cell count times h^d). The fields were drawn in
-    `streams` blocks of pairs_per_stream pairs (the last may hold fewer),
-    block k from its own generator, and `workers` threads ran the blocks.
+    sums has shape (len(radii), count), and sites holds each radius's
+    number of window sites; times h^d it is the window's lattice volume.
+    The fields were drawn in `streams` blocks of pairs_per_stream pairs (the
+    last may hold fewer), block k from its own generator, and `workers`
+    threads ran the blocks.
     """
 
     sums: np.ndarray
-    volumes: tuple
+    sites: tuple
     pairs_per_stream: int
     streams: int
     workers: int
@@ -551,7 +529,7 @@ def window_integrals(plan, G, window, radii, count, stream):
     span = slice(union[0], union[-1] + 1) if union[-1] - union[0] + 1 == union.size else None
     cell = plan.h**plan.dimension
     pairs = (count + 1) // 2
-    emb, scale = _cached_embedding(plan)
+    emb, scale = _embedding_and_scale(plan)
     torus = (emb.torus_side,) * plan.dimension
     block = max(1, _BLOCK_SITES // emb.torus_side**plan.dimension)
     streams = -(-pairs // block)
@@ -576,8 +554,7 @@ def window_integrals(plan, G, window, radii, count, stream):
 
     for _ in _in_order(run, streams):
         pass
-    volumes = tuple(float(count * cell) for count in counts)
-    return WindowSums(sums[:, :count] * cell, volumes, block, streams, workers)
+    return WindowSums(sums[:, :count] * cell, tuple(counts), block, streams, workers)
 
 
 def replicate_generator(master_seed, *keys):

@@ -8,7 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
 
@@ -785,9 +785,9 @@ def _count_solves(monkeypatch):
     solves = []
     checked = fieldsim.circulant_spectrum
 
-    def counted(plan):
-        solves.append((plan.extent, plan.padding))
-        return checked(plan)
+    def counted(plan, padding):
+        solves.append((plan.extent, padding))
+        return checked(plan, padding)
 
     monkeypatch.setattr(fieldsim, "circulant_spectrum", counted)
     fieldsim.clear_spectrum_cache()
@@ -971,13 +971,15 @@ def test_simulate_field_defaults_come_from_fieldsim(tmp_path):
     assert np.array_equal(got.values, fieldsim.simulate_field(plan).values)
 
 
-def test_padding_one_is_refused_on_the_command_line(tmp_path, capsys):
+@pytest.mark.parametrize("flags", [["--padding", "4"], ["--clamp-tol", "1e-6"]])
+def test_removed_field_options_fail_at_argparse(tmp_path, capsys, flags):
+    # fieldsim alone chooses the torus and the clamp
     argv = ["simulate", "field", "--model", MODEL, "--h", "1.0", "--extent", "8.0",
-            "--padding", "1", "--out", str(tmp_path / "field.npz")]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("rosenlab: padding must be >= 2")
-    assert err.count("\n") == 1 and "Traceback" not in err
+            "--out", str(tmp_path / "field.npz"), *flags]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
     assert not (tmp_path / "field.npz").exists()
 
 
@@ -1260,10 +1262,15 @@ def test_simulate_field_takes_the_d2_clamp_from_fieldsim(tmp_path):
     plan = fieldsim.SimulationPlan(
         model=expcli.model_from_json(model), dimension=2, h=1.0, extent=8.0, seed=4
     )
-    assert plan.clamp_tol == fieldsim.CLAMP_TOL[2] == 1e-7
+    assert fieldsim.CLAMP_TOL[2] == 1e-7
     emb = fieldsim.embedding(plan)
     assert (emb.padding, emb.torus_side) == (64, 1024)
     assert 0.0 < emb.clamped_share < 1e-5
+    # the manifest reports the embedding the field was drawn from
+    manifest = json.loads((tmp_path / "field.npz.manifest.json").read_text(encoding="utf-8"))
+    drawn = manifest["config"]["derived_embedding"]
+    assert (drawn["padding"], drawn["torus_side"]) == (64, 1024)
+    assert drawn == asdict(emb)
     got = fieldsim.import_field(str(out))
     assert got.values.shape == (16, 16)
     assert np.array_equal(got.values, fieldsim.simulate_field(plan).values)

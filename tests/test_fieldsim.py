@@ -50,13 +50,12 @@ def test_plan_validation():
     with pytest.raises(ParameterError):
         SimulationPlan(model=m, dimension=1, h=-0.5, extent=4.0, seed=0)
     with pytest.raises(ParameterError):
-        SimulationPlan(model=m, dimension=1, h=0.5, extent=4.0, seed=0, clamp_tol=1e-5)
-    with pytest.raises(ParameterError):
         # per-axis point budget
         SimulationPlan(model=m, dimension=1, h=1e-6, extent=8.0, seed=0)
-    with pytest.raises(ParameterError, match="padding"):
-        # 16 points on a 16-site torus: lag 15 would wrap onto lag 1
-        SimulationPlan(model=m, dimension=1, h=1.0, extent=8.0, seed=0, padding=1)
+    for knob in ({"padding": 4}, {"clamp_tol": 1e-6}):
+        # the torus and the clamp are embedding()'s to choose
+        with pytest.raises(TypeError, match=next(iter(knob))):
+            SimulationPlan(model=m, dimension=1, h=1.0, extent=8.0, seed=0, **knob)
     with pytest.raises(ParameterError, match="model dimension 1"):
         # the model's long-memory parameters were declared for d=1
         SimulationPlan(model=m, dimension=2, h=1.0, extent=8.0, seed=0)
@@ -81,8 +80,9 @@ def test_check_seed_takes_numpy_integers():
 
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_minimal_torus_draws_have_covariance_b_at_every_lattice_lag(dimension):
-    # n = 16 points embed at the default padding 2 on a 32-site torus side,
-    # so the largest lattice lag n - 1 = 15 stays apart from its wrap 17
+    # n = 16 points embed at padding 2, where the escalation starts, on a
+    # 32-site torus side, so the largest lattice lag n - 1 = 15 stays apart
+    # from its wrap 17
     model = cauchy(dimension, 0.2 if dimension == 1 else 0.3)
     plan = SimulationPlan(model=model, dimension=dimension, h=1.0, extent=8.0, seed=0)
     n = plan.n_per_axis
@@ -95,7 +95,7 @@ def test_minimal_torus_draws_have_covariance_b_at_every_lattice_lag(dimension):
     else:
         lags = [(j, 0) for j in k] + [(0, j) for j in k] + [(j, j) for j in k]
     # exact: the covariance of the embedding drawn from, at every lag
-    lam = circulant_spectrum(replace(plan, padding=emb.padding))
+    lam = circulant_spectrum(plan, emb.padding)
     implied = np.fft.ifftn(lam).real
     for lag in lags:
         want = float(covariance_eval(model, plan.h * math.hypot(*lag)))
@@ -118,7 +118,7 @@ def test_clamped_share_is_the_negative_eigenvalue_mass():
     emb = embedding(plan)
     assert emb.padding > 2
     assert emb.torus_side == 2 ** math.ceil(math.log2(emb.padding * emb.n_per_axis))
-    raw = _spectrum_once(replace(plan, padding=emb.padding))
+    raw = _spectrum_once(plan, emb.padding)
     share = -float(np.sum(raw[raw < 0.0])) / float(np.sum(raw))
     assert share > 0.0
     assert emb.clamped_share == pytest.approx(share, abs=1e-14)
@@ -127,14 +127,15 @@ def test_clamped_share_is_the_negative_eigenvalue_mass():
 def test_clamped_share_stays_within_its_stated_bound():
     # the lattice every r of a Cauchy theta=0.2, h=0.25 experiment up to
     # r=256 on the unit interval is drawn on. Each clamped eigenvalue is
-    # >= -clamp_tol * peak, so the share is at most clamp_tol * peak * m / sum
-    # lam; it is not bounded by clamp_tol itself, which it exceeds here
+    # >= -tol * peak, so the share is at most tol * peak * m / sum lam; it is
+    # not bounded by the tolerance itself, which it exceeds here
     plan = SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=0.25, extent=256.0, seed=0)
     emb = embedding(plan)
     assert (emb.padding, emb.torus_side) == (2, 4096)
-    raw = _spectrum_once(plan)
-    bound = plan.clamp_tol * float(raw.max()) * emb.torus_side / float(np.sum(raw))
-    assert plan.clamp_tol < emb.clamped_share <= bound
+    raw = _spectrum_once(plan, 2)
+    tol = fieldsim.CLAMP_TOL[1]
+    bound = tol * float(raw.max()) * emb.torus_side / float(np.sum(raw))
+    assert tol < emb.clamped_share <= bound
 
 
 def test_white_noise_spectrum_flat(monkeypatch):
@@ -143,7 +144,7 @@ def test_white_noise_spectrum_flat(monkeypatch):
         fieldsim, "covariance_eval", lambda model, r: np.where(np.asarray(r) == 0.0, 1.0, 0.0)
     )
     plan = SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=1.0, extent=8.0, seed=0)
-    lam = circulant_spectrum(plan)
+    lam = circulant_spectrum(plan, 2)
     assert np.allclose(lam, 1.0, atol=1e-12)
 
 
@@ -152,7 +153,7 @@ def test_circulant_spectrum_matches_dense_eigenvalues():
     # covariance at wrapped torus lags, up to the clamp of small negatives
     for d, theta in ((1, 0.2), (2, 0.3)):
         plan = SimulationPlan(model=cauchy(d, theta), dimension=d, h=1.0, extent=8.0, seed=0)
-        lam = circulant_spectrum(plan)
+        lam = circulant_spectrum(plan, 2)
         m = lam.shape[0]
         k = np.arange(m)
         wrap = np.minimum(k, m - k)
@@ -160,7 +161,7 @@ def test_circulant_spectrum_matches_dense_eigenvalues():
         lags = wrap[np.abs(sites[:, None, :] - sites[None, :, :])]
         dense = covariance_eval(plan.model, plan.h * np.sqrt(np.sum(lags**2, axis=-1)))
         want = np.linalg.eigvalsh(dense)
-        tol = plan.clamp_tol * float(want.max())
+        tol = fieldsim.CLAMP_TOL[d] * float(want.max())
         np.testing.assert_allclose(np.sort(lam.ravel()), np.maximum(want, 0.0), rtol=0, atol=tol)
 
 
@@ -168,35 +169,28 @@ def test_spectrum_mean_is_unit_variance():
     # (1/N) sum of the embedding eigenvalues equals B(0) = 1
     plans = (
         SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=0.5, extent=16.0, seed=0),
-        # this d = 2 grid embeds with a nonnegative spectrum at the default padding
+        # this d = 2 grid embeds with a nonnegative spectrum at padding 2
         SimulationPlan(model=cauchy(2, 0.3), dimension=2, h=1.0, extent=8.0, seed=0),
     )
     for plan in plans:
-        lam = circulant_spectrum(plan)
+        lam = circulant_spectrum(plan, 2)
         assert float(lam.mean()) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_long_grid_embedding_admissible():
-    # 2^16-point lattice embeds directly at the default clamp
+    # 2^16-point lattice embeds directly at the d=1 clamp
     plan = SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=0.125, extent=4096.0, seed=0)
     assert plan.n_per_axis == 2**16
-    raw = _spectrum_once(plan)
+    raw = _spectrum_once(plan, 2)
     assert float(raw.min()) >= -1e-8 * float(raw.max())
 
 
-def test_embedding_error_and_clamp_opt_in():
-    # this d=2 grid bottoms out near -2.1e-7 relative: below the d=2 default
-    # clamp 1e-7, inside the largest opt-in clamp
-    tight = SimulationPlan(
-        model=cauchy(2, 0.2), dimension=2, h=0.5, extent=16.0, seed=0, padding=16
-    )
-    with pytest.raises(EmbeddingError):
-        circulant_spectrum(tight)
-    loose = SimulationPlan(
-        model=cauchy(2, 0.2), dimension=2, h=0.5, extent=16.0, seed=0, padding=16, clamp_tol=1e-6
-    )
-    lam = circulant_spectrum(loose)
-    assert float(lam.min()) >= 0.0
+def test_embedding_error_below_the_clamp():
+    # this d=2 grid bottoms out near -2.1e-7 relative at padding 16: below
+    # the d=2 clamp 1e-7
+    plan = SimulationPlan(model=cauchy(2, 0.2), dimension=2, h=0.5, extent=16.0, seed=0)
+    with pytest.raises(EmbeddingError, match="below -1e-07 \\* max .* at padding 16$"):
+        circulant_spectrum(plan, 16)
 
 
 def test_simulate_field_deterministic():
@@ -252,13 +246,17 @@ def test_replicate_generator_refuses_a_key_outside_32_bits(monkeypatch, key):
         replicate_generator(5, 3, key)
 
 
-def test_clamp_tolerance_defaults_per_dimension():
-    for d, tol in ((1, 1e-8), (2, 1e-7)):
-        plan = SimulationPlan(model=cauchy(d, 0.2), dimension=d, h=1.0, extent=8.0, seed=0)
-        assert plan.clamp_tol == fieldsim.CLAMP_TOL[d] == tol
-        # an explicit tolerance wins, and the escalation keeps it
-        tight = replace(plan, clamp_tol=1e-9)
-        assert replace(tight, padding=8).clamp_tol == 1e-9
+def test_the_clamp_tolerance_is_fixed_per_dimension(monkeypatch):
+    assert fieldsim.CLAMP_TOL == {1: 1e-8, 2: 1e-7}
+    # this d=2 lattice dips below -1e-8 of its peak up to padding 64, where
+    # the d=2 tolerance admits it; the d=1 tolerance would refuse it there
+    plan = SimulationPlan(model=cauchy(2, 0.1), dimension=2, h=1.0, extent=8.0, seed=0)
+    raw = _spectrum_once(plan, 64)
+    assert -1e-7 < float(raw.min()) / float(raw.max()) < -1e-8
+    assert float(circulant_spectrum(plan, 64).min()) == 0.0
+    monkeypatch.setitem(fieldsim.CLAMP_TOL, 2, 1e-8)
+    with pytest.raises(EmbeddingError):
+        circulant_spectrum(plan, 64)
 
 
 def test_site_marginals():
@@ -310,7 +308,7 @@ def test_simulate_field_keeps_its_stream():
         (SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=0.5, extent=16.0, seed=8), np.fft.ifft),
         (SimulationPlan(model=cauchy(2, 0.3), dimension=2, h=1.0, extent=8.0, seed=8), np.fft.ifft2),
     ):
-        lam = circulant_spectrum(plan)
+        lam = circulant_spectrum(plan, embedding(plan).padding)
         scale = np.sqrt(lam) * np.sqrt(lam.size)
         noise = np.random.default_rng(8).standard_normal(lam.shape + (2,))
         z = noise[..., 0] * scale + 1j * (noise[..., 1] * scale)
@@ -348,7 +346,7 @@ def test_window_integrals_are_block_invariant(monkeypatch):
     assert embedding(plan).torus_side == 128
     assert (result.pairs_per_stream, result.streams) == (2048, 1)
     fld = simulate_field(plan, rng=stream(0))
-    assert result.volumes == tuple(lattice_window_volume(fld, w, r) for r in radii)
+    assert result.sites == tuple(lattice_window_volume(fld, w, r) / plan.h for r in radii)
     # the first sums come from the field simulate_field draws from stream 0
     assert list(sums[:, 0]) == [functional_integral(fld, G, w, r) for r in radii]
     assert np.array_equal(window_integrals(plan, G, w, radii, 1002, stream).sums[:, :1001], sums)
@@ -365,7 +363,7 @@ def test_window_integrals_are_block_invariant(monkeypatch):
     # plan's edge; its window is read off plan's lattice all the same
     off = window_integrals(plan, G, w, (7.5,), 10, stream)
     assert off.sums[0, 0] == functional_integral(fld, G, w, 7.5)
-    assert off.volumes == (lattice_window_volume(fld, w, 7.5),)
+    assert off.sites == (lattice_window_volume(fld, w, 7.5) / plan.h,)
 
 
 def test_the_largest_radius_sums_as_if_drawn_alone():
@@ -376,7 +374,9 @@ def test_the_largest_radius_sums_as_if_drawn_alone():
     shared = window_integrals(plan, G, w, (2.0, 4.0, 8.0), 301, stream)
     alone = window_integrals(plan, G, w, (8.0,), 301, stream)
     assert np.array_equal(shared.sums[-1], alone.sums[0])
-    assert shared.volumes[-1] == alone.volumes[0]
+    assert shared.sites[-1] == alone.sites[0] == lattice_window_volume(
+        simulate_field(plan), w, 8.0
+    ) / plan.h
     # the smaller windows read sub-blocks of the same fields, so they are
     # correlated with the largest one
     assert np.corrcoef(shared.sums[1], shared.sums[2])[0, 1] > 0.3
@@ -758,7 +758,36 @@ def test_the_lattice_covers_its_extent():
     plan = SimulationPlan(model=m, dimension=1, h=0.3, extent=window_extent(ball(1), 8.0), seed=0)
     G = functional_catalog("h2")
     result = window_integrals(plan, G, ball(1), (8.0,), 2, partial(replicate_generator, 0, 0))
-    assert result.volumes == (54 * 0.3,)
+    assert result.sites == (54,)
+    assert lattice_window_volume(simulate_field(plan), ball(1), 8.0) / 0.3 == 54
+
+
+def test_every_window_fits_the_lattice_laid_out_for_it():
+    # rounding put the last cell edge of 151 of the 39800 lattices of the
+    # grid an ulp inside the window they were laid out for, which was then
+    # refused; so was r=1.1 at h=0.01 on the unit interval
+    m = cauchy(1, 0.2)
+    refused = []
+    for window in (ball(1), ball(1, 0.7)):
+        for h in (round(0.01 * i, 2) for i in range(1, 200)):
+            for r in (1.1, *(round(0.05 + 0.2 * j, 2) for j in range(100))):
+                extent = window_extent(window, r)
+                plan = SimulationPlan(model=m, dimension=1, h=h, extent=extent, seed=0)
+                try:
+                    fieldsim._window_mask(plan.origin, plan.n_per_axis, h, window, r)
+                except CoverageError:
+                    refused.append((window.radius, h, r))
+    assert refused == []
+
+
+@pytest.mark.parametrize("r", [8.0 + 1e-9, 8.1, 16.0])
+def test_a_window_past_the_lattice_is_refused(r):
+    # the lattice of extent 8 at h = 0.25 ends at +-8 exactly; the check's
+    # slack is 1e-9 of a cell, 2.5e-10 here
+    plan = SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=0.25, extent=8.0, seed=0)
+    fieldsim._window_mask(plan.origin, plan.n_per_axis, plan.h, ball(1), 8.0)
+    with pytest.raises(CoverageError, match=f"at r={r} exceeds the simulated extent"):
+        fieldsim._window_mask(plan.origin, plan.n_per_axis, plan.h, ball(1), r)
 
 
 @pytest.mark.parametrize("d, theta, h, r, n, origin, torus", [
@@ -887,14 +916,15 @@ def test_field_export_round_trip(tmp_path):
             import_field(str(other))
 
 
-def test_padding_escalation_has_a_torus_budget():
-    # 2048 points per axis at padding 4 need an 8192^2 torus, over the 2^24
-    # site budget: refused before the spectrum is allocated (at the default
-    # padding 2 they need exactly 2^24 sites, which the budget admits)
-    plan = SimulationPlan(
-        model=cauchy(2, 0.3), dimension=2, h=1.0, extent=1024.0, seed=0, padding=4
-    )
-    with pytest.raises(EmbeddingError, match="budget"):
+def test_padding_escalation_has_a_torus_budget(monkeypatch):
+    # 4096 points per axis need an 8192^2 torus already at padding 2, over
+    # the 2^24 site budget: refused before the spectrum is allocated
+    def allocated(*args):
+        raise AssertionError("spectrum allocated")
+
+    monkeypatch.setattr(fieldsim, "_spectrum_once", allocated)
+    plan = SimulationPlan(model=cauchy(2, 0.3), dimension=2, h=1.0, extent=2048.0, seed=0)
+    with pytest.raises(EmbeddingError, match="padding 2 needs a torus of 67108864 sites"):
         simulate_field(plan)
 
 
@@ -908,3 +938,23 @@ def test_spectrum_cache_reuse_is_fast():
     for i in range(50):
         simulate_field(plan, rng=replicate_generator(5, i))
     assert time.perf_counter() - t0 < 2.0
+
+
+def test_plans_that_differ_in_seed_alone_share_one_solve(monkeypatch):
+    solved = []
+
+    def counted(plan, padding):
+        solved.append(padding)
+        return circulant_spectrum(plan, padding)
+
+    monkeypatch.setattr(fieldsim, "circulant_spectrum", counted)
+    clear_spectrum_cache()
+    plans = [
+        SimulationPlan(model=cauchy(1, 0.2), dimension=1, h=1.0, extent=8.0, seed=seed)
+        for seed in (1, 2)
+    ]
+    first, second = (simulate_field(plan) for plan in plans)
+    clear_spectrum_cache()
+    assert solved == [2]
+    assert plans[0] == plans[1]
+    assert not np.array_equal(first.values, second.values)
