@@ -27,6 +27,7 @@ from .errors import (
     ParameterError,
     RegimeError,
     UnsupportedModelError,
+    check_dimension,
     check_json_object,
 )
 from .specfun import hyp1f2_cosine
@@ -59,8 +60,7 @@ class CovarianceModel:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if int(self.dimension) != self.dimension or self.dimension < 1:
-            raise ParameterError(f"dimension must be a positive integer, got {self.dimension}")
+        object.__setattr__(self, "dimension", check_dimension(self.dimension))
         if not self.theta > 0.0:
             raise ParameterError(f"theta must be positive, got {self.theta}")
         if self.family == "cauchy":
@@ -83,15 +83,15 @@ class CovarianceModel:
 
 
 def cauchy(dimension, theta):
-    return CovarianceModel("cauchy", int(dimension), float(theta))
+    return CovarianceModel("cauchy", dimension, float(theta))
 
 
 def linnik(dimension, sigma, theta):
-    return CovarianceModel("linnik", int(dimension), float(theta), sigma=float(sigma))
+    return CovarianceModel("linnik", dimension, float(theta), sigma=float(sigma))
 
 
 def local_global(dimension, alpha, theta):
-    return CovarianceModel("localglobal", int(dimension), float(theta), alpha=float(alpha))
+    return CovarianceModel("localglobal", dimension, float(theta), alpha=float(alpha))
 
 
 def model_to_json(model):

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the checks of a seed and
-of a JSON descriptor.
+"""Exception types shared across the package, and the checks of a seed, of
+a dimension and of a JSON descriptor.
 
 Each class marks one failure category so tests and callers can tell a bad
 argument from a numerical breakdown. Everything derives from RosenlabError.
@@ -71,15 +71,26 @@ def check_seed(seed):
     return int(seed)
 
 
+def check_dimension(dimension):
+    """dimension as an int, or ParameterError unless it is a positive integer.
+
+    A bool, a float (1.5 or 2.0) and text are refused, not truncated, so a
+    descriptor's "d": 1.5 or "d": true builds nothing.
+    """
+    if isinstance(dimension, bool) or not isinstance(dimension, Integral) or dimension < 1:
+        raise ParameterError(f"dimension must be a positive integer, got {dimension!r}")
+    return int(dimension)
+
+
 def check_json_object(text, what):
-    """A JSON object's text, or a mapping, as a dict; else ParameterError.
+    """A JSON object's text as a dict; else ParameterError.
 
     Text that is not JSON, and JSON that is not an object, are refused here,
     not later with a JSONDecodeError or AttributeError; what names the text.
     """
     try:
-        obj = json.loads(text) if isinstance(text, str) else dict(text)
-    except (TypeError, ValueError):
+        obj = json.loads(text)
+    except ValueError:
         obj = None
     if not isinstance(obj, dict):
         raise ParameterError(f"{what} must be a JSON object, got {reprlib.repr(text)}")

@@ -10,7 +10,9 @@ seed, a tag and k. A block depends on its own stream only, so output tables
 are bit-identical for any number of worker threads and any assignment of
 blocks to them, and the largest r's row is the same for every grid that
 ends at that r. Each file-producing invocation writes a JSON manifest next
-to its output recording the merged configuration, versions, and wall time.
+to its output recording every value it read, versions, and wall time. Every
+value comes from its flag or its default: argv is the command line's only
+input.
 
 The reference law is the chi-square series itself: its CDF is evaluated
 exactly by characteristic-function inversion, so rho carries only the
@@ -44,7 +46,7 @@ from .covmodels import (
     residual_exponent_fit,
     spectral_density,
 )
-from .errors import ParameterError, RankError, RosenlabError, check_json_object, check_seed
+from .errors import ParameterError, RankError, RosenlabError, check_seed
 # functional_integral is not called here; the perfbench tracer test reaches
 # it through this module's namespace
 from .fieldsim import (  # noqa: F401
@@ -102,6 +104,10 @@ _REPLICATE_TAG = 0xF1E1D
 # text of at most two per worker beyond the one being written, about
 # 0.3 MB each for 2**14 draws
 _CSV_CHUNK = 2**14
+# replicates x len(r_grid), the values a rate experiment holds: each is kept
+# as its window sum, its CDF value and its sort index, 24 bytes, so the
+# budget takes 400 MB
+_VALUE_BUDGET = 2**24
 
 
 @dataclass(frozen=True)
@@ -125,6 +131,11 @@ class ExperimentConfig:
         if self.replicates < 1000:
             raise ParameterError(
                 f"distance estimates need >= 1000 replicates per r, got {self.replicates}"
+            )
+        if self.replicates * len(r) > _VALUE_BUDGET:
+            raise ParameterError(
+                f"{self.replicates} replicates at {len(r)} r are "
+                f"{self.replicates * len(r)} values, over the 2^24 budget"
             )
         if not self.h > 0.0:
             raise ParameterError(f"lattice step must be positive, got {self.h}")
@@ -598,18 +609,9 @@ def _read_text(path, flag):
         raise ParameterError(f"cannot read --{flag} {path!r}: {exc.strerror}") from None
 
 
-def _path(value, name):
-    """value, or ParameterError unless it is text: a config document's
-    number or list is no path."""
-    if not isinstance(value, str):
-        raise ParameterError(f"--{name} must be a path, got {value!r}")
-    return value
-
-
 def _out_path(out, name):
-    """out, or ParameterError unless it is a path naming a file in an
-    existing directory."""
-    _path(out, name)
+    """out, or ParameterError unless it names a file in an existing
+    directory."""
     folder = os.path.dirname(out) or "."
     if not os.path.isdir(folder):
         raise ParameterError(f"cannot write --{name} {out!r}: no directory {folder!r}")
@@ -618,18 +620,16 @@ def _out_path(out, name):
     return out
 
 
-def _number(kind, value, name):
-    """value as an int or a float (kind), or ParameterError naming --name.
+def _number(kind, text, name):
+    """text read as an int or a float (kind), or ParameterError naming --name.
 
     An int must be written as one: 1.5 and true are refused, not truncated.
     """
     try:
-        if isinstance(value, bool) or (kind is int and isinstance(value, float)):
-            raise TypeError
-        return kind(value)
-    except (TypeError, ValueError):
+        return kind(text)
+    except ValueError:
         noun = "an integer" if kind is int else "a number"
-        raise ParameterError(f"--{name} must be {noun}, got {value!r}") from None
+        raise ParameterError(f"--{name} must be {noun}, got {text!r}") from None
 
 
 _int = partial(_number, int)
@@ -637,17 +637,16 @@ _float = partial(_number, float)
 
 
 def _floats(text, name):
-    """A nonempty list of numbers, or one comma-separated string of them."""
-    if not isinstance(text, (list, tuple)):
-        text = [tok for tok in str(text).split(",") if tok.strip()]
-    if not text:
+    """A nonempty comma-separated list of numbers."""
+    values = [_float(tok, name) for tok in text.split(",") if tok.strip()]
+    if not values:
         raise ParameterError(f"--{name} must hold at least one number")
-    return [_float(v, name) for v in text]
+    return values
 
 
 def _grid(text, name):
     """start:stop:count linear grid with count >= 1, or a comma list."""
-    if isinstance(text, str) and ":" in text:
+    if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ParameterError(f"--{name} grid must be start:stop:count, got {text!r}")
@@ -660,9 +659,7 @@ def _grid(text, name):
 
 
 def _switch(value, name):
-    """True when the flag is given; a config value must be JSON true or false."""
-    if not isinstance(value, bool):
-        raise ParameterError(f"--{name} must be true or false, got {value!r}")
+    """A flag without a value: argparse stores True when it is given."""
     return value
 
 
@@ -680,11 +677,10 @@ def _seed(value, name):
 class _Option:
     """One command line option, declared once.
 
-    kind reads a flag's text or a config value into what the handler gets:
-    _int, _float, _floats, _grid, _seed, _path, _out_path or _switch (a flag
-    without a value); None passes a JSON descriptor through as given. keys
-    are the --config keys that may hold the value, the flag unless given; a
-    document may name only one of them.
+    kind reads the flag's text into what the handler gets: _int, _float,
+    _floats, _grid, _seed, _out_path or _switch (a flag without a value);
+    None passes the text through as given, such as a JSON descriptor or a
+    path.
     """
 
     flag: str
@@ -692,26 +688,14 @@ class _Option:
     default: object = None
     required: bool = False
     help: str = None
-    keys: tuple = None
-
-    def __post_init__(self):
-        if self.keys is None:
-            object.__setattr__(self, "keys", (self.flag,))
 
     @property
     def dest(self):
         return self.flag.replace("-", "_")
 
-    def read(self, args, doc):
-        """The flag's value, else the config document's, else the default."""
-        named = [key for key in self.keys if key in doc]
-        if len(named) > 1:
-            raise ParameterError(
-                f"config document names both {named[0]!r} and {named[1]!r}; give one"
-            )
+    def read(self, args):
+        """The flag's value, else the default."""
         value = getattr(args, self.dest)
-        if value is None and named:
-            value = doc[named[0]]
         if value is None:
             if self.required:
                 raise ParameterError(f"missing required option --{self.flag}")
@@ -839,7 +823,7 @@ _CURVE_FAMILY_OPTIONS = {"localglobal": ("theta",), "linnik": ("d", "sigma")}
 
 
 def _cmd_rate_curves(opts, out, seed):
-    family = str(opts["family"])
+    family = opts["family"]
     if family not in _CURVE_FAMILY_OPTIONS:
         raise ParameterError(f"unknown curve family {family!r}; use localglobal or linnik")
     unread = [
@@ -866,7 +850,7 @@ def _cmd_rate_curves(opts, out, seed):
 def _cmd_rate_experiment(opts, out, seed):
     config = ExperimentConfig(
         model=model_from_json(opts["model"]), window=set_from_json(opts["set"]),
-        functional=str(opts["functional"]), r_grid=tuple(opts["r"]),
+        functional=opts["functional"], r_grid=tuple(opts["r"]),
         replicates=opts["replicates"], master_seed=seed, h=opts["h"], out=out,
     )
     table = rate_experiment(config)
@@ -905,9 +889,9 @@ _EXPONENTS = (
 
 # "group action" -> (handler(opts, out, seed) returning (header, rows, info),
 # its options). Each option is declared here once: _build_parser makes its
-# flag, _run refuses config keys no option names and reads each value into
-# opts under its argparse dest. header is None for commands that write their
-# own output file.
+# flag, and _run reads its value into opts under its argparse dest, which is
+# also its key in the manifest's config. header is None for commands that
+# write their own output file.
 _COMMANDS = {
     "covariance eval": (_cmd_covariance_eval, (
         _MODEL,
@@ -941,7 +925,7 @@ _COMMANDS = {
         _Option("alpha", _float, required=True, help="long-memory exponent"),
     )),
     "rosenblatt sample": (_cmd_rosenblatt_sample, (
-        _Option("series", _path, required=True, help="series JSON path from rosenblatt build"),
+        _Option("series", required=True, help="series JSON path from rosenblatt build"),
         _Option("n", _int, required=True, help="number of draws"),
     )),
     "rate bound": (_cmd_rate_bound, (
@@ -958,10 +942,9 @@ _COMMANDS = {
     )),
     "rate experiment": (_cmd_rate_experiment, (
         _MODEL,
-        replace(_SET, keys=("window",)),
+        _SET,
         _Option("functional", required=True, help="rank-2 functional name"),
-        _Option("r", _floats, required=True, help="comma-separated window scales",
-                keys=("r_grid",)),
+        _Option("r", _floats, required=True, help="comma-separated window scales"),
         _Option("replicates", _int, 1000, help="replicates per r (default 1000)"),
         _Option("h", _float, 0.25, help="lattice step (default 0.25)"),
     )),
@@ -971,11 +954,10 @@ _COMMANDS = {
         _Option("no-refine", _switch, False, help="skip the local refinement"),
     )),
 }
-# --config, which has no config key, and the options of every command
-_CONFIG = _Option("config", help="JSON document with option defaults", keys=())
+# the options of every command
 _COMMON = (
     _Option("out", _out_path, help="output path (stdout when omitted)"),
-    _Option("seed", _seed, 0, help="master seed (default 0)", keys=("seed", "master_seed")),
+    _Option("seed", _seed, 0, help="master seed (default 0)"),
 )
 _GROUP_HELP = dict(
     covariance="covariance evaluation", spectral="spectral densities",
@@ -1006,7 +988,7 @@ def _build_parser():
                 dest="action", required=True
             )
         p = groups[group].add_parser(action)
-        for opt in (_CONFIG, *_COMMON, *options):
+        for opt in (*_COMMON, *options):
             switch = {"action": "store_true"} if opt.kind is _switch else {}
             p.add_argument(f"--{opt.flag}", dest=opt.dest, default=None, help=opt.help, **switch)
     return parser
@@ -1027,26 +1009,14 @@ def _run(args):
     """Read the command's options, run its handler, write its output and
     manifest.
 
-    The --config document may hold only the keys of the command's options
-    and of _COMMON; any other key is refused before anything is read. Each
-    option is then read by _Option.read, the common ones first, so a
+    Each option is read by _Option.read, the common ones first, so a
     malformed or missing value is refused before any work. The manifest's
     config records every value read, typed, under its argparse dest, next
-    to the document itself and the handler's derived_ values.
+    to the handler's derived_ values.
     """
     command = f"{args.group} {args.action}"
     handler, options = _COMMANDS[command]
-    doc = {} if args.config is None else check_json_object(
-        _read_text(args.config, "config"), "config document"
-    )
-    keys = [key for opt in (*options, *_COMMON) for key in opt.keys]
-    unknown = sorted(set(doc) - set(keys))
-    if unknown:
-        raise ParameterError(
-            f"config key(s) {', '.join(map(repr, unknown))} not read by {command!r}; "
-            f"it reads {', '.join(map(repr, keys))}"
-        )
-    opts = {opt.dest: opt.read(args, doc) for opt in (*_COMMON, *options)}
+    opts = {opt.dest: opt.read(args) for opt in (*_COMMON, *options)}
     out, seed = opts["out"], opts["seed"]
     t0 = time.perf_counter()
 
@@ -1064,7 +1034,6 @@ def _run(args):
 
     wall = time.perf_counter() - t0
     merged = {k: v for k, v in opts.items() if v is not None}
-    merged["config_document"] = doc
     merged.update({f"derived_{k}": v for k, v in info.items()})
     manifest = _write_manifest(out, command, merged, wall, {"master_seed": seed}, outputs)
     if manifest is not None:

@@ -28,6 +28,7 @@ from .errors import (
     IntegrabilityError,
     ParameterError,
     UnsupportedModelError,
+    check_dimension,
     check_json_object,
 )
 from .specfun import y_d_kernel
@@ -60,8 +61,7 @@ class DomainSet:
     def __post_init__(self):
         if self.shape not in ("ball", "rect"):
             raise ParameterError(f"unknown window shape {self.shape!r}")
-        if int(self.dimension) != self.dimension or self.dimension < 1:
-            raise ParameterError(f"dimension must be a positive integer, got {self.dimension}")
+        object.__setattr__(self, "dimension", check_dimension(self.dimension))
         if self.shape == "ball":
             if not self.radius > 0.0:
                 raise ParameterError(f"ball radius must be positive, got {self.radius}")
@@ -77,7 +77,7 @@ class DomainSet:
 
 
 def ball(dimension, radius=1.0):
-    return DomainSet("ball", int(dimension), radius=float(radius))
+    return DomainSet("ball", dimension, radius=float(radius))
 
 
 def rectangle(lower, upper):

@@ -122,6 +122,8 @@ _CDF_TOL = 1e-12
 _CDF_MAX_NODES = 2**20
 _TABLE_INTERP_TOL = 1e-10
 _TABLE_MAX_CELLS = 2**22
+# draws sample returns, 1 GiB of them at the budget
+_SAMPLE_BUDGET = 2**27
 # the shortest transform of the CDF table, and the values its working
 # arrays hold per group of transforms
 _SHORT_FFT = 4096
@@ -206,7 +208,7 @@ class EigenSeries:
     @cached_property
     def inversion_rule(self):
         """The midpoint rule series_cdf and cdf_table invert phi with at the
-        default tolerance 1e-12, computed on first use and kept.
+        tolerance _CDF_TOL = 1e-12, computed on first use and kept.
 
         A tuple (lo, hi, u, weight, phase): the Chernoff points and the
         nodes, weights and phases of _inversion_terms. AccuracyError, not
@@ -500,12 +502,15 @@ def sample(series, n, seed):
     np.interp(u, table.cdf, table.x) at the uniform u of its place in the
     stream. AccuracyError where the table cannot be built (see
     EigenSeries.cdf_table), and ParameterError for a seed that is not a
-    nonnegative integer.
+    nonnegative integer or for n outside [1, _SAMPLE_BUDGET], before the
+    table is built.
     """
     rng = replicate_generator(seed)
     n = int(n)
     if n < 1:
         raise ParameterError(f"sample count must be >= 1, got {n}")
+    if n > _SAMPLE_BUDGET:
+        raise ParameterError(f"sample count {n} exceeds the 2^27 budget")
     table = series.cdf_table
     out = np.empty(n)
     for start in range(0, n, _SAMPLE_BLOCK):
@@ -667,7 +672,7 @@ def _cdf_table(rule, tol):
     return CdfTable(x=x, cdf=cdf, ks_bound=float(interp) + tol)
 
 
-def series_cdf(series, x, tol=_CDF_TOL):
+def series_cdf(series, x):
     """CDF of sum_j nu_j (Z_j^2 - 1) at x by Gil-Pelaez inversion.
 
     F(x) = 1/2 - (1/pi) int_0^inf Im[phi(u) e^(-iux)] / u du with the closed
@@ -678,18 +683,15 @@ def series_cdf(series, x, tol=_CDF_TOL):
     [a_lo, a_hi]. The rule stops at the first power-of-two node count K
     whose remainder int_U^inf |phi|/u du <= |phi(U)|/s(U), U = K du and
     s = -dlog|phi|/dlog u (growing in u), is below tol/2; AccuracyError if
-    that needs over 2^20 nodes, as for one- or two-term series. At the
-    default tol the rule is the series' inversion_rule, computed once per
+    that needs over 2^20 nodes, as for one- or two-term series. tol is
+    _CDF_TOL, and the rule is the series' inversion_rule, computed once per
     series.
 
     The sum F(x) = 1/2 - sum_k weight_k sin(phase_k - u_k x) takes no sine
     per node (_midpoint_sum).
     """
     x = np.asarray(x, dtype=float)
-    if tol == _CDF_TOL:
-        lo, hi, u, weight, phase = series.inversion_rule
-    else:
-        lo, hi, u, weight, phase = _inversion_rule(np.asarray(series.eigenvalues, dtype=float), tol)
+    lo, hi, u, weight, phase = series.inversion_rule
     flat = np.clip(x, lo, hi).ravel()
     return np.clip(0.5 - _midpoint_sum(u, weight, phase, flat), 0.0, 1.0).reshape(x.shape)
 

@@ -1,6 +1,7 @@
 """Covariance families, spectral densities, and long-memory parameter extraction."""
 
 import math
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -64,6 +65,12 @@ def test_model_constructors_reject_bad_parameters():
         local_global(3, 0.4, 0.25)
     with pytest.raises(ParameterError):
         local_global(1, 0.4, 1.5)  # theta beyond (3-d)/2
+    # a dimension that is not a positive integer was truncated: cauchy at
+    # d 1.9 built a d=1 model
+    for d in (1.9, 2.0, True, "1", 0):
+        for build in (cauchy, partial(linnik, sigma=1.0), partial(local_global, alpha=0.4)):
+            with pytest.raises(ParameterError, match="dimension must be a positive integer"):
+                build(d, theta=0.25)
 
 
 def test_lrd_params_goldens():
@@ -221,7 +228,9 @@ def test_residual_exponent_fit_gates():
 
 
 def test_model_json_round_trip():
-    for m in (cauchy(2, 0.5), linnik(1, 1.5, 0.2), local_global(1, 0.4, 0.25)):
+    # a numpy integer dimension is stored as an int, which json can write
+    for m in (cauchy(2, 0.5), linnik(1, 1.5, 0.2), local_global(1, 0.4, 0.25),
+              cauchy(np.int64(2), 0.3)):
         assert model_from_json(model_to_json(m)) == m
     with pytest.raises(ParameterError):
         model_from_json('{"family": "matern", "d": 1}')

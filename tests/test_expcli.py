@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -232,68 +234,21 @@ def test_errors_become_one_line_and_exit_code_2(capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_flags_override_the_config_document(tmp_path):
-    doc = {
-        "model": json.loads(MODEL),
-        "window": json.loads(WINDOW),
-        "functional": "abs-centered",
-        "r_grid": [8, 16],
-        "replicates": 1000,
-        "h": 0.5,
-    }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    out = tmp_path / "rho.csv"
-    assert main(["rate", "experiment", "--config", str(path), "--r", "16", "--out", str(out)]) == 0
-    rows = _rows(out)
-    assert [float(row["r"]) for row in rows] == [16.0]
-
-
 def _never_called(*args):
     raise AssertionError("the command ran past its input checks")
 
 
-@pytest.mark.parametrize("command, doc, unknown", [
-    (["rosenblatt", "build"], {"set": json.loads(WINDOW), "alpha": 0.4, "keep": 50, "n-nodes": 512},
-     "'keep', 'n-nodes'"),
-    # rate experiment reads its windows and scales as window and r_grid
-    (["rate", "experiment"], {"model": json.loads(MODEL), "set": json.loads(WINDOW), "r": [8],
-                              "functional": "h2"}, "'r', 'set'"),
-])
-def test_config_keys_the_command_does_not_read_are_refused(
-    tmp_path, capsys, monkeypatch, command, doc, unknown
-):
-    monkeypatch.setattr(expcli, "limit_law", _never_called)
-    monkeypatch.setattr(expcli, "model_from_json", _never_called)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    out = tmp_path / "out"
-    assert main([*command, "--config", str(path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"rosenlab: config key(s) {unknown} not read by '{' '.join(command)}'")
-    assert err.count("\n") == 1
-    assert not out.exists()
-
-
-def test_a_config_document_of_read_keys_is_accepted(tmp_path, monkeypatch):
-    series = EigenSeries(eigenvalues=(1.0, 0.5, 0.25), kept=3, tail_mass=0.0, raw_variance=2.625)
-    built = []
-
-    def law(window, alpha):
-        built.append((window, alpha))
-        return series
-
-    monkeypatch.setattr(expcli, "limit_law", law)
-    out = tmp_path / "series.json"
-    doc = {"set": json.loads(WINDOW), "alpha": 0.4, "master_seed": 3, "out": str(out)}
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["rosenblatt", "build", "--config", str(path)]) == 0
-    assert built == [(expcli.set_from_json(WINDOW), 0.4)]
-    assert series_from_json(out.read_text(encoding="utf-8")) == series
-    manifest = _manifest(out)
-    assert manifest["config"]["config_document"] == doc
-    assert manifest["seeds"] == {"master_seed": 3}
+@pytest.mark.parametrize("command", sorted(expcli._COMMANDS))
+def test_the_config_option_fails_at_argparse(tmp_path, capsys, command):
+    # every value comes from its flag; a JSON document of option values
+    # could override --r and --set
+    path = tmp_path / "x.json"
+    path.write_text("{}", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--config", str(path), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --config {path}" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["x.json"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -311,104 +266,104 @@ def test_a_negative_seed_is_refused_before_any_work(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
-def test_a_negative_master_seed_in_a_config_document_is_refused(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(expcli, "limit_law", _never_called)
-    doc = {"model": json.loads(MODEL), "window": json.loads(WINDOW), "functional": "h2",
-           "r_grid": [8], "master_seed": -2}
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["rate", "experiment", "--config", str(path), "--out", str(tmp_path / "rho")]) == 2
-    assert capsys.readouterr().err == "rosenlab: seed must be a nonnegative integer, got -2\n"
-    config = {**doc, "model": expcli.model_from_json(MODEL), "window": expcli.set_from_json(WINDOW)}
+def _config(r_grid=(8.0,), **fields):
+    """An ExperimentConfig of h2 on the unit interval."""
+    return ExperimentConfig(
+        model=expcli.model_from_json(MODEL), window=expcli.set_from_json(WINDOW),
+        functional="h2", r_grid=r_grid, **fields,
+    )
+
+
+def test_a_negative_master_seed_in_a_config_document_is_refused():
     with pytest.raises(ParameterError, match="seed must be a nonnegative integer, got -2"):
-        ExperimentConfig(**config)
+        _config(master_seed=-2)
 
 
 @pytest.mark.parametrize("seed, shown", [("x", "'x'"), (1.5, "1.5"), (True, "True")])
-def test_a_config_seed_that_is_not_an_integer_is_refused(tmp_path, capsys, monkeypatch, seed, shown):
+def test_a_config_seed_that_is_not_an_integer_is_refused(monkeypatch, seed, shown):
     # int() raised a traceback on "x" and truncated 1.5 and true to 1
-    monkeypatch.setattr(expcli, "limit_law", _never_called)
-    out = tmp_path / "series.json"
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"set": json.loads(WINDOW), "alpha": 0.4, "seed": seed}),
-                    encoding="utf-8")
-    assert main(["rosenblatt", "build", "--config", str(path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"rosenlab: seed must be a nonnegative integer, got {shown}\n"
-    assert not out.exists()
+    monkeypatch.setattr(fieldsim, "_spectrum_once", _never_called)
+    with pytest.raises(ParameterError) as exc:
+        _config(master_seed=seed)
+    assert str(exc.value) == f"seed must be a nonnegative integer, got {shown}"
 
 
 _EXPERIMENT = ["rate", "experiment", "--model", MODEL, "--set", WINDOW, "--functional", "h2"]
 
 
-@pytest.mark.parametrize("argv, doc, message", [
-    ([*_EXPERIMENT, "--r", "4,x"], None, "--r must be a number, got 'x'"),
-    (["covariance", "eval", "--model", MODEL, "--r", "1,abc"], None,
-     "--r must be a number, got 'abc'"),
-    ([*_EXPERIMENT, "--r", "8"], {"replicates": "x"}, "--replicates must be an integer, got 'x'"),
-    (_EXPERIMENT, {"r_grid": "4,abc"}, "--r must be a number, got 'abc'"),
-    (["rate", "curves", "--family", "localglobal", "--alpha-grid", "0.1:0.5:x"], None,
+@pytest.mark.parametrize("argv, message", [
+    ([*_EXPERIMENT, "--r", "4,x"], "--r must be a number, got 'x'"),
+    (["covariance", "eval", "--model", MODEL, "--r", "1,abc"], "--r must be a number, got 'abc'"),
+    (["rate", "curves", "--family", "localglobal", "--alpha-grid", "0.1:0.5:x"],
      "--alpha-grid must be an integer, got 'x'"),
-    (["rate", "curves", "--family", "localglobal", "--alpha-grid", "0.1:0.5"], None,
+    (["rate", "curves", "--family", "localglobal", "--alpha-grid", "0.1:0.5"],
      "--alpha-grid grid must be start:stop:count, got '0.1:0.5'"),
-    (["covariance", "eval", "--model", "nope", "--r", "1"], None,
+    (["covariance", "eval", "--model", "nope", "--r", "1"],
      "model descriptor must be a JSON object, got 'nope'"),
     (["rate", "experiment", "--model", MODEL, "--set", "notjson", "--functional", "h2",
-      "--r", "8"], None, "window descriptor must be a JSON object, got 'notjson'"),
-    (["rosenblatt", "build", "--set", "[1,2]", "--alpha", "0.4"], None,
+      "--r", "8"], "window descriptor must be a JSON object, got 'notjson'"),
+    (["rosenblatt", "build", "--set", "[1,2]", "--alpha", "0.4"],
      "window descriptor must be a JSON object, got '[1,2]'"),
-    (["rosenblatt", "sample"], {"series": "series.json", "n": 1.5},
-     "--n must be an integer, got 1.5"),
-    (["rosenblatt", "build", "--set", WINDOW, "--alpha", "0.4"], [1, 2],
-     "config document must be a JSON object, got '[1, 2]'"),
-    (["rosenblatt", "sample", "--series", "series.json", "--n", "1.5"], None,
+    (["rosenblatt", "sample", "--series", "series.json", "--n", "1.5"],
      "--n must be an integer, got '1.5'"),
-    (["rosenblatt", "build", "--set", WINDOW, "--alpha", "x"], None,
-     "--alpha must be a number, got 'x'"),
-    ([*_EXPERIMENT, "--r", "8", "--replicates", "2.5"], None,
+    (["rosenblatt", "build", "--set", WINDOW, "--alpha", "x"], "--alpha must be a number, got 'x'"),
+    ([*_EXPERIMENT, "--r", "8", "--replicates", "2.5"],
      "--replicates must be an integer, got '2.5'"),
-    (["verify", "supmin", "--d", "1", "--alpha", "0.4", "--q", "0.0999", "--upsilon", "0.6"],
-     {"no-refine": "false"}, "--no-refine must be true or false, got 'false'"),
-    (["rate", "curves", "--family", "localglobal", "--alpha-grid", "0.1:0.4:-1"], None,
+    (["rate", "curves", "--family", "localglobal", "--alpha-grid", "0.1:0.4:-1"],
      "--alpha-grid grid count must be at least 1, got -1"),
-    (["rate", "curves", "--family", "localglobal", "--alpha-grid", "0.1:0.4:0"], None,
+    (["rate", "curves", "--family", "localglobal", "--alpha-grid", "0.1:0.4:0"],
      "--alpha-grid grid count must be at least 1, got 0"),
-    (["spectral", "fit-upsilon", "--model", MODEL, "--grid", "0.001:0.01:-2"], None,
+    (["spectral", "fit-upsilon", "--model", MODEL, "--grid", "0.001:0.01:-2"],
      "--grid grid count must be at least 1, got -2"),
-    (["rosenblatt", "build", "--set", WINDOW, "--alpha", "0.4"], {"seed": 1, "master_seed": 2},
-     "config document names both 'seed' and 'master_seed'; give one"),
-    (["rate", "bound", "--model", MODEL, "--d", "2", "--alpha", "0.9", "--upsilon", "5"], None,
+    (["rosenblatt", "build", "--set", WINDOW, "--alpha", "0.4", "--seed", "x"],
+     "seed must be a nonnegative integer, got 'x'"),
+    (["rosenblatt", "build", "--set", WINDOW, "--alpha", "0.4", "--seed", "1.5"],
+     "seed must be a nonnegative integer, got '1.5'"),
+    (["rate", "bound", "--model", MODEL, "--d", "2", "--alpha", "0.9", "--upsilon", "5"],
      "--model fixes d, alpha and upsilon; drop --d, --alpha, --upsilon"),
     # the unit ball at r = 2^19 + 1/8 lays out 2^21 + 1 cells a side of the
     # origin at h = 0.25, 2^22 + 2 points per axis
-    ([*_EXPERIMENT, "--r", "8,524288.125"], None,
+    ([*_EXPERIMENT, "--r", "8,524288.125"],
      "4194306 lattice points per axis exceeds the 2^22 budget"),
     (["rate", "experiment", "--model", json.dumps({"family": "cauchy", "d": 2, "theta": 0.3}),
-      "--set", WINDOW, "--functional", "h2", "--r", "8"], None,
+      "--set", WINDOW, "--functional", "h2", "--r", "8"],
      "model dimension 2 does not match window dimension 1"),
+    # the constructors truncated a dimension: d 1.5 and true built the unit
+    # interval, cauchy at d 1.9 a d=1 model and linnik at d 2.5 a d=2 one
+    (["rosenblatt", "build", "--alpha", "0.4", "--set", '{"shape": "ball", "d": 1.5}'],
+     "dimension must be a positive integer, got 1.5"),
+    (["rosenblatt", "build", "--alpha", "0.4", "--set", '{"shape": "ball", "d": true}'],
+     "dimension must be a positive integer, got True"),
+    ([*_EXPERIMENT, "--r", "8", "--set", '{"shape": "ball", "d": "1"}'],
+     "dimension must be a positive integer, got '1'"),
+    (["geometry", "ft", "--z", "1", "--set", '{"shape": "ball", "d": 2.0}'],
+     "dimension must be a positive integer, got 2.0"),
+    (["covariance", "eval", "--r", "1", "--model", '{"family": "cauchy", "d": 1.9, "theta": 0.2}'],
+     "dimension must be a positive integer, got 1.9"),
+    (["covariance", "eval", "--r", "1",
+      "--model", '{"family": "linnik", "d": 2.5, "sigma": 1.0, "theta": 0.2}'],
+     "dimension must be a positive integer, got 2.5"),
+    (["covariance", "eval", "--r", "1",
+      "--model", '{"family": "localglobal", "d": true, "alpha": 0.4, "theta": 0.25}'],
+     "dimension must be a positive integer, got True"),
 ], ids=[
-    "r-list", "covariance-r", "config-replicates", "config-r_grid", "grid-count", "grid-parts",
-    "model-text", "set-text", "set-array", "config-n-float", "config-array",
-    "n-float", "alpha-text", "replicates-float", "config-no-refine-text", "grid-count-negative",
-    "grid-count-zero", "fit-grid-count-negative", "config-seed-and-master_seed",
-    "bound-exponents-with-model", "r-over-the-lattice-budget", "model-window-dimensions",
+    "r-list", "covariance-r", "grid-count", "grid-parts", "model-text", "set-text", "set-array",
+    "n-float", "alpha-text", "replicates-float", "grid-count-negative", "grid-count-zero",
+    "fit-grid-count-negative", "seed-text", "seed-float", "bound-exponents-with-model",
+    "r-over-the-lattice-budget", "model-window-dimensions", "ball-d-float", "ball-d-bool",
+    "ball-d-text", "ball-d-whole-float", "cauchy-d-float", "linnik-d-float", "localglobal-d-bool",
 ])
 def test_malformed_values_exit_2_with_one_line_before_any_work(
-    tmp_path, capsys, monkeypatch, argv, doc, message
+    tmp_path, capsys, monkeypatch, argv, message
 ):
     # each raised ValueError, JSONDecodeError or AttributeError with a
-    # traceback, or, for "n": 1.5, truncated it and wrote one draw; the
-    # flags failed at argparse with a usage line; the no-refine text, the
-    # seed pair, the zero count and the exponents beside --model ran
+    # traceback; the flags failed at argparse with a usage line; the zero
+    # count and the exponents beside --model ran
     for name in ("limit_law", "series_from_json", "curve_table", "covariance_eval",
                  "kappa0_identity_check", "residual_exponent_fit", "inputs_from_model"):
         monkeypatch.setattr(expcli, name, _never_called)
     out = tmp_path / "out"
-    argv = [*argv, "--out", str(out)]
-    if doc is not None:
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        argv += ["--config", str(path)]
-    assert main(argv) == 2
+    assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"rosenlab: {message}\n"
     assert not out.exists()
 
@@ -416,40 +371,24 @@ def test_malformed_values_exit_2_with_one_line_before_any_work(
 _CURVES = ["rate", "curves", "--alpha-grid", "0.1:0.4:4"]
 
 
-@pytest.mark.parametrize("argv, doc, message", [
-    (["rosenblatt", "build", "--set", WINDOW, "--alpha", "0.4"], {"out": 5},
-     "--out must be a path, got 5"),
-    (["rosenblatt", "sample", "--n", "10"], {"series": 5}, "--series must be a path, got 5"),
-    (["rosenblatt", "sample", "--n", "10"], {"series": ["series.json"]},
-     "--series must be a path, got ['series.json']"),
-    (["covariance", "eval", "--model", MODEL, "--r", ","], None,
-     "--r must hold at least one number"),
-    (_EXPERIMENT, {"r_grid": []}, "--r must hold at least one number"),
-    ([*_CURVES, "--family", "linnik", "--d", "1", "--sigma", "0.6", "--theta", "0.3"], None,
+@pytest.mark.parametrize("argv, message", [
+    (["covariance", "eval", "--model", MODEL, "--r", ","], "--r must hold at least one number"),
+    ([*_CURVES, "--family", "linnik", "--d", "1", "--sigma", "0.6", "--theta", "0.3"],
      "--family linnik does not read --theta"),
-    ([*_CURVES, "--family", "localglobal", "--d", "2", "--sigma", "9"], None,
+    ([*_CURVES, "--family", "localglobal", "--d", "2", "--sigma", "9"],
      "--family localglobal does not read --d, --sigma"),
-    ([*_CURVES, "--family", "linnik", "--d", "1", "--sigma", "0.6"], {"theta": 0.5},
-     "--family linnik does not read --theta"),
-], ids=["config-out-number", "config-series-number", "config-series-list", "r-empty",
-        "config-r_grid-empty", "linnik-theta", "localglobal-d-sigma", "config-linnik-theta"])
+], ids=["r-empty", "linnik-theta", "localglobal-d-sigma"])
 def test_values_no_command_reads_exit_2_with_one_line_before_any_work(
-    tmp_path, capsys, monkeypatch, argv, doc, message
+    tmp_path, capsys, monkeypatch, argv, message
 ):
-    # the numbers as paths raised TypeError or read file descriptor 5, the
-    # empty lists wrote a header-only table, and the curve options were
+    # the empty list wrote a header-only table, and the curve options were
     # dropped without a word
     monkeypatch.chdir(tmp_path)
     for name in ("limit_law", "series_from_json", "curve_table", "covariance_eval"):
         monkeypatch.setattr(expcli, name, _never_called)
-    if doc is None or "out" not in doc:
-        argv = [*argv, "--out", "out.csv"]
-    if doc is not None:
-        (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
-        argv = [*argv, "--config", "config.json"]
-    assert main(argv) == 2
+    assert main([*argv, "--out", "out.csv"]) == 2
     assert capsys.readouterr().err == f"rosenlab: {message}\n"
-    assert sorted(os.listdir(tmp_path)) == (["config.json"] if doc is not None else [])
+    assert os.listdir(tmp_path) == []
 
 
 def test_rate_curves_record_only_the_options_their_family_reads(tmp_path):
@@ -482,35 +421,42 @@ def _option_names(command):
 
 @pytest.mark.parametrize("command", sorted(expcli._COMMANDS))
 def test_every_command_option_has_a_config_key(command):
-    # the config document names a command's options, but rate experiment
-    # stores its --set and --r as window and r_grid, as config_to_json does
-    renamed = {"set": "window", "r": "r_grid"} if command == "rate experiment" else {}
-    options = _option_names(command) - {"help", "config", "seed", "out"}
-    keys = [key for opt in expcli._COMMANDS[command][1] for key in opt.keys]
-    assert {renamed.get(o, o) for o in options} == set(keys)
+    # each flag is one declared option, and _run records its value in the
+    # manifest's config under the option's dest
+    options = (*expcli._COMMON, *expcli._COMMANDS[command][1])
+    assert _option_names(command) - {"help"} == {opt.flag for opt in options}
+    assert len({opt.dest for opt in options}) == len(options)
 
 
 def test_a_config_at_the_lattice_budget_is_admitted():
     # r_grid at 2^22 + 1 points is refused before any work (see above);
     # 2^22 points are the budget, admitted without allocating them
-    config = ExperimentConfig(
-        model=expcli.model_from_json(MODEL),
-        window=expcli.set_from_json(WINDOW),
-        functional="h2",
-        r_grid=(8.0, 2.0**19),
-    )
+    config = _config(r_grid=(8.0, 2.0**19))
     assert expcli._experiment_plan(config, 2.0**19).n_per_axis == 2**22
+
+
+def test_replicates_over_the_value_budget_exit_2_before_any_embedding(tmp_path, capsys, monkeypatch):
+    # 10^12 replicates ran out of memory with a traceback after the
+    # embedding was solved
+    monkeypatch.setattr(fieldsim, "_spectrum_once", _never_called)
+    fieldsim.clear_spectrum_cache()
+    out = tmp_path / "rho.csv"
+    assert main(_experiment(out, "--r", "4,8", "--replicates", "1000000000000")) == 2
+    assert capsys.readouterr().err == (
+        "rosenlab: 1000000000000 replicates at 2 r are 2000000000000 values, "
+        "over the 2^24 budget\n"
+    )
+    assert not out.exists()
+    # the budget counts replicates times r; the benchmark holds 2000 x 6
+    _config(r_grid=(4.0, 8.0), replicates=2**23)
+    with pytest.raises(ParameterError, match="over the 2\\^24 budget"):
+        _config(r_grid=(4.0, 8.0), replicates=2**23 + 1)
 
 
 def test_thread_option_is_gone(tmp_path):
     with pytest.raises(SystemExit):
         main(_experiment(tmp_path / "rho.csv", "--r", "4", "--threads", "2"))
-    config = ExperimentConfig(
-        model=expcli.model_from_json(MODEL),
-        window=expcli.set_from_json(WINDOW),
-        functional="h2",
-        r_grid=(4.0,),
-    )
+    config = _config(r_grid=(4.0,))
     assert not hasattr(config, "threads")
     assert "threads" not in json.loads(config_to_json(config))
 
@@ -722,6 +668,30 @@ def test_sample_manifest_records_the_table_and_its_bound(tmp_path):
     np.testing.assert_array_equal(draws, expcli.sample(series, 500, 6))
 
 
+def test_a_sample_count_over_the_budget_exits_2_before_the_table(tmp_path, capsys, monkeypatch):
+    # 10^12 draws ran out of memory with a traceback after the CDF table
+    # was built
+    monkeypatch.setattr(rosenblatt, "_node_plan", _never_called)
+    nu = tuple(1.5 / (1.0 + j) for j in range(8))
+    series = EigenSeries(eigenvalues=nu, kept=8, tail_mass=0.0,
+                         raw_variance=2.0 * sum(v * v for v in nu))
+    (tmp_path / "series.json").write_text(series_to_json(series), encoding="utf-8")
+    out = tmp_path / "x.csv"
+    argv = ["rosenblatt", "sample", "--series", str(tmp_path / "series.json"),
+            "--n", "1000000000000", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "rosenlab: sample count 1000000000000 exceeds the 2^27 budget\n"
+    )
+    assert not out.exists()
+    # the budget itself is admitted
+    monkeypatch.undo()
+    monkeypatch.setattr(rosenblatt, "_SAMPLE_BUDGET", 10)
+    assert rosenblatt.sample(series, 10, 1).size == 10
+    with pytest.raises(ParameterError, match="sample count 11 exceeds"):
+        rosenblatt.sample(series, 11, 1)
+
+
 def test_sample_of_a_three_term_series_exits_2(tmp_path, capsys):
     series = EigenSeries(eigenvalues=(1.5, 0.25, 0.125), kept=3, tail_mass=0.0,
                          raw_variance=4.65625)
@@ -765,9 +735,8 @@ def test_sample_refuses_a_malformed_series_before_tabulating(
 
 @pytest.mark.parametrize("flags, message", [
     (["--series", "missing.json"], "cannot read --series 'missing.json': No such file or directory"),
-    (["--config", "missing.json"], "cannot read --config 'missing.json': No such file or directory"),
     (["--out", "nodir/x.csv"], "cannot write --out 'nodir/x.csv': no directory 'nodir'"),
-], ids=["series", "config", "out"])
+], ids=["series", "out"])
 def test_an_unopenable_path_exits_2_with_one_line_before_any_work(
     tmp_path, capsys, monkeypatch, flags, message
 ):
@@ -996,6 +965,29 @@ def test_python_dash_m_rosenlab_runs_without_warnings():
     assert done.stdout.splitlines()[0].startswith("d,alpha,q,upsilon")
 
 
+def _readme_commands():
+    """The argv of every rosenlab command in README's sh blocks."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["rosenlab"]:
+                yield argv[1:]
+
+
+def test_readme_commands_parse(capsys):
+    # a flag the parser no longer takes, such as --config or --padding,
+    # fails here
+    commands = list(_readme_commands())
+    assert len(commands) >= 4
+    for argv in commands:
+        try:
+            expcli._build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command {shlex.join(argv)} does not parse: "
+                        f"{capsys.readouterr().err}")
+
+
 def _manifest(out):
     return json.loads(Path(str(out) + ".manifest.json").read_text(encoding="utf-8"))
 
@@ -1064,8 +1056,7 @@ def _recorded(doc, key):
             yield from _recorded(v, key)
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_manifests_record_the_echoed_values_as_json_numbers(tmp_path, monkeypatch, source):
+def test_manifests_record_the_echoed_values_as_json_numbers(tmp_path, monkeypatch):
     # the benchmark's checks find these keys anywhere in a manifest and
     # compare them with numbers, so "0.4" in place of 0.4 fails them
     nu = tuple(1.5 / (1.0 + j) for j in range(8))
@@ -1085,18 +1076,12 @@ def test_manifests_record_the_echoed_values_as_json_numbers(tmp_path, monkeypatc
     for i, (command, options, echoed) in enumerate(runs):
         out = tmp_path / f"out{i}"
         argv = [*command, "--out", str(out)]
-        if source == "flag":
-            for name, value in options.items():
-                text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-                argv += [f"--{name}", text]
-        else:
-            renamed = {"set": "window", "r": "r_grid"} if command[1] == "experiment" else {}
-            doc = {renamed.get(k, k): v for k, v in options.items()}
-            (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
-            argv += ["--config", str(tmp_path / "config.json")]
+        for name, value in options.items():
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            argv += [f"--{name}", text]
         assert main(argv) == 0
         manifest = _manifest(out)
-        manifest["config"].pop("config_document")  # the document as it was given
+        assert "config_document" not in manifest["config"]
         for key, wanted in echoed.items():
             found = list(_recorded(manifest, key))
             assert found and all(json.dumps(v) == json.dumps(wanted) for v in found), key
