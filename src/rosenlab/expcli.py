@@ -73,12 +73,12 @@ from .ratelab import (
     kappa_bound,
 )
 from .rosenblatt import (
-    cumulant,
     law_radius,
     limit_law,
     sample,
     series_cdf,
     series_from_json,
+    series_record,
     series_to_json,
 )
 
@@ -185,7 +185,7 @@ class RhoRow:
 
 @dataclass(frozen=True)
 class RhoTable:
-    """Distance-versus-r results and the calibrated series they were
+    """Distance-versus-r results and the limit-law series they were
     measured against; runtime stays out of the CSV contract so identical
     configs produce byte-identical tables.
 
@@ -294,8 +294,8 @@ def rate_experiment(config):
     draws' pool if the draws came after them. The checks that need no
     solve come first: the functional's rank, the inputs of the kappa bound
     and the window shape (rosenblatt.law_radius, UnsupportedModelError).
-    The refusals of limit_law that need the solve, its calibration gate
-    and the eigen_series tail-mass bound, come only after the draws.
+    The refusal of limit_law that needs the solve, its Weyl-band gate on
+    the tail variance, comes only after the draws.
     """
     params = lrd_params(config.model)
     d = config.window.dimension
@@ -361,10 +361,10 @@ def rate_experiment(config):
 
 def _law_record(law):
     """What a manifest records of the limit law, as derived_limit_law: its
-    fields but the eigenvalues, its variance and its third cumulant."""
-    record = asdict(law)
+    rosenblatt.series_record but the eigenvalues."""
+    record = series_record(law)
     del record["eigenvalues"]
-    return {**record, "variance": law.variance, "kappa3": cumulant(law, 3)}
+    return record
 
 
 def _fmt(value):
@@ -575,7 +575,8 @@ def _write_manifest(out, command, merged, wall_seconds, seeds, outputs):
         "protocol_note": (
             "Monte Carlo protocol (seeding, replicate counts, bootstrap) is "
             "chosen by this implementation; rho is measured against the exact "
-            "CDF of the calibrated chi-square series. Every r shares the "
+            "CDF of the chi-square series of derived_limit_law: its leading "
+            "eigenvalues and a three-cumulant tail. Every r shares the "
             "replicates (common random numbers): its window is read off "
             "fields drawn once on the lattice of the largest r "
             "(derived_embedding drawn_on_r), so each row's rho and stderr "

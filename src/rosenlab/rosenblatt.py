@@ -14,66 +14,59 @@ limit_law(window, alpha) is the one way to get the series. The law is
 self-similar (Dobrushin and Major 1979): over the ball of radius R it is
 the unit ball's law times R^(d - alpha), and it does not change when the
 window is translated, so a ball or any 1-d interval has the law of the ball
-of its radius or half-length. limit_law therefore discretizes the operator
-of the unit interval or the unit disk only, on a fixed Nystrom mesh
-(build_kernel), keeps its 300 largest eigenvalues (eigen_series), rescales
-them by one reported factor and dilates them, so that 2 sum nu^2 equals a
-variance oracle of the window that does not use the mesh (variance_oracle:
-a closed form for balls and intervals, a polar quadrature of a closed-form
-radial integral for d=2 rectangles); a factor outside [0.97, 1.03] is
-refused. d=2 rectangles have no law here.
-
-The kernel uses the frequency-difference form
-M_ij = c2 sqrt(w_i w_j) K(lam_i - lam_j) (|lam_i||lam_j|)^(-(d-alpha)/2):
-with the difference argument the matrix is T^(1/2) P T^(1/2) for the
-positive operator T of multiplication by the singular weight conjugated
-with the window projection P, so the eigenvalue signs and hence the odd
-cumulants come out right; the exact finite-window Karhunen-Loeve weights
-of the rank-2 statistic converge to these eigenvalues.
+of its radius or half-length. limit_law therefore solves the operator of
+the unit interval or the unit disk only (build_kernel), keeps its 50
+largest eigenvalues (eigen_series) and dilates them; no eigenvalue is
+rescaled. The rest of the spectrum is carried by M equal terms tau
+(Z_i^2 - 1), Pearson's three-moment chi-square approximation (Biometrika
+46, 1959) applied to the tail: their variance is the oracle's remainder
+V_t = oracle - 2 sum nu^2, the oracle being a variance of the window that
+does not use the mesh (variance_oracle: a closed form for balls and
+intervals, a polar quadrature of a closed-form radial integral for d=2
+rectangles), and their third cumulant is T_t, the tail's from Weyl
+asymptotics. So 2 sum nu^2 equals the oracle by construction. A mesh that
+has not resolved the law past its kept terms leaves a V_t off the Weyl
+tail variance, which limit_law refuses. d=2 rectangles have no law here.
 
 The operator is never stored whole. It commutes with the symmetries of
 the window and the mesh, so it splits into one block per invariant
-subspace. In both dimensions each block is a sum of rank-one terms and
-is kept as the Gram matrix of those terms (their pairwise inner
-products), which has the same nonzero spectrum; the merged Gram spectra
-are the nonzero spectrum of the full matrix:
+subspace, and the merged block spectra are the spectrum of the full
+matrix:
 
-- d=1: the unit interval [-1, 1] has the real even transform
-  K(t) = 2 sin(t)/t and the graded mesh is mirrored, so the operator
-  commutes with the reflection x -> -x. On the positive nodes, with
-  s_i = sqrt(w_i) x_i^(-(1-alpha)/2), the even and odd blocks are
-  c2 s_i s_j [K(x_i - x_j) +- K(x_i + x_j)]. Since
-  K(t) = int_{-1}^{1} e^(itv) dv, K(a - b) + K(a + b) is
-  4 int_0^1 cos(av) cos(bv) dv and K(a - b) - K(a + b) the same with
-  sines, so on Q Gauss-Legendre nodes v_q of [0, 1] (_transform_nodes)
-  the blocks are A A^T with A_iq = 2 sqrt(c2) s_i sqrt(w_q) cos(x_i v_q)
-  (even) or sin(x_i v_q) (odd), and are kept as the Q x Q A^T A.
-- d=2: the kernel oscillates on a unit frequency scale out to the cutoff,
-  which a dense polar mesh cannot resolve at a feasible matrix size. The
-  unit disk's transform and the singular weight are isotropic, so the
-  operator commutes with rotations and splits into angular Fourier blocks
-  (multiplicity two except the zeroth harmonic m). Gegenbauer's addition
-  theorem writes the unit disk's transform as a sum of rank-one terms over
-  Bessel orders k, each in the harmonics m <= k of k's parity, so block m
-  is A_m^T A_m and is solved as the small Gram matrix A_m A_m^T. A
+- d=1: the operator with kernel |x - y|^(-alpha) on [-1, 1], by a
+  piecewise-constant Galerkin solve on 500 equal cells, whose entries
+  are exact cell integrals. The matrix is Toeplitz and commutes with the
+  reflection x -> -x, so it splits into an even and an odd half of order
+  250 each.
+- d=2: the frequency-difference form
+  M_ij = c2 sqrt(w_i w_j) K(lam_i - lam_j) (|lam_i||lam_j|)^(-(d-alpha)/2),
+  the matrix T^(1/2) P T^(1/2) for the positive operator T of
+  multiplication by the singular weight conjugated with the window
+  projection P, on a radial frequency mesh. The kernel oscillates on a
+  unit frequency scale out to the cutoff, which a dense polar mesh cannot
+  resolve at a feasible matrix size. The unit disk's transform and the
+  singular weight are isotropic, so the operator commutes with rotations
+  and splits into angular Fourier blocks (multiplicity two except the
+  zeroth harmonic m). Gegenbauer's addition theorem writes the unit disk's
+  transform as a sum of rank-one terms over Bessel orders k, each in the
+  harmonics m <= k of k's parity, so block m is A_m^T A_m and is solved as
+  the small Gram matrix A_m A_m^T, which has the same nonzero spectrum. A
   rectangle's operator does not decouple this way, which is why d=2
   rectangles are refused. The Bessel values J_{k+1}(r) of those terms come
   from the Jacobi-Anger expansion e^(i r sin t) = sum_n J_n(r) e^(i n t):
   one DFT over 256 angles (at the default cutoff) gives every order at
-  every radius at once.
-
-Each Gram matrix is one product of a factor with its own transpose, which
-numpy forms by a symmetric rank-k update that writes one triangle and
-mirrors it, so every block is exactly symmetric.
+  every radius at once. Each Gram matrix is one product of a factor with
+  its own transpose, which numpy forms by a symmetric rank-k update, so
+  every block is exactly symmetric.
 
 No part of the law loads scipy; only the variance oracle of a d=2
 rectangle does (scipy.integrate).
 """
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
-from math import atan2, ceil, cos, exp, factorial, lgamma, log, log2, pi, sin, sqrt
+from math import atan2, ceil, cos, exp, factorial, fsum, lgamma, log, log2, pi, sin, sqrt
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -102,20 +95,23 @@ __all__ = [
     "series_cdf",
     "cumulant",
     "variance_oracle",
+    "series_record",
     "series_to_json",
     "series_from_json",
 ]
 
-# The mesh of the limit kernel: nodes over both half-axes and frequency
-# cutoff in d=1, radial nodes and cutoff in d=2. The d=1 mesh does not
-# converge in its node count: on the unit interval at alpha=0.4 the
-# calibration factor is 0.877 at 512 nodes, 0.984 at 1024, 1.023 at 1504
-# and 1.046 at 2048, of which only 1024 and 1504 pass limit_law's gate.
-DEFAULT_NODES_1D = 1504
-DEFAULT_CUTOFF_1D = 500.0
+# The mesh of the limit kernel: Galerkin cells of [-1, 1] in d=1, radial
+# nodes and frequency cutoff in d=2.
+_GALERKIN_CELLS = 500
 DEFAULT_RADIAL_2D = 160
 DEFAULT_CUTOFF_2D = 60.0
-_SERIES_TERMS = 300
+# the leading eigenvalues limit_law keeps, well below the cell count: the
+# Weyl tail of the 500 cells is off by 2x at 300 terms
+_LEADING_TERMS = 50
+# the most equal tail terms a law lists, and the band of V_t / V_W inside
+# which the mesh resolved the law past its leading terms
+_TAIL_CAP = 2**18
+_WEYL_BAND = (0.8, 1.25)
 _INNER_RADIUS = 1e-8
 _GL_ORDER = 4
 _CDF_TOL = 1e-12
@@ -139,13 +135,13 @@ _ROW_FLOOR = 0.25 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class RosenblattKernel:
-    """Nystrom discretization of the rank-2 limit kernel as symmetry blocks.
+    """Discretization of the rank-2 limit kernel as symmetry blocks.
 
-    blocks holds one symmetric matrix per invariant subspace: a Gram matrix
-    with the nonzero spectrum of that subspace's block (see build_kernel).
+    blocks holds one symmetric matrix per invariant subspace, with the
+    nonzero spectrum of that subspace's block (see build_kernel).
     block_multiplicity says how often each block's eigenvalues occur in the
-    full spectrum. d=1: the even and odd blocks of the positive nodes,
-    multiplicity 1 each. d=2 (the unit disk): one block per angular
+    full spectrum. d=1: the even and odd halves of the Galerkin matrix,
+    multiplicity 1 each. d=2 (the unit disk): one Gram block per angular
     harmonic, multiplicity 1 for the zeroth harmonic and 2 beyond.
     spectrum_size is the summed order of the blocks with multiplicity.
     """
@@ -185,25 +181,35 @@ class CdfTable:
 
 @dataclass(frozen=True)
 class EigenSeries:
-    """Leading eigenvalues of the kernel, optionally calibrated.
+    """The weights nu_j of a series law sum_j nu_j (Z_j^2 - 1), listed one
+    by one, and how limit_law made them.
 
-    raw_variance is 2 sum nu^2 before calibration; calibration_factor has
-    been applied to the stored eigenvalues (1.0 when uncalibrated).
-    tail_mass is the relative Frobenius mass beyond the kept eigenvalues
-    within the mesh's own spectrum, not the share of the limit variance
-    they miss: it reads 0.0 on the unit interval at alpha=0.4, where the
-    kept raw terms carry 36.58 of the oracle's 38.29.
+    eigenvalues holds the leading_terms (K) largest eigenvalues of the
+    window operator, none of them rescaled, then tail_terms (M) copies of
+    tail_value (tau); kept is K + M, the length of the list. The tail
+    stands for every eigenvalue past the K-th: tail_variance (V_t) is the
+    oracle's variance less 2 sum nu^2 over the K terms and tail_kappa3
+    (T_t) the tail's third cumulant from Weyl asymptotics, so
+    M = round(8 V_t^3 / T_t^2) and tau = sqrt(V_t / (2 M)), M at most
+    _TAIL_CAP. weyl_ratio is V_t over the Weyl tail variance V_W, and
+    leading_share the share of the oracle's variance the K terms carry.
+    The CDF and the sampler read only the list, each distinct weight once
+    with its multiplicity.
     """
 
     eigenvalues: tuple
     kept: int
-    tail_mass: float
-    raw_variance: float
-    calibration_factor: float = 1.0
+    leading_terms: int
+    tail_terms: int
+    tail_value: float
+    tail_variance: float
+    tail_kappa3: float
+    weyl_ratio: float
+    leading_share: float
 
     @property
     def variance(self):
-        return 2.0 * sum(v * v for v in self.eigenvalues)
+        return 2.0 * fsum(v * v for v in self.eigenvalues)
 
     @cached_property
     def inversion_rule(self):
@@ -214,7 +220,8 @@ class EigenSeries:
         nodes, weights and phases of _inversion_terms. AccuracyError, not
         kept, if the rule needs more than 2^20 nodes.
         """
-        return _inversion_rule(np.asarray(self.eigenvalues, dtype=float), _CDF_TOL)
+        nu, count = np.unique(np.asarray(self.eigenvalues, dtype=float), return_counts=True)
+        return _inversion_rule(nu, count, _CDF_TOL)
 
     @cached_property
     def cdf_table(self):
@@ -234,37 +241,6 @@ def _gauss_panels(edges):
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     return (mid[:, None] + half[:, None] * tg).ravel(), (half[:, None] * wg).ravel()
-
-
-def _graded_axis(n_nodes, cutoff):
-    """Positive half of the mirrored graded 1-d mesh: nodes and weights.
-
-    Geometric panels from the inner radius to the cutoff with Gauss-Legendre
-    points inside each panel; n_nodes counts both half-axes.
-    """
-    per_side = n_nodes // 2
-    panels = max(per_side // _GL_ORDER, 4)
-    ratio = (cutoff / _INNER_RADIUS) ** (1.0 / panels)
-    edges = _INNER_RADIUS * ratio ** np.arange(panels + 1)
-    edges[-1] = cutoff
-    return _gauss_panels(edges)
-
-
-def _transform_nodes(top):
-    """Gauss-Legendre nodes v and weights on [0, 1] for the d=1 Gram factors.
-
-    An entry of the d=1 blocks integrates cos(x_i v) cos(x_j v), or the
-    sines, over v in [0, 1]; mapped to [-1, 1] that is a combination of
-    e^(i c u) with |c| <= top, the largest node. The Legendre coefficients
-    of e^(i top u), (2k + 1) |j_k(top)| (spherical Bessel), fall below
-    rounding past the degree k = top + 11.5 top^(1/3) (the Airy transition
-    region of J_k(top) has width top^(1/3)), and Q nodes integrate degree
-    2Q - 1 exactly, so Q = ceil((top + 12 top^(1/3) + 1) / 2): 296 at the
-    default mesh, whose largest node is 495.7.
-    """
-    order = ceil(0.5 * (top + 12.0 * top ** (1.0 / 3.0) + 1.0))
-    t, wt = leggauss(order)
-    return 0.5 * (t + 1.0), 0.5 * wt
 
 
 def _radial_axis_2d(n_nodes, cutoff):
@@ -338,65 +314,56 @@ def _addition_rows(rad, cutoff):
 
 
 def build_kernel(dimension, alpha):
-    """Nystrom form of the rank-2 limit kernel of the unit window, split into
-    symmetry blocks.
+    """The rank-2 limit kernel of the unit window, split into symmetry
+    blocks.
 
     The unit window is the interval [-1, 1] for dimension 1 and the unit disk
     for dimension 2; limit_law dilates its law to other windows. The mesh is
-    fixed: in d=1, DEFAULT_NODES_1D graded nodes over both half-axes (the
-    even and odd blocks each take half) up to the frequency cutoff
-    DEFAULT_CUTOFF_1D; in d=2, DEFAULT_RADIAL_2D radial nodes up to
-    DEFAULT_CUTOFF_2D. The d=1 mesh does not converge in its node count:
-    refining it moves the series variance across the oracle by several
-    percent (see DEFAULT_NODES_1D), which limit_law's calibration gate
-    refuses. In d=2, halving or doubling the radial count moves the
-    calibration factor by under 1e-3.
-
-    In both dimensions every block is a Gram matrix of rank-one terms. d=1:
-    the even and odd blocks on the positive nodes are A A^T, A_iq carrying
-    cos(x_i v_q) or sin(x_i v_q) at the _transform_nodes v_q of [0, 1], and
-    are kept as A^T A, of order Q = 296; their kept eigenvalues match the
-    solve of the dense 752^2 blocks to about 1e-14 nu_1. d=2: block m is
-    A_m^T A_m, A_m the _addition_rows of m's parity times the radial
-    weights, kept as A_m A_m^T for every order the rows carry.
+    fixed. d=1: the operator with kernel |x - y|^(-alpha) in the orthonormal
+    basis of the indicators of 500 equal cells of width w. The entry of two
+    cells k apart is (F((k + 1) w) + F((k - 1) w) - 2 F(k w)) / w, exact
+    through F(t) = |t|^(2 - alpha) / ((1 - alpha)(2 - alpha)), so the
+    matrix T is Toeplitz, T_ij = c_|i-j|. It commutes with the reflection
+    of the cells, so it splits into the even and odd halves A +- BJ of
+    order 250, A and B its upper blocks and J the exchange matrix:
+    c_|i-j| +- c_(499-i-j). d=2: DEFAULT_RADIAL_2D radial nodes up to
+    DEFAULT_CUTOFF_2D; block m is A_m^T A_m, A_m the _addition_rows of m's
+    parity times the radial weights, kept as A_m A_m^T for every order the
+    rows carry. Doubling the radial count moves the kept terms' variance by
+    under 0.1% of the oracle for alpha from 0.4 to 0.8; halving it moves it
+    by up to 0.3%, which leaves limit_law's Weyl band at alpha = 0.4.
     """
     d = dimension
     if d not in (1, 2):
         raise ParameterError(f"kernel construction supports d in (1, 2), got {d}")
     if not (0.0 < alpha < 0.5 * d):
         raise DomainError(f"alpha must lie in (0, d/2) = (0, {d / 2}), got {alpha}")
-    c2 = c2_constant(d, alpha)
-    expo = -0.5 * (d - alpha)
     if d == 1:
-        x, w = _graded_axis(DEFAULT_NODES_1D, DEFAULT_CUTOFF_1D)
-        v, wv = _transform_nodes(x[-1])
-        phase = np.multiply.outer(x, v)
-        factor = np.outer(2.0 * sqrt(c2) * np.sqrt(w) * x**expo, np.sqrt(wv))
-        # A^T A through one symmetric rank-k update each: exactly symmetric
-        blocks = tuple(a.T @ a for a in (np.cos(phase) * factor, np.sin(phase) * factor))
-        multiplicity = (1, 1)
-    else:
-        rad, wrad = _radial_axis_2d(DEFAULT_RADIAL_2D, DEFAULT_CUTOFF_2D)
-        # radial measure s ds and one weight factor per side
-        rows = _addition_rows(rad, DEFAULT_CUTOFF_2D) * (np.sqrt(wrad * rad) * rad**expo)
-        gram = 2.0 * pi * c2 * (rows @ rows.T)
-        m_max = gram.shape[0] - 1
-        blocks = [gram[harmonic::2, harmonic::2].copy() for harmonic in range(m_max + 1)]
-        multiplicity = (1,) + (2,) * m_max
-    return RosenblattKernel(blocks=tuple(blocks), block_multiplicity=multiplicity)
+        w, half = 2.0 / _GALERKIN_CELLS, _GALERKIN_CELLS // 2
+        f = np.abs(np.arange(-1, _GALERKIN_CELLS + 1) * w) ** (2.0 - alpha)
+        col = (f[2:] + f[:-2] - 2.0 * f[1:-1]) / (w * (1.0 - alpha) * (2.0 - alpha))
+        i = np.arange(half)
+        toeplitz = col[np.abs(i[:, None] - i)]
+        mirrored = col[2 * half - 1 - i[:, None] - i]
+        return RosenblattKernel(blocks=(toeplitz + mirrored, toeplitz - mirrored),
+                                block_multiplicity=(1, 1))
+    rad, wrad = _radial_axis_2d(DEFAULT_RADIAL_2D, DEFAULT_CUTOFF_2D)
+    # radial measure s ds and one weight factor per side
+    expo = -0.5 * (d - alpha)
+    rows = _addition_rows(rad, DEFAULT_CUTOFF_2D) * (np.sqrt(wrad * rad) * rad**expo)
+    gram = 2.0 * pi * c2_constant(d, alpha) * (rows @ rows.T)
+    m_max = gram.shape[0] - 1
+    blocks = tuple(gram[harmonic::2, harmonic::2].copy() for harmonic in range(m_max + 1))
+    return RosenblattKernel(blocks=blocks, block_multiplicity=(1,) + (2,) * m_max)
 
 
 def eigen_series(kernel):
-    """The 300 largest eigenvalues of the kernel by magnitude, uncalibrated.
+    """The _LEADING_TERMS = 50 largest eigenvalues of the kernel by
+    magnitude, as an array, none of them rescaled.
 
     Each symmetry block is solved on its own and the block spectra are
     merged with their multiplicities, which gives the spectrum of the full
-    operator. Eigenvalues at or below the solver's rounding floor
-    n eps |nu_1| (n the kernel's spectrum_size: the summed order of the
-    Gram matrices solved, with multiplicity) are noise whose signs change
-    from build to build; they are dropped before the truncation, so kept
-    can be less than 300. The relative Frobenius mass of the mesh's spectrum left
-    out by the truncation (tail_mass) must stay below 1%.
+    operator. limit_law carries the rest of the spectrum by its tail.
     """
     try:
         eig = np.concatenate([
@@ -405,23 +372,7 @@ def eigen_series(kernel):
         ])
     except np.linalg.LinAlgError as exc:
         raise AccuracyError(f"eigen-solver did not converge: {exc}") from None
-    eig = eig[np.argsort(-np.abs(eig))]
-    total = float(np.sum(eig**2))
-    floor = eig.size * np.finfo(float).eps * abs(eig[0])
-    m = min(_SERIES_TERMS, int(np.count_nonzero(np.abs(eig) > floor)))
-    mass = float(np.sum(eig[:m] ** 2))
-    tail = 0.0 if total == 0.0 else max(0.0, 1.0 - mass / total)
-    if tail >= 0.01:
-        raise ParameterError(
-            f"the {m} kept eigenvalues carry only {100 * (1 - tail):.2f}% of the "
-            f"spectral mass of the mesh"
-        )
-    return EigenSeries(
-        eigenvalues=tuple(float(v) for v in eig[:m]),
-        kept=m,
-        tail_mass=tail,
-        raw_variance=2.0 * mass,
-    )
+    return eig[np.argsort(-np.abs(eig))][:_LEADING_TERMS]
 
 
 def _ball_radius(window):
@@ -457,35 +408,60 @@ def law_radius(window):
 
 
 def limit_law(window, alpha):
-    """The limit law over window at alpha, as a calibrated EigenSeries.
+    """The limit law over window at alpha, as an EigenSeries: the leading
+    eigenvalues of the window operator and a chi-square tail.
 
     The window must be one law_radius accepts; anything else is refused
-    with UnsupportedModelError before a kernel is built. The law over the ball
-    of radius R is the unit window's times R^(d - alpha) (Dobrushin and
+    with UnsupportedModelError before a kernel is built. The law over the
+    ball of radius R is the unit window's times R^(d - alpha) (Dobrushin and
     Major 1979: the transform of R W is R^d times W's at R lam), so only the
-    unit window's kernel is built (build_kernel) and its 300 largest
-    eigenvalues kept (eigen_series). They are rescaled by
-    sqrt(oracle / 2 sum nu^2) / R^(d - alpha), with the oracle of the window
-    from variance_oracle, and then dilated, so that the stored 2 sum nu^2
-    equals the oracle; raw_variance is the unit law's times R^(2 (d - alpha)).
-    The factor, the same for every R, is stored on the result and is a
-    quality metric: one outside [0.97, 1.03] means the mesh has not
-    converged to the oracle variance and is refused with ParameterError.
+    unit window's kernel is built (build_kernel), and its K = 50 largest
+    eigenvalues (eigen_series) are dilated, not rescaled. The rest of the
+    spectrum is M equal terms tau, with p = (d - alpha)/d and the Weyl
+    asymptotics nu_j ~ nu_K (j / K)^(-p) summed from K + 1/2:
+    - V_t = oracle - 2 sum_(j<=K) nu_j^2, the oracle from variance_oracle;
+    - T_t = 8 nu_K^3 K^(3p) (K + 1/2)^(1 - 3p) / (3p - 1);
+    - M = round(8 V_t^3 / T_t^2), at most _TAIL_CAP, and
+      tau = sqrt(V_t / (2 M)),
+    so that 2 sum nu^2 equals the oracle and, below the cap, the tail's
+    third cumulant 8 M tau^3 is T_t (Pearson 1959). The law is refused with
+    AccuracyError unless V_t lies within _WEYL_BAND = [0.8, 1.25] of the
+    Weyl tail variance V_W = 2 nu_K^2 K^(2p) (K + 1/2)^(1 - 2p) / (2p - 1):
+    outside it the mesh has not resolved the spectrum past its K terms, as
+    on the disk at alpha <= 0.3, whose frequency mesh loses variance.
     """
     d = window.dimension
-    scale = law_radius(window) ** (d - alpha)
-    series = eigen_series(build_kernel(d, alpha))
-    factor = sqrt(variance_oracle(window, alpha) / series.variance) / scale
-    if not (0.97 <= factor <= 1.03):
-        raise ParameterError(
-            f"calibration factor {factor:.4f} outside [0.97, 1.03]; kernel mesh "
-            f"has not converged to the oracle variance"
+    nu = law_radius(window) ** (d - alpha) * eigen_series(build_kernel(d, alpha))
+    oracle = variance_oracle(window, alpha)
+    k, p, last = nu.size, (d - alpha) / d, abs(float(nu[-1]))
+
+    def weyl(power):
+        # sum_(j>K) |nu_K|^power (j / K)^(-power p) as an integral from K + 1/2
+        scale = last**power * k ** (power * p)
+        return scale * (k + 0.5) ** (1.0 - power * p) / (power * p - 1.0)
+
+    tail_variance = oracle - 2.0 * float(np.sum(nu**2))
+    ratio = tail_variance / (2.0 * weyl(2))
+    if not _WEYL_BAND[0] <= ratio <= _WEYL_BAND[1]:
+        raise AccuracyError(
+            f"tail variance V_t/V_W = {ratio:.4g} outside [{_WEYL_BAND[0]}, "
+            f"{_WEYL_BAND[1]}]: the kernel mesh has not resolved the law past its "
+            f"{k} leading terms",
+            estimate=ratio,
         )
-    return replace(
-        series,
-        eigenvalues=tuple(v * (factor * scale) for v in series.eigenvalues),
-        raw_variance=series.raw_variance * scale**2,
-        calibration_factor=factor,
+    tail_kappa3 = 8.0 * weyl(3)
+    count = min(round(8.0 * tail_variance**3 / tail_kappa3**2), _TAIL_CAP)
+    value = sqrt(tail_variance / (2.0 * count))
+    return EigenSeries(
+        eigenvalues=tuple(map(float, nu)) + (value,) * count,
+        kept=k + count,
+        leading_terms=k,
+        tail_terms=count,
+        tail_value=value,
+        tail_variance=tail_variance,
+        tail_kappa3=tail_kappa3,
+        weyl_ratio=ratio,
+        leading_share=1.0 - tail_variance / oracle,
     )
 
 
@@ -524,33 +500,37 @@ def sample(series, n, seed):
     return out
 
 
-def _upper_tail_point(nu, eps):
-    """A point a with P(sum nu_j (Z_j^2 - 1) > a) <= eps: the smallest over a
-    grid of 0 < t < 1/(2 max nu) of the Chernoff point (K(t) - log eps)/t,
-    K(t) = sum -log(1 - 2 t nu)/2 - t nu. Without a positive weight the sum
-    never exceeds -sum nu."""
+def _upper_tail_point(nu, count, eps):
+    """A point a with P(sum nu_j (Z_j^2 - 1) > a) <= eps, each distinct
+    weight nu taken count times: the smallest over a grid of t of the
+    Chernoff point (K(t) - log eps)/t, K(t) = sum -log(1 - 2 t nu)/2 - t nu.
+    K is finite for 0 < t < 1/(2 max nu), or for every t > 0 when no weight
+    is positive; then the sum never exceeds -sum nu either."""
     top = nu.max()
-    if top <= 0.0:
-        return -float(np.sum(nu))
-    t = (1.0 - np.geomspace(1e-6, 0.9, 64))[:, None] / (2.0 * top)
-    k = np.sum(-0.5 * np.log1p(-2.0 * t * nu) - t * nu, axis=1)
-    return float(np.min((k - log(eps)) / t[:, 0]))
+    if top > 0.0:
+        t = (1.0 - np.geomspace(1e-6, 0.9, 64)) / (2.0 * top)
+    else:
+        t = np.geomspace(1e-2, 1e6, 64) / (-2.0 * nu.min())
+    k = (-0.5 * np.log1p(-2.0 * t[:, None] * nu) - t[:, None] * nu) @ count
+    bound = float(np.min((k - log(eps)) / t))
+    return bound if top > 0.0 else min(bound, -float(nu @ count))
 
 
-def _node_plan(nu, tol):
-    """Chernoff points lo, hi, step du and node count of the inversion rule.
+def _node_plan(nu, count, tol):
+    """Chernoff points lo, hi, step du and node count of the inversion rule
+    of the distinct weights nu with their multiplicities count.
 
     lo and hi each leave tol/4 of the law outside. The count is the first
     power of two K from 16 whose remainder bound |phi(U)|/(pi s(U)), U = K du
     and s = -dlog|phi|/dlog u, is at most tol/2; AccuracyError above 2^20.
     """
-    lo = -_upper_tail_point(-nu, 0.25 * tol)
-    hi = _upper_tail_point(nu, 0.25 * tol)
+    lo = -_upper_tail_point(-nu, count, 0.25 * tol)
+    hi = _upper_tail_point(nu, count, 0.25 * tol)
     du = 2.0 * pi / (hi - lo)
     nodes = 16
     while True:
         q = (2.0 * nu * nodes * du) ** 2
-        remainder = np.exp(-0.25 * np.sum(np.log1p(q))) / (0.5 * np.sum(q / (1.0 + q)))
+        remainder = np.exp(-0.25 * (np.log1p(q) @ count)) / (0.5 * ((q / (1.0 + q)) @ count))
         if remainder <= 0.5 * pi * tol:
             return lo, hi, du, nodes
         if nodes >= _CDF_MAX_NODES:
@@ -562,25 +542,26 @@ def _node_plan(nu, tol):
         nodes *= 2
 
 
-def _inversion_terms(nu, du, nodes):
+def _inversion_terms(nu, count, du, nodes):
     """Midpoint nodes u_k = (k + 1/2) du with weight |phi(u_k)|/(pi (k + 1/2))
     and phase arg phi(u_k), so that F(x) = 1/2 - sum_k weight_k
-    sin(phase_k - u_k x)."""
+    sin(phase_k - u_k x); each distinct weight nu is one pass, times its
+    count."""
     u = (np.arange(nodes) + 0.5) * du
     log_modulus = np.zeros(nodes)
     phase = np.zeros(nodes)
-    for v in nu:  # one term at a time: memory stays O(nodes)
+    for v, c in zip(nu, count):  # one weight at a time: memory stays O(nodes)
         w = 2.0 * v * u
-        log_modulus -= 0.25 * np.log1p(w * w)
-        phase += 0.5 * (np.arctan(w) - w)
+        log_modulus -= 0.25 * c * np.log1p(w * w)
+        phase += 0.5 * c * (np.arctan(w) - w)
     weight = np.exp(log_modulus) / (pi * (np.arange(nodes) + 0.5))
     return u, weight, phase
 
 
-def _inversion_rule(nu, tol):
+def _inversion_rule(nu, count, tol):
     """(lo, hi, u, weight, phase): the node plan and terms of series_cdf."""
-    lo, hi, du, nodes = _node_plan(nu, tol)
-    return (lo, hi) + _inversion_terms(nu, du, nodes)
+    lo, hi, du, nodes = _node_plan(nu, count, tol)
+    return (lo, hi) + _inversion_terms(nu, count, du, nodes)
 
 
 def _odd_harmonic_sum(odd, cells):
@@ -809,8 +790,14 @@ def _rectangle_oracle(window, beta):
     return 8.0 * (along_a + along_b)
 
 
+def series_record(series):
+    """The series' fields with its variance 2 sum nu^2 and its third
+    cumulant kappa3 = 8 sum nu^3: what series_to_json writes."""
+    return {**asdict(series), "variance": series.variance, "kappa3": cumulant(series, 3)}
+
+
 def series_to_json(series):
-    return json.dumps(asdict(series))
+    return json.dumps(series_record(series))
 
 
 def _finite(value):
@@ -820,9 +807,12 @@ def _finite(value):
 def series_from_json(text):
     """The EigenSeries of a series_to_json document. ParameterError, before
     any CDF is built, unless every field is a finite number, eigenvalues a
-    nonempty list of them and kept their count."""
+    nonempty list of them, kept their count, tail_terms at least 1 and kept
+    leading_terms + tail_terms. variance and kappa3 are read again from the
+    eigenvalues, not from the document."""
     obj = check_json_object(text, "series document")
-    missing = [k for k in ("eigenvalues", "kept", "tail_mass", "raw_variance") if k not in obj]
+    names = [f.name for f in fields(EigenSeries)]
+    missing = [k for k in names if k not in obj]
     if missing:
         raise ParameterError(f"series document missing {missing}")
     nu = obj["eigenvalues"]
@@ -830,8 +820,15 @@ def series_from_json(text):
         raise ParameterError("series eigenvalues must be a nonempty list of finite numbers")
     if obj["kept"] != len(nu):
         raise ParameterError(f"series kept {obj['kept']!r} is not its {len(nu)} eigenvalues")
-    scalars = (obj["tail_mass"], obj["raw_variance"], obj.get("calibration_factor", 1.0))
-    if not all(map(_finite, scalars)):
-        raise ParameterError("series tail_mass, raw_variance and calibration_factor must be finite")
-    tail, raw, factor = map(float, scalars)
-    return EigenSeries(tuple(map(float, nu)), len(nu), tail, raw, factor)
+    bad = [k for k in names[2:] if not _finite(obj[k])]
+    if bad:
+        raise ParameterError(f"series {', '.join(bad)} must be finite numbers")
+    leading, count = obj["leading_terms"], obj["tail_terms"]
+    if not (type(count) is int and count >= 1):
+        raise ParameterError(f"series tail_terms {count!r} must be a whole number >= 1")
+    if not (type(leading) is int and leading >= 0 and leading + count == len(nu)):
+        raise ParameterError(
+            f"series kept {len(nu)} is not leading_terms {leading!r} + tail_terms {count}"
+        )
+    return EigenSeries(tuple(map(float, nu)), len(nu), leading, count,
+                       *(float(obj[k]) for k in names[4:]))

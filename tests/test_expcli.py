@@ -40,6 +40,16 @@ def _experiment(out, *flags):
     ]
 
 
+def _series(nu):
+    # the CDF and the sampler read only the list: its last weight stands
+    # for a one-term tail
+    nu = tuple(nu)
+    return EigenSeries(eigenvalues=nu, kept=len(nu), leading_terms=len(nu) - 1, tail_terms=1,
+                       tail_value=nu[-1], tail_variance=2.0 * nu[-1] ** 2,
+                       tail_kappa3=8.0 * nu[-1] ** 3, weyl_ratio=1.0,
+                       leading_share=1.0 - nu[-1] ** 2 / sum(v * v for v in nu))
+
+
 def _rows(path):
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))
@@ -468,8 +478,7 @@ _SPECIAL = (-0.0, 0.0, np.inf, -np.inf, np.nan, 1e-310, 1e300, 0.1)
 def test_sample_csv_matches_the_csv_writer(tmp_path, monkeypatch):
     # eight terms: the sampler refuses a series of four or fewer
     nu = tuple(1.5 / (1.0 + j) for j in range(8))
-    series = EigenSeries(eigenvalues=nu, kept=8, tail_mass=0.0,
-                         raw_variance=2.0 * sum(v * v for v in nu))
+    series = _series(nu)
     (tmp_path / "series.json").write_text(series_to_json(series), encoding="utf-8")
     draws = expcli.sample(series, 1000, 5)
     special = np.array(_SPECIAL)
@@ -490,8 +499,7 @@ def test_sample_csv_matches_the_csv_writer(tmp_path, monkeypatch):
 
 def test_sample_csv_streams_the_same_bytes_in_chunks(tmp_path, monkeypatch, capsys):
     nu = tuple(1.5 / (1.0 + j) for j in range(8))
-    series = EigenSeries(eigenvalues=nu, kept=8, tail_mass=0.0,
-                         raw_variance=2.0 * sum(v * v for v in nu))
+    series = _series(nu)
     (tmp_path / "series.json").write_text(series_to_json(series), encoding="utf-8")
     n = expcli._CSV_CHUNK + 3
     draws = np.random.default_rng(2).standard_normal(n)
@@ -640,8 +648,7 @@ def test_repr_lines_working_memory_per_chunk():
 
 def test_sample_manifest_records_the_write_time(tmp_path):
     nu = tuple(1.5 / (1.0 + j) for j in range(8))
-    series = EigenSeries(eigenvalues=nu, kept=8, tail_mass=0.0,
-                         raw_variance=2.0 * sum(v * v for v in nu))
+    series = _series(nu)
     (tmp_path / "series.json").write_text(series_to_json(series), encoding="utf-8")
     out = tmp_path / "x.csv"
     argv = ["rosenblatt", "sample", "--series", str(tmp_path / "series.json"),
@@ -653,8 +660,7 @@ def test_sample_manifest_records_the_write_time(tmp_path):
 
 def test_sample_manifest_records_the_table_and_its_bound(tmp_path):
     nu = tuple(2.0 * (-0.8) ** j for j in range(12))
-    series = EigenSeries(eigenvalues=nu, kept=12, tail_mass=0.0,
-                         raw_variance=2.0 * sum(v * v for v in nu))
+    series = _series(nu)
     (tmp_path / "series.json").write_text(series_to_json(series), encoding="utf-8")
     out = tmp_path / "x.csv"
     argv = ["rosenblatt", "sample", "--series", str(tmp_path / "series.json"),
@@ -673,8 +679,7 @@ def test_a_sample_count_over_the_budget_exits_2_before_the_table(tmp_path, capsy
     # was built
     monkeypatch.setattr(rosenblatt, "_node_plan", _never_called)
     nu = tuple(1.5 / (1.0 + j) for j in range(8))
-    series = EigenSeries(eigenvalues=nu, kept=8, tail_mass=0.0,
-                         raw_variance=2.0 * sum(v * v for v in nu))
+    series = _series(nu)
     (tmp_path / "series.json").write_text(series_to_json(series), encoding="utf-8")
     out = tmp_path / "x.csv"
     argv = ["rosenblatt", "sample", "--series", str(tmp_path / "series.json"),
@@ -693,8 +698,7 @@ def test_a_sample_count_over_the_budget_exits_2_before_the_table(tmp_path, capsy
 
 
 def test_sample_of_a_three_term_series_exits_2(tmp_path, capsys):
-    series = EigenSeries(eigenvalues=(1.5, 0.25, 0.125), kept=3, tail_mass=0.0,
-                         raw_variance=4.65625)
+    series = _series((1.5, 0.25, 0.125))
     (tmp_path / "series.json").write_text(series_to_json(series), encoding="utf-8")
     out = tmp_path / "x.csv"
     argv = ["rosenblatt", "sample", "--series", str(tmp_path / "series.json"),
@@ -712,6 +716,11 @@ def test_sample_of_a_three_term_series_exits_2(tmp_path, capsys):
     ({"eigenvalues": [1.0, float("nan"), 0.5, 0.25, 0.125], "kept": 5},
      "nonempty list of finite numbers"),
     ({"kept": 7}, "kept 7 is not its 5 eigenvalues"),
+    ({"tail_value": float("inf")}, "tail_value must be finite numbers"),
+    ({"weyl_ratio": float("nan"), "leading_share": "0.9"},
+     "weyl_ratio, leading_share must be finite numbers"),
+    ({"leading_terms": 5, "tail_terms": 0}, "tail_terms 0 must be a whole number >= 1"),
+    ({"leading_terms": 3}, "kept 5 is not leading_terms 3 + tail_terms 1"),
 ])
 def test_sample_refuses_a_malformed_series_before_tabulating(
     tmp_path, capsys, monkeypatch, change, message
@@ -720,8 +729,7 @@ def test_sample_refuses_a_malformed_series_before_tabulating(
         raise AssertionError("a malformed series must not reach the CDF table")
 
     monkeypatch.setattr(rosenblatt, "_node_plan", unused)
-    doc = {"eigenvalues": [1.0, 0.75, 0.5, 0.25, 0.125], "kept": 5, "tail_mass": 0.0,
-           "raw_variance": 3.6875, **change}
+    doc = {**rosenblatt.series_record(_series([1.0, 0.75, 0.5, 0.25, 0.125])), **change}
     (tmp_path / "series.json").write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "x.csv"
     argv = ["rosenblatt", "sample", "--series", str(tmp_path / "series.json"),
@@ -1060,8 +1068,7 @@ def test_manifests_record_the_echoed_values_as_json_numbers(tmp_path, monkeypatc
     # the benchmark's checks find these keys anywhere in a manifest and
     # compare them with numbers, so "0.4" in place of 0.4 fails them
     nu = tuple(1.5 / (1.0 + j) for j in range(8))
-    series = EigenSeries(eigenvalues=nu, kept=8, tail_mass=0.0,
-                         raw_variance=2.0 * sum(v * v for v in nu))
+    series = _series(nu)
     (tmp_path / "series.json").write_text(series_to_json(series), encoding="utf-8")
     monkeypatch.setattr(expcli, "limit_law", lambda window, alpha: series)
     runs = [
@@ -1087,31 +1094,64 @@ def test_manifests_record_the_echoed_values_as_json_numbers(tmp_path, monkeypatc
             assert found and all(json.dumps(v) == json.dumps(wanted) for v in found), key
 
 
-def test_rosenblatt_build_writes_a_calibrated_series(tmp_path):
+_LAW_KEYS = ["kept", "leading_terms", "tail_terms", "tail_value", "tail_variance",
+             "tail_kappa3", "weyl_ratio", "leading_share", "variance", "kappa3"]
+
+
+def test_rosenblatt_build_writes_the_series_and_its_tail(tmp_path):
     # the unit interval, the interval of half-length 0.5 and a translate of
-    # [-1, 1]: each has the unit interval's law dilated, so its factor
-    factors = []
+    # [-1, 1]: each has the unit interval's law dilated, so its tail count
+    # and its Weyl ratio
+    tails = []
     for window in (WINDOW, json.dumps({"shape": "ball", "R": 0.5, "d": 1}),
                    json.dumps({"shape": "rect", "a": [-0.5], "b": [1.5]})):
         out = tmp_path / "series.json"
         argv = ["rosenblatt", "build", "--set", window, "--alpha", "0.4", "--out", str(out)]
         assert main(argv) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
         series = series_from_json(out.read_text(encoding="utf-8"))
         manifest = _manifest(out)
         assert manifest["command"] == "rosenblatt build"
         config = manifest["config"]
         assert config["alpha"] == 0.4
         law = config["derived_limit_law"]
-        assert (law["kept"], law["tail_mass"]) == (series.kept, series.tail_mass)
-        factor = law["calibration_factor"]
-        assert factor == series.calibration_factor and 0.97 <= factor <= 1.03
-        factors.append(factor)
-        # the stored series hits the oracle; the raw one is nu / factor
+        # the series document and the manifest record the same law
+        assert sorted(law) == sorted(_LAW_KEYS) and list(doc) == ["eigenvalues"] + _LAW_KEYS
+        assert law == {k: doc[k] for k in _LAW_KEYS}
+        assert law["kept"] == 50 + law["tail_terms"] == len(doc["eigenvalues"])
+        assert doc["eigenvalues"][50:] == [law["tail_value"]] * law["tail_terms"]
+        assert law["kappa3"] == rosenblatt.cumulant(series, 3)
         oracle = rosenblatt.variance_oracle(expcli.set_from_json(window), 0.4)
-        assert law["variance"] == series.variance == pytest.approx(oracle, rel=1e-12)
-        raw = np.asarray(series.eigenvalues) / factor
-        assert 2.0 * np.sum(raw**2) == pytest.approx(law["raw_variance"], rel=1e-12)
-    assert factors == pytest.approx([factors[0]] * 3, rel=1e-13)
+        assert law["variance"] == series.variance == pytest.approx(oracle, rel=1e-14)
+        assert law["leading_share"] == pytest.approx(1.0 - law["tail_variance"] / oracle, rel=1e-14)
+        tails.append((law["tail_terms"], law["weyl_ratio"]))
+    assert [m for m, _ in tails] == [4069] * 3
+    assert [r for _, r in tails] == pytest.approx([tails[0][1]] * 3, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", ["0.1", "0.2", "0.3"])
+def test_rosenblatt_build_refuses_the_disk_below_the_weyl_band(tmp_path, capsys, alpha):
+    out = tmp_path / "series.json"
+    window = json.dumps({"shape": "ball", "R": 1.0, "d": 2})
+    argv = ["rosenblatt", "build", "--set", window, "--alpha", alpha, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rosenlab: tail variance V_t/V_W = ") and "outside [0.8, 1.25]" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_rate_experiment_runs_at_alpha_0_05(tmp_path):
+    # Cauchy theta = 0.025 is alpha = 0.05, where the rescaled law was
+    # refused with "calibration factor 1.6434"
+    out = tmp_path / "rho.csv"
+    argv = _experiment(out, "--r", "4,8", "--replicates", "1000")
+    argv[argv.index(MODEL)] = json.dumps({"family": "cauchy", "d": 1, "theta": 0.025})
+    assert main(argv) == 0
+    rows = _rows(out)
+    assert len(rows) == 2 and all(0.0 < float(row["rho"]) < 1.0 for row in rows)
+    law = _manifest(out)["config"]["derived_limit_law"]
+    assert law["tail_terms"] == 246
 
 
 def test_rosenblatt_build_refuses_a_rectangle_in_the_plane(tmp_path, capsys):

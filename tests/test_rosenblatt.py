@@ -2,17 +2,14 @@
 
 import tracemalloc
 import warnings
-from functools import lru_cache
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import jv
 from scipy.stats import chi2, ks_2samp
 
 from rosenlab import rosenblatt
-from rosenlab.covmodels import c2_constant
 from rosenlab.errors import (
     AccuracyError,
     IntegrabilityError,
@@ -24,9 +21,13 @@ from rosenlab.rosenblatt import EigenSeries, sample, series_cdf
 
 
 def _weights(nu):
-    nu = np.asarray(nu, dtype=float)
-    return EigenSeries(eigenvalues=tuple(float(v) for v in nu), kept=nu.size, tail_mass=0.0,
-                       raw_variance=2.0 * float(np.sum(nu * nu)))
+    # the CDF and the sampler read only the list: its last weight stands
+    # for a one-term tail
+    nu = tuple(float(v) for v in np.asarray(nu, dtype=float))
+    return EigenSeries(eigenvalues=nu, kept=len(nu), leading_terms=len(nu) - 1, tail_terms=1,
+                       tail_value=nu[-1], tail_variance=2.0 * nu[-1] ** 2,
+                       tail_kappa3=8.0 * nu[-1] ** 3, weyl_ratio=1.0,
+                       leading_share=1.0 - nu[-1] ** 2 / sum(v * v for v in nu))
 
 
 def _series(m):
@@ -215,9 +216,9 @@ def test_series_cdf_computes_its_rule_once_and_keeps_the_bytes(monkeypatch):
     # oracle: the rule computed fresh, summed as series_cdf sums one chunk:
     # Horner over the 64 nodes of each giant step in z = e^(-i du x), then
     # one cosine and sine per giant step
-    nu = np.asarray(series.eigenvalues)
-    lo, hi, du, nodes = rosenblatt._node_plan(nu, 1e-12)
-    u, weight, phase = rosenblatt._inversion_terms(nu, du, nodes)
+    nu, count = np.unique(series.eigenvalues, return_counts=True)
+    lo, hi, du, nodes = rosenblatt._node_plan(nu, count, 1e-12)
+    u, weight, phase = rosenblatt._inversion_terms(nu, count, du, nodes)
     xs = np.clip(x, lo, hi)
     c = (weight * np.exp(1j * phase)).reshape(nodes // 64, 64)
     z = np.exp(-1j * (du * xs))
@@ -243,7 +244,8 @@ def test_series_cdf_computes_its_rule_once_and_keeps_the_bytes(monkeypatch):
 def test_series_cdf_is_stable_under_a_tighter_tolerance():
     series = _mixed(300)
     x = np.linspace(-12.0, 25.0, 501)
-    lo, hi, u, weight, phase = rosenblatt._inversion_rule(np.asarray(series.eigenvalues), 1e-15)
+    lo, hi, u, weight, phase = rosenblatt._inversion_rule(
+        *np.unique(series.eigenvalues, return_counts=True), 1e-15)
     tighter = np.clip(0.5 - rosenblatt._midpoint_sum(u, weight, phase, np.clip(x, lo, hi)), 0.0, 1.0)
     np.testing.assert_allclose(series_cdf(series, x), tighter, rtol=0.0, atol=1e-12)
     # scalar in, scalar out; far tails are 0 and 1
@@ -266,11 +268,6 @@ def test_series_cdf_refuses_a_one_term_series():
         series_cdf(_weights([1.0]), [0.0, 1.0])
 
 
-@pytest.fixture(scope="module")
-def interval_kernel():
-    return rosenblatt.build_kernel(1, 0.4)
-
-
 def _merged_spectrum(kernel):
     return np.concatenate([
         np.repeat(np.linalg.eigvalsh(blk), mult)
@@ -278,66 +275,126 @@ def _merged_spectrum(kernel):
     ])
 
 
-def test_eigen_series_drops_rounding_noise(interval_kernel):
-    full = _merged_spectrum(interval_kernel)
-    full = full[np.argsort(-np.abs(full))][:300]
-    series = rosenblatt.eigen_series(interval_kernel)
-    nu = np.asarray(series.eigenvalues)
-    floor = interval_kernel.spectrum_size * np.finfo(float).eps * abs(nu[0])
-    assert series.kept == nu.size < 300
-    assert np.min(np.abs(nu)) > floor
-    np.testing.assert_array_equal(nu, full[: nu.size])
-    assert series.variance == pytest.approx(2.0 * np.sum(full**2), rel=1e-12)
+def _dense_galerkin(alpha, cells):
+    # the whole Galerkin matrix of |x - y|^(-alpha) on [-1, 1] in the
+    # orthonormal cell indicators, entries by the cell double integrals
+    # through F(t) = |t|^(2 - alpha) / ((1 - alpha)(2 - alpha))
+    w = 2.0 / cells
+
+    def F(t):
+        return np.abs(t) ** (2.0 - alpha) / ((1.0 - alpha) * (2.0 - alpha))
+
+    lag = np.abs(np.subtract.outer(np.arange(cells), np.arange(cells))) * w
+    return (F(lag + w) + F(lag - w) - 2.0 * F(lag)) / w
 
 
-@lru_cache(maxsize=None)
-def _dense_mirrored_spectrum(alpha):
-    # reference: the whole Nystrom matrix on the graded mesh mirrored to the
-    # negative axis, c2 sqrt(w_i w_j) K(x_i - x_j) |x_i x_j|^(-(1 - alpha)/2)
-    # with the unit-interval transform K(t) = 2 sin(t) / t, by magnitude
-    half, w_half = rosenblatt._graded_axis(1504, rosenblatt.DEFAULT_CUTOFF_1D)
-    x = np.concatenate([-half[::-1], half])
-    w = np.concatenate([w_half[::-1], w_half])
-    t = x[:, None] - x[None, :]
-    safe = np.where(t == 0.0, 1.0, t)
-    k = np.where(t == 0.0, 2.0, 2.0 * np.sin(safe) / safe)
-    s = np.sqrt(w) * np.abs(x) ** (-0.5 * (1.0 - alpha))
-    dense = c2_constant(1, alpha) * np.outer(s, s) * k
-    want = np.linalg.eigvalsh(0.5 * (dense + dense.T))
-    return want[np.argsort(-np.abs(want))]
+def test_interval_blocks_have_the_spectrum_of_the_dense_mirrored_mesh():
+    # the even and odd halves hold the whole spectrum of the 500 cells
+    for alpha in (0.05, 0.2, 0.4, 0.48):
+        kernel = rosenblatt.build_kernel(1, alpha)
+        assert [blk.shape for blk in kernel.blocks] == [(250, 250)] * 2
+        assert kernel.block_multiplicity == (1, 1) and kernel.spectrum_size == 500
+        # A +- BJ are the halves: they reassemble the whole matrix, whose
+        # entries carry rounding eps F(2) / w ~ 1e-13 from the differences
+        dense = _dense_galerkin(alpha, 500)
+        upper, mirrored = 0.5 * (kernel.blocks[0] + kernel.blocks[1]), 0.5 * (
+            kernel.blocks[0] - kernel.blocks[1])
+        whole = np.block([[upper, mirrored[:, ::-1]], [mirrored[:, ::-1].T, upper[::-1, ::-1]]])
+        assert np.max(np.abs(whole - dense)) <= 1e-12
+        want = np.linalg.eigvalsh(dense)[::-1]
+        got = np.sort(_merged_spectrum(kernel))[::-1]
+        assert np.max(np.abs(got - want)) <= 2e-12 * want[0]
+        # the operator is positive; eigen_series keeps the 50 largest
+        assert np.min(got) > 0.0
+        np.testing.assert_array_equal(rosenblatt.eigen_series(kernel), got[:50])
 
 
-def _kept_error(kernel, alpha):
-    # largest gap between the kept terms and the dense mesh's, over nu_1
-    nu = np.asarray(rosenblatt.eigen_series(kernel).eigenvalues)
-    want = _dense_mirrored_spectrum(alpha)
-    return np.max(np.abs(nu - want[: nu.size])) / abs(want[0])
+def _law_at(monkeypatch, alpha, cells, leading):
+    monkeypatch.setattr(rosenblatt, "_GALERKIN_CELLS", cells)
+    monkeypatch.setattr(rosenblatt, "_LEADING_TERMS", leading)
+    monkeypatch.setattr(rosenblatt, "_TAIL_CAP", 2**21)
+    try:
+        return rosenblatt.limit_law(ball(1), alpha)
+    finally:
+        monkeypatch.undo()
 
 
-def test_interval_blocks_have_the_spectrum_of_the_dense_mirrored_mesh(interval_kernel):
-    want = _dense_mirrored_spectrum(0.4)
-    assert interval_kernel.block_multiplicity == (1, 1)
-    series = rosenblatt.eigen_series(interval_kernel)
-    assert _kept_error(interval_kernel, 0.4) <= 1e-13
-    # the Gram blocks drop no eigenvalue of the mesh above their floor
-    floor = interval_kernel.spectrum_size * np.finfo(float).eps * abs(want[0])
-    assert np.max(np.abs(want[series.kept :])) <= floor
+def _ks_between(a, b):
+    lo = min(a.inversion_rule[0], b.inversion_rule[0])
+    hi = max(a.inversion_rule[1], b.inversion_rule[1])
+    x = np.linspace(lo, hi, 40_001)
+    return float(np.max(np.abs(series_cdf(a, x) - series_cdf(b, x))))
 
 
-@pytest.mark.parametrize("alpha", [0.2, 0.4])
-def test_the_transform_node_rule_is_needed_to_match_the_dense_mesh(monkeypatch, alpha):
-    # the rule's 296 nodes at the largest mesh node 495.7 match the dense
-    # mesh; a tenth fewer miss it by orders of magnitude
-    kernel = rosenblatt.build_kernel(1, alpha)
-    assert [blk.shape for blk in kernel.blocks] == [(296, 296)] * 2
-    assert _kept_error(kernel, alpha) <= 1e-13
+@pytest.mark.parametrize("alpha", [0.05, 0.4, 0.48])
+def test_interval_law_is_within_5e_5_of_a_dense_galerkin_reference(monkeypatch, alpha):
+    # reference: 2000 cells split the same way, 200 leading terms and the
+    # same three-cumulant tail past them; measured 1.9e-6, 1.3e-5 and 3.7e-6
+    law = rosenblatt.limit_law(ball(1), alpha)
+    reference = _law_at(monkeypatch, alpha, 2000, 200)
+    assert reference.leading_terms == 200 and reference.tail_terms > law.tail_terms
+    assert _ks_between(law, reference) <= 5e-5
 
-    def fewer(top):
-        t, wt = leggauss(int(0.9 * 296))
-        return 0.5 * (t + 1.0), 0.5 * wt
 
-    monkeypatch.setattr(rosenblatt, "_transform_nodes", fewer)
-    assert _kept_error(rosenblatt.build_kernel(1, alpha), alpha) > 1e-13
+_INTERVAL_GRID = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.48)
+_DISK_GRID = (0.4, 0.5, 0.6, 0.7, 0.8)
+
+
+@pytest.mark.parametrize("dimension, alpha", [(1, a) for a in _INTERVAL_GRID]
+                         + [(2, a) for a in _DISK_GRID])
+def test_every_alpha_of_the_two_grids_builds(dimension, alpha):
+    law = rosenblatt.limit_law(ball(dimension), alpha)
+    oracle = rosenblatt.variance_oracle(ball(dimension), alpha)
+    nu = np.asarray(law.eigenvalues)
+    k, m = law.leading_terms, law.tail_terms
+    assert k == 50 and 1 <= m <= rosenblatt._TAIL_CAP and law.kept == k + m == nu.size
+    assert np.all(nu[k:] == law.tail_value) and law.tail_value <= nu[k - 1]
+    assert law.variance == pytest.approx(oracle, rel=1e-14)
+    assert 2.0 * m * law.tail_value**2 == pytest.approx(law.tail_variance, rel=1e-14)
+    assert law.leading_share == pytest.approx(2.0 * np.sum(nu[:k] ** 2) / oracle, rel=1e-12)
+    # no term is capped on these grids: the tail carries T_t exactly
+    assert 8.0 * m * law.tail_value**3 == pytest.approx(law.tail_kappa3, rel=1e-2)
+    assert 0.8 <= law.weyl_ratio <= 1.25
+
+
+def test_the_interval_law_at_0_4_meets_the_galerkin_third_cumulant():
+    law = rosenblatt.limit_law(ball(1), 0.4)
+    assert law.tail_terms == 4069
+    # 2 sum nu^2 is the oracle; 8 sum nu^3 is the 1000-cell Galerkin value
+    # 280.19 of the benchmark to 1%, where the rescaled law read 304.38
+    assert abs(law.variance - rosenblatt.variance_oracle(ball(1), 0.4)) <= 1e-12
+    assert rosenblatt.cumulant(law, 3) == pytest.approx(280.19, rel=1e-2)
+
+
+@pytest.mark.parametrize("alpha, ratio", [(0.1, 2834.0), (0.2, 69.25), (0.3, 3.909)])
+def test_the_disk_at_small_alpha_is_refused_by_the_weyl_band(alpha, ratio):
+    # the frequency mesh loses variance there: V_t is far above V_W
+    with pytest.raises(AccuracyError, match=r"tail variance V_t/V_W = [0-9.]+ outside "
+                                            r"\[0.8, 1.25\]") as info:
+        rosenblatt.limit_law(ball(2), alpha)
+    assert info.value.estimate == pytest.approx(ratio, rel=1e-3)
+
+
+def test_the_multiplicities_give_the_rule_of_the_listed_terms():
+    # the interval law at 0.4 lists 4119 terms in 51 distinct values
+    law = rosenblatt.limit_law(ball(1), 0.4)
+    nu = np.asarray(law.eigenvalues)
+    lo, hi, u, weight, phase = law.inversion_rule
+    du = 2.0 * u[0]
+    one_by_one = rosenblatt._inversion_terms(nu, np.ones(nu.size, dtype=int), du, u.size)
+    np.testing.assert_allclose(weight, one_by_one[1], rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(phase, one_by_one[2], rtol=1e-11, atol=0.0)
+
+
+def test_the_lower_chernoff_point_of_a_positive_series_is_not_minus_its_sum():
+    # every weight is positive, so the lower point is a Chernoff point over
+    # all t > 0, not the trivial -sum nu = -144.8; the table then needs
+    # 2^20 cells where the trivial point needed 2^21
+    law = rosenblatt.limit_law(ball(1), 0.4)
+    lo, hi = law.inversion_rule[:2]
+    assert -sum(law.eigenvalues) < -144.0 and -29.0 < lo < -28.0
+    assert series_cdf(law, lo) <= 0.25e-12
+    assert law.cdf_table.cells == 2**20
 
 
 @pytest.mark.parametrize("dimension, alpha", [(1, 0.2), (1, 0.4), (2, 0.6)])
@@ -432,11 +489,16 @@ def test_limit_law_is_the_unit_law_dilated(unit_laws, window, radius):
         return
     scale = radius ** (d - _ALPHA[d])
     want = scale * np.asarray(unit.eigenvalues)
-    assert law.kept == unit.kept
+    # the tail is the same M terms dilated, from the window's own oracle
+    assert (law.kept, law.leading_terms, law.tail_terms) == (
+        unit.kept, unit.leading_terms, unit.tail_terms)
     assert np.max(np.abs(np.asarray(law.eigenvalues) - want)) <= 1e-13 * abs(want[0])
-    assert law.calibration_factor == pytest.approx(unit.calibration_factor, rel=1e-13)
-    assert law.raw_variance == pytest.approx(scale**2 * unit.raw_variance, rel=1e-13)
-    assert law.variance == pytest.approx(rosenblatt.variance_oracle(window, _ALPHA[d]), rel=1e-12)
+    assert law.tail_value == pytest.approx(scale * unit.tail_value, rel=1e-12)
+    assert law.tail_variance == pytest.approx(scale**2 * unit.tail_variance, rel=1e-12)
+    assert law.tail_kappa3 == pytest.approx(scale**3 * unit.tail_kappa3, rel=1e-12)
+    assert law.weyl_ratio == pytest.approx(unit.weyl_ratio, rel=1e-12)
+    assert law.leading_share == pytest.approx(unit.leading_share, rel=1e-12)
+    assert law.variance == pytest.approx(rosenblatt.variance_oracle(window, _ALPHA[d]), rel=1e-14)
 
 
 @pytest.mark.parametrize("window", [
@@ -454,15 +516,16 @@ def test_limit_law_refuses_a_window_without_a_law_before_any_build(monkeypatch, 
 
 def test_disk_law_keeps_the_values_of_the_angular_fft_build():
     # pinned from the build that sampled the chord at 512 angles and solved
-    # 97 radial blocks of order 160
+    # 97 radial blocks of order 160, which read 4.04647642267508 and
+    # 0.945562514469661 after a rescale by 1.0118016808644539
     series = rosenblatt.limit_law(ball(2), 0.6)
-    assert series.kept == 300
+    assert (series.leading_terms, series.tail_terms) == (50, 800)
     nu = series.eigenvalues
-    assert nu[0] == pytest.approx(4.04647642267508, rel=1e-12)
-    assert nu[1] == pytest.approx(0.945562514469661, rel=1e-12)
-    assert nu[2] == pytest.approx(0.945562514469661, rel=1e-12)
-    assert series.raw_variance == pytest.approx(40.7355931428927, rel=1e-12)
-    assert rosenblatt.cumulant(series, 3) == pytest.approx(549.607018067481, rel=1e-12)
+    assert nu[0] == pytest.approx(4.04647642267508 / 1.0118016808644539, rel=1e-12)
+    assert nu[1] == pytest.approx(0.945562514469661 / 1.0118016808644539, rel=1e-12)
+    assert nu[2] == nu[1]
+    assert series.weyl_ratio == pytest.approx(0.9427787022583081, rel=1e-12)
+    assert rosenblatt.cumulant(series, 3) == pytest.approx(530.6565599393125, rel=1e-12)
 
 
 def test_disk_kernel_build_stays_small_in_memory():
@@ -479,10 +542,8 @@ def test_disk_kernel_build_stays_small_in_memory():
 def test_eigen_series_keeps_the_disk_series():
     kernel = rosenblatt.build_kernel(2, 0.6)
     full = _merged_spectrum(kernel)
-    full = full[np.argsort(-np.abs(full))][:300]
-    series = rosenblatt.eigen_series(kernel)
-    assert series.kept == 300
-    np.testing.assert_array_equal(series.eigenvalues, full)
+    full = full[np.argsort(-np.abs(full))][:50]
+    np.testing.assert_array_equal(rosenblatt.eigen_series(kernel), full)
     # one block per order of the addition rows
     assert len(kernel.blocks) == 83 and kernel.block_multiplicity == (1,) + (2,) * 82
 
@@ -588,7 +649,8 @@ def test_variance_oracle_diverges_at_half_the_dimension(dimension):
 
 
 def test_limit_law_refuses_a_mesh_off_the_oracle(monkeypatch):
-    # 512 nodes give 2 sum nu^2 = oracle / 0.877^2 on the interval
-    monkeypatch.setattr(rosenblatt, "DEFAULT_NODES_1D", 512)
-    with pytest.raises(ParameterError, match="calibration factor 0.8774 outside"):
+    # 100 cells do not resolve the interval past 50 terms: the oracle's
+    # remainder is 1.293 times the Weyl tail variance
+    monkeypatch.setattr(rosenblatt, "_GALERKIN_CELLS", 100)
+    with pytest.raises(AccuracyError, match=r"V_t/V_W = 1\.293 outside \[0\.8, 1\.25\]"):
         rosenblatt.limit_law(ball(1), 0.4)
