@@ -9,6 +9,9 @@ chi-square-series limit-law sampler (rosenblatt), closed-form convergence
 rate exponents (ratelab), and the experiment driver plus CLI (expcli).
 """
 
+# set before the imports: expcli records it in every manifest
+__version__ = "0.1.0"
+
 from .covmodels import (
     CovarianceModel,
     LongMemoryParams,
@@ -95,5 +98,3 @@ from .rosenblatt import (
     variance_oracle,
 )
 from .specfun import hyp1f2_cosine, y_d_kernel
-
-__version__ = "0.1.0"

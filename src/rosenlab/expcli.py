@@ -35,7 +35,7 @@ from platform import python_version
 
 import numpy as np
 
-from . import fieldsim
+from . import __version__, fieldsim
 from .covmodels import (
     covariance_eval,
     linnik,
@@ -90,8 +90,6 @@ __all__ = [
     "main",
 ]
 
-__version__ = "0.1.0"
-
 RHO_CSV_COLUMNS = ("r", "replicates", "rho", "rho_stderr", "kappa_bound")
 _BOOTSTRAP_RESAMPLES = 200
 # resamples per batch of _bootstrap_stderrs: all 200 at once run slower
@@ -121,7 +119,6 @@ class ExperimentConfig:
     replicates: int = 1000
     master_seed: int = 0
     h: float = 0.25
-    out: str = None
 
     def __post_init__(self):
         r = tuple(float(x) for x in self.r_grid)
@@ -159,7 +156,6 @@ def config_to_json(config):
             "replicates": config.replicates,
             "master_seed": config.master_seed,
             "h": config.h,
-            "out": config.out,
         }
     )
 
@@ -557,7 +553,10 @@ def _write_csv(out, header, rows):
     return out
 
 
-def _write_manifest(out, command, merged, wall_seconds, seeds, outputs):
+def _write_manifest(out, command, merged, wall_seconds, outputs):
+    """The JSON manifest next to out: the command, every value it read
+    (merged), versions, wall time and outputs. Only a command that reads
+    --seed records seeds, and only rate experiment a protocol_note."""
     if out is None:
         return None
     path = out + ".manifest.json"
@@ -570,9 +569,12 @@ def _write_manifest(out, command, merged, wall_seconds, seeds, outputs):
             "rosenlab": __version__,
         },
         "wall_seconds": wall_seconds,
-        "seeds": seeds,
         "outputs": outputs,
-        "protocol_note": (
+    }
+    if "seed" in merged:
+        doc["seeds"] = {"master_seed": merged["seed"]}
+    if command == "rate experiment":
+        doc["protocol_note"] = (
             "Monte Carlo protocol (seeding, replicate counts, bootstrap) is "
             "chosen by this implementation; rho is measured against the exact "
             "CDF of the chi-square series of derived_limit_law: its leading "
@@ -593,8 +595,7 @@ def _write_manifest(out, command, merged, wall_seconds, seeds, outputs):
             f"spawn_key=({_BOOTSTRAP_TAG:#x},)), and every r measures its "
             "distance on the same resamples. No "
             "stream depends on the number of workers."
-        ),
-    }
+        )
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -659,11 +660,6 @@ def _grid(text, name):
     return _floats(text, name)
 
 
-def _switch(value, name):
-    """A flag without a value: argparse stores True when it is given."""
-    return value
-
-
 def _seed(value, name):
     """A nonnegative integer. Text that reads as an integer is one; any other
     value goes to check_seed as it is, which names it in its refusal."""
@@ -678,10 +674,9 @@ def _seed(value, name):
 class _Option:
     """One command line option, declared once.
 
-    kind reads the flag's text into what the handler gets: _int, _float,
-    _floats, _grid, _seed, _out_path or _switch (a flag without a value);
-    None passes the text through as given, such as a JSON descriptor or a
-    path.
+    Every flag takes a value, as text. kind reads it into what the handler
+    gets: _int, _float, _floats, _grid, _seed or _out_path; None passes the
+    text through as given, such as a JSON descriptor or a path.
     """
 
     flag: str
@@ -711,19 +706,19 @@ def _require(opts, *names):
             raise ParameterError(f"missing required option --{name}")
 
 
-def _cmd_covariance_eval(opts, out, seed):
+def _cmd_covariance_eval(opts):
     model = model_from_json(opts["model"])
     rows = [(r, float(covariance_eval(model, r))) for r in opts["r"]]
     return ("r", "covariance"), rows, {}
 
 
-def _cmd_spectral_eval(opts, out, seed):
+def _cmd_spectral_eval(opts):
     model = model_from_json(opts["model"])
     rows = [(lam, float(spectral_density(model, lam))) for lam in opts["lam"]]
     return ("lam", "density"), rows, {}
 
 
-def _cmd_spectral_fit(opts, out, seed):
+def _cmd_spectral_fit(opts):
     model = model_from_json(opts["model"])
     fit = residual_exponent_fit(model, np.asarray(opts["grid"]))
     target = lrd_params(model).upsilon
@@ -731,7 +726,7 @@ def _cmd_spectral_fit(opts, out, seed):
     return ("family", "upsilon_fit", "upsilon_formula", "difference"), rows, {}
 
 
-def _cmd_geometry_ft(opts, out, seed):
+def _cmd_geometry_ft(opts):
     window = set_from_json(opts["set"])
     if opts["direction"] is None:
         vec = np.zeros(window.dimension)
@@ -748,56 +743,46 @@ def _cmd_geometry_ft(opts, out, seed):
     return ("z", "ft_real", "ft_imag"), rows, {}
 
 
-def _cmd_hermite_coeffs(opts, out, seed):
-    name = opts["functional"]
-    expansion = hermite_coefficients(functional_catalog(name), opts["order"])
+def _cmd_hermite_coeffs(opts):
+    expansion = hermite_coefficients(functional_catalog(opts["functional"]), opts["order"])
     rows = [(j, c) for j, c in enumerate(expansion.coeffs)]
-    return ("j", "coefficient"), rows, {"rank": expansion.rank, "functional": name}
+    return ("j", "coefficient"), rows, {"rank": expansion.rank}
 
 
-def _cmd_simulate_field(opts, out, seed):
+def _cmd_simulate_field(opts):
     model = model_from_json(opts["model"])
     plan = SimulationPlan(
         model=model,
         dimension=model.dimension,
         h=opts["h"],
         extent=opts["extent"],
-        seed=seed,
+        seed=opts["seed"],
     )
-    if out is None:
+    if opts["out"] is None:
         raise ParameterError("simulate field writes binary output; --out is required")
-    fld = simulate_field(plan)
-    export_field(fld, out)
-    return None, None, {
-        "n_per_axis": plan.n_per_axis, "path": out, "embedding": asdict(embedding(plan)),
-    }
+    export_field(simulate_field(plan), opts["out"])
+    return None, None, {"embedding": asdict(embedding(plan))}
 
 
-def _cmd_rosenblatt_build(opts, out, seed):
+def _cmd_rosenblatt_build(opts):
     series = limit_law(set_from_json(opts["set"]), opts["alpha"])
     text = series_to_json(series)
-    if out is None:
+    if opts["out"] is None:
         sys.stdout.write(text + "\n")
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(opts["out"], "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     return None, None, {"limit_law": _law_record(series)}
 
 
-def _cmd_rosenblatt_sample(opts, out, seed):
-    path, n = opts["series"], opts["n"]
-    series = series_from_json(_read_text(path, "series"))
-    draws = sample(series, n, seed)
+def _cmd_rosenblatt_sample(opts):
+    series = series_from_json(_read_text(opts["series"], "series"))
+    draws = sample(series, opts["n"], opts["seed"])
     table = series.cdf_table
-    return ("x",), draws, {
-        "series": path,
-        "n": n,
-        "cdf_table_cells": table.cells,
-        "ks_bound": table.ks_bound,
-    }
+    return ("x",), draws, {"cdf_table_cells": table.cells, "ks_bound": table.ks_bound}
 
 
-def _cmd_rate_bound(opts, out, seed):
+def _cmd_rate_bound(opts):
     if opts["model"] is not None:
         fixed = [f"--{name}" for name in ("d", "alpha", "upsilon") if opts[name] is not None]
         if fixed:
@@ -823,7 +808,7 @@ def _cmd_rate_bound(opts, out, seed):
 _CURVE_FAMILY_OPTIONS = {"localglobal": ("theta",), "linnik": ("d", "sigma")}
 
 
-def _cmd_rate_curves(opts, out, seed):
+def _cmd_rate_curves(opts):
     family = opts["family"]
     if family not in _CURVE_FAMILY_OPTIONS:
         raise ParameterError(f"unknown curve family {family!r}; use localglobal or linnik")
@@ -834,7 +819,7 @@ def _cmd_rate_curves(opts, out, seed):
     ]
     if unread:
         raise ParameterError(f"--family {family} does not read {', '.join(unread)}")
-    info = {"family": family}
+    info = {}
     if family == "localglobal":
         theta = 0.5 if opts["theta"] is None else opts["theta"]
         info["theta"] = theta
@@ -848,11 +833,11 @@ def _cmd_rate_curves(opts, out, seed):
     return CURVE_COLUMNS, rows, info
 
 
-def _cmd_rate_experiment(opts, out, seed):
+def _cmd_rate_experiment(opts):
     config = ExperimentConfig(
         model=model_from_json(opts["model"]), window=set_from_json(opts["set"]),
         functional=opts["functional"], r_grid=tuple(opts["r"]),
-        replicates=opts["replicates"], master_seed=seed, h=opts["h"], out=out,
+        replicates=opts["replicates"], master_seed=opts["seed"], h=opts["h"],
     )
     table = rate_experiment(config)
     info = {
@@ -866,16 +851,13 @@ def _cmd_rate_experiment(opts, out, seed):
     return RHO_CSV_COLUMNS, table.csv_rows(), info
 
 
-def _cmd_verify_supmin(opts, out, seed):
-    res = opts["resolution"]
-    rep = kappa0_identity_check(
-        opts["d"], opts["alpha"], opts["q"], opts["upsilon"], res, not opts["no_refine"]
+def _cmd_verify_supmin(opts):
+    inputs = RateInputs(
+        dimension=opts["d"], alpha=opts["alpha"], q=opts["q"], upsilon=opts["upsilon"]
     )
-    header = (
-        "grid_value", "closed_form", "deviation",
-        "beta", "gamma", "gamma0", "resolution", "refined",
-    )
-    rows = [(rep.grid_value, rep.closed_form, rep.deviation, *rep.argmax, res, rep.refined)]
+    rep = kappa0_identity_check(inputs, opts["resolution"])
+    header = ("grid_value", "closed_form", "deviation", "beta", "gamma", "gamma0", "resolution")
+    rows = [(rep.grid_value, rep.closed_form, rep.deviation, *rep.argmax, rep.resolution)]
     return header, rows, {}
 
 
@@ -887,12 +869,16 @@ _EXPONENTS = (
     _Option("q", _float, required=True, help="spectral smoothness exponent"),
     _Option("upsilon", _float, required=True, help="residual exponent"),
 )
+# listed only by the three commands that draw
+_SEED = _Option("seed", _seed, 0, help="master seed (default 0)")
 
-# "group action" -> (handler(opts, out, seed) returning (header, rows, info),
-# its options). Each option is declared here once: _build_parser makes its
-# flag, and _run reads its value into opts under its argparse dest, which is
-# also its key in the manifest's config. header is None for commands that
-# write their own output file.
+# "group action" -> (handler(opts) returning (header, rows, info), its
+# options besides _COMMON). Each option is declared once: _build_parser makes
+# its flag, and _run reads its value into opts under its argparse dest, which
+# is also its key in the manifest's config; a command refuses at argparse
+# every flag it does not list. info holds only what config does not record;
+# it goes to the manifest's config as derived_ values. header is None for
+# commands that write their own output file.
 _COMMANDS = {
     "covariance eval": (_cmd_covariance_eval, (
         _MODEL,
@@ -920,6 +906,7 @@ _COMMANDS = {
         _MODEL,
         _Option("h", _float, required=True, help="lattice step"),
         _Option("extent", _float, required=True, help="half-width of the lattice"),
+        _SEED,
     )),
     "rosenblatt build": (_cmd_rosenblatt_build, (
         _SET,
@@ -928,6 +915,7 @@ _COMMANDS = {
     "rosenblatt sample": (_cmd_rosenblatt_sample, (
         _Option("series", required=True, help="series JSON path from rosenblatt build"),
         _Option("n", _int, required=True, help="number of draws"),
+        _SEED,
     )),
     "rate bound": (_cmd_rate_bound, (
         _Option("model", help="model JSON descriptor; it fixes d, alpha and upsilon"),
@@ -948,18 +936,15 @@ _COMMANDS = {
         _Option("r", _floats, required=True, help="comma-separated window scales"),
         _Option("replicates", _int, 1000, help="replicates per r (default 1000)"),
         _Option("h", _float, 0.25, help="lattice step (default 0.25)"),
+        _SEED,
     )),
     "verify supmin": (_cmd_verify_supmin, (
         *_EXPONENTS,
         _Option("resolution", _int, 1000, help="grid points per axis (default 1000)"),
-        _Option("no-refine", _switch, False, help="skip the local refinement"),
     )),
 }
 # the options of every command
-_COMMON = (
-    _Option("out", _out_path, help="output path (stdout when omitted)"),
-    _Option("seed", _seed, 0, help="master seed (default 0)"),
-)
+_COMMON = (_Option("out", _out_path, help="output path (stdout when omitted)"),)
 _GROUP_HELP = dict(
     covariance="covariance evaluation", spectral="spectral densities",
     geometry="window transforms", hermite="functional expansions",
@@ -970,8 +955,7 @@ _GROUP_HELP = dict(
 
 @cache
 def _build_parser():
-    """One subparser per _COMMANDS entry; every flag is text, read by _run,
-    except a _switch, which argparse stores as True when it is given.
+    """One subparser per _COMMANDS entry; every flag is text, read by _run.
 
     Built once per process and shared by every main call: parsing does not
     change the parser, and _COMMANDS is not changed after import."""
@@ -990,8 +974,7 @@ def _build_parser():
             )
         p = groups[group].add_parser(action)
         for opt in (*_COMMON, *options):
-            switch = {"action": "store_true"} if opt.kind is _switch else {}
-            p.add_argument(f"--{opt.flag}", dest=opt.dest, default=None, help=opt.help, **switch)
+            p.add_argument(f"--{opt.flag}", dest=opt.dest, default=None, help=opt.help)
     return parser
 
 
@@ -1018,10 +1001,10 @@ def _run(args):
     command = f"{args.group} {args.action}"
     handler, options = _COMMANDS[command]
     opts = {opt.dest: opt.read(args) for opt in (*_COMMON, *options)}
-    out, seed = opts["out"], opts["seed"]
+    out = opts["out"]
     t0 = time.perf_counter()
 
-    header, rows, info = handler(opts, out, seed)
+    header, rows, info = handler(opts)
 
     outputs = []
     if header is not None:
@@ -1036,7 +1019,7 @@ def _run(args):
     wall = time.perf_counter() - t0
     merged = {k: v for k, v in opts.items() if v is not None}
     merged.update({f"derived_{k}": v for k, v in info.items()})
-    manifest = _write_manifest(out, command, merged, wall, {"master_seed": seed}, outputs)
+    manifest = _write_manifest(out, command, merged, wall, outputs)
     if manifest is not None:
         outputs.append(manifest)
     return 0

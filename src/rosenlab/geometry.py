@@ -157,8 +157,7 @@ def indicator_ft(window, x):
             f"frequency has {pts.shape[1]} components, window dimension is {window.dimension}"
         )
     if window.shape == "ball":
-        z = np.sqrt(np.sum(pts**2, axis=1))
-        out = volume(window) * y_d_kernel(window.dimension + 2, window.radius * z)
+        out = ball_ft_radial(window, np.sqrt(np.sum(pts**2, axis=1)))
         return float(out[0]) if single else out
     out = np.ones(pts.shape[0], dtype=complex)
     for j in range(window.dimension):

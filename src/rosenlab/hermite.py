@@ -9,7 +9,7 @@ with a coefficient above tolerance).
 """
 
 from dataclasses import dataclass
-from math import factorial, pi, sqrt
+from math import factorial, lgamma, pi, sqrt
 from typing import Callable
 
 import numpy as np
@@ -24,39 +24,45 @@ __all__ = [
 ]
 
 
+# the largest order whose abs-centered coefficients are all finite doubles:
+# C_174 needs 172!, which exceeds the largest double
+_MAX_ORDER = 172
+
+
 @dataclass(frozen=True)
 class HermiteExpansion:
     """Coefficients C_0..C_J of a functional, with detected rank.
 
-    rank is the first j >= 1 with |C_j| above 1e-8 * max_j |C_j|, or None
-    when there is none.
+    rank is the first j >= 1 whose term has an L^2 norm |C_j| / sqrt(j!)
+    above 1e-8 times the largest term's, or None when there is none. C_j
+    itself grows like sqrt(j!): beside C_22 of abs-centered, 1e-8 max_j |C_j|
+    exceeds C_2.
     """
 
     coeffs: tuple
-    order: int
     rank: object
 
 
 def hermite_coefficients(G, J):
     """Closed-form expansion of the CatalogFunctional G to order J.
 
-    ParameterError for a negative order or a G that is not a
-    CatalogFunctional.
+    ParameterError, before any coefficient is computed, for an order
+    outside [0, _MAX_ORDER] or a G that is not a CatalogFunctional.
     """
     J = int(J)
-    if J < 0:
-        raise ParameterError(f"expansion order must be >= 0, got {J}")
+    if not 0 <= J <= _MAX_ORDER:
+        raise ParameterError(f"expansion order must lie in [0, {_MAX_ORDER}], got {J}")
     if not isinstance(G, CatalogFunctional):
         raise ParameterError(
             f"Hermite coefficients need a CatalogFunctional, got {type(G).__name__}; "
             f"catalog: {sorted(_CATALOG)}"
         )
     c = np.array([G.coefficient(j) for j in range(J + 1)])
-    scale = max(float(np.max(np.abs(c))), 1e-12)
+    norms = np.abs(c) * np.exp([-0.5 * lgamma(j + 1.0) for j in range(J + 1)])
+    scale = max(float(np.max(norms)), 1e-12)
     return HermiteExpansion(
         coeffs=tuple(float(v) for v in c),
-        order=J,
-        rank=next((j for j in range(1, J + 1) if abs(c[j]) > 1e-8 * scale), None),
+        rank=next((j for j in range(1, J + 1) if norms[j] > 1e-8 * scale), None),
     )
 
 

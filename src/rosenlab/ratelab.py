@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covmodels import lrd_params
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, check_dimension
 
 __all__ = [
     "RateInputs",
@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 CURVE_COLUMNS = ("alpha", "kappa1_over_3", "geometric_term_over_3", "kappa_bound")
+# grid points of one kappa0_identity_check pass, resolution^2
+_SCAN_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -46,9 +48,8 @@ class RateInputs:
     upsilon: float
 
     def __post_init__(self):
-        if int(self.dimension) != self.dimension or self.dimension < 1:
-            raise ParameterError(f"dimension must be a positive integer, got {self.dimension}")
-        d = self.dimension
+        d = check_dimension(self.dimension)
+        object.__setattr__(self, "dimension", d)
         if not (0.0 < self.alpha < 0.5 * d):
             raise DomainError(
                 f"alpha must lie in (0, d/2) = (0, {0.5 * d}), got {self.alpha}"
@@ -93,7 +94,6 @@ class SupMinReport:
     deviation: float
     argmax: tuple
     resolution: int
-    refined: bool
 
 
 def _beta_grid_peak(c, n_beta, lo, hi):
@@ -138,42 +138,44 @@ def _scan(d, alpha, q, upsilon, n, g_lo, g_hi, b_lo, b_hi, g0_win=None):
     return float(best[i, j]), (float(barg[i, j]), float(gam[i]), float(g0[i, j]))
 
 
-def kappa0_identity_check(d, alpha, q, upsilon, resolution=1000, refine=True):
+def kappa0_identity_check(inputs, resolution=1000):
     """Brute-force sup-min over (beta, gamma, gamma0) against kappa1 / 3.
 
     The optimized exponent satisfies sup_beta min(beta, kappa1 - 2 beta)
-    = kappa1 / 3; the grid search re-derives it without using the closed
-    form and reports the deviation. Each axis has resolution points,
-    strictly inside the open intervals beta, gamma in (0, 1) and gamma0 in
-    (0, gamma); refine adds one pass that re-grids around the coarse argmax.
+    = kappa1 / 3; the grid search re-derives it from the RateInputs without
+    using the closed form and reports the deviation. Each axis has
+    resolution points, strictly inside the open intervals beta, gamma in
+    (0, 1) and gamma0 in (0, gamma), and a second pass re-grids around the
+    coarse argmax. Each pass holds about 81 bytes per point of its
+    resolution^2 grid, so ParameterError refuses a resolution^2 above
+    _SCAN_BUDGET before either pass: 10^7 points peak at about 0.81 GB.
     """
     if int(resolution) != resolution or resolution < 8:
         raise ParameterError(f"resolution must be an integer >= 8, got {resolution}")
     n = int(resolution)
-    if not (0.0 < alpha < 0.5 * d):
-        raise DomainError(f"alpha must lie in (0, d/2), got {alpha}")
-    if q <= 0.0 or upsilon <= 0.0:
-        raise DomainError("q and upsilon must be positive")
-    value, (b_star, g_star, g0_star) = _scan(d, alpha, q, upsilon, n, 0.0, 1.0, 0.0, 1.0)
-    if refine:
-        step = 2.0 / (n + 1.0)
-        d0 = 2.0 * g_star / (n + 1.0)
-        value2, arg2 = _scan(
-            d, alpha, q, upsilon, n,
-            max(0.0, g_star - step), min(1.0, g_star + step),
-            max(0.0, b_star - step), min(1.0, b_star + step),
-            g0_win=(g0_star - d0, g0_star + d0),
+    if n * n > _SCAN_BUDGET:
+        raise ParameterError(
+            f"resolution {n} scans {n * n} grid points, over the 10^7 budget"
         )
-        if value2 > value:
-            value, (b_star, g_star, g0_star) = value2, arg2
-    target = 2.0 * min(q, _harmonic(d, alpha, upsilon)) / 3.0
+    exponents = (inputs.dimension, inputs.alpha, inputs.q, inputs.upsilon)
+    value, (b_star, g_star, g0_star) = _scan(*exponents, n, 0.0, 1.0, 0.0, 1.0)
+    step = 2.0 / (n + 1.0)
+    d0 = 2.0 * g_star / (n + 1.0)
+    value2, arg2 = _scan(
+        *exponents, n,
+        max(0.0, g_star - step), min(1.0, g_star + step),
+        max(0.0, b_star - step), min(1.0, b_star + step),
+        g0_win=(g0_star - d0, g0_star + d0),
+    )
+    if value2 > value:
+        value, (b_star, g_star, g0_star) = value2, arg2
+    target = kappa1(inputs) / 3.0
     return SupMinReport(
         grid_value=value,
         closed_form=target,
         deviation=abs(value - target),
         argmax=(b_star, g_star, g0_star),
         resolution=n,
-        refined=bool(refine),
     )
 
 

@@ -186,9 +186,9 @@ class EigenSeries:
 
     eigenvalues holds the leading_terms (K) largest eigenvalues of the
     window operator, none of them rescaled, then tail_terms (M) copies of
-    tail_value (tau); kept is K + M, the length of the list. The tail
-    stands for every eigenvalue past the K-th: tail_variance (V_t) is the
-    oracle's variance less 2 sum nu^2 over the K terms and tail_kappa3
+    tail_value (tau): K + M values, and no field repeats that count. The
+    tail stands for every eigenvalue past the K-th: tail_variance (V_t) is
+    the oracle's variance less 2 sum nu^2 over the K terms and tail_kappa3
     (T_t) the tail's third cumulant from Weyl asymptotics, so
     M = round(8 V_t^3 / T_t^2) and tau = sqrt(V_t / (2 M)), M at most
     _TAIL_CAP. weyl_ratio is V_t over the Weyl tail variance V_W, and
@@ -198,7 +198,6 @@ class EigenSeries:
     """
 
     eigenvalues: tuple
-    kept: int
     leading_terms: int
     tail_terms: int
     tail_value: float
@@ -454,7 +453,6 @@ def limit_law(window, alpha):
     value = sqrt(tail_variance / (2.0 * count))
     return EigenSeries(
         eigenvalues=tuple(map(float, nu)) + (value,) * count,
-        kept=k + count,
         leading_terms=k,
         tail_terms=count,
         tail_value=value,
@@ -806,21 +804,20 @@ def _finite(value):
 
 def series_from_json(text):
     """The EigenSeries of a series_to_json document. ParameterError, before
-    any CDF is built, unless every field is a finite number, eigenvalues a
-    nonempty list of them, kept their count, tail_terms at least 1 and kept
-    leading_terms + tail_terms. variance and kappa3 are read again from the
-    eigenvalues, not from the document."""
+    any CDF is built, unless eigenvalues is a nonempty list of finite
+    numbers, every other field a finite number, tail_terms a whole number
+    at least 1, leading_terms one at least 0, and leading_terms + tail_terms
+    the length of the list. Each field is read by its name. variance and
+    kappa3 are read again from the eigenvalues, not from the document."""
     obj = check_json_object(text, "series document")
-    names = [f.name for f in fields(EigenSeries)]
-    missing = [k for k in names if k not in obj]
+    missing = [f.name for f in fields(EigenSeries) if f.name not in obj]
     if missing:
         raise ParameterError(f"series document missing {missing}")
     nu = obj["eigenvalues"]
     if not (isinstance(nu, list) and nu and all(map(_finite, nu))):
         raise ParameterError("series eigenvalues must be a nonempty list of finite numbers")
-    if obj["kept"] != len(nu):
-        raise ParameterError(f"series kept {obj['kept']!r} is not its {len(nu)} eigenvalues")
-    bad = [k for k in names[2:] if not _finite(obj[k])]
+    floats = ("tail_value", "tail_variance", "tail_kappa3", "weyl_ratio", "leading_share")
+    bad = [k for k in ("leading_terms", "tail_terms", *floats) if not _finite(obj[k])]
     if bad:
         raise ParameterError(f"series {', '.join(bad)} must be finite numbers")
     leading, count = obj["leading_terms"], obj["tail_terms"]
@@ -828,7 +825,10 @@ def series_from_json(text):
         raise ParameterError(f"series tail_terms {count!r} must be a whole number >= 1")
     if not (type(leading) is int and leading >= 0 and leading + count == len(nu)):
         raise ParameterError(
-            f"series kept {len(nu)} is not leading_terms {leading!r} + tail_terms {count}"
+            f"series of {len(nu)} eigenvalues is not leading_terms {leading!r} + "
+            f"tail_terms {count}"
         )
-    return EigenSeries(tuple(map(float, nu)), len(nu), leading, count,
-                       *(float(obj[k]) for k in names[4:]))
+    return EigenSeries(
+        eigenvalues=tuple(map(float, nu)), leading_terms=leading, tail_terms=count,
+        **{k: float(obj[k]) for k in floats},
+    )

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from rosenlab import expcli, fieldsim, rosenblatt
+from rosenlab import expcli, fieldsim, hermite, ratelab, rosenblatt
 from rosenlab.errors import ParameterError
 from rosenlab.expcli import ExperimentConfig, config_to_json, main
 from rosenlab.rosenblatt import EigenSeries, series_cdf, series_from_json, series_to_json
@@ -44,7 +44,7 @@ def _series(nu):
     # the CDF and the sampler read only the list: its last weight stands
     # for a one-term tail
     nu = tuple(nu)
-    return EigenSeries(eigenvalues=nu, kept=len(nu), leading_terms=len(nu) - 1, tail_terms=1,
+    return EigenSeries(eigenvalues=nu, leading_terms=len(nu) - 1, tail_terms=1,
                        tail_value=nu[-1], tail_variance=2.0 * nu[-1] ** 2,
                        tail_kappa3=8.0 * nu[-1] ** 3, weyl_ratio=1.0,
                        leading_share=1.0 - nu[-1] ** 2 / sum(v * v for v in nu))
@@ -222,7 +222,7 @@ def test_rho_is_the_sup_over_breakpoints_against_the_series_cdf(tmp_path, monkey
     manifest = json.loads((tmp_path / "rho.csv.manifest.json").read_text(encoding="utf-8"))
     recorded_law = manifest["config"]["derived_limit_law"]
     nu = np.asarray(seen[0][0].eigenvalues)
-    assert recorded_law["kept"] == nu.size
+    assert recorded_law["leading_terms"] + recorded_law["tail_terms"] == nu.size
     assert recorded_law["kappa3"] == 8.0 * float(np.sum(nu**3))
     assert "reference" not in json.dumps(manifest)
 
@@ -232,7 +232,7 @@ def test_reference_draw_count_option_is_gone(tmp_path):
     with pytest.raises(SystemExit):
         main(_experiment(tmp_path / "rho.csv", "--r", "4", "--reference-size", "10000"))
     assert [f.name for f in fields(ExperimentConfig)] == [
-        "model", "window", "functional", "r_grid", "replicates", "master_seed", "h", "out",
+        "model", "window", "functional", "r_grid", "replicates", "master_seed", "h",
     ]
 
 
@@ -259,6 +259,93 @@ def test_the_config_option_fails_at_argparse(tmp_path, capsys, command):
     assert exc.value.code == 2
     assert f"unrecognized arguments: --config {path}" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["x.json"]
+
+
+# each command's flags for a quick run, and the derived_ values its manifest
+# records next to the options it read
+_RUNS = {
+    "covariance eval": (["--model", MODEL, "--r", "0,1"], {"write_seconds"}),
+    "spectral eval": (["--model", MODEL, "--lam", "0.5"], {"write_seconds"}),
+    "spectral fit-upsilon": (["--model", MODEL], {"write_seconds"}),
+    "geometry ft": (["--set", WINDOW, "--z", "1"], {"write_seconds"}),
+    "hermite coeffs": (["--functional", "h2"], {"rank", "write_seconds"}),
+    "simulate field": (["--model", MODEL, "--h", "1.0", "--extent", "8.0"], {"embedding"}),
+    "rosenblatt build": (["--set", WINDOW, "--alpha", "0.4"], {"limit_law"}),
+    "rosenblatt sample": (["--series", "series.json", "--n", "100"],
+                          {"cdf_table_cells", "ks_bound", "write_seconds"}),
+    "rate bound": (["--model", MODEL], {"write_seconds"}),
+    "rate curves": (["--family", "localglobal", "--alpha-grid", "0.1:0.4:4"],
+                    {"theta", "write_seconds"}),
+    "rate experiment": (
+        ["--model", MODEL, "--set", WINDOW, "--functional", "h2", "--r", "4", "--h", "0.5"],
+        {"config", "runtime_seconds", "stage_seconds", "embedding", "window_sites", "limit_law",
+         "write_seconds"},
+    ),
+    "verify supmin": (
+        ["--d", "1", "--alpha", "0.3", "--q", "0.1", "--upsilon", "0.5", "--resolution", "16"],
+        {"write_seconds"},
+    ),
+}
+_DRAWING = ("simulate field", "rosenblatt sample", "rate experiment")
+
+
+@pytest.mark.parametrize("command", sorted(expcli._COMMANDS))
+def test_only_the_three_drawing_commands_take_a_seed(tmp_path, capsys, monkeypatch, command):
+    # every command took --seed and stamped it and the rate experiment's
+    # protocol note into its manifest; nine of them draw nothing
+    assert sorted(_RUNS) == sorted(expcli._COMMANDS)
+    monkeypatch.chdir(tmp_path)
+    Path("series.json").write_text(series_to_json(_series(1.5 / (1.0 + j) for j in range(8))),
+                                   encoding="utf-8")
+    argv = [*command.split(), *_RUNS[command][0], "--out", "out"]
+    assert ("seed" in _option_names(command)) == (command in _DRAWING)
+    if command in _DRAWING:
+        assert main([*argv, "--seed", "5"]) == 0
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert os.listdir() == ["series.json"]
+        assert main(argv) == 0
+    manifest = _manifest("out")
+    config = manifest["config"]
+    assert ("seeds" in manifest) == (command in _DRAWING)
+    if command in _DRAWING:
+        assert manifest["seeds"] == {"master_seed": 5} and config["seed"] == 5
+    assert ("protocol_note" in manifest) == (command == "rate experiment")
+    # derived_ holds only what the options do not record
+    derived = {k.removeprefix("derived_") for k in config if k.startswith("derived_")}
+    assert derived == _RUNS[command][1]
+    dests = {name.replace("-", "_") for name in _option_names(command)}
+    assert set(config) - {f"derived_{k}" for k in derived} <= dests
+    assert "out" not in config.get("derived_config", {})
+
+
+def test_the_refinement_switch_is_gone(tmp_path, capsys):
+    # the sup-min search always refines; its CSV had a constant refined column
+    argv = ["verify", "supmin", *_RUNS["verify supmin"][0], "--out", str(tmp_path / "x.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--no-refine"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-refine" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    assert [f.name for f in fields(ratelab.SupMinReport)] == [
+        "grid_value", "closed_form", "deviation", "argmax", "resolution",
+    ]
+
+
+def test_a_supmin_resolution_over_the_budget_exits_2_before_the_scan(tmp_path, capsys, monkeypatch):
+    # numpy refused a 10^6 x 10^6 array of 7.28 TiB with a traceback
+    monkeypatch.setattr(ratelab, "_scan", _never_called)
+    out = tmp_path / "x.csv"
+    argv = ["verify", "supmin", "--d", "1", "--alpha", "0.3", "--q", "0.1", "--upsilon", "0.5",
+            "--resolution", "1000000", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "rosenlab: resolution 1000000 scans 1000000000000 grid points, over the 10^7 budget\n"
+    )
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -325,9 +412,9 @@ _EXPERIMENT = ["rate", "experiment", "--model", MODEL, "--set", WINDOW, "--funct
      "--alpha-grid grid count must be at least 1, got 0"),
     (["spectral", "fit-upsilon", "--model", MODEL, "--grid", "0.001:0.01:-2"],
      "--grid grid count must be at least 1, got -2"),
-    (["rosenblatt", "build", "--set", WINDOW, "--alpha", "0.4", "--seed", "x"],
+    (["rosenblatt", "sample", "--series", "series.json", "--n", "10", "--seed", "x"],
      "seed must be a nonnegative integer, got 'x'"),
-    (["rosenblatt", "build", "--set", WINDOW, "--alpha", "0.4", "--seed", "1.5"],
+    (["rosenblatt", "sample", "--series", "series.json", "--n", "10", "--seed", "1.5"],
      "seed must be a nonnegative integer, got '1.5'"),
     (["rate", "bound", "--model", MODEL, "--d", "2", "--alpha", "0.9", "--upsilon", "5"],
      "--model fixes d, alpha and upsilon; drop --d, --alpha, --upsilon"),
@@ -356,12 +443,19 @@ _EXPERIMENT = ["rate", "experiment", "--model", MODEL, "--set", WINDOW, "--funct
     (["covariance", "eval", "--r", "1",
       "--model", '{"family": "localglobal", "d": true, "alpha": 0.4, "theta": 0.25}'],
      "dimension must be a positive integer, got True"),
+    # the alpha check of the sup-min search came first and named d/2 = 0
+    (["verify", "supmin", "--d", "0", "--alpha", "0.3", "--q", "0.1", "--upsilon", "0.5"],
+     "dimension must be a positive integer, got 0"),
+    # factorial(172) overflowed a float with a traceback
+    (["hermite", "coeffs", "--functional", "abs-centered", "--order", "174"],
+     "expansion order must lie in [0, 172], got 174"),
 ], ids=[
     "r-list", "covariance-r", "grid-count", "grid-parts", "model-text", "set-text", "set-array",
     "n-float", "alpha-text", "replicates-float", "grid-count-negative", "grid-count-zero",
     "fit-grid-count-negative", "seed-text", "seed-float", "bound-exponents-with-model",
     "r-over-the-lattice-budget", "model-window-dimensions", "ball-d-float", "ball-d-bool",
     "ball-d-text", "ball-d-whole-float", "cauchy-d-float", "linnik-d-float", "localglobal-d-bool",
+    "supmin-d-zero", "hermite-order-over-the-budget",
 ])
 def test_malformed_values_exit_2_with_one_line_before_any_work(
     tmp_path, capsys, monkeypatch, argv, message
@@ -372,6 +466,9 @@ def test_malformed_values_exit_2_with_one_line_before_any_work(
     for name in ("limit_law", "series_from_json", "curve_table", "covariance_eval",
                  "kappa0_identity_check", "residual_exponent_fit", "inputs_from_model"):
         monkeypatch.setattr(expcli, name, _never_called)
+    # no coefficient of a functional is computed
+    unused = hermite.CatalogFunctional(_never_called, _never_called)
+    monkeypatch.setattr(expcli, "functional_catalog", lambda name: unused)
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"rosenlab: {message}\n"
@@ -415,6 +512,8 @@ def test_rate_curves_record_only_the_options_their_family_reads(tmp_path):
     assert _manifest(outs["default"])["config"]["derived_theta"] == 0.5
     linnik = _manifest(outs["linnik"])["config"]
     assert "theta" not in linnik and "derived_theta" not in linnik
+    # the family is recorded once, as the option read
+    assert linnik["family"] == "linnik" and "derived_family" not in linnik
 
 
 def _option_names(command):
@@ -711,16 +810,16 @@ def test_sample_of_a_three_term_series_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"eigenvalues": ["a"], "kept": 1}, "nonempty list of finite numbers"),
-    ({"eigenvalues": [], "kept": 0}, "nonempty list of finite numbers"),
-    ({"eigenvalues": [1.0, float("nan"), 0.5, 0.25, 0.125], "kept": 5},
-     "nonempty list of finite numbers"),
-    ({"kept": 7}, "kept 7 is not its 5 eigenvalues"),
+    ({"eigenvalues": ["a"]}, "nonempty list of finite numbers"),
+    ({"eigenvalues": []}, "nonempty list of finite numbers"),
+    ({"eigenvalues": [1.0, float("nan"), 0.5, 0.25, 0.125]}, "nonempty list of finite numbers"),
+    ({"eigenvalues": [1.0, 0.75, 0.5, 0.25, 0.125, 0.125, 0.125]},
+     "series of 7 eigenvalues is not leading_terms 4 + tail_terms 1"),
     ({"tail_value": float("inf")}, "tail_value must be finite numbers"),
     ({"weyl_ratio": float("nan"), "leading_share": "0.9"},
      "weyl_ratio, leading_share must be finite numbers"),
     ({"leading_terms": 5, "tail_terms": 0}, "tail_terms 0 must be a whole number >= 1"),
-    ({"leading_terms": 3}, "kept 5 is not leading_terms 3 + tail_terms 1"),
+    ({"leading_terms": 3}, "series of 5 eigenvalues is not leading_terms 3 + tail_terms 1"),
 ])
 def test_sample_refuses_a_malformed_series_before_tabulating(
     tmp_path, capsys, monkeypatch, change, message
@@ -1020,8 +1119,7 @@ _TABLE_COMMANDS = [
     (
         ["verify", "supmin"],
         ["--d", "1", "--alpha", "0.4", "--q", "2", "--upsilon", "0.5", "--resolution", "16"],
-        ["grid_value", "closed_form", "deviation", "beta", "gamma", "gamma0", "resolution",
-         "refined"],
+        ["grid_value", "closed_form", "deviation", "beta", "gamma", "gamma0", "resolution"],
         1,
     ),
 ]
@@ -1094,8 +1192,8 @@ def test_manifests_record_the_echoed_values_as_json_numbers(tmp_path, monkeypatc
             assert found and all(json.dumps(v) == json.dumps(wanted) for v in found), key
 
 
-_LAW_KEYS = ["kept", "leading_terms", "tail_terms", "tail_value", "tail_variance",
-             "tail_kappa3", "weyl_ratio", "leading_share", "variance", "kappa3"]
+_LAW_KEYS = ["leading_terms", "tail_terms", "tail_value", "tail_variance", "tail_kappa3",
+             "weyl_ratio", "leading_share", "variance", "kappa3"]
 
 
 def test_rosenblatt_build_writes_the_series_and_its_tail(tmp_path):
@@ -1118,7 +1216,8 @@ def test_rosenblatt_build_writes_the_series_and_its_tail(tmp_path):
         # the series document and the manifest record the same law
         assert sorted(law) == sorted(_LAW_KEYS) and list(doc) == ["eigenvalues"] + _LAW_KEYS
         assert law == {k: doc[k] for k in _LAW_KEYS}
-        assert law["kept"] == 50 + law["tail_terms"] == len(doc["eigenvalues"])
+        assert law["leading_terms"] == 50
+        assert 50 + law["tail_terms"] == len(doc["eigenvalues"])
         assert doc["eigenvalues"][50:] == [law["tail_value"]] * law["tail_terms"]
         assert law["kappa3"] == rosenblatt.cumulant(series, 3)
         oracle = rosenblatt.variance_oracle(expcli.set_from_json(window), 0.4)

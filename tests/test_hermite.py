@@ -10,6 +10,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from rosenlab import hermite
 from rosenlab.errors import ParameterError
 from rosenlab.hermite import CatalogFunctional, functional_catalog, hermite_coefficients
 
@@ -88,8 +89,9 @@ def test_catalog():
     assert np.allclose(g(w), np.abs(w) - SQRT_2_OVER_PI)
     with pytest.raises(ParameterError):
         functional_catalog("cubic")
-    # only closed forms: a plain callable and a negative order are refused
-    for G, J in ((np.abs, 6), (lambda w: w * w - 1.0, 2), (g, -1)):
+    # only closed forms: a plain callable, a negative order and one past
+    # the budget are refused
+    for G, J in ((np.abs, 6), (lambda w: w * w - 1.0, 2), (g, -1), (g, 173)):
         with pytest.raises(ParameterError):
             hermite_coefficients(G, J)
 
@@ -122,5 +124,15 @@ def test_expansion_invariants():
     # Parseval: the partial sum never exceeds E G^2 = 1 - 2/pi
     total = sum(c * c / math.factorial(j) for j, c in enumerate(exp.coeffs))
     assert total <= 1.0 - 2.0 / math.pi
-    assert exp.order == 8
     assert len(exp.coeffs) == 9
+
+
+@pytest.mark.parametrize("name", ["abs-centered", "h2", "square"])
+def test_the_order_budget_is_the_last_order_of_finite_coefficients(name):
+    # C_174 of abs-centered needs 172!, past the largest double; the rank
+    # compares each term at its norm |C_j| / sqrt(j!), and with |C_j| alone
+    # abs-centered read rank 8 at order 22
+    exp = hermite_coefficients(functional_catalog(name), hermite._MAX_ORDER)
+    assert hermite._MAX_ORDER == 172 and len(exp.coeffs) == 173
+    assert all(math.isfinite(c) for c in exp.coeffs) and exp.rank == 2
+    assert hermite_coefficients(functional_catalog(name), 22).rank == 2

@@ -1,12 +1,14 @@
 """Closed-form rate exponents against brute-force searches and the curve table."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rosenlab import ratelab
 from rosenlab.covmodels import linnik, local_global
-from rosenlab.errors import DomainError, RosenlabError
+from rosenlab.errors import DomainError, ParameterError, RosenlabError
 from rosenlab.ratelab import (
     CURVE_COLUMNS,
     RateInputs,
@@ -61,19 +63,17 @@ def test_inner_and_outer_sup_min_match_dense_grids(d, alpha, q, upsilon):
 @pytest.mark.parametrize("d, alpha, q, upsilon", CASES)
 @pytest.mark.parametrize("resolution", [16, 40])
 def test_kappa0_grid_search_matches_the_closed_form(d, alpha, q, upsilon, resolution):
-    refined = kappa0_identity_check(d, alpha, q, upsilon, resolution)
-    coarse = kappa0_identity_check(d, alpha, q, upsilon, resolution, refine=False)
-    assert (refined.resolution, refined.refined, coarse.refined) == (resolution, True, False)
     inputs = RateInputs(dimension=d, alpha=alpha, q=q, upsilon=upsilon)
-    assert refined.closed_form == pytest.approx(kappa1(inputs) / 3.0, rel=1e-15)
+    report = kappa0_identity_check(inputs, resolution)
+    assert report.resolution == resolution
+    assert report.closed_form == kappa1(inputs) / 3.0
     # a grid point never beats the supremum
-    assert refined.grid_value <= refined.closed_form + 1e-15
-    assert refined.deviation <= coarse.deviation
-    # after refinement the grid spacing is 4 / (resolution + 1)^2 along each
-    # axis; the objective min(beta, c - 2 beta) is Lipschitz with these
-    # slopes in beta, gamma and gamma0
+    assert report.grid_value <= report.closed_form + 1e-15
+    # the refined grid spacing is 4 / (resolution + 1)^2 along each axis;
+    # the objective min(beta, c - 2 beta) is Lipschitz with these slopes in
+    # beta, gamma and gamma0
     slope = 2.0 + max(2.0 * upsilon, d - 2.0 * alpha) + (d + 1.0 - 2.0 * alpha)
-    assert refined.deviation <= slope * 4.0 / (resolution + 1.0) ** 2
+    assert report.deviation <= slope * 4.0 / (resolution + 1.0) ** 2
 
 
 def test_curve_table_rows_are_the_closed_forms():
@@ -97,3 +97,39 @@ def test_rate_inputs_refuse_alpha_outside_the_memory_range(d, alpha):
     with pytest.raises(DomainError, match="alpha must lie in"):
         RateInputs(dimension=d, alpha=alpha, q=0.1, upsilon=0.5)
     assert issubclass(DomainError, RosenlabError)
+
+
+@pytest.mark.parametrize("d", [True, 2.0, 0, "1"])
+def test_rate_inputs_refuse_a_dimension_that_is_not_a_positive_integer(d):
+    # True and 2.0 were taken as d = 1 and d = 2
+    with pytest.raises(ParameterError) as exc:
+        RateInputs(dimension=d, alpha=0.3, q=0.1, upsilon=0.5)
+    assert str(exc.value) == f"dimension must be a positive integer, got {d!r}"
+
+
+def test_kappa0_scan_budget_admits_3162_and_refuses_3163(monkeypatch):
+    # 3162^2 is within 10^7 grid points, 3163^2 is not; the refusal comes
+    # before the scan allocates
+    def never(*args, **kwargs):
+        raise AssertionError("the grid was scanned")
+
+    inputs = RateInputs(dimension=1, alpha=0.3, q=0.1, upsilon=0.5)
+    monkeypatch.setattr(ratelab, "_scan", never)
+    with pytest.raises(ParameterError, match="resolution 3163 scans 10004569 grid points"):
+        kappa0_identity_check(inputs, 3163)
+    with pytest.raises(AssertionError, match="scanned"):
+        kappa0_identity_check(inputs, 3162)
+
+
+def test_kappa0_scan_peak_memory_keeps_the_budget_under_1_gb():
+    # the peak is about 81 bytes per point of the resolution^2 grid, so
+    # 10^7 points take about 0.81 GB
+    inputs = RateInputs(dimension=1, alpha=0.3, q=0.1, upsilon=0.5)
+    resolution = 300
+    tracemalloc.start()
+    try:
+        kappa0_identity_check(inputs, resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / resolution**2 * ratelab._SCAN_BUDGET < 1e9

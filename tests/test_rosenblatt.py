@@ -24,7 +24,7 @@ def _weights(nu):
     # the CDF and the sampler read only the list: its last weight stands
     # for a one-term tail
     nu = tuple(float(v) for v in np.asarray(nu, dtype=float))
-    return EigenSeries(eigenvalues=nu, kept=len(nu), leading_terms=len(nu) - 1, tail_terms=1,
+    return EigenSeries(eigenvalues=nu, leading_terms=len(nu) - 1, tail_terms=1,
                        tail_value=nu[-1], tail_variance=2.0 * nu[-1] ** 2,
                        tail_kappa3=8.0 * nu[-1] ** 3, weyl_ratio=1.0,
                        leading_share=1.0 - nu[-1] ** 2 / sum(v * v for v in nu))
@@ -347,7 +347,7 @@ def test_every_alpha_of_the_two_grids_builds(dimension, alpha):
     oracle = rosenblatt.variance_oracle(ball(dimension), alpha)
     nu = np.asarray(law.eigenvalues)
     k, m = law.leading_terms, law.tail_terms
-    assert k == 50 and 1 <= m <= rosenblatt._TAIL_CAP and law.kept == k + m == nu.size
+    assert k == 50 and 1 <= m <= rosenblatt._TAIL_CAP and k + m == nu.size
     assert np.all(nu[k:] == law.tail_value) and law.tail_value <= nu[k - 1]
     assert law.variance == pytest.approx(oracle, rel=1e-14)
     assert 2.0 * m * law.tail_value**2 == pytest.approx(law.tail_variance, rel=1e-14)
@@ -490,8 +490,8 @@ def test_limit_law_is_the_unit_law_dilated(unit_laws, window, radius):
     scale = radius ** (d - _ALPHA[d])
     want = scale * np.asarray(unit.eigenvalues)
     # the tail is the same M terms dilated, from the window's own oracle
-    assert (law.kept, law.leading_terms, law.tail_terms) == (
-        unit.kept, unit.leading_terms, unit.tail_terms)
+    assert (len(law.eigenvalues), law.leading_terms, law.tail_terms) == (
+        len(unit.eigenvalues), unit.leading_terms, unit.tail_terms)
     assert np.max(np.abs(np.asarray(law.eigenvalues) - want)) <= 1e-13 * abs(want[0])
     assert law.tail_value == pytest.approx(scale * unit.tail_value, rel=1e-12)
     assert law.tail_variance == pytest.approx(scale**2 * unit.tail_variance, rel=1e-12)
