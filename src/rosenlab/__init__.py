@@ -44,7 +44,6 @@ from .expcli import (
     ExperimentConfig,
     RhoRow,
     RhoTable,
-    config_to_json,
     rate_experiment,
 )
 from .fieldsim import (
@@ -52,7 +51,6 @@ from .fieldsim import (
     SimulationPlan,
     export_field,
     functional_integral,
-    import_field,
     ks_distance,
     normalized_statistic,
     simulate_field,

@@ -42,7 +42,6 @@ from .covmodels import (
     local_global,
     lrd_params,
     model_from_json,
-    model_to_json,
     residual_exponent_fit,
     spectral_density,
 )
@@ -60,7 +59,7 @@ from .fieldsim import (  # noqa: F401
     window_extent,
     window_integrals,
 )
-from .geometry import indicator_ft, set_from_json, set_to_json
+from .geometry import indicator_ft, set_from_json
 from .hermite import functional_catalog, hermite_coefficients
 from .ratelab import (
     CURVE_COLUMNS,
@@ -144,20 +143,6 @@ class ExperimentConfig:
         # the plan checks the seed and the lattice budget; the largest r lays
         # out the largest lattice
         _experiment_plan(self, r[-1])
-
-
-def config_to_json(config):
-    return json.dumps(
-        {
-            "model": json.loads(model_to_json(config.model)),
-            "window": json.loads(set_to_json(config.window)),
-            "functional": config.functional,
-            "r_grid": list(config.r_grid),
-            "replicates": config.replicates,
-            "master_seed": config.master_seed,
-            "h": config.h,
-        }
-    )
 
 
 @dataclass(frozen=True)
@@ -555,8 +540,8 @@ def _write_csv(out, header, rows):
 
 def _write_manifest(out, command, merged, wall_seconds, outputs):
     """The JSON manifest next to out: the command, every value it read
-    (merged), versions, wall time and outputs. Only a command that reads
-    --seed records seeds, and only rate experiment a protocol_note."""
+    (merged), versions, wall time and outputs. Only rate experiment records
+    a protocol_note."""
     if out is None:
         return None
     path = out + ".manifest.json"
@@ -571,8 +556,6 @@ def _write_manifest(out, command, merged, wall_seconds, outputs):
         "wall_seconds": wall_seconds,
         "outputs": outputs,
     }
-    if "seed" in merged:
-        doc["seeds"] = {"master_seed": merged["seed"]}
     if command == "rate experiment":
         doc["protocol_note"] = (
             "Monte Carlo protocol (seeding, replicate counts, bootstrap) is "
@@ -676,7 +659,9 @@ class _Option:
 
     Every flag takes a value, as text. kind reads it into what the handler
     gets: _int, _float, _floats, _grid, _seed or _out_path; None passes the
-    text through as given, such as a JSON descriptor or a path.
+    text through as given, such as a JSON descriptor or a path. key is the
+    value's name: its argparse dest, its key in the handler's opts and in
+    the manifest's config; it is the flag's name unless declared.
     """
 
     flag: str
@@ -684,14 +669,15 @@ class _Option:
     default: object = None
     required: bool = False
     help: str = None
+    key: str = None
 
-    @property
-    def dest(self):
-        return self.flag.replace("-", "_")
+    def __post_init__(self):
+        if self.key is None:
+            object.__setattr__(self, "key", self.flag.replace("-", "_"))
 
     def read(self, args):
         """The flag's value, else the default."""
-        value = getattr(args, self.dest)
+        value = getattr(args, self.key)
         if value is None:
             if self.required:
                 raise ParameterError(f"missing required option --{self.flag}")
@@ -756,7 +742,7 @@ def _cmd_simulate_field(opts):
         dimension=model.dimension,
         h=opts["h"],
         extent=opts["extent"],
-        seed=opts["seed"],
+        seed=opts["master_seed"],
     )
     if opts["out"] is None:
         raise ParameterError("simulate field writes binary output; --out is required")
@@ -777,7 +763,7 @@ def _cmd_rosenblatt_build(opts):
 
 def _cmd_rosenblatt_sample(opts):
     series = series_from_json(_read_text(opts["series"], "series"))
-    draws = sample(series, opts["n"], opts["seed"])
+    draws = sample(series, opts["n"], opts["master_seed"])
     table = series.cdf_table
     return ("x",), draws, {"cdf_table_cells": table.cells, "ks_bound": table.ks_bound}
 
@@ -836,12 +822,11 @@ def _cmd_rate_curves(opts):
 def _cmd_rate_experiment(opts):
     config = ExperimentConfig(
         model=model_from_json(opts["model"]), window=set_from_json(opts["set"]),
-        functional=opts["functional"], r_grid=tuple(opts["r"]),
-        replicates=opts["replicates"], master_seed=opts["seed"], h=opts["h"],
+        functional=opts["functional"], r_grid=tuple(opts["r_grid"]),
+        replicates=opts["replicates"], master_seed=opts["master_seed"], h=opts["h"],
     )
     table = rate_experiment(config)
     info = {
-        "config": json.loads(config_to_json(config)),
         "runtime_seconds": [row.runtime_seconds for row in table.rows],
         "stage_seconds": table.stage_seconds,
         "embedding": {**asdict(table.embedding), "drawn_on_r": config.r_grid[-1]},
@@ -870,15 +855,15 @@ _EXPONENTS = (
     _Option("upsilon", _float, required=True, help="residual exponent"),
 )
 # listed only by the three commands that draw
-_SEED = _Option("seed", _seed, 0, help="master seed (default 0)")
+_SEED = _Option("seed", _seed, 0, help="master seed (default 0)", key="master_seed")
 
 # "group action" -> (handler(opts) returning (header, rows, info), its
 # options besides _COMMON). Each option is declared once: _build_parser makes
-# its flag, and _run reads its value into opts under its argparse dest, which
-# is also its key in the manifest's config; a command refuses at argparse
-# every flag it does not list. info holds only what config does not record;
-# it goes to the manifest's config as derived_ values. header is None for
-# commands that write their own output file.
+# its flag, and _run reads its value into opts under its key, which is also
+# its argparse dest and its name in the manifest's config; a command refuses
+# at argparse every flag it does not list. info holds only what config does
+# not record; it goes to the manifest's config as derived_ values. header is
+# None for commands that write their own output file.
 _COMMANDS = {
     "covariance eval": (_cmd_covariance_eval, (
         _MODEL,
@@ -933,7 +918,8 @@ _COMMANDS = {
         _MODEL,
         _SET,
         _Option("functional", required=True, help="rank-2 functional name"),
-        _Option("r", _floats, required=True, help="comma-separated window scales"),
+        _Option("r", _floats, required=True, help="comma-separated window scales",
+                key="r_grid"),
         _Option("replicates", _int, 1000, help="replicates per r (default 1000)"),
         _Option("h", _float, 0.25, help="lattice step (default 0.25)"),
         _SEED,
@@ -974,7 +960,7 @@ def _build_parser():
             )
         p = groups[group].add_parser(action)
         for opt in (*_COMMON, *options):
-            p.add_argument(f"--{opt.flag}", dest=opt.dest, default=None, help=opt.help)
+            p.add_argument(f"--{opt.flag}", dest=opt.key, default=None, help=opt.help)
     return parser
 
 
@@ -995,12 +981,12 @@ def _run(args):
 
     Each option is read by _Option.read, the common ones first, so a
     malformed or missing value is refused before any work. The manifest's
-    config records every value read, typed, under its argparse dest, next
-    to the handler's derived_ values.
+    config records every value read, typed, under its key, next to the
+    handler's derived_ values.
     """
     command = f"{args.group} {args.action}"
     handler, options = _COMMANDS[command]
-    opts = {opt.dest: opt.read(args) for opt in (*_COMMON, *options)}
+    opts = {opt.key: opt.read(args) for opt in (*_COMMON, *options)}
     out = opts["out"]
     t0 = time.perf_counter()
 

@@ -90,7 +90,6 @@ __all__ = [
     "functional_integral",
     "normalized_statistic",
     "export_field",
-    "import_field",
     "CLAMP_TOL",
 ]
 
@@ -406,11 +405,14 @@ def _window_picks(plan, window, radii):
 
     Each window is _window_mask of plan's lattice at its radius. Returns
     (union, picks, counts): union holds the flat indices, in C order, of
-    every site some window covers; each pick selects one window's sites
-    from the union's, a slice where they are contiguous there (every d=1
-    window), else an index array. Either way the sites come in C order, the
-    order functional_integral sums them in. counts holds each window's
-    number of sites. A window that holds no site is a ParameterError.
+    every site some window covers. Those are the largest window's sites:
+    the scaled windows rW of a convex W with the origin inside are nested,
+    and so are their masks, since a float product is monotone in r. Each
+    pick selects one window's sites from the union's, a slice where they
+    are contiguous there (every d=1 window), else an index array. Either
+    way the sites come in C order, the order functional_integral sums them
+    in. counts holds each window's number of sites. A window that holds no
+    site is a ParameterError.
     """
     placed = [
         np.flatnonzero(_window_mask(plan.origin, plan.n_per_axis, plan.h, window, r))
@@ -419,9 +421,7 @@ def _window_picks(plan, window, radii):
     for r, sites in zip(radii, placed):
         if sites.size == 0:
             raise ParameterError(f"the window at r={r} holds no lattice site at h={plan.h}")
-    covered = np.zeros(plan.n_per_axis**plan.dimension, dtype=bool)
-    covered[np.concatenate(placed)] = True
-    union = np.flatnonzero(covered)
+    union = placed[int(np.argmax(radii))]
     picks = []
     for sites in placed:
         at = np.searchsorted(union, sites)
@@ -629,13 +629,3 @@ def export_field(field, path):
     """Values, h and origin in numpy's .npz format, written to path as given."""
     with open(path, "wb") as fh:
         np.savez(fh, values=field.values, h=field.h, origin=field.origin)
-
-
-def import_field(path):
-    try:
-        with np.load(path) as data:
-            return GridField(
-                values=data["values"], h=float(data["h"]), origin=float(data["origin"])
-            )
-    except (ValueError, TypeError, KeyError) as exc:  # not an .npz field dump
-        raise ParameterError(f"{path} is not a field dump: {exc}") from None

@@ -64,7 +64,7 @@ rectangle does (scipy.integrate).
 """
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from math import atan2, ceil, cos, exp, factorial, fsum, lgamma, log, log2, pi, sin, sqrt
 
@@ -182,29 +182,24 @@ class CdfTable:
 @dataclass(frozen=True)
 class EigenSeries:
     """The weights nu_j of a series law sum_j nu_j (Z_j^2 - 1), listed one
-    by one, and how limit_law made them.
+    by one, and what limit_law knew of them that the list does not say.
 
     eigenvalues holds the leading_terms (K) largest eigenvalues of the
-    window operator, none of them rescaled, then tail_terms (M) copies of
-    tail_value (tau): K + M values, and no field repeats that count. The
-    tail stands for every eigenvalue past the K-th: tail_variance (V_t) is
-    the oracle's variance less 2 sum nu^2 over the K terms and tail_kappa3
-    (T_t) the tail's third cumulant from Weyl asymptotics, so
-    M = round(8 V_t^3 / T_t^2) and tau = sqrt(V_t / (2 M)), M at most
-    _TAIL_CAP. weyl_ratio is V_t over the Weyl tail variance V_W, and
-    leading_share the share of the oracle's variance the K terms carry.
-    The CDF and the sampler read only the list, each distinct weight once
-    with its multiplicity.
+    window operator, none of them rescaled, then M copies of one value tau,
+    the tail: it stands for every eigenvalue past the K-th, and carries the
+    tail variance V_t = 2 M tau^2, the oracle's variance less 2 sum nu^2
+    over the K terms. tail_kappa3 (T_t) is the tail's third cumulant from
+    Weyl asymptotics, which set M = round(8 V_t^3 / T_t^2), at most
+    _TAIL_CAP, and weyl_ratio is V_t over the Weyl tail variance V_W. M,
+    tau, V_t and the K terms' share of the variance are read off the list
+    (series_record). The CDF and the sampler read only the list, each
+    distinct weight once with its multiplicity.
     """
 
     eigenvalues: tuple
     leading_terms: int
-    tail_terms: int
-    tail_value: float
-    tail_variance: float
     tail_kappa3: float
     weyl_ratio: float
-    leading_share: float
 
     @property
     def variance(self):
@@ -454,12 +449,8 @@ def limit_law(window, alpha):
     return EigenSeries(
         eigenvalues=tuple(map(float, nu)) + (value,) * count,
         leading_terms=k,
-        tail_terms=count,
-        tail_value=value,
-        tail_variance=tail_variance,
         tail_kappa3=tail_kappa3,
         weyl_ratio=ratio,
-        leading_share=1.0 - tail_variance / oracle,
     )
 
 
@@ -789,9 +780,26 @@ def _rectangle_oracle(window, beta):
 
 
 def series_record(series):
-    """The series' fields with its variance 2 sum nu^2 and its third
-    cumulant kappa3 = 8 sum nu^3: what series_to_json writes."""
-    return {**asdict(series), "variance": series.variance, "kappa3": cumulant(series, 3)}
+    """What series_to_json writes: the series' four fields and what its list
+    gives. The tail_terms (M) entries past the leading_terms (K) are copies
+    of tail_value (tau), the last entry, so tail_variance V_t = 2 M tau^2
+    and leading_share = 1 - V_t / variance, with variance 2 sum nu^2 and
+    kappa3 = 8 sum nu^3."""
+    nu, k = series.eigenvalues, series.leading_terms
+    count, value, variance = len(nu) - k, nu[-1], series.variance
+    tail_variance = 2.0 * count * value**2
+    return {
+        "eigenvalues": nu,
+        "leading_terms": k,
+        "tail_terms": count,
+        "tail_value": value,
+        "tail_variance": tail_variance,
+        "tail_kappa3": series.tail_kappa3,
+        "weyl_ratio": series.weyl_ratio,
+        "leading_share": 1.0 - tail_variance / variance,
+        "variance": variance,
+        "kappa3": cumulant(series, 3),
+    }
 
 
 def series_to_json(series):
@@ -805,10 +813,11 @@ def _finite(value):
 def series_from_json(text):
     """The EigenSeries of a series_to_json document. ParameterError, before
     any CDF is built, unless eigenvalues is a nonempty list of finite
-    numbers, every other field a finite number, tail_terms a whole number
-    at least 1, leading_terms one at least 0, and leading_terms + tail_terms
-    the length of the list. Each field is read by its name. variance and
-    kappa3 are read again from the eigenvalues, not from the document."""
+    numbers, tail_kappa3 and weyl_ratio finite numbers, leading_terms a
+    whole number in [0, len - 1], and the tail, the entries from
+    leading_terms on, one value repeated. Only those four fields are read,
+    each by its name; the rest of the document is series_record's reading
+    of them and is not read back."""
     obj = check_json_object(text, "series document")
     missing = [f.name for f in fields(EigenSeries) if f.name not in obj]
     if missing:
@@ -816,19 +825,21 @@ def series_from_json(text):
     nu = obj["eigenvalues"]
     if not (isinstance(nu, list) and nu and all(map(_finite, nu))):
         raise ParameterError("series eigenvalues must be a nonempty list of finite numbers")
-    floats = ("tail_value", "tail_variance", "tail_kappa3", "weyl_ratio", "leading_share")
-    bad = [k for k in ("leading_terms", "tail_terms", *floats) if not _finite(obj[k])]
+    bad = [k for k in ("tail_kappa3", "weyl_ratio") if not _finite(obj[k])]
     if bad:
         raise ParameterError(f"series {', '.join(bad)} must be finite numbers")
-    leading, count = obj["leading_terms"], obj["tail_terms"]
-    if not (type(count) is int and count >= 1):
-        raise ParameterError(f"series tail_terms {count!r} must be a whole number >= 1")
-    if not (type(leading) is int and leading >= 0 and leading + count == len(nu)):
+    leading = obj["leading_terms"]
+    if not (type(leading) is int and 0 <= leading < len(nu)):
         raise ParameterError(
-            f"series of {len(nu)} eigenvalues is not leading_terms {leading!r} + "
-            f"tail_terms {count}"
+            f"series leading_terms {leading!r} must be a whole number in [0, {len(nu) - 1}]"
+        )
+    tail = set(nu[leading:])
+    if len(tail) != 1:
+        raise ParameterError(
+            f"series of {len(nu)} eigenvalues holds {len(tail)} values from leading_terms "
+            f"{leading} on, not one"
         )
     return EigenSeries(
-        eigenvalues=tuple(map(float, nu)), leading_terms=leading, tail_terms=count,
-        **{k: float(obj[k]) for k in floats},
+        eigenvalues=tuple(map(float, nu)), leading_terms=leading,
+        tail_kappa3=float(obj["tail_kappa3"]), weyl_ratio=float(obj["weyl_ratio"]),
     )

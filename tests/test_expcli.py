@@ -10,7 +10,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -20,8 +20,10 @@ from scipy.special import ndtr
 
 from rosenlab import expcli, fieldsim, hermite, ratelab, rosenblatt
 from rosenlab.errors import ParameterError
-from rosenlab.expcli import ExperimentConfig, config_to_json, main
-from rosenlab.rosenblatt import EigenSeries, series_cdf, series_from_json, series_to_json
+from rosenlab.expcli import ExperimentConfig, main
+from rosenlab.rosenblatt import series_cdf, series_from_json, series_to_json
+
+from series_helper import listed_series
 
 MODEL = json.dumps({"family": "cauchy", "d": 1, "theta": 0.2})
 WINDOW = json.dumps({"shape": "ball", "R": 1.0, "d": 1})
@@ -38,16 +40,6 @@ def _experiment(out, *flags):
         "--out", str(out),
         *flags,
     ]
-
-
-def _series(nu):
-    # the CDF and the sampler read only the list: its last weight stands
-    # for a one-term tail
-    nu = tuple(nu)
-    return EigenSeries(eigenvalues=nu, leading_terms=len(nu) - 1, tail_terms=1,
-                       tail_value=nu[-1], tail_variance=2.0 * nu[-1] ** 2,
-                       tail_kappa3=8.0 * nu[-1] ** 3, weyl_ratio=1.0,
-                       leading_share=1.0 - nu[-1] ** 2 / sum(v * v for v in nu))
 
 
 def _rows(path):
@@ -278,7 +270,7 @@ _RUNS = {
                     {"theta", "write_seconds"}),
     "rate experiment": (
         ["--model", MODEL, "--set", WINDOW, "--functional", "h2", "--r", "4", "--h", "0.5"],
-        {"config", "runtime_seconds", "stage_seconds", "embedding", "window_sites", "limit_law",
+        {"runtime_seconds", "stage_seconds", "embedding", "window_sites", "limit_law",
          "write_seconds"},
     ),
     "verify supmin": (
@@ -295,7 +287,7 @@ def test_only_the_three_drawing_commands_take_a_seed(tmp_path, capsys, monkeypat
     # protocol note into its manifest; nine of them draw nothing
     assert sorted(_RUNS) == sorted(expcli._COMMANDS)
     monkeypatch.chdir(tmp_path)
-    Path("series.json").write_text(series_to_json(_series(1.5 / (1.0 + j) for j in range(8))),
+    Path("series.json").write_text(series_to_json(listed_series(1.5 / (1.0 + j) for j in range(8))),
                                    encoding="utf-8")
     argv = [*command.split(), *_RUNS[command][0], "--out", "out"]
     assert ("seed" in _option_names(command)) == (command in _DRAWING)
@@ -310,16 +302,16 @@ def test_only_the_three_drawing_commands_take_a_seed(tmp_path, capsys, monkeypat
         assert main(argv) == 0
     manifest = _manifest("out")
     config = manifest["config"]
-    assert ("seeds" in manifest) == (command in _DRAWING)
-    if command in _DRAWING:
-        assert manifest["seeds"] == {"master_seed": 5} and config["seed"] == 5
+    # the seed is recorded once, under the name the config and the
+    # generators use
+    assert "seeds" not in manifest and "seed" not in config
+    assert config.get("master_seed") == (5 if command in _DRAWING else None)
     assert ("protocol_note" in manifest) == (command == "rate experiment")
     # derived_ holds only what the options do not record
     derived = {k.removeprefix("derived_") for k in config if k.startswith("derived_")}
     assert derived == _RUNS[command][1]
-    dests = {name.replace("-", "_") for name in _option_names(command)}
-    assert set(config) - {f"derived_{k}" for k in derived} <= dests
-    assert "out" not in config.get("derived_config", {})
+    keys = {opt.key for opt in (*expcli._COMMON, *expcli._COMMANDS[command][1])}
+    assert set(config) - {f"derived_{k}" for k in derived} <= keys
 
 
 def test_the_refinement_switch_is_gone(tmp_path, capsys):
@@ -531,10 +523,17 @@ def _option_names(command):
 @pytest.mark.parametrize("command", sorted(expcli._COMMANDS))
 def test_every_command_option_has_a_config_key(command):
     # each flag is one declared option, and _run records its value in the
-    # manifest's config under the option's dest
+    # manifest's config under the option's key: the flag's name unless two
+    # options declare the name the config and the generators use
     options = (*expcli._COMMON, *expcli._COMMANDS[command][1])
     assert _option_names(command) - {"help"} == {opt.flag for opt in options}
-    assert len({opt.dest for opt in options}) == len(options)
+    assert len({opt.key for opt in options}) == len(options)
+    renamed = {opt.flag: opt.key for opt in options if opt.key != opt.flag.replace("-", "_")}
+    assert renamed == {
+        "rate experiment": {"r": "r_grid", "seed": "master_seed"},
+        "rosenblatt sample": {"seed": "master_seed"},
+        "simulate field": {"seed": "master_seed"},
+    }.get(command, {})
 
 
 def test_a_config_at_the_lattice_budget_is_admitted():
@@ -567,7 +566,7 @@ def test_thread_option_is_gone(tmp_path):
         main(_experiment(tmp_path / "rho.csv", "--r", "4", "--threads", "2"))
     config = _config(r_grid=(4.0,))
     assert not hasattr(config, "threads")
-    assert "threads" not in json.loads(config_to_json(config))
+    assert "threads" not in {opt.key for opt in expcli._COMMANDS["rate experiment"][1]}
 
 
 # values the CSV tests write next to the draws
@@ -577,7 +576,7 @@ _SPECIAL = (-0.0, 0.0, np.inf, -np.inf, np.nan, 1e-310, 1e300, 0.1)
 def test_sample_csv_matches_the_csv_writer(tmp_path, monkeypatch):
     # eight terms: the sampler refuses a series of four or fewer
     nu = tuple(1.5 / (1.0 + j) for j in range(8))
-    series = _series(nu)
+    series = listed_series(nu)
     (tmp_path / "series.json").write_text(series_to_json(series), encoding="utf-8")
     draws = expcli.sample(series, 1000, 5)
     special = np.array(_SPECIAL)
@@ -598,7 +597,7 @@ def test_sample_csv_matches_the_csv_writer(tmp_path, monkeypatch):
 
 def test_sample_csv_streams_the_same_bytes_in_chunks(tmp_path, monkeypatch, capsys):
     nu = tuple(1.5 / (1.0 + j) for j in range(8))
-    series = _series(nu)
+    series = listed_series(nu)
     (tmp_path / "series.json").write_text(series_to_json(series), encoding="utf-8")
     n = expcli._CSV_CHUNK + 3
     draws = np.random.default_rng(2).standard_normal(n)
@@ -747,7 +746,7 @@ def test_repr_lines_working_memory_per_chunk():
 
 def test_sample_manifest_records_the_write_time(tmp_path):
     nu = tuple(1.5 / (1.0 + j) for j in range(8))
-    series = _series(nu)
+    series = listed_series(nu)
     (tmp_path / "series.json").write_text(series_to_json(series), encoding="utf-8")
     out = tmp_path / "x.csv"
     argv = ["rosenblatt", "sample", "--series", str(tmp_path / "series.json"),
@@ -759,7 +758,7 @@ def test_sample_manifest_records_the_write_time(tmp_path):
 
 def test_sample_manifest_records_the_table_and_its_bound(tmp_path):
     nu = tuple(2.0 * (-0.8) ** j for j in range(12))
-    series = _series(nu)
+    series = listed_series(nu)
     (tmp_path / "series.json").write_text(series_to_json(series), encoding="utf-8")
     out = tmp_path / "x.csv"
     argv = ["rosenblatt", "sample", "--series", str(tmp_path / "series.json"),
@@ -778,7 +777,7 @@ def test_a_sample_count_over_the_budget_exits_2_before_the_table(tmp_path, capsy
     # was built
     monkeypatch.setattr(rosenblatt, "_node_plan", _never_called)
     nu = tuple(1.5 / (1.0 + j) for j in range(8))
-    series = _series(nu)
+    series = listed_series(nu)
     (tmp_path / "series.json").write_text(series_to_json(series), encoding="utf-8")
     out = tmp_path / "x.csv"
     argv = ["rosenblatt", "sample", "--series", str(tmp_path / "series.json"),
@@ -797,7 +796,7 @@ def test_a_sample_count_over_the_budget_exits_2_before_the_table(tmp_path, capsy
 
 
 def test_sample_of_a_three_term_series_exits_2(tmp_path, capsys):
-    series = _series((1.5, 0.25, 0.125))
+    series = listed_series((1.5, 0.25, 0.125))
     (tmp_path / "series.json").write_text(series_to_json(series), encoding="utf-8")
     out = tmp_path / "x.csv"
     argv = ["rosenblatt", "sample", "--series", str(tmp_path / "series.json"),
@@ -813,13 +812,15 @@ def test_sample_of_a_three_term_series_exits_2(tmp_path, capsys):
     ({"eigenvalues": ["a"]}, "nonempty list of finite numbers"),
     ({"eigenvalues": []}, "nonempty list of finite numbers"),
     ({"eigenvalues": [1.0, float("nan"), 0.5, 0.25, 0.125]}, "nonempty list of finite numbers"),
-    ({"eigenvalues": [1.0, 0.75, 0.5, 0.25, 0.125, 0.125, 0.125]},
-     "series of 7 eigenvalues is not leading_terms 4 + tail_terms 1"),
-    ({"tail_value": float("inf")}, "tail_value must be finite numbers"),
-    ({"weyl_ratio": float("nan"), "leading_share": "0.9"},
-     "weyl_ratio, leading_share must be finite numbers"),
-    ({"leading_terms": 5, "tail_terms": 0}, "tail_terms 0 must be a whole number >= 1"),
-    ({"leading_terms": 3}, "series of 5 eigenvalues is not leading_terms 3 + tail_terms 1"),
+    ({"eigenvalues": [1.0, 0.75, 0.5, 0.25, 0.125, 0.125, 0.0625]},
+     "series of 7 eigenvalues holds 2 values from leading_terms 4 on, not one"),
+    ({"eigenvalues": [1.0, 0.75, 0.5, 0.25, 0.125, 0.0625]},
+     "series of 6 eigenvalues holds 2 values from leading_terms 4 on, not one"),
+    ({"weyl_ratio": float("nan"), "tail_kappa3": "0.9"},
+     "tail_kappa3, weyl_ratio must be finite numbers"),
+    ({"leading_terms": 5}, "leading_terms 5 must be a whole number in [0, 4]"),
+    ({"leading_terms": 3}, "series of 5 eigenvalues holds 2 values from leading_terms 3 on, not one"),
+    ({"leading_terms": 4.0}, "leading_terms 4.0 must be a whole number in [0, 4]"),
 ])
 def test_sample_refuses_a_malformed_series_before_tabulating(
     tmp_path, capsys, monkeypatch, change, message
@@ -828,7 +829,7 @@ def test_sample_refuses_a_malformed_series_before_tabulating(
         raise AssertionError("a malformed series must not reach the CDF table")
 
     monkeypatch.setattr(rosenblatt, "_node_plan", unused)
-    doc = {**rosenblatt.series_record(_series([1.0, 0.75, 0.5, 0.25, 0.125])), **change}
+    doc = {**rosenblatt.series_record(listed_series([1.0, 0.75, 0.5, 0.25, 0.125])), **change}
     (tmp_path / "series.json").write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "x.csv"
     argv = ["rosenblatt", "sample", "--series", str(tmp_path / "series.json"),
@@ -838,6 +839,29 @@ def test_sample_refuses_a_malformed_series_before_tabulating(
     assert err.startswith("rosenlab: series ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+def test_a_series_document_is_read_from_its_four_fields():
+    # tail_terms, tail_value, tail_variance and leading_share are read off
+    # the list by series_record, as variance and kappa3 are; a document's
+    # own values of them are not read back
+    series = replace(listed_series([1.0, 0.75, 0.5, 0.25, 0.125, 0.125]), leading_terms=4)
+    record = rosenblatt.series_record(series)
+    assert [f.name for f in fields(rosenblatt.EigenSeries)] == [
+        "eigenvalues", "leading_terms", "tail_kappa3", "weyl_ratio"]
+    assert list(record) == ["eigenvalues", "leading_terms", "tail_terms", "tail_value",
+                            "tail_variance", "tail_kappa3", "weyl_ratio", "leading_share",
+                            "variance", "kappa3"]
+    assert (record["tail_terms"], record["tail_value"]) == (2, 0.125)
+    assert record["tail_variance"] == 2.0 * 2 * 0.125**2
+    assert record["leading_share"] == 1.0 - record["tail_variance"] / series.variance
+    stored = {k: record[k] for k in ("eigenvalues", "leading_terms", "tail_kappa3", "weyl_ratio")}
+    garbled = {**record, "tail_terms": 0, "tail_value": "x", "tail_variance": None,
+               "leading_share": float("nan"), "variance": -1.0, "kappa3": []}
+    for doc in (record, stored, garbled):
+        assert series_from_json(json.dumps(doc)) == series
+    # the last of equal terms may stand alone for the tail
+    assert series_from_json(json.dumps({**stored, "leading_terms": 5})).leading_terms == 5
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -1043,8 +1067,8 @@ def test_simulate_field_defaults_come_from_fieldsim(tmp_path):
     plan = fieldsim.SimulationPlan(
         model=expcli.model_from_json(MODEL), dimension=1, h=1.0, extent=8.0, seed=3
     )
-    got = fieldsim.import_field(str(tmp_path / "field.npz"))
-    assert np.array_equal(got.values, fieldsim.simulate_field(plan).values)
+    with np.load(tmp_path / "field.npz") as got:
+        assert np.array_equal(got["values"], fieldsim.simulate_field(plan).values)
 
 
 @pytest.mark.parametrize("flags", [["--padding", "4"], ["--clamp-tol", "1e-6"]])
@@ -1166,7 +1190,7 @@ def test_manifests_record_the_echoed_values_as_json_numbers(tmp_path, monkeypatc
     # the benchmark's checks find these keys anywhere in a manifest and
     # compare them with numbers, so "0.4" in place of 0.4 fails them
     nu = tuple(1.5 / (1.0 + j) for j in range(8))
-    series = _series(nu)
+    series = listed_series(nu)
     (tmp_path / "series.json").write_text(series_to_json(series), encoding="utf-8")
     monkeypatch.setattr(expcli, "limit_law", lambda window, alpha: series)
     runs = [
@@ -1188,8 +1212,9 @@ def test_manifests_record_the_echoed_values_as_json_numbers(tmp_path, monkeypatc
         manifest = _manifest(out)
         assert "config_document" not in manifest["config"]
         for key, wanted in echoed.items():
+            # each input is recorded once
             found = list(_recorded(manifest, key))
-            assert found and all(json.dumps(v) == json.dumps(wanted) for v in found), key
+            assert [json.dumps(v) for v in found] == [json.dumps(wanted)], key
 
 
 _LAW_KEYS = ["leading_terms", "tail_terms", "tail_value", "tail_variance", "tail_kappa3",
@@ -1395,7 +1420,7 @@ def test_simulate_field_takes_the_d2_clamp_from_fieldsim(tmp_path):
     drawn = manifest["config"]["derived_embedding"]
     assert (drawn["padding"], drawn["torus_side"]) == (64, 1024)
     assert drawn == asdict(emb)
-    got = fieldsim.import_field(str(out))
-    assert got.values.shape == (16, 16)
-    assert np.array_equal(got.values, fieldsim.simulate_field(plan).values)
+    with np.load(out) as got:
+        assert got["values"].shape == (16, 16)
+        assert np.array_equal(got["values"], fieldsim.simulate_field(plan).values)
     fieldsim.clear_spectrum_cache()

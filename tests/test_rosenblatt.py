@@ -17,27 +17,19 @@ from rosenlab.errors import (
     UnsupportedModelError,
 )
 from rosenlab.geometry import ball, ball_ft_radial, distance_integral, rectangle
-from rosenlab.rosenblatt import EigenSeries, sample, series_cdf
+from rosenlab.rosenblatt import sample, series_cdf
 
-
-def _weights(nu):
-    # the CDF and the sampler read only the list: its last weight stands
-    # for a one-term tail
-    nu = tuple(float(v) for v in np.asarray(nu, dtype=float))
-    return EigenSeries(eigenvalues=nu, leading_terms=len(nu) - 1, tail_terms=1,
-                       tail_value=nu[-1], tail_variance=2.0 * nu[-1] ** 2,
-                       tail_kappa3=8.0 * nu[-1] ** 3, weyl_ratio=1.0,
-                       leading_share=1.0 - nu[-1] ** 2 / sum(v * v for v in nu))
+from series_helper import listed_series
 
 
 def _series(m):
-    return _weights(1.0 / (1.0 + np.arange(m)) ** 1.3)
+    return listed_series(1.0 / (1.0 + np.arange(m)) ** 1.3)
 
 
 def _mixed(m):
     # alternating signs, decaying like the interval series
     j = np.arange(m)
-    return _weights(3.0 * (-1.0) ** j / (1.0 + j) ** 0.8)
+    return listed_series(3.0 * (-1.0) ** j / (1.0 + j) ** 0.8)
 
 
 def _allocating_sample(series, n, seed):
@@ -90,7 +82,7 @@ def test_sample_is_the_interpolant_at_the_uniforms_in_draw_order():
 @pytest.mark.parametrize("k", [8, 12])
 def test_sample_lies_in_the_dkw_band_of_the_scaled_chi_square(k):
     nu, n = 0.7, 200_000
-    draws = sample(_weights([nu] * k), n, 100 + k)
+    draws = sample(listed_series([nu] * k), n, 100 + k)
     # DKW: P(sup|F_n - F| > eps) <= 2 exp(-2 n eps^2) = 1e-3
     eps = np.sqrt(np.log(2.0 / 1e-3) / (2.0 * n))
     assert _ks_against(draws, lambda x: chi2.cdf(x / nu + k, k)) < eps
@@ -150,9 +142,9 @@ def _one_shot_table(rule):
 @pytest.mark.parametrize("series, nodes", [
     (_mixed(300), 256),
     # 2 nodes > 4096: the short transforms are longer than 4096
-    (_weights([0.7] * 8), 8192),
+    (listed_series([0.7] * 8), 8192),
     # the first grid, 8192 cells, is two short transforms of 4096
-    (_weights([0.7] * 12), 1024),
+    (listed_series([0.7] * 12), 1024),
 ], ids=["mixed-300", "eight-equal", "twelve-equal"])
 def test_cdf_table_is_the_one_shot_transform(series, nodes):
     lo, hi, u, _, _ = series.inversion_rule
@@ -168,7 +160,7 @@ def test_cdf_table_is_the_one_shot_transform(series, nodes):
 
 
 def test_cdf_table_build_holds_one_table_and_a_few_megabytes():
-    rule = _weights([0.7] * 8).inversion_rule
+    rule = listed_series([0.7] * 8).inversion_rule
     tracemalloc.start()
     try:
         table = rosenblatt._cdf_table(rule, 1e-12)
@@ -188,7 +180,7 @@ def test_cdf_table_build_holds_one_table_and_a_few_megabytes():
 ])
 def test_sample_refuses_a_series_it_cannot_tabulate(nu, message):
     with pytest.raises(AccuracyError, match=message):
-        sample(_weights(nu), 10, 0)
+        sample(listed_series(nu), 10, 0)
 
 
 @pytest.mark.parametrize("seed", [-1, 2.0, False])
@@ -203,7 +195,7 @@ def test_sample_refuses_a_bad_seed_before_tabulating(seed):
 def test_series_cdf_matches_scaled_chi_square(k):
     # nu (chi2_k - k) is the series with k equal weights nu
     for nu in (0.05, 1.0, 3.0):
-        series = _weights([nu] * k)
+        series = listed_series([nu] * k)
         sd = nu * np.sqrt(2.0 * k)
         x = np.linspace(-nu * k, 15.0 * sd, 801)
         want = chi2.cdf(x / nu + k, k)
@@ -265,7 +257,7 @@ def test_series_cdf_lies_in_the_dkw_band_of_the_sampler():
 def test_series_cdf_refuses_a_one_term_series():
     # phi(u) ~ u^(-1/2): the inversion integral converges too slowly to cut off
     with pytest.raises(AccuracyError):
-        series_cdf(_weights([1.0]), [0.0, 1.0])
+        series_cdf(listed_series([1.0]), [0.0, 1.0])
 
 
 def _merged_spectrum(kernel):
@@ -332,7 +324,8 @@ def test_interval_law_is_within_5e_5_of_a_dense_galerkin_reference(monkeypatch, 
     # same three-cumulant tail past them; measured 1.9e-6, 1.3e-5 and 3.7e-6
     law = rosenblatt.limit_law(ball(1), alpha)
     reference = _law_at(monkeypatch, alpha, 2000, 200)
-    assert reference.leading_terms == 200 and reference.tail_terms > law.tail_terms
+    tails = [rosenblatt.series_record(x)["tail_terms"] for x in (reference, law)]
+    assert reference.leading_terms == 200 and tails[0] > tails[1]
     assert _ks_between(law, reference) <= 5e-5
 
 
@@ -345,21 +338,24 @@ _DISK_GRID = (0.4, 0.5, 0.6, 0.7, 0.8)
 def test_every_alpha_of_the_two_grids_builds(dimension, alpha):
     law = rosenblatt.limit_law(ball(dimension), alpha)
     oracle = rosenblatt.variance_oracle(ball(dimension), alpha)
+    record = rosenblatt.series_record(law)
     nu = np.asarray(law.eigenvalues)
-    k, m = law.leading_terms, law.tail_terms
+    k, m, tau = law.leading_terms, record["tail_terms"], record["tail_value"]
     assert k == 50 and 1 <= m <= rosenblatt._TAIL_CAP and k + m == nu.size
-    assert np.all(nu[k:] == law.tail_value) and law.tail_value <= nu[k - 1]
+    assert np.all(nu[k:] == tau) and tau <= nu[k - 1]
     assert law.variance == pytest.approx(oracle, rel=1e-14)
-    assert 2.0 * m * law.tail_value**2 == pytest.approx(law.tail_variance, rel=1e-14)
-    assert law.leading_share == pytest.approx(2.0 * np.sum(nu[:k] ** 2) / oracle, rel=1e-12)
+    # the tail carries the oracle's variance less the K terms'
+    leading = 2.0 * np.sum(nu[:k] ** 2)
+    assert record["tail_variance"] == pytest.approx(oracle - leading, rel=1e-12)
+    assert record["leading_share"] == pytest.approx(leading / oracle, rel=1e-12)
     # no term is capped on these grids: the tail carries T_t exactly
-    assert 8.0 * m * law.tail_value**3 == pytest.approx(law.tail_kappa3, rel=1e-2)
+    assert 8.0 * m * tau**3 == pytest.approx(law.tail_kappa3, rel=1e-2)
     assert 0.8 <= law.weyl_ratio <= 1.25
 
 
 def test_the_interval_law_at_0_4_meets_the_galerkin_third_cumulant():
     law = rosenblatt.limit_law(ball(1), 0.4)
-    assert law.tail_terms == 4069
+    assert rosenblatt.series_record(law)["tail_terms"] == 4069
     # 2 sum nu^2 is the oracle; 8 sum nu^3 is the 1000-cell Galerkin value
     # 280.19 of the benchmark to 1%, where the rescaled law read 304.38
     assert abs(law.variance - rosenblatt.variance_oracle(ball(1), 0.4)) <= 1e-12
@@ -453,7 +449,7 @@ def _sine_per_node(series, x):
 def test_series_cdf_matches_the_sine_per_node_form(unit_laws):
     # the interval and disk laws (128 and 256 nodes) and nu (chi2_8 - 8)
     # at 8192 nodes, where the giant steps run to phases of 2^13 pi
-    chi = _weights([1.0] * 8)
+    chi = listed_series([1.0] * 8)
     assert chi.inversion_rule[2].size >= 8192
     for series in (unit_laws[1], unit_laws[2], chi):
         lo, hi = series.inversion_rule[:2]
@@ -490,14 +486,15 @@ def test_limit_law_is_the_unit_law_dilated(unit_laws, window, radius):
     scale = radius ** (d - _ALPHA[d])
     want = scale * np.asarray(unit.eigenvalues)
     # the tail is the same M terms dilated, from the window's own oracle
-    assert (len(law.eigenvalues), law.leading_terms, law.tail_terms) == (
-        len(unit.eigenvalues), unit.leading_terms, unit.tail_terms)
+    got, was = rosenblatt.series_record(law), rosenblatt.series_record(unit)
+    assert (len(law.eigenvalues), law.leading_terms, got["tail_terms"]) == (
+        len(unit.eigenvalues), unit.leading_terms, was["tail_terms"])
     assert np.max(np.abs(np.asarray(law.eigenvalues) - want)) <= 1e-13 * abs(want[0])
-    assert law.tail_value == pytest.approx(scale * unit.tail_value, rel=1e-12)
-    assert law.tail_variance == pytest.approx(scale**2 * unit.tail_variance, rel=1e-12)
+    assert got["tail_value"] == pytest.approx(scale * was["tail_value"], rel=1e-12)
+    assert got["tail_variance"] == pytest.approx(scale**2 * was["tail_variance"], rel=1e-12)
     assert law.tail_kappa3 == pytest.approx(scale**3 * unit.tail_kappa3, rel=1e-12)
     assert law.weyl_ratio == pytest.approx(unit.weyl_ratio, rel=1e-12)
-    assert law.leading_share == pytest.approx(unit.leading_share, rel=1e-12)
+    assert got["leading_share"] == pytest.approx(was["leading_share"], rel=1e-12)
     assert law.variance == pytest.approx(rosenblatt.variance_oracle(window, _ALPHA[d]), rel=1e-14)
 
 
@@ -519,7 +516,7 @@ def test_disk_law_keeps_the_values_of_the_angular_fft_build():
     # 97 radial blocks of order 160, which read 4.04647642267508 and
     # 0.945562514469661 after a rescale by 1.0118016808644539
     series = rosenblatt.limit_law(ball(2), 0.6)
-    assert (series.leading_terms, series.tail_terms) == (50, 800)
+    assert (series.leading_terms, len(series.eigenvalues)) == (50, 850)
     nu = series.eigenvalues
     assert nu[0] == pytest.approx(4.04647642267508 / 1.0118016808644539, rel=1e-12)
     assert nu[1] == pytest.approx(0.945562514469661 / 1.0118016808644539, rel=1e-12)
