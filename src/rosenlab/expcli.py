@@ -59,7 +59,7 @@ from .fieldsim import (  # noqa: F401
     window_extent,
     window_integrals,
 )
-from .geometry import indicator_ft, set_from_json
+from .geometry import indicator_ft, set_from_json, set_to_json
 from .hermite import functional_catalog, hermite_coefficients
 from .ratelab import (
     CURVE_COLUMNS,
@@ -340,14 +340,6 @@ def rate_experiment(config):
     return RhoTable(rows=tuple(rows), law=law, embedding=embedding(plan), stage_seconds=stages)
 
 
-def _law_record(law):
-    """What a manifest records of the limit law, as derived_limit_law: its
-    rosenblatt.series_record but the eigenvalues."""
-    record = series_record(law)
-    del record["eigenvalues"]
-    return record
-
-
 def _fmt(value):
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
@@ -580,7 +572,9 @@ def _write_manifest(out, command, merged, wall_seconds, outputs):
             "stream depends on the number of workers."
         )
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        # the one value of config that is not JSON, the window of --set, as
+        # set_to_json writes it
+        json.dump(doc, fh, indent=2, sort_keys=True, default=set_to_json)
         fh.write("\n")
     return path
 
@@ -643,6 +637,11 @@ def _grid(text, name):
     return _floats(text, name)
 
 
+def _window(text, name):
+    """A window JSON descriptor, read once by set_from_json."""
+    return set_from_json(text)
+
+
 def _seed(value, name):
     """A nonnegative integer. Text that reads as an integer is one; any other
     value goes to check_seed as it is, which names it in its refusal."""
@@ -658,8 +657,8 @@ class _Option:
     """One command line option, declared once.
 
     Every flag takes a value, as text. kind reads it into what the handler
-    gets: _int, _float, _floats, _grid, _seed or _out_path; None passes the
-    text through as given, such as a JSON descriptor or a path. key is the
+    gets: _int, _float, _floats, _grid, _window, _seed or _out_path; None
+    passes the text through, such as a model descriptor or a path. key is the
     value's name: its argparse dest, its key in the handler's opts and in
     the manifest's config; it is the flag's name unless declared.
     """
@@ -713,7 +712,7 @@ def _cmd_spectral_fit(opts):
 
 
 def _cmd_geometry_ft(opts):
-    window = set_from_json(opts["set"])
+    window = opts["set"]
     if opts["direction"] is None:
         vec = np.zeros(window.dimension)
         vec[0] = 1.0
@@ -751,14 +750,14 @@ def _cmd_simulate_field(opts):
 
 
 def _cmd_rosenblatt_build(opts):
-    series = limit_law(set_from_json(opts["set"]), opts["alpha"])
+    series = limit_law(opts["set"], opts["alpha"])
     text = series_to_json(series)
     if opts["out"] is None:
         sys.stdout.write(text + "\n")
     else:
         with open(opts["out"], "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    return None, None, {"limit_law": _law_record(series)}
+    return None, None, {"limit_law": series_record(series)}
 
 
 def _cmd_rosenblatt_sample(opts):
@@ -821,7 +820,7 @@ def _cmd_rate_curves(opts):
 
 def _cmd_rate_experiment(opts):
     config = ExperimentConfig(
-        model=model_from_json(opts["model"]), window=set_from_json(opts["set"]),
+        model=model_from_json(opts["model"]), window=opts["set"],
         functional=opts["functional"], r_grid=tuple(opts["r_grid"]),
         replicates=opts["replicates"], master_seed=opts["master_seed"], h=opts["h"],
     )
@@ -831,7 +830,7 @@ def _cmd_rate_experiment(opts):
         "stage_seconds": table.stage_seconds,
         "embedding": {**asdict(table.embedding), "drawn_on_r": config.r_grid[-1]},
         "window_sites": [row.window_sites for row in table.rows],
-        "limit_law": _law_record(table.law),
+        "limit_law": series_record(table.law),
     }
     return RHO_CSV_COLUMNS, table.csv_rows(), info
 
@@ -847,7 +846,7 @@ def _cmd_verify_supmin(opts):
 
 
 _MODEL = _Option("model", required=True, help="model JSON descriptor")
-_SET = _Option("set", required=True, help="window JSON descriptor")
+_SET = _Option("set", _window, required=True, help="window JSON descriptor")
 _EXPONENTS = (
     _Option("d", _int, required=True, help="dimension"),
     _Option("alpha", _float, required=True, help="long-memory exponent"),

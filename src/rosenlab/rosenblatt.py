@@ -4,29 +4,31 @@ The limit is a double Wiener-Ito integral whose kernel couples the window
 transform with a power singularity at zero frequency. Its law is the
 weighted series sum_j nu_j (Z_j^2 - 1) of centered chi-squares over the
 spectrum nu_j of that operator, which has closed-form cumulants and a
-closed-form characteristic function. Inverting that gives the exact CDF
+closed-form characteristic function. An EigenSeries holds each distinct
+weight once with its count. Inverting phi gives the exact CDF
 (series_cdf), and sample draws by inverting the CDF itself: short batched
 inverse FFTs (numpy's, the one FFT library of the package) put the CDF on
 a fine grid (EigenSeries.cdf_table), and each draw is one uniform mapped
 through its linear interpolant, with a reported Kolmogorov error bound.
 
-limit_law(window, alpha) is the one way to get the series. The law is
-self-similar (Dobrushin and Major 1979): over the ball of radius R it is
-the unit ball's law times R^(d - alpha), and it does not change when the
-window is translated, so a ball or any 1-d interval has the law of the ball
-of its radius or half-length. limit_law therefore solves the operator of
-the unit interval or the unit disk only (build_kernel), keeps its 50
-largest eigenvalues (eigen_series) and dilates them; no eigenvalue is
-rescaled. The rest of the spectrum is carried by M equal terms tau
-(Z_i^2 - 1), Pearson's three-moment chi-square approximation (Biometrika
-46, 1959) applied to the tail: their variance is the oracle's remainder
-V_t = oracle - 2 sum nu^2, the oracle being a variance of the window that
-does not use the mesh (variance_oracle: a closed form for balls and
-intervals, a polar quadrature of a closed-form radial integral for d=2
-rectangles), and their third cumulant is T_t, the tail's from Weyl
-asymptotics. So 2 sum nu^2 equals the oracle by construction. A mesh that
-has not resolved the law past its kept terms leaves a V_t off the Weyl
-tail variance, which limit_law refuses. d=2 rectangles have no law here.
+limit_law(window, alpha) builds the limit law. It is self-similar
+(Dobrushin and Major 1979): over the ball of radius R it is the unit
+ball's law times R^(d - alpha), and it does not change when the window is
+translated, so a ball or any 1-d interval has the law of the ball of its
+radius or half-length. limit_law therefore solves the operator of the unit
+interval or the unit disk only (build_kernel), keeps its 50 largest
+eigenvalues (eigen_series) and dilates them; no eigenvalue is rescaled.
+The rest of the spectrum is carried by M equal terms tau (Z_i^2 - 1), one
+pair (tau, M) however large M is: Pearson's three-moment chi-square
+approximation (Biometrika 46, 1959) applied to the tail. Their variance
+is the oracle's remainder V_t = oracle - 2 sum nu^2, the oracle being a
+variance of the window that does not use the mesh (variance_oracle: a
+closed form for balls and intervals, a polar quadrature of a closed-form
+radial integral for d=2 rectangles), and their third cumulant is T_t, the
+tail's from Weyl asymptotics. So 2 sum nu^2 equals the oracle by
+construction. A mesh that has not resolved the law past its kept terms
+leaves a V_t off the Weyl tail variance, which limit_law refuses. d=2
+rectangles have no law here.
 
 The operator is never stored whole. It commutes with the symmetries of
 the window and the mesh, so it splits into one block per invariant
@@ -64,9 +66,9 @@ rectangle does (scipy.integrate).
 """
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
-from math import atan2, ceil, cos, exp, factorial, fsum, lgamma, log, log2, pi, sin, sqrt
+from math import atan2, ceil, cos, exp, factorial, lgamma, log, log2, pi, sin, sqrt
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -108,9 +110,9 @@ DEFAULT_CUTOFF_2D = 60.0
 # the leading eigenvalues limit_law keeps, well below the cell count: the
 # Weyl tail of the 500 cells is off by 2x at 300 terms
 _LEADING_TERMS = 50
-# the most equal tail terms a law lists, and the band of V_t / V_W inside
-# which the mesh resolved the law past its leading terms
-_TAIL_CAP = 2**18
+# the most terms series_to_json lists, about 20 MB of JSON, and the band of
+# V_t / V_W inside which the mesh resolved the law past its leading terms
+_LISTING_BUDGET = 2**20
 _WEYL_BAND = (0.8, 1.25)
 _INNER_RADIUS = 1e-8
 _GL_ORDER = 4
@@ -181,29 +183,37 @@ class CdfTable:
 
 @dataclass(frozen=True)
 class EigenSeries:
-    """The weights nu_j of a series law sum_j nu_j (Z_j^2 - 1), listed one
-    by one, and what limit_law knew of them that the list does not say.
-
-    eigenvalues holds the leading_terms (K) largest eigenvalues of the
-    window operator, none of them rescaled, then M copies of one value tau,
-    the tail: it stands for every eigenvalue past the K-th, and carries the
-    tail variance V_t = 2 M tau^2, the oracle's variance less 2 sum nu^2
-    over the K terms. tail_kappa3 (T_t) is the tail's third cumulant from
-    Weyl asymptotics, which set M = round(8 V_t^3 / T_t^2), at most
-    _TAIL_CAP, and weyl_ratio is V_t over the Weyl tail variance V_W. M,
-    tau, V_t and the K terms' share of the variance are read off the list
-    (series_record). The CDF and the sampler read only the list, each
-    distinct weight once with its multiplicity.
+    """A series law sum_j nu_j (Z_j^2 - 1): its distinct weights, in the
+    order the law lists them, and how often each occurs; grouped is the one
+    constructor. A limit_law series lists its K leading eigenvalues, then
+    the tail tau, whose count M is the last. The CDF, the sampler and the
+    cumulants read the pairs; only eigenvalues and series_to_json list the
+    terms one by one.
     """
 
-    eigenvalues: tuple
-    leading_terms: int
-    tail_kappa3: float
-    weyl_ratio: float
+    weights: tuple
+    counts: tuple
+
+    @classmethod
+    def grouped(cls, weights, counts=1):
+        """The series of the terms weights[i], each taken counts[i] times
+        (once by default); equal weights merge into one pair at the place
+        of the first."""
+        nu = np.asarray(weights, dtype=float).ravel()
+        distinct, first, where = np.unique(nu, return_index=True, return_inverse=True)
+        total = np.zeros(distinct.size, dtype=np.int64)
+        np.add.at(total, where, np.broadcast_to(np.asarray(counts, dtype=np.int64), nu.shape))
+        order = np.argsort(first)
+        return cls(weights=tuple(distinct[order].tolist()), counts=tuple(total[order].tolist()))
+
+    @property
+    def eigenvalues(self):
+        """Every term's weight, each distinct weight repeated by its count."""
+        return np.repeat(self.weights, self.counts)
 
     @property
     def variance(self):
-        return 2.0 * fsum(v * v for v in self.eigenvalues)
+        return 2.0 * _power_sum(self, 2)
 
     @cached_property
     def inversion_rule(self):
@@ -214,8 +224,9 @@ class EigenSeries:
         nodes, weights and phases of _inversion_terms. AccuracyError, not
         kept, if the rule needs more than 2^20 nodes.
         """
-        nu, count = np.unique(np.asarray(self.eigenvalues, dtype=float), return_counts=True)
-        return _inversion_rule(nu, count, _CDF_TOL)
+        nu, count = np.asarray(self.weights), np.asarray(self.counts)
+        order = np.argsort(nu)  # ascending: the bytes of the CDF depend on the order
+        return _inversion_rule(nu[order], count[order], _CDF_TOL)
 
     @cached_property
     def cdf_table(self):
@@ -415,13 +426,13 @@ def limit_law(window, alpha):
     asymptotics nu_j ~ nu_K (j / K)^(-p) summed from K + 1/2:
     - V_t = oracle - 2 sum_(j<=K) nu_j^2, the oracle from variance_oracle;
     - T_t = 8 nu_K^3 K^(3p) (K + 1/2)^(1 - 3p) / (3p - 1);
-    - M = round(8 V_t^3 / T_t^2), at most _TAIL_CAP, and
-      tau = sqrt(V_t / (2 M)),
-    so that 2 sum nu^2 equals the oracle and, below the cap, the tail's
-    third cumulant 8 M tau^3 is T_t (Pearson 1959). The law is refused with
-    AccuracyError unless V_t lies within _WEYL_BAND = [0.8, 1.25] of the
-    Weyl tail variance V_W = 2 nu_K^2 K^(2p) (K + 1/2)^(1 - 2p) / (2p - 1):
-    outside it the mesh has not resolved the spectrum past its K terms, as
+    - M = round(8 V_t^3 / T_t^2) and tau = sqrt(V_t / (2 M)), one pair
+      (tau, M) however large M is,
+    so that 2 sum nu^2 equals the oracle and the tail's third cumulant
+    8 M tau^3 is T_t up to the rounding of M (Pearson 1959). The law is
+    refused with AccuracyError, which names V_t / V_W, unless V_t lies
+    within _WEYL_BAND = [0.8, 1.25] of the Weyl tail variance
+    V_W = 2 nu_K^2 K^(2p) (K + 1/2)^(1 - 2p) / (2p - 1): outside it the mesh has not resolved the spectrum past its K terms, as
     on the disk at alpha <= 0.3, whose frequency mesh loses variance.
     """
     d = window.dimension
@@ -443,15 +454,9 @@ def limit_law(window, alpha):
             f"{k} leading terms",
             estimate=ratio,
         )
-    tail_kappa3 = 8.0 * weyl(3)
-    count = min(round(8.0 * tail_variance**3 / tail_kappa3**2), _TAIL_CAP)
+    count = round(8.0 * tail_variance**3 / (8.0 * weyl(3)) ** 2)
     value = sqrt(tail_variance / (2.0 * count))
-    return EigenSeries(
-        eigenvalues=tuple(map(float, nu)) + (value,) * count,
-        leading_terms=k,
-        tail_kappa3=tail_kappa3,
-        weyl_ratio=ratio,
-    )
+    return EigenSeries.grouped(np.append(nu, value), np.append(np.ones(k, dtype=int), count))
 
 
 def sample(series, n, seed):
@@ -705,8 +710,18 @@ def cumulant(series, p):
     p = int(p)
     if p < 2:
         raise ParameterError(f"cumulant order must be >= 2, got {p}")
-    nu = np.asarray(series.eigenvalues)
-    return float(2.0 ** (p - 1) * factorial(p - 1) * np.sum(nu**p))
+    return 2.0 ** (p - 1) * factorial(p - 1) * _power_sum(series, p)
+
+
+def _power_sum(series, p):
+    """sum_j nu_j^p over every term as fsum of the listed powers gives it:
+    integer ratios summed over one denominator, one correctly rounded /."""
+    powers = np.asarray(series.weights) ** p
+    if not np.all(np.isfinite(powers)):  # an overflowed power: inf or nan
+        return float(powers @ np.asarray(series.counts))
+    ratios = [v.as_integer_ratio() for v in powers.tolist()]
+    den = max(d for _, d in ratios)
+    return sum(c * n * (den // d) for (n, d), c in zip(ratios, series.counts)) / den
 
 
 def variance_oracle(window, alpha):
@@ -780,22 +795,20 @@ def _rectangle_oracle(window, beta):
 
 
 def series_record(series):
-    """What series_to_json writes: the series' four fields and what its list
-    gives. The tail_terms (M) entries past the leading_terms (K) are copies
-    of tail_value (tau), the last entry, so tail_variance V_t = 2 M tau^2
-    and leading_share = 1 - V_t / variance, with variance 2 sum nu^2 and
-    kappa3 = 8 sum nu^3."""
-    nu, k = series.eigenvalues, series.leading_terms
-    count, value, variance = len(nu) - k, nu[-1], series.variance
-    tail_variance = 2.0 * count * value**2
+    """What series_to_json writes after the listed terms, read off the
+    pairs. The last pair is the tail: tail_terms (M) terms of tail_value
+    (tau), after leading_terms (K). So tail_variance V_t = 2 M tau^2,
+    tail_kappa3 = 8 M tau^3 (limit_law's T_t up to the rounding of M) and
+    leading_share = 1 - V_t / variance, variance being 2 sum nu^2 and
+    kappa3 8 sum nu^3 over every term."""
+    tau, count, variance = series.weights[-1], series.counts[-1], series.variance
+    tail_variance = 2.0 * count * tau**2
     return {
-        "eigenvalues": nu,
-        "leading_terms": k,
+        "leading_terms": sum(series.counts[:-1]),
         "tail_terms": count,
-        "tail_value": value,
+        "tail_value": tau,
         "tail_variance": tail_variance,
-        "tail_kappa3": series.tail_kappa3,
-        "weyl_ratio": series.weyl_ratio,
+        "tail_kappa3": 8.0 * count * tau**3,
         "leading_share": 1.0 - tail_variance / variance,
         "variance": variance,
         "kappa3": cumulant(series, 3),
@@ -803,7 +816,14 @@ def series_record(series):
 
 
 def series_to_json(series):
-    return json.dumps(series_record(series))
+    """The series' terms listed one by one (eigenvalues), then its
+    series_record. ParameterError, before the list is made, for a series of
+    more than _LISTING_BUDGET = 2^20 terms, as the interval's law is from
+    alpha = 0.49 on."""
+    terms = sum(series.counts)
+    if terms > _LISTING_BUDGET:
+        raise ParameterError(f"series of {terms} terms exceeds the 2^20-term listing budget")
+    return json.dumps({"eigenvalues": series.eigenvalues.tolist(), **series_record(series)})
 
 
 def _finite(value):
@@ -811,35 +831,12 @@ def _finite(value):
 
 
 def series_from_json(text):
-    """The EigenSeries of a series_to_json document. ParameterError, before
-    any CDF is built, unless eigenvalues is a nonempty list of finite
-    numbers, tail_kappa3 and weyl_ratio finite numbers, leading_terms a
-    whole number in [0, len - 1], and the tail, the entries from
-    leading_terms on, one value repeated. Only those four fields are read,
-    each by its name; the rest of the document is series_record's reading
-    of them and is not read back."""
+    """The EigenSeries grouped from the eigenvalues of a series_to_json
+    document, its one key read back. ParameterError, before any CDF is
+    built, unless the document is a JSON object whose eigenvalues are a
+    nonempty list of finite numbers."""
     obj = check_json_object(text, "series document")
-    missing = [f.name for f in fields(EigenSeries) if f.name not in obj]
-    if missing:
-        raise ParameterError(f"series document missing {missing}")
-    nu = obj["eigenvalues"]
+    nu = obj.get("eigenvalues")
     if not (isinstance(nu, list) and nu and all(map(_finite, nu))):
         raise ParameterError("series eigenvalues must be a nonempty list of finite numbers")
-    bad = [k for k in ("tail_kappa3", "weyl_ratio") if not _finite(obj[k])]
-    if bad:
-        raise ParameterError(f"series {', '.join(bad)} must be finite numbers")
-    leading = obj["leading_terms"]
-    if not (type(leading) is int and 0 <= leading < len(nu)):
-        raise ParameterError(
-            f"series leading_terms {leading!r} must be a whole number in [0, {len(nu) - 1}]"
-        )
-    tail = set(nu[leading:])
-    if len(tail) != 1:
-        raise ParameterError(
-            f"series of {len(nu)} eigenvalues holds {len(tail)} values from leading_terms "
-            f"{leading} on, not one"
-        )
-    return EigenSeries(
-        eigenvalues=tuple(map(float, nu)), leading_terms=leading,
-        tail_kappa3=float(obj["tail_kappa3"]), weyl_ratio=float(obj["weyl_ratio"]),
-    )
+    return EigenSeries.grouped(nu)

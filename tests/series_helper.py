@@ -4,8 +4,6 @@ from rosenlab.rosenblatt import EigenSeries
 
 
 def listed_series(nu):
-    """The series of the weights nu. The CDF and the sampler read only the
-    list, so its last weight stands for a one-term tail."""
-    nu = tuple(float(v) for v in nu)
-    return EigenSeries(eigenvalues=nu, leading_terms=len(nu) - 1,
-                       tail_kappa3=8.0 * nu[-1] ** 3, weyl_ratio=1.0)
+    """The series of the terms nu, one term per weight, grouped as
+    series_from_json groups a listed document."""
+    return EigenSeries.grouped(list(nu))

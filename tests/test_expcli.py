@@ -10,7 +10,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
 
@@ -215,7 +215,8 @@ def test_rho_is_the_sup_over_breakpoints_against_the_series_cdf(tmp_path, monkey
     recorded_law = manifest["config"]["derived_limit_law"]
     nu = np.asarray(seen[0][0].eigenvalues)
     assert recorded_law["leading_terms"] + recorded_law["tail_terms"] == nu.size
-    assert recorded_law["kappa3"] == 8.0 * float(np.sum(nu**3))
+    assert recorded_law["kappa3"] == pytest.approx(8.0 * float(np.sum(nu**3)), rel=1e-14)
+    assert "eigenvalues" not in recorded_law
     assert "reference" not in json.dumps(manifest)
 
 
@@ -812,15 +813,7 @@ def test_sample_of_a_three_term_series_exits_2(tmp_path, capsys):
     ({"eigenvalues": ["a"]}, "nonempty list of finite numbers"),
     ({"eigenvalues": []}, "nonempty list of finite numbers"),
     ({"eigenvalues": [1.0, float("nan"), 0.5, 0.25, 0.125]}, "nonempty list of finite numbers"),
-    ({"eigenvalues": [1.0, 0.75, 0.5, 0.25, 0.125, 0.125, 0.0625]},
-     "series of 7 eigenvalues holds 2 values from leading_terms 4 on, not one"),
-    ({"eigenvalues": [1.0, 0.75, 0.5, 0.25, 0.125, 0.0625]},
-     "series of 6 eigenvalues holds 2 values from leading_terms 4 on, not one"),
-    ({"weyl_ratio": float("nan"), "tail_kappa3": "0.9"},
-     "tail_kappa3, weyl_ratio must be finite numbers"),
-    ({"leading_terms": 5}, "leading_terms 5 must be a whole number in [0, 4]"),
-    ({"leading_terms": 3}, "series of 5 eigenvalues holds 2 values from leading_terms 3 on, not one"),
-    ({"leading_terms": 4.0}, "leading_terms 4.0 must be a whole number in [0, 4]"),
+    ({"eigenvalues": None}, "nonempty list of finite numbers"),
 ])
 def test_sample_refuses_a_malformed_series_before_tabulating(
     tmp_path, capsys, monkeypatch, change, message
@@ -829,7 +822,7 @@ def test_sample_refuses_a_malformed_series_before_tabulating(
         raise AssertionError("a malformed series must not reach the CDF table")
 
     monkeypatch.setattr(rosenblatt, "_node_plan", unused)
-    doc = {**rosenblatt.series_record(listed_series([1.0, 0.75, 0.5, 0.25, 0.125])), **change}
+    doc = {**json.loads(series_to_json(listed_series([1.0, 0.75, 0.5, 0.25, 0.125]))), **change}
     (tmp_path / "series.json").write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "x.csv"
     argv = ["rosenblatt", "sample", "--series", str(tmp_path / "series.json"),
@@ -841,27 +834,32 @@ def test_sample_refuses_a_malformed_series_before_tabulating(
     assert not out.exists()
 
 
-def test_a_series_document_is_read_from_its_four_fields():
-    # tail_terms, tail_value, tail_variance and leading_share are read off
-    # the list by series_record, as variance and kappa3 are; a document's
-    # own values of them are not read back
-    series = replace(listed_series([1.0, 0.75, 0.5, 0.25, 0.125, 0.125]), leading_terms=4)
+def test_a_series_document_is_read_from_its_eigenvalues_alone():
+    # every other key is read off the pairs by series_record, and a
+    # document's own values of them are not read back
+    series = listed_series([1.0, 0.75, 0.5, 0.25, 0.125, 0.125])
+    assert [f.name for f in fields(rosenblatt.EigenSeries)] == ["weights", "counts"]
+    assert (series.weights, series.counts) == ((1.0, 0.75, 0.5, 0.25, 0.125), (1, 1, 1, 1, 2))
     record = rosenblatt.series_record(series)
-    assert [f.name for f in fields(rosenblatt.EigenSeries)] == [
-        "eigenvalues", "leading_terms", "tail_kappa3", "weyl_ratio"]
-    assert list(record) == ["eigenvalues", "leading_terms", "tail_terms", "tail_value",
-                            "tail_variance", "tail_kappa3", "weyl_ratio", "leading_share",
-                            "variance", "kappa3"]
-    assert (record["tail_terms"], record["tail_value"]) == (2, 0.125)
+    assert list(record) == ["leading_terms", "tail_terms", "tail_value", "tail_variance",
+                            "tail_kappa3", "leading_share", "variance", "kappa3"]
+    assert (record["leading_terms"], record["tail_terms"], record["tail_value"]) == (4, 2, 0.125)
     assert record["tail_variance"] == 2.0 * 2 * 0.125**2
+    assert record["tail_kappa3"] == 8.0 * 2 * 0.125**3
     assert record["leading_share"] == 1.0 - record["tail_variance"] / series.variance
-    stored = {k: record[k] for k in ("eigenvalues", "leading_terms", "tail_kappa3", "weyl_ratio")}
+    doc = json.loads(series_to_json(series))
+    assert list(doc) == ["eigenvalues", *record]
+    assert doc["eigenvalues"] == [1.0, 0.75, 0.5, 0.25, 0.125, 0.125]
     garbled = {**record, "tail_terms": 0, "tail_value": "x", "tail_variance": None,
-               "leading_share": float("nan"), "variance": -1.0, "kappa3": []}
-    for doc in (record, stored, garbled):
-        assert series_from_json(json.dumps(doc)) == series
-    # the last of equal terms may stand alone for the tail
-    assert series_from_json(json.dumps({**stored, "leading_terms": 5})).leading_terms == 5
+               "leading_share": float("nan"), "variance": -1.0, "kappa3": [],
+               "leading_terms": 5.5, "tail_kappa3": "0.9", "weyl_ratio": float("nan")}
+    for text in (json.dumps(doc), json.dumps({"eigenvalues": doc["eigenvalues"]}),
+                 json.dumps({**garbled, "eigenvalues": doc["eigenvalues"]})):
+        assert series_from_json(text) == series
+    # equal terms merge into one pair wherever they stand, at the place of
+    # the first
+    scattered = series_from_json(json.dumps({"eigenvalues": [0.5, 1.0, 0.5, 0.25]}))
+    assert (scattered.weights, scattered.counts) == ((0.5, 1.0, 0.25), (2, 1, 1))
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -1218,13 +1216,13 @@ def test_manifests_record_the_echoed_values_as_json_numbers(tmp_path, monkeypatc
 
 
 _LAW_KEYS = ["leading_terms", "tail_terms", "tail_value", "tail_variance", "tail_kappa3",
-             "weyl_ratio", "leading_share", "variance", "kappa3"]
+             "leading_share", "variance", "kappa3"]
 
 
 def test_rosenblatt_build_writes_the_series_and_its_tail(tmp_path):
     # the unit interval, the interval of half-length 0.5 and a translate of
-    # [-1, 1]: each has the unit interval's law dilated, so its tail count
-    # and its Weyl ratio
+    # [-1, 1]: each has the unit interval's law dilated, so its tail count,
+    # and its tail's third cumulant scales by the cube of the dilation
     tails = []
     for window in (WINDOW, json.dumps({"shape": "ball", "R": 0.5, "d": 1}),
                    json.dumps({"shape": "rect", "a": [-0.5], "b": [1.5]})):
@@ -1248,9 +1246,43 @@ def test_rosenblatt_build_writes_the_series_and_its_tail(tmp_path):
         oracle = rosenblatt.variance_oracle(expcli.set_from_json(window), 0.4)
         assert law["variance"] == series.variance == pytest.approx(oracle, rel=1e-14)
         assert law["leading_share"] == pytest.approx(1.0 - law["tail_variance"] / oracle, rel=1e-14)
-        tails.append((law["tail_terms"], law["weyl_ratio"]))
+        assert law["tail_kappa3"] == 8.0 * law["tail_terms"] * law["tail_value"] ** 3
+        tails.append((law["tail_terms"], law["tail_kappa3"]))
     assert [m for m, _ in tails] == [4069] * 3
-    assert [r for _, r in tails] == pytest.approx([tails[0][1]] * 3, rel=1e-12)
+    scale = np.array([1.0, 0.5**0.6, 1.0]) ** 3
+    assert [t for _, t in tails] == pytest.approx(tails[0][1] * scale, rel=1e-12)
+
+
+def test_rosenblatt_build_refuses_a_listing_over_the_budget(tmp_path, capsys):
+    # the interval at 0.49 has 50 + 1 776 904 terms, over 2^20
+    out = tmp_path / "edge.json"
+    argv = ["rosenblatt", "build", "--set", WINDOW, "--alpha", "0.49", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "rosenlab: series of 1776954 terms exceeds the 2^20-term listing budget\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+    # at 0.48 the 248 155 terms are listed
+    argv[argv.index("0.49")] = "0.48"
+    assert main(argv) == 0
+    assert len(json.loads(out.read_text(encoding="utf-8"))["eigenvalues"]) == 248_155
+
+
+def test_series_to_json_lists_up_to_the_budget(monkeypatch):
+    series = listed_series([1.0, 0.5] * 4)
+    monkeypatch.setattr(rosenblatt, "_LISTING_BUDGET", 8)
+    assert len(json.loads(series_to_json(series))["eigenvalues"]) == 8
+    monkeypatch.setattr(rosenblatt, "_LISTING_BUDGET", 7)
+    with pytest.raises(ParameterError, match="series of 8 terms exceeds the 2\\^20-term"):
+        series_to_json(series)
+
+
+def test_a_manifest_records_the_window_that_was_used(tmp_path):
+    # a ball given without its radius has radius 1.0
+    out = tmp_path / "series.json"
+    window = json.dumps({"shape": "ball", "d": 1})
+    assert main(["rosenblatt", "build", "--set", window, "--alpha", "0.4", "--out", str(out)]) == 0
+    assert _manifest(out)["config"]["set"] == '{"shape": "ball", "R": 1.0, "d": 1}'
 
 
 @pytest.mark.parametrize("alpha", ["0.1", "0.2", "0.3"])
@@ -1374,7 +1406,7 @@ def test_build_and_experiment_share_one_limit_law(tmp_path, monkeypatch):
     assert main(["rosenblatt", "build", "--set", WINDOW, "--alpha", "0.4", "--out", str(out)]) == 0
     built = _manifest(out)["config"]["derived_limit_law"]
     assert built == _manifest(tmp_path / "rho.csv")["config"]["derived_limit_law"]
-    assert series_from_json(out.read_text(encoding="utf-8")).eigenvalues == used[0].eigenvalues
+    assert series_from_json(out.read_text(encoding="utf-8")) == used[0]
 
 
 def test_simulate_field_takes_its_dimension_from_the_model(tmp_path, capsys):

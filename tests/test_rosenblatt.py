@@ -1,12 +1,13 @@
 """The chi-square series: its sampler, its CDF and its eigen-solve."""
 
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import jv
+from scipy.special import jv, ndtr
 from scipy.stats import chi2, ks_2samp
 
 from rosenlab import rosenblatt
@@ -304,7 +305,6 @@ def test_interval_blocks_have_the_spectrum_of_the_dense_mirrored_mesh():
 def _law_at(monkeypatch, alpha, cells, leading):
     monkeypatch.setattr(rosenblatt, "_GALERKIN_CELLS", cells)
     monkeypatch.setattr(rosenblatt, "_LEADING_TERMS", leading)
-    monkeypatch.setattr(rosenblatt, "_TAIL_CAP", 2**21)
     try:
         return rosenblatt.limit_law(ball(1), alpha)
     finally:
@@ -324,13 +324,26 @@ def test_interval_law_is_within_5e_5_of_a_dense_galerkin_reference(monkeypatch, 
     # same three-cumulant tail past them; measured 1.9e-6, 1.3e-5 and 3.7e-6
     law = rosenblatt.limit_law(ball(1), alpha)
     reference = _law_at(monkeypatch, alpha, 2000, 200)
-    tails = [rosenblatt.series_record(x)["tail_terms"] for x in (reference, law)]
-    assert reference.leading_terms == 200 and tails[0] > tails[1]
+    records = [rosenblatt.series_record(x) for x in (reference, law)]
+    assert records[0]["leading_terms"] == 200
+    assert records[0]["tail_terms"] > records[1]["tail_terms"]
     assert _ks_between(law, reference) <= 5e-5
 
 
 _INTERVAL_GRID = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.48)
 _DISK_GRID = (0.4, 0.5, 0.6, 0.7, 0.8)
+
+
+def _weyl_tail(law, dimension, alpha):
+    # the Weyl tail variance V_W and third cumulant T_t as limit_law sums
+    # them from K + 1/2, from the K-th term, the last leading weight
+    k, last = sum(law.counts[:-1]), abs(law.weights[-2])
+    p = (dimension - alpha) / dimension
+
+    def weyl(power):
+        return last**power * k ** (power * p) * (k + 0.5) ** (1.0 - power * p) / (power * p - 1.0)
+
+    return 2.0 * weyl(2), 8.0 * weyl(3)
 
 
 @pytest.mark.parametrize("dimension, alpha", [(1, a) for a in _INTERVAL_GRID]
@@ -340,17 +353,70 @@ def test_every_alpha_of_the_two_grids_builds(dimension, alpha):
     oracle = rosenblatt.variance_oracle(ball(dimension), alpha)
     record = rosenblatt.series_record(law)
     nu = np.asarray(law.eigenvalues)
-    k, m, tau = law.leading_terms, record["tail_terms"], record["tail_value"]
-    assert k == 50 and 1 <= m <= rosenblatt._TAIL_CAP and k + m == nu.size
+    k, m, tau = record["leading_terms"], record["tail_terms"], record["tail_value"]
+    assert k == 50 and m >= 1 and k + m == nu.size
+    assert (law.weights[-1], law.counts[-1]) == (tau, m)
     assert np.all(nu[k:] == tau) and tau <= nu[k - 1]
     assert law.variance == pytest.approx(oracle, rel=1e-14)
     # the tail carries the oracle's variance less the K terms'
     leading = 2.0 * np.sum(nu[:k] ** 2)
     assert record["tail_variance"] == pytest.approx(oracle - leading, rel=1e-12)
     assert record["leading_share"] == pytest.approx(leading / oracle, rel=1e-12)
-    # no term is capped on these grids: the tail carries T_t exactly
-    assert 8.0 * m * tau**3 == pytest.approx(law.tail_kappa3, rel=1e-2)
-    assert 0.8 <= law.weyl_ratio <= 1.25
+    # the tail carries T_t up to the rounding of M, and V_t is in the band
+    weyl_variance, weyl_kappa3 = _weyl_tail(law, dimension, alpha)
+    assert record["tail_kappa3"] == pytest.approx(weyl_kappa3, rel=0.5 / m)
+    assert 0.8 <= record["tail_variance"] / weyl_variance <= 1.25
+
+
+def test_the_interval_law_at_0_499_holds_its_tail_as_one_pair():
+    # M = 1 599 691 884 equal terms, which no list could hold
+    start = time.perf_counter()
+    law = rosenblatt.limit_law(ball(1), 0.499)
+    assert time.perf_counter() - start < 1.0
+    assert (len(law.weights), law.counts[-1]) == (51, 1_599_691_884)
+    assert sum(law.counts[:-1]) == 50
+
+
+_NORMAL_EDGE = (0.45, 0.48, 0.49, 0.495, 0.499)
+
+
+def _standardized_ks(law, cdf):
+    # sup |F(x) - G(x / sd)| on 20 001 points between the law's Chernoff points
+    lo, hi = law.inversion_rule[:2]
+    x = np.linspace(lo, hi, 20_001)
+    return float(np.max(np.abs(series_cdf(law, x) - cdf(x / np.sqrt(law.variance)))))
+
+
+@pytest.mark.parametrize("alpha", _NORMAL_EDGE)
+def test_the_interval_tail_meets_the_weyl_third_cumulant_up_to_0_499(alpha):
+    # a cap of 2^18 tail terms, from alpha = 0.4805 on, left the tail's
+    # third cumulant at 2.6 T_t at 0.49 and at 78 T_t at 0.499
+    law = rosenblatt.limit_law(ball(1), alpha)
+    tail_kappa3 = rosenblatt.series_record(law)["tail_kappa3"]
+    assert tail_kappa3 == pytest.approx(_weyl_tail(law, 1, alpha)[1], rel=1e-4)
+
+
+def test_the_standardized_interval_law_nears_the_normal_as_alpha_nears_one_half():
+    # the limit as alpha -> d/2 (Veillette and Taqqu, Bernoulli 19(3),
+    # 2013); measured 3.1e-2, 1.0e-2, 4.0e-3, 1.5e-3 and 1.5e-4
+    ks = [_standardized_ks(rosenblatt.limit_law(ball(1), a), ndtr) for a in _NORMAL_EDGE]
+    assert np.all(np.diff(ks) < 0.0)
+    assert ks[0] == pytest.approx(3.1e-2, rel=0.05) and ks[-1] < 2e-4
+
+
+def test_the_interval_law_nears_one_chi_square_term_as_alpha_nears_zero():
+    # as alpha -> 0 the kernel tends to 1 on the window (Bai and Taqqu, Ann.
+    # Probab. 45(2), 2017), so the standardized law to (Z^2 - 1)/sqrt(2),
+    # whose skewness is 2 sqrt(2); measured KS 0.131, 0.096 and 0.038
+    skewness, ks = [], []
+    for alpha in (0.1, 0.05, 0.01):
+        law = rosenblatt.limit_law(ball(1), alpha)
+        skewness.append(rosenblatt.cumulant(law, 3) / law.variance**1.5)
+        ks.append(_standardized_ks(law, lambda y: chi2.cdf(np.sqrt(2.0) * y + 1.0, 1)))
+    assert np.all(np.diff(skewness) > 0.0) and skewness[-1] < 2.0 * np.sqrt(2.0)
+    assert skewness == pytest.approx([2.770, 2.815, 2.828], abs=1e-3)
+    assert np.all(np.diff(ks) < 0.0)
+    assert ks == pytest.approx([0.131, 0.096, 0.038], abs=2e-3)
 
 
 def test_the_interval_law_at_0_4_meets_the_galerkin_third_cumulant():
@@ -487,13 +553,12 @@ def test_limit_law_is_the_unit_law_dilated(unit_laws, window, radius):
     want = scale * np.asarray(unit.eigenvalues)
     # the tail is the same M terms dilated, from the window's own oracle
     got, was = rosenblatt.series_record(law), rosenblatt.series_record(unit)
-    assert (len(law.eigenvalues), law.leading_terms, got["tail_terms"]) == (
-        len(unit.eigenvalues), unit.leading_terms, was["tail_terms"])
+    assert law.counts == unit.counts
+    assert (got["leading_terms"], got["tail_terms"]) == (was["leading_terms"], was["tail_terms"])
     assert np.max(np.abs(np.asarray(law.eigenvalues) - want)) <= 1e-13 * abs(want[0])
     assert got["tail_value"] == pytest.approx(scale * was["tail_value"], rel=1e-12)
     assert got["tail_variance"] == pytest.approx(scale**2 * was["tail_variance"], rel=1e-12)
-    assert law.tail_kappa3 == pytest.approx(scale**3 * unit.tail_kappa3, rel=1e-12)
-    assert law.weyl_ratio == pytest.approx(unit.weyl_ratio, rel=1e-12)
+    assert got["tail_kappa3"] == pytest.approx(scale**3 * was["tail_kappa3"], rel=1e-12)
     assert got["leading_share"] == pytest.approx(was["leading_share"], rel=1e-12)
     assert law.variance == pytest.approx(rosenblatt.variance_oracle(window, _ALPHA[d]), rel=1e-14)
 
@@ -516,12 +581,14 @@ def test_disk_law_keeps_the_values_of_the_angular_fft_build():
     # 97 radial blocks of order 160, which read 4.04647642267508 and
     # 0.945562514469661 after a rescale by 1.0118016808644539
     series = rosenblatt.limit_law(ball(2), 0.6)
-    assert (series.leading_terms, len(series.eigenvalues)) == (50, 850)
+    record = rosenblatt.series_record(series)
+    assert (record["leading_terms"], len(series.eigenvalues)) == (50, 850)
     nu = series.eigenvalues
     assert nu[0] == pytest.approx(4.04647642267508 / 1.0118016808644539, rel=1e-12)
     assert nu[1] == pytest.approx(0.945562514469661 / 1.0118016808644539, rel=1e-12)
     assert nu[2] == nu[1]
-    assert series.weyl_ratio == pytest.approx(0.9427787022583081, rel=1e-12)
+    weyl_variance, _ = _weyl_tail(series, 2, 0.6)
+    assert record["tail_variance"] / weyl_variance == pytest.approx(0.9427787022583081, rel=1e-12)
     assert rosenblatt.cumulant(series, 3) == pytest.approx(530.6565599393125, rel=1e-12)
 
 
