@@ -116,7 +116,9 @@ def volume(window, r=1.0):
     """Volume of the scaled window, r^d times the base volume."""
     r = _check_r(r)
     d = window.dimension
-    if window.shape == "ball":
+    if window.shape == "ball" and d == 1:
+        base = 2.0 * window.radius  # the gamma form rounds it to 2R(1 - eps)
+    elif window.shape == "ball":
         base = np.pi ** (0.5 * d) * window.radius**d / gamma(0.5 * d + 1.0)
     else:
         base = float(np.prod([b - a for a, b in zip(window.lower, window.upper)]))

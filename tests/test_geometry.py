@@ -33,6 +33,12 @@ def test_volume_goldens():
     assert volume(ball(3), 1.0) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("radius", [0.5, 1.0, 3.0])
+def test_the_length_of_a_1d_ball_is_exactly_2r(radius):
+    # the gamma form read 1.9999999999999998 at R = 1
+    assert volume(ball(1, radius)) == 2.0 * radius
+
+
 def test_volume_homothety():
     for w in (ball(2, 0.7), rectangle([-0.3, -1.0], [0.4, 2.0])):
         assert volume(w, 5.0) == pytest.approx(5.0 ** w.dimension * volume(w, 1.0), rel=1e-13)
